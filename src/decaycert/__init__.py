@@ -21,9 +21,7 @@ from .homotopy import (
     SolveReport,
     SolverConfig,
     complete_subsets,
-    entry_set,
     find_decay_point,
-    pivot_step,
 )
 from .labeling import LabeledVertexSet, is_complete, label_eps, omega_membership
 from .linear import neumann_inverse, perron_direction, random_contractive, spectral_radius
@@ -39,7 +37,7 @@ from .maps import (
 )
 from .mapspec import MapSpec, parse_map_spec, serialize_map_spec
 from .maxpreserving import GainTable, cycle_condition, path_q, reparametrize_path
-from .order import OrderRelation, compare, one_norm, sphere_project
+from .order import OrderRelation, compare, one_norm
 
 __version__ = "0.1.0"
 
@@ -58,7 +56,6 @@ __all__ = [
     "complete_subsets",
     "compose",
     "cycle_condition",
-    "entry_set",
     "find_decay_point",
     "is_complete",
     "iterate",
@@ -75,12 +72,10 @@ __all__ = [
     "parse_map_spec",
     "path_q",
     "perron_direction",
-    "pivot_step",
     "random_contractive",
     "reparametrize_path",
     "serialize_map_spec",
     "solve_problem1",
     "spectral_radius",
-    "sphere_project",
     "verify_attraction",
 ]

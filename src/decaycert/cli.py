@@ -20,11 +20,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynamics import solve_problem1
+from .dynamics import verify_attraction
 from .homotopy import SolverConfig, find_decay_point
 from .linear import PowerIterationError, perron_direction, random_contractive, spectral_radius
 from .maps import make_chain_map, make_linear_map
-from .mapspec import MapSpecError, MapSpecParseError, parse_map_spec
+from .mapspec import parse_map_spec
 
 __all__ = ["main"]
 
@@ -52,61 +52,53 @@ def _parse_list(text: str, cast, what: str) -> list:
     return [cast(part) for part in items]
 
 
-def cmd_find(args) -> int:
-    spec = _load_spec(args.map)
-    T = spec.build()
-    cfg = SolverConfig(
-        r=args.radius,
-        epsilon=args.epsilon,
-        max_iterations=args.max_iterations,
-        tie_break=args.tie_break,
-    )
+def _find(args, command: str, **failure_fields):
+    """Search the sphere for a decay point of the ``--map`` spec's map.
+
+    Returns ``(T, report)``.  When no point is found, the failure lines
+    are already printed, with ``failure_fields`` leading the RESULT keys.
+    """
+    T = _load_spec(args.map).build()
+    cfg = SolverConfig(r=args.radius, epsilon=args.epsilon, max_iterations=args.max_iterations)
     report = find_decay_point(T, cfg, T.dimension)
-    if report.success:
-        s = report.s_star
-        print(f"decay point found on the sphere of radius {args.radius:g}")
-        print(f"  s*         = [{', '.join(f'{v:.12g}' for v in s)}]")
-        print(f"  margin     = {report.margin:.12g}  (epsilon = {args.epsilon:g})")
-        print(f"  iterations = {report.iterations}")
+    if not report.success:
+        print(f"no decay point found ({report.failure_reason}, {report.iterations} iterations)")
         _result_line(
-            "find",
-            success=1,
-            iterations=report.iterations,
-            margin=repr(report.margin),
-            norm=repr(float(np.sum(s))),
-            s_star=_vec(s),
+            command, **failure_fields, success=0,
+            iterations=report.iterations, failure=report.failure_reason,
         )
-        return 0
-    print(f"no decay point found ({report.failure_reason}, {report.iterations} iterations)")
+    return T, report
+
+
+def cmd_find(args) -> int:
+    _, report = _find(args, "find")
+    if not report.success:
+        return 1
+    s = report.s_star
+    print(f"decay point found on the sphere of radius {args.radius:g}")
+    print(f"  s*         = [{', '.join(f'{v:.12g}' for v in s)}]")
+    print(f"  margin     = {report.margin:.12g}  (epsilon = {args.epsilon:g})")
+    print(f"  iterations = {report.iterations}")
     _result_line(
-        "find", success=0, iterations=report.iterations, failure=report.failure_reason
+        "find",
+        success=1,
+        iterations=report.iterations,
+        margin=repr(report.margin),
+        norm=repr(float(np.sum(s))),
+        s_star=_vec(s),
     )
-    return 1
+    return 0
 
 
 def cmd_verify(args) -> int:
-    spec = _load_spec(args.map)
-    T = spec.build()
-    cfg = SolverConfig(
-        r=args.radius,
-        epsilon=args.epsilon,
-        max_iterations=args.max_iterations,
-        tie_break=args.tie_break,
-    )
-    cert = solve_problem1(T, cfg, T.dimension, stop_tol=args.stop_tol, k_max=args.k_max)
-    solve = cert.solve
+    T, solve = _find(args, "verify", certified=0)
     if not solve.success:
-        print(f"no decay point found ({solve.failure_reason}, {solve.iterations} iterations)")
-        _result_line(
-            "verify", certified=0, success=0,
-            iterations=solve.iterations, failure=solve.failure_reason,
-        )
         return 1
     s = solve.s_star
-    traj = cert.trajectory
+    certified, traj = verify_attraction(T, s, stop_tol=args.stop_tol, k_max=args.k_max)
     print(f"decay point: s* = [{', '.join(f'{v:.12g}' for v in s)}]")
     print(f"  margin = {solve.margin:.12g}, iterations = {solve.iterations}")
-    if cert.problem1_satisfied:
+    if certified:
         print(
             f"trajectory from s* reached sup-norm {traj.final_sup_norm:.3g} "
             f"after {traj.steps_used} steps"
@@ -119,7 +111,7 @@ def cmd_verify(args) -> int:
         )
     _result_line(
         "verify",
-        certified=int(cert.problem1_satisfied),
+        certified=int(certified),
         success=1,
         iterations=solve.iterations,
         margin=repr(solve.margin),
@@ -127,7 +119,7 @@ def cmd_verify(args) -> int:
         final_sup_norm=repr(traj.final_sup_norm),
         s_star=_vec(s),
     )
-    return 0 if cert.problem1_satisfied else 1
+    return 0 if certified else 1
 
 
 def cmd_sweep(args) -> int:
@@ -205,16 +197,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_solver_flags(p, radius_required=True):
+    def add_solver_flags(p):
         p.add_argument("--map", required=True, help="path to a JSON map spec file")
-        p.add_argument("--radius", "-r", type=float, required=radius_required,
+        p.add_argument("--radius", "-r", type=float, required=True,
                        help="1-norm radius of the search sphere")
         p.add_argument("--epsilon", type=float, default=1e-2,
                        help="labeling slack / certificate margin (default 0.01)")
         p.add_argument("--max-iterations", type=int, default=1000,
                        help="map evaluation budget (default 1000)")
-        p.add_argument("--tie-break", choices=("max", "min"), default="max",
-                       help="qualifying-index tie break in the labeling")
 
     p_find = sub.add_parser("find", help="search a sphere for a decay point")
     add_solver_flags(p_find)
@@ -252,10 +242,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (MapSpecParseError, MapSpecError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:  # MapSpec errors are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -36,53 +36,35 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .labeling import LabeledVertexSet, is_complete
+from .labeling import LabeledVertexSet, is_complete, label_index
 from .maps import MonotoneMap
-from .order import as_point
 from .triangulation import CompleteCellSearch
 
 __all__ = [
     "SolverConfig",
     "SolveReport",
-    "entry_set",
     "complete_subsets",
-    "pivot_step",
     "find_decay_point",
 ]
-
-# Slack applied to the success margin so that re-checks of a returned point
-# cannot flip the verdict through last-ulp rounding.
-MARGIN_SLACK = 1e-12
 
 
 @dataclass
 class SolverConfig:
-    """Tunables of the decay-point search.
-
-    mesh_tolerance defaults to ``1e-8 * r``: the set diameter by which a
-    complete cell's barycentre must have been tried as a certificate (the
-    solver tries barycentres at every level, which is strictly earlier).
-    """
+    """Tunables of the decay-point search."""
 
     r: float
     epsilon: float = 1e-2
     max_iterations: int = 1000
-    mesh_tolerance: float | None = None
-    tie_break: str = "max"
 
     def __post_init__(self):
-        if self.r <= 0.0:
-            raise ValueError(f"r must be positive, got {self.r}")
-        if self.epsilon <= 0.0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
+        if not (math.isfinite(self.r) and self.r > 0.0):
+            raise ValueError(f"r must be positive and finite, got {self.r}")
+        if not (math.isfinite(self.epsilon) and self.epsilon > 0.0):
+            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
+        if isinstance(self.max_iterations, bool) or not isinstance(self.max_iterations, int):
+            raise ValueError(f"max_iterations must be an int, got {self.max_iterations!r}")
         if self.max_iterations < 1:
             raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
-        if self.mesh_tolerance is None:
-            self.mesh_tolerance = 1e-8 * self.r
-        if self.mesh_tolerance <= 0.0:
-            raise ValueError(f"mesh_tolerance must be positive, got {self.mesh_tolerance}")
-        if self.tie_break not in ("max", "min"):
-            raise ValueError(f"tie_break must be 'max' or 'min', got {self.tie_break!r}")
 
 
 @dataclass(eq=False)
@@ -95,16 +77,6 @@ class SolveReport:
     margin: float | None = None
     failure_reason: str | None = None  # iteration_cap | label_none | not_applicable
     failure_point: np.ndarray | None = field(default=None, repr=False)
-
-
-def entry_set(r: float, n: int) -> LabeledVertexSet:
-    """The n scaled unit vectors spanning the sphere, not yet labeled."""
-    if r <= 0.0:
-        raise ValueError(f"r must be positive, got {r}")
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
-    vertices = [r * np.eye(n)[i] for i in range(n)]
-    return LabeledVertexSet(vertices, [None] * n)
 
 
 def complete_subsets(tau: LabeledVertexSet, n: int) -> list[LabeledVertexSet]:
@@ -124,27 +96,6 @@ def complete_subsets(tau: LabeledVertexSet, n: int) -> list[LabeledVertexSet]:
         if is_complete(candidate, n):
             out.append(candidate)
     return out
-
-
-def pivot_step(current: LabeledVertexSet, new_vertex, new_label: int) -> LabeledVertexSet:
-    """Replace the vertex carrying ``new_label`` by ``new_vertex``.
-
-    The result is again complete; this is the one move that keeps a walk
-    through complete sets from ever backtracking.
-    """
-    if new_label is None:
-        raise ValueError("cannot pivot on an unlabeled vertex")
-    n = len(current)
-    if not is_complete(current, n):
-        raise ValueError("pivot requires a complete vertex set")
-    new_vertex = as_point(new_vertex)
-    for v in current.vertices:
-        if np.array_equal(v, new_vertex):
-            raise ValueError("new vertex coincides with an existing vertex")
-    pos = current.labels.index(new_label)
-    vertices = list(current.vertices)
-    vertices[pos] = new_vertex
-    return LabeledVertexSet(vertices, list(current.labels))
 
 
 class _FoundPoint(Exception):
@@ -199,7 +150,6 @@ def find_decay_point(T: MonotoneMap, cfg: SolverConfig, n: int) -> SolveReport:
         raise ValueError(f"map has dimension {T.dimension}, expected {n}")
     r = cfg.r
     eps = cfg.epsilon
-    take_max = cfg.tie_break == "max"
     cache: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
     count = 0
 
@@ -225,10 +175,10 @@ def find_decay_point(T: MonotoneMap, cfg: SolverConfig, n: int) -> SolveReport:
                 hit = (point, evaluate(point))
                 cache[key] = hit
             point, Ts = hit
-            qualifying = np.where(Ts + label_slack <= point)[0]
-            if qualifying.size == 0:
+            label = label_index(point, Ts, label_slack)
+            if label is None:
                 raise _NoLabel(point)
-            return int(qualifying[-1] if take_max else qualifying[0])
+            return label
 
         return label_of
 

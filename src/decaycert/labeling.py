@@ -1,9 +1,9 @@
 """Integer labeling of sphere points and completeness of vertex sets.
 
-A point ``s`` gets the largest (or smallest, depending on the tie-break)
-index ``i`` such that ``(Ts)_i + eps <= s_i``.  The slack ``eps`` is the
-one documented robustness parameter of the whole method: a point found
-with this labeling decays with margin at least ``eps`` in every component.
+A point ``s`` gets the largest index ``i`` such that ``(Ts)_i + eps <= s_i``.
+The slack ``eps`` is the one documented robustness parameter of the whole
+method: a point found with this labeling decays with margin at least
+``eps`` in every component.
 ``None`` means no index qualifies; during a homotopy run that is treated
 as a hard failure of the covering hypothesis at the current slack.
 """
@@ -18,6 +18,7 @@ from .maps import MonotoneMap
 from .order import as_point
 
 __all__ = [
+    "label_index",
     "label_eps",
     "omega_membership",
     "LabeledVertexSet",
@@ -25,23 +26,27 @@ __all__ = [
 ]
 
 
-def label_eps(T: MonotoneMap, s, eps: float, tie_break: str = "max") -> int | None:
-    """Label of ``s``: extremal index i (1-based) with ``(Ts)_i + eps <= s_i``.
+def label_index(s: np.ndarray, Ts: np.ndarray, slack: float) -> int | None:
+    """The labeling rule: largest i (0-based) with ``Ts[i] + slack <= s[i]``, or None.
 
-    Returns None when no index qualifies.  ``tie_break`` selects the max
-    (default) or min qualifying index; both are valid pivoting strategies.
+    Inputs are not validated; the solver calls this on every label lookup.
+    """
+    qualifying = np.where(Ts + slack <= s)[0]
+    if qualifying.size == 0:
+        return None
+    return int(qualifying[-1])
+
+
+def label_eps(T: MonotoneMap, s, eps: float) -> int | None:
+    """Label of ``s``: largest index i (1-based) with ``(Ts)_i + eps <= s_i``.
+
+    Returns None when no index qualifies.
     """
     if eps <= 0.0:
         raise ValueError(f"eps must be positive, got {eps}")
-    if tie_break not in ("max", "min"):
-        raise ValueError(f"tie_break must be 'max' or 'min', got {tie_break!r}")
     s = as_point(s, dim=T.dimension)
-    Ts = T(s)
-    qualifying = np.where(Ts + eps <= s)[0]
-    if qualifying.size == 0:
-        return None
-    idx = qualifying[-1] if tie_break == "max" else qualifying[0]
-    return int(idx) + 1
+    label = label_index(s, T(s), eps)
+    return None if label is None else label + 1
 
 
 def omega_membership(T: MonotoneMap, s) -> set[int]:
@@ -77,17 +82,6 @@ class LabeledVertexSet:
 
     def __len__(self) -> int:
         return len(self.vertices)
-
-    def barycentre(self) -> np.ndarray:
-        return np.mean(np.stack(self.vertices), axis=0)
-
-    def diameter(self) -> float:
-        """Largest pairwise sup-norm distance between vertices."""
-        d = 0.0
-        for a in range(len(self.vertices)):
-            for b in range(a + 1, len(self.vertices)):
-                d = max(d, float(np.max(np.abs(self.vertices[a] - self.vertices[b]))))
-        return d
 
 
 def is_complete(vs: LabeledVertexSet, n: int) -> bool:

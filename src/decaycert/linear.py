@@ -20,6 +20,7 @@ __all__ = [
     "random_contractive",
     "neumann_inverse",
     "perron_direction",
+    "as_nonnegative_matrix",
     "PowerIterationError",
 ]
 
@@ -31,13 +32,14 @@ class PowerIterationError(RuntimeError):
     """Power iteration failed to settle (reducible or periodic structure)."""
 
 
-def _check_nonnegative(A) -> np.ndarray:
-    A = np.asarray(A, dtype=float)
+def as_nonnegative_matrix(A) -> np.ndarray:
+    """Float copy of ``A``; ValueError unless it is square with no negative entry."""
+    A = np.array(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {A.shape}")
     if np.any(A < 0.0):
         i, j = np.argwhere(A < 0.0)[0]
-        raise ValueError(f"negative entry at ({i}, {j}): {A[i, j]}")
+        raise ValueError(f"negative entry at ({i + 1},{j + 1}): {A[i, j]}")
     return A
 
 
@@ -69,7 +71,7 @@ def spectral_radius(A, tol: float = 1e-10) -> float:
     """
     if tol <= 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
-    A = _check_nonnegative(A)
+    A = as_nonnegative_matrix(A)
     result = _power(A, tol)
     if result is not None:
         rho, x = result
@@ -112,7 +114,7 @@ def neumann_inverse(A, tol: float = 1e-10) -> np.ndarray:
     """
     if tol <= 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
-    A = _check_nonnegative(A)
+    A = as_nonnegative_matrix(A)
     rho = spectral_radius(A, tol=1e-10)
     # reject at the estimator's own accuracy; radii within 1e-9 of one are
     # indistinguishable from divergent and would need ~1e9 terms anyway
@@ -141,7 +143,7 @@ def perron_direction(A, tol: float = 1e-12) -> np.ndarray:
     raised.  For contractive A, scaling v to the sphere of radius r gives
     a decay witness with margin ``(1 - rho) * r * min(v)``.
     """
-    A = _check_nonnegative(A)
+    A = as_nonnegative_matrix(A)
     n = A.shape[0]
     M = A + _SHIFT * np.eye(n)
     x = np.full(n, 1.0 / n)

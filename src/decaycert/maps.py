@@ -14,11 +14,13 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .linear import as_nonnegative_matrix
 from .order import as_point
 from .scalarfn import (
     ScalarFn,
     is_kinf_on,
     is_nondecreasing_on,
+    is_zero_at_zero,
     parse_scalar_fn,
     validation_grid,
     zero_fn,
@@ -34,6 +36,8 @@ __all__ = [
     "make_diagonal",
     "compose",
     "coerce_gain",
+    "check_gain",
+    "check_kinf",
 ]
 
 
@@ -61,22 +65,13 @@ class MonotoneMap:
         out.flags.writeable = False
         return out
 
-    # alias so call sites can read either way
-    def eval(self, s) -> np.ndarray:
-        return self(s)
-
     def __repr__(self) -> str:
         return f"MonotoneMap(kind={self.kind!r}, dimension={self.dimension})"
 
 
 def make_linear_map(matrix) -> MonotoneMap:
     """Map given by multiplication with a nonnegative square matrix."""
-    A = np.array(matrix, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {A.shape}")
-    if np.any(A < 0.0):
-        i, j = np.argwhere(A < 0.0)[0]
-        raise ValueError(f"negative entry at ({i}, {j}): {A[i, j]}")
+    A = as_nonnegative_matrix(matrix)
     A.flags.writeable = False
     return MonotoneMap(A.shape[0], lambda s: A @ s, "linear")
 
@@ -139,11 +134,19 @@ def coerce_gain(g) -> ScalarFn:
     raise TypeError(f"cannot interpret {g!r} as a gain function")
 
 
-def _validate_gain(g: ScalarFn, where: str) -> None:
-    if abs(g(0.0)) > 1e-12:
-        raise ValueError(f"gain {where} violates g(0)=0: got {g(0.0)}")
+def check_gain(g: ScalarFn, where: str) -> None:
+    """Raise ValueError unless ``g(0) = 0`` and g is nondecreasing on the sample grid."""
+    if not is_zero_at_zero(g):
+        raise ValueError(f"{where} violates g(0)=0: got {g(0.0)}")
     if not is_nondecreasing_on(g, validation_grid()):
-        raise ValueError(f"gain {where} is not nondecreasing on the sample grid")
+        raise ValueError(f"{where} is not nondecreasing on the sample grid")
+
+
+def check_kinf(rho: ScalarFn, where: str) -> None:
+    """Raise ValueError unless rho is a gain that is class-Kinf on the sample grid."""
+    check_gain(rho, where)
+    if not is_kinf_on(rho, validation_grid()):
+        raise ValueError(f"{where} fails the sampled Kinf checks")
 
 
 def make_max_preserving(gains) -> MonotoneMap:
@@ -159,7 +162,7 @@ def make_max_preserving(gains) -> MonotoneMap:
         raise ValueError("gain table must be square")
     for i, row in enumerate(rows):
         for j, g in enumerate(row):
-            _validate_gain(g, f"({i + 1},{j + 1})")
+            check_gain(g, f"gain ({i + 1},{j + 1})")
 
     def fn(s: np.ndarray) -> np.ndarray:
         return np.array([max(g(s[j]) for j, g in enumerate(row)) for row in rows])
@@ -172,12 +175,8 @@ def make_diagonal(fns: Sequence) -> MonotoneMap:
     rhos = [coerce_gain(f) for f in fns]
     if not rhos:
         raise ValueError("need at least one diagonal function")
-    grid = validation_grid()
     for i, rho in enumerate(rhos):
-        if abs(rho(0.0)) > 1e-12:
-            raise ValueError(f"diagonal function {i + 1} violates rho(0)=0: got {rho(0.0)}")
-        if not is_kinf_on(rho, grid):
-            raise ValueError(f"diagonal function {i + 1} fails the sampled Kinf checks")
+        check_kinf(rho, f"diagonal function {i + 1}")
 
     def fn(s: np.ndarray) -> np.ndarray:
         return np.array([rho(s[i]) for i, rho in enumerate(rhos)])

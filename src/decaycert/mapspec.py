@@ -14,15 +14,9 @@ import json
 from dataclasses import dataclass
 
 from . import maps
+from .linear import as_nonnegative_matrix
 from .maps import MonotoneMap
-from .scalarfn import (
-    ScalarFnParseError,
-    is_kinf_on,
-    is_nondecreasing_on,
-    is_zero_at_zero,
-    parse_scalar_fn,
-    validation_grid,
-)
+from .scalarfn import ScalarFnParseError, parse_scalar_fn
 
 __all__ = [
     "MapSpec",
@@ -118,7 +112,16 @@ def _number(value, where: str) -> float:
     return float(value)
 
 
-def _canonical_gain(text, where: str) -> str:
+def _semantic(check, *args) -> None:
+    """Run a family-invariant check, re-raising its ValueError as a MapSpecError."""
+    try:
+        check(*args)
+    except ValueError as exc:
+        raise MapSpecError(str(exc)) from exc
+
+
+def _canonical_fn(text, where: str, check) -> str:
+    """Parse a gain or diagonal function, validate it with ``check``, render it."""
     if text is None:
         text = "0"
     if not isinstance(text, str):
@@ -127,10 +130,7 @@ def _canonical_gain(text, where: str) -> str:
         fn = parse_scalar_fn(text)
     except ScalarFnParseError as exc:
         raise MapSpecParseError(f"{where}: {exc}") from exc
-    if not is_zero_at_zero(fn):
-        raise MapSpecError(f"{where} violates g(0)=0: value {fn(0.0)}")
-    if not is_nondecreasing_on(fn, validation_grid()):
-        raise MapSpecError(f"{where} is not nondecreasing on the sample grid")
+    _semantic(check, fn, where)
     return fn.render()
 
 
@@ -151,11 +151,8 @@ def from_obj(obj) -> MapSpec:
         for i, row in enumerate(raw):
             if len(row) != n:
                 raise MapSpecParseError(f"matrix row {i + 1} has {len(row)} entries, expected {n}")
-            entries = [_number(v, f"matrix[{i + 1}]") for v in row]
-            for j, v in enumerate(entries):
-                if v < 0.0:
-                    raise MapSpecError(f"negative entry at ({i + 1},{j + 1}): {v}")
-            rows.append(tuple(entries))
+            rows.append(tuple(_number(v, f"matrix[{i + 1}]") for v in row))
+        _semantic(as_nonnegative_matrix, rows)
         return MapSpec("linear", matrix=tuple(rows))
 
     if kind == "chain":
@@ -184,9 +181,10 @@ def from_obj(obj) -> MapSpec:
         for i, row in enumerate(raw):
             if len(row) != n:
                 raise MapSpecParseError(f"gains row {i + 1} has {len(row)} entries, expected {n}")
-            rows.append(
-                tuple(_canonical_gain(g, f"gain ({i + 1},{j + 1})") for j, g in enumerate(row))
-            )
+            rows.append(tuple(
+                _canonical_fn(g, f"gain ({i + 1},{j + 1})", maps.check_gain)
+                for j, g in enumerate(row)
+            ))
         return MapSpec("maxpreserving", gains=tuple(rows))
 
     if kind == "diagonal":
@@ -194,14 +192,10 @@ def from_obj(obj) -> MapSpec:
         raw = _require(obj, "functions", kind)
         if not isinstance(raw, list) or not raw:
             raise MapSpecParseError("functions must be a nonempty list of strings")
-        rendered = []
-        for i, text in enumerate(raw):
-            canon = _canonical_gain(text, f"function {i + 1}")
-            fn = parse_scalar_fn(canon)
-            if not is_kinf_on(fn, validation_grid()):
-                raise MapSpecError(f"function {i + 1} fails the sampled Kinf checks")
-            rendered.append(canon)
-        return MapSpec("diagonal", functions=tuple(rendered))
+        rendered = tuple(
+            _canonical_fn(text, f"function {i + 1}", maps.check_kinf) for i, text in enumerate(raw)
+        )
+        return MapSpec("diagonal", functions=rendered)
 
     _reject_extras(obj, {"kind", "maps"})
     raw = _require(obj, "maps", kind)

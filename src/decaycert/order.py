@@ -18,23 +18,19 @@ __all__ = [
     "as_point",
     "compare",
     "one_norm",
-    "sphere_project",
 ]
 
 
 class OrderRelation(enum.Enum):
     """Outcome of comparing two orthant vectors componentwise.
 
-    ``compare`` always reports the strongest relation that holds, so the
-    weak members LEQ/GEQ exist for completeness of the vocabulary but are
-    never returned (x <= y always sharpens to EQ, LT or LL).
+    ``compare`` always reports the strongest relation that holds, so
+    ``x <= y`` shows up as EQ, LT or LL.
     """
 
     LL = "<<"
     LT = "<"
-    LEQ = "<="
     EQ = "=="
-    GEQ = ">="
     GT = ">"
     GG = ">>"
     INCOMPARABLE = "<>"
@@ -82,16 +78,3 @@ def compare(x, y) -> OrderRelation:
 def one_norm(x) -> float:
     """1-norm of an orthant point; just the component sum (all entries >= 0)."""
     return float(np.sum(as_point(x)))
-
-
-def sphere_project(x, r: float) -> np.ndarray:
-    """Rescale nonzero ``x`` onto the 1-norm sphere of radius ``r``."""
-    x = as_point(x)
-    if r <= 0.0:
-        raise ValueError(f"radius must be positive, got {r}")
-    total = float(np.sum(x))
-    if total == 0.0:
-        raise ValueError("cannot project the zero vector onto a sphere")
-    out = x * (r / total)
-    out.flags.writeable = False
-    return out

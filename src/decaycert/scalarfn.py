@@ -30,7 +30,6 @@ __all__ = [
     "Max",
     "parse_scalar_fn",
     "zero_fn",
-    "identity_fn",
     "is_zero_at_zero",
     "is_nondecreasing_on",
     "is_kinf_on",
@@ -97,10 +96,6 @@ class Max(ScalarFn):
 
 def zero_fn() -> ScalarFn:
     return Term(0.0)
-
-
-def identity_fn() -> ScalarFn:
-    return Term(1.0)
 
 
 _NUMBER = re.compile(r"\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?")

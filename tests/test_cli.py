@@ -60,6 +60,15 @@ class TestFind:
         code = main(["find", "--map", str(tmp_path / "nope.json"), "-r", "1"])
         assert code == 2
 
+    @pytest.mark.parametrize("flags", [
+        ["-r", "inf"], ["-r", "nan"], ["-r", "10", "--epsilon", "nan"],
+    ], ids=["r-inf", "r-nan", "epsilon-nan"])
+    def test_nonfinite_solver_input_exits_two(self, tmp_path, capsys, flags):
+        spec = write_spec(tmp_path, {"kind": "chain", "n": 2})
+        code = main(["find", "--map", spec] + flags)
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+
 
 class TestVerify:
     def test_chain_certificate(self, tmp_path, capsys):

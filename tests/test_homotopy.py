@@ -3,17 +3,10 @@ from itertools import product
 import numpy as np
 import pytest
 
-from decaycert.homotopy import (
-    SolveReport,
-    SolverConfig,
-    complete_subsets,
-    entry_set,
-    find_decay_point,
-    pivot_step,
-)
+from decaycert.homotopy import SolveReport, SolverConfig, complete_subsets, find_decay_point
 from decaycert.labeling import LabeledVertexSet
+from decaycert.linear import random_contractive
 from decaycert.maps import make_chain_map, make_linear_map
-from decaycert.order import one_norm
 
 
 def vertex_set(labels, scale=1.0):
@@ -21,29 +14,6 @@ def vertex_set(labels, scale=1.0):
     k = len(labels)
     verts = [scale * (np.arange(k) == i).astype(float) + 0.01 * i for i in range(k)]
     return LabeledVertexSet(verts, list(labels))
-
-
-class TestEntrySet:
-    def test_scaled_unit_vectors(self):
-        es = entry_set(10.0, 3)
-        got = {tuple(v) for v in es.vertices}
-        assert got == {(10, 0, 0), (0, 10, 0), (0, 0, 10)}
-        assert es.labels == [None, None, None]
-
-    def test_two_dimensional(self):
-        es = entry_set(1.0, 2)
-        assert {tuple(v) for v in es.vertices} == {(1, 0), (0, 1)}
-
-    def test_every_vertex_on_the_sphere(self):
-        for r in (0.5, 1.0, 7.25):
-            for n in (2, 3, 5):
-                assert all(one_norm(v) == r for v in entry_set(r, n).vertices)
-
-    def test_validates_arguments(self):
-        with pytest.raises(ValueError):
-            entry_set(0.0, 3)
-        with pytest.raises(ValueError):
-            entry_set(1.0, 1)
 
 
 class TestCompleteSubsets:
@@ -86,54 +56,11 @@ class TestCompleteSubsets:
                 assert sorted(map(sorted, dropped)) == sorted(map(sorted, expected))
 
 
-class TestPivotStep:
-    def test_replaces_matching_label(self):
-        current = vertex_set([1, 2])
-        new_vertex = np.array([0.5, 0.5])
-        out = pivot_step(current, new_vertex, 1)
-        assert out.labels == [1, 2]
-        assert tuple(out.vertices[0]) == (0.5, 0.5)
-        assert tuple(out.vertices[1]) == tuple(current.vertices[1])
-
-    def test_three_vertices(self):
-        current = vertex_set([1, 2, 3])
-        out = pivot_step(current, np.array([0.4, 0.3, 0.3]), 2)
-        assert tuple(out.vertices[1]) == (0.4, 0.3, 0.3)
-        assert sorted(out.labels) == [1, 2, 3]
-
-    def test_never_returns_to_previous_set(self):
-        # scripted door-in-door-out: consecutive pivots with fresh vertices
-        current = vertex_set([1, 2, 3])
-        seen = [frozenset(map(tuple, current.vertices))]
-        rng = np.random.default_rng(5)
-        for step in range(10):
-            w = rng.random(3)
-            current = pivot_step(current, w, int(rng.integers(1, 4)))
-            key = frozenset(map(tuple, current.vertices))
-            assert key != seen[-1]
-            seen.append(key)
-
-    def test_rejects_none_label(self):
-        with pytest.raises(ValueError):
-            pivot_step(vertex_set([1, 2]), np.array([0.5, 0.5]), None)
-
-    def test_rejects_duplicate_vertex(self):
-        current = vertex_set([1, 2])
-        with pytest.raises(ValueError, match="coincides"):
-            pivot_step(current, current.vertices[0], 1)
-
-    def test_rejects_incomplete_current(self):
-        with pytest.raises(ValueError):
-            pivot_step(vertex_set([1, 1]), np.array([0.5, 0.5]), 1)
-
-
 class TestSolverConfig:
     def test_defaults(self):
         cfg = SolverConfig(r=10.0)
         assert cfg.epsilon == 1e-2
         assert cfg.max_iterations == 1000
-        assert cfg.mesh_tolerance == pytest.approx(1e-7)
-        assert cfg.tie_break == "max"
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -142,8 +69,15 @@ class TestSolverConfig:
             SolverConfig(r=1.0, epsilon=0.0)
         with pytest.raises(ValueError):
             SolverConfig(r=1.0, max_iterations=0)
-        with pytest.raises(ValueError):
-            SolverConfig(r=1.0, tie_break="alternate")
+        for r in (float("inf"), float("nan")):
+            with pytest.raises(ValueError, match="finite"):
+                SolverConfig(r=r)
+        for eps in (float("inf"), float("nan")):
+            with pytest.raises(ValueError, match="finite"):
+                SolverConfig(r=1.0, epsilon=eps)
+        for cap in (2.5, 100.0, True, "100"):
+            with pytest.raises(ValueError, match="int"):
+                SolverConfig(r=1.0, max_iterations=cap)
 
 
 def check_success_postcondition(T, cfg, report: SolveReport):
@@ -194,15 +128,33 @@ class TestFindDecayPoint:
         assert a.margin == b.margin
         np.testing.assert_array_equal(a.s_star, b.s_star)
 
-    def test_min_tie_break_also_solves(self):
-        T = make_chain_map(3)
-        cfg = SolverConfig(r=10.0, epsilon=0.1, max_iterations=100000, tie_break="min")
-        report = find_decay_point(T, cfg, 3)
-        check_success_postcondition(T, cfg, report)
-
     def test_dimension_checks(self):
         T = make_chain_map(3)
         with pytest.raises(ValueError):
             find_decay_point(T, SolverConfig(r=1.0), 2)
         with pytest.raises(ValueError):
             find_decay_point(make_linear_map([[0.5]]), SolverConfig(r=1.0), 1)
+
+
+# Walk lengths and decay points pinned at r=10, eps=0.1, cap 100 000.  A
+# change to the labeling, the pivot walk or the slack ladder moves these.
+GOLDEN_WALKS = [
+    ("chain n=2", lambda: make_chain_map(2), 5, [7.5, 2.5]),
+    ("chain n=3", lambda: make_chain_map(3), 13, [6.25, 2.5, 1.25]),
+    ("chain n=4", lambda: make_chain_map(4), 9, [6.25, 1.25, 1.25, 1.25]),
+    ("chain n=5", lambda: make_chain_map(5), 11, [6.0, 1.0, 1.0, 1.0, 1.0]),
+    ("linear n=6 seed 0", lambda: make_linear_map(random_contractive(6, 0.8, 0)), 111,
+     [1.25, 2.5, 1.875, 1.25, 1.875, 1.25]),
+]
+
+
+@pytest.mark.parametrize("name,build,iterations,s_star", GOLDEN_WALKS,
+                         ids=[case[0] for case in GOLDEN_WALKS])
+def test_golden_walk(name, build, iterations, s_star):
+    T = build()
+    report = find_decay_point(
+        T, SolverConfig(r=10.0, epsilon=0.1, max_iterations=100_000), T.dimension
+    )
+    assert report.success
+    assert report.iterations == iterations
+    assert report.s_star.tolist() == s_star

@@ -29,16 +29,9 @@ class TestLabelEps:
         # Ts = (2, 3); 2.01 <= 6 and 3.01 <= 4, max index wins
         assert label_eps(SWAP_HALF, [6, 4], 0.01) == 2
 
-    def test_min_tie_break(self):
-        assert label_eps(SWAP_HALF, [6, 4], 0.01, tie_break="min") == 1
-
     def test_rejects_bad_eps(self):
         with pytest.raises(ValueError):
             label_eps(SWAP_HALF, [6, 4], 0.0)
-
-    def test_rejects_bad_tie_break(self):
-        with pytest.raises(ValueError):
-            label_eps(SWAP_HALF, [6, 4], 0.01, tie_break="median")
 
 
 class TestOmegaMembership:
@@ -110,11 +103,6 @@ class TestLabeledVertexSet:
     def test_rejects_mismatched_labels(self):
         with pytest.raises(ValueError):
             LabeledVertexSet([np.array([1.0, 0.0])], [1, 2])
-
-    def test_diameter_and_barycentre(self):
-        vs = LabeledVertexSet([np.array([0.0, 2.0]), np.array([2.0, 0.0])], [1, 2])
-        assert vs.diameter() == 2.0
-        np.testing.assert_allclose(vs.barycentre(), [1.0, 1.0])
 
 
 class TestIsComplete:

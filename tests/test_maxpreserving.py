@@ -60,11 +60,22 @@ class TestCycleCondition:
         assert not ok
         assert witness[0] == (1,)
 
-    def test_trailing_self_loop_chain_detected(self):
-        # path 1 -> 2 is harmless, but the self-loop at 2 composed in dominates id
+    def test_self_loop_above_identity_detected(self):
+        # path 1 -> 2 is harmless, but the 1-cycle at 2 dominates id
         g = GainTable([[None, "0.5*t"], [None, "1.5*t"]])
         ok, witness = cycle_condition(g)
         assert not ok
+        assert witness[0] == (2,)
+
+    def test_path_into_a_self_loop_is_not_a_cycle(self):
+        # g_12 o g_22 runs from 2 to 1, so 2*0.9*t >= t says nothing about
+        # cycles; every true cycle (0.9*t and 0.2*t) stays below id
+        g = GainTable([[None, "2*t"], ["0.1*t", "0.9*t"]])
+        assert cycle_condition(g) == (True, None)
+        report = find_decay_point(
+            g.to_map(), SolverConfig(r=10.0, epsilon=0.1, max_iterations=100000), 2
+        )
+        assert report.success
 
     def test_dimension_cap(self):
         n = 13

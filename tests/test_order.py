@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from decaycert.order import OrderRelation, as_point, compare, one_norm, sphere_project
+from decaycert.order import OrderRelation, as_point, compare, one_norm
 
 R = OrderRelation
 
@@ -74,31 +74,6 @@ class TestOneNorm:
 
     def test_single_mass(self):
         assert one_norm([10, 0, 0]) == 10.0
-
-
-class TestSphereProject:
-    def test_symmetric_scaling(self):
-        np.testing.assert_allclose(sphere_project([2, 2], 10.0), [5, 5])
-
-    def test_axis_point(self):
-        np.testing.assert_allclose(sphere_project([1, 0], 10.0), [10, 0])
-
-    def test_scale_by_two(self):
-        np.testing.assert_allclose(sphere_project([1, 2, 3], 12.0), [2, 4, 6])
-
-    def test_zero_vector_rejected(self):
-        with pytest.raises(ValueError):
-            sphere_project([0, 0], 1.0)
-
-    def test_norm_preserved_on_random_inputs(self):
-        rng = np.random.default_rng(14)
-        for _ in range(500):
-            n = rng.integers(1, 8)
-            x = rng.random(n) * rng.choice([1e-6, 1.0, 1e6])
-            if x.sum() == 0.0:
-                continue
-            r = float(rng.random() * 100 + 1e-3)
-            assert abs(one_norm(sphere_project(x, r)) - r) <= 1e-12 * r
 
 
 class TestAsPoint:
