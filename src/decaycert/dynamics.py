@@ -9,6 +9,7 @@ trajectory started at ``s*`` establishes that the whole order interval
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,7 +73,8 @@ def iterate(
 
     Convergence means sup-norm below ``stop_tol``; iteration stops there
     early because a trajectory started below a decaying point can only
-    keep shrinking.
+    keep shrinking.  It also stops, unconverged, at a state with a
+    non-finite component, which the map cannot take as input.
     """
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
@@ -95,10 +97,12 @@ def iterate(
                 states.append(s)
                 steps.append(k)
             return TrajectoryReport(states, steps, True, k, sup)
-    if steps[-1] != k_max:
+        if not math.isfinite(sup):  # NaN or inf in s, whose components are >= 0
+            break
+    if steps[-1] != k:
         states.append(s)
-        steps.append(k_max)
-    return TrajectoryReport(states, steps, False, k_max, sup)
+        steps.append(k)
+    return TrajectoryReport(states, steps, False, k, sup)
 
 
 def verify_attraction(

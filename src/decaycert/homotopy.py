@@ -26,7 +26,11 @@ are preserved verbatim.
 Map evaluations are memoized across levels and rungs (a lattice point of
 level L reappears at every finer level), so refinement never re-pays for
 points it has already seen, and the direct certificate test runs once
-per distinct point.
+per distinct point.  The memo is keyed by the bytes of the evaluated
+point ``z * (r/m)``: the mesh ``m`` is a power of two, so a lattice point
+scales to the same float at every level where it appears.  It stores
+only the bytes of ``T(point)``; the point itself is recomputed from
+``z`` on every lookup.
 """
 
 from __future__ import annotations
@@ -75,7 +79,7 @@ class SolveReport:
     s_star: np.ndarray | None
     iterations: int
     margin: float | None = None
-    failure_reason: str | None = None  # iteration_cap | label_none | not_applicable
+    failure_reason: str | None = None  # iteration_cap | label_none | nonfinite | not_applicable
     failure_point: np.ndarray | None = field(default=None, repr=False)
 
 
@@ -105,6 +109,11 @@ class _FoundPoint(Exception):
 
 
 class _NoLabel(Exception):
+    def __init__(self, point: np.ndarray):
+        self.point = point
+
+
+class _NonFinite(Exception):
     def __init__(self, point: np.ndarray):
         self.point = point
 
@@ -142,7 +151,9 @@ def find_decay_point(T: MonotoneMap, cfg: SolverConfig, n: int) -> SolveReport:
     lies on the sphere to within ``1e-9 * r``.  Failures report either
     ``iteration_cap`` (evaluation budget exhausted) or ``label_none`` (a
     visited point had no decaying component at slack eps, so the covering
-    hypothesis fails there; the point is recorded in ``failure_point``).
+    hypothesis fails there; the point is recorded in ``failure_point``)
+    or ``nonfinite`` (the map returned a NaN or infinite component at the
+    point recorded in ``failure_point``).
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
@@ -150,7 +161,7 @@ def find_decay_point(T: MonotoneMap, cfg: SolverConfig, n: int) -> SolveReport:
         raise ValueError(f"map has dimension {T.dimension}, expected {n}")
     r = cfg.r
     eps = cfg.epsilon
-    cache: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
+    cache: dict[bytes, bytes] = {}  # point.tobytes() -> T(point).tobytes()
     count = 0
 
     def evaluate(point: np.ndarray) -> np.ndarray:
@@ -159,23 +170,23 @@ def find_decay_point(T: MonotoneMap, cfg: SolverConfig, n: int) -> SolveReport:
             raise _CapReached
         count += 1
         Ts = T(point)
-        if float(np.min(point - Ts)) >= eps:
-            raise _FoundPoint(point, float(np.min(point - Ts)))
+        margin = float(np.min(point - Ts))
+        if not math.isfinite(margin):  # NaN or +inf in T(point); point is finite
+            raise _NonFinite(point)
+        if margin >= eps:
+            raise _FoundPoint(point, margin)
         return Ts
 
     def make_label_of(m: int, label_slack: float):
         scale = r / m
 
         def label_of(z: tuple[int, ...]) -> int:
-            g = math.gcd(m, *z)
-            key = (m // g,) + tuple(c // g for c in z)
-            hit = cache.get(key)
-            if hit is None:
-                point = np.asarray(z, dtype=float) * scale
-                hit = (point, evaluate(point))
-                cache[key] = hit
-            point, Ts = hit
-            label = label_index(point, Ts, label_slack)
+            point = np.asarray(z, dtype=float) * scale
+            key = point.tobytes()
+            Ts = cache.get(key)
+            if Ts is None:
+                Ts = cache[key] = evaluate(point).tobytes()
+            label = label_index(point, np.frombuffer(Ts), label_slack)
             if label is None:
                 raise _NoLabel(point)
             return label
@@ -205,6 +216,8 @@ def find_decay_point(T: MonotoneMap, cfg: SolverConfig, n: int) -> SolveReport:
         s_star = np.array(hit.point)
         s_star.flags.writeable = False
         return SolveReport(True, s_star, count, margin=hit.margin)
+    except _NonFinite as bad:
+        return SolveReport(False, None, count, failure_reason="nonfinite", failure_point=bad.point)
     except _CapReached:
         return SolveReport(False, None, count, failure_reason="iteration_cap")
     raise AssertionError("slack ladder ended without a rung at eps")  # pragma: no cover

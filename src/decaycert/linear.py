@@ -33,13 +33,15 @@ class PowerIterationError(RuntimeError):
 
 
 def as_nonnegative_matrix(A) -> np.ndarray:
-    """Float copy of ``A``; ValueError unless it is square with no negative entry."""
+    """Float copy of ``A``; ValueError unless it is square, finite, with no negative entry."""
     A = np.array(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {A.shape}")
-    if np.any(A < 0.0):
-        i, j = np.argwhere(A < 0.0)[0]
-        raise ValueError(f"negative entry at ({i + 1},{j + 1}): {A[i, j]}")
+    valid = (A >= 0.0) & (A < np.inf)  # false on negative and non-finite entries
+    if not valid.all():
+        i, j = np.argwhere(~valid)[0]
+        what = "negative" if A[i, j] < 0.0 else "non-finite"
+        raise ValueError(f"{what} entry at ({i + 1},{j + 1}): {A[i, j]}")
     return A
 
 

@@ -185,9 +185,17 @@ def make_diagonal(fns: Sequence) -> MonotoneMap:
 
 
 def compose(outer: MonotoneMap, inner: MonotoneMap) -> MonotoneMap:
-    """Composition ``s -> outer(inner(s))``."""
+    """Composition ``s -> outer(inner(s))``.
+
+    A non-finite ``inner(s)`` is returned as is, since ``outer`` rejects it.
+    """
     if outer.dimension != inner.dimension:
         raise ValueError(
             f"dimension mismatch: outer is {outer.dimension}, inner is {inner.dimension}"
         )
-    return MonotoneMap(inner.dimension, lambda s: outer(inner(s)), "composition")
+
+    def fn(s: np.ndarray) -> np.ndarray:
+        mid = inner(s)
+        return outer(mid) if np.isfinite(mid).all() else mid
+
+    return MonotoneMap(inner.dimension, fn, "composition")

@@ -39,8 +39,8 @@ class OrderRelation(enum.Enum):
 def as_point(x, dim: int | None = None) -> np.ndarray:
     """Validate and convert ``x`` to an orthant point (1-D float64 array).
 
-    Raises ValueError on wrong dimensionality, empty input or any negative
-    component.  The returned array is a read-only copy.
+    Raises ValueError on wrong dimensionality, empty input, or any negative
+    or non-finite component.  The returned array is a read-only copy.
     """
     arr = np.array(x, dtype=float)
     if arr.ndim != 1:
@@ -49,9 +49,11 @@ def as_point(x, dim: int | None = None) -> np.ndarray:
         raise ValueError("a point needs at least one component")
     if dim is not None and arr.size != dim:
         raise ValueError(f"expected dimension {dim}, got {arr.size}")
-    neg = np.where(arr < 0.0)[0]
-    if neg.size:
-        raise ValueError(f"negative component at index {neg[0]}: {arr[neg[0]]}")
+    valid = (arr >= 0.0) & (arr < np.inf)  # false on negative and non-finite components
+    if not valid.all():
+        i = int(valid.argmin())
+        what = "negative" if arr[i] < 0.0 else "non-finite"
+        raise ValueError(f"{what} component at index {i}: {arr[i]}")
     arr.flags.writeable = False
     return arr
 

@@ -71,6 +71,16 @@ def cell_vertices(cell: Cell) -> list[tuple[int, ...]]:
     return verts
 
 
+def _vertex(cell: Cell, pos: int) -> tuple[int, ...]:
+    """Vertex ``pos`` of the cell, without building the others."""
+    base, perm, carrier = cell
+    z = list(base)
+    for a in perm[:pos]:
+        z[carrier[a]] += 1
+        z[carrier[a + 1]] -= 1
+    return tuple(z)
+
+
 def _valid(z: tuple[int, ...]) -> bool:
     return all(c >= 0 for c in z)
 
@@ -83,19 +93,18 @@ def pivot(cell: Cell, drop_pos: int) -> tuple[Cell, int] | None:
     """
     base, perm, carrier = cell
     k = len(carrier)
-    verts = cell_vertices(cell)
     if drop_pos == 0:
-        new_vertex = _add_atom(verts[-1], carrier, perm[0], +1)
+        new_vertex = _add_atom(_vertex(cell, k - 1), carrier, perm[0], +1)
         if not _valid(new_vertex):
             return None
-        return (verts[1], perm[1:] + (perm[0],), carrier), k - 1
+        return (_vertex(cell, 1), perm[1:] + (perm[0],), carrier), k - 1
     if drop_pos == k - 1:
         new_vertex = _add_atom(base, carrier, perm[-1], -1)
         if not _valid(new_vertex):
             return None
         return (new_vertex, (perm[-1],) + perm[:-1], carrier), 0
     a = drop_pos
-    new_vertex = _add_atom(verts[a - 1], carrier, perm[a], +1)
+    new_vertex = _add_atom(_vertex(cell, a - 1), carrier, perm[a], +1)
     if not _valid(new_vertex):
         return None
     new_perm = list(perm)
@@ -143,7 +152,11 @@ class _Exhausted(Exception):
 
 
 class _FaceSearch:
-    """Complete-cell supplier for one face of the triangulation at resolution m."""
+    """Complete-cell supplier for one face of the triangulation at resolution m.
+
+    Cells travel with the labels of their vertices (in vertex order), so
+    each step of the walk looks up only the vertex it brings in.
+    """
 
     def __init__(self, m: int, n: int, carrier: tuple[int, ...], label_of: LabelFn):
         self.m = m
@@ -151,7 +164,7 @@ class _FaceSearch:
         self.carrier = carrier
         self.label_of = label_of
         self.sub = _FaceSearch(m, n, carrier[:-1], label_of) if len(carrier) > 1 else None
-        self.continuation: Cell | None = None
+        self.continuation: tuple[Cell, list[int]] | None = None
         self._corner_served = False
 
     def _label(self, z: tuple[int, ...]) -> int:
@@ -160,7 +173,12 @@ class _FaceSearch:
             raise WalkError(f"label {lab} outside the support of {z}")
         return lab
 
-    def next_complete(self) -> Cell:
+    def _bring_in(self, cell: Cell, new_pos: int, kept: list[int]) -> list[int]:
+        """Labels of ``cell``: the shared facet's ``kept`` plus its new vertex's."""
+        kept.insert(new_pos, self._label(_vertex(cell, new_pos)))
+        return kept
+
+    def next_complete(self) -> tuple[Cell, list[int]]:
         carrier = self.carrier
         if len(carrier) == 1:
             if self._corner_served:
@@ -170,36 +188,40 @@ class _FaceSearch:
             lab = self._label(corner)
             if lab != carrier[0]:
                 raise WalkError(f"corner {corner} labeled {lab}")
-            return (corner, (), carrier)
+            return (corner, (), carrier), [lab]
         while True:
             if self.continuation is not None:
-                cell, self.continuation = self.continuation, None
-                start = self._through(cell)
-                if start is None:
-                    continue
+                # leave a complete cell through its unique door
+                (cell, labels), self.continuation = self.continuation, None
+                start = self._step(cell, labels, labels.index(carrier[-1]))
             else:
-                start = attach(self.sub.next_complete(), carrier)
-            result = self._walk(*start)
-            if result[0] == "complete":
-                return result[1]
-            self.sub.continuation = result[1]
+                subcell, sublabels = self.sub.next_complete()
+                cell, new_pos = attach(subcell, carrier)
+                start = cell, self._bring_in(cell, new_pos, list(sublabels)), new_pos
+            if start is not None:
+                complete = self._walk(*start)
+                if complete is not None:
+                    return complete
 
-    def _through(self, cell: Cell) -> tuple[Cell, int] | None:
-        """Step out of a complete cell via its unique door.
+    def _step(self, cell: Cell, labels: list[int],
+              drop_pos: int) -> tuple[Cell, list[int], int] | None:
+        """Pivot across the facet opposite vertex ``drop_pos``.
 
-        Returns the neighbouring cell, or None after handing the exit to
-        the sub-face when the door itself lies on the boundary.
+        Returns the neighbouring cell, its labels and the position of its
+        new vertex, or None after handing the facet to the sub-face when
+        it lies on the boundary.
         """
-        j_star = self.carrier[-1]
-        labels = [self._label(v) for v in cell_vertices(cell)]
-        drop_pos = labels.index(j_star)
         step = pivot(cell, drop_pos)
+        kept = labels[:drop_pos] + labels[drop_pos + 1:]
         if step is None:
-            self.sub.continuation = facet_as_subcell(cell, drop_pos)
+            self.sub.continuation = facet_as_subcell(cell, drop_pos), kept
             return None
-        return step
+        cell, new_pos = step
+        return cell, self._bring_in(cell, new_pos, kept), new_pos
 
-    def _walk(self, cell: Cell, new_pos: int) -> tuple[str, Cell]:
+    def _walk(self, cell: Cell, labels: list[int],
+              new_pos: int) -> tuple[Cell, list[int]] | None:
+        """Pivot to a complete cell (returned with its labels) or out to the sub-face (None)."""
         carrier_set = set(self.carrier)
         seen: set[tuple] = set()
         while True:
@@ -207,25 +229,26 @@ class _FaceSearch:
             if key in seen:
                 raise WalkError(f"walk revisited cell {cell}")
             seen.add(key)
-            labels = [self._label(v) for v in cell_vertices(cell)]
             if set(labels) == carrier_set:
-                return ("complete", cell)
+                return cell, labels
             dup = labels[new_pos]
             others = [p for p, lab in enumerate(labels) if lab == dup and p != new_pos]
             if len(others) != 1:
                 raise WalkError(f"expected one duplicate of label {dup} in {labels}")
-            step = pivot(cell, others[0])
+            step = self._step(cell, labels, others[0])
             if step is None:
-                return ("exit", facet_as_subcell(cell, others[0]))
-            cell, new_pos = step
+                return None
+            cell, labels, new_pos = step
 
 
 class CompleteCellSearch:
     """Find a completely-labeled top-dimensional cell at resolution ``m``.
 
-    ``label_of`` is called on each lattice point at most once per distinct
-    point (callers typically memoize across resolutions); it may raise to
-    abort the search, e.g. on an unlabelable point or an evaluation cap.
+    ``label_of`` is called once per vertex that a pivot or an attach to a
+    sub-face cell brings in, and once per corner; a point the walk meets
+    again in a later cell is looked up again, so callers memoize the
+    underlying evaluations.  It may raise to abort the search, e.g. on an
+    unlabelable point or an evaluation cap.
     """
 
     def __init__(self, m: int, n: int, label_of: LabelFn):
@@ -237,7 +260,7 @@ class CompleteCellSearch:
     def find(self) -> list[tuple[int, ...]]:
         """Vertices of the first completely-labeled cell of the sphere grid."""
         try:
-            cell = self._top.next_complete()
+            cell, _ = self._top.next_complete()
         except _Exhausted as exc:  # pragma: no cover - combinatorially unreachable
             raise WalkError("complete-cell search exhausted the complex") from exc
         return cell_vertices(cell)

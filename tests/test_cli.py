@@ -69,6 +69,16 @@ class TestFind:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_nonfinite_map_value_exits_one(self, tmp_path, capsys):
+        # (T s)_1 = 1e308 * s_2 overflows to inf once s_2 > 1.8
+        spec = write_spec(tmp_path, {"kind": "linear", "matrix": [[0, 1e308], [0.5, 0]]})
+        code = main(["find", "--map", spec, "-r", "10", "--epsilon", "0.1"])
+        fields = result_fields(capsys)
+        assert code == 1
+        assert fields["success"] == "0"
+        assert fields["failure"] == "nonfinite"
+
 
 class TestVerify:
     def test_chain_certificate(self, tmp_path, capsys):

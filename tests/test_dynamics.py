@@ -62,6 +62,15 @@ class TestIterate:
             for prev, cur in zip(report.states, report.states[1:]):
                 assert np.all(cur <= prev + 1e-15)
 
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_stops_unconverged_at_a_non_finite_state(self):
+        # 2^1024 overflows, and the map cannot take the infinite state as input
+        report = iterate(make_linear_map(2.0 * np.eye(2)), [1, 1], k_max=2000)
+        assert not report.converged
+        assert report.steps_used == 1024
+        assert report.steps[-1] == 1024
+        assert np.all(np.isinf(report.states[-1]))
+
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             iterate(SWAP_HALF, [1, 1], k_max=0)

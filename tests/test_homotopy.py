@@ -3,10 +3,11 @@ from itertools import product
 import numpy as np
 import pytest
 
+from decaycert import homotopy
 from decaycert.homotopy import SolveReport, SolverConfig, complete_subsets, find_decay_point
 from decaycert.labeling import LabeledVertexSet
 from decaycert.linear import random_contractive
-from decaycert.maps import make_chain_map, make_linear_map
+from decaycert.maps import MonotoneMap, compose, make_chain_map, make_linear_map
 
 
 def vertex_set(labels, scale=1.0):
@@ -128,6 +129,17 @@ class TestFindDecayPoint:
         assert a.margin == b.margin
         np.testing.assert_array_equal(a.s_star, b.s_star)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_map_value_is_named(self, bad):
+        # the first point evaluated is the corner (10, 0)
+        T = MonotoneMap(2, lambda s: np.full(2, bad) if s[0] > 4 else 0.5 * s, "partial")
+        for candidate in (T, compose(make_linear_map(0.5 * np.eye(2)), T)):
+            report = find_decay_point(candidate, SolverConfig(r=10.0, epsilon=0.1), 2)
+            assert not report.success
+            assert report.failure_reason == "nonfinite"
+            assert report.iterations == 1
+            assert report.failure_point.tolist() == [10.0, 0.0]
+
     def test_dimension_checks(self):
         T = make_chain_map(3)
         with pytest.raises(ValueError):
@@ -158,3 +170,54 @@ def test_golden_walk(name, build, iterations, s_star):
     assert report.success
     assert report.iterations == iterations
     assert report.s_star.tolist() == s_star
+
+
+# Failures pinned at r=10: the reason, the evaluation count and the point
+# where the covering failed.  eps is 0.05 * r / (2n) unless given.
+GOLDEN_FAILURES = [
+    ("n=3 rho=1.2 seed 0", 3, 1.2, 0, None, 100_000, "label_none", 40, [1.25, 5.0, 3.75]),
+    ("n=4 rho=1.0 seed 1", 4, 1.0, 1, None, 100_000, "label_none", 357,
+     [3.046875, 2.421875, 2.34375, 2.1875]),
+    ("n=5 rho=1.2 seed 2", 5, 1.2, 2, None, 100_000, "label_none", 121,
+     [1.875, 1.875, 1.875, 2.5, 1.875]),
+    ("n=3 rho=0.8 seed 0 at 0.9 eps_max", 3, 0.8, 0, 0.6387007034997124, 5000,
+     "iteration_cap", 5000, None),
+]
+
+
+@pytest.mark.parametrize("name,n,rho,seed,eps,cap,reason,iterations,point", GOLDEN_FAILURES,
+                         ids=[case[0] for case in GOLDEN_FAILURES])
+def test_golden_failure(name, n, rho, seed, eps, cap, reason, iterations, point):
+    T = make_linear_map(random_contractive(n, rho, seed))
+    eps = 0.05 * 10.0 / (2 * n) if eps is None else eps
+    report = find_decay_point(T, SolverConfig(r=10.0, epsilon=eps, max_iterations=cap), n)
+    assert not report.success
+    assert report.failure_reason == reason
+    assert report.iterations == iterations
+    if point is None:
+        assert report.failure_point is None
+    else:
+        assert report.failure_point.tolist() == point
+
+
+@pytest.mark.parametrize("n", [6, 8, 10])
+def test_label_lookups_per_lattice_point(monkeypatch, n):
+    """The walk carries its cells' labels, so it looks a point up about once per visit."""
+    search_cls = homotopy.CompleteCellSearch
+    calls = 0
+    points = set()
+
+    def counting_search(m, dim, label_of):
+        def counted(z):
+            nonlocal calls
+            calls += 1
+            points.add(tuple(c / m for c in z))  # exact: m is a power of two
+            return label_of(z)
+
+        return search_cls(m, dim, counted)
+
+    monkeypatch.setattr(homotopy, "CompleteCellSearch", counting_search)
+    T = make_linear_map(random_contractive(n, 0.8, 0))
+    report = find_decay_point(T, SolverConfig(r=10.0, epsilon=0.1, max_iterations=100_000), n)
+    assert report.success
+    assert calls <= 2 * len(points)

@@ -121,6 +121,11 @@ class TestLinear:
         with pytest.raises(ValueError, match="negative entry"):
             make_linear_map([[-1.0]])
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_rejects_non_finite_entry(self, bad):
+        with pytest.raises(ValueError, match=r"non-finite entry at \(1,2\)"):
+            make_linear_map([[0.0, bad], [0.5, 0.0]])
+
     def test_rejects_nonsquare(self):
         with pytest.raises(ValueError):
             make_linear_map([[1.0, 2.0]])

@@ -56,6 +56,12 @@ class TestErrors:
         with pytest.raises(MapSpecError, match="negative entry"):
             parse_map_spec('{"kind": "linear", "matrix": [[-1]]}')
 
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity"])
+    def test_non_finite_entry_is_semantic(self, literal):
+        # Python's json module accepts these literals
+        with pytest.raises(MapSpecError, match="non-finite entry"):
+            parse_map_spec('{"kind": "linear", "matrix": [[0, %s], [0.5, 0]]}' % literal)
+
     def test_unknown_kind(self):
         with pytest.raises(MapSpecParseError, match="unknown map kind"):
             parse_map_spec('{"kind": "affine", "matrix": [[1]]}')

@@ -89,3 +89,8 @@ class TestAsPoint:
             as_point([])
         with pytest.raises(ValueError):
             as_point([1.0, 2.0], dim=3)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_rejects_non_finite_components(self, bad):
+        with pytest.raises(ValueError, match="non-finite component at index 0"):
+            as_point([bad, 1.0])

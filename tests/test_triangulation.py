@@ -11,6 +11,7 @@ from itertools import permutations
 import numpy as np
 import pytest
 
+from decaycert import triangulation
 from decaycert.triangulation import (
     CompleteCellSearch,
     attach,
@@ -134,6 +135,39 @@ class TestWalk:
         first = [CompleteCellSearch(4, 3, label_of).find() for _ in range(5)]
         assert all(f == first[0] for f in first)
         assert len(runs) == 1
+
+    def test_label_of_runs_once_per_vertex_brought_in(self, monkeypatch):
+        """One lookup per successful pivot, per attach, and for the single corner."""
+        brought_in = 0
+
+        def counting(fn):
+            def wrapper(*args):
+                nonlocal brought_in
+                out = fn(*args)
+                brought_in += out is not None
+                return out
+
+            return wrapper
+
+        for name in ("pivot", "attach"):
+            monkeypatch.setattr(triangulation, name, counting(getattr(triangulation, name)))
+        rng = np.random.default_rng(3)
+        for n in (2, 3, 4, 5):
+            for m in (1, 3, 8, 16):
+                brought_in = 0
+                calls = 0
+                memo = {}
+
+                def label_of(z):
+                    nonlocal calls
+                    calls += 1
+                    if z not in memo:
+                        memo[z] = int(rng.choice([i for i, c in enumerate(z) if c > 0]))
+                    return memo[z]
+
+                found = CompleteCellSearch(m, n, label_of).find()
+                assert sorted(memo[v] for v in found) == list(range(n))
+                assert calls == brought_in + 1
 
     def test_label_exceptions_propagate(self):
         class Boom(Exception):
