@@ -30,7 +30,9 @@ per distinct point.  The memo is keyed by the bytes of the evaluated
 point ``z * (r/m)``: the mesh ``m`` is a power of two, so a lattice point
 scales to the same float at every level where it appears.  It stores
 only the bytes of ``T(point)``; the point itself is recomputed from
-``z`` on every lookup.
+``z`` on every lookup.  Each level's barycentre test goes through the
+same memo, so a barycentre that is also a lattice point is evaluated
+once, whichever of the two the solver meets first.
 """
 
 from __future__ import annotations
@@ -102,24 +104,16 @@ def complete_subsets(tau: LabeledVertexSet, n: int) -> list[LabeledVertexSet]:
     return out
 
 
-class _FoundPoint(Exception):
-    def __init__(self, point: np.ndarray, margin: float):
-        self.point = point
-        self.margin = margin
+class _Finished(Exception):
+    """Ends the search with its final report, from wherever the map is evaluated."""
+
+    def __init__(self, report: SolveReport):
+        self.report = report
 
 
 class _NoLabel(Exception):
     def __init__(self, point: np.ndarray):
         self.point = point
-
-
-class _NonFinite(Exception):
-    def __init__(self, point: np.ndarray):
-        self.point = point
-
-
-class _CapReached(Exception):
-    pass
 
 
 def _slack_ladder(eps: float, r: float, n: int) -> list[float]:
@@ -165,28 +159,32 @@ def find_decay_point(T: MonotoneMap, cfg: SolverConfig, n: int) -> SolveReport:
     count = 0
 
     def evaluate(point: np.ndarray) -> np.ndarray:
+        """``T(point)`` from the memo; a new point is counted and tested as a certificate."""
         nonlocal count
-        if count >= cfg.max_iterations:
-            raise _CapReached
-        count += 1
-        Ts = T(point)
-        margin = float(np.min(point - Ts))
-        if not math.isfinite(margin):  # NaN or +inf in T(point); point is finite
-            raise _NonFinite(point)
-        if margin >= eps:
-            raise _FoundPoint(point, margin)
-        return Ts
+        key = point.tobytes()
+        Ts = cache.get(key)
+        if Ts is None:
+            if count >= cfg.max_iterations:
+                raise _Finished(SolveReport(False, None, count, failure_reason="iteration_cap"))
+            count += 1
+            value = T(point)
+            margin = float(np.min(point - value))
+            if not math.isfinite(margin):  # NaN or +inf in T(point); point is finite
+                raise _Finished(SolveReport(False, None, count, failure_reason="nonfinite",
+                                            failure_point=point))
+            if margin >= eps:
+                s_star = np.array(point)
+                s_star.flags.writeable = False
+                raise _Finished(SolveReport(True, s_star, count, margin=margin))
+            Ts = cache[key] = value.tobytes()
+        return np.frombuffer(Ts)
 
     def make_label_of(m: int, label_slack: float):
         scale = r / m
 
         def label_of(z: tuple[int, ...]) -> int:
             point = np.asarray(z, dtype=float) * scale
-            key = point.tobytes()
-            Ts = cache.get(key)
-            if Ts is None:
-                Ts = cache[key] = evaluate(point).tobytes()
-            label = label_index(point, np.frombuffer(Ts), label_slack)
+            label = label_index(point, evaluate(point), label_slack)
             if label is None:
                 raise _NoLabel(point)
             return label
@@ -212,12 +210,6 @@ def find_decay_point(T: MonotoneMap, cfg: SolverConfig, n: int) -> SolveReport:
                         failure_point=miss.point,
                     )
                 # covering fails at the inflated slack; step the ladder down
-    except _FoundPoint as hit:
-        s_star = np.array(hit.point)
-        s_star.flags.writeable = False
-        return SolveReport(True, s_star, count, margin=hit.margin)
-    except _NonFinite as bad:
-        return SolveReport(False, None, count, failure_reason="nonfinite", failure_point=bad.point)
-    except _CapReached:
-        return SolveReport(False, None, count, failure_reason="iteration_cap")
+    except _Finished as finished:
+        return finished.report
     raise AssertionError("slack ladder ended without a rung at eps")  # pragma: no cover

@@ -20,6 +20,7 @@ Examples: ``"0.5*t"``, ``"t^2"``, ``"2*t^0.5"``, ``"t + 0.25*t^3"``,
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 
@@ -60,7 +61,10 @@ class Term(ScalarFn):
     def __call__(self, t: float) -> float:
         if self.coeff == 0.0:
             return 0.0
-        return self.coeff * t**self.exponent
+        try:
+            return self.coeff * t**self.exponent
+        except OverflowError:  # float ** raises where numpy would return inf
+            return self.coeff * math.inf
 
     def render(self) -> str:
         if self.coeff == 0.0:

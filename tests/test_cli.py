@@ -80,6 +80,21 @@ class TestFind:
         assert fields["failure"] == "nonfinite"
 
 
+    def test_overflowing_diagonal_gain_exits_two(self, tmp_path, capsys):
+        # t^200 overflows a float on the K-infinity sampling grid (up to 1e3)
+        spec = write_spec(tmp_path, {"kind": "diagonal", "functions": ["t^200", "t"]})
+        code = main(["find", "--map", spec, "-r", "10"])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_overflowing_max_preserving_gain_reports_a_result(self, tmp_path, capsys):
+        spec = write_spec(tmp_path, {"kind": "maxpreserving",
+                                     "gains": [["0", "t^200"], ["0.5*t", "0"]]})
+        code = main(["find", "--map", spec, "-r", "10"])
+        fields = result_fields(capsys)
+        assert code == 1
+        assert fields["success"] == "0"
+
 class TestVerify:
     def test_chain_certificate(self, tmp_path, capsys):
         spec = write_spec(tmp_path, {"kind": "chain", "n": 3})

@@ -1,3 +1,4 @@
+import hashlib
 from itertools import product
 
 import numpy as np
@@ -151,11 +152,11 @@ class TestFindDecayPoint:
 # Walk lengths and decay points pinned at r=10, eps=0.1, cap 100 000.  A
 # change to the labeling, the pivot walk or the slack ladder moves these.
 GOLDEN_WALKS = [
-    ("chain n=2", lambda: make_chain_map(2), 5, [7.5, 2.5]),
+    ("chain n=2", lambda: make_chain_map(2), 4, [7.5, 2.5]),
     ("chain n=3", lambda: make_chain_map(3), 13, [6.25, 2.5, 1.25]),
     ("chain n=4", lambda: make_chain_map(4), 9, [6.25, 1.25, 1.25, 1.25]),
     ("chain n=5", lambda: make_chain_map(5), 11, [6.0, 1.0, 1.0, 1.0, 1.0]),
-    ("linear n=6 seed 0", lambda: make_linear_map(random_contractive(6, 0.8, 0)), 111,
+    ("linear n=6 seed 0", lambda: make_linear_map(random_contractive(6, 0.8, 0)), 108,
      [1.25, 2.5, 1.875, 1.25, 1.875, 1.25]),
 ]
 
@@ -175,10 +176,10 @@ def test_golden_walk(name, build, iterations, s_star):
 # Failures pinned at r=10: the reason, the evaluation count and the point
 # where the covering failed.  eps is 0.05 * r / (2n) unless given.
 GOLDEN_FAILURES = [
-    ("n=3 rho=1.2 seed 0", 3, 1.2, 0, None, 100_000, "label_none", 40, [1.25, 5.0, 3.75]),
-    ("n=4 rho=1.0 seed 1", 4, 1.0, 1, None, 100_000, "label_none", 357,
+    ("n=3 rho=1.2 seed 0", 3, 1.2, 0, None, 100_000, "label_none", 23, [1.25, 5.0, 3.75]),
+    ("n=4 rho=1.0 seed 1", 4, 1.0, 1, None, 100_000, "label_none", 330,
      [3.046875, 2.421875, 2.34375, 2.1875]),
-    ("n=5 rho=1.2 seed 2", 5, 1.2, 2, None, 100_000, "label_none", 121,
+    ("n=5 rho=1.2 seed 2", 5, 1.2, 2, None, 100_000, "label_none", 102,
      [1.875, 1.875, 1.875, 2.5, 1.875]),
     ("n=3 rho=0.8 seed 0 at 0.9 eps_max", 3, 0.8, 0, 0.6387007034997124, 5000,
      "iteration_cap", 5000, None),
@@ -198,6 +199,35 @@ def test_golden_failure(name, n, rho, seed, eps, cap, reason, iterations, point)
         assert report.failure_point is None
     else:
         assert report.failure_point.tolist() == point
+
+
+# SHA-256 of the repr of every point the solver evaluates, each once in
+# order of first evaluation, over every golden case that ends before its
+# cap.  It pins the walk's path itself, not only where the path ends.
+GOLDEN_PATH_SHA256 = "38459f9f7c45cb0b437580847dad77384890f6174ded69fca373f15e1746ee8f"
+
+
+def test_golden_path():
+    cases = [(build(), 0.1, 100_000) for _, build, _, _ in GOLDEN_WALKS]
+    cases += [
+        (make_linear_map(random_contractive(n, rho, seed)),
+         0.05 * 10.0 / (2 * n) if eps is None else eps, cap)
+        for _, n, rho, seed, eps, cap, reason, _, _ in GOLDEN_FAILURES
+        if reason != "iteration_cap"
+    ]
+    digest = hashlib.sha256()
+    for T, eps, cap in cases:
+        first_seen: dict[str, None] = {}
+
+        def recording(s, T=T, first_seen=first_seen):
+            first_seen.setdefault(repr(s.tolist()))
+            return T(s)
+
+        find_decay_point(MonotoneMap(T.dimension, recording, T.kind),
+                         SolverConfig(r=10.0, epsilon=eps, max_iterations=cap), T.dimension)
+        for point in first_seen:
+            digest.update(point.encode())
+    assert digest.hexdigest() == GOLDEN_PATH_SHA256
 
 
 @pytest.mark.parametrize("n", [6, 8, 10])

@@ -77,6 +77,12 @@ class TestCycleCondition:
         )
         assert report.success
 
+    def test_overflowing_composition_is_a_violation(self):
+        # 0.5*(0.5*t^90)^90 >= t from t ~ 1.008 on; past t ~ 1.1 the float
+        # power overflows, which must read as +inf rather than raise
+        g = GainTable([[None, "0.5*t^90"], ["0.5*t^90", None]])
+        assert cycle_condition(g) == (False, ((1, 2), min(t for t in cycle_grid() if t > 1)))
+
     def test_dimension_cap(self):
         n = 13
         rows = [[None] * n for _ in range(n)]

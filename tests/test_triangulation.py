@@ -31,10 +31,9 @@ def compositions(total, k):
 
 
 def all_cells(m, n):
-    carrier = tuple(range(n))
     for base in compositions(m, n):
         for perm in permutations(range(n - 1)):
-            cell = (base, perm, carrier)
+            cell = (base, perm)
             vs = cell_vertices(cell)
             if all(all(c >= 0 for c in v) for v in vs):
                 yield cell, vs
@@ -90,18 +89,17 @@ class TestCellAlgebra:
     def test_attach_restores_facet(self):
         # boundary sub-cells of the last-coordinate face extend to a unique cell
         n, m = 4, 3
-        carrier = tuple(range(n))
         for base in compositions(m, n - 1):
             for perm in permutations(range(n - 2)):
-                sub = (base + (0,), perm, carrier[:-1])
+                sub = (base + (0,), perm)
                 vs = cell_vertices(sub)
                 if not all(all(c >= 0 for c in v) for v in vs):
                     continue
-                cell, new_pos = attach(sub, carrier)
+                cell, new_pos = attach(sub)
                 cvs = cell_vertices(cell)
                 assert new_pos == 0
                 assert set(vs) <= set(cvs)
-                assert cvs[0][carrier[-1]] == 1
+                assert cvs[0][n - 1] == 1
                 # and the facet recovered from the attached cell is the sub-cell
                 assert set(cell_vertices(facet_as_subcell(cell, 0))) == set(vs)
 
