@@ -123,6 +123,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    if args.instances < 1:
+        raise ValueError(f"--instances must be >= 1, got {args.instances}")
     dims = _parse_list(args.dims, int, "dimension")
     epsilons = _parse_list(args.epsilons, float, "epsilon")
     rows = []

@@ -78,8 +78,8 @@ def iterate(
     """
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
-    if stop_tol <= 0.0:
-        raise ValueError(f"stop_tol must be positive, got {stop_tol}")
+    if not (math.isfinite(stop_tol) and stop_tol > 0.0):
+        raise ValueError(f"stop_tol must be positive and finite, got {stop_tol}")
     s = as_point(s0, dim=T.dimension)
     states = [s]
     steps = [0]

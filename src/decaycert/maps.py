@@ -38,6 +38,7 @@ __all__ = [
     "coerce_gain",
     "check_gain",
     "check_kinf",
+    "gain_rows",
 ]
 
 
@@ -149,25 +150,29 @@ def check_kinf(rho: ScalarFn, where: str) -> None:
         raise ValueError(f"{where} fails the sampled Kinf checks")
 
 
+def gain_rows(gains) -> list[list[ScalarFn]]:
+    """Coerce a nested gain sequence into a checked square table of ScalarFns."""
+    rows = [[coerce_gain(g) for g in row] for row in gains]
+    if not rows or any(len(row) != len(rows) for row in rows):
+        raise ValueError("gain table must be square")
+    for i, row in enumerate(rows):
+        for j, g in enumerate(row):
+            check_gain(g, f"gain ({i + 1},{j + 1})")
+    return rows
+
+
 def make_max_preserving(gains) -> MonotoneMap:
     """Map ``(Ts)_i = max_j g_ij(s_j)`` from an n-by-n table of gains.
 
     ``gains`` is a nested sequence (or a GainTable); entries may be
     ScalarFn instances, textual forms, or None for the zero gain.
     """
-    table = getattr(gains, "rows", gains)
-    rows = [[coerce_gain(g) for g in row] for row in table]
-    n = len(rows)
-    if n < 1 or any(len(row) != n for row in rows):
-        raise ValueError("gain table must be square")
-    for i, row in enumerate(rows):
-        for j, g in enumerate(row):
-            check_gain(g, f"gain ({i + 1},{j + 1})")
+    rows = gain_rows(getattr(gains, "rows", gains))
 
     def fn(s: np.ndarray) -> np.ndarray:
         return np.array([max(g(s[j]) for j, g in enumerate(row)) for row in rows])
 
-    return MonotoneMap(n, fn, "max-preserving")
+    return MonotoneMap(len(rows), fn, "max-preserving")
 
 
 def make_diagonal(fns: Sequence) -> MonotoneMap:

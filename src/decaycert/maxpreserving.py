@@ -11,19 +11,19 @@ re-parametrization to prescribed 1-norm is an "almost" decay point (the
 inequality is not strict).  Both checks are sample-based: gains are
 black boxes, so ``g < id`` is verified on a finite logarithmic grid.
 
-The composition chains tested are the simple cycles
-``g_{i1 i2} o ... o g_{ik i1}`` over distinct indices, including the
-1-cycles (diagonal gains).
+The cycle test uses max-plus powers (Baccelli, Cohen, Olsder & Quadrat,
+*Synchronization and Linearity*, 1992): ``(T^k(t e_i))_i`` is the largest
+composition at ``t`` over the closed walks of length ``k`` through ``i``,
+so ``k <= n`` covers every simple cycle in every rotation, 1-cycles included.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, permutations
 
 import numpy as np
 
-from .maps import MonotoneMap, check_gain, coerce_gain, make_max_preserving
+from .maps import MonotoneMap, gain_rows, make_max_preserving
 from .scalarfn import ScalarFn, validation_grid
 
 __all__ = [
@@ -33,10 +33,6 @@ __all__ = [
     "reparametrize_path",
     "cycle_grid",
 ]
-
-# Enumerating all simple cycles grows factorially; this is a desk-scale
-# tool, so larger tables are rejected outright.
-MAX_CYCLE_DIMENSION = 12
 
 
 def cycle_grid(n_points: int = 49) -> list[float]:
@@ -55,13 +51,7 @@ class GainTable:
     rows: list[list[ScalarFn]]
 
     def __post_init__(self):
-        self.rows = [[coerce_gain(g) for g in row] for row in self.rows]
-        n = len(self.rows)
-        if n < 1 or any(len(row) != n for row in self.rows):
-            raise ValueError("gain table must be square")
-        for i, row in enumerate(self.rows):
-            for j, g in enumerate(row):
-                check_gain(g, f"gain ({i + 1},{j + 1})")
+        self.rows = gain_rows(self.rows)
 
     @property
     def n(self) -> int:
@@ -75,47 +65,48 @@ class GainTable:
         return make_max_preserving(self.rows)
 
 
-def _compose_along(table: GainTable, chain: tuple[int, ...], t: float) -> float:
-    """Evaluate g_{chain[0] chain[1]} o ... o g_{chain[-2] chain[-1]} at t (0-based)."""
-    value = t
-    for a in range(len(chain) - 2, -1, -1):
-        value = table.rows[chain[a]][chain[a + 1]](value)
-    return value
+def _apply(rows: list[list[ScalarFn]], w: list[float]) -> list[float]:
+    """One max-plus step ``[max_j g_aj(w_j)]_a``; an overflowing gain gives +inf."""
+    return [max([g(x) for g, x in zip(row, w)]) for row in rows]
 
 
-def cycle_condition(table: GainTable, t_grid=None) -> tuple[bool, tuple[tuple[int, ...], float] | None]:
+def _closed_walk(rows: list[list[ScalarFn]], i: int, t: float, k: int) -> tuple[int, ...]:
+    """1-based closed walk of length k through i attaining (T^k(t e_i))_i (argmax backtrack)."""
+    powers = [[t if a == i else 0.0 for a in range(len(rows))]]
+    for _ in range(k - 1):
+        powers.append(_apply(rows, powers[-1]))
+    walk = [i]
+    for w in reversed(powers[1:]):
+        row = rows[walk[-1]]
+        walk.append(max(range(len(w)), key=lambda j: row[j](w[j])))
+    return tuple(a + 1 for a in walk)
+
+
+def cycle_condition(table, t_grid=None) -> tuple[bool, tuple[tuple[int, ...], float] | None]:
     """Check every cyclic gain composition against the identity on a grid.
 
-    Returns ``(True, None)`` or ``(False, (cycle, t))`` where ``cycle`` is
-    the violating 1-based index tuple and ``t`` a grid point with
-    composition(t) >= t.
+    ``table`` is a GainTable or a nested gain sequence.  For walk length
+    ``k = 1..n``, start ``i`` and grid point ``t`` in that order, a
+    violation is ``(T^k(t e_i))_i >= t``.  Returns ``(True, None)`` or
+    ``(False, (walk, t))`` where ``walk`` is the 1-based closed walk
+    ``(i, i2, ..., ik)`` whose composition ``g_{i i2} o ... o g_{ik i}``
+    is ``>= t``.  No shorter closed walk violates on the grid, so the walk
+    is a simple cycle unless a sub-cycle of it violates only off the grid.
     """
-    n = table.n
-    if n > MAX_CYCLE_DIMENSION:
-        raise ValueError(
-            f"cycle enumeration supports n <= {MAX_CYCLE_DIMENSION}, got {n} "
-            "(simple cycles grow factorially)"
-        )
+    if not isinstance(table, GainTable):
+        table = GainTable(table)
     grid = cycle_grid() if t_grid is None else list(t_grid)
     if not grid:
         raise ValueError("cycle condition needs a nonempty grid")
-
-    def violated(chain: tuple[int, ...]) -> float | None:
-        for t in grid:
-            if _compose_along(table, chain, t) >= t:
-                return t
-        return None
-
-    # pure cycles over distinct indices, canonicalized to start at the
-    # smallest member so each rotation class is tested once
+    rows, n = table.rows, table.n
+    # powers[i][p] holds T^k(t e_i) for t = grid[p] after the k-th pass
+    powers = [[[t if a == i else 0.0 for a in range(n)] for t in grid] for i in range(n)]
     for k in range(1, n + 1):
-        for combo in combinations(range(n), k):
-            first = combo[0]
-            for rest in permutations(combo[1:]):
-                cycle = (first,) + rest
-                t = violated(cycle + (first,))
-                if t is not None:
-                    return False, (tuple(i + 1 for i in cycle), t)
+        for i in range(n):
+            for p, t in enumerate(grid):
+                w = powers[i][p] = _apply(rows, powers[i][p])
+                if w[i] >= t:
+                    return False, (_closed_walk(rows, i, t, k), t)
     return True, None
 
 

@@ -111,6 +111,18 @@ class TestVerify:
         assert code == 0
         assert fields["certified"] == "1"
 
+    @pytest.mark.parametrize("stop_tol", ["inf", "nan"])
+    def test_nonfinite_stop_tol_exits_two(self, tmp_path, capsys, stop_tol):
+        # the trajectory from s* = (10, 10) converges to (4, 4), not to 0,
+        # so stop_tol = inf would certify falsely and nan would never stop
+        spec = write_spec(tmp_path, {"kind": "diagonal", "functions": ["2*t^0.5", "2*t^0.5"]})
+        code = main(["verify", "--map", spec, "-r", "20", "--epsilon", "0.1",
+                     "--stop-tol", stop_tol])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "error:" in captured.err
+        assert "certified=1" not in captured.out
+
     def test_non_contractive_linear_exits_one(self, tmp_path, capsys):
         # spectral radius exactly 1: the identity; the solver cannot label corners
         spec = write_spec(tmp_path, {"kind": "linear", "matrix": [[1, 0], [0, 1]]})
@@ -158,6 +170,17 @@ class TestSweep:
             "--out", str(out),
         ])
         assert code == 2
+
+    @pytest.mark.parametrize("instances", ["0", "-1"])
+    def test_instances_below_one_is_usage_error(self, tmp_path, capsys, instances):
+        out = tmp_path / "sweep.csv"
+        code = main([
+            "sweep", "--family", "linear-random", "--dims", "2", "--epsilons", "0.1",
+            "--instances", instances, "--out", str(out),
+        ])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_family_is_usage_error(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as excinfo:

@@ -74,8 +74,9 @@ class TestIterate:
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             iterate(SWAP_HALF, [1, 1], k_max=0)
-        with pytest.raises(ValueError):
-            iterate(SWAP_HALF, [1, 1], stop_tol=0.0)
+        for stop_tol in (0.0, float("inf"), float("nan")):
+            with pytest.raises(ValueError, match="stop_tol"):
+                iterate(SWAP_HALF, [1, 1], stop_tol=stop_tol)
 
 
 class TestVerifyAttraction:

@@ -1,3 +1,5 @@
+from itertools import combinations, permutations
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,66 @@ def half_id_cycle(n):
 
 
 VIOLATING = GainTable([[None, "2*t"], ["t", None]])
+
+
+def compose_walk(table, walk, t):
+    """g_{w1 w2} o g_{w2 w3} o ... o g_{wk w1} at t for a 1-based closed walk."""
+    closed = walk + walk[:1]
+    value = t
+    for a in range(len(walk) - 1, -1, -1):
+        value = table.gain(closed[a], closed[a + 1])(value)
+    return value
+
+
+def enumerate_simple_cycles(table, grid):
+    """Reference oracle: every simple cycle, tested only from its smallest index.
+
+    Returns ``(True, None)`` or ``(False, (cycle, t))`` like cycle_condition.
+    """
+    n = table.n
+    for k in range(1, n + 1):
+        for combo in combinations(range(1, n + 1), k):
+            for rest in permutations(combo[1:]):
+                cycle = combo[:1] + rest
+                for t in grid:
+                    if compose_walk(table, cycle, t) >= t:
+                        return False, (cycle, t)
+    return True, None
+
+
+def random_gain(rng, power):
+    """c*t^power, alone or with a term that dominates at large or at small t."""
+    c = float(rng.uniform(0.5, 1.3))
+    d = float(rng.uniform(0.001, 0.05))
+    form = int(rng.integers(3))
+    if form == 0:
+        return f"{c!r}*t^{power!r}"
+    if form == 1:
+        return f"max({c!r}*t^{power!r}, {d!r}*t^{2 * power!r})"
+    return f"{c / 2!r}*t^{power!r} + {d!r}*t^{power / 2!r}"
+
+
+def random_table(seed):
+    """Random table whose gain g_ij has power p_i / p_j with p in {1/2, 1, 2}.
+
+    Without the extra terms every cycle composes to a multiple of t; the
+    extra terms make the verdict depend on t and on the rotation.
+    """
+    rng = np.random.default_rng(seed)
+    n = 1 + seed % 6
+    p = rng.choice([0.5, 1.0, 2.0], n)
+    density = [[0.15 if i == j else 0.6 for j in range(n)] for i in range(n)]
+    return GainTable([[random_gain(rng, float(p[i] / p[j])) if rng.random() < density[i][j]
+                       else None for j in range(n)] for i in range(n)])
+
+
+def cycle_mean(C):
+    """Largest geometric cycle mean of a max-times matrix, from its first n powers."""
+    power, best = C.copy(), 0.0
+    for k in range(1, C.shape[0] + 1):
+        best = max(best, float(np.max(np.diag(power))) ** (1.0 / k))
+        power = np.max(power[:, :, None] * C[None, :, :], axis=1)
+    return best
 
 
 class TestGainTable:
@@ -83,11 +145,48 @@ class TestCycleCondition:
         g = GainTable([[None, "0.5*t^90"], ["0.5*t^90", None]])
         assert cycle_condition(g) == (False, ((1, 2), min(t for t in cycle_grid() if t > 1)))
 
-    def test_dimension_cap(self):
-        n = 13
-        rows = [[None] * n for _ in range(n)]
-        with pytest.raises(ValueError, match="n <= 12"):
-            cycle_condition(GainTable(rows))
+    def test_missed_rotation_is_a_violation(self):
+        # g_12 o g_21(t) = 5e-4*t^2 >= t only from t = 2000, off the grid, but
+        # the rotation g_21 o g_12(t) = 5e-3*t^2 >= t holds from t = 200
+        g = GainTable([[None, "10*t"], ["5e-05*t^2", None]])
+        assert cycle_condition(g) == (False, ((2, 1), 10**2.375))
+
+    def test_accepts_nested_lists(self):
+        rows = [[None, "0.5*t^90"], ["0.5*t^90", None]]
+        assert cycle_condition(rows) == cycle_condition(GainTable(rows))
+        assert cycle_condition([[None, "0.5*t"], ["t", None]]) == (True, None)
+        with pytest.raises(ValueError, match="square"):
+            cycle_condition([["t", None]])
+
+    @pytest.mark.parametrize("seed", range(120))
+    def test_agrees_with_the_cycle_enumerator(self, seed):
+        table = random_table(seed)
+        ok, witness = cycle_condition(table)
+        ref_ok, ref_witness = enumerate_simple_cycles(table, cycle_grid())
+        if not ref_ok:
+            # the power test also checks this cycle (in every rotation)
+            assert not ok
+            assert len(witness[0]) <= len(ref_witness[0])
+        if not ok:
+            walk, t = witness
+            assert compose_walk(table, walk, t) >= t
+
+    @pytest.mark.parametrize("n", [12, 20])
+    @pytest.mark.parametrize("mean", [0.95, 1.05])
+    def test_linear_gains_against_the_cycle_mean(self, n, mean):
+        # with gains c*t every cycle composes to (product of c)*t, so the
+        # table passes exactly when its max-times cycle mean is below 1
+        rng = np.random.default_rng(n)
+        C = rng.uniform(0.05, 1.0, (n, n)) * (rng.random((n, n)) < 0.5)
+        C *= mean / cycle_mean(C)
+        table = GainTable([[f"{float(c)!r}*t" if c else None for c in row] for row in C])
+        ok, witness = cycle_condition(table)
+        if mean < 1.0:
+            assert (ok, witness) == (True, None)
+        else:
+            walk, t = witness
+            assert not ok and t == cycle_grid()[0]
+            assert compose_walk(table, walk, t) >= t
 
     def test_rejects_empty_grid(self):
         with pytest.raises(ValueError):
