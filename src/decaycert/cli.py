@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynamics import verify_attraction
+from .dynamics import check_trajectory_limits, verify_attraction
 from .homotopy import SolverConfig, find_decay_point
 from .linear import PowerIterationError, perron_direction, random_contractive, spectral_radius
 from .maps import make_chain_map, make_linear_map
@@ -91,6 +91,7 @@ def cmd_find(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    check_trajectory_limits(args.k_max, args.stop_tol)  # before the search spends its budget
     T, solve = _find(args, "verify", certified=0)
     if not solve.success:
         return 1

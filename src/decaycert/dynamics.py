@@ -21,6 +21,7 @@ from .order import as_point
 __all__ = [
     "TrajectoryReport",
     "CertificateReport",
+    "check_trajectory_limits",
     "iterate",
     "verify_attraction",
     "solve_problem1",
@@ -63,6 +64,14 @@ class CertificateReport:
     problem1_satisfied: bool
 
 
+def check_trajectory_limits(k_max: int, stop_tol: float) -> None:
+    """Reject a step budget below one and a stop tolerance that is not positive and finite."""
+    if k_max < 1:
+        raise ValueError(f"k_max must be >= 1, got {k_max}")
+    if not (math.isfinite(stop_tol) and stop_tol > 0.0):
+        raise ValueError(f"stop_tol must be positive and finite, got {stop_tol}")
+
+
 def iterate(
     T: MonotoneMap,
     s0,
@@ -76,10 +85,7 @@ def iterate(
     keep shrinking.  It also stops, unconverged, at a state with a
     non-finite component, which the map cannot take as input.
     """
-    if k_max < 1:
-        raise ValueError(f"k_max must be >= 1, got {k_max}")
-    if not (math.isfinite(stop_tol) and stop_tol > 0.0):
-        raise ValueError(f"stop_tol must be positive and finite, got {stop_tol}")
+    check_trajectory_limits(k_max, stop_tol)
     s = as_point(s0, dim=T.dimension)
     states = [s]
     steps = [0]

@@ -10,6 +10,33 @@ per-level complete cells have diameter proportional to ``r / 2^level``,
 which forces the candidate region to shrink to a point when the direct
 test keeps failing; runs end honestly at the iteration cap.
 
+Before any walk, an order-interval pre-phase iterates ``w_0 = eps 1``,
+``w_{k+1} = T(w_k) + eps 1``.  For monotone ``T`` the iterates never
+decrease, and every decay point ``s`` with margin eps bounds them from
+above (``s >= eps 1``, and ``w_k <= s`` gives
+``w_{k+1} <= Ts + eps 1 <= s``; lattice fixed points, Tarski 1955).  Each
+step costs one counted evaluation and stops at the first of three rules:
+
+* **candidate**: ``(r/|w_k|_1) min(w_k - T w_k) >= eps (1 + 1e-9)``.  The
+  point ``p = r w_k / |w_k|_1`` is tested once as a certificate.  For
+  subhomogeneous ``T`` (``T(l s) <= l T(s)`` for ``l >= 1``: linear maps,
+  max-times maps with linear gains; Lemmens & Nussbaum, *Nonlinear
+  Perron-Frobenius Theory*, 2012) the bound proves that ``p`` passes; for
+  linear ``T`` it is the optimum ``~ (I - A)^-1 1``.  If ``p`` fails (a map
+  that is not subhomogeneous), the whole ladder below is walked.
+* **no decay point**: ``|w_{k+1}|_1 > r (1 + 1e-9)``, so no sphere point
+  lies above ``w_{k+1}``.  If ``p = r w_{k+1} / |w_{k+1}|_1`` has no label
+  the run ends in ``label_none`` there; for subhomogeneous ``T`` it never
+  has one, since ``T(p) + eps >= l w_{k+1} + (1 - l) eps > p`` with
+  ``l = r / |w_{k+1}|_1 < 1``.  Otherwise only the final rung is walked:
+  every inflated rung is infeasible too.
+* **converged**: ``|w_{k+1} - w_k|_1 <= 1e-3 |w_{k+1}|_1``.  The newest
+  iterate scaled to the sphere is tested once; if it fails, the whole
+  ladder below is walked.
+
+The iterates are not sphere points and never enter the memo, so only a
+sphere point that passed the direct margin test is ever returned.
+
 One practical subtlety drives the structure below.  Complete cells of
 the slack-``d`` labeling contract onto points whose worst component
 decays with margin exactly ``d``, so testing those candidates against
@@ -116,6 +143,11 @@ class _NoLabel(Exception):
         self.point = point
 
 
+# Relative rounding allowance of the pre-phase's two proofs, and its convergence test.
+_ROUNDING = 1e-9
+_CONVERGED = 1e-3
+
+
 def _slack_ladder(eps: float, r: float, n: int) -> list[float]:
     """Descending labeling slacks, ratio sqrt(2), from ~r/(2n) down to eps.
 
@@ -148,6 +180,13 @@ def find_decay_point(T: MonotoneMap, cfg: SolverConfig, n: int) -> SolveReport:
     hypothesis fails there; the point is recorded in ``failure_point``)
     or ``nonfinite`` (the map returned a NaN or infinite component at the
     point recorded in ``failure_point``).
+
+    The order-interval pre-phase (see the module docstring) runs first:
+    its evaluations count toward ``max_iterations`` and its non-finite
+    values are named ``nonfinite`` at the iterate.  It either returns a
+    certificate, ends in ``label_none`` at a sphere point that it proved
+    infeasible and checked to have no label, or hands the slack rungs
+    left to walk to the ladder below.
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
@@ -155,23 +194,29 @@ def find_decay_point(T: MonotoneMap, cfg: SolverConfig, n: int) -> SolveReport:
         raise ValueError(f"map has dimension {T.dimension}, expected {n}")
     r = cfg.r
     eps = cfg.epsilon
+    ladder = _slack_ladder(eps, r, n)
     cache: dict[bytes, bytes] = {}  # point.tobytes() -> T(point).tobytes()
     count = 0
 
+    def counted(point: np.ndarray) -> tuple[np.ndarray, float]:
+        """``T(point)`` and the margin ``min(point - T(point))``, counted against the cap."""
+        nonlocal count
+        if count >= cfg.max_iterations:
+            raise _Finished(SolveReport(False, None, count, failure_reason="iteration_cap"))
+        count += 1
+        value = T(point)
+        margin = float(np.min(point - value))
+        if not math.isfinite(margin):  # NaN or +inf in T(point); point is finite
+            raise _Finished(SolveReport(False, None, count, failure_reason="nonfinite",
+                                        failure_point=point))
+        return value, margin
+
     def evaluate(point: np.ndarray) -> np.ndarray:
         """``T(point)`` from the memo; a new point is counted and tested as a certificate."""
-        nonlocal count
         key = point.tobytes()
         Ts = cache.get(key)
         if Ts is None:
-            if count >= cfg.max_iterations:
-                raise _Finished(SolveReport(False, None, count, failure_reason="iteration_cap"))
-            count += 1
-            value = T(point)
-            margin = float(np.min(point - value))
-            if not math.isfinite(margin):  # NaN or +inf in T(point); point is finite
-                raise _Finished(SolveReport(False, None, count, failure_reason="nonfinite",
-                                            failure_point=point))
+            value, margin = counted(point)
             if margin >= eps:
                 s_star = np.array(point)
                 s_star.flags.writeable = False
@@ -191,8 +236,38 @@ def find_decay_point(T: MonotoneMap, cfg: SolverConfig, n: int) -> SolveReport:
 
         return label_of
 
+    def on_sphere(v: np.ndarray) -> np.ndarray:
+        """``v`` scaled to 1-norm r (through its maximum, so a huge ``v`` cannot overflow)."""
+        v = v / float(np.max(v))
+        return v * (r / float(np.sum(v)))
+
+    def order_interval() -> list[float]:
+        """The pre-phase: iterate ``w <- T(w) + eps`` from ``eps 1``; the rungs left to walk.
+
+        Ends the search itself with a certificate or with ``label_none``.
+        The iterates never reach the memo, so they are never returned as ``s*``.
+        """
+        w = np.full(n, eps)
+        while True:
+            Tw, margin = counted(w)
+            up = Tw + eps
+            norm, up_norm = float(np.sum(w)), float(np.sum(up))
+            if (r / norm) * margin >= eps * (1.0 + _ROUNDING):  # the candidate
+                evaluate(on_sphere(w))
+                return ladder
+            if up_norm > r * (1.0 + _ROUNDING):  # no decay point exists
+                p = on_sphere(up)
+                if label_index(p, evaluate(p), eps) is None:
+                    raise _Finished(SolveReport(False, None, count, failure_reason="label_none",
+                                                failure_point=p))
+                return [eps]
+            if float(np.sum(up - w)) <= _CONVERGED * up_norm:  # converged
+                evaluate(on_sphere(up))
+                return ladder
+            w = up
+
     try:
-        for label_slack in _slack_ladder(eps, r, n):
+        for label_slack in order_interval():
             try:
                 m = 1
                 while True:

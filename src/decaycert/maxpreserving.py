@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .maps import MonotoneMap, gain_rows, make_max_preserving
-from .scalarfn import ScalarFn, validation_grid
+from .scalarfn import ScalarFn, Term, validation_grid
 
 __all__ = [
     "GainTable",
@@ -65,16 +65,29 @@ class GainTable:
         return make_max_preserving(self.rows)
 
 
-def _apply(rows: list[list[ScalarFn]], w: list[float]) -> list[float]:
-    """One max-plus step ``[max_j g_aj(w_j)]_a``; an overflowing gain gives +inf."""
-    return [max([g(x) for g, x in zip(row, w)]) for row in rows]
+def _sparse(rows: list[list[ScalarFn]]) -> list[tuple[list, list[float]]]:
+    """Each row as its nonzero gains ``(j, g)`` and ``[0.0]`` if it has a zero gain, else ``[]``."""
+    out = []
+    for row in rows:
+        zero = [isinstance(g, Term) and g.coeff == 0.0 for g in row]
+        out.append(([(j, g) for j, g in enumerate(row) if not zero[j]], [0.0] if any(zero) else []))
+    return out
+
+
+def _apply(sparse: list[tuple[list, list[float]]], w: list[float]) -> list[float]:
+    """One max-plus step ``[max_j g_aj(w_j)]_a``; an overflowing gain gives +inf.
+
+    A zero gain is not called: the literal 0.0 its row keeps is its value.
+    """
+    return [max([g(w[j]) for j, g in gains] + zero) for gains, zero in sparse]
 
 
 def _closed_walk(rows: list[list[ScalarFn]], i: int, t: float, k: int) -> tuple[int, ...]:
     """1-based closed walk of length k through i attaining (T^k(t e_i))_i (argmax backtrack)."""
+    sparse = _sparse(rows)
     powers = [[t if a == i else 0.0 for a in range(len(rows))]]
     for _ in range(k - 1):
-        powers.append(_apply(rows, powers[-1]))
+        powers.append(_apply(sparse, powers[-1]))
     walk = [i]
     for w in reversed(powers[1:]):
         row = rows[walk[-1]]
@@ -99,12 +112,13 @@ def cycle_condition(table, t_grid=None) -> tuple[bool, tuple[tuple[int, ...], fl
     if not grid:
         raise ValueError("cycle condition needs a nonempty grid")
     rows, n = table.rows, table.n
+    sparse = _sparse(rows)
     # powers[i][p] holds T^k(t e_i) for t = grid[p] after the k-th pass
     powers = [[[t if a == i else 0.0 for a in range(n)] for t in grid] for i in range(n)]
     for k in range(1, n + 1):
         for i in range(n):
             for p, t in enumerate(grid):
-                w = powers[i][p] = _apply(rows, powers[i][p])
+                w = powers[i][p] = _apply(sparse, powers[i][p])
                 if w[i] >= t:
                     return False, (_closed_walk(rows, i, t, k), t)
     return True, None

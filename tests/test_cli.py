@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from decaycert import cli
 from decaycert.cli import main
 
 REPO_SPECS = Path(__file__).resolve().parents[1] / "mapspecs"
@@ -71,8 +72,9 @@ class TestFind:
 
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_nonfinite_map_value_exits_one(self, tmp_path, capsys):
-        # (T s)_1 = 1e308 * s_2 overflows to inf once s_2 > 1.8
-        spec = write_spec(tmp_path, {"kind": "linear", "matrix": [[0, 1e308], [0.5, 0]]})
+        # the pre-phase's iterate T(0.1, 0.1) + 0.1 = (1e307, 1e307) has norm
+        # above r, and T overflows to inf at its scaling onto the sphere, (5, 5)
+        spec = write_spec(tmp_path, {"kind": "linear", "matrix": [[0, 1e308], [1e308, 0]]})
         code = main(["find", "--map", spec, "-r", "10", "--epsilon", "0.1"])
         fields = result_fields(capsys)
         assert code == 1
@@ -122,6 +124,21 @@ class TestVerify:
         assert code == 2
         assert "error:" in captured.err
         assert "certified=1" not in captured.out
+
+    @pytest.mark.parametrize("flag,value", [("--stop-tol", "nan"), ("--stop-tol", "0"),
+                                            ("--k-max", "0")])
+    def test_bad_trajectory_limits_exit_two_before_the_search(self, tmp_path, capsys,
+                                                             monkeypatch, flag, value):
+        def no_search(*args):
+            raise AssertionError("the search ran")
+
+        monkeypatch.setattr(cli, "find_decay_point", no_search)
+        spec = write_spec(tmp_path, {"kind": "chain", "n": 3})
+        code = main(["verify", "--map", spec, "-r", "10", flag, value])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "error:" in captured.err
+        assert "RESULT:" not in captured.out
 
     def test_non_contractive_linear_exits_one(self, tmp_path, capsys):
         # spectral radius exactly 1: the identity; the solver cannot label corners

@@ -5,6 +5,7 @@ import pytest
 
 from decaycert.homotopy import SolverConfig, find_decay_point
 from decaycert.maxpreserving import GainTable, cycle_condition, cycle_grid, path_q, reparametrize_path
+from decaycert.scalarfn import Term
 
 
 def half_id_cycle(n):
@@ -112,6 +113,21 @@ class TestCycleCondition:
         # the composition along the witness really dominates the identity there
         comp = VIOLATING.gain(1, 2)(VIOLATING.gain(2, 1)(t))
         assert comp >= t
+
+    def test_zero_gains_are_not_called(self, monkeypatch):
+        table = half_id_cycle(6)  # built first: building checks every gain on a grid
+        calls = 0
+        call = Term.__call__
+
+        def counting(self, t):
+            nonlocal calls
+            calls += self.coeff == 0.0
+            return call(self, t)
+
+        monkeypatch.setattr(Term, "__call__", counting)
+        ok, witness = cycle_condition(table)
+        assert ok and witness is None
+        assert calls == 0
 
     def test_all_zero_gains_pass(self):
         ok, witness = cycle_condition(GainTable([[None, None], [None, None]]))
