@@ -82,9 +82,13 @@ def _apply(sparse: list[tuple[list, list[float]]], w: list[float]) -> list[float
     return [max([g(w[j]) for j, g in gains] + zero) for gains, zero in sparse]
 
 
-def _closed_walk(rows: list[list[ScalarFn]], i: int, t: float, k: int) -> tuple[int, ...]:
-    """1-based closed walk of length k through i attaining (T^k(t e_i))_i (argmax backtrack)."""
-    sparse = _sparse(rows)
+def _closed_walk(
+    rows: list[list[ScalarFn]], sparse: list[tuple[list, list[float]]], i: int, t: float, k: int
+) -> tuple[int, ...]:
+    """1-based closed walk of length k through i attaining (T^k(t e_i))_i (argmax backtrack).
+
+    ``sparse`` is ``_sparse(rows)``.
+    """
     powers = [[t if a == i else 0.0 for a in range(len(rows))]]
     for _ in range(k - 1):
         powers.append(_apply(sparse, powers[-1]))
@@ -120,7 +124,7 @@ def cycle_condition(table, t_grid=None) -> tuple[bool, tuple[tuple[int, ...], fl
             for p, t in enumerate(grid):
                 w = powers[i][p] = _apply(sparse, powers[i][p])
                 if w[i] >= t:
-                    return False, (_closed_walk(rows, i, t, k), t)
+                    return False, (_closed_walk(rows, sparse, i, t, k), t)
     return True, None
 
 

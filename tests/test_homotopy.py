@@ -8,7 +8,13 @@ from decaycert import homotopy
 from decaycert.homotopy import SolveReport, SolverConfig, complete_subsets, find_decay_point
 from decaycert.labeling import LabeledVertexSet
 from decaycert.linear import random_contractive
-from decaycert.maps import MonotoneMap, compose, make_chain_map, make_linear_map
+from decaycert.maps import (
+    MonotoneMap,
+    compose,
+    make_chain_map,
+    make_diagonal,
+    make_linear_map,
+)
 
 
 def vertex_set(labels, scale=1.0):
@@ -303,7 +309,11 @@ def test_golden_path():
 
 @pytest.mark.parametrize("n", [6, 8, 10])
 def test_label_lookups_per_lattice_point(monkeypatch, n):
-    """The walk carries its cells' labels, so it looks a point up about once per visit."""
+    """The walk carries its cells' labels, so it looks a point up about once per visit.
+
+    The map ``A s^1.2`` is superlinear, so the pre-phase's candidate fails
+    and the walk runs through hundreds of lattice points.
+    """
     search_cls = homotopy.CompleteCellSearch
     calls = 0
     points = set()
@@ -318,8 +328,8 @@ def test_label_lookups_per_lattice_point(monkeypatch, n):
         return search_cls(m, dim, counted)
 
     monkeypatch.setattr(homotopy, "CompleteCellSearch", counting_search)
-    T = make_linear_map(random_contractive(n, 0.8, 0))
+    T = compose(make_linear_map(random_contractive(n, 0.8, 0)), make_diagonal(["t^1.2"] * n))
     report = find_decay_point(T, SolverConfig(r=10.0, epsilon=0.1, max_iterations=100_000), n)
     assert report.success
+    assert len(points) > 2 * n  # the walk ran
     assert calls <= 2 * len(points)
-
