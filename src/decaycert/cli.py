@@ -245,7 +245,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, ValueError) as exc:  # MapSpec errors are ValueErrors
+    except (OSError, ValueError, PowerIterationError) as exc:  # MapSpec errors are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

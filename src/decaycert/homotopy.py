@@ -15,7 +15,7 @@ Before any walk, an order-interval pre-phase iterates ``w_0 = eps 1``,
 decrease, and every decay point ``s`` with margin eps bounds them from
 above (``s >= eps 1``, and ``w_k <= s`` gives
 ``w_{k+1} <= Ts + eps 1 <= s``; lattice fixed points, Tarski 1955).  Each
-step costs one counted evaluation and stops at the first of three rules:
+step costs one counted evaluation and stops at the first of two rules:
 
 * **candidate**: ``(r/|w_k|_1) min(w_k - T w_k) >= eps (1 + 1e-9)``.  The
   point ``p = r w_k / |w_k|_1`` is tested once as a certificate.  For
@@ -30,9 +30,13 @@ step costs one counted evaluation and stops at the first of three rules:
   has one, since ``T(p) + eps >= l w_{k+1} + (1 - l) eps > p`` with
   ``l = r / |w_{k+1}|_1 < 1``.  Otherwise only the final rung is walked:
   every inflated rung is infeasible too.
-* **converged**: ``|w_{k+1} - w_k|_1 <= 1e-3 |w_{k+1}|_1``.  The newest
-  iterate scaled to the sphere is tested once; if it fails, the whole
-  ladder below is walked.
+
+Both are proofs, and no third rule is needed: bounded iterates converge,
+so the candidate bound ``(r/|w_k|_1)(eps - max(w_{k+1} - w_k))`` tends to
+``eps r/|w*|_1`` and fires once ``|w*|_1 < r/(1 + 1e-9)``; a larger limit,
+or unbounded iterates, fire the norm rule.  Only a limit norm within
+about ``1e-9 r`` of ``r`` runs to the cap.  For linear ``T`` the number
+of steps grows like ``1/(1 - rho)``.
 
 The iterates are not sphere points and never enter the memo, so only a
 sphere point that passed the direct margin test is ever returned.
@@ -143,9 +147,8 @@ class _NoLabel(Exception):
         self.point = point
 
 
-# Relative rounding allowance of the pre-phase's two proofs, and its convergence test.
+# Relative rounding allowance of the pre-phase's two proofs.
 _ROUNDING = 1e-9
-_CONVERGED = 1e-3
 
 
 def _slack_ladder(eps: float, r: float, n: int) -> list[float]:
@@ -251,19 +254,15 @@ def find_decay_point(T: MonotoneMap, cfg: SolverConfig, n: int) -> SolveReport:
         while True:
             Tw, margin = counted(w)
             up = Tw + eps
-            norm, up_norm = float(np.sum(w)), float(np.sum(up))
-            if (r / norm) * margin >= eps * (1.0 + _ROUNDING):  # the candidate
+            if (r / float(np.sum(w))) * margin >= eps * (1.0 + _ROUNDING):  # the candidate
                 evaluate(on_sphere(w))
                 return ladder
-            if up_norm > r * (1.0 + _ROUNDING):  # no decay point exists
+            if float(np.sum(up)) > r * (1.0 + _ROUNDING):  # no decay point exists
                 p = on_sphere(up)
                 if label_index(p, evaluate(p), eps) is None:
                     raise _Finished(SolveReport(False, None, count, failure_reason="label_none",
                                                 failure_point=p))
                 return [eps]
-            if float(np.sum(up - w)) <= _CONVERGED * up_norm:  # converged
-                evaluate(on_sphere(up))
-                return ladder
             w = up
 
     try:

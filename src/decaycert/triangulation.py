@@ -121,14 +121,12 @@ def attach(subcell: Cell) -> tuple[Cell, int]:
 
 def facet_as_subcell(cell: Cell, drop_pos: int) -> Cell:
     """Represent a boundary facet of face ``k`` (zero at ``k-1``) as a cell of face ``k-1``."""
-    base, perm = cell
+    _, perm = cell
     k = len(perm) + 1
-    if drop_pos == 0 and perm[0] == k - 2:
-        facet = (_vertex(cell, 1), perm[1:])
-    elif drop_pos == k - 1 and perm[-1] == k - 2:
-        facet = (base, perm[:-1])
-    else:
+    # coordinate k-1 drops only at step k-2: just the facet opposite vertex 0 can be zero there
+    if drop_pos != 0 or perm[0] != k - 2:
         raise WalkError(f"facet opposite position {drop_pos} of {cell} is not on the sub-face")
+    facet = (_vertex(cell, 1), perm[1:])
     if any(v[k - 1] != 0 for v in cell_vertices(facet)):
         raise WalkError(f"facet {facet} does not lie in the sub-face of {cell}")
     return facet

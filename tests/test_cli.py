@@ -232,6 +232,13 @@ class TestSpectral:
         code = main(["spectral", "--map", str(REPO_SPECS / "chain5.json")])
         assert code == 2
 
+    def test_power_iteration_failure_exits_two(self, tmp_path, capsys):
+        # a contractive Jordan block: power iteration never settles on it
+        spec = write_spec(tmp_path, {"kind": "linear", "matrix": [[0.5, 1], [0, 0.5]]})
+        code = main(["spectral", "--map", spec])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: power iteration")
+
 
 class TestRepoExamples:
     def test_all_example_specs_load_and_run(self, capsys):

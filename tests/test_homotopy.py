@@ -234,8 +234,19 @@ GOLDEN_WALKS = [
 ]
 
 
-@pytest.mark.parametrize("name,build,eps,iterations,s_star", GOLDEN_WALKS,
-                         ids=[case[0] for case in GOLDEN_WALKS])
+# random_contractive(6, 0.99, 6) at 0.99 and 1.01 eps_max (eps_max = 0.016722...).
+# Near rho = 1 the pre-phase runs for hundreds of steps before one of its
+# two rules fires.  These cases are not in GOLDEN_PATH_SHA256 below.
+NEAR_UNIT_WALKS = [
+    ("linear n=6 rho=0.99 seed 6 at 0.99 eps_max",
+     lambda: make_linear_map(random_contractive(6, 0.99, 6)), 0.01655525803660378, 249,
+     [1.8546187424723055, 1.5783476669914678, 1.5392327547610012, 1.5730730086384355,
+      1.6367913873179534, 1.817936439818837]),
+]
+
+
+@pytest.mark.parametrize("name,build,eps,iterations,s_star", GOLDEN_WALKS + NEAR_UNIT_WALKS,
+                         ids=[case[0] for case in GOLDEN_WALKS + NEAR_UNIT_WALKS])
 def test_golden_walk(name, build, eps, iterations, s_star):
     T = build()
     report = find_decay_point(
@@ -261,8 +272,17 @@ GOLDEN_FAILURES = [
 ]
 
 
-@pytest.mark.parametrize("name,n,rho,seed,eps,cap,reason,iterations,point", GOLDEN_FAILURES,
-                         ids=[case[0] for case in GOLDEN_FAILURES])
+NEAR_UNIT_FAILURES = [
+    ("n=6 rho=0.99 seed 6 at 1.01 eps_max", 6, 0.99, 6, 0.016889707693908906, 100_000,
+     "label_none", 460,
+     [1.8547880058102675, 1.5782958720706741, 1.5390495152899422, 1.5730134736490728,
+      1.636791374154033, 1.8180617590260089]),
+]
+
+
+@pytest.mark.parametrize("name,n,rho,seed,eps,cap,reason,iterations,point",
+                         GOLDEN_FAILURES + NEAR_UNIT_FAILURES,
+                         ids=[case[0] for case in GOLDEN_FAILURES + NEAR_UNIT_FAILURES])
 def test_golden_failure(name, n, rho, seed, eps, cap, reason, iterations, point):
     T = make_linear_map(random_contractive(n, rho, seed))
     eps = 0.05 * 10.0 / (2 * n) if eps is None else eps

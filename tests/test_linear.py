@@ -90,6 +90,10 @@ class TestNeumannInverse:
             residual = np.max(np.abs((np.eye(n) - A) @ M - np.eye(n)))
             assert residual < 10 * tol
 
+    def test_nilpotent_matrix_with_a_large_entry(self):
+        # rho = 0: the series stops after one term however large that term is
+        np.testing.assert_array_equal(neumann_inverse([[0, 2e12], [0, 0]]), [[1, 2e12], [0, 1]])
+
     @pytest.mark.parametrize("A", [[[1.0]], [[0, 1], [1, 0]], [[1.2]]])
     def test_rejects_non_contractive(self, A):
         with pytest.raises(ValueError, match="spectral radius"):
