@@ -20,9 +20,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynamics import check_trajectory_limits, verify_attraction
+from .dynamics import DEFAULT_K_MAX, DEFAULT_STOP_TOL, check_trajectory_limits, verify_attraction
 from .homotopy import SolverConfig, find_decay_point
-from .linear import PowerIterationError, perron_direction, random_contractive, spectral_radius
+from .linear import perron_direction, random_contractive, spectral_radius
 from .maps import make_chain_map, make_linear_map
 from .mapspec import parse_map_spec
 
@@ -179,7 +179,7 @@ def cmd_spectral(args) -> int:
     try:
         direction = perron_direction(A)
         print(f"dominant direction (1-norm 1): [{', '.join(f'{v:.12g}' for v in direction)}]")
-    except PowerIterationError as exc:
+    except ValueError as exc:
         print(f"dominant direction unavailable: {exc}")
     contractive = rho < 1.0
     print("verdict: spectral radius " + ("< 1 (contractive)" if contractive else ">= 1"))
@@ -204,10 +204,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--map", required=True, help="path to a JSON map spec file")
         p.add_argument("--radius", "-r", type=float, required=True,
                        help="1-norm radius of the search sphere")
-        p.add_argument("--epsilon", type=float, default=1e-2,
-                       help="labeling slack / certificate margin (default 0.01)")
-        p.add_argument("--max-iterations", type=int, default=1000,
-                       help="map evaluation budget (default 1000)")
+        p.add_argument("--epsilon", type=float, default=SolverConfig.epsilon,
+                       help="labeling slack / certificate margin (default %(default)s)")
+        p.add_argument("--max-iterations", type=int, default=SolverConfig.max_iterations,
+                       help="map evaluation budget (default %(default)s)")
 
     p_find = sub.add_parser("find", help="search a sphere for a decay point")
     add_solver_flags(p_find)
@@ -215,10 +215,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="find a decay point and certify [0, s*]")
     add_solver_flags(p_verify)
-    p_verify.add_argument("--stop-tol", type=float, default=1e-6,
-                          help="trajectory sup-norm threshold (default 1e-6)")
-    p_verify.add_argument("--k-max", type=int, default=10_000,
-                          help="trajectory step budget (default 10000)")
+    p_verify.add_argument("--stop-tol", type=float, default=DEFAULT_STOP_TOL,
+                          help="trajectory sup-norm threshold (default %(default)s)")
+    p_verify.add_argument("--k-max", type=int, default=DEFAULT_K_MAX,
+                          help="trajectory step budget (default %(default)s)")
     p_verify.set_defaults(func=cmd_verify)
 
     p_sweep = sub.add_parser("sweep", help="benchmark grid over (n, epsilon), CSV output")
@@ -245,7 +245,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, ValueError, PowerIterationError) as exc:  # MapSpec errors are ValueErrors
+    except (OSError, ValueError, RecursionError) as exc:  # MapSpec errors; too-deep specs
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -112,7 +112,7 @@ class SolveReport:
     s_star: np.ndarray | None
     iterations: int
     margin: float | None = None
-    failure_reason: str | None = None  # iteration_cap | label_none | nonfinite | not_applicable
+    failure_reason: str | None = None  # iteration_cap | label_none | nonfinite
     failure_point: np.ndarray | None = field(default=None, repr=False)
 
 

@@ -89,6 +89,19 @@ class TestFind:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("shape", ["flat", "nested"])
+    def test_deep_composition_exits_two(self, tmp_path, capsys, shape):
+        half = {"kind": "linear", "matrix": [[0.5, 0], [0, 0.5]]}
+        if shape == "flat":
+            obj = {"kind": "composition", "maps": [half] * 400}
+        else:
+            obj = half
+            for _ in range(330):
+                obj = {"kind": "composition", "maps": [obj, half]}
+        code = main(["find", "--map", write_spec(tmp_path, obj), "-r", "10"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_overflowing_max_preserving_gain_reports_a_result(self, tmp_path, capsys):
         spec = write_spec(tmp_path, {"kind": "maxpreserving",
                                      "gains": [["0", "t^200"], ["0.5*t", "0"]]})
@@ -232,12 +245,20 @@ class TestSpectral:
         code = main(["spectral", "--map", str(REPO_SPECS / "chain5.json")])
         assert code == 2
 
-    def test_power_iteration_failure_exits_two(self, tmp_path, capsys):
-        # a contractive Jordan block: power iteration never settles on it
+    def test_defective_matrix_reports_its_radius(self, tmp_path, capsys):
+        # a contractive Jordan block: one eigenvector for a double eigenvalue
         spec = write_spec(tmp_path, {"kind": "linear", "matrix": [[0.5, 1], [0, 0.5]]})
         code = main(["spectral", "--map", spec])
-        assert code == 2
-        assert capsys.readouterr().err.startswith("error: power iteration")
+        fields = result_fields(capsys)
+        assert code == 0
+        assert float(fields["rho"]) == pytest.approx(0.5, rel=1e-12)
+        assert fields["direction"] == "1.0,0.0"
+
+    def test_overflowing_matrix_is_not_contractive(self, tmp_path, capsys):
+        spec = write_spec(tmp_path, {"kind": "linear", "matrix": [[1e308, 1e308], [1e308, 1e308]]})
+        code = main(["spectral", "--map", spec])
+        assert code == 1
+        assert result_fields(capsys)["contractive"] == "0"
 
 
 class TestRepoExamples:

@@ -27,7 +27,7 @@ class TestSpectralRadius:
         assert spectral_radius([[0, 1], [1, 0]]) == pytest.approx(1.0, rel=1e-6)
 
     def test_asymmetric_periodic_needs_shift(self):
-        # eigenvalues +-1, Rayleigh quotient oscillates without the shift
+        # eigenvalues +-1: periodic, so plain power iteration would oscillate
         assert spectral_radius([[0, 2], [0.5, 0]]) == pytest.approx(1.0, rel=1e-6)
 
     def test_against_dense_eigensolver(self):
@@ -37,6 +37,32 @@ class TestSpectralRadius:
             A = rng.random((n, n)) * rng.choice([0.1, 1.0, 10.0])
             expected = float(max(abs(np.linalg.eigvals(A))))
             assert spectral_radius(A) == pytest.approx(expected, rel=1e-6)
+
+    def test_constant_row_sums(self):
+        # A 1 = c 1 with A > 0, so rho = c and the right Perron vector is 1/n
+        rng = np.random.default_rng(55)
+        for _ in range(200):
+            n = int(rng.integers(1, 12))
+            c = float(rng.uniform(0.05, 20.0))
+            B = rng.random((n, n))
+            A = c * B / B.sum(axis=1, keepdims=True)
+            assert spectral_radius(A) == pytest.approx(c, rel=1e-12)
+            np.testing.assert_allclose(perron_direction(A), np.full(n, 1.0 / n), atol=1e-12)
+
+    def test_upper_triangular(self):
+        rng = np.random.default_rng(56)
+        for _ in range(100):
+            n = int(rng.integers(1, 12))
+            A = np.triu(rng.random((n, n)) * rng.choice([0.1, 1.0, 10.0]))
+            assert spectral_radius(A) == pytest.approx(A.diagonal().max(), rel=1e-12)
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8])
+    @pytest.mark.parametrize("lam", [0.0, 0.5, 1.0, 7.5])
+    def test_jordan_block(self, n, lam):
+        # defective: one eigenvector e_1 for the n-fold eigenvalue lam
+        J = lam * np.eye(n) + np.eye(n, k=1)
+        assert spectral_radius(J) == pytest.approx(lam, rel=1e-12, abs=1e-12)
+        np.testing.assert_allclose(perron_direction(J), np.eye(n)[0], atol=1e-12)
 
     def test_rejects_negative_entries(self):
         with pytest.raises(ValueError):
