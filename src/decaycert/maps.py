@@ -189,18 +189,20 @@ def make_diagonal(fns: Sequence) -> MonotoneMap:
     return MonotoneMap(len(rhos), fn, "diagonal")
 
 
-def compose(outer: MonotoneMap, inner: MonotoneMap) -> MonotoneMap:
-    """Composition ``s -> outer(inner(s))``.
+def compose(*maps: MonotoneMap) -> MonotoneMap:
+    """Composition ``s -> maps[0](maps[1](... maps[-1](s)))``, applied right to left.
 
-    A non-finite ``inner(s)`` is returned as is, since ``outer`` rejects it.
+    A non-finite intermediate value is returned as is, since the next map rejects it.
     """
-    if outer.dimension != inner.dimension:
-        raise ValueError(
-            f"dimension mismatch: outer is {outer.dimension}, inner is {inner.dimension}"
-        )
+    dims = sorted({m.dimension for m in maps})
+    if len(dims) != 1:
+        raise ValueError(f"compose needs one or more maps of one dimension, got dimensions {dims}")
 
     def fn(s: np.ndarray) -> np.ndarray:
-        mid = inner(s)
-        return outer(mid) if np.isfinite(mid).all() else mid
+        for m in reversed(maps):
+            s = m(s)
+            if not np.isfinite(s).all():
+                break
+        return s
 
-    return MonotoneMap(inner.dimension, fn, "composition")
+    return MonotoneMap(dims[0], fn, "composition")

@@ -74,11 +74,7 @@ class MapSpec:
             return maps.make_max_preserving([list(row) for row in self.gains])
         if self.kind == "diagonal":
             return maps.make_diagonal(list(self.functions))
-        built = [child.build() for child in self.children]
-        out = built[-1]
-        for inner in reversed(built[:-1]):
-            out = maps.compose(inner, out)
-        return out
+        return maps.compose(*(child.build() for child in self.children))
 
     def to_obj(self) -> dict:
         if self.kind == "linear":

@@ -15,6 +15,8 @@ The cycle test uses max-plus powers (Baccelli, Cohen, Olsder & Quadrat,
 *Synchronization and Linearity*, 1992): ``(T^k(t e_i))_i`` is the largest
 composition at ``t`` over the closed walks of length ``k`` through ``i``,
 so ``k <= n`` covers every simple cycle in every rotation, 1-cycles included.
+The powers are stepped as arrays over every start and grid point at once:
+each step calls each gain once.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .maps import MonotoneMap, gain_rows, make_max_preserving
-from .scalarfn import ScalarFn, Term, validation_grid
+from .scalarfn import ScalarFn, validation_grid
 
 __all__ = [
     "GainTable",
@@ -65,41 +67,7 @@ class GainTable:
         return make_max_preserving(self.rows)
 
 
-def _sparse(rows: list[list[ScalarFn]]) -> list[tuple[list, list[float]]]:
-    """Each row as its nonzero gains ``(j, g)`` and ``[0.0]`` if it has a zero gain, else ``[]``."""
-    out = []
-    for row in rows:
-        zero = [isinstance(g, Term) and g.coeff == 0.0 for g in row]
-        out.append(([(j, g) for j, g in enumerate(row) if not zero[j]], [0.0] if any(zero) else []))
-    return out
-
-
-def _apply(sparse: list[tuple[list, list[float]]], w: list[float]) -> list[float]:
-    """One max-plus step ``[max_j g_aj(w_j)]_a``; an overflowing gain gives +inf.
-
-    A zero gain is not called: the literal 0.0 its row keeps is its value.
-    """
-    return [max([g(w[j]) for j, g in gains] + zero) for gains, zero in sparse]
-
-
-def _closed_walk(
-    rows: list[list[ScalarFn]], sparse: list[tuple[list, list[float]]], i: int, t: float, k: int
-) -> tuple[int, ...]:
-    """1-based closed walk of length k through i attaining (T^k(t e_i))_i (argmax backtrack).
-
-    ``sparse`` is ``_sparse(rows)``.
-    """
-    powers = [[t if a == i else 0.0 for a in range(len(rows))]]
-    for _ in range(k - 1):
-        powers.append(_apply(sparse, powers[-1]))
-    walk = [i]
-    for w in reversed(powers[1:]):
-        row = rows[walk[-1]]
-        walk.append(max(range(len(w)), key=lambda j: row[j](w[j])))
-    return tuple(a + 1 for a in walk)
-
-
-def cycle_condition(table, t_grid=None) -> tuple[bool, tuple[tuple[int, ...], float] | None]:
+def cycle_condition(table) -> tuple[bool, tuple[tuple[int, ...], float] | None]:
     """Check every cyclic gain composition against the identity on a grid.
 
     ``table`` is a GainTable or a nested gain sequence.  For walk length
@@ -112,19 +80,25 @@ def cycle_condition(table, t_grid=None) -> tuple[bool, tuple[tuple[int, ...], fl
     """
     if not isinstance(table, GainTable):
         table = GainTable(table)
-    grid = cycle_grid() if t_grid is None else list(t_grid)
-    if not grid:
-        raise ValueError("cycle condition needs a nonempty grid")
     rows, n = table.rows, table.n
-    sparse = _sparse(rows)
-    # powers[i][p] holds T^k(t e_i) for t = grid[p] after the k-th pass
-    powers = [[[t if a == i else 0.0 for a in range(n)] for t in grid] for i in range(n)]
-    for k in range(1, n + 1):
-        for i in range(n):
-            for p, t in enumerate(grid):
-                w = powers[i][p] = _apply(sparse, powers[i][p])
-                if w[i] >= t:
-                    return False, (_closed_walk(rows, sparse, i, t, k), t)
+    grid = np.array(cycle_grid())
+    # powers[k][i, :, p] is T^k(t e_i) at t = grid[p]; an overflow reads as +inf
+    powers = [np.eye(n)[:, :, None] * grid]
+    with np.errstate(over="ignore"):
+        for k in range(1, n + 1):
+            step = np.zeros_like(powers[0])
+            for a, row in enumerate(rows):  # one call per gain: max_j g_aj(T^{k-1}_j)
+                for j, g in enumerate(row):
+                    np.maximum(step[:, a], g(powers[-1][:, j]), out=step[:, a])
+            powers.append(step)
+            hits = np.argwhere(np.diagonal(powers[k]).T >= grid)
+            if len(hits):
+                i, p = hits[0].tolist()
+                walk = [i]  # argmax backtrack, first index on ties
+                for w in reversed(powers[1:k]):
+                    row = rows[walk[-1]]
+                    walk.append(max(range(n), key=lambda j: row[j](w[i, j, p])))
+                return False, (tuple(a + 1 for a in walk), float(grid[p]))
     return True, None
 
 
@@ -132,10 +106,12 @@ def path_q(table: GainTable, t: float) -> np.ndarray:
     """Componentwise max of ``t e, T(t e), ..., T^{n-1}(t e)``."""
     if t <= 0.0:
         raise ValueError(f"t must be positive, got {t}")
-    T = table.to_map()
-    w = np.full(table.n, float(t))
-    best = w
-    for _ in range(table.n - 1):
+    return _q(table.to_map(), t)
+
+
+def _q(T: MonotoneMap, t: float) -> np.ndarray:
+    w = best = np.full(T.dimension, float(t))
+    for _ in range(T.dimension - 1):
         w = T(w)
         best = np.maximum(best, w)
     return best
@@ -152,12 +128,12 @@ def reparametrize_path(table: GainTable, r: float, tol: float = 1e-9) -> np.ndar
         raise ValueError(f"r must be positive, got {r}")
     if tol <= 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
-    n = table.n
+    T = table.to_map()
 
     def norm_at(t: float) -> float:
-        return float(np.sum(path_q(table, t)))
+        return float(np.sum(_q(T, t)))
 
-    hi = r / n
+    hi = r / table.n
     if norm_at(hi) < r:  # only possible through rounding; widen once
         hi = 2.0 * r
     lo = hi / 2.0
@@ -171,7 +147,7 @@ def reparametrize_path(table: GainTable, r: float, tol: float = 1e-9) -> np.ndar
         mid = 0.5 * (lo + hi)
         value = norm_at(mid)
         if abs(value - r) <= tol:
-            return path_q(table, mid)
+            return _q(T, mid)
         if value < r:
             lo = mid
         else:

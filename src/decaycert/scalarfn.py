@@ -15,7 +15,8 @@ Grammar of the textual form::
 
 Examples: ``"0.5*t"``, ``"t^2"``, ``"2*t^0.5"``, ``"t + 0.25*t^3"``,
 ``"max(t, 2*t^2)"``, ``"0"``.  Fractional powers of zero evaluate to zero
-(positive real branch).
+(positive real branch).  Every function also acts elementwise on a numpy
+array; a scalar argument still goes through the scalar ``t**a``.
 """
 
 from __future__ import annotations
@@ -23,6 +24,9 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from functools import reduce
+
+import numpy as np
 
 __all__ = [
     "ScalarFn",
@@ -91,7 +95,7 @@ class Max(ScalarFn):
     parts: tuple[ScalarFn, ...]
 
     def __call__(self, t: float) -> float:
-        return max(p(t) for p in self.parts)
+        return reduce(np.maximum, [p(t) for p in self.parts])
 
     def render(self) -> str:
         inner = ", ".join(p.render() for p in self.parts)

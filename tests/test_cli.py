@@ -89,18 +89,24 @@ class TestFind:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("shape", ["flat", "nested"])
-    def test_deep_composition_exits_two(self, tmp_path, capsys, shape):
+    def test_deep_composition_exits_two(self, tmp_path, capsys):
         half = {"kind": "linear", "matrix": [[0.5, 0], [0, 0.5]]}
-        if shape == "flat":
-            obj = {"kind": "composition", "maps": [half] * 400}
-        else:
-            obj = half
-            for _ in range(330):
-                obj = {"kind": "composition", "maps": [obj, half]}
+        obj = half
+        for _ in range(330):
+            obj = {"kind": "composition", "maps": [obj, half]}
         code = main(["find", "--map", write_spec(tmp_path, obj), "-r", "10"])
         assert code == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_long_flat_composition_solves(self, tmp_path, capsys):
+        swap = {"kind": "linear", "matrix": [[0, 1], [1, 0]]}
+        half = {"kind": "linear", "matrix": [[0.5, 0], [0, 0.5]]}
+        obj = {"kind": "composition", "maps": [swap] * 1999 + [half]}
+        code = main(["find", "--map", write_spec(tmp_path, obj), "-r", "10"])
+        fields = result_fields(capsys)
+        assert code == 0
+        assert fields["success"] == "1"
+        assert fields["s_star"] == "5.0,5.0"
 
     def test_overflowing_max_preserving_gain_reports_a_result(self, tmp_path, capsys):
         spec = write_spec(tmp_path, {"kind": "maxpreserving",
