@@ -95,20 +95,13 @@ def iterate(
     for k in range(1, k_max + 1):
         s = T(s)
         sup = float(np.max(s))
-        if k <= DENSE_STEPS or k % THIN_EVERY == 0:
+        # a NaN or inf in s, whose components are >= 0, makes sup non-finite
+        stop = sup < stop_tol or not math.isfinite(sup) or k == k_max
+        if k <= DENSE_STEPS or k % THIN_EVERY == 0 or stop:
             states.append(s)
             steps.append(k)
-        if sup < stop_tol:
-            if steps[-1] != k:
-                states.append(s)
-                steps.append(k)
-            return TrajectoryReport(states, steps, True, k, sup)
-        if not math.isfinite(sup):  # NaN or inf in s, whose components are >= 0
-            break
-    if steps[-1] != k:
-        states.append(s)
-        steps.append(k)
-    return TrajectoryReport(states, steps, False, k, sup)
+        if stop:
+            return TrajectoryReport(states, steps, sup < stop_tol, k, sup)
 
 
 def verify_attraction(

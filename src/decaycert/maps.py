@@ -116,7 +116,7 @@ def make_flipflop_map(lam: float) -> MonotoneMap:
     is not one already.
     """
     if not 0.0 < lam < 1.0:
-        raise ValueError(f"lam must lie in (0, 1), got {lam}")
+        raise ValueError(f"flipflop lambda must lie in (0, 1), got {lam}")
 
     def fn(s: np.ndarray) -> np.ndarray:
         return np.array([math.sqrt(s[1]), lam * s[0] ** 2])
@@ -196,7 +196,7 @@ def compose(*maps: MonotoneMap) -> MonotoneMap:
     """
     dims = sorted({m.dimension for m in maps})
     if len(dims) != 1:
-        raise ValueError(f"compose needs one or more maps of one dimension, got dimensions {dims}")
+        raise ValueError(f"compose needs maps of one dimension, got mismatched dimensions {dims}")
 
     def fn(s: np.ndarray) -> np.ndarray:
         for m in reversed(maps):

@@ -3,9 +3,13 @@
 A map spec file is a single JSON object with a ``kind`` field.  The
 schema (documented in the README) is deliberately small: matrices are
 nested number lists, gain and diagonal functions use the textual form of
-:mod:`decaycert.scalarfn`, and compositions nest specs.  Parsing
-validates every family invariant up front and stores functions in
-canonical form, so serialize-then-parse reproduces an identical spec.
+:mod:`decaycert.scalarfn`, and compositions nest specs.  Parsing checks
+the format of the whole document first (JSON shapes, numbers, square
+rows, gain text that parses), then checks the spec by building its map:
+the :mod:`decaycert.maps` constructors hold the family invariants, and
+their ``ValueError`` is re-raised as :class:`MapSpecError` with the same
+message.  Functions are stored as parsed ScalarFn trees, so
+serialize-then-parse reproduces an identical spec.
 """
 
 from __future__ import annotations
@@ -14,9 +18,8 @@ import json
 from dataclasses import dataclass
 
 from . import maps
-from .linear import as_nonnegative_matrix
 from .maps import MonotoneMap
-from .scalarfn import ScalarFnParseError, parse_scalar_fn
+from .scalarfn import ScalarFn, ScalarFnParseError, parse_scalar_fn, zero_fn
 
 __all__ = [
     "MapSpec",
@@ -39,29 +42,23 @@ class MapSpecError(ValueError):
 
 @dataclass(frozen=True)
 class MapSpec:
-    """Validated, serializable description of one monotone map."""
+    """Serializable description of one monotone map.
+
+    ``parse_map_spec`` returns only specs whose map builds; on an invalid
+    spec made by hand, ``build`` and ``dimension`` raise ``ValueError``.
+    """
 
     kind: str
     matrix: tuple[tuple[float, ...], ...] | None = None
     n: int | None = None
     lam: float | None = None
-    gains: tuple[tuple[str, ...], ...] | None = None
-    functions: tuple[str, ...] | None = None
+    gains: tuple[tuple[ScalarFn, ...], ...] | None = None
+    functions: tuple[ScalarFn, ...] | None = None
     children: tuple["MapSpec", ...] | None = None
 
     @property
     def dimension(self) -> int:
-        if self.kind == "linear":
-            return len(self.matrix)
-        if self.kind == "chain":
-            return self.n
-        if self.kind == "flipflop":
-            return 2
-        if self.kind == "maxpreserving":
-            return len(self.gains)
-        if self.kind == "diagonal":
-            return len(self.functions)
-        return self.children[0].dimension
+        return self.build().dimension
 
     def build(self) -> MonotoneMap:
         if self.kind == "linear":
@@ -84,9 +81,10 @@ class MapSpec:
         if self.kind == "flipflop":
             return {"kind": "flipflop", "lambda": self.lam}
         if self.kind == "maxpreserving":
-            return {"kind": "maxpreserving", "gains": [list(row) for row in self.gains]}
+            return {"kind": "maxpreserving",
+                    "gains": [[g.render() for g in row] for row in self.gains]}
         if self.kind == "diagonal":
-            return {"kind": "diagonal", "functions": list(self.functions)}
+            return {"kind": "diagonal", "functions": [f.render() for f in self.functions]}
         return {"kind": "composition", "maps": [child.to_obj() for child in self.children]}
 
 
@@ -108,29 +106,20 @@ def _number(value, where: str) -> float:
     return float(value)
 
 
-def _semantic(check, *args) -> None:
-    """Run a family-invariant check, re-raising its ValueError as a MapSpecError."""
-    try:
-        check(*args)
-    except ValueError as exc:
-        raise MapSpecError(str(exc)) from exc
-
-
-def _canonical_fn(text, where: str, check) -> str:
-    """Parse a gain or diagonal function, validate it with ``check``, render it."""
+def _scalar_fn(text, where: str) -> ScalarFn:
+    """Parse a gain or diagonal function; null is the zero gain."""
     if text is None:
-        text = "0"
+        return zero_fn()
     if not isinstance(text, str):
         raise MapSpecParseError(f"{where} must be a string or null, got {text!r}")
     try:
-        fn = parse_scalar_fn(text)
+        return parse_scalar_fn(text)
     except ScalarFnParseError as exc:
         raise MapSpecParseError(f"{where}: {exc}") from exc
-    _semantic(check, fn, where)
-    return fn.render()
 
 
-def from_obj(obj) -> MapSpec:
+def _from_obj(obj) -> MapSpec:
+    """Spec of a decoded document, with format checks only."""
     if not isinstance(obj, dict):
         raise MapSpecParseError(f"map spec must be a JSON object, got {type(obj).__name__}")
     kind = obj.get("kind")
@@ -148,7 +137,6 @@ def from_obj(obj) -> MapSpec:
             if len(row) != n:
                 raise MapSpecParseError(f"matrix row {i + 1} has {len(row)} entries, expected {n}")
             rows.append(tuple(_number(v, f"matrix[{i + 1}]") for v in row))
-        _semantic(as_nonnegative_matrix, rows)
         return MapSpec("linear", matrix=tuple(rows))
 
     if kind == "chain":
@@ -156,16 +144,11 @@ def from_obj(obj) -> MapSpec:
         n = _require(obj, "n", kind)
         if isinstance(n, bool) or not isinstance(n, int):
             raise MapSpecParseError(f"chain n must be an integer, got {n!r}")
-        if n < 2:
-            raise MapSpecError(f"chain map needs n >= 2, got {n}")
         return MapSpec("chain", n=n)
 
     if kind == "flipflop":
         _reject_extras(obj, {"kind", "lambda"})
-        lam = _number(_require(obj, "lambda", kind), "lambda")
-        if not 0.0 < lam < 1.0:
-            raise MapSpecError(f"flipflop lambda must lie in (0, 1), got {lam}")
-        return MapSpec("flipflop", lam=lam)
+        return MapSpec("flipflop", lam=_number(_require(obj, "lambda", kind), "lambda"))
 
     if kind == "maxpreserving":
         _reject_extras(obj, {"kind", "gains"})
@@ -177,10 +160,7 @@ def from_obj(obj) -> MapSpec:
         for i, row in enumerate(raw):
             if len(row) != n:
                 raise MapSpecParseError(f"gains row {i + 1} has {len(row)} entries, expected {n}")
-            rows.append(tuple(
-                _canonical_fn(g, f"gain ({i + 1},{j + 1})", maps.check_gain)
-                for j, g in enumerate(row)
-            ))
+            rows.append(tuple(_scalar_fn(g, f"gain ({i + 1},{j + 1})") for j, g in enumerate(row)))
         return MapSpec("maxpreserving", gains=tuple(rows))
 
     if kind == "diagonal":
@@ -188,31 +168,30 @@ def from_obj(obj) -> MapSpec:
         raw = _require(obj, "functions", kind)
         if not isinstance(raw, list) or not raw:
             raise MapSpecParseError("functions must be a nonempty list of strings")
-        rendered = tuple(
-            _canonical_fn(text, f"function {i + 1}", maps.check_kinf) for i, text in enumerate(raw)
-        )
-        return MapSpec("diagonal", functions=rendered)
+        fns = tuple(_scalar_fn(text, f"function {i + 1}") for i, text in enumerate(raw))
+        return MapSpec("diagonal", functions=fns)
 
     _reject_extras(obj, {"kind", "maps"})
     raw = _require(obj, "maps", kind)
     if not isinstance(raw, list) or len(raw) < 2:
         raise MapSpecParseError("composition needs a list of at least two child specs")
-    children = tuple(from_obj(child) for child in raw)
-    dims = {child.dimension for child in children}
-    if len(dims) != 1:
-        raise MapSpecError(f"composition children have mismatched dimensions {sorted(dims)}")
-    return MapSpec("composition", children=children)
+    return MapSpec("composition", children=tuple(_from_obj(child) for child in raw))
 
 
 def parse_map_spec(text: str) -> MapSpec:
-    """Parse and validate a JSON map spec document."""
+    """Parse a JSON map spec document and check it by building its map."""
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise MapSpecParseError(
             f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
-    return from_obj(obj)
+    spec = _from_obj(obj)
+    try:
+        spec.build()
+    except ValueError as exc:
+        raise MapSpecError(str(exc)) from exc
+    return spec
 
 
 def serialize_map_spec(spec: MapSpec) -> str:

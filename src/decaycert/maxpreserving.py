@@ -16,7 +16,7 @@ The cycle test uses max-plus powers (Baccelli, Cohen, Olsder & Quadrat,
 composition at ``t`` over the closed walks of length ``k`` through ``i``,
 so ``k <= n`` covers every simple cycle in every rotation, 1-cycles included.
 The powers are stepped as arrays over every start and grid point at once:
-each step calls each gain once.
+each step calls each gain once, and only the current power is kept.
 """
 
 from __future__ import annotations
@@ -82,24 +82,32 @@ def cycle_condition(table) -> tuple[bool, tuple[tuple[int, ...], float] | None]:
         table = GainTable(table)
     rows, n = table.rows, table.n
     grid = np.array(cycle_grid())
-    # powers[k][i, :, p] is T^k(t e_i) at t = grid[p]; an overflow reads as +inf
-    powers = [np.eye(n)[:, :, None] * grid]
+    # w[i, :, p] is T^k(t e_i) at t = grid[p]; an overflow reads as +inf
+    start = w = np.eye(n)[:, :, None] * grid
     with np.errstate(over="ignore"):
         for k in range(1, n + 1):
-            step = np.zeros_like(powers[0])
-            for a, row in enumerate(rows):  # one call per gain: max_j g_aj(T^{k-1}_j)
-                for j, g in enumerate(row):
-                    np.maximum(step[:, a], g(powers[-1][:, j]), out=step[:, a])
-            powers.append(step)
-            hits = np.argwhere(np.diagonal(powers[k]).T >= grid)
+            w = _step(rows, w)
+            hits = np.argwhere(np.diagonal(w).T >= grid)
             if len(hits):
                 i, p = hits[0].tolist()
+                path = [start[i:i + 1, :, p:p + 1]]  # re-step the violating start only
+                for _ in range(k - 1):
+                    path.append(_step(rows, path[-1]))
                 walk = [i]  # argmax backtrack, first index on ties
-                for w in reversed(powers[1:k]):
+                for v in reversed(path[1:]):
                     row = rows[walk[-1]]
-                    walk.append(max(range(n), key=lambda j: row[j](w[i, j, p])))
+                    walk.append(max(range(n), key=lambda j: row[j](v[0, j, 0])))
                 return False, (tuple(a + 1 for a in walk), float(grid[p]))
     return True, None
+
+
+def _step(rows, w: np.ndarray) -> np.ndarray:
+    """One power step ``out[:, a] = max_j g_aj(w[:, j])``, calling each gain once."""
+    out = np.zeros_like(w)
+    for a, row in enumerate(rows):
+        for j, g in enumerate(row):
+            np.maximum(out[:, a], g(w[:, j]), out=out[:, a])
+    return out
 
 
 def path_q(table: GainTable, t: float) -> np.ndarray:

@@ -206,7 +206,8 @@ class _Parser:
                 return Term(0.0)
             self.take("*")
         exponent = self._power()
-        return Term(coeff, exponent)
+        # every zero term renders as "0", so it parses to the one Term(0.0)
+        return Term(coeff, exponent) if coeff != 0.0 else Term(0.0)
 
     def _power(self) -> float:
         self.take("t")

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from decaycert import maps
 from decaycert.mapspec import (
     MapSpec,
     MapSpecError,
@@ -92,6 +93,35 @@ class TestErrors:
     def test_unknown_fields_rejected(self):
         with pytest.raises(MapSpecParseError, match="unknown fields"):
             parse_map_spec('{"kind": "chain", "n": 3, "extra": 1}')
+
+    @pytest.mark.parametrize("text, construct", [
+        pytest.param('{"kind": "chain", "n": 1}', lambda: maps.make_chain_map(1), id="chain n=1"),
+        pytest.param('{"kind": "flipflop", "lambda": 1.5}', lambda: maps.make_flipflop_map(1.5),
+                     id="lambda=1.5"),
+        pytest.param('{"kind": "linear", "matrix": [[-1]]}', lambda: maps.make_linear_map([[-1]]),
+                     id="negative entry"),
+        pytest.param('{"kind": "maxpreserving", "gains": [["t^0"]]}',
+                     lambda: maps.make_max_preserving([["t^0"]]), id="gain t^0"),
+        pytest.param('{"kind": "diagonal", "functions": ["0"]}', lambda: maps.make_diagonal(["0"]),
+                     id="diagonal 0"),
+        pytest.param('{"kind": "composition", "maps": ['
+                     '{"kind": "chain", "n": 2}, {"kind": "chain", "n": 3}]}',
+                     lambda: maps.compose(maps.make_chain_map(2), maps.make_chain_map(3)),
+                     id="chain 2 after chain 3"),
+    ])
+    def test_invariant_error_is_the_constructors(self, text, construct):
+        with pytest.raises(ValueError) as expected:
+            construct()
+        with pytest.raises(MapSpecError) as got:
+            parse_map_spec(text)
+        assert str(got.value) == str(expected.value)
+
+    def test_format_error_comes_before_an_earlier_invariant_error(self):
+        with pytest.raises(MapSpecParseError, match="unknown fields"):
+            parse_map_spec(
+                '{"kind": "composition", "maps": ['
+                '{"kind": "chain", "n": 1}, {"kind": "chain", "n": 3, "extra": 1}]}'
+            )
 
 
 class TestRoundTrip:

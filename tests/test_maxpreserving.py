@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 from itertools import combinations, permutations
 
@@ -142,6 +143,21 @@ class TestCycleCondition:
         ok, witness = cycle_condition(table)
         assert ok and witness is None
         assert calls <= n**3
+
+    def test_keeps_only_the_current_power(self):
+        # one power array is n * n * 49 floats (157 kB at n = 20); keeping
+        # all n + 1 of them for the backtrack peaks at 3.3 MB
+        n = 20
+        rng = np.random.default_rng(n)
+        C = rng.uniform(0.05, 0.9, (n, n))
+        table = GainTable([[f"{float(c)!r}*t" for c in row] for row in C])
+        tracemalloc.start()
+        try:
+            assert cycle_condition(table) == (True, None)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5e6
 
     def test_all_zero_gains_pass(self):
         ok, witness = cycle_condition(GainTable([[None, None], [None, None]]))
