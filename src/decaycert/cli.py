@@ -22,7 +22,7 @@ import numpy as np
 
 from .dynamics import DEFAULT_K_MAX, DEFAULT_STOP_TOL, check_trajectory_limits, verify_attraction
 from .homotopy import SolverConfig, find_decay_point
-from .linear import perron_direction, random_contractive, spectral_radius
+from .linear import eps_max, perron_direction, random_contractive, spectral_radius
 from .maps import make_chain_map, make_linear_map
 from .mapspec import parse_map_spec
 
@@ -183,9 +183,12 @@ def cmd_spectral(args) -> int:
         print(f"dominant direction unavailable: {exc}")
     contractive = rho < 1.0
     print("verdict: spectral radius " + ("< 1 (contractive)" if contractive else ">= 1"))
+    best = eps_max(A, 1.0)
+    print(f"best decay margin on the sphere of radius 1 (scales with r): {best:.12g}")
     fields = {"rho": repr(rho), "contractive": int(contractive)}
     if direction is not None:
         fields["direction"] = _vec(direction)
+    fields["eps_max"] = repr(best)
     _result_line("spectral", **fields)
     return 0 if contractive else 1
 

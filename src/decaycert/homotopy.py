@@ -23,7 +23,8 @@ step costs one counted evaluation and stops at the first of two rules:
   max-times maps with linear gains; Lemmens & Nussbaum, *Nonlinear
   Perron-Frobenius Theory*, 2012) the bound proves that ``p`` passes; for
   linear ``T`` it is the optimum ``~ (I - A)^-1 1``.  If ``p`` fails (a map
-  that is not subhomogeneous), the whole ladder below is walked.
+  that is not subhomogeneous), the sphere stage below runs, and then the
+  whole ladder below is walked.
 * **no decay point**: ``|w_{k+1}|_1 > r (1 + 1e-9)``, so no sphere point
   lies above ``w_{k+1}``.  If ``p = r w_{k+1} / |w_{k+1}|_1`` has no label
   the run ends in ``label_none`` there; for subhomogeneous ``T`` it never
@@ -41,6 +42,19 @@ of steps grows like ``1/(1 - rho)``.
 The iterates are not sphere points and never enter the memo, so only a
 sphere point that passed the direct margin test is ever returned.
 
+**Sphere stage.**  A failed candidate is a sphere point where the bound
+at a small iterate misjudged the map: a superlinear ``A s^1.2`` looks
+contractive at ``w_0 = eps 1``, so its candidate is the uniform point
+``r 1/n``.  From there the solver takes shifted power steps on the
+sphere, ``p <- r (T(p) + eps 1) / |T(p) + eps 1|_1``, the nonlinear power
+method on the cone (Lemmens & Nussbaum).  A fixed point
+``l p = T(p) + eps 1`` has margin ``(1 - l) p + eps >= eps`` whenever
+``l <= 1``.  Each step is one memoized evaluation and so also a
+certificate test.  The stage stops at the first step whose margin
+``min(p - T p)`` does not beat the best so far, or after n steps, and
+the ladder is walked as before.  It never runs after the norm proof,
+and never for a subhomogeneous map, whose candidate passes.
+
 One practical subtlety drives the structure below.  Complete cells of
 the slack-``d`` labeling contract onto points whose worst component
 decays with margin exactly ``d``, so testing those candidates against
@@ -53,6 +67,13 @@ difference.  When no point with an inflated-slack label exists along the
 walk (the covering fails at that slack), the ladder steps down; the
 final rung uses ``eps`` itself, so the failure modes of the plain method
 are preserved verbatim.
+
+Every rung's walk starts at level 2.  Level 1 has one cell, the whole
+simplex, so its walk would only look up the n corners ``r e_i``, and a
+corner is never a certificate: its components off the support are 0 and
+``T >= 0``, so its margin is at most 0 < eps.  Each rung tests level 1's
+barycentre ``r 1/n`` directly instead; through the memo, that costs at
+most one evaluation per solve.
 
 Map evaluations are memoized across levels and rungs (a lattice point of
 level L reappears at every finer level), so refinement never re-pays for
@@ -189,7 +210,8 @@ def find_decay_point(T: MonotoneMap, cfg: SolverConfig, n: int) -> SolveReport:
     values are named ``nonfinite`` at the iterate.  It either returns a
     certificate, ends in ``label_none`` at a sphere point that it proved
     infeasible and checked to have no label, or hands the slack rungs
-    left to walk to the ladder below.
+    left to walk to the ladder below; after a failed candidate, the
+    sphere stage's power steps run first.
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
@@ -244,6 +266,21 @@ def find_decay_point(T: MonotoneMap, cfg: SolverConfig, n: int) -> SolveReport:
         v = v / float(np.max(v))
         return v * (r / float(np.sum(v)))
 
+    def sphere_stage(p: np.ndarray) -> None:
+        """Test ``p``, then step ``p <- on_sphere(T(p) + eps)`` while the margin grows.
+
+        At most n steps, each one evaluation that is also a certificate test.
+        """
+        Tp = evaluate(p)
+        best = float(np.min(p - Tp))
+        for _ in range(n):
+            p = on_sphere(Tp + eps)
+            Tp = evaluate(p)
+            margin = float(np.min(p - Tp))
+            if margin <= best:
+                return
+            best = margin
+
     def order_interval() -> list[float]:
         """The pre-phase: iterate ``w <- T(w) + eps`` from ``eps 1``; the rungs left to walk.
 
@@ -255,7 +292,7 @@ def find_decay_point(T: MonotoneMap, cfg: SolverConfig, n: int) -> SolveReport:
             Tw, margin = counted(w)
             up = Tw + eps
             if (r / float(np.sum(w))) * margin >= eps * (1.0 + _ROUNDING):  # the candidate
-                evaluate(on_sphere(w))
+                sphere_stage(on_sphere(w))
                 return ladder
             if float(np.sum(up)) > r * (1.0 + _ROUNDING):  # no decay point exists
                 p = on_sphere(up)
@@ -268,7 +305,9 @@ def find_decay_point(T: MonotoneMap, cfg: SolverConfig, n: int) -> SolveReport:
     try:
         for label_slack in order_interval():
             try:
-                m = 1
+                # level 1's one cell is the whole simplex: only its barycentre can be a certificate
+                evaluate(np.full(n, r / n))
+                m = 2
                 while True:
                     verts = CompleteCellSearch(m, n, make_label_of(m, label_slack)).find()
                     bary = np.asarray(verts, dtype=float).mean(axis=0) * (r / m)

@@ -5,7 +5,8 @@ decay points on every sphere, the spectral radius is below one, the
 geometric series sum of powers converges to the inverse of (I - A), and
 the dominant eigendirection scaled to the sphere is itself a decay
 witness.  The routines here provide the three non-solver sides of that
-equivalence, plus the seeded random generator used by the benchmark
+equivalence, the exact best margin ``eps_max`` that tests hold the
+solver to, plus the seeded random generator used by the benchmark
 sweeps.  Spectral quantities come from NumPy's dense eigensolver
 (LAPACK ``dgeev``); the tests check them against matrices whose radius
 and Perron vector are known in closed form.
@@ -20,6 +21,7 @@ __all__ = [
     "random_contractive",
     "neumann_inverse",
     "perron_direction",
+    "eps_max",
     "as_nonnegative_matrix",
 ]
 
@@ -114,3 +116,17 @@ def perron_direction(A) -> np.ndarray:
         raise ValueError(f"dominant direction residual {residual:.2e} exceeds 1e-8 * max(1, rho)")
     v.flags.writeable = False
     return v
+
+
+def eps_max(A, r: float) -> float:
+    """Best decay margin of ``s -> A s`` on the sphere of radius r: ``r / 1'(I - A)^-1 1``.
+
+    The optimum is attained at ``s ~ (I - A)^-1 1``, whose margin is the
+    same in every component.  0 when the spectral radius is not below one:
+    then no point of the sphere decays.
+    """
+    A = as_nonnegative_matrix(A)
+    if not spectral_radius(A) < 1.0:  # also an overflowing (inf or NaN) radius
+        return 0.0
+    n = A.shape[0]
+    return r / float(np.sum(np.linalg.solve(np.eye(n) - A, np.ones(n))))

@@ -46,6 +46,8 @@ class MapSpec:
 
     ``parse_map_spec`` returns only specs whose map builds; on an invalid
     spec made by hand, ``build`` and ``dimension`` raise ``ValueError``.
+    Maps are immutable, so a spec builds its map once and then returns the
+    same one: the map that ``parse_map_spec`` checked is the map callers get.
     """
 
     kind: str
@@ -61,6 +63,13 @@ class MapSpec:
         return self.build().dimension
 
     def build(self) -> MonotoneMap:
+        built = self.__dict__.get("_built")
+        if built is None:
+            built = self._construct()
+            object.__setattr__(self, "_built", built)  # not a field: eq and hash ignore it
+        return built
+
+    def _construct(self) -> MonotoneMap:
         if self.kind == "linear":
             return maps.make_linear_map([list(row) for row in self.matrix])
         if self.kind == "chain":

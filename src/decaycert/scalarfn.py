@@ -220,7 +220,10 @@ class _Parser:
         tok = self.take()
         if not _NUMBER.fullmatch(tok):
             raise ScalarFnParseError(f"expected a number, got {tok!r} in {self.source!r}")
-        return float(tok)
+        value = float(tok)
+        if value == math.inf:  # the grammar has no sign, so only overflow is non-finite
+            raise ScalarFnParseError(f"number {tok!r} overflows a float in {self.source!r}")
+        return value
 
 
 def parse_scalar_fn(text: str) -> ScalarFn:

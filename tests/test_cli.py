@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from decaycert import cli
+from decaycert import cli, maps
 from decaycert.cli import main
 
 REPO_SPECS = Path(__file__).resolve().parents[1] / "mapspecs"
@@ -159,6 +159,32 @@ class TestVerify:
         assert "error:" in captured.err
         assert "RESULT:" not in captured.out
 
+    def test_each_gain_is_checked_once(self, tmp_path, capsys, monkeypatch):
+        # parsing checks the spec by building its map; the search reuses that map
+        checked = []
+        check_gain = maps.check_gain
+
+        def counting(g, where):
+            checked.append(where)
+            check_gain(g, where)
+
+        monkeypatch.setattr(maps, "check_gain", counting)
+        spec = write_spec(tmp_path, {"kind": "maxpreserving",
+                                     "gains": [[None, "0.5*t"], ["0.5*t", None]]})
+        code = main(["verify", "--map", spec, "-r", "1", "--epsilon", "1e-3"])
+        assert code == 0
+        assert sorted(checked) == ["gain (1,1)", "gain (1,2)", "gain (2,1)", "gain (2,2)"]
+
+    @pytest.mark.parametrize("gain", ["t^1e400", "1e400*t"])
+    def test_overflowing_number_in_a_gain_exits_two(self, tmp_path, capsys, gain):
+        spec = write_spec(tmp_path, {"kind": "maxpreserving", "gains": [[gain, None], [None, None]]})
+        code = main(["verify", "--map", spec, "-r", "1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "overflows" in captured.err
+        assert "Traceback" not in captured.err
+        assert "RESULT:" not in captured.out
+
     def test_non_contractive_linear_exits_one(self, tmp_path, capsys):
         # spectral radius exactly 1: the identity; the solver cannot label corners
         spec = write_spec(tmp_path, {"kind": "linear", "matrix": [[1, 0], [0, 1]]})
@@ -234,6 +260,9 @@ class TestSpectral:
         assert fields["contractive"] == "1"
         direction = [float(v) for v in fields["direction"].split(",")]
         assert direction == pytest.approx([0.5, 0.5])
+        # the new key comes after the pinned ones: r / 1'(I - A)^-1 1 at r = 1
+        assert list(fields)[-1] == "eps_max"
+        assert float(fields["eps_max"]) == pytest.approx(0.25, rel=1e-12)
 
     def test_scalar(self, tmp_path, capsys):
         spec = write_spec(tmp_path, {"kind": "linear", "matrix": [[0.8]]})
@@ -244,8 +273,10 @@ class TestSpectral:
     def test_expanding_matrix_exits_one(self, tmp_path, capsys):
         spec = write_spec(tmp_path, {"kind": "linear", "matrix": [[1.5]]})
         code = main(["spectral", "--map", spec])
+        fields = result_fields(capsys)
         assert code == 1
-        assert result_fields(capsys)["contractive"] == "0"
+        assert fields["contractive"] == "0"
+        assert fields["eps_max"] == "0.0"
 
     def test_nonlinear_spec_exits_two(self, capsys):
         code = main(["spectral", "--map", str(REPO_SPECS / "chain5.json")])
@@ -263,8 +294,10 @@ class TestSpectral:
     def test_overflowing_matrix_is_not_contractive(self, tmp_path, capsys):
         spec = write_spec(tmp_path, {"kind": "linear", "matrix": [[1e308, 1e308], [1e308, 1e308]]})
         code = main(["spectral", "--map", spec])
+        fields = result_fields(capsys)
         assert code == 1
-        assert result_fields(capsys)["contractive"] == "0"
+        assert fields["contractive"] == "0"
+        assert fields["eps_max"] == "0.0"
 
 
 class TestRepoExamples:

@@ -7,7 +7,7 @@ import pytest
 from decaycert import homotopy
 from decaycert.homotopy import SolveReport, SolverConfig, complete_subsets, find_decay_point
 from decaycert.labeling import LabeledVertexSet
-from decaycert.linear import random_contractive
+from decaycert.linear import eps_max, random_contractive
 from decaycert.maps import (
     MonotoneMap,
     compose,
@@ -185,7 +185,7 @@ class TestFindDecayPoint:
 
         def counting_search(m, dim, label_of):
             nonlocal rungs
-            rungs += m == 1
+            rungs += m == 2  # every rung's walk starts at level 2
             return search_cls(m, dim, label_of)
 
         monkeypatch.setattr(homotopy, "CompleteCellSearch", counting_search)
@@ -215,16 +215,17 @@ class TestFindDecayPoint:
 
 
 # Evaluation counts and decay points pinned at r=10, cap 100 000, eps=0.1
-# unless given.  A change to the pre-phase, the labeling, the pivot walk or
-# the slack ladder moves these.  The chain maps' candidates fail, so their
-# points are lattice points of the walk; the linear ones are pre-phase
-# candidates, products of matrix arithmetic whose last bits may depend on
-# the BLAS kernel, and are compared to 1e-12.
+# unless given.  A change to the pre-phase, the sphere stage, the labeling,
+# the pivot walk or the slack ladder moves these.  The chain maps'
+# candidates fail: at n=2 a sphere-stage step succeeds, and at n=3..5 the
+# points are lattice points of the walk.  The others are products of float
+# arithmetic (the linear ones of matrix arithmetic, whose last bits may
+# depend on the BLAS kernel), and are compared to 1e-12.
 GOLDEN_WALKS = [
-    ("chain n=2", lambda: make_chain_map(2), None, 5, [7.5, 2.5]),
-    ("chain n=3", lambda: make_chain_map(3), None, 16, [6.25, 2.5, 1.25]),
-    ("chain n=4", lambda: make_chain_map(4), None, 12, [6.25, 1.25, 1.25, 1.25]),
-    ("chain n=5", lambda: make_chain_map(5), None, 14, [6.0, 1.0, 1.0, 1.0, 1.0]),
+    ("chain n=2", lambda: make_chain_map(2), None, 3, [9.059758315746931, 0.9402416842530675]),
+    ("chain n=3", lambda: make_chain_map(3), None, 17, [6.25, 2.5, 1.25]),
+    ("chain n=4", lambda: make_chain_map(4), None, 10, [6.25, 1.25, 1.25, 1.25]),
+    ("chain n=5", lambda: make_chain_map(5), None, 11, [6.0, 1.0, 1.0, 1.0, 1.0]),
     ("linear n=6 seed 0", lambda: make_linear_map(random_contractive(6, 0.8, 0)), None, 3,
      [1.5625762201636155, 1.784146270600348, 1.6825451008792094, 1.4457098471192324,
       1.9438228231111778, 1.5811997381264176]),
@@ -301,7 +302,7 @@ def test_golden_failure(name, n, rho, seed, eps, cap, reason, iterations, point)
 # before its cap.  It pins the path itself, not only where the path ends.
 # Points are hashed to 10 significant digits, so that the last bits of
 # matrix arithmetic (see GOLDEN_WALKS) do not move the digest.
-GOLDEN_PATH_SHA256 = "2c8387d8cb2b65e4f0a798c3d1b5ab9164195c0467c060d39c56b3ab4e0b8cdb"
+GOLDEN_PATH_SHA256 = "7e3bcac3fa67ce04c593d687b68429b0584b4851cb17beb140b60213ae195bc1"
 
 
 def test_golden_path():
@@ -327,12 +328,90 @@ def test_golden_path():
     assert digest.hexdigest() == GOLDEN_PATH_SHA256
 
 
-@pytest.mark.parametrize("n", [6, 8, 10])
+def superlinear(n: int) -> MonotoneMap:
+    """``A s^1.2`` with ``A = random_contractive(n, 0.8, 0)``: not subhomogeneous."""
+    return compose(make_linear_map(random_contractive(n, 0.8, 0)), make_diagonal(["t^1.2"] * n))
+
+
+@pytest.mark.parametrize("n", [6, 8, 10, 12])
+def test_sphere_stage_answers_a_superlinear_map(n):
+    # the pre-phase's candidate r 1/n fails; the walk alone takes 568-3,189 evaluations
+    T = superlinear(n)
+    cfg = SolverConfig(r=10.0, epsilon=0.1, max_iterations=100_000)
+    report = find_decay_point(T, cfg, n)
+    check_success_postcondition(T, cfg, report)
+    assert report.iterations <= 6
+
+
+@pytest.mark.parametrize("n,eps", [(6, 0.16), (6, 0.17), (6, 0.18),
+                                   (8, 0.17), (8, 0.18), (8, 0.19), (8, 0.20)])
+def test_sphere_stage_finds_near_limit_points(n, eps):
+    # the walk alone spends the whole 100k cap on each of these
+    T = superlinear(n)
+    cfg = SolverConfig(r=10.0, epsilon=eps, max_iterations=100_000)
+    report = find_decay_point(T, cfg, n)
+    check_success_postcondition(T, cfg, report)
+    assert report.iterations <= 10
+
+
+# Counts at random_contractive(n, 0.8, seed), seeds 0..2, at half and 0.9 of
+# eps_max: the same as before the sphere stage existed, since it runs only
+# after a failed candidate, and a linear map's candidate always passes.
+LINEAR_COUNTS = {
+    0.5: {2: [4, 4, 3], 4: [5, 3, 4], 6: [4, 3, 3], 8: [4, 3, 3], 10: [4, 3, 4]},
+    0.9: {2: [9, 8, 7], 4: [10, 7, 9], 6: [8, 6, 7], 8: [9, 6, 7], 10: [8, 6, 8]},
+}
+
+
+@pytest.mark.parametrize("fraction", sorted(LINEAR_COUNTS))
+def test_linear_counts_skip_the_sphere_stage(fraction):
+    for n, counts in LINEAR_COUNTS[fraction].items():
+        for seed, count in enumerate(counts):
+            A = random_contractive(n, 0.8, seed)
+            T = make_linear_map(A)
+            cfg = SolverConfig(r=10.0, epsilon=fraction * eps_max(A, 10.0),
+                               max_iterations=100_000)
+            report = find_decay_point(T, cfg, n)
+            check_success_postcondition(T, cfg, report)
+            assert report.iterations == count, (n, seed)
+
+
+def test_sphere_stage_successes_are_certificates():
+    """Every success on ``A s^a``, sub- or superlinear, passes the direct re-check."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def power_maps(draw):
+        n = draw(st.integers(2, 8))
+        entries = st.lists(st.floats(0.0, 1.0), min_size=n * n, max_size=n * n)
+        A = np.array(draw(entries)).reshape(n, n)
+        rho = float(np.max(np.abs(np.linalg.eigvals(A))))
+        if rho > 0.0:
+            A *= draw(st.floats(0.05, 0.9)) / rho
+        exponents = draw(st.lists(st.floats(0.7, 1.5), min_size=n, max_size=n))
+        return compose(make_linear_map(A), make_diagonal([f"t^{a!r}" for a in exponents]))
+
+    @hypothesis.settings(max_examples=40, deadline=None, database=None, derandomize=True)
+    @hypothesis.given(power_maps(), st.floats(1e-3, 1.0))
+    def check(T, eps):
+        cfg = SolverConfig(r=10.0, epsilon=eps, max_iterations=1000)
+        report = find_decay_point(T, cfg, T.dimension)
+        if report.success:
+            check_success_postcondition(T, cfg, report)
+        else:
+            assert report.failure_reason in ("label_none", "iteration_cap")
+
+    check()
+
+
+@pytest.mark.parametrize("n", [7, 8])
 def test_label_lookups_per_lattice_point(monkeypatch, n):
     """The walk carries its cells' labels, so it looks a point up about once per visit.
 
-    The map ``A s^1.2`` is superlinear, so the pre-phase's candidate fails
-    and the walk runs through hundreds of lattice points.
+    Neither the pre-phase's candidate nor the sphere stage certifies the
+    chain map at n = 7 and 8, so the walk runs through 39 and 54 lattice
+    points.
     """
     search_cls = homotopy.CompleteCellSearch
     calls = 0
@@ -348,8 +427,8 @@ def test_label_lookups_per_lattice_point(monkeypatch, n):
         return search_cls(m, dim, counted)
 
     monkeypatch.setattr(homotopy, "CompleteCellSearch", counting_search)
-    T = compose(make_linear_map(random_contractive(n, 0.8, 0)), make_diagonal(["t^1.2"] * n))
-    report = find_decay_point(T, SolverConfig(r=10.0, epsilon=0.1, max_iterations=100_000), n)
+    T = make_chain_map(n)
+    report = find_decay_point(T, SolverConfig(r=10.0, epsilon=0.05, max_iterations=100_000), n)
     assert report.success
     assert len(points) > 2 * n  # the walk ran
     assert calls <= 2 * len(points)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from decaycert.linear import (
+    eps_max,
     neumann_inverse,
     perron_direction,
     random_contractive,
@@ -124,6 +125,30 @@ class TestNeumannInverse:
     def test_rejects_non_contractive(self, A):
         with pytest.raises(ValueError, match="spectral radius"):
             neumann_inverse(A)
+
+
+class TestEpsMax:
+    def test_closed_forms(self):
+        # s -> a s decays by (1 - a) s_i; the swap's optimum is the uniform point
+        assert eps_max([[0.8]], 10.0) == pytest.approx(2.0, rel=1e-12)
+        assert eps_max([[0, 0.5], [0.5, 0]], 10.0) == pytest.approx(2.5, rel=1e-12)
+        assert eps_max(np.zeros((4, 4)), 1.0) == pytest.approx(0.25, rel=1e-12)
+
+    def test_optimum_decays_equally_in_every_component(self):
+        for seed in range(5):
+            A = random_contractive(6, 0.9, seed)
+            w = np.linalg.solve(np.eye(6) - A, np.ones(6))
+            s = 10.0 * w / np.sum(w)
+            np.testing.assert_allclose(s - A @ s, eps_max(A, 10.0), rtol=1e-12)
+
+    @pytest.mark.parametrize("A", [np.eye(3), [[0, 1], [1, 0]], [[1.5]],
+                                   [[1e308, 1e308], [1e308, 1e308]]])
+    def test_zero_without_contraction(self, A):
+        assert eps_max(A, 10.0) == 0.0
+
+    def test_rejects_negative_entries(self):
+        with pytest.raises(ValueError, match="negative"):
+            eps_max([[0.5, -0.1], [0, 0.5]], 1.0)
 
 
 class TestPerronDirection:

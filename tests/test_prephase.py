@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from decaycert.homotopy import SolverConfig, find_decay_point
+from decaycert.linear import eps_max
 from decaycert.maps import make_linear_map
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -40,13 +41,8 @@ def contractive(draw, rho=st.floats(0.05, 0.9)):
     return A * (draw(rho) / float(np.max(np.abs(np.linalg.eigvals(A)))))
 
 
-def eps_max(A: np.ndarray) -> float:
-    w = np.linalg.solve(np.eye(len(A)) - A, np.ones(len(A)))
-    return R / float(np.sum(w))
-
-
 def check_feasible(A, fraction, cap):
-    eps = fraction * eps_max(A)
+    eps = fraction * eps_max(A, R)
     report = find_decay_point(make_linear_map(A), SolverConfig(R, eps, cap), len(A))
     assert report.success, report.failure_reason
     s = report.s_star
@@ -55,7 +51,7 @@ def check_feasible(A, fraction, cap):
 
 
 def check_infeasible(A, fraction, cap):
-    eps = fraction * eps_max(A)
+    eps = fraction * eps_max(A, R)
     report = find_decay_point(make_linear_map(A), SolverConfig(R, eps, cap), len(A))
     assert report.failure_reason == "label_none"
     p = report.failure_point

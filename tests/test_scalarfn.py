@@ -45,6 +45,12 @@ class TestParse:
         with pytest.raises(ScalarFnParseError):
             parse_scalar_fn(bad)
 
+    @pytest.mark.parametrize("text", ["t^1e400", "1e400*t"])
+    def test_rejects_a_number_that_overflows(self, text):
+        # float("1e400") is inf, and "t^inf" would render to text that does not parse
+        with pytest.raises(ScalarFnParseError, match="overflows"):
+            parse_scalar_fn(text)
+
     def test_render_round_trip(self):
         for text in ["0.5*t", "t^2", "2*t^0.5", "t + 0.25*t^3", "max(t, 2*t^2, t^3)", "0"]:
             fn = parse_scalar_fn(text)
