@@ -15,7 +15,6 @@ from .dynamics import (
     iterate,
     ordering_check,
     solve_problem1,
-    verify_attraction,
 )
 from .homotopy import (
     SolveReport,
@@ -77,5 +76,4 @@ __all__ = [
     "serialize_map_spec",
     "solve_problem1",
     "spectral_radius",
-    "verify_attraction",
 ]

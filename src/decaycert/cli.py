@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynamics import DEFAULT_K_MAX, DEFAULT_STOP_TOL, check_trajectory_limits, verify_attraction
+from .dynamics import DEFAULT_K_MAX, DEFAULT_STOP_TOL, solve_problem1
 from .homotopy import SolverConfig, find_decay_point
 from .linear import eps_max, perron_direction, random_contractive, spectral_radius
 from .maps import make_chain_map, make_linear_map
@@ -40,11 +40,6 @@ def _result_line(command: str, **fields) -> None:
     print(f"RESULT: command={command} " + " ".join(parts))
 
 
-def _load_spec(path: str):
-    text = Path(path).read_text()
-    return parse_map_spec(text)
-
-
 def _parse_list(text: str, cast, what: str) -> list:
     items = [part.strip() for part in text.split(",") if part.strip()]
     if not items:
@@ -52,28 +47,22 @@ def _parse_list(text: str, cast, what: str) -> list:
     return [cast(part) for part in items]
 
 
-def _find(args, command: str, **failure_fields):
-    """Search the sphere for a decay point of the ``--map`` spec's map.
-
-    Returns ``(T, report)``.  When no point is found, the failure lines
-    are already printed, with ``failure_fields`` leading the RESULT keys.
-    """
-    T = _load_spec(args.map).build()
-    cfg = SolverConfig(r=args.radius, epsilon=args.epsilon, max_iterations=args.max_iterations)
-    report = find_decay_point(T, cfg, T.dimension)
-    if not report.success:
-        print(f"no decay point found ({report.failure_reason}, {report.iterations} iterations)")
-        _result_line(
-            command, **failure_fields, success=0,
-            iterations=report.iterations, failure=report.failure_reason,
-        )
-    return T, report
+def _no_decay_point(command: str, report, **failure_fields) -> int:
+    """Print the lines of a failed search, ``failure_fields`` leading the RESULT keys."""
+    print(f"no decay point found ({report.failure_reason}, {report.iterations} iterations)")
+    _result_line(
+        command, **failure_fields, success=0,
+        iterations=report.iterations, failure=report.failure_reason,
+    )
+    return 1
 
 
 def cmd_find(args) -> int:
-    _, report = _find(args, "find")
+    T = parse_map_spec(Path(args.map).read_text()).build()
+    cfg = SolverConfig(r=args.radius, epsilon=args.epsilon, max_iterations=args.max_iterations)
+    report = find_decay_point(T, cfg, T.dimension)
     if not report.success:
-        return 1
+        return _no_decay_point("find", report)
     s = report.s_star
     print(f"decay point found on the sphere of radius {args.radius:g}")
     print(f"  s*         = [{', '.join(f'{v:.12g}' for v in s)}]")
@@ -91,12 +80,13 @@ def cmd_find(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    check_trajectory_limits(args.k_max, args.stop_tol)  # before the search spends its budget
-    T, solve = _find(args, "verify", certified=0)
+    T = parse_map_spec(Path(args.map).read_text()).build()
+    cfg = SolverConfig(r=args.radius, epsilon=args.epsilon, max_iterations=args.max_iterations)
+    cert = solve_problem1(T, cfg, T.dimension, args.stop_tol, args.k_max)
+    solve, traj, certified = cert.solve, cert.trajectory, cert.problem1_satisfied
     if not solve.success:
-        return 1
+        return _no_decay_point("verify", solve, certified=0)
     s = solve.s_star
-    certified, traj = verify_attraction(T, s, stop_tol=args.stop_tol, k_max=args.k_max)
     print(f"decay point: s* = [{', '.join(f'{v:.12g}' for v in s)}]")
     print(f"  margin = {solve.margin:.12g}, iterations = {solve.iterations}")
     if certified:
@@ -168,11 +158,11 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_spectral(args) -> int:
-    spec = _load_spec(args.map)
+    spec = parse_map_spec(Path(args.map).read_text())
     if spec.kind != "linear":
         print(f"error: spectral needs a linear map spec, got kind {spec.kind!r}", file=sys.stderr)
         return 2
-    A = np.array([list(row) for row in spec.matrix])
+    A = np.array(spec.data)
     rho = spectral_radius(A)
     print(f"spectral radius: {rho:.12g}")
     direction = None

@@ -21,9 +21,7 @@ from .order import as_point
 __all__ = [
     "TrajectoryReport",
     "CertificateReport",
-    "check_trajectory_limits",
     "iterate",
-    "verify_attraction",
     "solve_problem1",
     "ordering_check",
     "DEFAULT_STOP_TOL",
@@ -64,8 +62,10 @@ class CertificateReport:
     problem1_satisfied: bool
 
 
-def check_trajectory_limits(k_max: int, stop_tol: float) -> None:
-    """Reject a step budget below one and a stop tolerance that is not positive and finite."""
+def _check_trajectory_limits(k_max: int, stop_tol: float) -> None:
+    """Reject a ``k_max`` that is not an int >= 1 and a non-positive or non-finite ``stop_tol``."""
+    if isinstance(k_max, bool) or not isinstance(k_max, int):
+        raise ValueError(f"k_max must be an int, got {k_max!r}")
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
     if not (math.isfinite(stop_tol) and stop_tol > 0.0):
@@ -85,7 +85,7 @@ def iterate(
     keep shrinking.  It also stops, unconverged, at a state with a
     non-finite component, which the map cannot take as input.
     """
-    check_trajectory_limits(k_max, stop_tol)
+    _check_trajectory_limits(k_max, stop_tol)
     s = as_point(s0, dim=T.dimension)
     states = [s]
     steps = [0]
@@ -104,22 +104,6 @@ def iterate(
             return TrajectoryReport(states, steps, sup < stop_tol, k, sup)
 
 
-def verify_attraction(
-    T: MonotoneMap,
-    s_star,
-    stop_tol: float = DEFAULT_STOP_TOL,
-    k_max: int = DEFAULT_K_MAX,
-) -> tuple[bool, TrajectoryReport]:
-    """Check that the trajectory from ``s_star`` is a null sequence.
-
-    When ``T(s_star) <= s_star`` the trajectory is componentwise
-    nonincreasing, and its convergence to zero certifies that the whole
-    order interval ``[0, s_star]`` lies in the region of attraction.
-    """
-    report = iterate(T, s_star, k_max=k_max, stop_tol=stop_tol)
-    return report.converged, report
-
-
 def solve_problem1(
     T: MonotoneMap,
     cfg: SolverConfig,
@@ -129,15 +113,18 @@ def solve_problem1(
 ) -> CertificateReport:
     """Find a decay point on the sphere and certify its order interval.
 
-    Step one searches the sphere of radius ``cfg.r`` for ``s*`` with
-    ``Ts* << s*`` (margin ``cfg.epsilon``); step two iterates the map
-    from ``s*`` and requires convergence below ``stop_tol``.
+    The trajectory limits are checked first, so a bad one costs no map
+    evaluation.  Step one searches the sphere of radius ``cfg.r`` for ``s*``
+    with ``Ts* << s*`` (margin ``cfg.epsilon``); step two iterates the map
+    from ``s*``.  That trajectory is nonincreasing, and its convergence
+    below ``stop_tol`` certifies the order interval ``[0, s*]``.
     """
+    _check_trajectory_limits(k_max, stop_tol)
     solve = find_decay_point(T, cfg, n)
     if not solve.success:
         return CertificateReport(solve, None, False)
-    converged, trajectory = verify_attraction(T, solve.s_star, stop_tol, k_max)
-    return CertificateReport(solve, trajectory, solve.success and converged)
+    trajectory = iterate(T, solve.s_star, k_max=k_max, stop_tol=stop_tol)
+    return CertificateReport(solve, trajectory, trajectory.converged)
 
 
 def ordering_check(T: MonotoneMap, s0, v0, k: int) -> bool:

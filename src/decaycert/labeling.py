@@ -10,6 +10,7 @@ as a hard failure of the covering hypothesis at the current slack.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,8 +43,8 @@ def label_eps(T: MonotoneMap, s, eps: float) -> int | None:
 
     Returns None when no index qualifies.
     """
-    if eps <= 0.0:
-        raise ValueError(f"eps must be positive, got {eps}")
+    if not (math.isfinite(eps) and eps > 0.0):
+        raise ValueError(f"eps must be positive and finite, got {eps}")
     s = as_point(s, dim=T.dimension)
     label = label_index(s, T(s), eps)
     return None if label is None else label + 1

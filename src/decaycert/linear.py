@@ -14,6 +14,8 @@ and Perron vector are known in closed form.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = [
@@ -54,8 +56,8 @@ def random_contractive(n: int, rho_target: float, seed: int) -> np.ndarray:
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if rho_target <= 0.0:
-        raise ValueError(f"rho_target must be positive, got {rho_target}")
+    if not (math.isfinite(rho_target) and rho_target > 0.0):
+        raise ValueError(f"rho_target must be positive and finite, got {rho_target}")
     A = np.random.default_rng(seed).random((n, n))
     rho = spectral_radius(A)
     if rho == 0.0:
@@ -72,8 +74,8 @@ def neumann_inverse(A, tol: float = 1e-10) -> np.ndarray:
     Partial sums stop once the current power has max-entry below ``tol``;
     the result M then satisfies ``|(I - A) M - I|_max < 10 * tol``.
     """
-    if tol <= 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     A = as_nonnegative_matrix(A)
     rho = spectral_radius(A)
     # radii within 1e-9 of one are indistinguishable from divergent in
@@ -125,6 +127,8 @@ def eps_max(A, r: float) -> float:
     same in every component.  0 when the spectral radius is not below one:
     then no point of the sphere decays.
     """
+    if not (math.isfinite(r) and r > 0.0):
+        raise ValueError(f"r must be positive and finite, got {r}")
     A = as_nonnegative_matrix(A)
     if not spectral_radius(A) < 1.0:  # also an overflowing (inf or NaN) radius
         return 0.0

@@ -101,8 +101,8 @@ def chain_feasible_point(n: int, r: float) -> np.ndarray:
     """Point ``p = (r, r^{1/2!}, ..., r^{1/n!})`` with ``Tp << p`` for the chain map."""
     if n < 2:
         raise ValueError(f"chain map needs n >= 2, got {n}")
-    if r <= 0.0:
-        raise ValueError(f"r must be positive, got {r}")
+    if not (math.isfinite(r) and r > 0.0):
+        raise ValueError(f"r must be positive and finite, got {r}")
     p = np.array([r ** (1.0 / math.factorial(i)) for i in range(1, n + 1)])
     p.flags.writeable = False
     return p
@@ -167,7 +167,11 @@ def make_max_preserving(gains) -> MonotoneMap:
     ``gains`` is a nested sequence (or a GainTable); entries may be
     ScalarFn instances, textual forms, or None for the zero gain.
     """
-    rows = gain_rows(getattr(gains, "rows", gains))
+    return _max_preserving(gain_rows(getattr(gains, "rows", gains)))
+
+
+def _max_preserving(rows: list[list[ScalarFn]]) -> MonotoneMap:
+    """Map of a gain table that ``gain_rows`` has already checked."""
 
     def fn(s: np.ndarray) -> np.ndarray:
         return np.array([max(g(s[j]) for j, g in enumerate(row)) for row in rows])

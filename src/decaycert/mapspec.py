@@ -1,21 +1,23 @@
 """Declarative JSON descriptions of the built-in map families.
 
-A map spec file is a single JSON object with a ``kind`` field.  The
-schema (documented in the README) is deliberately small: matrices are
-nested number lists, gain and diagonal functions use the textual form of
-:mod:`decaycert.scalarfn`, and compositions nest specs.  Parsing checks
-the format of the whole document first (JSON shapes, numbers, square
-rows, gain text that parses), then checks the spec by building its map:
-the :mod:`decaycert.maps` constructors hold the family invariants, and
-their ``ValueError`` is re-raised as :class:`MapSpecError` with the same
-message.  Functions are stored as parsed ScalarFn trees, so
-serialize-then-parse reproduces an identical spec.
+A map spec file is a single JSON object with a ``kind`` field and the one
+field that kind names.  The schema (documented in the README) is
+deliberately small: matrices are nested number lists, gain and diagonal
+functions use the textual form of :mod:`decaycert.scalarfn`, and
+compositions nest specs.  Parsing checks the format of the whole document
+first (JSON shapes, numbers, square rows, gain text that parses), then
+checks the spec by building its map: the :mod:`decaycert.maps`
+constructors hold the family invariants, and their ``ValueError`` is
+re-raised as :class:`MapSpecError` with the same message.  Functions are
+stored as parsed ScalarFn trees, so serialize-then-parse reproduces an
+identical spec.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from typing import Any, Callable, NamedTuple
 
 from . import maps
 from .maps import MonotoneMap
@@ -29,8 +31,6 @@ __all__ = [
     "serialize_map_spec",
 ]
 
-KINDS = ("linear", "chain", "flipflop", "maxpreserving", "diagonal", "composition")
-
 
 class MapSpecParseError(ValueError):
     """The document is not well-formed (JSON syntax, wrong value shapes)."""
@@ -42,21 +42,18 @@ class MapSpecError(ValueError):
 
 @dataclass(frozen=True)
 class MapSpec:
-    """Serializable description of one monotone map.
+    """Serializable description of one monotone map: its kind and one payload.
 
+    ``data`` is the parsed value of the kind's one JSON field: matrix rows,
+    ``n``, ``lambda``, gain rows, functions or child specs.
     ``parse_map_spec`` returns only specs whose map builds; on an invalid
-    spec made by hand, ``build`` and ``dimension`` raise ``ValueError``.
-    Maps are immutable, so a spec builds its map once and then returns the
-    same one: the map that ``parse_map_spec`` checked is the map callers get.
+    spec made by hand, ``build`` and ``dimension`` raise.  Maps are
+    immutable, so a spec builds its map once and then returns the same
+    one: the map that ``parse_map_spec`` checked is the map callers get.
     """
 
     kind: str
-    matrix: tuple[tuple[float, ...], ...] | None = None
-    n: int | None = None
-    lam: float | None = None
-    gains: tuple[tuple[ScalarFn, ...], ...] | None = None
-    functions: tuple[ScalarFn, ...] | None = None
-    children: tuple["MapSpec", ...] | None = None
+    data: Any
 
     @property
     def dimension(self) -> int:
@@ -65,48 +62,13 @@ class MapSpec:
     def build(self) -> MonotoneMap:
         built = self.__dict__.get("_built")
         if built is None:
-            built = self._construct()
+            built = _KINDS[self.kind].build(self.data)
             object.__setattr__(self, "_built", built)  # not a field: eq and hash ignore it
         return built
 
-    def _construct(self) -> MonotoneMap:
-        if self.kind == "linear":
-            return maps.make_linear_map([list(row) for row in self.matrix])
-        if self.kind == "chain":
-            return maps.make_chain_map(self.n)
-        if self.kind == "flipflop":
-            return maps.make_flipflop_map(self.lam)
-        if self.kind == "maxpreserving":
-            return maps.make_max_preserving([list(row) for row in self.gains])
-        if self.kind == "diagonal":
-            return maps.make_diagonal(list(self.functions))
-        return maps.compose(*(child.build() for child in self.children))
-
     def to_obj(self) -> dict:
-        if self.kind == "linear":
-            return {"kind": "linear", "matrix": [list(row) for row in self.matrix]}
-        if self.kind == "chain":
-            return {"kind": "chain", "n": self.n}
-        if self.kind == "flipflop":
-            return {"kind": "flipflop", "lambda": self.lam}
-        if self.kind == "maxpreserving":
-            return {"kind": "maxpreserving",
-                    "gains": [[g.render() for g in row] for row in self.gains]}
-        if self.kind == "diagonal":
-            return {"kind": "diagonal", "functions": [f.render() for f in self.functions]}
-        return {"kind": "composition", "maps": [child.to_obj() for child in self.children]}
-
-
-def _require(obj: dict, key: str, kind: str):
-    if key not in obj:
-        raise MapSpecParseError(f"{kind} spec is missing the {key!r} field")
-    return obj[key]
-
-
-def _reject_extras(obj: dict, allowed: set[str]):
-    extras = set(obj) - allowed
-    if extras:
-        raise MapSpecParseError(f"unknown fields in map spec: {sorted(extras)}")
+        entry = _KINDS[self.kind]
+        return {"kind": self.kind, entry.field: entry.render(self.data)}
 
 
 def _number(value, where: str) -> float:
@@ -127,64 +89,79 @@ def _scalar_fn(text, where: str) -> ScalarFn:
         raise MapSpecParseError(f"{where}: {exc}") from exc
 
 
+def _square_rows(raw, name: str, entry: Callable[[Any, int, int], Any]) -> tuple:
+    """Rows of a nonempty square table; ``entry(value, i, j)`` parses each entry."""
+    if not isinstance(raw, list) or not raw or not all(isinstance(r, list) for r in raw):
+        raise MapSpecParseError(f"{name} must be a nonempty list of rows")
+    n = len(raw)
+    rows = []
+    for i, row in enumerate(raw):
+        if len(row) != n:
+            raise MapSpecParseError(f"{name} row {i + 1} has {len(row)} entries, expected {n}")
+        rows.append(tuple(entry(v, i, j) for j, v in enumerate(row)))
+    return tuple(rows)
+
+
+def _matrix(raw) -> tuple:
+    return _square_rows(raw, "matrix", lambda v, i, j: _number(v, f"matrix[{i + 1}]"))
+
+
+def _gains(raw) -> tuple:
+    return _square_rows(raw, "gains", lambda g, i, j: _scalar_fn(g, f"gain ({i + 1},{j + 1})"))
+
+
+def _chain_n(n) -> int:
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise MapSpecParseError(f"chain n must be an integer, got {n!r}")
+    return n
+
+
+def _functions(raw) -> tuple[ScalarFn, ...]:
+    if not isinstance(raw, list) or not raw:
+        raise MapSpecParseError("functions must be a nonempty list of strings")
+    return tuple(_scalar_fn(text, f"function {i + 1}") for i, text in enumerate(raw))
+
+
+def _children(raw) -> tuple[MapSpec, ...]:
+    if not isinstance(raw, list) or len(raw) < 2:
+        raise MapSpecParseError("composition needs a list of at least two child specs")
+    return tuple(_from_obj(child) for child in raw)
+
+
+class _Kind(NamedTuple):
+    field: str  # the kind's one JSON field besides "kind"
+    parse: Callable[[Any], Any]  # JSON value -> MapSpec.data, format checks only
+    build: Callable[[Any], MonotoneMap]
+    render: Callable[[Any], Any]  # MapSpec.data -> JSON value
+
+
+_KINDS = {
+    "linear": _Kind("matrix", _matrix, maps.make_linear_map, lambda rows: [list(r) for r in rows]),
+    "chain": _Kind("n", _chain_n, maps.make_chain_map, int),
+    "flipflop": _Kind("lambda", lambda v: _number(v, "lambda"), maps.make_flipflop_map, float),
+    "maxpreserving": _Kind("gains", _gains, maps.make_max_preserving,
+                           lambda rows: [[g.render() for g in row] for row in rows]),
+    "diagonal": _Kind("functions", _functions, maps.make_diagonal,
+                      lambda fns: [f.render() for f in fns]),
+    "composition": _Kind("maps", _children, lambda kids: maps.compose(*(k.build() for k in kids)),
+                         lambda kids: [k.to_obj() for k in kids]),
+}
+
+
 def _from_obj(obj) -> MapSpec:
     """Spec of a decoded document, with format checks only."""
     if not isinstance(obj, dict):
         raise MapSpecParseError(f"map spec must be a JSON object, got {type(obj).__name__}")
     kind = obj.get("kind")
-    if kind not in KINDS:
-        raise MapSpecParseError(f"unknown map kind {kind!r}; expected one of {KINDS}")
-
-    if kind == "linear":
-        _reject_extras(obj, {"kind", "matrix"})
-        raw = _require(obj, "matrix", kind)
-        if not isinstance(raw, list) or not raw or not all(isinstance(r, list) for r in raw):
-            raise MapSpecParseError("matrix must be a nonempty list of rows")
-        n = len(raw)
-        rows = []
-        for i, row in enumerate(raw):
-            if len(row) != n:
-                raise MapSpecParseError(f"matrix row {i + 1} has {len(row)} entries, expected {n}")
-            rows.append(tuple(_number(v, f"matrix[{i + 1}]") for v in row))
-        return MapSpec("linear", matrix=tuple(rows))
-
-    if kind == "chain":
-        _reject_extras(obj, {"kind", "n"})
-        n = _require(obj, "n", kind)
-        if isinstance(n, bool) or not isinstance(n, int):
-            raise MapSpecParseError(f"chain n must be an integer, got {n!r}")
-        return MapSpec("chain", n=n)
-
-    if kind == "flipflop":
-        _reject_extras(obj, {"kind", "lambda"})
-        return MapSpec("flipflop", lam=_number(_require(obj, "lambda", kind), "lambda"))
-
-    if kind == "maxpreserving":
-        _reject_extras(obj, {"kind", "gains"})
-        raw = _require(obj, "gains", kind)
-        if not isinstance(raw, list) or not raw or not all(isinstance(r, list) for r in raw):
-            raise MapSpecParseError("gains must be a nonempty list of rows")
-        n = len(raw)
-        rows = []
-        for i, row in enumerate(raw):
-            if len(row) != n:
-                raise MapSpecParseError(f"gains row {i + 1} has {len(row)} entries, expected {n}")
-            rows.append(tuple(_scalar_fn(g, f"gain ({i + 1},{j + 1})") for j, g in enumerate(row)))
-        return MapSpec("maxpreserving", gains=tuple(rows))
-
-    if kind == "diagonal":
-        _reject_extras(obj, {"kind", "functions"})
-        raw = _require(obj, "functions", kind)
-        if not isinstance(raw, list) or not raw:
-            raise MapSpecParseError("functions must be a nonempty list of strings")
-        fns = tuple(_scalar_fn(text, f"function {i + 1}") for i, text in enumerate(raw))
-        return MapSpec("diagonal", functions=fns)
-
-    _reject_extras(obj, {"kind", "maps"})
-    raw = _require(obj, "maps", kind)
-    if not isinstance(raw, list) or len(raw) < 2:
-        raise MapSpecParseError("composition needs a list of at least two child specs")
-    return MapSpec("composition", children=tuple(_from_obj(child) for child in raw))
+    if not isinstance(kind, str) or kind not in _KINDS:
+        raise MapSpecParseError(f"unknown map kind {kind!r}; expected one of {tuple(_KINDS)}")
+    entry = _KINDS[kind]
+    extras = set(obj) - {"kind", entry.field}
+    if extras:
+        raise MapSpecParseError(f"unknown fields in map spec: {sorted(extras)}")
+    if entry.field not in obj:
+        raise MapSpecParseError(f"{kind} spec is missing the {entry.field!r} field")
+    return MapSpec(kind, entry.parse(obj[entry.field]))
 
 
 def parse_map_spec(text: str) -> MapSpec:

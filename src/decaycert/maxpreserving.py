@@ -21,11 +21,12 @@ each step calls each gain once, and only the current power is kept.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .maps import MonotoneMap, gain_rows, make_max_preserving
+from .maps import MonotoneMap, _max_preserving, gain_rows
 from .scalarfn import ScalarFn, validation_grid
 
 __all__ = [
@@ -64,7 +65,7 @@ class GainTable:
         return self.rows[i - 1][j - 1]
 
     def to_map(self) -> MonotoneMap:
-        return make_max_preserving(self.rows)
+        return _max_preserving(self.rows)  # checked once, at construction
 
 
 def cycle_condition(table) -> tuple[bool, tuple[tuple[int, ...], float] | None]:
@@ -112,8 +113,8 @@ def _step(rows, w: np.ndarray) -> np.ndarray:
 
 def path_q(table: GainTable, t: float) -> np.ndarray:
     """Componentwise max of ``t e, T(t e), ..., T^{n-1}(t e)``."""
-    if t <= 0.0:
-        raise ValueError(f"t must be positive, got {t}")
+    if not (math.isfinite(t) and t > 0.0):
+        raise ValueError(f"t must be positive and finite, got {t}")
     return _q(table.to_map(), t)
 
 
@@ -132,10 +133,10 @@ def reparametrize_path(table: GainTable, r: float, tol: float = 1e-9) -> np.ndar
     bracket ``t = r/n`` always works, and the lower end is halved until
     it falls below the target (bounded; failure raises).
     """
-    if r <= 0.0:
-        raise ValueError(f"r must be positive, got {r}")
-    if tol <= 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    if not (math.isfinite(r) and r > 0.0):
+        raise ValueError(f"r must be positive and finite, got {r}")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     T = table.to_map()
 
     def norm_at(t: float) -> float:

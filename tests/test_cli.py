@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from decaycert import cli, maps
+from decaycert import dynamics, maps
 from decaycert.cli import main
 
 REPO_SPECS = Path(__file__).resolve().parents[1] / "mapspecs"
@@ -151,7 +151,7 @@ class TestVerify:
         def no_search(*args):
             raise AssertionError("the search ran")
 
-        monkeypatch.setattr(cli, "find_decay_point", no_search)
+        monkeypatch.setattr(dynamics, "find_decay_point", no_search)
         spec = write_spec(tmp_path, {"kind": "chain", "n": 3})
         code = main(["verify", "--map", spec, "-r", "10", flag, value])
         captured = capsys.readouterr()

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from decaycert.dynamics import iterate, ordering_check, solve_problem1, verify_attraction
+from decaycert.dynamics import iterate, ordering_check, solve_problem1
 from decaycert.homotopy import SolverConfig
 from decaycert.linear import random_contractive
 from decaycert.maps import (
+    MonotoneMap,
     chain_feasible_point,
     make_chain_map,
     make_flipflop_map,
@@ -79,19 +80,26 @@ class TestIterate:
                 iterate(SWAP_HALF, [1, 1], stop_tol=stop_tol)
 
 
+    @pytest.mark.parametrize("k_max", [2.5, True, "10"])
+    def test_k_max_must_be_an_int(self, k_max):
+        with pytest.raises(ValueError, match="k_max must be an int"):
+            iterate(SWAP_HALF, [1, 1], k_max=k_max)
+
+
 class TestVerifyAttraction:
+    """The trajectory half of the certificate: ``iterate(T, s*).converged``."""
+
     def test_chain_feasible_point(self):
-        ok, report = verify_attraction(make_chain_map(2), chain_feasible_point(2, 10.0))
-        assert ok and report.converged
+        report = iterate(make_chain_map(2), chain_feasible_point(2, 10.0))
+        assert report.converged
 
     def test_identity_fixed_point_is_not_attracted(self):
-        ok, report = verify_attraction(make_linear_map(np.eye(2)), [1, 1], k_max=100)
-        assert not ok
+        report = iterate(make_linear_map(np.eye(2)), [1, 1], k_max=100)
+        assert not report.converged
         np.testing.assert_allclose(report.states[-1], [1, 1])
 
     def test_linear_geometric(self):
-        ok, _ = verify_attraction(SWAP_HALF, [5, 5])
-        assert ok
+        assert iterate(SWAP_HALF, [5, 5]).converged
 
 
 class TestSolveProblem1:
@@ -115,6 +123,21 @@ class TestSolveProblem1:
             make_linear_map(A), SolverConfig(r=10.0, epsilon=0.1, max_iterations=100000), 5
         )
         assert cert.problem1_satisfied
+
+    @pytest.mark.parametrize("limits", [{"k_max": 0}, {"stop_tol": float("nan")},
+                                        {"stop_tol": 0.0}])
+    def test_bad_trajectory_limits_cost_no_evaluation(self, limits):
+        chain = make_chain_map(5)
+        evaluated = []
+
+        def fn(s):
+            evaluated.append(s)
+            return chain(s)
+
+        T = MonotoneMap(5, fn, "counted chain")
+        with pytest.raises(ValueError):
+            solve_problem1(T, SolverConfig(r=10.0, epsilon=0.1), 5, **limits)
+        assert evaluated == []
 
     def test_certificate_soundness_recheck(self):
         cfg = SolverConfig(r=10.0, epsilon=0.1, max_iterations=100000)

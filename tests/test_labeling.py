@@ -33,6 +33,11 @@ class TestLabelEps:
         with pytest.raises(ValueError):
             label_eps(SWAP_HALF, [6, 4], 0.0)
 
+    @pytest.mark.parametrize("eps", [float("nan"), float("inf")])
+    def test_rejects_non_finite_eps(self, eps):
+        with pytest.raises(ValueError, match="eps must be positive and finite"):
+            label_eps(SWAP_HALF, [6, 4], eps)
+
 
 class TestOmegaMembership:
     def test_zero_map(self):

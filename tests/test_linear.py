@@ -92,6 +92,11 @@ class TestRandomContractive:
     def test_entries_nonnegative(self):
         assert np.all(random_contractive(6, 1.2, seed=2) >= 0.0)
 
+    @pytest.mark.parametrize("rho", [float("nan"), float("inf")])
+    def test_rejects_non_finite_target(self, rho):
+        with pytest.raises(ValueError, match="rho_target must be positive and finite"):
+            random_contractive(3, rho, seed=0)
+
 
 class TestNeumannInverse:
     def test_scalar_geometric_series(self):
@@ -121,6 +126,11 @@ class TestNeumannInverse:
         # rho = 0: the series stops after one term however large that term is
         np.testing.assert_array_equal(neumann_inverse([[0, 2e12], [0, 0]]), [[1, 2e12], [0, 1]])
 
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0])
+    def test_rejects_a_bad_tolerance(self, tol):
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            neumann_inverse([[0, 0.5], [0.5, 0]], tol=tol)
+
     @pytest.mark.parametrize("A", [[[1.0]], [[0, 1], [1, 0]], [[1.2]]])
     def test_rejects_non_contractive(self, A):
         with pytest.raises(ValueError, match="spectral radius"):
@@ -149,6 +159,11 @@ class TestEpsMax:
     def test_rejects_negative_entries(self):
         with pytest.raises(ValueError, match="negative"):
             eps_max([[0.5, -0.1], [0, 0.5]], 1.0)
+
+    @pytest.mark.parametrize("r", [float("nan"), float("inf"), -1.0])
+    def test_rejects_a_bad_radius(self, r):
+        with pytest.raises(ValueError, match="r must be positive and finite"):
+            eps_max([[0.5]], r)
 
 
 class TestPerronDirection:

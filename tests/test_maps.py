@@ -52,6 +52,11 @@ class TestChainMap:
         )
         np.testing.assert_allclose(chain_feasible_point(2, 1.0), [1.0, 1.0])
 
+    @pytest.mark.parametrize("r", [float("nan"), float("inf"), 0.0])
+    def test_feasible_point_rejects_a_bad_radius(self, r):
+        with pytest.raises(ValueError, match="r must be positive and finite"):
+            chain_feasible_point(3, r)
+
     def test_feasible_point_strictly_decays(self):
         for n in range(2, 11):
             T = make_chain_map(n)

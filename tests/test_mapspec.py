@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -20,7 +22,7 @@ class TestParse:
 
     def test_chain(self):
         spec = parse_map_spec('{"kind": "chain", "n": 5}')
-        assert spec == MapSpec("chain", n=5)
+        assert spec == MapSpec("chain", 5)
         assert spec.dimension == 5
 
     def test_flipflop(self):
@@ -115,6 +117,52 @@ class TestErrors:
         with pytest.raises(MapSpecError) as got:
             parse_map_spec(text)
         assert str(got.value) == str(expected.value)
+
+    @pytest.mark.parametrize("obj, message", [
+        ({"kind": "linear"}, "linear spec is missing the 'matrix' field"),
+        ({"kind": "chain"}, "chain spec is missing the 'n' field"),
+        ({"kind": "flipflop"}, "flipflop spec is missing the 'lambda' field"),
+        ({"kind": "maxpreserving"}, "maxpreserving spec is missing the 'gains' field"),
+        ({"kind": "diagonal"}, "diagonal spec is missing the 'functions' field"),
+        ({"kind": "composition"}, "composition spec is missing the 'maps' field"),
+        ({"kind": "linear", "matrix": [[0]], "x": 1}, "unknown fields in map spec: ['x']"),
+        ({"kind": "chain", "n": 3, "x": 1}, "unknown fields in map spec: ['x']"),
+        ({"kind": "flipflop", "lambda": 0.5, "x": 1}, "unknown fields in map spec: ['x']"),
+        ({"kind": "maxpreserving", "gains": [[None]], "x": 1}, "unknown fields in map spec: ['x']"),
+        ({"kind": "diagonal", "functions": ["t"], "x": 1}, "unknown fields in map spec: ['x']"),
+        ({"kind": "composition", "maps": [], "b": 1, "a": 2},
+         "unknown fields in map spec: ['a', 'b']"),
+        ({"kind": "linear", "y": 1}, "unknown fields in map spec: ['y']"),
+        ([1, 2], "map spec must be a JSON object, got list"),
+        (3, "map spec must be a JSON object, got int"),
+        ({"kind": "affine"}, "unknown map kind 'affine'; expected one of ('linear', 'chain', "
+                             "'flipflop', 'maxpreserving', 'diagonal', 'composition')"),
+        ({"kind": ["linear"]}, "unknown map kind ['linear']; expected one of ('linear', 'chain', "
+                               "'flipflop', 'maxpreserving', 'diagonal', 'composition')"),
+        ({"kind": "linear", "matrix": 5}, "matrix must be a nonempty list of rows"),
+        ({"kind": "linear", "matrix": []}, "matrix must be a nonempty list of rows"),
+        ({"kind": "maxpreserving", "gains": "x"}, "gains must be a nonempty list of rows"),
+        ({"kind": "maxpreserving", "gains": [1, 2]}, "gains must be a nonempty list of rows"),
+        ({"kind": "maxpreserving", "gains": [[None, None], [None]]},
+         "gains row 2 has 1 entries, expected 2"),
+        ({"kind": "linear", "matrix": [[0, "a"], [0]]}, "matrix[1] must be a number, got 'a'"),
+        ({"kind": "linear", "matrix": [[0, 0], [True, 0]]}, "matrix[2] must be a number, got True"),
+        ({"kind": "chain", "n": True}, "chain n must be an integer, got True"),
+        ({"kind": "chain", "n": 3.0}, "chain n must be an integer, got 3.0"),
+        ({"kind": "flipflop", "lambda": "x"}, "lambda must be a number, got 'x'"),
+        ({"kind": "diagonal", "functions": ["t", 1]}, "function 2 must be a string or null, got 1"),
+        ({"kind": "maxpreserving", "gains": [[None, 2], [None, None]]},
+         "gain (1,2) must be a string or null, got 2"),
+        ({"kind": "diagonal", "functions": "t"}, "functions must be a nonempty list of strings"),
+        ({"kind": "composition", "maps": [{"kind": "chain", "n": 2}]},
+         "composition needs a list of at least two child specs"),
+        ({"kind": "composition", "maps": [{"kind": "chain", "n": 2}, {"kind": "chain"}]},
+         "chain spec is missing the 'n' field"),
+    ])
+    def test_format_error_message(self, obj, message):
+        with pytest.raises(MapSpecParseError) as got:
+            parse_map_spec(json.dumps(obj))
+        assert str(got.value) == message
 
     def test_format_error_comes_before_an_earlier_invariant_error(self):
         with pytest.raises(MapSpecParseError, match="unknown fields"):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from decaycert.homotopy import SolverConfig, find_decay_point
-from decaycert import maxpreserving
+from decaycert import maps, maxpreserving
 from decaycert.maxpreserving import GainTable, cycle_condition, cycle_grid, path_q, reparametrize_path
 from decaycert.scalarfn import Term
 
@@ -255,6 +255,11 @@ class TestPathQ:
         for a, b in zip(values, values[1:]):
             assert np.all(a <= b)
 
+    @pytest.mark.parametrize("t", [float("nan"), float("inf"), 0.0])
+    def test_rejects_a_bad_parameter(self, t):
+        with pytest.raises(ValueError, match="t must be positive and finite"):
+            path_q(half_id_cycle(2), t)
+
     def test_dominates_map_image_when_cycles_pass(self):
         tables = [half_id_cycle(2), half_id_cycle(3),
                   GainTable([[None, "0.5*t"], ["0.25*t", None]])]
@@ -282,16 +287,38 @@ class TestReparametrize:
 
     def test_builds_the_map_once(self, monkeypatch):
         builds = 0
-        build = maxpreserving.make_max_preserving
+        build = maxpreserving._max_preserving
 
         def counting(gains):
             nonlocal builds
             builds += 1
             return build(gains)
 
-        monkeypatch.setattr(maxpreserving, "make_max_preserving", counting)
+        monkeypatch.setattr(maxpreserving, "_max_preserving", counting)
         reparametrize_path(half_id_cycle(6), 10.0)
         assert builds == 1
+
+    def test_gains_are_checked_once_per_table(self, monkeypatch):
+        checked = []
+        check_gain = maps.check_gain
+
+        def counting(g, where):
+            checked.append(where)
+            check_gain(g, where)
+
+        monkeypatch.setattr(maps, "check_gain", counting)
+        table = GainTable([[None, "0.5*t", None], [None, None, "0.5*t"], ["0.5*t", None, None]])
+        assert len(checked) == 9
+        for t in cycle_grid():
+            path_q(table, t)
+        reparametrize_path(table, 10.0)
+        assert len(checked) == 9
+
+    @pytest.mark.parametrize("r, tol", [(float("nan"), 1e-9), (float("inf"), 1e-9),
+                                        (10.0, float("nan")), (10.0, float("inf"))])
+    def test_rejects_non_finite_arguments(self, r, tol):
+        with pytest.raises(ValueError, match="positive and finite"):
+            reparametrize_path(half_id_cycle(2), r, tol=tol)
 
     def test_result_is_almost_decaying(self):
         g = half_id_cycle(3)
