@@ -62,12 +62,17 @@ class CertificateReport:
     problem1_satisfied: bool
 
 
+def _check_steps(name: str, value: int) -> None:
+    """Reject a step count that is not an int >= 1 (a bool is not one)."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an int, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value}")
+
+
 def _check_trajectory_limits(k_max: int, stop_tol: float) -> None:
     """Reject a ``k_max`` that is not an int >= 1 and a non-positive or non-finite ``stop_tol``."""
-    if isinstance(k_max, bool) or not isinstance(k_max, int):
-        raise ValueError(f"k_max must be an int, got {k_max!r}")
-    if k_max < 1:
-        raise ValueError(f"k_max must be >= 1, got {k_max}")
+    _check_steps("k_max", k_max)
     if not (math.isfinite(stop_tol) and stop_tol > 0.0):
         raise ValueError(f"stop_tol must be positive and finite, got {stop_tol}")
 
@@ -133,6 +138,7 @@ def ordering_check(T: MonotoneMap, s0, v0, k: int) -> bool:
     For a monotone map this must always hold; it is exposed as a callable
     so the property can be exercised directly in tests and from scripts.
     """
+    _check_steps("k", k)
     s = as_point(s0, dim=T.dimension)
     v = as_point(v0, dim=T.dimension)
     if np.any(s > v):

@@ -50,6 +50,8 @@ class MonotoneMap:
     """
 
     def __init__(self, dimension: int, fn: Callable[[np.ndarray], np.ndarray], kind: str):
+        if isinstance(dimension, bool) or not isinstance(dimension, int):
+            raise ValueError(f"map dimension must be an int, got {dimension!r}")
         if dimension < 1:
             raise ValueError(f"map dimension must be >= 1, got {dimension}")
         self.dimension = dimension

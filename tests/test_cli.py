@@ -72,14 +72,14 @@ class TestFind:
 
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_nonfinite_map_value_exits_one(self, tmp_path, capsys):
-        # the pre-phase's iterate T(0.1, 0.1) + 0.1 = (1e307, 1e307) has norm
-        # above r, and T overflows to inf at its scaling onto the sphere, (5, 5)
+        # T overflows to inf at the pre-phase's first iterate, w0 = (2, 2)
         spec = write_spec(tmp_path, {"kind": "linear", "matrix": [[0, 1e308], [1e308, 0]]})
-        code = main(["find", "--map", spec, "-r", "10", "--epsilon", "0.1"])
+        code = main(["find", "--map", spec, "-r", "10", "--epsilon", "2"])
         fields = result_fields(capsys)
         assert code == 1
         assert fields["success"] == "0"
         assert fields["failure"] == "nonfinite"
+        assert fields["iterations"] == "1"
 
 
     def test_overflowing_diagonal_gain_exits_two(self, tmp_path, capsys):

@@ -164,6 +164,15 @@ class TestOrderingCheck:
         with pytest.raises(ValueError):
             ordering_check(SWAP_HALF, [2, 0], [1, 1], 5)
 
+    @pytest.mark.parametrize("k", [2.5, True, "10"])
+    def test_k_must_be_an_int(self, k):
+        with pytest.raises(ValueError, match="k must be an int"):
+            ordering_check(SWAP_HALF, [1, 1], [2, 2], k)
+
+    def test_k_must_be_positive(self):
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            ordering_check(SWAP_HALF, [1, 1], [2, 2], 0)
+
     def test_holds_across_families(self):
         # starts stay in the unit box so 25 chain-map steps remain finite
         rng = np.random.default_rng(41)

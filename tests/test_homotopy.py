@@ -148,7 +148,7 @@ class TestFindDecayPoint:
             assert report.failure_point.tolist() == [5.0, 5.0]
 
     def test_pre_phase_evaluations_count_toward_the_cap(self, monkeypatch):
-        # this case needs 8 evaluations, the first 7 of them pre-phase steps
+        # this case needs 4 evaluations, the first 3 of them pre-phase steps
         def no_walk(*args):
             raise AssertionError("the walk ran")
 
@@ -178,8 +178,10 @@ class TestFindDecayPoint:
         np.testing.assert_allclose(report.failure_point, [0.19, 0.19], rtol=1e-15)
 
     def test_proved_infeasible_point_with_a_label_walks_only_the_final_rung(self, monkeypatch):
-        # no decay point: s1 >= sqrt(s1) + 8 forces s2 >= s1^2 + 8 > 143 > r.
-        # T is not subhomogeneous, and the pre-phase's sphere point has a label
+        # no decay point: s1 >= 2 + 8 forces s2 >= s1^2 + 8 >= 108 > r.  The first
+        # component saturates, so the last pre-phase step is 0 there and no box
+        # point exists; T is not subhomogeneous, and the iterate scaled to the
+        # sphere has a label
         search_cls = homotopy.CompleteCellSearch
         rungs = 0
 
@@ -189,7 +191,8 @@ class TestFindDecayPoint:
             return search_cls(m, dim, label_of)
 
         monkeypatch.setattr(homotopy, "CompleteCellSearch", counting_search)
-        T = MonotoneMap(2, lambda s: np.array([np.sqrt(s[0]), s[0] ** 2]), "superlinear")
+        T = MonotoneMap(2, lambda s: np.array([np.sqrt(min(s[0], 4.0)), s[0] ** 2]),
+                        "saturating")
         cfg = SolverConfig(r=100.0, epsilon=8.0, max_iterations=10_000)
         report = find_decay_point(T, cfg, 2)
         assert report.failure_reason == "label_none"
@@ -205,6 +208,15 @@ class TestFindDecayPoint:
         report = find_decay_point(T, SolverConfig(r=10.0, epsilon=100.0), 2)
         assert report.failure_reason == "label_none"
         assert report.failure_point.tolist() == [5.0, 5.0]
+
+    def test_label_none_when_the_first_iterate_lies_outside_the_sphere(self):
+        # w0 = (1, 1) already has norm 2 > r and T(w0) = 0: the last step is 0,
+        # so there is no box point, and w1 = w0 scaled to the sphere has no label
+        T = make_linear_map(np.zeros((2, 2)))
+        report = find_decay_point(T, SolverConfig(r=1.0, epsilon=1.0), 2)
+        assert report.failure_reason == "label_none"
+        assert report.iterations == 2
+        assert report.failure_point.tolist() == [0.5, 0.5]
 
     def test_dimension_checks(self):
         T = make_chain_map(3)
@@ -230,19 +242,21 @@ GOLDEN_WALKS = [
      [1.5625762201636155, 1.784146270600348, 1.6825451008792094, 1.4457098471192324,
       1.9438228231111778, 1.5811997381264176]),
     ("linear n=3 rho=0.8 seed 0 at 0.9 eps_max",
-     lambda: make_linear_map(random_contractive(3, 0.8, 0)), 0.6387007034997124, 8,
-     [2.109192901464323, 4.056464009443661, 3.834343089092016]),
+     lambda: make_linear_map(random_contractive(3, 0.8, 0)), 0.6387007034997124, 4,
+     [2.0091425364581363, 4.1304949448302395, 3.8603625187116246]),
 ]
 
 
 # random_contractive(6, 0.99, 6) at 0.99 and 1.01 eps_max (eps_max = 0.016722...).
-# Near rho = 1 the pre-phase runs for hundreds of steps before one of its
-# two rules fires.  These cases are not in GOLDEN_PATH_SHA256 below.
+# Near rho = 1 the iterates crawl at the contraction rate.  The extrapolated
+# candidate answers the feasible case after 7 steps; the norm rule needs
+# hundreds of steps to prove the infeasible one.  These cases are not in
+# GOLDEN_PATH_SHA256 below.
 NEAR_UNIT_WALKS = [
     ("linear n=6 rho=0.99 seed 6 at 0.99 eps_max",
-     lambda: make_linear_map(random_contractive(6, 0.99, 6)), 0.01655525803660378, 249,
-     [1.8546187424723055, 1.5783476669914678, 1.5392327547610012, 1.5730730086384355,
-      1.6367913873179534, 1.817936439818837]),
+     lambda: make_linear_map(random_contractive(6, 0.99, 6)), 0.01655525803660378, 8,
+     [1.8547868043946603, 1.5783096657336284, 1.5390622939151315, 1.5730196731538577,
+      1.6367632446323095, 1.8180583181704135]),
 ]
 
 
@@ -259,25 +273,25 @@ def test_golden_walk(name, build, eps, iterations, s_star):
 
 
 # Failures pinned at r=10: the reason, the evaluation count and the point
-# where the covering failed (the pre-phase's last iterate scaled to the
-# sphere, compared to 1e-12 as in GOLDEN_WALKS).  eps is 0.05 * r / (2n)
-# unless given.
+# where the covering failed (the pre-phase's box point, where its last step
+# crosses the sphere; compared to 1e-12 as in GOLDEN_WALKS).  eps is
+# 0.05 * r / (2n) unless given.
 GOLDEN_FAILURES = [
-    ("n=3 rho=1.2 seed 0", 3, 1.2, 0, None, 100_000, "label_none", 13,
-     [1.508247000719773, 4.532573562932066, 3.95917943634816]),
-    ("n=4 rho=1.0 seed 1", 4, 1.0, 1, None, 100_000, "label_none", 40,
-     [3.0688970212779587, 2.3554281323558284, 2.3157116891308998, 2.2599631572353145]),
-    ("n=5 rho=1.2 seed 2", 5, 1.2, 2, None, 100_000, "label_none", 13,
-     [1.7640869222274378, 1.6483021814920875, 1.9395430570871515, 2.2573601279486586,
-      2.390707711244665]),
+    ("n=3 rho=1.2 seed 0", 3, 1.2, 0, None, 100_000, "label_none", 12,
+     [1.5157533852184155, 4.5261120881719705, 3.958134526609614]),
+    ("n=4 rho=1.0 seed 1", 4, 1.0, 1, None, 100_000, "label_none", 39,
+     [3.068704554371004, 2.355486157326147, 2.315753856391144, 2.260055431911704]),
+    ("n=5 rho=1.2 seed 2", 5, 1.2, 2, None, 100_000, "label_none", 12,
+     [1.7649135880733084, 1.6496548647901081, 1.939601016936678, 2.2568689775803747,
+      2.3889615526195316]),
 ]
 
 
 NEAR_UNIT_FAILURES = [
     ("n=6 rho=0.99 seed 6 at 1.01 eps_max", 6, 0.99, 6, 0.016889707693908906, 100_000,
-     "label_none", 460,
-     [1.8547880058102675, 1.5782958720706741, 1.5390495152899422, 1.5730134736490728,
-      1.636791374154033, 1.8180617590260089]),
+     "label_none", 459,
+     [1.854787834909061, 1.5782959243667867, 1.5390497003025225, 1.57301353376015,
+      1.6367913741673246, 1.818061632494156]),
 ]
 
 
@@ -302,7 +316,7 @@ def test_golden_failure(name, n, rho, seed, eps, cap, reason, iterations, point)
 # before its cap.  It pins the path itself, not only where the path ends.
 # Points are hashed to 10 significant digits, so that the last bits of
 # matrix arithmetic (see GOLDEN_WALKS) do not move the digest.
-GOLDEN_PATH_SHA256 = "7e3bcac3fa67ce04c593d687b68429b0584b4851cb17beb140b60213ae195bc1"
+GOLDEN_PATH_SHA256 = "98a5ceea1b36a82bb4807c3752253216af36187dda629ed57321c6d314a96e43"
 
 
 def test_golden_path():
@@ -333,6 +347,87 @@ def superlinear(n: int) -> MonotoneMap:
     return compose(make_linear_map(random_contractive(n, 0.8, 0)), make_diagonal(["t^1.2"] * n))
 
 
+def recorded(T: MonotoneMap) -> tuple[MonotoneMap, list[np.ndarray]]:
+    """``T`` wrapped to record a copy of every point the solver evaluates."""
+    seen: list[np.ndarray] = []
+
+    def fn(s):
+        seen.append(np.array(s))
+        return T(s)
+
+    return MonotoneMap(T.dimension, fn, T.kind), seen
+
+
+# Runs that the norm rule proves infeasible: (name, build, eps, r)
+BOX_POINT_CASES = [
+    *[(name, lambda n=n, rho=rho, seed=seed: make_linear_map(random_contractive(n, rho, seed)),
+       0.05 * 10.0 / (2 * n), 10.0)
+      for name, n, rho, seed, *_ in GOLDEN_FAILURES],
+    ("A s^1.2 n=4 eps=0.4", lambda: superlinear(4), 0.4, 10.0),
+    ("A s^1.2 n=6 eps=0.4", lambda: superlinear(6), 0.4, 10.0),
+    ("sqrt and square", lambda: MonotoneMap(
+        2, lambda s: np.array([np.sqrt(s[0]), s[0] ** 2]), "superlinear"), 8.0, 100.0),
+]
+
+
+@pytest.mark.parametrize("name,build,eps,r", BOX_POINT_CASES,
+                         ids=[case[0] for case in BOX_POINT_CASES])
+def test_proved_infeasible_run_ends_at_an_unevaluated_box_point(name, build, eps, r):
+    # the norm rule's last step crosses the sphere strictly inside its box
+    # [w_k, w_k+1], so monotonicity alone proves the crossing point has no label
+    T = build()
+    watched, seen = recorded(T)
+    report = find_decay_point(watched, SolverConfig(r=r, epsilon=eps, max_iterations=10_000),
+                              T.dimension)
+    assert report.failure_reason == "label_none"
+    q = report.failure_point
+    assert abs(float(np.sum(q)) - r) <= 1e-9 * r
+    assert not np.any(T(q) + eps <= q)
+    assert len(seen) == report.iterations
+    assert not any(np.array_equal(q, point) for point in seen)
+
+
+def test_failed_extrapolated_candidate_costs_one_evaluation(monkeypatch):
+    # A s^1.5 looks contractive at w0 = 0.4 1, so the extrapolated candidate
+    # (the second evaluation, on the sphere) fails; the pre-phase goes on
+    # without extrapolating and the norm rule proves infeasibility
+    def no_walk(*args):
+        raise AssertionError("the walk ran")
+
+    monkeypatch.setattr(homotopy, "CompleteCellSearch", no_walk)
+    T = compose(make_linear_map(random_contractive(8, 0.8, 0)), make_diagonal(["t^1.5"] * 8))
+    watched, seen = recorded(T)
+    report = find_decay_point(watched, SolverConfig(r=10.0, epsilon=0.4, max_iterations=10_000), 8)
+    assert report.failure_reason == "label_none"
+    assert report.iterations == len(seen) == 6
+    on_sphere = [i for i, s in enumerate(seen) if abs(float(np.sum(s)) - 10.0) <= 1e-8]
+    assert on_sphere == [1]
+
+
+def test_extrapolated_candidate_is_tested_at_most_once(monkeypatch):
+    # linear below 1.05 w* and steep above it: the iterates stay linear, so
+    # the extrapolated bound keeps clearing, but every sphere point near s*
+    # fails.  One extrapolated point is tested; the rest of the pre-phase
+    # runs as without extrapolation until its plain candidate fires
+    class Walked(Exception):
+        pass
+
+    def no_walk(*args):
+        raise Walked
+
+    monkeypatch.setattr(homotopy, "CompleteCellSearch", no_walk)
+    A = random_contractive(3, 0.8, 0)
+    eps = 0.9 * eps_max(A, 10.0)
+    bend = 1.05 * np.linalg.solve(np.eye(3) - A, np.full(3, eps))
+    T = MonotoneMap(3, lambda s: A @ s + 10.0 * np.maximum(s - bend, 0.0), "bent")
+    watched, seen = recorded(T)
+    with pytest.raises(Walked):
+        find_decay_point(watched, SolverConfig(r=10.0, epsilon=eps, max_iterations=1000), 3)
+    on_sphere = [abs(float(np.sum(s)) - 10.0) <= 1e-8 for s in seen]
+    last_iterate = max(i for i, sphere in enumerate(on_sphere) if not sphere)
+    assert sum(on_sphere[:last_iterate]) == 1
+
+
 @pytest.mark.parametrize("n", [6, 8, 10, 12])
 def test_sphere_stage_answers_a_superlinear_map(n):
     # the pre-phase's candidate r 1/n fails; the walk alone takes 568-3,189 evaluations
@@ -355,11 +450,11 @@ def test_sphere_stage_finds_near_limit_points(n, eps):
 
 
 # Counts at random_contractive(n, 0.8, seed), seeds 0..2, at half and 0.9 of
-# eps_max: the same as before the sphere stage existed, since it runs only
-# after a failed candidate, and a linear map's candidate always passes.
+# eps_max.  The sphere stage runs only after a failed candidate, and a
+# linear map's candidate, plain or extrapolated, always passes.
 LINEAR_COUNTS = {
-    0.5: {2: [4, 4, 3], 4: [5, 3, 4], 6: [4, 3, 3], 8: [4, 3, 3], 10: [4, 3, 4]},
-    0.9: {2: [9, 8, 7], 4: [10, 7, 9], 6: [8, 6, 7], 8: [9, 6, 7], 10: [8, 6, 8]},
+    0.5: {2: [3, 3, 3], 4: [3, 3, 3], 6: [3, 3, 3], 8: [3, 3, 3], 10: [3, 3, 3]},
+    0.9: {2: [3, 4, 5], 4: [5, 3, 4], 6: [4, 3, 4], 8: [4, 3, 4], 10: [3, 4, 4]},
 }
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from decaycert.maps import (
+    MonotoneMap,
     chain_feasible_point,
     compose,
     make_chain_map,
@@ -210,6 +211,17 @@ class TestCompose:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             compose(make_chain_map(2), make_chain_map(3))
+
+
+@pytest.mark.parametrize("dimension", [2.5, True, "3", 2.0])
+def test_map_dimension_must_be_an_int(dimension):
+    with pytest.raises(ValueError, match="dimension must be an int"):
+        MonotoneMap(dimension, lambda s: s, "identity")
+
+
+def test_chain_map_rejects_a_fractional_n():
+    with pytest.raises(ValueError, match="dimension must be an int"):
+        make_chain_map(2.5)
 
 
 def _family_zoo(rng):

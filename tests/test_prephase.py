@@ -11,7 +11,7 @@ import pytest
 
 from decaycert.homotopy import SolverConfig, find_decay_point
 from decaycert.linear import eps_max
-from decaycert.maps import make_linear_map
+from decaycert.maps import MonotoneMap, make_linear_map
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -83,3 +83,25 @@ def test_near_unit_rho_feasible_eps_succeeds(A, fraction):
 @hypothesis.given(contractive(NEAR_UNIT_RHO), st.floats(1.01, 1.1))
 def test_near_unit_rho_infeasible_eps_ends_in_label_none(A, fraction):
     check_infeasible(A, fraction, NEAR_UNIT_CAP)
+
+
+# Linear T below the limit: the candidate bound, plain or extrapolated, is a
+# proof, so the first sphere point the solver evaluates is s* itself.  Every
+# iterate lies below the limit w* = (I - A)^-1 eps 1, whose norm is at most
+# 0.999 r, so the evaluated points on the sphere are told apart by norm.
+@hypothesis.settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@hypothesis.given(contractive(st.floats(0.05, 0.999)), st.floats(1e-3, 0.999))
+def test_feasible_eps_evaluates_one_sphere_point(A, fraction):
+    eps = fraction * eps_max(A, R)
+    seen = []
+
+    def recording(s):
+        seen.append(np.array(s))
+        return A @ s
+
+    T = MonotoneMap(len(A), recording, "linear")
+    report = find_decay_point(T, SolverConfig(R, eps, NEAR_UNIT_CAP), len(A))
+    assert report.success, report.failure_reason
+    on_sphere = [s for s in seen if abs(float(np.sum(s)) - R) <= 1e-9 * R]
+    assert len(on_sphere) == 1
+    np.testing.assert_array_equal(on_sphere[0], report.s_star)
