@@ -97,16 +97,17 @@ def iterate(
     sup = float(np.max(s))
     if sup < stop_tol:
         return TrajectoryReport(states, steps, True, 0, sup)
-    for k in range(1, k_max + 1):
-        s = T(s)
-        sup = float(np.max(s))
-        # a NaN or inf in s, whose components are >= 0, makes sup non-finite
-        stop = sup < stop_tol or not math.isfinite(sup) or k == k_max
-        if k <= DENSE_STEPS or k % THIN_EVERY == 0 or stop:
-            states.append(s)
-            steps.append(k)
-        if stop:
-            return TrajectoryReport(states, steps, sup < stop_tol, k, sup)
+    with np.errstate(over="ignore"):  # an overflow ends the run at a non-finite state
+        for k in range(1, k_max + 1):
+            s = T(s)
+            sup = float(np.max(s))
+            # a NaN or inf in s, whose components are >= 0, makes sup non-finite
+            stop = sup < stop_tol or not math.isfinite(sup) or k == k_max
+            if k <= DENSE_STEPS or k % THIN_EVERY == 0 or stop:
+                states.append(s)
+                steps.append(k)
+            if stop:
+                return TrajectoryReport(states, steps, sup < stop_tol, k, sup)
 
 
 def solve_problem1(

@@ -63,8 +63,36 @@ and for linear ``T`` it passes: ``random_contractive(6, 0.99, 6)`` at
 249.  For any other map it is only a tested point.  If it fails, the
 pre-phase goes on as if it had not been tested, without extrapolating
 again, so a misleading map costs one evaluation.  The norm rule comes
-first: once it fires, no sphere point can pass.  For linear ``T`` the
-norm rule still needs steps growing like ``1/(1 - rho)``.
+first: once it fires, no sphere point can pass.
+
+**Lower tail bound.**  The norm rule alone also needs steps growing like
+``1/(1 - rho)`` for linear ``T``, on the infeasible side.  So the
+pre-phase bounds the limit ``w*`` from below as well.  Let
+``theta = min d_{k,i} / d_{k-1,i}`` over the components with
+``d_{k-1,i} > 0`` (a Collatz-Wielandt lower ratio); when no component
+of ``d_k`` is negative, ``d_k >= theta d_{k-1}``.  For linear ``T = A`` each step is
+``d_{j+1} = A d_j``, so by induction ``d_{k+j} >= theta^j d_k``:
+
+* if ``theta < 1``, then ``w* >= y = w_k + d_k/(1 - theta)``, and
+  ``A y + eps 1 >= y`` (``A y + eps 1 = w_{k+1} + d_{k+1}/(1 - theta)``
+  and ``d_{k+1} >= theta d_k``).  Once ``|y|_1 > r (1 + 1e-9)``, the
+  sphere point ``p = l y`` with ``l = r/|y|_1 < 1`` has no label:
+  ``A p + eps 1 >= l (y - eps 1) + eps 1 > p``.
+* if ``theta >= 1``, the iterates diverge along ``d_k``, and
+  ``A d_k >= d_k`` gives ``A p + eps 1 > p`` for ``p`` on the ray of ``d_k``.
+
+Either way the pre-phase evaluates ``p`` once and, if it has no label,
+ends in ``label_none`` there: ``random_contractive(6, 0.999, s)`` at
+1.01 ``eps_max`` takes 8-10 evaluations where the norm rule took 4,612.
+``y`` is computed scaled by ``1 - theta``, so it cannot overflow, and
+the norm rule is checked first: it is a proof for every monotone ``T``,
+and it keeps infinite steps away from this bound.  For any other map
+``p`` is only a tested point; if it has a label the pre-phase goes on
+without this bound, so again a misleading map costs one evaluation.  A
+feasible linear run never tests it: its iterates are bounded, so
+``theta < 1``, and ``y <= w*`` with ``|w*|_1 <= r``.  The bound's speed
+depends on how fast ``theta`` settles near ``rho``, so a small spectral
+gap or a weakly coupled component slows it.
 
 The iterates are not sphere points and never enter the memo, so only a
 sphere point that passed the direct margin test is ever returned.
@@ -195,7 +223,7 @@ class _NoLabel(Exception):
         self.point = point
 
 
-# Relative rounding allowance of the pre-phase's two proofs.
+# Relative rounding allowance of the pre-phase's proofs and tail bounds.
 _ROUNDING = 1e-9
 
 
@@ -210,7 +238,7 @@ def _slack_ladder(eps: float, r: float, n: int) -> list[float]:
     rungs = []
     j = 1
     while True:
-        rung = eps * 2.0 ** (j / 2.0)
+        rung = math.ldexp(eps * 2.0 ** (j % 2 / 2.0), j // 2)  # eps 2^(j/2), without overflow
         if rung > top:
             break
         rungs.append(rung)
@@ -257,6 +285,28 @@ def _extrapolated(w: np.ndarray, prev: np.ndarray, step: np.ndarray, eps: float,
     return None
 
 
+def _lower_extrapolated(w: np.ndarray, prev: np.ndarray, step: np.ndarray,
+                        r: float) -> np.ndarray | None:
+    """A direction ``v`` whose sphere point has no label for linear T, or None.
+
+    ``step = T(w) + eps - w`` follows the iterate step ``prev``, and
+    ``theta = min step_i / prev_i`` over the components with ``prev_i > 0``.
+    If ``theta >= 1`` the iterates diverge along ``v = step``.  Otherwise
+    ``w* >= y = w + step/(1 - theta)`` for linear T, and ``v = (1 - theta) y``
+    (so it cannot overflow) is returned when ``|y|_1 > r (1 + 1e-9)``.
+    """
+    base = prev > 0.0
+    if not np.any(base) or not np.all(step >= 0.0):
+        return None  # no ratio to take, or a component stepped down
+    theta = float(np.min(step[base] / prev[base]))
+    if theta >= 1.0:
+        return step
+    y = (1.0 - theta) * w + step
+    if float(np.sum(y)) > (1.0 - theta) * r * (1.0 + _ROUNDING):
+        return y
+    return None
+
+
 def find_decay_point(T: MonotoneMap, cfg: SolverConfig, n: int) -> SolveReport:
     """Search the sphere of radius ``cfg.r`` for a point with ``Ts << s``.
 
@@ -274,12 +324,16 @@ def find_decay_point(T: MonotoneMap, cfg: SolverConfig, n: int) -> SolveReport:
     values are named ``nonfinite`` at the iterate.  Besides each iterate's
     own candidate it tests at most one extrapolated candidate
     ``w_k + theta/(1 - theta) (w_{k+1} - w_k)`` on the sphere, which its
-    tail bound proves for linear maps.  It either returns a certificate,
-    ends in ``label_none`` at a sphere point that it proved infeasible
-    (the unevaluated box point where its last step crosses the sphere, or
-    else the last iterate on the sphere, checked to have no label), or
-    hands the slack rungs left to walk to the ladder below; after a
-    failed candidate, the sphere stage's power steps run first.
+    upper tail bound proves for linear maps, and at most one point of its
+    lower tail bound, ``w_k + (w_{k+1} - w_k)/(1 - theta_lo)`` or the last
+    step's direction scaled to the sphere, which that bound proves
+    unlabelled for linear maps.  It either returns a certificate, ends in
+    ``label_none`` at a sphere point that it proved infeasible (the
+    unevaluated box point where its last step crosses the sphere, or else
+    the lower tail bound's point or the last iterate on the sphere, each
+    checked to have no label), or hands the slack rungs left to walk to
+    the ladder below; after a failed candidate, the sphere stage's power
+    steps run first.
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
@@ -349,6 +403,11 @@ def find_decay_point(T: MonotoneMap, cfg: SolverConfig, n: int) -> SolveReport:
                 return
             best = margin
 
+    def label_none(p: np.ndarray) -> _Finished:
+        """The end of the search at ``p``, a point without a label at slack eps."""
+        return _Finished(SolveReport(False, None, count, failure_reason="label_none",
+                                     failure_point=p))
+
     def order_interval() -> list[float]:
         """The pre-phase: iterate ``w <- T(w) + eps`` from ``eps 1``; the rungs left to walk.
 
@@ -357,7 +416,7 @@ def find_decay_point(T: MonotoneMap, cfg: SolverConfig, n: int) -> SolveReport:
         """
         w = np.full(n, eps)
         step = np.full(n, eps)  # w_0 - w_-1, where w_-1 = T(0) = 0
-        extrapolate = True
+        extrapolate = bound_below = True
         while True:
             Tw, margin = counted(w)
             up = Tw + eps
@@ -371,35 +430,37 @@ def find_decay_point(T: MonotoneMap, cfg: SolverConfig, n: int) -> SolveReport:
                     p = on_sphere(up)
                     if label_index(p, evaluate(p), eps) is not None:
                         return [eps]
-                raise _Finished(SolveReport(False, None, count, failure_reason="label_none",
-                                            failure_point=p))
+                raise label_none(p)
             x = _extrapolated(w, prev, step, eps, r) if extrapolate else None
             if x is not None:
                 evaluate(on_sphere(x))  # ends the search if it passes, as it must for linear T
                 extrapolate = False  # the bound misled: at most one such test per solve
+            v = _lower_extrapolated(w, prev, step, r) if bound_below else None
+            if v is not None:
+                p = on_sphere(v)
+                if label_index(p, evaluate(p), eps) is None:  # as it must for linear T
+                    raise label_none(p)
+                bound_below = False  # the bound misled: at most one such test per solve
             w = up
 
     try:
-        for label_slack in order_interval():
-            try:
-                # level 1's one cell is the whole simplex: only its barycentre can be a certificate
-                evaluate(np.full(n, r / n))
-                m = 2
-                while True:
-                    verts = CompleteCellSearch(m, n, make_label_of(m, label_slack)).find()
-                    bary = np.asarray(verts, dtype=float).mean(axis=0) * (r / m)
-                    evaluate(bary)
-                    m *= 2
-            except _NoLabel as miss:
-                if label_slack == eps:
-                    return SolveReport(
-                        False,
-                        None,
-                        count,
-                        failure_reason="label_none",
-                        failure_point=miss.point,
-                    )
-                # covering fails at the inflated slack; step the ladder down
+        # an overflow in T or in the pre-phase is named by the finiteness checks
+        with np.errstate(over="ignore"):
+            for label_slack in order_interval():
+                try:
+                    # level 1's one cell is the whole simplex: only its barycentre can be a
+                    # certificate
+                    evaluate(np.full(n, r / n))
+                    m = 2
+                    while True:
+                        verts = CompleteCellSearch(m, n, make_label_of(m, label_slack)).find()
+                        bary = np.asarray(verts, dtype=float).mean(axis=0) * (r / m)
+                        evaluate(bary)
+                        m *= 2
+                except _NoLabel as miss:
+                    if label_slack == eps:
+                        raise label_none(miss.point)
+                    # covering fails at the inflated slack; step the ladder down
     except _Finished as finished:
         return finished.report
     raise AssertionError("slack ladder ended without a rung at eps")  # pragma: no cover

@@ -78,6 +78,13 @@ def cycle_condition(table) -> tuple[bool, tuple[tuple[int, ...], float] | None]:
     ``(i, i2, ..., ik)`` whose composition ``g_{i i2} o ... o g_{ik i}``
     is ``>= t``.  No shorter closed walk violates on the grid, so the walk
     is a simple cycle unless a sub-cycle of it violates only off the grid.
+
+    The verdict covers only the grid ``{0} u [1e-3, 1e3]``: ``t = 0`` through
+    ``g(0) = 0``, which every gain is checked for, and ``[1e-3, 1e3]``
+    through the 49 points of :func:`cycle_grid`, sampled rather than
+    proved between them.  A cycle that reaches the
+    identity only outside that range passes: ``1e-4*t^0.5`` on the
+    diagonal meets it at ``t = 1e-8``, and ``1e-4*t^2`` at ``t = 1e4``.
     """
     if not isinstance(table, GainTable):
         table = GainTable(table)

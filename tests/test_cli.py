@@ -70,7 +70,6 @@ class TestFind:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
-    @pytest.mark.filterwarnings("ignore:overflow")
     def test_nonfinite_map_value_exits_one(self, tmp_path, capsys):
         # T overflows to inf at the pre-phase's first iterate, w0 = (2, 2)
         spec = write_spec(tmp_path, {"kind": "linear", "matrix": [[0, 1e308], [1e308, 0]]})
@@ -81,6 +80,19 @@ class TestFind:
         assert fields["failure"] == "nonfinite"
         assert fields["iterations"] == "1"
 
+    @pytest.mark.parametrize("command,spec,flags", [
+        ("verify", "flipflop.json", ["-r", "1e300", "--epsilon", "1e-3"]),
+        ("find", "chain5.json", ["-r", "1e308", "--epsilon", "0.1"]),
+        ("find", "chain5.json", ["-r", "1e308"]),
+    ], ids=["flipflop-verify", "chain5-find", "chain5-find-default-epsilon"])
+    def test_overflowing_map_is_named_without_a_warning(self, capsys, command, spec, flags):
+        # the maps' powers overflow at the pre-phase's iterates; at the default
+        # epsilon the slack ladder climbs over 2,000 rungs towards r/(2n)
+        code = main([command, "--map", str(REPO_SPECS / spec)] + flags)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == ""
+        assert "failure=nonfinite" in captured.out
 
     def test_overflowing_diagonal_gain_exits_two(self, tmp_path, capsys):
         # t^200 overflows a float on the K-infinity sampling grid (up to 1e3)

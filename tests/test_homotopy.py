@@ -1,4 +1,5 @@
 import hashlib
+import math
 from itertools import product
 
 import numpy as np
@@ -169,13 +170,15 @@ class TestFindDecayPoint:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_nonfinite_pre_phase_iterate_is_named(self, bad):
-        # w0 = (0.1, 0.1) gives no candidate at r = 0.5, so the second step
-        # evaluates the iterate w1 = 0.9 w0 + 0.1 = (0.19, 0.19)
-        T = MonotoneMap(2, lambda s: np.full(2, bad) if s[0] > 0.15 else 0.9 * s, "partial")
+        # w0 = (0.1, 0.1) gives no candidate at r = 0.5, and neither tail bound
+        # fires (the lower one, w0 + d0/(1 - 0.1), has norm 0.31 < r),
+        # so the second step evaluates the iterate w1 = (0.9, 0.1) w0 + 0.1
+        T = MonotoneMap(2, lambda s: np.full(2, bad) if s[0] > 0.15 else np.array([0.9, 0.1]) * s,
+                        "partial")
         report = find_decay_point(T, SolverConfig(r=0.5, epsilon=0.1), 2)
         assert report.failure_reason == "nonfinite"
         assert report.iterations == 2
-        np.testing.assert_allclose(report.failure_point, [0.19, 0.19], rtol=1e-15)
+        np.testing.assert_allclose(report.failure_point, [0.19, 0.11], rtol=1e-15)
 
     def test_proved_infeasible_point_with_a_label_walks_only_the_final_rung(self, monkeypatch):
         # no decay point: s1 >= 2 + 8 forces s2 >= s1^2 + 8 >= 108 > r.  The first
@@ -201,7 +204,6 @@ class TestFindDecayPoint:
         assert not np.any(T(p) + 8.0 <= p)
         assert abs(float(np.sum(p)) - 100.0) <= 1e-9 * 100.0
 
-    @pytest.mark.filterwarnings("ignore:overflow")
     def test_label_none_point_is_on_the_sphere_when_the_iterate_norm_overflows(self):
         # w0 = (100, 100) maps to (1e308, 1e308), whose 1-norm overflows to inf
         T = make_linear_map([[0.0, 1e306], [1e306, 0.0]])
@@ -224,6 +226,15 @@ class TestFindDecayPoint:
             find_decay_point(T, SolverConfig(r=1.0), 2)
         with pytest.raises(ValueError):
             find_decay_point(make_linear_map([[0.5]]), SolverConfig(r=1.0), 1)
+
+
+def test_slack_ladder_rungs():
+    rungs = [0.1 * 2.0 ** (j / 2.0) for j in range(9, 0, -1)]  # up to r/(2n) = 2.5
+    assert homotopy._slack_ladder(0.1, 10.0, 2) == rungs + [0.1]
+    # 2.0 ** (j / 2) alone overflows past j = 2047, long before eps 2^(j/2) passes r/(2n)
+    ladder = homotopy._slack_ladder(1e-3, 1e308, 5)
+    assert ladder[-1] == 1e-3 and ladder[0] <= 1e308 / 10 < ladder[0] * 2.0 ** 0.5
+    assert all(math.isclose(a, b * 2.0 ** 0.5) for a, b in zip(ladder, ladder[1:]))
 
 
 # Evaluation counts and decay points pinned at r=10, cap 100 000, eps=0.1
@@ -249,9 +260,9 @@ GOLDEN_WALKS = [
 
 # random_contractive(6, 0.99, 6) at 0.99 and 1.01 eps_max (eps_max = 0.016722...).
 # Near rho = 1 the iterates crawl at the contraction rate.  The extrapolated
-# candidate answers the feasible case after 7 steps; the norm rule needs
-# hundreds of steps to prove the infeasible one.  These cases are not in
-# GOLDEN_PATH_SHA256 below.
+# candidate answers the feasible case after 7 steps, and the lower tail bound
+# the infeasible one after 7; the norm rule alone needs 459 steps there.
+# These cases are not in GOLDEN_PATH_SHA256 below.
 NEAR_UNIT_WALKS = [
     ("linear n=6 rho=0.99 seed 6 at 0.99 eps_max",
      lambda: make_linear_map(random_contractive(6, 0.99, 6)), 0.01655525803660378, 8,
@@ -273,25 +284,25 @@ def test_golden_walk(name, build, eps, iterations, s_star):
 
 
 # Failures pinned at r=10: the reason, the evaluation count and the point
-# where the covering failed (the pre-phase's box point, where its last step
-# crosses the sphere; compared to 1e-12 as in GOLDEN_WALKS).  eps is
+# where the covering failed (the sphere point of the pre-phase's lower tail
+# bound, its last evaluation; compared to 1e-12 as in GOLDEN_WALKS).  eps is
 # 0.05 * r / (2n) unless given.
 GOLDEN_FAILURES = [
-    ("n=3 rho=1.2 seed 0", 3, 1.2, 0, None, 100_000, "label_none", 12,
-     [1.5157533852184155, 4.5261120881719705, 3.958134526609614]),
-    ("n=4 rho=1.0 seed 1", 4, 1.0, 1, None, 100_000, "label_none", 39,
-     [3.068704554371004, 2.355486157326147, 2.315753856391144, 2.260055431911704]),
-    ("n=5 rho=1.2 seed 2", 5, 1.2, 2, None, 100_000, "label_none", 12,
-     [1.7649135880733084, 1.6496548647901081, 1.939601016936678, 2.2568689775803747,
-      2.3889615526195316]),
+    ("n=3 rho=1.2 seed 0", 3, 1.2, 0, None, 100_000, "label_none", 4,
+     [1.4844950029961805, 4.538647330499093, 3.976857666504727]),
+    ("n=4 rho=1.0 seed 1", 4, 1.0, 1, None, 100_000, "label_none", 3,
+     [3.090280207626511, 2.343052510016477, 2.300868329220781, 2.2657989531362324]),
+    ("n=5 rho=1.2 seed 2", 5, 1.2, 2, None, 100_000, "label_none", 3,
+     [1.736512185530354, 1.6454704528203892, 1.9611977917948793, 2.2443594571733616,
+      2.4124601126810163]),
 ]
 
 
 NEAR_UNIT_FAILURES = [
     ("n=6 rho=0.99 seed 6 at 1.01 eps_max", 6, 0.99, 6, 0.016889707693908906, 100_000,
-     "label_none", 459,
-     [1.854787834909061, 1.5782959243667867, 1.5390497003025225, 1.57301353376015,
-      1.6367913741673246, 1.818061632494156]),
+     "label_none", 8,
+     [1.8547812179313843, 1.5783113722895545, 1.5390683389865731, 1.5730216369134007,
+      1.6367632513906833, 1.818054182488405]),
 ]
 
 
@@ -316,7 +327,7 @@ def test_golden_failure(name, n, rho, seed, eps, cap, reason, iterations, point)
 # before its cap.  It pins the path itself, not only where the path ends.
 # Points are hashed to 10 significant digits, so that the last bits of
 # matrix arithmetic (see GOLDEN_WALKS) do not move the digest.
-GOLDEN_PATH_SHA256 = "98a5ceea1b36a82bb4807c3752253216af36187dda629ed57321c6d314a96e43"
+GOLDEN_PATH_SHA256 = "5d7ee10a17315be7007c1383a7e02fe26cd9cd1018ba0064bf305e3550dc62fd"
 
 
 def test_golden_path():
@@ -358,15 +369,24 @@ def recorded(T: MonotoneMap) -> tuple[MonotoneMap, list[np.ndarray]]:
     return MonotoneMap(T.dimension, fn, T.kind), seen
 
 
-# Runs that the norm rule proves infeasible: (name, build, eps, r)
+def first_step_across(A: np.ndarray, r: float) -> float:
+    """The eps at which the pre-phase's first step, from ``eps 1`` to ``eps (A1 + 1)``,
+    crosses the sphere halfway.  The norm rule then fires before either tail bound."""
+    return r / (len(A) + 0.5 * float(np.sum(A)))
+
+
+# Runs that the norm rule proves infeasible: (name, build, eps, r).  The
+# lower tail bound ends most such runs first; in these the norm rule fires
+# before it.  Each linear map's first step crosses the sphere, and so does
+# the superlinear maps' first (n = 6) or second (n = 4) step at these radii.
 BOX_POINT_CASES = [
     *[(name, lambda n=n, rho=rho, seed=seed: make_linear_map(random_contractive(n, rho, seed)),
-       0.05 * 10.0 / (2 * n), 10.0)
+       first_step_across(random_contractive(n, rho, seed), 10.0), 10.0)
       for name, n, rho, seed, *_ in GOLDEN_FAILURES],
-    ("A s^1.2 n=4 eps=0.4", lambda: superlinear(4), 0.4, 10.0),
-    ("A s^1.2 n=6 eps=0.4", lambda: superlinear(6), 0.4, 10.0),
+    ("A s^1.2 n=4 eps=0.4", lambda: superlinear(4), 0.4, 3.5),
+    ("A s^1.2 n=6 eps=0.4", lambda: superlinear(6), 0.4, 3.0),
     ("sqrt and square", lambda: MonotoneMap(
-        2, lambda s: np.array([np.sqrt(s[0]), s[0] ** 2]), "superlinear"), 8.0, 100.0),
+        2, lambda s: np.array([np.sqrt(s[0]), s[0] ** 2]), "superlinear"), 9.0, 100.0),
 ]
 
 
@@ -390,7 +410,8 @@ def test_proved_infeasible_run_ends_at_an_unevaluated_box_point(name, build, eps
 def test_failed_extrapolated_candidate_costs_one_evaluation(monkeypatch):
     # A s^1.5 looks contractive at w0 = 0.4 1, so the extrapolated candidate
     # (the second evaluation, on the sphere) fails; the pre-phase goes on
-    # without extrapolating and the norm rule proves infeasibility
+    # without extrapolating, and its next iterate's lower tail bound ends the
+    # run at a sphere point without a label
     def no_walk(*args):
         raise AssertionError("the walk ran")
 
@@ -399,9 +420,10 @@ def test_failed_extrapolated_candidate_costs_one_evaluation(monkeypatch):
     watched, seen = recorded(T)
     report = find_decay_point(watched, SolverConfig(r=10.0, epsilon=0.4, max_iterations=10_000), 8)
     assert report.failure_reason == "label_none"
-    assert report.iterations == len(seen) == 6
+    assert report.iterations == len(seen) == 4
     on_sphere = [i for i, s in enumerate(seen) if abs(float(np.sum(s)) - 10.0) <= 1e-8]
-    assert on_sphere == [1]
+    assert on_sphere == [1, 3]
+    np.testing.assert_array_equal(report.failure_point, seen[3])
 
 
 def test_extrapolated_candidate_is_tested_at_most_once(monkeypatch):
@@ -426,6 +448,38 @@ def test_extrapolated_candidate_is_tested_at_most_once(monkeypatch):
     on_sphere = [abs(float(np.sum(s)) - 10.0) <= 1e-8 for s in seen]
     last_iterate = max(i for i, sphere in enumerate(on_sphere) if not sphere)
     assert sum(on_sphere[:last_iterate]) == 1
+
+
+def test_lower_tail_point_is_tested_at_most_once():
+    # 1.5 s below (1, 4.95) and flat above: the first steps grow by 1.5, so the
+    # lower tail bound calls the iterates divergent, but its sphere point
+    # (5, 5) has a label in component 1.  One such point is tested; the
+    # pre-phase then runs as without the bound until its plain candidate fires
+    # at the fixed point (1.1, 5.05), and the sphere stage certifies r w/|w|_1
+    T = MonotoneMap(2, lambda s: np.minimum(1.5 * s, [1.0, 4.95]), "saturating")
+    watched, seen = recorded(T)
+    report = find_decay_point(watched, SolverConfig(r=10.0, epsilon=0.1, max_iterations=1000), 2)
+    assert report.success
+    assert report.iterations == len(seen) == 11  # one more than without the bound
+    on_sphere = [abs(float(np.sum(s)) - 10.0) <= 1e-8 for s in seen]
+    assert on_sphere == [False, True] + [False] * 8 + [True]
+    np.testing.assert_array_equal(seen[1], [5.0, 5.0])
+    np.testing.assert_allclose(report.s_star, 10.0 * np.array([1.1, 5.05]) / 6.15, rtol=1e-12)
+
+
+# random_contractive(6, rho, seed) at 1.01 eps_max: without the lower tail
+# bound the norm rule took 459 evaluations at rho = 0.99 and 4,612 at 0.999
+@pytest.mark.parametrize("rho,seed", [(0.99, 6), (0.999, 0), (0.999, 1), (0.999, 2), (0.999, 3)])
+def test_near_unit_infeasible_run_ends_in_a_few_evaluations(rho, seed):
+    A = random_contractive(6, rho, seed)
+    eps = 1.01 * eps_max(A, 10.0)
+    report = find_decay_point(make_linear_map(A), SolverConfig(r=10.0, epsilon=eps,
+                                                                max_iterations=100_000), 6)
+    assert report.failure_reason == "label_none"
+    assert report.iterations <= 12
+    p = report.failure_point
+    assert abs(float(np.sum(p)) - 10.0) <= 1e-9 * 10.0
+    assert np.all(A @ p + eps > p)
 
 
 @pytest.mark.parametrize("n", [6, 8, 10, 12])
