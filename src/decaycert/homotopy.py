@@ -66,7 +66,8 @@ again, so a misleading map costs one evaluation.  The norm rule comes
 first: once it fires, no sphere point can pass.
 
 **Lower tail bound.**  The norm rule alone also needs steps growing like
-``1/(1 - rho)`` for linear ``T``, on the infeasible side.  So the
+``1/(1 - rho)`` for linear ``T``, on the infeasible side.  So for a map
+of kind ``"linear"`` (:func:`decaycert.maps.make_linear_map`) the
 pre-phase bounds the limit ``w*`` from below as well.  Let
 ``theta = min d_{k,i} / d_{k-1,i}`` over the components with
 ``d_{k-1,i} > 0`` (a Collatz-Wielandt lower ratio); when no component
@@ -86,13 +87,18 @@ ends in ``label_none`` there: ``random_contractive(6, 0.999, s)`` at
 1.01 ``eps_max`` takes 8-10 evaluations where the norm rule took 4,612.
 ``y`` is computed scaled by ``1 - theta``, so it cannot overflow, and
 the norm rule is checked first: it is a proof for every monotone ``T``,
-and it keeps infinite steps away from this bound.  For any other map
-``p`` is only a tested point; if it has a label the pre-phase goes on
-without this bound, so again a misleading map costs one evaluation.  A
-feasible linear run never tests it: its iterates are bounded, so
-``theta < 1``, and ``y <= w*`` with ``|w*|_1 <= r``.  The bound's speed
-depends on how fast ``theta`` settles near ``rho``, so a small spectral
-gap or a weakly coupled component slows it.
+and it keeps infinite steps away from this bound.  The induction needs
+``T(w + d) = T(w) + T(d)``, so no other map uses the bound: a monotone
+map such as ``(max(sqrt(s1), s1^2/9), min(1.1 s2, 1))`` has a first
+step of at least ``1.1 eps`` in every component, so ``theta >= 1`` at
+``w_0 = eps 1``, yet its iterates converge and a decay point exists.
+Should rounding give ``p`` a label, the pre-phase goes on without this
+bound, so a misled bound costs one evaluation.  A feasible linear run
+never tests it: its iterates are bounded, so ``theta < 1``, and
+``y <= w*`` with ``|w*|_1 <= r``.  The bound's speed depends on how fast
+``theta`` settles near ``rho``, so a small spectral gap, a weakly
+coupled component or an eigenvalue near ``-rho`` slows it (to hundreds
+of evaluations for the last), though never past the norm rule.
 
 The iterates are not sphere points and never enter the memo, so only a
 sphere point that passed the direct margin test is ever returned.
@@ -324,16 +330,16 @@ def find_decay_point(T: MonotoneMap, cfg: SolverConfig, n: int) -> SolveReport:
     values are named ``nonfinite`` at the iterate.  Besides each iterate's
     own candidate it tests at most one extrapolated candidate
     ``w_k + theta/(1 - theta) (w_{k+1} - w_k)`` on the sphere, which its
-    upper tail bound proves for linear maps, and at most one point of its
-    lower tail bound, ``w_k + (w_{k+1} - w_k)/(1 - theta_lo)`` or the last
-    step's direction scaled to the sphere, which that bound proves
-    unlabelled for linear maps.  It either returns a certificate, ends in
-    ``label_none`` at a sphere point that it proved infeasible (the
-    unevaluated box point where its last step crosses the sphere, or else
-    the lower tail bound's point or the last iterate on the sphere, each
-    checked to have no label), or hands the slack rungs left to walk to
-    the ladder below; after a failed candidate, the sphere stage's power
-    steps run first.
+    upper tail bound proves for linear maps, and, for a map of kind
+    ``"linear"`` only, at most one point of its lower tail bound,
+    ``w_k + (w_{k+1} - w_k)/(1 - theta_lo)`` or the last step's direction
+    scaled to the sphere, which that bound proves unlabelled.  It either
+    returns a certificate, ends in ``label_none`` at a sphere point that it
+    proved infeasible (the unevaluated box point where its last step
+    crosses the sphere, or else the lower tail bound's point or the last
+    iterate on the sphere, each checked to have no label), or hands the
+    slack rungs left to walk to the ladder below; after a failed candidate,
+    the sphere stage's power steps run first.
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
@@ -416,7 +422,8 @@ def find_decay_point(T: MonotoneMap, cfg: SolverConfig, n: int) -> SolveReport:
         """
         w = np.full(n, eps)
         step = np.full(n, eps)  # w_0 - w_-1, where w_-1 = T(0) = 0
-        extrapolate = bound_below = True
+        extrapolate = True
+        bound_below = T.kind == "linear"  # a proof only where T(w + d) = T(w) + T(d)
         while True:
             Tw, margin = counted(w)
             up = Tw + eps

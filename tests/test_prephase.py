@@ -110,41 +110,58 @@ def test_feasible_eps_evaluates_one_sphere_point(A, fraction):
 
 # Linear T above the limit: the lower tail bound ``w* >= w_k + d_k/(1 - theta)``
 # (theta the smallest ratio d_k,i/d_k-1,i), or the divergence of the iterates
-# along d_k when theta >= 1, puts a sphere point without a label in reach after
-# a few steps, however slowly the iterates crawl towards the norm rule.  How
-# few depends on the spectral gap: the bound of 15 holds on these draws, and a
-# randomized search finds 16-17 (a 2x2 map at rho = 1 and eps = 0.005, or an
-# eigenvalue -0.59 beside rho = 0.875); see also the weakly coupled case below.
+# along d_k when theta >= 1, puts a sphere point without a label in reach
+# before the norm rule fires.  How soon depends on how fast theta settles
+# near rho: most draws end in under 15 evaluations, but a slow mode
+# (SLOW_MODES below) can take hundreds, so the property bounds the count by
+# that of the norm rule alone, the same matrix under a kind other than linear.
 def check_lower_bound(A, eps):
     report = find_decay_point(make_linear_map(A), SolverConfig(R, eps, NEAR_UNIT_CAP), len(A))
     assert report.failure_reason == "label_none"
-    assert report.iterations <= 15
     p = report.failure_point
     assert abs(float(np.sum(p)) - R) <= 1e-9 * R
     assert np.all(A @ p + eps > p)  # no label, checked without the solver
+    plain = MonotoneMap(len(A), lambda s: A @ s, "matrix")
+    norm_rule = find_decay_point(plain, SolverConfig(R, eps, NEAR_UNIT_CAP), len(A))
+    assert norm_rule.failure_reason == "label_none"
+    assert report.iterations <= norm_rule.iterations
+    return report.iterations, norm_rule.iterations
+
+
+# Slow modes of the lower ratio, from randomized runs of the properties
+# below: (name, A, eps, evaluations with the bound, without it).  theta
+# settles near rho only as fast as the other modes die out, and an
+# eigenvalue near -rho or a component coupled to the rest by about 1e-3
+# dies out slowly.  A fix to that shows here first.
+SLOW_MODES = [
+    ("eigenvalue -0.969 beside rho = 1",
+     [[0.015371590112779823, 1.5371590112779823], [0.6307044999534603, 0.015371590112779823]],
+     0.005, 188, 952),
+    ("rho = 0.950 coupled by 0.009 at 1.001 eps_max",
+     [[0.8619362231254882, 0.009069646540151095], [0.8619362231254882, 0.8619362231254882]],
+     0.09811756436362125, 34, 138),
+    ("rho = 0.999 coupled by 0.001 at 1.001 eps_max",
+     [[0.998998002011988, 0.000998998002011988], [0.000998998002011988, 0.499499001005994]],
+     0.009950397456174544, 30, 6903),
+]
+
+
+@pytest.mark.parametrize("name,A,eps,iterations,norm_rule_iterations", SLOW_MODES,
+                         ids=[case[0] for case in SLOW_MODES])
+def test_slow_mode_of_the_lower_tail_bound(name, A, eps, iterations, norm_rule_iterations):
+    assert check_lower_bound(np.array(A), eps) == (iterations, norm_rule_iterations)
 
 
 @hypothesis.settings(max_examples=60, deadline=None, database=None, derandomize=True)
 @hypothesis.given(contractive(st.floats(1.0, 1.5)), st.floats(1e-3, 1.0))
-def test_divergent_linear_map_ends_in_a_few_evaluations(A, fraction):
+@hypothesis.example(A=np.array(SLOW_MODES[0][1]), fraction=1e-3)
+def test_divergent_linear_map_ends_before_the_norm_rule(A, fraction):
     check_lower_bound(A, fraction * R / len(A))
 
 
 @hypothesis.settings(max_examples=60, deadline=None, database=None, derandomize=True)
 @hypothesis.given(contractive(st.floats(0.5, 0.999)), st.floats(1.001, 3.0))
-def test_infeasible_eps_near_the_limit_ends_in_a_few_evaluations(A, fraction):
+@hypothesis.example(A=np.array(SLOW_MODES[1][1]), fraction=1.001)
+@hypothesis.example(A=np.array(SLOW_MODES[2][1]), fraction=1.001)
+def test_infeasible_eps_near_the_limit_ends_before_the_norm_rule(A, fraction):
     check_lower_bound(A, fraction * eps_max(A, R))
-
-
-# The lower ratio settles near rho only as fast as the other modes die out.
-# A component coupled to the rest by 0.001 keeps its own rate 0.5 in theta
-# for many steps, so this map needs twice the evaluations of the property
-# above; a fix to that shows here first.
-def test_weakly_coupled_component_slows_the_lower_tail_bound():
-    A = np.array([[1.0, 0.001], [0.001, 0.5]])
-    A *= 0.999 / float(np.max(np.abs(np.linalg.eigvals(A))))
-    eps = 1.001 * eps_max(A, R)
-    report = find_decay_point(make_linear_map(A), SolverConfig(R, eps, NEAR_UNIT_CAP), 2)
-    assert report.failure_reason == "label_none"
-    assert report.iterations == 30
-    assert np.all(A @ report.failure_point + eps > report.failure_point)
