@@ -16,7 +16,7 @@ import numpy as np
 
 from .homotopy import SolveReport, SolverConfig, find_decay_point
 from .maps import MonotoneMap
-from .order import as_point
+from .order import as_point, check_count, check_positive
 
 __all__ = [
     "TrajectoryReport",
@@ -62,19 +62,10 @@ class CertificateReport:
     problem1_satisfied: bool
 
 
-def _check_steps(name: str, value: int) -> None:
-    """Reject a step count that is not an int >= 1 (a bool is not one)."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{name} must be an int, got {value!r}")
-    if value < 1:
-        raise ValueError(f"{name} must be >= 1, got {value}")
-
-
 def _check_trajectory_limits(k_max: int, stop_tol: float) -> None:
     """Reject a ``k_max`` that is not an int >= 1 and a non-positive or non-finite ``stop_tol``."""
-    _check_steps("k_max", k_max)
-    if not (math.isfinite(stop_tol) and stop_tol > 0.0):
-        raise ValueError(f"stop_tol must be positive and finite, got {stop_tol}")
+    check_count("k_max", k_max)
+    check_positive("stop_tol", stop_tol)
 
 
 def iterate(
@@ -139,7 +130,7 @@ def ordering_check(T: MonotoneMap, s0, v0, k: int) -> bool:
     For a monotone map this must always hold; it is exposed as a callable
     so the property can be exercised directly in tests and from scripts.
     """
-    _check_steps("k", k)
+    check_count("k", k)
     s = as_point(s0, dim=T.dimension)
     v = as_point(v0, dim=T.dimension)
     if np.any(s > v):

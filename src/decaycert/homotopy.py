@@ -46,59 +46,54 @@ so the candidate bound ``(r/|w_k|_1)(eps - max(w_{k+1} - w_k))`` tends to
 or unbounded iterates, fire the norm rule.  Only a limit norm within
 about ``1e-9 r`` of ``r`` runs to the cap.
 
-**Extrapolated candidate.**  Near the limit the iterates crawl at the
-contraction rate: for linear ``T`` the candidate rule needs steps
-growing like ``1/(1 - rho)``.  So when neither rule fires, the pre-phase
-bounds the tail.  With ``d_{-1} = eps 1`` (``T(0) = 0``), let
-``theta_k = max d_{k,i} / d_{k-1,i}`` over the components with
-``d_{k,i} > 0`` (infinite if such a ``d_{k-1,i}`` is 0).  If
-``theta_k < 1``, the point ``x_k = w_k + theta_k/(1 - theta_k) d_k`` has
-the margin bound ``(r/|x_k|_1)(eps - (1 - theta_k) max d_k)``.  For
-linear ``T = A`` it is a proof: ``theta_k`` is a Collatz-Wielandt upper
-ratio, so ``A d_k <= theta_k d_k`` and
-``x_k - A x_k >= eps 1 - (1 - theta_k) d_k``.  When the bound clears
-``eps (1 + 1e-9)`` the sphere point ``r x_k / |x_k|_1`` is tested once,
-and for linear ``T`` it passes: ``random_contractive(6, 0.99, 6)`` at
-0.99 ``eps_max`` takes 8 evaluations where the candidate rule alone took
-249.  For any other map it is only a tested point.  If it fails, the
-pre-phase goes on as if it had not been tested, without extrapolating
-again, so a misleading map costs one evaluation.  The norm rule comes
-first: once it fires, no sphere point can pass.
+**Collatz-Wielandt bracket.**  Near the limit the iterates crawl at the
+contraction rate: for linear ``T`` both rules need steps growing like
+``1/(1 - rho)``.  So each step that fires neither rule also brackets the
+limit, ``L <= w* <= U``.  With ``d_k = w_{k+1} - w_k`` and
+``d_{-1} = eps 1`` (``T(0) = 0``), let ``theta_hi = max d_{k,i}/d_{k-1,i}``
+over the components with ``d_{k,i} > 0`` (infinite if such a ``d_{k-1,i}``
+is 0) and ``theta_lo = min d_{k,i}/d_{k-1,i}`` over those with
+``d_{k-1,i} > 0``, the Collatz-Wielandt ratios of the last step (Lemmens &
+Nussbaum); both are skipped when some ``d_{k,i} < 0``.  Both ends are
+``B(theta) = w_k + d_k/(1 - theta)``, computed as ``(1 - theta) w_k + d_k``
+so that it cannot overflow.  ``B(0) = w_{k+1}`` is the norm rule's point,
+the lower end that needs only monotonicity.  For linear ``T = A`` every
+step is ``d_{j+1} = A d_j``:
 
-**Lower tail bound.**  The norm rule alone also needs steps growing like
-``1/(1 - rho)`` for linear ``T``, on the infeasible side.  So for a map
-of kind ``"linear"`` (:func:`decaycert.maps.make_linear_map`) the
-pre-phase bounds the limit ``w*`` from below as well.  Let
-``theta = min d_{k,i} / d_{k-1,i}`` over the components with
-``d_{k-1,i} > 0`` (a Collatz-Wielandt lower ratio); when no component
-of ``d_k`` is negative, ``d_k >= theta d_{k-1}``.  For linear ``T = A`` each step is
-``d_{j+1} = A d_j``, so by induction ``d_{k+j} >= theta^j d_k``:
+* **upper end** ``U = B(theta_hi)``, when ``theta_hi < 1``.
+  ``d_k <= theta_hi d_{k-1}`` gives ``A d_k <= theta_hi d_k``, so
+  ``A U + eps 1 = w_{k+1} + A d_k/(1 - theta_hi) <= U``.  Once
+  ``|U|_1 <= r (1 - 1e-9)``, the sphere point ``l U`` with
+  ``l = r/|U|_1 >= 1`` decays with margin ``l (U - A U) >= l eps >= eps``,
+  and it is tested once.  This end is tried on every map; for any other
+  map it is only a tested point.  If the test fails, the pre-phase goes
+  on without the upper end, so a misleading map costs one evaluation.
+* **lower end** ``L = B(min(theta_lo, 1))``.  ``d_k >= theta_lo d_{k-1}``
+  gives ``A d_k >= theta_lo d_k``, so ``A L + eps 1 >= L``.  At
+  ``theta = 1`` the scaled end is ``d_k`` itself, the ray along which the
+  iterates diverge, and ``A d_k >= d_k``.  Once ``|L|_1 > r (1 + 1e-9)``
+  (always on the ray), the sphere point ``p = l L`` with
+  ``l = r/|L|_1 < 1`` has no label:
+  ``A p + eps 1 >= l (L - eps 1) + eps 1 > p``.  The pre-phase evaluates
+  ``p`` once and, if it has no label, ends in ``label_none`` there.  The
+  proof needs ``T(w + d) = T(w) + T(d)``, so only a map of kind
+  ``"linear"`` (:func:`decaycert.maps.make_linear_map`) uses this end: a
+  monotone map such as ``(max(sqrt(s1), s1^2/9), min(1.1 s2, 1))`` has a
+  first step of at least ``1.1 eps`` in every component, so
+  ``theta_lo >= 1`` at ``w_0 = eps 1``, yet its iterates converge and a
+  decay point exists.  Should rounding give ``p`` a label, the pre-phase
+  goes on without the lower end, at the cost of one evaluation.
 
-* if ``theta < 1``, then ``w* >= y = w_k + d_k/(1 - theta)``, and
-  ``A y + eps 1 >= y`` (``A y + eps 1 = w_{k+1} + d_{k+1}/(1 - theta)``
-  and ``d_{k+1} >= theta d_k``).  Once ``|y|_1 > r (1 + 1e-9)``, the
-  sphere point ``p = l y`` with ``l = r/|y|_1 < 1`` has no label:
-  ``A p + eps 1 >= l (y - eps 1) + eps 1 > p``.
-* if ``theta >= 1``, the iterates diverge along ``d_k``, and
-  ``A d_k >= d_k`` gives ``A p + eps 1 > p`` for ``p`` on the ray of ``d_k``.
-
-Either way the pre-phase evaluates ``p`` once and, if it has no label,
-ends in ``label_none`` there: ``random_contractive(6, 0.999, s)`` at
-1.01 ``eps_max`` takes 8-10 evaluations where the norm rule took 4,612.
-``y`` is computed scaled by ``1 - theta``, so it cannot overflow, and
-the norm rule is checked first: it is a proof for every monotone ``T``,
-and it keeps infinite steps away from this bound.  The induction needs
-``T(w + d) = T(w) + T(d)``, so no other map uses the bound: a monotone
-map such as ``(max(sqrt(s1), s1^2/9), min(1.1 s2, 1))`` has a first
-step of at least ``1.1 eps`` in every component, so ``theta >= 1`` at
-``w_0 = eps 1``, yet its iterates converge and a decay point exists.
-Should rounding give ``p`` a label, the pre-phase goes on without this
-bound, so a misled bound costs one evaluation.  A feasible linear run
-never tests it: its iterates are bounded, so ``theta < 1``, and
-``y <= w*`` with ``|w*|_1 <= r``.  The bound's speed depends on how fast
-``theta`` settles near ``rho``, so a small spectral gap, a weakly
-coupled component or an eigenvalue near ``-rho`` slows it (to hundreds
-of evaluations for the last), though never past the norm rule.
+The norm rule comes first: it is a proof for every monotone ``T``, once
+it fires no sphere point can pass, and it keeps infinite steps away from
+the bracket.  A linear run tests at most one end: a feasible one never
+tests the lower end, since ``L <= w*`` and ``|w*|_1 <= r``, and an
+infeasible one never passes the upper end's norm test, since
+``U >= w*``.  The lower end never fires later than the norm rule, since
+``L >= B(0)``.  How soon an end answers depends on how fast the ratios
+settle near ``rho``, so a small spectral gap, a weakly coupled component
+or an eigenvalue near ``-rho`` slows the bracket (to hundreds of
+evaluations for the last).
 
 The iterates are not sphere points and never enter the memo, so only a
 sphere point that passed the direct margin test is ever returned.
@@ -157,6 +152,7 @@ import numpy as np
 
 from .labeling import LabeledVertexSet, is_complete, label_index
 from .maps import MonotoneMap
+from .order import check_count, check_positive
 from .triangulation import CompleteCellSearch
 
 __all__ = [
@@ -176,14 +172,9 @@ class SolverConfig:
     max_iterations: int = 1000
 
     def __post_init__(self):
-        if not (math.isfinite(self.r) and self.r > 0.0):
-            raise ValueError(f"r must be positive and finite, got {self.r}")
-        if not (math.isfinite(self.epsilon) and self.epsilon > 0.0):
-            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
-        if isinstance(self.max_iterations, bool) or not isinstance(self.max_iterations, int):
-            raise ValueError(f"max_iterations must be an int, got {self.max_iterations!r}")
-        if self.max_iterations < 1:
-            raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
+        check_positive("r", self.r)
+        check_positive("epsilon", self.epsilon)
+        check_count("max_iterations", self.max_iterations)
 
 
 @dataclass(eq=False)
@@ -229,7 +220,7 @@ class _NoLabel(Exception):
         self.point = point
 
 
-# Relative rounding allowance of the pre-phase's proofs and tail bounds.
+# Relative rounding allowance of the pre-phase's proofs and its bracket.
 _ROUNDING = 1e-9
 
 
@@ -271,46 +262,21 @@ def _box_point(w: np.ndarray, up: np.ndarray, step: np.ndarray, r: float) -> np.
     return None
 
 
-def _extrapolated(w: np.ndarray, prev: np.ndarray, step: np.ndarray, eps: float,
-                  r: float) -> np.ndarray | None:
-    """``(1 - theta) x`` for the extrapolated iterate ``x = w + theta/(1 - theta) step``.
+def _bracket(w: np.ndarray, prev: np.ndarray,
+             step: np.ndarray) -> list[tuple[float, np.ndarray]]:
+    """The ends of the bracket ``L <= w* <= U``, each as ``(theta, (1 - theta) B(theta))``.
 
-    ``step = T(w) + eps - w`` follows the iterate step ``prev``, and
-    ``theta = max step_i / prev_i`` over the components with ``step_i > 0``.
-    Returns None unless ``theta < 1`` and the margin bound
-    ``(r/|x|_1)(eps - (1 - theta) max step)`` clears ``eps (1 + 1e-9)``.
+    ``B(theta) = w + step/(1 - theta)`` is scaled so that it cannot overflow,
+    and ``step = T(w) + eps - w`` follows the iterate step ``prev``.
+    The lower end takes ``min(theta_lo, 1)``, ``theta_lo = min step_i/prev_i``
+    over ``prev_i > 0``; the upper end ``min(theta_hi, 1)``,
+    ``theta_hi = max step_i/prev_i`` over ``step_i > 0`` (infinite where
+    ``prev_i <= 0``), and it bounds ``w*`` only where ``theta_hi < 1``.
     """
-    grow = step > 0.0
-    if not np.all((grow & (step < prev)) | (step == 0.0)):
-        return None  # theta >= 1, or a component stepped down
-    theta = float(np.max(step[grow] / prev[grow], initial=0.0))
-    x = (1.0 - theta) * w + theta * step  # scaled by 1 - theta, so it cannot overflow
-    room = eps - (1.0 - theta) * float(np.max(step))
-    if (r * (1.0 - theta) / float(np.sum(x))) * room >= eps * (1.0 + _ROUNDING):
-        return x
-    return None
-
-
-def _lower_extrapolated(w: np.ndarray, prev: np.ndarray, step: np.ndarray,
-                        r: float) -> np.ndarray | None:
-    """A direction ``v`` whose sphere point has no label for linear T, or None.
-
-    ``step = T(w) + eps - w`` follows the iterate step ``prev``, and
-    ``theta = min step_i / prev_i`` over the components with ``prev_i > 0``.
-    If ``theta >= 1`` the iterates diverge along ``v = step``.  Otherwise
-    ``w* >= y = w + step/(1 - theta)`` for linear T, and ``v = (1 - theta) y``
-    (so it cannot overflow) is returned when ``|y|_1 > r (1 + 1e-9)``.
-    """
-    base = prev > 0.0
-    if not np.any(base) or not np.all(step >= 0.0):
-        return None  # no ratio to take, or a component stepped down
-    theta = float(np.min(step[base] / prev[base]))
-    if theta >= 1.0:
-        return step
-    y = (1.0 - theta) * w + step
-    if float(np.sum(y)) > (1.0 - theta) * r * (1.0 + _ROUNDING):
-        return y
-    return None
+    ratio = np.divide(step, prev, out=np.full(len(w), np.inf), where=prev > 0.0)
+    lo = float(np.min(ratio, initial=1.0))
+    hi = float(np.max(ratio, where=step > 0.0, initial=0.0))
+    return [(theta, (1.0 - theta) * w + step) for theta in (lo, min(hi, 1.0))]
 
 
 def find_decay_point(T: MonotoneMap, cfg: SolverConfig, n: int) -> SolveReport:
@@ -328,18 +294,16 @@ def find_decay_point(T: MonotoneMap, cfg: SolverConfig, n: int) -> SolveReport:
     The order-interval pre-phase (see the module docstring) runs first:
     its evaluations count toward ``max_iterations`` and its non-finite
     values are named ``nonfinite`` at the iterate.  Besides each iterate's
-    own candidate it tests at most one extrapolated candidate
-    ``w_k + theta/(1 - theta) (w_{k+1} - w_k)`` on the sphere, which its
-    upper tail bound proves for linear maps, and, for a map of kind
-    ``"linear"`` only, at most one point of its lower tail bound,
-    ``w_k + (w_{k+1} - w_k)/(1 - theta_lo)`` or the last step's direction
-    scaled to the sphere, which that bound proves unlabelled.  It either
-    returns a certificate, ends in ``label_none`` at a sphere point that it
-    proved infeasible (the unevaluated box point where its last step
-    crosses the sphere, or else the lower tail bound's point or the last
-    iterate on the sphere, each checked to have no label), or hands the
-    slack rungs left to walk to the ladder below; after a failed candidate,
-    the sphere stage's power steps run first.
+    own candidate it tests at most one sphere point of each end of its
+    Collatz-Wielandt bracket of the least fixed point: the upper end's,
+    which the bracket proves a certificate for linear maps, and, for a map
+    of kind ``"linear"`` only, the lower end's, which it proves unlabelled.
+    It either returns a certificate, ends in ``label_none`` at a sphere
+    point that it proved infeasible (the unevaluated box point where its
+    last step crosses the sphere, or else the lower end's point or the
+    last iterate on the sphere, each checked to have no label), or hands
+    the slack rungs left to walk to the ladder below; after a failed
+    candidate, the sphere stage's power steps run first.
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
@@ -422,8 +386,7 @@ def find_decay_point(T: MonotoneMap, cfg: SolverConfig, n: int) -> SolveReport:
         """
         w = np.full(n, eps)
         step = np.full(n, eps)  # w_0 - w_-1, where w_-1 = T(0) = 0
-        extrapolate = True
-        bound_below = T.kind == "linear"  # a proof only where T(w + d) = T(w) + T(d)
+        upper, lower = True, T.kind == "linear"  # the lower end needs T(w + d) = T(w) + T(d)
         while True:
             Tw, margin = counted(w)
             up = Tw + eps
@@ -438,16 +401,17 @@ def find_decay_point(T: MonotoneMap, cfg: SolverConfig, n: int) -> SolveReport:
                     if label_index(p, evaluate(p), eps) is not None:
                         return [eps]
                 raise label_none(p)
-            x = _extrapolated(w, prev, step, eps, r) if extrapolate else None
-            if x is not None:
-                evaluate(on_sphere(x))  # ends the search if it passes, as it must for linear T
-                extrapolate = False  # the bound misled: at most one such test per solve
-            v = _lower_extrapolated(w, prev, step, r) if bound_below else None
-            if v is not None:
-                p = on_sphere(v)
-                if label_index(p, evaluate(p), eps) is None:  # as it must for linear T
-                    raise label_none(p)
-                bound_below = False  # the bound misled: at most one such test per solve
+            if np.all(step >= 0.0):  # else a component stepped down, and no ratio bounds w*
+                (lo, low), (hi, high) = _bracket(w, prev, step)
+                if (upper and hi < 1.0
+                        and float(np.sum(high)) <= (1.0 - hi) * r * (1.0 - _ROUNDING)):
+                    evaluate(on_sphere(high))  # ends the search if it passes, as for linear T
+                    upper = False  # the end misled: at most one such test per solve
+                if lower and float(np.sum(low)) > (1.0 - lo) * r * (1.0 + _ROUNDING):
+                    p = on_sphere(low)
+                    if label_index(p, evaluate(p), eps) is None:  # as it must for linear T
+                        raise label_none(p)
+                    lower = False  # the end misled: at most one such test per solve
             w = up
 
     try:

@@ -10,13 +10,12 @@ as a hard failure of the covering hypothesis at the current slack.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .maps import MonotoneMap
-from .order import as_point
+from .order import as_point, check_positive
 
 __all__ = [
     "label_index",
@@ -43,8 +42,7 @@ def label_eps(T: MonotoneMap, s, eps: float) -> int | None:
 
     Returns None when no index qualifies.
     """
-    if not (math.isfinite(eps) and eps > 0.0):
-        raise ValueError(f"eps must be positive and finite, got {eps}")
+    check_positive("eps", eps)
     s = as_point(s, dim=T.dimension)
     label = label_index(s, T(s), eps)
     return None if label is None else label + 1

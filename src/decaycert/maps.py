@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .linear import as_nonnegative_matrix
-from .order import as_point
+from .order import as_point, check_count, check_positive
 from .scalarfn import (
     ScalarFn,
     is_kinf_on,
@@ -50,10 +50,7 @@ class MonotoneMap:
     """
 
     def __init__(self, dimension: int, fn: Callable[[np.ndarray], np.ndarray], kind: str):
-        if isinstance(dimension, bool) or not isinstance(dimension, int):
-            raise ValueError(f"map dimension must be an int, got {dimension!r}")
-        if dimension < 1:
-            raise ValueError(f"map dimension must be >= 1, got {dimension}")
+        check_count("map dimension", dimension)
         self.dimension = dimension
         self.kind = kind
         self._fn = fn
@@ -103,8 +100,7 @@ def chain_feasible_point(n: int, r: float) -> np.ndarray:
     """Point ``p = (r, r^{1/2!}, ..., r^{1/n!})`` with ``Tp << p`` for the chain map."""
     if n < 2:
         raise ValueError(f"chain map needs n >= 2, got {n}")
-    if not (math.isfinite(r) and r > 0.0):
-        raise ValueError(f"r must be positive and finite, got {r}")
+    check_positive("r", r)
     p = np.array([r ** (1.0 / math.factorial(i)) for i in range(1, n + 1)])
     p.flags.writeable = False
     return p

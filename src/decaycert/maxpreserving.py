@@ -21,12 +21,12 @@ each step calls each gain once, and only the current power is kept.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .maps import MonotoneMap, _max_preserving, gain_rows
+from .order import check_positive
 from .scalarfn import ScalarFn, validation_grid
 
 __all__ = [
@@ -120,8 +120,7 @@ def _step(rows, w: np.ndarray) -> np.ndarray:
 
 def path_q(table: GainTable, t: float) -> np.ndarray:
     """Componentwise max of ``t e, T(t e), ..., T^{n-1}(t e)``."""
-    if not (math.isfinite(t) and t > 0.0):
-        raise ValueError(f"t must be positive and finite, got {t}")
+    check_positive("t", t)
     return _q(table.to_map(), t)
 
 
@@ -140,10 +139,8 @@ def reparametrize_path(table: GainTable, r: float, tol: float = 1e-9) -> np.ndar
     bracket ``t = r/n`` always works, and the lower end is halved until
     it falls below the target (bounded; failure raises).
     """
-    if not (math.isfinite(r) and r > 0.0):
-        raise ValueError(f"r must be positive and finite, got {r}")
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ValueError(f"tol must be positive and finite, got {tol}")
+    check_positive("r", r)
+    check_positive("tol", tol)
     T = table.to_map()
 
     def norm_at(t: float) -> float:

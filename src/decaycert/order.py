@@ -4,18 +4,24 @@ All state-space points are 1-D float64 numpy arrays with nonnegative
 components.  The helpers here are the single place where order semantics
 are defined: strict comparisons use exact floating-point ``<`` with no
 tolerance, so that all numerical slack lives in the labeling parameter of
-the solver rather than being smeared across every comparison.
+the solver rather than being smeared across every comparison.  The
+scalar arguments of the public functions are checked here too, so that a
+mistyped number names its argument in a ValueError.
 """
 
 from __future__ import annotations
 
 import enum
+import math
+import numbers
 
 import numpy as np
 
 __all__ = [
     "OrderRelation",
     "as_point",
+    "check_count",
+    "check_positive",
     "compare",
     "one_norm",
 ]
@@ -56,6 +62,21 @@ def as_point(x, dim: int | None = None) -> np.ndarray:
         raise ValueError(f"{what} component at index {i}: {arr[i]}")
     arr.flags.writeable = False
     return arr
+
+
+def check_positive(name: str, value) -> None:
+    """Reject ``value`` unless it is a positive, finite real number (a bool is not one)."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not (math.isfinite(value) and value > 0.0)):
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+
+
+def check_count(name: str, value) -> None:
+    """Reject ``value`` unless it is an integer >= 1 (a bool is not one)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an int, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value}")
 
 
 def compare(x, y) -> OrderRelation:

@@ -1,9 +1,26 @@
 import importlib
 import importlib.util
+import re
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+
+from decaycert import (
+    GainTable,
+    MonotoneMap,
+    SolverConfig,
+    iterate,
+    label_eps,
+    make_linear_map,
+    neumann_inverse,
+    ordering_check,
+    path_q,
+    random_contractive,
+    reparametrize_path,
+)
+from decaycert.linear import eps_max
+from decaycert.maps import chain_feasible_point
 
 MODULES = ["cli", "dynamics", "homotopy", "labeling", "linear", "maps", "mapspec",
            "maxpreserving", "order", "scalarfn", "triangulation"]
@@ -37,3 +54,38 @@ def test_bench_tracer_hooks_see_the_solver():
     assert report.success
     assert evaluations == report.iterations
     assert lookups > 0 and pivots > 0
+
+
+SWAP = [[0.0, 0.5], [0.5, 0.0]]
+SWAP_MAP = make_linear_map(SWAP)
+SWAP_TABLE = GainTable([[None, "0.5*t"], ["0.5*t", None]])
+
+# (id, argument name as the error states it, the call with that argument's
+# value): the checked scalar arguments of the public functions.
+SCALAR_ARGUMENTS = [
+    ("SolverConfig r", "r", lambda v: SolverConfig(r=v)),
+    ("SolverConfig epsilon", "epsilon", lambda v: SolverConfig(r=10.0, epsilon=v)),
+    ("SolverConfig max_iterations", "max_iterations",
+     lambda v: SolverConfig(r=10.0, max_iterations=v)),
+    ("iterate k_max", "k_max", lambda v: iterate(SWAP_MAP, [1, 1], k_max=v)),
+    ("iterate stop_tol", "stop_tol", lambda v: iterate(SWAP_MAP, [1, 1], stop_tol=v)),
+    ("ordering_check k", "k", lambda v: ordering_check(SWAP_MAP, [1, 1], [2, 2], v)),
+    ("label_eps eps", "eps", lambda v: label_eps(SWAP_MAP, [1, 1], v)),
+    ("random_contractive n", "n", lambda v: random_contractive(v, 0.8, 0)),
+    ("random_contractive rho_target", "rho_target", lambda v: random_contractive(3, v, 0)),
+    ("neumann_inverse tol", "tol", lambda v: neumann_inverse(SWAP, tol=v)),
+    ("eps_max r", "r", lambda v: eps_max(SWAP, v)),
+    ("MonotoneMap dimension", "map dimension", lambda v: MonotoneMap(v, lambda s: s, "id")),
+    ("chain_feasible_point r", "r", lambda v: chain_feasible_point(3, v)),
+    ("path_q t", "t", lambda v: path_q(SWAP_TABLE, v)),
+    ("reparametrize_path r", "r", lambda v: reparametrize_path(SWAP_TABLE, v)),
+    ("reparametrize_path tol", "tol", lambda v: reparametrize_path(SWAP_TABLE, 1.0, tol=v)),
+]
+
+
+@pytest.mark.parametrize("value", ["10", None, True], ids=["str", "None", "bool"])
+@pytest.mark.parametrize("argument,call", [case[1:] for case in SCALAR_ARGUMENTS],
+                         ids=[case[0] for case in SCALAR_ARGUMENTS])
+def test_a_mistyped_scalar_argument_is_named(argument, call, value):
+    with pytest.raises(ValueError, match=rf"^{re.escape(argument)} must be "):
+        call(value)

@@ -252,20 +252,27 @@ GOLDEN_WALKS = [
       1.9438228231111778, 1.5811997381264176]),
     ("linear n=3 rho=0.8 seed 0 at 0.9 eps_max",
      lambda: make_linear_map(random_contractive(3, 0.8, 0)), 0.6387007034997124, 4,
-     [2.0091425364581363, 4.1304949448302395, 3.8603625187116246]),
+     [1.959621360661309, 4.169020211325307, 3.871358428013385]),
 ]
 
 
 # random_contractive(6, 0.99, 6) at 0.99 and 1.01 eps_max (eps_max = 0.016722...).
-# Near rho = 1 the iterates crawl at the contraction rate.  The extrapolated
-# candidate answers the feasible case after 7 steps, and the lower tail bound
-# the infeasible one after 7; the norm rule alone needs 459 steps there.
-# These cases are not in GOLDEN_PATH_SHA256 below.
+# Near rho = 1 the iterates crawl at the contraction rate.  The upper end of
+# the pre-phase's bracket answers the feasible case after 7 steps, and its
+# lower end the infeasible one after 7; the norm rule alone needs 459 steps
+# there.  The upper end also answers the near-limit n=3 cases sooner than the
+# candidate rule.  These cases are not in GOLDEN_PATH_SHA256 below.
 NEAR_UNIT_WALKS = [
     ("linear n=6 rho=0.99 seed 6 at 0.99 eps_max",
      lambda: make_linear_map(random_contractive(6, 0.99, 6)), 0.01655525803660378, 8,
-     [1.8547868043946603, 1.5783096657336284, 1.5390622939151315, 1.5730196731538577,
-      1.6367632446323095, 1.8180583181704135]),
+     [1.8548065171694677, 1.5783036438641607, 1.5390409628643236, 1.573012743698188,
+      1.6367632207842433, 1.818072911619616]),
+    ("linear n=3 rho=0.9 seed 6 at 0.99 eps_max",
+     lambda: make_linear_map(random_contractive(3, 0.9, 6)), 0.33121916472713053, 6,
+     [2.5204025139670243, 4.255182868825531, 3.224414617207444]),
+    ("linear n=3 rho=0.8 seed 6 at 0.99 eps_max",
+     lambda: make_linear_map(random_contractive(3, 0.8, 6)), 0.6621571365322919, 5,
+     [2.6210945533081356, 4.117548045540368, 3.2613574011514967]),
 ]
 
 
@@ -282,9 +289,9 @@ def test_golden_walk(name, build, eps, iterations, s_star):
 
 
 # Failures pinned at r=10: the reason, the evaluation count and the point
-# where the covering failed (the sphere point of the pre-phase's lower tail
-# bound, its last evaluation; compared to 1e-12 as in GOLDEN_WALKS).  eps is
-# 0.05 * r / (2n) unless given.
+# where the covering failed (the sphere point of the lower end of the
+# pre-phase's bracket, its last evaluation; compared to 1e-12 as in
+# GOLDEN_WALKS).  eps is 0.05 * r / (2n) unless given.
 GOLDEN_FAILURES = [
     ("n=3 rho=1.2 seed 0", 3, 1.2, 0, None, 100_000, "label_none", 4,
      [1.4844950029961805, 4.538647330499093, 3.976857666504727]),
@@ -301,7 +308,7 @@ NEAR_UNIT_FAILURES = [
      "label_none", 8,
      [1.8547812179313843, 1.5783113722895545, 1.5390683389865731, 1.5730216369134007,
       1.6367632513906833, 1.818054182488405]),
-    # without the lower tail bound the norm rule took 4,612 evaluations at rho = 0.999
+    # without the bracket's lower end the norm rule took 4,612 evaluations at rho = 0.999
     ("n=6 rho=0.999 seed 0 at 1.01 eps_max", 6, 0.999, 0, 0.0016952335741928556, 100_000,
      "label_none", 9,
      [1.4657927318139556, 1.9583940798174984, 1.7270985314471057, 1.2209245845048031,
@@ -342,7 +349,7 @@ def test_golden_failure(name, n, rho, seed, eps, cap, reason, iterations, point)
 # before its cap.  It pins the path itself, not only where the path ends.
 # Points are hashed to 10 significant digits, so that the last bits of
 # matrix arithmetic (see GOLDEN_WALKS) do not move the digest.
-GOLDEN_PATH_SHA256 = "5d7ee10a17315be7007c1383a7e02fe26cd9cd1018ba0064bf305e3550dc62fd"
+GOLDEN_PATH_SHA256 = "089ace61e6982dc3e480db9286cb05d61f317b4e6e90438be5e4bc6432d22e10"
 
 
 def test_golden_path():
@@ -386,12 +393,12 @@ def recorded(T: MonotoneMap) -> tuple[MonotoneMap, list[np.ndarray]]:
 
 def first_step_across(A: np.ndarray, r: float) -> float:
     """The eps at which the pre-phase's first step, from ``eps 1`` to ``eps (A1 + 1)``,
-    crosses the sphere halfway.  The norm rule then fires before either tail bound."""
+    crosses the sphere halfway.  The norm rule then fires before either end of the bracket."""
     return r / (len(A) + 0.5 * float(np.sum(A)))
 
 
 # Runs that the norm rule proves infeasible: (name, build, eps, r).  For a
-# linear map the lower tail bound ends most such runs first; at these eps
+# linear map the bracket's lower end ends most such runs first; at these eps
 # the first step crosses the sphere, so the norm rule fires before it.
 BOX_POINT_CASES = [
     *[(name, lambda n=n, rho=rho, seed=seed: make_linear_map(random_contractive(n, rho, seed)),
@@ -421,10 +428,10 @@ def test_proved_infeasible_run_ends_at_an_unevaluated_box_point(name, build, eps
     assert not any(np.array_equal(q, point) for point in seen)
 
 
-def test_failed_extrapolated_candidate_costs_one_evaluation(monkeypatch):
-    # A s^1.5 looks contractive at w0 = 0.4 1, so the extrapolated candidate
+def test_failed_upper_end_costs_one_evaluation(monkeypatch):
+    # A s^1.5 looks contractive at w0 = 0.4 1, so the upper end of the bracket
     # (the second evaluation, on the sphere) fails; the pre-phase goes on
-    # without extrapolating and the norm rule proves infeasibility
+    # without it and the norm rule proves infeasibility
     def no_walk(*args):
         raise AssertionError("the walk ran")
 
@@ -438,11 +445,11 @@ def test_failed_extrapolated_candidate_costs_one_evaluation(monkeypatch):
     assert on_sphere == [1]
 
 
-def test_extrapolated_candidate_is_tested_at_most_once(monkeypatch):
+def test_upper_end_is_tested_at_most_once(monkeypatch):
     # linear below 1.05 w* and steep above it: the iterates stay linear, so
-    # the extrapolated bound keeps clearing, but every sphere point near s*
-    # fails.  One extrapolated point is tested; the rest of the pre-phase
-    # runs as without extrapolation until its plain candidate fires
+    # the bracket's upper end keeps passing its norm test, but every sphere
+    # point near s* fails.  One upper end is tested; the rest of the pre-phase
+    # runs as without it until its plain candidate fires
     class Walked(Exception):
         pass
 
@@ -462,39 +469,40 @@ def test_extrapolated_candidate_is_tested_at_most_once(monkeypatch):
     assert sum(on_sphere[:last_iterate]) == 1
 
 
-def test_lower_tail_point_is_tested_at_most_once():
+def test_lower_end_is_tested_at_most_once():
     # A rule whose kind says linear, though it is 1.5 s only below (1, 4.95)
-    # and flat above (rounding can mislead the bound on a linear map in the
-    # same way).  The first steps grow by 1.5, so the lower tail bound calls
-    # the iterates divergent, but its sphere point (5, 5) has a label in
-    # component 1.  One such point is tested; the pre-phase then runs as
-    # without the bound until its plain candidate fires at the fixed point
-    # (1.1, 5.05), and the sphere stage certifies r w/|w|_1
+    # and flat above (rounding can mislead the bracket on a linear map in the
+    # same way).  The first steps grow by 1.5, so the lower ratio is 1 and
+    # the bracket's lower end is the ray of the last step, but its sphere
+    # point (5, 5) has a label in component 1.  One such point is tested; the
+    # pre-phase then runs as without the lower end until, next to the fixed
+    # point (1.1, 5.05), the upper end's sphere point certifies
     T = MonotoneMap(2, lambda s: np.minimum(1.5 * s, [1.0, 4.95]), "linear")
     watched, seen = recorded(T)
     report = find_decay_point(watched, SolverConfig(r=10.0, epsilon=0.1, max_iterations=1000), 2)
     assert report.success
-    assert report.iterations == len(seen) == 11  # one more than without the bound
+    assert report.iterations == len(seen) == 10  # one more than without the lower end
     on_sphere = [abs(float(np.sum(s)) - 10.0) <= 1e-8 for s in seen]
-    assert on_sphere == [False, True] + [False] * 8 + [True]
+    assert on_sphere == [False, True] + [False] * 7 + [True]
     np.testing.assert_array_equal(seen[1], [5.0, 5.0])
-    np.testing.assert_allclose(report.s_star, 10.0 * np.array([1.1, 5.05]) / 6.15, rtol=1e-12)
+    np.testing.assert_allclose(report.s_star, [1.7857899371076265, 8.214210062892374],
+                               rtol=1e-12)
 
 
-def test_lower_tail_bound_does_not_end_a_nonlinear_run():
+def test_lower_end_does_not_end_a_nonlinear_run():
     # Monotone with T(0) = 0, and (5, 5) decays with margin above 2.  At w0 the
     # lower ratio is min(10, 1.1) >= 1, and the sphere point of the last step,
     # about (9.009, 0.991), has no label: for a linear map that would prove
-    # infeasibility, here it proves nothing.  The bound is not used, and the
-    # iterates converge to about (1.015, 1.01), whose candidate leads on to a
-    # certificate.
+    # infeasibility, here it proves nothing.  The lower end is not used, and
+    # the iterates converge to about (1.015, 1.01), where the upper end's
+    # sphere point is a certificate.
     T = MonotoneMap(2, lambda s: np.array([max(math.sqrt(s[0]), s[0] ** 2 / 9.0),
                                            min(1.1 * s[1], 1.0)]), "mixed")
     watched, seen = recorded(T)
     report = find_decay_point(watched, SolverConfig(r=10.0, epsilon=0.01, max_iterations=100_000), 2)
     assert report.success
-    assert report.iterations == len(seen) == 27
-    np.testing.assert_allclose(report.s_star, [5.02438996, 4.97561004], rtol=1e-8)
+    assert report.iterations == len(seen) == 26
+    np.testing.assert_allclose(report.s_star, [4.96081484, 5.03918516], rtol=1e-8)
     lower_point = 10.0 * np.array([0.1, 0.011]) / 0.111  # the first step d0, on the sphere
     assert not any(np.allclose(s, lower_point) for s in seen)
 
@@ -522,7 +530,7 @@ def test_sphere_stage_finds_near_limit_points(n, eps):
 
 # Counts at random_contractive(n, 0.8, seed), seeds 0..2, at half and 0.9 of
 # eps_max.  The sphere stage runs only after a failed candidate, and a
-# linear map's candidate, plain or extrapolated, always passes.
+# linear map's candidate, plain or the bracket's upper end, always passes.
 LINEAR_COUNTS = {
     0.5: {2: [3, 3, 3], 4: [3, 3, 3], 6: [3, 3, 3], 8: [3, 3, 3], 10: [3, 3, 3]},
     0.9: {2: [3, 4, 5], 4: [5, 3, 4], 6: [4, 3, 4], 8: [4, 3, 4], 10: [3, 4, 4]},

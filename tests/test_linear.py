@@ -122,9 +122,30 @@ class TestNeumannInverse:
             residual = np.max(np.abs((np.eye(n) - A) @ M - np.eye(n)))
             assert residual < 10 * tol
 
+    @pytest.mark.parametrize("rho", [0.9999, 0.99999])
+    def test_near_unit_radius_within_its_residual(self, rho):
+        # a term-by-term sum would need over 1e5 products here; doubling needs about 30
+        for n, seed in [(2, 0), (5, 0), (8, 3)]:
+            A = random_contractive(n, rho, seed)
+            M = neumann_inverse(A)
+            assert np.all(M >= 0.0)
+            assert np.max(np.abs((np.eye(n) - A) @ M - np.eye(n))) < 10 * 1e-10
+
+    def test_rejects_a_radius_beyond_its_stated_range(self):
+        with pytest.raises(ValueError, match="above 1 - 1e-6"):
+            neumann_inverse(random_contractive(5, 1.0 - 1e-7, 0))
+
     def test_nilpotent_matrix_with_a_large_entry(self):
         # rho = 0: the series stops after one term however large that term is
         np.testing.assert_array_equal(neumann_inverse([[0, 2e12], [0, 0]]), [[1, 2e12], [0, 1]])
+
+    @pytest.mark.parametrize("A", [
+        [[0, 1e200, 0], [0, 0, 1e200], [0, 0, 0]],  # rho = 0, but A^2 has the entry 1e400
+        [[0, 1e308, 1e308], [0, 0, 1], [0, 0, 0]],  # rho = 0, but a sum overflows
+    ])
+    def test_an_overflowing_series_raises(self, A):
+        with pytest.raises(ValueError, match="overflows"):
+            neumann_inverse(A)
 
     @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0])
     def test_rejects_a_bad_tolerance(self, tol):

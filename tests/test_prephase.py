@@ -9,6 +9,7 @@ and the run must end in ``label_none`` at a sphere point without a label.
 import numpy as np
 import pytest
 
+from decaycert import homotopy
 from decaycert.homotopy import SolverConfig, find_decay_point
 from decaycert.linear import eps_max
 from decaycert.maps import MonotoneMap, make_linear_map
@@ -18,9 +19,9 @@ st = hypothesis.strategies
 
 R = 10.0
 CAP = 1000
-# Without its tail bounds the pre-phase needs steps growing like 1/(1 - rho)
+# Without its bracket the pre-phase needs steps growing like 1/(1 - rho)
 # near rho = 1 (4,612 at rho = 0.999 and eps = 1.01 eps_max); the cap is kept
-# that large so that a lost tail bound fails on the counts, not on the cap.
+# that large so that a lost bracket end fails on the counts, not on the cap.
 NEAR_UNIT_CAP = 10_000
 # Spectral radii 0.9 ... 0.999, spread evenly over the digits of 1 - rho.
 NEAR_UNIT_RHO = st.floats(1.0, 3.0).map(lambda digits: 1.0 - 10.0 ** -digits)
@@ -86,8 +87,8 @@ def test_near_unit_rho_infeasible_eps_ends_in_label_none(A, fraction):
     check_infeasible(A, fraction, NEAR_UNIT_CAP)
 
 
-# Linear T below the limit: the candidate bound, plain or extrapolated, is a
-# proof, so the first sphere point the solver evaluates is s* itself.  Every
+# Linear T below the limit: the candidate bound, plain or at the bracket's
+# upper end, is a proof, so the first sphere point the solver evaluates is s* itself.  Every
 # iterate lies below the limit w* = (I - A)^-1 eps 1, whose norm is at most
 # 0.999 r, so the evaluated points on the sphere are told apart by norm.
 @hypothesis.settings(max_examples=60, deadline=None, database=None, derandomize=True)
@@ -108,11 +109,11 @@ def test_feasible_eps_evaluates_one_sphere_point(A, fraction):
     np.testing.assert_array_equal(on_sphere[0], report.s_star)
 
 
-# Linear T above the limit: the lower tail bound ``w* >= w_k + d_k/(1 - theta)``
-# (theta the smallest ratio d_k,i/d_k-1,i), or the divergence of the iterates
-# along d_k when theta >= 1, puts a sphere point without a label in reach
-# before the norm rule fires.  How soon depends on how fast theta settles
-# near rho: most draws end in under 15 evaluations, but a slow mode
+# Linear T above the limit: the bracket's lower end
+# ``w* >= w_k + d_k/(1 - theta)`` (theta the smallest ratio d_k,i/d_k-1,i),
+# or the ray of d_k when theta >= 1, along which the iterates diverge, puts a
+# sphere point without a label in reach before the norm rule fires.  How soon
+# depends on how fast theta settles near rho: most draws end in under 15 evaluations, but a slow mode
 # (SLOW_MODES below) can take hundreds, so the property bounds the count by
 # that of the norm rule alone, the same matrix under a kind other than linear.
 def check_lower_bound(A, eps):
@@ -165,3 +166,37 @@ def test_divergent_linear_map_ends_before_the_norm_rule(A, fraction):
 @hypothesis.example(A=np.array(SLOW_MODES[2][1]), fraction=1.001)
 def test_infeasible_eps_near_the_limit_ends_before_the_norm_rule(A, fraction):
     check_lower_bound(A, fraction * eps_max(A, R))
+
+
+# Every bracket the pre-phase forms on a linear map, checked against the map
+# and against w* = (I - A)^-1 eps 1 itself, each end as the solver holds it,
+# scaled by 1 - theta: the upper end (theta < 1) satisfies A U + eps 1 <= U
+# and U >= w*, so its sphere point decays with margin eps when |U|_1 <= r;
+# the lower end satisfies A L + eps 1 >= L and L <= w* (at theta = 1 it is
+# the ray of d_k, and A d_k >= d_k).  The fractions lie near the limit, so
+# that most runs take several steps, but keep |w*|_1 away from r, where the
+# iterates would crawl to the cap.
+@hypothesis.settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@hypothesis.given(contractive(st.floats(0.05, 0.999)),
+                  st.one_of(st.floats(0.8, 0.99), st.floats(1.01, 1.5)))
+def test_bracket_ends_bound_the_least_fixed_point(A, fraction):
+    eps = fraction * eps_max(A, R)
+    w_star = np.linalg.solve(np.eye(len(A)) - A, np.full(len(A), eps))
+    brackets = []
+
+    def recording(w, prev, step):
+        ends = bracket(w, prev, step)
+        brackets.append(ends)
+        return ends
+
+    bracket = homotopy._bracket
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(homotopy, "_bracket", recording)
+        find_decay_point(make_linear_map(A), SolverConfig(R, eps, NEAR_UNIT_CAP), len(A))
+    tol = 1e-9
+    for (lo, low), (hi, high) in brackets:
+        assert np.all(A @ low + (1.0 - lo) * eps >= low * (1.0 - tol))
+        assert np.all(low <= (1.0 - lo) * w_star * (1.0 + tol))
+        if hi < 1.0:
+            assert np.all(A @ high + (1.0 - hi) * eps <= high * (1.0 + tol))
+            assert np.all(high >= (1.0 - hi) * w_star * (1.0 - tol))
