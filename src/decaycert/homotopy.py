@@ -96,7 +96,32 @@ or an eigenvalue near ``-rho`` slows the bracket (to hundreds of
 evaluations for the last).
 
 The iterates are not sphere points and never enter the memo, so only a
-sphere point that passed the direct margin test is ever returned.
+sphere point that passed the direct margin test is ever returned (a
+homogeneous map's iterates are evaluated at their sphere points instead,
+each tested directly; see below).
+
+**Homogeneous maps.**  For a map that is homogeneous of degree one,
+``T(l s) = l T(s)`` (``MonotoneMap.homogeneous``: linear maps, max-times
+tables with gains ``c t``, and compositions of such maps with ``c t``
+diagonals), the step evaluates T at the iterate's sphere point
+``p = r w_k / |w_k|_1`` instead of at ``w_k``, through the memo, and
+reads ``T(w_k) = T(p) |w_k|_1 / r`` off that value, with the factor that
+the scaling to the sphere actually applied.  So the one counted
+evaluation is also p's certificate test, and the candidate rule is that
+evaluation's own test: a run that the candidate answers ends one
+evaluation sooner than at ``w_k``, and an iterate whose sphere point
+decays with margin exactly eps, which the rule's ``1e-9`` allowance
+misses, certifies it.  Iterates on one ray, as when
+``T(1)`` is a multiple of ``1``, share a sphere point, which the memo
+serves after its first evaluation; the first, ``r 1/n``, has the bytes
+of level 1's barycentre, so the memo serves that test too.  The derived ``T(w_k)`` differs from
+a direct evaluation by a few ulps, which the ``1e-9`` allowance absorbs
+in the norm rule, the box point and both bracket ends; where it would
+round a component of ``w_{k+1}`` below ``w_k``, that component is kept
+at ``w_k``, since for monotone T the iterates never decrease.  A
+non-finite value is named ``nonfinite`` at the sphere point, and at a
+huge r a sphere point can overflow where the small iterate would not
+have.  Other maps keep evaluating the iterate itself.
 
 **Sphere stage.**  A failed candidate is a sphere point where the bound
 at a small iterate misjudged the map: a superlinear ``A s^1.2`` looks
@@ -293,7 +318,10 @@ def find_decay_point(T: MonotoneMap, cfg: SolverConfig, n: int) -> SolveReport:
 
     The order-interval pre-phase (see the module docstring) runs first:
     its evaluations count toward ``max_iterations`` and its non-finite
-    values are named ``nonfinite`` at the iterate.  Besides each iterate's
+    values are named ``nonfinite`` at the iterate, or, for a homogeneous
+    map (``T.homogeneous``), at the iterate's sphere point: such a map is
+    evaluated there instead, so that each evaluation is also the candidate's
+    certificate test.  Besides each iterate's
     own candidate it tests at most one sphere point of each end of its
     Collatz-Wielandt bracket of the least fixed point: the upper end's,
     which the bracket proves a certificate for linear maps, and, for a map
@@ -315,6 +343,11 @@ def find_decay_point(T: MonotoneMap, cfg: SolverConfig, n: int) -> SolveReport:
     cache: dict[bytes, bytes] = {}  # point.tobytes() -> T(point).tobytes()
     count = 0
 
+    def nonfinite(point: np.ndarray) -> _Finished:
+        """The end of the search at ``point``, where T has a NaN or infinite component."""
+        return _Finished(SolveReport(False, None, count, failure_reason="nonfinite",
+                                     failure_point=point))
+
     def counted(point: np.ndarray) -> tuple[np.ndarray, float]:
         """``T(point)`` and the margin ``min(point - T(point))``, counted against the cap."""
         nonlocal count
@@ -324,8 +357,7 @@ def find_decay_point(T: MonotoneMap, cfg: SolverConfig, n: int) -> SolveReport:
         value = T(point)
         margin = float(np.min(point - value))
         if not math.isfinite(margin):  # NaN or +inf in T(point); point is finite
-            raise _Finished(SolveReport(False, None, count, failure_reason="nonfinite",
-                                        failure_point=point))
+            raise nonfinite(point)
         return value, margin
 
     def evaluate(point: np.ndarray) -> np.ndarray:
@@ -353,10 +385,37 @@ def find_decay_point(T: MonotoneMap, cfg: SolverConfig, n: int) -> SolveReport:
 
         return label_of
 
-    def on_sphere(v: np.ndarray) -> np.ndarray:
-        """``v`` scaled to 1-norm r (through its maximum, so a huge ``v`` cannot overflow)."""
-        v = v / float(np.max(v))
-        return v * (r / float(np.sum(v)))
+    def on_sphere(v: np.ndarray) -> tuple[np.ndarray, float]:
+        """``v`` scaled to 1-norm r, and the factor ``|v|_1 / r`` that undoes the scaling.
+
+        The scaling goes through ``max(v)``, so a huge ``v`` cannot overflow.
+        """
+        top = float(np.max(v))
+        v = v / top
+        total = float(np.sum(v))
+        return v * (r / total), top * (total / r)
+
+    def step_from(w: np.ndarray) -> tuple[np.ndarray, float]:
+        """The next iterate ``T(w) + eps`` and the margin ``min(w - T(w))``.
+
+        A homogeneous T is evaluated at the sphere point ``p`` of ``w``
+        through the memo, so the one counted evaluation is also p's
+        certificate test, and ``T(w) = T(p) |w|_1/r``.  Where that product
+        rounds the next iterate below ``w``, it is raised to ``w``: for
+        monotone T the iterates never decrease, and a direct evaluation of
+        T(w) keeps them so.  Any other T, or a ``|w|_1/r`` that overflows,
+        is evaluated at ``w`` itself.
+        """
+        if T.homogeneous:
+            p, size = on_sphere(w)
+            if size < math.inf:
+                Tw = evaluate(p) * size
+                margin = float(np.min(w - Tw))
+                if not math.isfinite(margin):  # T(w) overflows, as T(w) itself would
+                    raise nonfinite(w)
+                return np.maximum(Tw + eps, w), margin
+        Tw, margin = counted(w)
+        return Tw + eps, margin
 
     def sphere_stage(p: np.ndarray) -> None:
         """Test ``p``, then step ``p <- on_sphere(T(p) + eps)`` while the margin grows.
@@ -366,7 +425,7 @@ def find_decay_point(T: MonotoneMap, cfg: SolverConfig, n: int) -> SolveReport:
         Tp = evaluate(p)
         best = float(np.min(p - Tp))
         for _ in range(n):
-            p = on_sphere(Tp + eps)
+            p, _ = on_sphere(Tp + eps)
             Tp = evaluate(p)
             margin = float(np.min(p - Tp))
             if margin <= best:
@@ -382,22 +441,22 @@ def find_decay_point(T: MonotoneMap, cfg: SolverConfig, n: int) -> SolveReport:
         """The pre-phase: iterate ``w <- T(w) + eps`` from ``eps 1``; the rungs left to walk.
 
         Ends the search itself with a certificate or with ``label_none``.
-        The iterates never reach the memo, so they are never returned as ``s*``.
+        The iterates never reach the memo, so they are never returned as ``s*``;
+        for a homogeneous map their sphere points do, each tested directly.
         """
         w = np.full(n, eps)
         step = np.full(n, eps)  # w_0 - w_-1, where w_-1 = T(0) = 0
         upper, lower = True, T.kind == "linear"  # the lower end needs T(w + d) = T(w) + T(d)
         while True:
-            Tw, margin = counted(w)
-            up = Tw + eps
+            up, margin = step_from(w)
             if (r / float(np.sum(w))) * margin >= eps * (1.0 + _ROUNDING):  # the candidate
-                sphere_stage(on_sphere(w))
+                sphere_stage(on_sphere(w)[0])
                 return ladder
             prev, step = step, up - w
             if float(np.sum(up)) > r * (1.0 + _ROUNDING):  # no decay point exists
                 p = _box_point(w, up, step, r)
                 if p is None:
-                    p = on_sphere(up)
+                    p, _ = on_sphere(up)
                     if label_index(p, evaluate(p), eps) is not None:
                         return [eps]
                 raise label_none(p)
@@ -405,10 +464,10 @@ def find_decay_point(T: MonotoneMap, cfg: SolverConfig, n: int) -> SolveReport:
                 (lo, low), (hi, high) = _bracket(w, prev, step)
                 if (upper and hi < 1.0
                         and float(np.sum(high)) <= (1.0 - hi) * r * (1.0 - _ROUNDING)):
-                    evaluate(on_sphere(high))  # ends the search if it passes, as for linear T
+                    evaluate(on_sphere(high)[0])  # ends the search if it passes, as for linear T
                     upper = False  # the end misled: at most one such test per solve
                 if lower and float(np.sum(low)) > (1.0 - lo) * r * (1.0 + _ROUNDING):
-                    p = on_sphere(low)
+                    p, _ = on_sphere(low)
                     if label_index(p, evaluate(p), eps) is None:  # as it must for linear T
                         raise label_none(p)
                     lower = False  # the end misled: at most one such test per solve

@@ -54,6 +54,7 @@ def random_contractive(n: int, rho_target: float, seed: int) -> np.ndarray:
     """
     check_count("n", n)
     check_positive("rho_target", rho_target)
+    check_count("seed", seed, least=0)
     A = np.random.default_rng(seed).random((n, n))
     rho = spectral_radius(A)
     if rho == 0.0:

@@ -18,6 +18,7 @@ from .linear import as_nonnegative_matrix
 from .order import as_point, check_count, check_positive
 from .scalarfn import (
     ScalarFn,
+    is_degree_one,
     is_kinf_on,
     is_nondecreasing_on,
     is_zero_at_zero,
@@ -47,13 +48,29 @@ class MonotoneMap:
 
     Instances are immutable and evaluation is pure, so maps can be shared
     freely between threads.
+
+    ``homogeneous`` (read-only, False unless given) states that T is
+    homogeneous of degree one, ``T(l s) = l T(s)`` for ``l >= 0``, up to
+    rounding.  Only the family constructors set it: linear maps, and
+    max-times tables, diagonals and compositions built from degree-one
+    parts.  The solver then evaluates each pre-phase iterate at its point
+    on the sphere (see :mod:`decaycert.homotopy`), and its proofs of
+    infeasibility take the flag on trust: pass it only for a map that is
+    homogeneous.  A map built from a callable without it is treated as any
+    other monotone map.
     """
 
-    def __init__(self, dimension: int, fn: Callable[[np.ndarray], np.ndarray], kind: str):
+    def __init__(self, dimension: int, fn: Callable[[np.ndarray], np.ndarray], kind: str,
+                 *, homogeneous: bool = False):
         check_count("map dimension", dimension)
         self.dimension = dimension
         self.kind = kind
         self._fn = fn
+        self._homogeneous = bool(homogeneous)
+
+    @property
+    def homogeneous(self) -> bool:
+        return self._homogeneous
 
     def __call__(self, s) -> np.ndarray:
         s = as_point(s, dim=self.dimension)
@@ -73,7 +90,7 @@ def make_linear_map(matrix) -> MonotoneMap:
     """Map given by multiplication with a nonnegative square matrix."""
     A = as_nonnegative_matrix(matrix)
     A.flags.writeable = False
-    return MonotoneMap(A.shape[0], lambda s: A @ s, "linear")
+    return MonotoneMap(A.shape[0], lambda s: A @ s, "linear", homogeneous=True)
 
 
 def make_chain_map(n: int) -> MonotoneMap:
@@ -82,8 +99,7 @@ def make_chain_map(n: int) -> MonotoneMap:
     ``(Ts)_i = (s_{i-1}^{1/i} + s_{i+1}^{i+1}) / 4`` for 1-based ``i``,
     with the convention that the out-of-range neighbours are zero.
     """
-    if n < 2:
-        raise ValueError(f"chain map needs n >= 2, got {n}")
+    check_count("chain map dimension", n, least=2)
 
     def fn(s: np.ndarray) -> np.ndarray:
         out = np.zeros(n)
@@ -98,8 +114,7 @@ def make_chain_map(n: int) -> MonotoneMap:
 
 def chain_feasible_point(n: int, r: float) -> np.ndarray:
     """Point ``p = (r, r^{1/2!}, ..., r^{1/n!})`` with ``Tp << p`` for the chain map."""
-    if n < 2:
-        raise ValueError(f"chain map needs n >= 2, got {n}")
+    check_count("chain map dimension", n, least=2)
     check_positive("r", r)
     p = np.array([r ** (1.0 / math.factorial(i)) for i in range(1, n + 1)])
     p.flags.writeable = False
@@ -113,7 +128,8 @@ def make_flipflop_map(lam: float) -> MonotoneMap:
     plain iteration never produces a strictly decreasing step if the start
     is not one already.
     """
-    if not 0.0 < lam < 1.0:
+    check_positive("flipflop lambda", lam)
+    if not lam < 1.0:
         raise ValueError(f"flipflop lambda must lie in (0, 1), got {lam}")
 
     def fn(s: np.ndarray) -> np.ndarray:
@@ -174,7 +190,8 @@ def _max_preserving(rows: list[list[ScalarFn]]) -> MonotoneMap:
     def fn(s: np.ndarray) -> np.ndarray:
         return np.array([max(g(s[j]) for j, g in enumerate(row)) for row in rows])
 
-    return MonotoneMap(len(rows), fn, "max-preserving")
+    return MonotoneMap(len(rows), fn, "max-preserving",
+                       homogeneous=all(is_degree_one(g) for row in rows for g in row))
 
 
 def make_diagonal(fns: Sequence) -> MonotoneMap:
@@ -188,7 +205,8 @@ def make_diagonal(fns: Sequence) -> MonotoneMap:
     def fn(s: np.ndarray) -> np.ndarray:
         return np.array([rho(s[i]) for i, rho in enumerate(rhos)])
 
-    return MonotoneMap(len(rhos), fn, "diagonal")
+    return MonotoneMap(len(rhos), fn, "diagonal",
+                       homogeneous=all(is_degree_one(rho) for rho in rhos))
 
 
 def compose(*maps: MonotoneMap) -> MonotoneMap:
@@ -207,4 +225,5 @@ def compose(*maps: MonotoneMap) -> MonotoneMap:
                 break
         return s
 
-    return MonotoneMap(dims[0], fn, "composition")
+    return MonotoneMap(dims[0], fn, "composition",
+                       homogeneous=all(m.homogeneous for m in maps))

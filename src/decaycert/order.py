@@ -71,12 +71,12 @@ def check_positive(name: str, value) -> None:
         raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
-def check_count(name: str, value) -> None:
-    """Reject ``value`` unless it is an integer >= 1 (a bool is not one)."""
+def check_count(name: str, value, least: int = 1) -> None:
+    """Reject ``value`` unless it is an integer >= ``least`` (a bool is not one)."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an int, got {value!r}")
-    if value < 1:
-        raise ValueError(f"{name} must be >= 1, got {value}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
 
 
 def compare(x, y) -> OrderRelation:

@@ -35,6 +35,7 @@ __all__ = [
     "Max",
     "parse_scalar_fn",
     "zero_fn",
+    "is_degree_one",
     "is_zero_at_zero",
     "is_nondecreasing_on",
     "is_kinf_on",
@@ -239,6 +240,20 @@ def validation_grid(n_points: int = 25) -> list[float]:
     """Log-spaced sample grid {0} U [1e-3, 1e3] used by the property checks."""
     step = 6.0 / (n_points - 1)
     return [0.0] + [10.0 ** (-3.0 + k * step) for k in range(n_points)]
+
+
+def is_degree_one(fn: ScalarFn) -> bool:
+    """Whether ``fn(l t) = l fn(t)`` for all ``l, t >= 0``, read off the tree.
+
+    True for a Term with exponent 1 or coefficient 0, and for a Sum or Max
+    of such terms; False for everything else, including a ScalarFn subclass
+    defined elsewhere.
+    """
+    if isinstance(fn, Term):
+        return fn.exponent == 1.0 or fn.coeff == 0.0
+    if isinstance(fn, (Sum, Max)):
+        return all(is_degree_one(part) for part in fn.parts)
+    return False
 
 
 def is_zero_at_zero(fn, tol: float = 1e-12) -> bool:

@@ -4,6 +4,7 @@ import re
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from decaycert import (
@@ -20,7 +21,7 @@ from decaycert import (
     reparametrize_path,
 )
 from decaycert.linear import eps_max
-from decaycert.maps import chain_feasible_point
+from decaycert.maps import chain_feasible_point, make_chain_map, make_flipflop_map
 
 MODULES = ["cli", "dynamics", "homotopy", "labeling", "linear", "maps", "mapspec",
            "maxpreserving", "order", "scalarfn", "triangulation"]
@@ -73,10 +74,14 @@ SCALAR_ARGUMENTS = [
     ("label_eps eps", "eps", lambda v: label_eps(SWAP_MAP, [1, 1], v)),
     ("random_contractive n", "n", lambda v: random_contractive(v, 0.8, 0)),
     ("random_contractive rho_target", "rho_target", lambda v: random_contractive(3, v, 0)),
+    ("random_contractive seed", "seed", lambda v: random_contractive(3, 0.8, v)),
     ("neumann_inverse tol", "tol", lambda v: neumann_inverse(SWAP, tol=v)),
     ("eps_max r", "r", lambda v: eps_max(SWAP, v)),
     ("MonotoneMap dimension", "map dimension", lambda v: MonotoneMap(v, lambda s: s, "id")),
     ("chain_feasible_point r", "r", lambda v: chain_feasible_point(3, v)),
+    ("chain_feasible_point n", "chain map dimension", lambda v: chain_feasible_point(v, 10.0)),
+    ("make_chain_map n", "chain map dimension", lambda v: make_chain_map(v)),
+    ("make_flipflop_map lam", "flipflop lambda", lambda v: make_flipflop_map(v)),
     ("path_q t", "t", lambda v: path_q(SWAP_TABLE, v)),
     ("reparametrize_path r", "r", lambda v: reparametrize_path(SWAP_TABLE, v)),
     ("reparametrize_path tol", "tol", lambda v: reparametrize_path(SWAP_TABLE, 1.0, tol=v)),
@@ -89,3 +94,12 @@ SCALAR_ARGUMENTS = [
 def test_a_mistyped_scalar_argument_is_named(argument, call, value):
     with pytest.raises(ValueError, match=rf"^{re.escape(argument)} must be "):
         call(value)
+
+
+def test_a_seed_is_a_nonnegative_int():
+    with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+        random_contractive(3, 0.8, -1)
+    with pytest.raises(ValueError, match=r"^seed must be an int, got 1\.0$"):
+        random_contractive(3, 0.8, 1.0)
+    np.testing.assert_array_equal(random_contractive(3, 0.8, np.int64(0)),
+                                  random_contractive(3, 0.8, 0))

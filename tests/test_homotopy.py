@@ -209,13 +209,40 @@ class TestFindDecayPoint:
         assert report.failure_reason == "label_none"
         assert report.failure_point.tolist() == [5.0, 5.0]
 
+    def test_a_homogeneous_map_that_overflows_at_a_sphere_point_ends_there(self):
+        # T(r 1/n) = (5e314, 0) overflows, though the small iterates and the
+        # decay point (1e305, 1e295) map to finite values: a linear map is
+        # evaluated on the sphere, so the run ends nonfinite at its first point
+        T = make_linear_map([[0.0, 1e10], [0.0, 0.0]])
+        report = find_decay_point(T, SolverConfig(r=1e305, epsilon=1e290), 2)
+        assert (report.failure_reason, report.iterations) == ("nonfinite", 1)
+        assert report.failure_point.tolist() == [5e304, 5e304]
+
+    def test_an_overflowing_norm_ratio_evaluates_the_iterate(self):
+        # |w0|_1 / r = 2e300 / 1e-10 overflows: the step evaluates w0 itself,
+        # as for any other map, and the run ends at the sphere point of w1
+        T = make_linear_map([[0.5, 0.0], [0.0, 0.5]])
+        report = find_decay_point(T, SolverConfig(r=1e-10, epsilon=1e300), 2)
+        assert (report.failure_reason, report.iterations) == ("label_none", 2)
+        assert report.failure_point.tolist() == [5e-11, 5e-11]
+
+    def test_a_derived_value_that_overflows_is_named_at_the_iterate(self):
+        # T(p) = (1e10, 1e10) at p = r 1/n is finite, but T(w0) = 2e300 T(p)
+        # overflows, as a direct evaluation at w0 = (1e300, 1e300) would
+        T = make_linear_map([[1e10, 0.0], [0.0, 1e10]])
+        report = find_decay_point(T, SolverConfig(r=1.0, epsilon=1e300), 2)
+        assert (report.failure_reason, report.iterations) == ("nonfinite", 1)
+        assert report.failure_point.tolist() == [1e300, 1e300]
+
     def test_label_none_when_the_first_iterate_lies_outside_the_sphere(self):
         # w0 = (1, 1) already has norm 2 > r and T(w0) = 0: the last step is 0,
-        # so there is no box point, and w1 = w0 scaled to the sphere has no label
+        # so there is no box point, and w1 = w0 scaled to the sphere has no label.
+        # T is linear, so T(w0) was read off the evaluation at that very sphere
+        # point, and the memo serves its label: one evaluation in all
         T = make_linear_map(np.zeros((2, 2)))
         report = find_decay_point(T, SolverConfig(r=1.0, epsilon=1.0), 2)
         assert report.failure_reason == "label_none"
-        assert report.iterations == 2
+        assert report.iterations == 1
         assert report.failure_point.tolist() == [0.5, 0.5]
 
     def test_dimension_checks(self):
@@ -247,7 +274,7 @@ GOLDEN_WALKS = [
     ("chain n=3", lambda: make_chain_map(3), None, 17, [6.25, 2.5, 1.25]),
     ("chain n=4", lambda: make_chain_map(4), None, 10, [6.25, 1.25, 1.25, 1.25]),
     ("chain n=5", lambda: make_chain_map(5), None, 11, [6.0, 1.0, 1.0, 1.0, 1.0]),
-    ("linear n=6 seed 0", lambda: make_linear_map(random_contractive(6, 0.8, 0)), None, 3,
+    ("linear n=6 seed 0", lambda: make_linear_map(random_contractive(6, 0.8, 0)), None, 2,
      [1.5625762201636155, 1.784146270600348, 1.6825451008792094, 1.4457098471192324,
       1.9438228231111778, 1.5811997381264176]),
     ("linear n=3 rho=0.8 seed 0 at 0.9 eps_max",
@@ -531,8 +558,10 @@ def test_sphere_stage_finds_near_limit_points(n, eps):
 # Counts at random_contractive(n, 0.8, seed), seeds 0..2, at half and 0.9 of
 # eps_max.  The sphere stage runs only after a failed candidate, and a
 # linear map's candidate, plain or the bracket's upper end, always passes.
+# A linear map is homogeneous, so every evaluation is at a sphere point, an
+# iterate's own or the upper end's, and the one that passes ends the run.
 LINEAR_COUNTS = {
-    0.5: {2: [3, 3, 3], 4: [3, 3, 3], 6: [3, 3, 3], 8: [3, 3, 3], 10: [3, 3, 3]},
+    0.5: {2: [3, 3, 2], 4: [3, 2, 3], 6: [3, 2, 2], 8: [3, 2, 2], 10: [3, 2, 3]},
     0.9: {2: [3, 4, 5], 4: [5, 3, 4], 6: [4, 3, 4], 8: [4, 3, 4], 10: [3, 4, 4]},
 }
 

@@ -261,3 +261,42 @@ class TestFamilyInvariants:
         for name, T, n in _family_zoo(rng):
             for _ in range(50):
                 assert np.all(T(rng.random(n) * 10) >= 0.0), name
+
+
+class TestHomogeneousFlag:
+    """Only the family constructors set ``homogeneous``, and only for degree-one maps."""
+
+    SWAP = [[0.0, 0.5], [0.5, 0.0]]
+
+    def test_linear_maps_are_homogeneous(self):
+        assert make_linear_map(self.SWAP).homogeneous
+
+    @pytest.mark.parametrize("T", [make_chain_map(3), make_flipflop_map(0.5),
+                                   MonotoneMap(2, lambda s: 0.5 * s, "scaled")],
+                             ids=["chain", "flipflop", "direct"])
+    def test_other_maps_are_not(self, T):
+        assert not T.homogeneous
+
+    @pytest.mark.parametrize("gains,expected", [
+        ([[None, "0.5*t"], ["max(t, 2*t)", "0"]], True),
+        ([[None, "0.5*t"], ["t^2", None]], False),
+    ])
+    def test_max_preserving_tables_of_degree_one_gains(self, gains, expected):
+        assert make_max_preserving(gains).homogeneous is expected
+
+    @pytest.mark.parametrize("functions,expected", [
+        (["2*t", "2*t"], True),
+        (["2*t", "t + 0.5*t"], True),
+        (["t^1.2", "t^1.2"], False),
+        (["2*t", "t^1.2"], False),
+    ])
+    def test_compositions_are_homogeneous_when_every_factor_is(self, functions, expected):
+        assert make_diagonal(functions).homogeneous is expected
+        T = compose(make_linear_map(self.SWAP), make_diagonal(functions))
+        assert T.homogeneous is expected
+        assert compose(T, make_chain_map(2)).homogeneous is False
+
+    def test_the_flag_is_read_only(self):
+        T = make_linear_map(self.SWAP)
+        with pytest.raises(AttributeError):
+            T.homogeneous = False

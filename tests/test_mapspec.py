@@ -198,3 +198,14 @@ class TestRoundTrip:
         for path in files:
             spec = parse_map_spec(path.read_text())
             assert parse_map_spec(serialize_map_spec(spec)) == spec
+
+
+@pytest.mark.parametrize("name,expected", [
+    ("chain5", False), ("flipflop", False), ("maxgain_half", True), ("scaled_swap", True),
+    ("swap_half", True),
+])
+def test_example_specs_build_maps_that_know_their_degree(name, expected):
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parents[1] / "mapspecs" / f"{name}.json"
+    assert parse_map_spec(path.read_text()).build().homogeneous is expected

@@ -11,8 +11,9 @@ import pytest
 
 from decaycert import homotopy
 from decaycert.homotopy import SolverConfig, find_decay_point
+from decaycert.labeling import label_index
 from decaycert.linear import eps_max
-from decaycert.maps import MonotoneMap, make_linear_map
+from decaycert.maps import MonotoneMap, compose, make_diagonal, make_linear_map, make_max_preserving
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -200,3 +201,115 @@ def test_bracket_ends_bound_the_least_fixed_point(A, fraction):
         if hi < 1.0:
             assert np.all(A @ high + (1.0 - hi) * eps <= high * (1.0 + tol))
             assert np.all(high >= (1.0 - hi) * w_star * (1.0 - tol))
+
+
+# A homogeneous map (T(l s) = l T(s)) evaluates each iterate at its sphere
+# point instead, reads T(w) = T(p) |w|_1/r off that evaluation, and so needs
+# no second evaluation when the candidate passes.  Its twin, the same
+# function without the flag, takes the path of every other map: both must
+# end alike, the flagged one at most one evaluation sooner.  Where T(1) is a
+# multiple of 1, every iterate lies on the ray of w_0 = eps 1 and has the same
+# sphere point, which the memo serves after its first evaluation
+# (test_iterates_on_one_ray_share_one_evaluation), so there the flagged run
+# may save more.  And where the limit w* lies on the sphere with margin
+# exactly eps, the twin crawls to the cap while the flagged run's direct test
+# of w*'s sphere point passes (test_a_limit_on_the_sphere_is_certified).
+@st.composite
+def homogeneous_maps(draw):
+    """A random linear map, max-times table with gains c t, or linear map after c t scalings."""
+    family = draw(st.sampled_from(["linear", "max-times", "scaled linear"]))
+    if family == "max-times":
+        n = draw(st.integers(2, 8))
+        coeffs = st.one_of(st.just(0.0), st.floats(0.05, 1.2))
+        rows = [[f"{draw(coeffs)!r}*t" for _ in range(n)] for _ in range(n)]
+        return make_max_preserving(rows)
+    A = draw(contractive(st.floats(0.05, 1.2)))
+    T = make_linear_map(A)
+    if family == "linear":
+        return T
+    scalings = st.floats(0.5, 1.5).map(lambda c: f"{c!r}*t")
+    return compose(T, make_diagonal([draw(scalings) for _ in range(len(A))]))
+
+
+@hypothesis.settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@hypothesis.given(homogeneous_maps(), st.floats(1e-3, 1.0))
+def test_a_homogeneous_map_ends_like_its_unflagged_twin(T, fraction):
+    n = T.dimension
+    assert T.homogeneous
+    cfg = SolverConfig(R, fraction * R / n, NEAR_UNIT_CAP)
+    report = find_decay_point(T, cfg, n)
+    twin = find_decay_point(MonotoneMap(n, T, T.kind), cfg, n)
+    assert report.failure_reason != "iteration_cap"
+    if twin.failure_reason == "iteration_cap":
+        assert report.success
+    else:
+        assert (report.success, report.failure_reason) == (twin.success, twin.failure_reason)
+        assert report.iterations <= twin.iterations
+    at_ones = T(np.ones(n))
+    if np.ptp(at_ones) > 1e-12 * np.max(at_ones):  # the iterates leave the ray of 1
+        assert report.iterations >= twin.iterations - 1
+    if report.success:
+        assert float(np.min(report.s_star - T(report.s_star))) >= cfg.epsilon
+    else:
+        np.testing.assert_allclose(report.failure_point, twin.failure_point, rtol=1e-12)
+        assert label_index(report.failure_point, T(report.failure_point), cfg.epsilon) is None
+
+
+def test_the_first_iterate_is_evaluated_at_the_level_one_barycentre():
+    """``on_sphere(eps 1)`` has the bytes of ``r 1/n``, so the memo serves both."""
+    for n in (2, 3, 5, 6, 7):
+        seen = []
+
+        def recording(s):
+            seen.append(np.array(s))
+            return 0.5 * s
+
+        T = MonotoneMap(n, recording, "scaled", homogeneous=True)
+        report = find_decay_point(T, SolverConfig(R, 0.3, CAP), n)
+        assert report.success and report.iterations == 1
+        assert seen[0].tobytes() == np.full(n, R / n).tobytes()
+
+
+def test_iterates_on_one_ray_share_one_evaluation():
+    """T(1) = c 1 keeps every iterate on the ray of 1, so each has the sphere point r 1/n.
+
+    The memo serves it after the first evaluation, however long the climb
+    to the norm rule, which ends the run in label_none at the box point.
+    """
+    T = make_max_preserving([["1.1649192981766365*t", None], [None, "1.1649192981766365*t"]])
+    cfg = SolverConfig(R, 0.005, CAP)
+    report = find_decay_point(T, cfg, 2)
+    twin = find_decay_point(MonotoneMap(2, T, T.kind), cfg, 2)
+    assert report.failure_reason == twin.failure_reason == "label_none"
+    assert (report.iterations, twin.iterations) == (1, 33)
+    np.testing.assert_allclose(report.failure_point, twin.failure_point, rtol=1e-12)
+
+
+@pytest.mark.parametrize("gain", ["0", "0.5*t"])
+def test_a_limit_on_the_sphere_is_certified(gain):
+    """``w* = r 1/n`` has margin exactly eps: the candidate rule, which asks for
+    ``eps (1 + 1e-9)``, never fires, but the direct test of w*'s sphere point passes."""
+    T = make_max_preserving([[None, gain], [None, gain]])
+    cfg = SolverConfig(R, R / 2 - float(T(np.full(2, R / 2))[0]), CAP)
+    report = find_decay_point(T, cfg, 2)
+    assert report.success and report.iterations == 1
+    assert report.s_star.tolist() == [5.0, 5.0]
+    twin = find_decay_point(MonotoneMap(2, T, T.kind), cfg, 2)
+    assert (twin.failure_reason, twin.iterations) == ("iteration_cap", CAP)
+
+
+def test_a_step_that_rounds_down_is_kept_at_the_iterate():
+    """The last two components never move and the second settles after one step.
+
+    Read off the sphere point, the second's next value rounds one ulp below
+    the iterate.  Kept there, the step stays nonnegative and the bracket's
+    upper end answers at the same step as with direct evaluations.
+    """
+    c = "0.6308831893890735*t"
+    T = make_max_preserving([[c, c, None, c], [None, None, None, c], [None] * 4, [None] * 4])
+    cfg = SolverConfig(R, 0.6308831893890735 * R / 4, CAP)
+    report = find_decay_point(T, cfg, 4)
+    twin = find_decay_point(MonotoneMap(4, T, T.kind), cfg, 4)
+    assert report.success and twin.success
+    assert report.iterations == twin.iterations == 3
+    assert float(np.min(report.s_star - T(report.s_star))) >= cfg.epsilon

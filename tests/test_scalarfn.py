@@ -2,9 +2,11 @@ import pytest
 
 from decaycert.scalarfn import (
     Max,
+    ScalarFn,
     ScalarFnParseError,
     Sum,
     Term,
+    is_degree_one,
     is_kinf_on,
     is_nondecreasing_on,
     is_zero_at_zero,
@@ -80,3 +82,24 @@ class TestChecks:
         assert len(grid) == 26
         assert grid[1] == pytest.approx(1e-3)
         assert grid[-1] == pytest.approx(1e3)
+
+
+# Degree one, g(l t) = l g(t): what lets the solver read T(w) off T at w's sphere point.
+@pytest.mark.parametrize("text", ["t", "0.5*t", "0", "t + 0.25*t", "max(t, 2*t)"])
+def test_degree_one_gains(text):
+    g = parse_scalar_fn(text)
+    assert is_degree_one(g)
+    assert g(3.0 * 0.7) == pytest.approx(3.0 * g(0.7), rel=1e-15)
+
+
+@pytest.mark.parametrize("text", ["t^2", "t^1.0001", "0.5*t + t^2", "max(t, t^0.5)"])
+def test_gains_of_another_degree(text):
+    assert not is_degree_one(parse_scalar_fn(text))
+
+
+def test_an_unknown_scalar_fn_is_not_degree_one():
+    class Identity(ScalarFn):
+        def __call__(self, t):
+            return t
+
+    assert not is_degree_one(Identity())
