@@ -111,17 +111,17 @@ evaluation is also p's certificate test, and the candidate rule is that
 evaluation's own test: a run that the candidate answers ends one
 evaluation sooner than at ``w_k``, and an iterate whose sphere point
 decays with margin exactly eps, which the rule's ``1e-9`` allowance
-misses, certifies it.  Iterates on one ray, as when
-``T(1)`` is a multiple of ``1``, share a sphere point, which the memo
-serves after its first evaluation; the first, ``r 1/n``, has the bytes
-of level 1's barycentre, so the memo serves that test too.  The derived ``T(w_k)`` differs from
-a direct evaluation by a few ulps, which the ``1e-9`` allowance absorbs
-in the norm rule, the box point and both bracket ends; where it would
-round a component of ``w_{k+1}`` below ``w_k``, that component is kept
-at ``w_k``, since for monotone T the iterates never decrease.  A
-non-finite value is named ``nonfinite`` at the sphere point, and at a
-huge r a sphere point can overflow where the small iterate would not
-have.  Other maps keep evaluating the iterate itself.
+misses, certifies it.  Iterates on one ray, as when ``T(1)`` is a
+multiple of ``1``, share a sphere point, which the memo serves after its
+first evaluation; the first, ``r 1/n``, has the bytes of level 1's
+barycentre, so the memo serves that test too.  The derived ``T(w_k)``
+differs from a direct evaluation by a few ulps, which the ``1e-9``
+allowance absorbs in the norm rule, the box point and both bracket ends;
+where it would round a component of ``w_{k+1}`` below ``w_k``, that
+component is kept at ``w_k``, since for monotone T the iterates never
+decrease.  A non-finite value is named ``nonfinite`` at the sphere
+point, and at a huge r a sphere point can overflow where the small
+iterate would not have.  Other maps keep evaluating the iterate itself.
 
 **Sphere stage.**  A failed candidate is a sphere point where the bound
 at a small iterate misjudged the map: a superlinear ``A s^1.2`` looks
