@@ -111,17 +111,26 @@ evaluation is also p's certificate test, and the candidate rule is that
 evaluation's own test: a run that the candidate answers ends one
 evaluation sooner than at ``w_k``, and an iterate whose sphere point
 decays with margin exactly eps, which the rule's ``1e-9`` allowance
-misses, certifies it.  Iterates on one ray, as when ``T(1)`` is a
-multiple of ``1``, share a sphere point, which the memo serves after its
-first evaluation; the first, ``r 1/n``, has the bytes of level 1's
-barycentre, so the memo serves that test too.  The derived ``T(w_k)``
-differs from a direct evaluation by a few ulps, which the ``1e-9``
-allowance absorbs in the norm rule, the box point and both bracket ends;
-where it would round a component of ``w_{k+1}`` below ``w_k``, that
-component is kept at ``w_k``, since for monotone T the iterates never
-decrease.  A non-finite value is named ``nonfinite`` at the sphere
-point, and at a huge r a sphere point can overflow where the small
-iterate would not have.  Other maps keep evaluating the iterate itself.
+misses, certifies it.  The first sphere point, ``r 1/n``, has the bytes
+of level 1's barycentre, so the memo serves that test too.  Iterates on
+one ray, as when ``T(1)`` is a multiple of ``1``, share a sphere point.
+A sphere point that the memo already holds failed its test before.  If
+it has no label, the run ends in ``label_none`` there: for homogeneous
+monotone T a sphere point p without a label proves that no point
+decays, since for a decay point s and ``l = max p_i/s_i >= 1``, attained
+at j, ``p <= l s`` gives ``T(p)_j + eps <= l (s_j - eps) + eps <= p_j``.
+If it has a label, the iterate itself is evaluated, so that no step goes
+uncounted.  A non-finite ``T(p)`` ends the run as ``nonfinite`` at p
+only where p has no label, every component of ``T(p) + eps`` above p's
+(which a NaN is not): the run could not succeed past it.  Otherwise the
+iterate itself is evaluated, since at a huge r a sphere point can
+overflow where the small iterate does not, and a non-finite value there
+is named at the iterate.  The derived ``T(w_k)`` differs from a direct
+evaluation by a few ulps, which the ``1e-9`` allowance absorbs in the
+norm rule, the box point and both bracket ends; where it would round a
+component of ``w_{k+1}`` below ``w_k``, that component is kept at
+``w_k``, since for monotone T the iterates never decrease.  Other maps
+keep evaluating the iterate itself.
 
 **Sphere stage.**  A failed candidate is a sphere point where the bound
 at a small iterate misjudged the map: a superlinear ``A s^1.2`` looks
@@ -318,18 +327,21 @@ def find_decay_point(T: MonotoneMap, cfg: SolverConfig, n: int) -> SolveReport:
 
     The order-interval pre-phase (see the module docstring) runs first:
     its evaluations count toward ``max_iterations`` and its non-finite
-    values are named ``nonfinite`` at the iterate, or, for a homogeneous
-    map (``T.homogeneous``), at the iterate's sphere point: such a map is
-    evaluated there instead, so that each evaluation is also the candidate's
-    certificate test.  Besides each iterate's
-    own candidate it tests at most one sphere point of each end of its
-    Collatz-Wielandt bracket of the least fixed point: the upper end's,
-    which the bracket proves a certificate for linear maps, and, for a map
-    of kind ``"linear"`` only, the lower end's, which it proves unlabelled.
-    It either returns a certificate, ends in ``label_none`` at a sphere
-    point that it proved infeasible (the unevaluated box point where its
-    last step crosses the sphere, or else the lower end's point or the
-    last iterate on the sphere, each checked to have no label), or hands
+    values are named ``nonfinite`` at the iterate.  A homogeneous map
+    (``T.homogeneous``) is evaluated at the iterate's sphere point
+    instead, so that each evaluation is also the candidate's certificate
+    test; where the point was tested before, or its value is not finite,
+    the run ends there if it has no label, and else the iterate itself is
+    evaluated.  Besides each
+    iterate's own candidate it tests at most one sphere point of each end
+    of its Collatz-Wielandt bracket of the least fixed point: the upper
+    end's, which the bracket proves a certificate for linear maps, and,
+    for a map of kind ``"linear"`` only, the lower end's, which it proves
+    unlabelled.  It either returns a certificate, ends in ``label_none``
+    at a sphere point that it proved infeasible (the unevaluated box point
+    where its last step crosses the sphere, or else the lower end's point,
+    the last iterate on the sphere or, for a homogeneous map, an iterate's
+    sphere point tested before, each checked to have no label), or hands
     the slack rungs left to walk to the ladder below; after a failed
     candidate, the sphere stage's power steps run first.
     """
@@ -348,29 +360,40 @@ def find_decay_point(T: MonotoneMap, cfg: SolverConfig, n: int) -> SolveReport:
         return _Finished(SolveReport(False, None, count, failure_reason="nonfinite",
                                      failure_point=point))
 
-    def counted(point: np.ndarray) -> tuple[np.ndarray, float]:
-        """``T(point)`` and the margin ``min(point - T(point))``, counted against the cap."""
+    def call(point: np.ndarray) -> tuple[np.ndarray, float]:
+        """``T(point)`` and the margin ``min(point - T(point))``, counted against the cap.
+
+        The margin is NaN or -inf where ``T(point)`` is not finite.
+        """
         nonlocal count
         if count >= cfg.max_iterations:
             raise _Finished(SolveReport(False, None, count, failure_reason="iteration_cap"))
         count += 1
         value = T(point)
-        margin = float(np.min(point - value))
+        return value, float(np.min(point - value))
+
+    def counted(point: np.ndarray) -> tuple[np.ndarray, float]:
+        """``call(point)``, ending the search where ``T(point)`` is not finite."""
+        value, margin = call(point)
         if not math.isfinite(margin):  # NaN or +inf in T(point); point is finite
             raise nonfinite(point)
         return value, margin
 
+    def remember(point: np.ndarray, value: np.ndarray, margin: float) -> np.ndarray:
+        """Test ``point`` as a certificate, else memoize and return ``value = T(point)``."""
+        if margin >= eps:
+            s_star = np.array(point)
+            s_star.flags.writeable = False
+            raise _Finished(SolveReport(True, s_star, count, margin=margin))
+        key = point.tobytes()
+        cache[key] = value.tobytes()
+        return np.frombuffer(cache[key])
+
     def evaluate(point: np.ndarray) -> np.ndarray:
         """``T(point)`` from the memo; a new point is counted and tested as a certificate."""
-        key = point.tobytes()
-        Ts = cache.get(key)
+        Ts = cache.get(point.tobytes())
         if Ts is None:
-            value, margin = counted(point)
-            if margin >= eps:
-                s_star = np.array(point)
-                s_star.flags.writeable = False
-                raise _Finished(SolveReport(True, s_star, count, margin=margin))
-            Ts = cache[key] = value.tobytes()
+            return remember(point, *counted(point))
         return np.frombuffer(Ts)
 
     def make_label_of(m: int, label_slack: float):
@@ -395,21 +418,46 @@ def find_decay_point(T: MonotoneMap, cfg: SolverConfig, n: int) -> SolveReport:
         total = float(np.sum(v))
         return v * (r / total), top * (total / r)
 
+    def sphere_value(p: np.ndarray) -> np.ndarray | None:
+        """``T(p)`` at the sphere point p of a homogeneous map's iterate, or None.
+
+        A new p is evaluated and tested as ``evaluate`` does.  A p in the
+        memo was tested before, on the ray of an earlier iterate or bracket
+        end: without a label it ends the run in ``label_none``, and with
+        one it gives None, so that no step goes uncounted.  A non-finite
+        ``T(p)`` ends the run as ``nonfinite`` at p only where p has no
+        label (``T(p) + eps > p`` in every component, which a NaN fails);
+        otherwise it gives None, since the iterate, off the sphere, may
+        still map to finite values.  None asks the caller to evaluate the
+        iterate itself.
+        """
+        known = cache.get(p.tobytes())
+        if known is not None:
+            if label_index(p, np.frombuffer(known), eps) is None:
+                raise label_none(p)
+            return None
+        value, margin = call(p)
+        if math.isfinite(margin):
+            return remember(p, value, margin)
+        if np.all(value + eps > p):
+            raise nonfinite(p)
+        return None
+
     def step_from(w: np.ndarray) -> tuple[np.ndarray, float]:
         """The next iterate ``T(w) + eps`` and the margin ``min(w - T(w))``.
 
         A homogeneous T is evaluated at the sphere point ``p`` of ``w``
-        through the memo, so the one counted evaluation is also p's
-        certificate test, and ``T(w) = T(p) |w|_1/r``.  Where that product
-        rounds the next iterate below ``w``, it is raised to ``w``: for
-        monotone T the iterates never decrease, and a direct evaluation of
-        T(w) keeps them so.  Any other T, or a ``|w|_1/r`` that overflows,
-        is evaluated at ``w`` itself.
+        (see ``sphere_value``), and ``T(w) = T(p) |w|_1/r``.  Where that
+        product rounds the next iterate below ``w``, it is raised to ``w``:
+        for monotone T the iterates never decrease, and a direct evaluation
+        of T(w) keeps them so.  Any other T, a ``|w|_1/r`` that overflows,
+        or a p that gives no value, is evaluated at ``w`` itself.
         """
         if T.homogeneous:
             p, size = on_sphere(w)
-            if size < math.inf:
-                Tw = evaluate(p) * size
+            Tp = sphere_value(p) if size < math.inf else None
+            if Tp is not None:
+                Tw = Tp * size
                 margin = float(np.min(w - Tw))
                 if not math.isfinite(margin):  # T(w) overflows, as T(w) itself would
                     raise nonfinite(w)

@@ -49,24 +49,23 @@ class MonotoneMap:
     Instances are immutable and evaluation is pure, so maps can be shared
     freely between threads.
 
-    ``homogeneous`` (read-only, False unless given) states that T is
-    homogeneous of degree one, ``T(l s) = l T(s)`` for ``l >= 0``, up to
-    rounding.  Only the family constructors set it: linear maps, and
-    max-times tables, diagonals and compositions built from degree-one
-    parts.  The solver then evaluates each pre-phase iterate at its point
-    on the sphere (see :mod:`decaycert.homotopy`), and its proofs of
-    infeasibility take the flag on trust: pass it only for a map that is
-    homogeneous.  A map built from a callable without it is treated as any
-    other monotone map.
+    ``homogeneous`` (read-only) states that T is homogeneous of degree
+    one, ``T(l s) = l T(s)`` for ``l >= 0``, up to rounding.  Only the
+    family constructors of this module set it: linear maps, and max-times
+    tables, diagonals and compositions built from degree-one parts.  The
+    solver then evaluates each pre-phase iterate at its point on the
+    sphere (see :mod:`decaycert.homotopy`), and its proofs of
+    infeasibility rely on the flag, so a map built directly from a
+    callable never carries it and is treated as any other monotone map.
     """
 
-    def __init__(self, dimension: int, fn: Callable[[np.ndarray], np.ndarray], kind: str,
-                 *, homogeneous: bool = False):
+    _homogeneous = False
+
+    def __init__(self, dimension: int, fn: Callable[[np.ndarray], np.ndarray], kind: str):
         check_count("map dimension", dimension)
         self.dimension = dimension
         self.kind = kind
         self._fn = fn
-        self._homogeneous = bool(homogeneous)
 
     @property
     def homogeneous(self) -> bool:
@@ -86,11 +85,17 @@ class MonotoneMap:
         return f"MonotoneMap(kind={self.kind!r}, dimension={self.dimension})"
 
 
+def _degree_one(T: MonotoneMap, homogeneous: bool) -> MonotoneMap:
+    """``T``, flagged ``homogeneous`` as its constructor proved it."""
+    T._homogeneous = homogeneous
+    return T
+
+
 def make_linear_map(matrix) -> MonotoneMap:
     """Map given by multiplication with a nonnegative square matrix."""
     A = as_nonnegative_matrix(matrix)
     A.flags.writeable = False
-    return MonotoneMap(A.shape[0], lambda s: A @ s, "linear", homogeneous=True)
+    return _degree_one(MonotoneMap(A.shape[0], lambda s: A @ s, "linear"), True)
 
 
 def make_chain_map(n: int) -> MonotoneMap:
@@ -190,8 +195,8 @@ def _max_preserving(rows: list[list[ScalarFn]]) -> MonotoneMap:
     def fn(s: np.ndarray) -> np.ndarray:
         return np.array([max(g(s[j]) for j, g in enumerate(row)) for row in rows])
 
-    return MonotoneMap(len(rows), fn, "max-preserving",
-                       homogeneous=all(is_degree_one(g) for row in rows for g in row))
+    return _degree_one(MonotoneMap(len(rows), fn, "max-preserving"),
+                       all(is_degree_one(g) for row in rows for g in row))
 
 
 def make_diagonal(fns: Sequence) -> MonotoneMap:
@@ -205,8 +210,8 @@ def make_diagonal(fns: Sequence) -> MonotoneMap:
     def fn(s: np.ndarray) -> np.ndarray:
         return np.array([rho(s[i]) for i, rho in enumerate(rhos)])
 
-    return MonotoneMap(len(rhos), fn, "diagonal",
-                       homogeneous=all(is_degree_one(rho) for rho in rhos))
+    return _degree_one(MonotoneMap(len(rhos), fn, "diagonal"),
+                       all(is_degree_one(rho) for rho in rhos))
 
 
 def compose(*maps: MonotoneMap) -> MonotoneMap:
@@ -225,5 +230,5 @@ def compose(*maps: MonotoneMap) -> MonotoneMap:
                 break
         return s
 
-    return MonotoneMap(dims[0], fn, "composition",
-                       homogeneous=all(m.homogeneous for m in maps))
+    return _degree_one(MonotoneMap(dims[0], fn, "composition"),
+                       all(m.homogeneous for m in maps))

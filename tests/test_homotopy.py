@@ -209,14 +209,22 @@ class TestFindDecayPoint:
         assert report.failure_reason == "label_none"
         assert report.failure_point.tolist() == [5.0, 5.0]
 
-    def test_a_homogeneous_map_that_overflows_at_a_sphere_point_ends_there(self):
-        # T(r 1/n) = (5e314, 0) overflows, though the small iterates and the
-        # decay point (1e305, 1e295) map to finite values: a linear map is
-        # evaluated on the sphere, so the run ends nonfinite at its first point
+    def test_a_homogeneous_map_that_overflows_at_a_sphere_point_evaluates_the_iterate(self):
+        # T(r 1/n) = (5e314, 0) overflows, though the small iterate w0 and the
+        # decay point (1e305, 1e295) map to finite values: the first step
+        # evaluates w0 itself, and the sphere point of w1 is the certificate
         T = make_linear_map([[0.0, 1e10], [0.0, 0.0]])
         report = find_decay_point(T, SolverConfig(r=1e305, epsilon=1e290), 2)
+        assert report.success and report.iterations == 3
+        assert report.s_star.tolist() == [9.999999999e304, 9.999999998000001e294]
+
+    def test_a_sphere_point_that_overflows_without_a_label_ends_the_run(self):
+        # T(r 1/n) = (inf, inf): no component of r 1/n decays, so the run
+        # ends there without evaluating w0 = (2, 2)
+        T = make_linear_map([[0.0, 1e308], [1e308, 0.0]])
+        report = find_decay_point(T, SolverConfig(r=10.0, epsilon=2.0), 2)
         assert (report.failure_reason, report.iterations) == ("nonfinite", 1)
-        assert report.failure_point.tolist() == [5e304, 5e304]
+        assert report.failure_point.tolist() == [5.0, 5.0]
 
     def test_an_overflowing_norm_ratio_evaluates_the_iterate(self):
         # |w0|_1 / r = 2e300 / 1e-10 overflows: the step evaluates w0 itself,

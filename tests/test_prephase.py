@@ -209,11 +209,14 @@ def test_bracket_ends_bound_the_least_fixed_point(A, fraction):
 # function without the flag, takes the path of every other map: both must
 # end alike, the flagged one at most one evaluation sooner.  Where T(1) is a
 # multiple of 1, every iterate lies on the ray of w_0 = eps 1 and has the same
-# sphere point, which the memo serves after its first evaluation
-# (test_iterates_on_one_ray_share_one_evaluation), so there the flagged run
-# may save more.  And where the limit w* lies on the sphere with margin
-# exactly eps, the twin crawls to the cap while the flagged run's direct test
-# of w*'s sphere point passes (test_a_limit_on_the_sphere_is_certified).
+# sphere point; the second step finds it in the memo and, without a label,
+# ends the run there (test_iterates_on_one_ray_share_one_evaluation), so
+# there the flagged run may save more, and where the twin climbs to the cap
+# the flagged run still ends (test_a_ray_that_climbs_by_eps_ends_within_the_cap).
+# And where the limit w* lies on the sphere with margin exactly eps, the twin
+# crawls to the cap while the flagged run's direct test of w*'s sphere point
+# passes (test_a_limit_on_the_sphere_is_certified).  So where the twin runs to
+# the cap, the flagged run must end in a certificate or a point without a label.
 @st.composite
 def homogeneous_maps(draw):
     """A random linear map, max-times table with gains c t, or linear map after c t scalings."""
@@ -240,41 +243,38 @@ def test_a_homogeneous_map_ends_like_its_unflagged_twin(T, fraction):
     report = find_decay_point(T, cfg, n)
     twin = find_decay_point(MonotoneMap(n, T, T.kind), cfg, n)
     assert report.failure_reason != "iteration_cap"
-    if twin.failure_reason == "iteration_cap":
-        assert report.success
-    else:
+    if twin.failure_reason != "iteration_cap":
         assert (report.success, report.failure_reason) == (twin.success, twin.failure_reason)
         assert report.iterations <= twin.iterations
+        if not report.success:
+            np.testing.assert_allclose(report.failure_point, twin.failure_point, rtol=1e-12)
     at_ones = T(np.ones(n))
     if np.ptp(at_ones) > 1e-12 * np.max(at_ones):  # the iterates leave the ray of 1
         assert report.iterations >= twin.iterations - 1
     if report.success:
         assert float(np.min(report.s_star - T(report.s_star))) >= cfg.epsilon
     else:
-        np.testing.assert_allclose(report.failure_point, twin.failure_point, rtol=1e-12)
         assert label_index(report.failure_point, T(report.failure_point), cfg.epsilon) is None
 
 
 def test_the_first_iterate_is_evaluated_at_the_level_one_barycentre():
-    """``on_sphere(eps 1)`` has the bytes of ``r 1/n``, so the memo serves both."""
+    """``on_sphere(eps 1)`` has the bytes of ``r 1/n``, so the memo serves both.
+
+    The run's one evaluation is its certificate, so ``s*`` is the point evaluated.
+    """
     for n in (2, 3, 5, 6, 7):
-        seen = []
-
-        def recording(s):
-            seen.append(np.array(s))
-            return 0.5 * s
-
-        T = MonotoneMap(n, recording, "scaled", homogeneous=True)
+        T = make_linear_map(0.5 * np.eye(n))
         report = find_decay_point(T, SolverConfig(R, 0.3, CAP), n)
         assert report.success and report.iterations == 1
-        assert seen[0].tobytes() == np.full(n, R / n).tobytes()
+        assert report.s_star.tobytes() == np.full(n, R / n).tobytes()
 
 
 def test_iterates_on_one_ray_share_one_evaluation():
     """T(1) = c 1 keeps every iterate on the ray of 1, so each has the sphere point r 1/n.
 
-    The memo serves it after the first evaluation, however long the climb
-    to the norm rule, which ends the run in label_none at the box point.
+    The second iterate finds it in the memo, without a label, and ends the
+    run in label_none there, where the twin's climb to the norm rule ends
+    at the same point.
     """
     T = make_max_preserving([["1.1649192981766365*t", None], [None, "1.1649192981766365*t"]])
     cfg = SolverConfig(R, 0.005, CAP)
@@ -283,6 +283,24 @@ def test_iterates_on_one_ray_share_one_evaluation():
     assert report.failure_reason == twin.failure_reason == "label_none"
     assert (report.iterations, twin.iterations) == (1, 33)
     np.testing.assert_allclose(report.failure_point, twin.failure_point, rtol=1e-12)
+
+
+@pytest.mark.parametrize("build", [make_max_preserving, make_diagonal],
+                         ids=["max-times", "diagonal"])
+def test_a_ray_that_climbs_by_eps_ends_within_the_cap(build):
+    """Gain ``t``: each step adds eps 1, r/(n eps) = 5e9 steps to the norm rule.
+
+    Every iterate has the sphere point r 1/n, tested by the first evaluation;
+    the second step finds it in the memo without a label, where the twin
+    evaluates every iterate and runs to the cap.
+    """
+    T = build([["t", None], [None, "t"]] if build is make_max_preserving else ["t", "t"])
+    cfg = SolverConfig(R, 1e-9, CAP)
+    report = find_decay_point(T, cfg, 2)
+    assert (report.failure_reason, report.iterations) == ("label_none", 1)
+    assert report.failure_point.tolist() == [5.0, 5.0]
+    twin = find_decay_point(MonotoneMap(2, T, T.kind), cfg, 2)
+    assert (twin.failure_reason, twin.iterations) == ("iteration_cap", CAP)
 
 
 @pytest.mark.parametrize("gain", ["0", "0.5*t"])
