@@ -74,15 +74,15 @@ step is ``d_{j+1} = A d_j``:
   iterates diverge, and ``A d_k >= d_k``.  Once ``|L|_1 > r (1 + 1e-9)``
   (always on the ray), the sphere point ``p = l L`` with
   ``l = r/|L|_1 < 1`` has no label:
-  ``A p + eps 1 >= l (L - eps 1) + eps 1 > p``.  The pre-phase evaluates
-  ``p`` once and, if it has no label, ends in ``label_none`` there.  The
-  proof needs ``T(w + d) = T(w) + T(d)``, so only a map of kind
-  ``"linear"`` (:func:`decaycert.maps.make_linear_map`) uses this end: a
-  monotone map such as ``(max(sqrt(s1), s1^2/9), min(1.1 s2, 1))`` has a
-  first step of at least ``1.1 eps`` in every component, so
-  ``theta_lo >= 1`` at ``w_0 = eps 1``, yet its iterates converge and a
-  decay point exists.  Should rounding give ``p`` a label, the pre-phase
-  goes on without the lower end, at the cost of one evaluation.
+  ``A p + eps 1 >= l (L - eps 1) + eps 1 > p``.  The proof needs
+  ``T(w + d) = T(w) + T(d)``: a monotone map such as
+  ``(max(sqrt(s1), s1^2/9), min(1.1 s2, 1))`` has ``theta_lo >= 1`` at
+  ``w_0 = eps 1``, yet its iterates converge and a decay point exists.
+  So only a homogeneous map uses this end: the pre-phase evaluates ``p``
+  once, and the two-sided test below ends the run in ``label_none``
+  there if ``p`` has no label.  Should ``p`` have one (a map that is not
+  linear, or rounding), the pre-phase goes on without the lower end, at
+  the cost of one evaluation.
 
 The norm rule comes first: it is a proof for every monotone ``T``, once
 it fires no sphere point can pass, and it keeps infinite steps away from
@@ -112,15 +112,10 @@ evaluation's own test: a run that the candidate answers ends one
 evaluation sooner than at ``w_k``, and an iterate whose sphere point
 decays with margin exactly eps, which the rule's ``1e-9`` allowance
 misses, certifies it.  The first sphere point, ``r 1/n``, has the bytes
-of level 1's barycentre, so the memo serves that test too.  Iterates on
-one ray, as when ``T(1)`` is a multiple of ``1``, share a sphere point.
-A sphere point that the memo already holds failed its test before.  If
-it has no label, the run ends in ``label_none`` there: for homogeneous
-monotone T a sphere point p without a label proves that no point
-decays, since for a decay point s and ``l = max p_i/s_i >= 1``, attained
-at j, ``p <= l s`` gives ``T(p)_j + eps <= l (s_j - eps) + eps <= p_j``.
-If it has a label, the iterate itself is evaluated, so that no step goes
-uncounted.  A non-finite ``T(p)`` ends the run as ``nonfinite`` at p
+of level 1's barycentre, so the memo serves that test too.  An iterate
+whose sphere point the memo holds (iterates on one ray, as when ``T(1)``
+is a multiple of ``1``, share one) is evaluated itself, so that no step
+goes uncounted.  A non-finite ``T(p)`` ends the run as ``nonfinite`` at p
 only where p has no label, every component of ``T(p) + eps`` above p's
 (which a NaN is not): the run could not succeed past it.  Otherwise the
 iterate itself is evaluated, since at a huge r a sphere point can
@@ -131,6 +126,15 @@ norm rule, the box point and both bracket ends; where it would round a
 component of ``w_{k+1}`` below ``w_k``, that component is kept at
 ``w_k``, since for monotone T the iterates never decrease.  Other maps
 keep evaluating the iterate itself.
+
+**Two-sided test.**  For homogeneous monotone T a sphere point p without
+a label at slack eps proves that no point decays: for a decay point s
+and ``l = max p_i/s_i >= 1``, attained at j, ``p <= l s`` gives
+``T(p)_j + eps <= l (s_j - eps) + eps <= p_j``.  So every new sphere
+point that such a map evaluates is tested on both sides: margin eps
+returns it as ``s*``, and no label ends the run in ``label_none`` there.
+A feasible run never meets the second case, and every point in the memo
+has a label.
 
 **Sphere stage.**  A failed candidate is a sphere point where the bound
 at a small iterate misjudged the map: a superlinear ``A s^1.2`` looks
@@ -329,20 +333,18 @@ def find_decay_point(T: MonotoneMap, cfg: SolverConfig, n: int) -> SolveReport:
     its evaluations count toward ``max_iterations`` and its non-finite
     values are named ``nonfinite`` at the iterate.  A homogeneous map
     (``T.homogeneous``) is evaluated at the iterate's sphere point
-    instead, so that each evaluation is also the candidate's certificate
-    test; where the point was tested before, or its value is not finite,
-    the run ends there if it has no label, and else the iterate itself is
-    evaluated.  Besides each
+    instead, where the point is new and its value finite.  Besides each
     iterate's own candidate it tests at most one sphere point of each end
     of its Collatz-Wielandt bracket of the least fixed point: the upper
     end's, which the bracket proves a certificate for linear maps, and,
-    for a map of kind ``"linear"`` only, the lower end's, which it proves
-    unlabelled.  It either returns a certificate, ends in ``label_none``
-    at a sphere point that it proved infeasible (the unevaluated box point
-    where its last step crosses the sphere, or else the lower end's point,
-    the last iterate on the sphere or, for a homogeneous map, an iterate's
-    sphere point tested before, each checked to have no label), or hands
-    the slack rungs left to walk to the ladder below; after a failed
+    for a homogeneous map only, the lower end's, which it proves
+    unlabelled for linear maps.  Every new sphere point that a
+    homogeneous map evaluates is tested on both sides: the run ends there
+    with a certificate, or in ``label_none`` if it has no label.  The
+    pre-phase either ends the search, also in ``label_none`` at the
+    unevaluated box point where its last step crosses the sphere or at
+    the last iterate's sphere point, each proved to have no label, or
+    hands the slack rungs left to walk to the ladder below; after a failed
     candidate, the sphere stage's power steps run first.
     """
     if n < 2:
@@ -380,17 +382,23 @@ def find_decay_point(T: MonotoneMap, cfg: SolverConfig, n: int) -> SolveReport:
         return value, margin
 
     def remember(point: np.ndarray, value: np.ndarray, margin: float) -> np.ndarray:
-        """Test ``point`` as a certificate, else memoize and return ``value = T(point)``."""
+        """Test ``point`` as a certificate, else memoize and return ``value = T(point)``.
+
+        For a homogeneous T the test is two-sided: a point without a label
+        at slack eps ends the search in ``label_none`` there.
+        """
         if margin >= eps:
             s_star = np.array(point)
             s_star.flags.writeable = False
             raise _Finished(SolveReport(True, s_star, count, margin=margin))
+        if T.homogeneous and label_index(point, value, eps) is None:
+            raise label_none(point)
         key = point.tobytes()
         cache[key] = value.tobytes()
         return np.frombuffer(cache[key])
 
     def evaluate(point: np.ndarray) -> np.ndarray:
-        """``T(point)`` from the memo; a new point is counted and tested as a certificate."""
+        """``T(point)`` from the memo; a new point is counted and tested by ``remember``."""
         Ts = cache.get(point.tobytes())
         if Ts is None:
             return remember(point, *counted(point))
@@ -421,20 +429,15 @@ def find_decay_point(T: MonotoneMap, cfg: SolverConfig, n: int) -> SolveReport:
     def sphere_value(p: np.ndarray) -> np.ndarray | None:
         """``T(p)`` at the sphere point p of a homogeneous map's iterate, or None.
 
-        A new p is evaluated and tested as ``evaluate`` does.  A p in the
-        memo was tested before, on the ray of an earlier iterate or bracket
-        end: without a label it ends the run in ``label_none``, and with
-        one it gives None, so that no step goes uncounted.  A non-finite
-        ``T(p)`` ends the run as ``nonfinite`` at p only where p has no
-        label (``T(p) + eps > p`` in every component, which a NaN fails);
-        otherwise it gives None, since the iterate, off the sphere, may
-        still map to finite values.  None asks the caller to evaluate the
-        iterate itself.
+        A new p is evaluated and tested on both sides, as ``evaluate`` does.
+        A non-finite ``T(p)`` ends the run as ``nonfinite`` at p only where
+        p has no label (``T(p) + eps > p`` in every component, which a NaN
+        fails), since the iterate, off the sphere, may still map to finite
+        values.  None, for a p in the memo or a non-finite ``T(p)`` at a p
+        with a label, asks the caller to evaluate the iterate itself, so
+        that no step goes uncounted.
         """
-        known = cache.get(p.tobytes())
-        if known is not None:
-            if label_index(p, np.frombuffer(known), eps) is None:
-                raise label_none(p)
+        if p.tobytes() in cache:
             return None
         value, margin = call(p)
         if math.isfinite(margin):
@@ -494,7 +497,7 @@ def find_decay_point(T: MonotoneMap, cfg: SolverConfig, n: int) -> SolveReport:
         """
         w = np.full(n, eps)
         step = np.full(n, eps)  # w_0 - w_-1, where w_-1 = T(0) = 0
-        upper, lower = True, T.kind == "linear"  # the lower end needs T(w + d) = T(w) + T(d)
+        upper, lower = True, T.homogeneous
         while True:
             up, margin = step_from(w)
             if (r / float(np.sum(w))) * margin >= eps * (1.0 + _ROUNDING):  # the candidate
@@ -515,9 +518,7 @@ def find_decay_point(T: MonotoneMap, cfg: SolverConfig, n: int) -> SolveReport:
                     evaluate(on_sphere(high)[0])  # ends the search if it passes, as for linear T
                     upper = False  # the end misled: at most one such test per solve
                 if lower and float(np.sum(low)) > (1.0 - lo) * r * (1.0 + _ROUNDING):
-                    p, _ = on_sphere(low)
-                    if label_index(p, evaluate(p), eps) is None:  # as it must for linear T
-                        raise label_none(p)
+                    evaluate(on_sphere(low)[0])  # ends in label_none, as it must for linear T
                     lower = False  # the end misled: at most one such test per solve
             w = up
 

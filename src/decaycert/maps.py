@@ -57,6 +57,7 @@ class MonotoneMap:
     sphere (see :mod:`decaycert.homotopy`), and its proofs of
     infeasibility rely on the flag, so a map built directly from a
     callable never carries it and is treated as any other monotone map.
+    ``kind`` is only a name: the solver never reads it.
     """
 
     _homogeneous = False
