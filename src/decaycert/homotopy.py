@@ -74,15 +74,19 @@ step is ``d_{j+1} = A d_j``:
   iterates diverge, and ``A d_k >= d_k``.  Once ``|L|_1 > r (1 + 1e-9)``
   (always on the ray), the sphere point ``p = l L`` with
   ``l = r/|L|_1 < 1`` has no label:
-  ``A p + eps 1 >= l (L - eps 1) + eps 1 > p``.  The proof needs
-  ``T(w + d) = T(w) + T(d)``: a monotone map such as
-  ``(max(sqrt(s1), s1^2/9), min(1.1 s2, 1))`` has ``theta_lo >= 1`` at
-  ``w_0 = eps 1``, yet its iterates converge and a decay point exists.
-  So only a homogeneous map uses this end: the pre-phase evaluates ``p``
-  once, and the two-sided test below ends the run in ``label_none``
-  there if ``p`` has no label.  Should ``p`` have one (a map that is not
-  linear, or rounding), the pre-phase goes on without the lower end, at
-  the cost of one evaluation.
+  ``A p + eps 1 >= l (L - eps 1) + eps 1 > p``.  A convex homogeneous
+  T does as well as a linear one.  Its secant along
+  ``w_{k-1} -> w_k`` gives ``T(w_k + a d_{k-1}) >= T(w_k) + a d_k`` for
+  ``a >= 0``; with ``a = theta/(1 - theta)``, monotonicity and
+  ``d_k >= theta d_{k-1}`` this is ``T(L) + eps 1 >= L``, and on the ray,
+  as ``a`` grows, ``T(d_k) >= T(d_{k-1}) >= d_k``.  Every homogeneous
+  map (see below) is convex: its components are maxima and sums of
+  ``c t``, composed.  Without convexity the end proves nothing: a
+  monotone map such as ``(max(sqrt(s1), s1^2/9), min(1.1 s2, 1))`` has
+  ``theta_lo >= 1`` at ``w_0 = eps 1``, yet its iterates converge and a
+  decay point exists.  So only a homogeneous map uses this end: the
+  pre-phase evaluates ``p``, and the two-sided test below ends the run
+  in ``label_none`` there.
 
 The norm rule comes first: it is a proof for every monotone ``T``, once
 it fires no sphere point can pass, and it keeps infinite steps away from
@@ -120,7 +124,12 @@ only where p has no label, every component of ``T(p) + eps`` above p's
 (which a NaN is not): the run could not succeed past it.  Otherwise the
 iterate itself is evaluated, since at a huge r a sphere point can
 overflow where the small iterate does not, and a non-finite value there
-is named at the iterate.  The derived ``T(w_k)`` differs from a direct
+is named at the iterate.  The derived ``T(w_k) = l T(p)``,
+``l = |w_k|_1 / r``, passes the same finiteness rule, named at the
+iterate, though only rounding could make it fail: for ``l > 1`` a label j
+at p would give ``T(w_k)_j + l eps <= w_{k,j} <= T(w_k)_j + eps`` (the iterates never
+decrease), so p has none and its test ends the run first, and for ``l <= 1`` the product
+cannot overflow.  The derived ``T(w_k)`` differs from a direct
 evaluation by a few ulps, which the ``1e-9`` allowance absorbs in the
 norm rule, the box point and both bracket ends; where it would round a
 component of ``w_{k+1}`` below ``w_k``, that component is kept at
@@ -317,228 +326,181 @@ def _bracket(w: np.ndarray, prev: np.ndarray,
     return [(theta, (1.0 - theta) * w + step) for theta in (lo, min(hi, 1.0))]
 
 
+class _Evaluator:
+    """``T`` behind the memo, the evaluation counter and the cap.
+
+    Its methods end the search by raising ``_Finished``: at the cap, at a
+    value that is not finite, and at a new sphere point that passes the
+    certificate test or, for a homogeneous T, has no label.
+    """
+
+    def __init__(self, T: MonotoneMap, cfg: SolverConfig):
+        self.T = T
+        self.r = cfg.r
+        self.eps = cfg.epsilon
+        self.cap = cfg.max_iterations
+        self.count = 0
+        self.memo: dict[bytes, bytes] = {}  # point.tobytes() -> T(point).tobytes()
+
+    def end(self, reason: str | None, point: np.ndarray | None = None,
+            margin: float | None = None) -> _Finished:
+        """The end of the search: ``s* = point`` where ``reason`` is None, else a failure."""
+        if reason is None:
+            s_star = np.array(point)
+            s_star.flags.writeable = False
+            return _Finished(SolveReport(True, s_star, self.count, margin=margin))
+        return _Finished(SolveReport(False, None, self.count, failure_reason=reason,
+                                     failure_point=point))
+
+    def call(self, point: np.ndarray) -> np.ndarray:
+        """``T(point)``, counted against the cap."""
+        if self.count >= self.cap:
+            raise self.end("iteration_cap")
+        self.count += 1
+        return self.T(point)
+
+    def margin(self, point: np.ndarray, value: np.ndarray) -> float:
+        """``min(point - value)``; a value that is not finite ends the search at ``point``."""
+        margin = float(np.min(point - value))
+        if not math.isfinite(margin):  # NaN or +inf in value; point is finite
+            raise self.end("nonfinite", point)
+        return margin
+
+    def test(self, point: np.ndarray, value: np.ndarray) -> np.ndarray:
+        """Test the new sphere point ``point``, ``value = T(point)``, then memoize and return value.
+
+        For a homogeneous T the test is two-sided: a point without a label
+        at slack eps ends the search in ``label_none`` there.
+        """
+        margin = self.margin(point, value)
+        if margin >= self.eps:
+            raise self.end(None, point, margin)
+        if self.T.homogeneous and label_index(point, value, self.eps) is None:
+            raise self.end("label_none", point)
+        self.memo[point.tobytes()] = value.tobytes()
+        return value
+
+    def __call__(self, point: np.ndarray) -> np.ndarray:
+        """``T(point)`` at a sphere point: from the memo, or counted and tested."""
+        value = self.memo.get(point.tobytes())
+        if value is None:
+            return self.test(point, self.call(point))
+        return np.frombuffer(value)
+
+
+def _on_sphere(v: np.ndarray, r: float) -> tuple[np.ndarray, float]:
+    """``v`` scaled to 1-norm r, and the factor ``|v|_1 / r`` that undoes the scaling.
+
+    The scaling goes through ``max(v)``, so a huge ``v`` cannot overflow.
+    """
+    top = float(np.max(v))
+    v = v / top
+    total = float(np.sum(v))
+    return v * (r / total), top * (total / r)
+
+
+def _pre_phase(ev: _Evaluator) -> list[float]:
+    """The order-interval pre-phase and the sphere stage; the slack rungs left to walk.
+
+    Either ends the search through ``ev`` or returns the rungs of
+    ``_slack_ladder`` that the walk must still try.  Its rules and their
+    proofs are in the module docstring.
+    """
+    T, r, eps, n = ev.T, ev.r, ev.eps, ev.T.dimension
+    w = np.full(n, eps)
+    step = np.full(n, eps)  # w_0 - w_-1, where w_-1 = T(0) = 0
+    upper = True
+    while True:
+        Tw = None
+        if T.homogeneous:  # evaluate at the sphere point p of w, and T(w) = T(p) |w|_1/r
+            p, size = _on_sphere(w, r)
+            if size < math.inf and p.tobytes() not in ev.memo:
+                Tp = ev.call(p)
+                # else T(p) is not finite at a p with a label, and w is evaluated itself
+                if np.all(np.isfinite(Tp)) or np.all(Tp + eps > p):
+                    Tw = ev.test(p, Tp) * size
+                    up = np.maximum(Tw + eps, w)  # a rounded T(w) may not step w down
+        if Tw is None:
+            Tw = ev.call(w)
+            up = Tw + eps
+        margin = ev.margin(w, Tw)
+        if (r / float(np.sum(w))) * margin >= eps * (1.0 + _ROUNDING):  # the candidate
+            p = _on_sphere(w, r)[0]
+            Tp = ev(p)
+            best = float(np.min(p - Tp))
+            for _ in range(n):  # the sphere stage: power steps while the margin grows
+                p = _on_sphere(Tp + eps, r)[0]
+                Tp = ev(p)
+                margin = float(np.min(p - Tp))
+                if margin <= best:
+                    break
+                best = margin
+            return _slack_ladder(eps, r, n)
+        prev, step = step, up - w
+        if float(np.sum(up)) > r * (1.0 + _ROUNDING):  # no decay point exists
+            p = _box_point(w, up, step, r)
+            if p is None:
+                p = _on_sphere(up, r)[0]
+                if label_index(p, ev(p), eps) is not None:
+                    return [eps]
+            raise ev.end("label_none", p)
+        if np.all(step >= 0.0):  # else a component stepped down, and no ratio bounds w*
+            (lo, low), (hi, high) = _bracket(w, prev, step)
+            if (upper and hi < 1.0
+                    and float(np.sum(high)) <= (1.0 - hi) * r * (1.0 - _ROUNDING)):
+                ev(_on_sphere(high, r)[0])  # ends the search if it passes, as for linear T
+                upper = False  # the end misled: at most one such test per solve
+            if T.homogeneous and float(np.sum(low)) > (1.0 - lo) * r * (1.0 + _ROUNDING):
+                ev(_on_sphere(low, r)[0])  # has no label, so ends the search in label_none
+        w = up
+
+
+def _labeling(ev: _Evaluator, m: int, slack: float):
+    """The walk's ``label_of`` on the level-m lattice at labeling slack ``slack``."""
+    scale = ev.r / m
+
+    def label_of(z: tuple[int, ...]) -> int:
+        point = np.asarray(z, dtype=float) * scale
+        label = label_index(point, ev(point), slack)
+        if label is None:
+            raise _NoLabel(point)
+        return label
+
+    return label_of
+
+
 def find_decay_point(T: MonotoneMap, cfg: SolverConfig, n: int) -> SolveReport:
     """Search the sphere of radius ``cfg.r`` for a point with ``Ts << s``.
 
-    On success the returned point satisfies ``(Ts*)_i + eps <= s*_i`` for
-    all i (so in particular the contractual ``eps - 1e-12`` margin) and
-    lies on the sphere to within ``1e-9 * r``.  Failures report either
-    ``iteration_cap`` (evaluation budget exhausted) or ``label_none`` (a
-    visited point had no decaying component at slack eps, so the covering
-    hypothesis fails there; the point is recorded in ``failure_point``)
-    or ``nonfinite`` (the map returned a NaN or infinite component at the
-    point recorded in ``failure_point``).
-
-    The order-interval pre-phase (see the module docstring) runs first:
-    its evaluations count toward ``max_iterations`` and its non-finite
-    values are named ``nonfinite`` at the iterate.  A homogeneous map
-    (``T.homogeneous``) is evaluated at the iterate's sphere point
-    instead, where the point is new and its value finite.  Besides each
-    iterate's own candidate it tests at most one sphere point of each end
-    of its Collatz-Wielandt bracket of the least fixed point: the upper
-    end's, which the bracket proves a certificate for linear maps, and,
-    for a homogeneous map only, the lower end's, which it proves
-    unlabelled for linear maps.  Every new sphere point that a
-    homogeneous map evaluates is tested on both sides: the run ends there
-    with a certificate, or in ``label_none`` if it has no label.  The
-    pre-phase either ends the search, also in ``label_none`` at the
-    unevaluated box point where its last step crosses the sphere or at
-    the last iterate's sphere point, each proved to have no label, or
-    hands the slack rungs left to walk to the ladder below; after a failed
-    candidate, the sphere stage's power steps run first.
+    On success, ``s_star`` satisfies ``(Ts*)_i + eps <= s*_i`` for all i and
+    lies on the sphere to within ``1e-9 * r``.  A failure is named
+    ``iteration_cap`` (``max_iterations`` evaluations spent),
+    ``label_none`` (``failure_point`` has no label at slack eps) or
+    ``nonfinite`` (T is not finite at ``failure_point``).  The pre-phase,
+    the ladder and their proofs are described in the module docstring.
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     if T.dimension != n:
         raise ValueError(f"map has dimension {T.dimension}, expected {n}")
     r = cfg.r
-    eps = cfg.epsilon
-    ladder = _slack_ladder(eps, r, n)
-    cache: dict[bytes, bytes] = {}  # point.tobytes() -> T(point).tobytes()
-    count = 0
-
-    def nonfinite(point: np.ndarray) -> _Finished:
-        """The end of the search at ``point``, where T has a NaN or infinite component."""
-        return _Finished(SolveReport(False, None, count, failure_reason="nonfinite",
-                                     failure_point=point))
-
-    def call(point: np.ndarray) -> tuple[np.ndarray, float]:
-        """``T(point)`` and the margin ``min(point - T(point))``, counted against the cap.
-
-        The margin is NaN or -inf where ``T(point)`` is not finite.
-        """
-        nonlocal count
-        if count >= cfg.max_iterations:
-            raise _Finished(SolveReport(False, None, count, failure_reason="iteration_cap"))
-        count += 1
-        value = T(point)
-        return value, float(np.min(point - value))
-
-    def counted(point: np.ndarray) -> tuple[np.ndarray, float]:
-        """``call(point)``, ending the search where ``T(point)`` is not finite."""
-        value, margin = call(point)
-        if not math.isfinite(margin):  # NaN or +inf in T(point); point is finite
-            raise nonfinite(point)
-        return value, margin
-
-    def remember(point: np.ndarray, value: np.ndarray, margin: float) -> np.ndarray:
-        """Test ``point`` as a certificate, else memoize and return ``value = T(point)``.
-
-        For a homogeneous T the test is two-sided: a point without a label
-        at slack eps ends the search in ``label_none`` there.
-        """
-        if margin >= eps:
-            s_star = np.array(point)
-            s_star.flags.writeable = False
-            raise _Finished(SolveReport(True, s_star, count, margin=margin))
-        if T.homogeneous and label_index(point, value, eps) is None:
-            raise label_none(point)
-        key = point.tobytes()
-        cache[key] = value.tobytes()
-        return np.frombuffer(cache[key])
-
-    def evaluate(point: np.ndarray) -> np.ndarray:
-        """``T(point)`` from the memo; a new point is counted and tested by ``remember``."""
-        Ts = cache.get(point.tobytes())
-        if Ts is None:
-            return remember(point, *counted(point))
-        return np.frombuffer(Ts)
-
-    def make_label_of(m: int, label_slack: float):
-        scale = r / m
-
-        def label_of(z: tuple[int, ...]) -> int:
-            point = np.asarray(z, dtype=float) * scale
-            label = label_index(point, evaluate(point), label_slack)
-            if label is None:
-                raise _NoLabel(point)
-            return label
-
-        return label_of
-
-    def on_sphere(v: np.ndarray) -> tuple[np.ndarray, float]:
-        """``v`` scaled to 1-norm r, and the factor ``|v|_1 / r`` that undoes the scaling.
-
-        The scaling goes through ``max(v)``, so a huge ``v`` cannot overflow.
-        """
-        top = float(np.max(v))
-        v = v / top
-        total = float(np.sum(v))
-        return v * (r / total), top * (total / r)
-
-    def sphere_value(p: np.ndarray) -> np.ndarray | None:
-        """``T(p)`` at the sphere point p of a homogeneous map's iterate, or None.
-
-        A new p is evaluated and tested on both sides, as ``evaluate`` does.
-        A non-finite ``T(p)`` ends the run as ``nonfinite`` at p only where
-        p has no label (``T(p) + eps > p`` in every component, which a NaN
-        fails), since the iterate, off the sphere, may still map to finite
-        values.  None, for a p in the memo or a non-finite ``T(p)`` at a p
-        with a label, asks the caller to evaluate the iterate itself, so
-        that no step goes uncounted.
-        """
-        if p.tobytes() in cache:
-            return None
-        value, margin = call(p)
-        if math.isfinite(margin):
-            return remember(p, value, margin)
-        if np.all(value + eps > p):
-            raise nonfinite(p)
-        return None
-
-    def step_from(w: np.ndarray) -> tuple[np.ndarray, float]:
-        """The next iterate ``T(w) + eps`` and the margin ``min(w - T(w))``.
-
-        A homogeneous T is evaluated at the sphere point ``p`` of ``w``
-        (see ``sphere_value``), and ``T(w) = T(p) |w|_1/r``.  Where that
-        product rounds the next iterate below ``w``, it is raised to ``w``:
-        for monotone T the iterates never decrease, and a direct evaluation
-        of T(w) keeps them so.  Any other T, a ``|w|_1/r`` that overflows,
-        or a p that gives no value, is evaluated at ``w`` itself.
-        """
-        if T.homogeneous:
-            p, size = on_sphere(w)
-            Tp = sphere_value(p) if size < math.inf else None
-            if Tp is not None:
-                Tw = Tp * size
-                margin = float(np.min(w - Tw))
-                if not math.isfinite(margin):  # T(w) overflows, as T(w) itself would
-                    raise nonfinite(w)
-                return np.maximum(Tw + eps, w), margin
-        Tw, margin = counted(w)
-        return Tw + eps, margin
-
-    def sphere_stage(p: np.ndarray) -> None:
-        """Test ``p``, then step ``p <- on_sphere(T(p) + eps)`` while the margin grows.
-
-        At most n steps, each one evaluation that is also a certificate test.
-        """
-        Tp = evaluate(p)
-        best = float(np.min(p - Tp))
-        for _ in range(n):
-            p, _ = on_sphere(Tp + eps)
-            Tp = evaluate(p)
-            margin = float(np.min(p - Tp))
-            if margin <= best:
-                return
-            best = margin
-
-    def label_none(p: np.ndarray) -> _Finished:
-        """The end of the search at ``p``, a point without a label at slack eps."""
-        return _Finished(SolveReport(False, None, count, failure_reason="label_none",
-                                     failure_point=p))
-
-    def order_interval() -> list[float]:
-        """The pre-phase: iterate ``w <- T(w) + eps`` from ``eps 1``; the rungs left to walk.
-
-        Ends the search itself with a certificate or with ``label_none``.
-        The iterates never reach the memo, so they are never returned as ``s*``;
-        for a homogeneous map their sphere points do, each tested directly.
-        """
-        w = np.full(n, eps)
-        step = np.full(n, eps)  # w_0 - w_-1, where w_-1 = T(0) = 0
-        upper, lower = True, T.homogeneous
-        while True:
-            up, margin = step_from(w)
-            if (r / float(np.sum(w))) * margin >= eps * (1.0 + _ROUNDING):  # the candidate
-                sphere_stage(on_sphere(w)[0])
-                return ladder
-            prev, step = step, up - w
-            if float(np.sum(up)) > r * (1.0 + _ROUNDING):  # no decay point exists
-                p = _box_point(w, up, step, r)
-                if p is None:
-                    p, _ = on_sphere(up)
-                    if label_index(p, evaluate(p), eps) is not None:
-                        return [eps]
-                raise label_none(p)
-            if np.all(step >= 0.0):  # else a component stepped down, and no ratio bounds w*
-                (lo, low), (hi, high) = _bracket(w, prev, step)
-                if (upper and hi < 1.0
-                        and float(np.sum(high)) <= (1.0 - hi) * r * (1.0 - _ROUNDING)):
-                    evaluate(on_sphere(high)[0])  # ends the search if it passes, as for linear T
-                    upper = False  # the end misled: at most one such test per solve
-                if lower and float(np.sum(low)) > (1.0 - lo) * r * (1.0 + _ROUNDING):
-                    evaluate(on_sphere(low)[0])  # ends in label_none, as it must for linear T
-                    lower = False  # the end misled: at most one such test per solve
-            w = up
-
+    ev = _Evaluator(T, cfg)
     try:
         # an overflow in T or in the pre-phase is named by the finiteness checks
         with np.errstate(over="ignore"):
-            for label_slack in order_interval():
+            for label_slack in _pre_phase(ev):
                 try:
                     # level 1's one cell is the whole simplex: only its barycentre can be a
                     # certificate
-                    evaluate(np.full(n, r / n))
+                    ev(np.full(n, r / n))
                     m = 2
                     while True:
-                        verts = CompleteCellSearch(m, n, make_label_of(m, label_slack)).find()
-                        bary = np.asarray(verts, dtype=float).mean(axis=0) * (r / m)
-                        evaluate(bary)
+                        verts = CompleteCellSearch(m, n, _labeling(ev, m, label_slack)).find()
+                        ev(np.asarray(verts, dtype=float).mean(axis=0) * (r / m))
                         m *= 2
                 except _NoLabel as miss:
-                    if label_slack == eps:
-                        raise label_none(miss.point)
+                    if label_slack == cfg.epsilon:
+                        raise ev.end("label_none", miss.point)
                     # covering fails at the inflated slack; step the ladder down
     except _Finished as finished:
         return finished.report

@@ -15,6 +15,7 @@ from decaycert.maps import (
     make_chain_map,
     make_diagonal,
     make_linear_map,
+    make_max_preserving,
 )
 
 
@@ -426,6 +427,48 @@ def recorded(T: MonotoneMap) -> tuple[MonotoneMap, list[np.ndarray]]:
         return T(s)
 
     return MonotoneMap(T.dimension, fn, T.kind), seen
+
+
+# One map for each way the solver evaluates T: a linear map's pre-phase on
+# the sphere, a homogeneous max-times table that is not linear (cycle mean
+# 0.97, at 0.9 of its eps_max), the chain map's walk and barycentres after a
+# failed candidate, and the sphere stage and walk of A s^1.2.
+CAP_CASES = [
+    ("linear n=3 rho=0.8 seed 0 at 0.9 eps_max",
+     lambda: make_linear_map(random_contractive(3, 0.8, 0)), 0.6387007034997124),
+    ("max-times n=3", lambda: make_max_preserving(
+        [[None, "1.642*t", "1.581*t"], ["0.527*t", None, None], [None, "1.095*t", "0.649*t"]]),
+     0.0844),
+    ("chain n=3", lambda: make_chain_map(3), 0.1),
+    ("A s^1.2 n=4", lambda: superlinear(4), 0.1),
+]
+
+
+@pytest.mark.parametrize("name,build,eps", CAP_CASES, ids=[case[0] for case in CAP_CASES])
+def test_every_cap_below_the_uncapped_count_is_spent_exactly(monkeypatch, name, build, eps):
+    # each of the first k calls of T counts, and the (k+1)-th is refused
+    T = build()
+    calls = depth = 0
+    call = MonotoneMap.__call__
+
+    def counting(self, s):
+        nonlocal calls, depth
+        calls += depth == 0  # a composition's inner maps are part of one call of T
+        depth += 1
+        try:
+            return call(self, s)
+        finally:
+            depth -= 1
+
+    monkeypatch.setattr(MonotoneMap, "__call__", counting)
+    uncapped = find_decay_point(T, SolverConfig(r=10.0, epsilon=eps, max_iterations=100_000),
+                                T.dimension).iterations
+    assert calls == uncapped > 1
+    for k in range(1, uncapped):
+        calls = 0
+        report = find_decay_point(T, SolverConfig(r=10.0, epsilon=eps, max_iterations=k),
+                                  T.dimension)
+        assert (report.failure_reason, report.iterations, calls) == ("iteration_cap", k, k)
 
 
 def first_step_across(A: np.ndarray, r: float) -> float:

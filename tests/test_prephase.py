@@ -332,6 +332,33 @@ def homogeneous_maps(draw):
     return compose(T, make_diagonal([draw(scalings) for _ in range(len(A))]))
 
 
+# Every map the constructors flag homogeneous is also convex (maxima and sums
+# of c t, composed), and for a convex map the bracket's lower end needs no
+# additivity: once it passes its norm test, its sphere point has no label,
+# and its two-sided test ends the run there.  So no run goes on past such an
+# end, and only the last bracket of a run may have one.
+@hypothesis.settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@hypothesis.given(homogeneous_maps(), st.floats(1e-3, 1.0))
+def test_a_lower_end_past_the_sphere_ends_a_homogeneous_run(T, fraction):
+    lower_ends = []
+
+    def recording(w, prev, step):
+        ends = bracket(w, prev, step)
+        lower_ends.append(ends[0])
+        return ends
+
+    bracket = homotopy._bracket
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(homotopy, "_bracket", recording)
+        report = find_decay_point(T, SolverConfig(R, fraction * R / T.dimension, NEAR_UNIT_CAP),
+                                  T.dimension)
+    past = [i for i, (lo, low) in enumerate(lower_ends)
+            if float(np.sum(low)) > (1.0 - lo) * R * (1.0 + 1e-9)]
+    assert past in ([], [len(lower_ends) - 1])
+    if past:
+        assert report.failure_reason == "label_none"
+
+
 @hypothesis.settings(max_examples=150, deadline=None, database=None, derandomize=True)
 @hypothesis.given(homogeneous_maps(), st.floats(1e-3, 1.0))
 def test_a_homogeneous_map_ends_like_its_unflagged_twin(T, fraction):
