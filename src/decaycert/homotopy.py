@@ -54,7 +54,9 @@ limit, ``L <= w* <= U``.  With ``d_k = w_{k+1} - w_k`` and
 over the components with ``d_{k,i} > 0`` (infinite if such a ``d_{k-1,i}``
 is 0) and ``theta_lo = min d_{k,i}/d_{k-1,i}`` over those with
 ``d_{k-1,i} > 0``, the Collatz-Wielandt ratios of the last step (Lemmens &
-Nussbaum); both are skipped when some ``d_{k,i} < 0``.  Both ends are
+Nussbaum); both are skipped when some ``d_{k,i} < 0``, which only a map
+that is not monotone can give (a homogeneous map's rounded step is kept
+at 0), since its ends could leave the orthant.  Both ends are
 ``B(theta) = w_k + d_k/(1 - theta)``, computed as ``(1 - theta) w_k + d_k``
 so that it cannot overflow.  ``B(0) = w_{k+1}`` is the norm rule's point,
 the lower end that needs only monotonicity.  For linear ``T = A`` every
@@ -108,33 +110,34 @@ each tested directly; see below).
 ``T(l s) = l T(s)`` (``MonotoneMap.homogeneous``: linear maps, max-times
 tables with gains ``c t``, and compositions of such maps with ``c t``
 diagonals), the step evaluates T at the iterate's sphere point
-``p = r w_k / |w_k|_1`` instead of at ``w_k``, through the memo, and
-reads ``T(w_k) = T(p) |w_k|_1 / r`` off that value, with the factor that
+``p = r w_k / |w_k|_1`` instead of at ``w_k``, and reads
+``T(w_k) = T(p) |w_k|_1 / r`` off that value, with the factor that
 the scaling to the sphere actually applied.  So the one counted
 evaluation is also p's certificate test, and the candidate rule is that
 evaluation's own test: a run that the candidate answers ends one
 evaluation sooner than at ``w_k``, and an iterate whose sphere point
 decays with margin exactly eps, which the rule's ``1e-9`` allowance
 misses, certifies it.  The first sphere point, ``r 1/n``, has the bytes
-of level 1's barycentre, so the memo serves that test too.  An iterate
-whose sphere point the memo holds (iterates on one ray, as when ``T(1)``
-is a multiple of ``1``, share one) is evaluated itself, so that no step
-goes uncounted.  A non-finite ``T(p)`` ends the run as ``nonfinite`` at p
-only where p has no label, every component of ``T(p) + eps`` above p's
-(which a NaN is not): the run could not succeed past it.  Otherwise the
-iterate itself is evaluated, since at a huge r a sphere point can
-overflow where the small iterate does not, and a non-finite value there
-is named at the iterate.  The derived ``T(w_k) = l T(p)``,
-``l = |w_k|_1 / r``, passes the same finiteness rule, named at the
-iterate, though only rounding could make it fail: for ``l > 1`` a label j
-at p would give ``T(w_k)_j + l eps <= w_{k,j} <= T(w_k)_j + eps`` (the iterates never
-decrease), so p has none and its test ends the run first, and for ``l <= 1`` the product
-cannot overflow.  The derived ``T(w_k)`` differs from a direct
-evaluation by a few ulps, which the ``1e-9`` allowance absorbs in the
-norm rule, the box point and both bracket ends; where it would round a
-component of ``w_{k+1}`` below ``w_k``, that component is kept at
-``w_k``, since for monotone T the iterates never decrease.  Other maps
-keep evaluating the iterate itself.
+of level 1's barycentre, so the memo serves that test too.  Every step
+evaluates its p, counted, even where the memo holds p (iterates on one
+ray, as when ``T(1)`` is a multiple of ``1``, share one), so the cap
+bounds the pre-phase; the repeated test has the memo's outcome.  A
+non-finite ``T(p)`` ends the run as ``nonfinite`` at p only where p has
+no label, every component of ``T(p) + eps`` above p's (which a NaN is
+not): the run could not succeed past it.  Otherwise the iterate itself
+is evaluated, since at a huge r a sphere point can overflow where the
+small iterate does not, and a non-finite value there is named at the
+iterate.  The derived ``T(w_k) = l T(p)``, ``l = |w_k|_1 / r``, passes
+the same finiteness rule, named at the iterate, though only rounding
+could make it fail: for ``l > 1`` a label j at p would give
+``T(w_k)_j + l eps <= w_{k,j} <= T(w_k)_j + eps`` (the iterates never
+decrease), so p has none and its test ends the run first (also where l
+itself overflows), and for ``l <= 1`` the product cannot overflow.  The
+derived ``T(w_k)`` differs from a direct evaluation by a few ulps, which
+the ``1e-9`` allowance absorbs in the norm rule, the box point and both
+bracket ends; where it would round a component of ``w_{k+1}`` below
+``w_k``, that component is kept at ``w_k``, since for monotone T the
+iterates never decrease.  Other maps keep evaluating the iterate itself.
 
 **Two-sided test.**  For homogeneous monotone T a sphere point p without
 a label at slack eps proves that no point decays: for a decay point s
@@ -414,12 +417,11 @@ def _pre_phase(ev: _Evaluator) -> list[float]:
         Tw = None
         if T.homogeneous:  # evaluate at the sphere point p of w, and T(w) = T(p) |w|_1/r
             p, size = _on_sphere(w, r)
-            if size < math.inf and p.tobytes() not in ev.memo:
-                Tp = ev.call(p)
-                # else T(p) is not finite at a p with a label, and w is evaluated itself
-                if np.all(np.isfinite(Tp)) or np.all(Tp + eps > p):
-                    Tw = ev.test(p, Tp) * size
-                    up = np.maximum(Tw + eps, w)  # a rounded T(w) may not step w down
+            Tp = ev.call(p)
+            # else T(p) is not finite at a p with a label, and w is evaluated itself
+            if np.all(np.isfinite(Tp)) or np.all(Tp + eps > p):
+                Tw = ev.test(p, Tp) * size
+                up = np.maximum(Tw + eps, w)  # a rounded T(w) may not step w down
         if Tw is None:
             Tw = ev.call(w)
             up = Tw + eps
@@ -444,7 +446,7 @@ def _pre_phase(ev: _Evaluator) -> list[float]:
                 if label_index(p, ev(p), eps) is not None:
                     return [eps]
             raise ev.end("label_none", p)
-        if np.all(step >= 0.0):  # else a component stepped down, and no ratio bounds w*
+        if np.all(step >= 0.0):  # else T is not monotone: no ratio bounds w*, an end may be < 0
             (lo, low), (hi, high) = _bracket(w, prev, step)
             if (upper and hi < 1.0
                     and float(np.sum(high)) <= (1.0 - hi) * r * (1.0 - _ROUNDING)):

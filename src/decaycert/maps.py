@@ -184,10 +184,11 @@ def gain_rows(gains) -> list[list[ScalarFn]]:
 def make_max_preserving(gains) -> MonotoneMap:
     """Map ``(Ts)_i = max_j g_ij(s_j)`` from an n-by-n table of gains.
 
-    ``gains`` is a nested sequence (or a GainTable); entries may be
-    ScalarFn instances, textual forms, or None for the zero gain.
+    ``gains`` is a nested sequence whose entries may be ScalarFn
+    instances, textual forms, or None for the zero gain.  A GainTable
+    gives its map through ``GainTable.to_map()``.
     """
-    return _max_preserving(gain_rows(getattr(gains, "rows", gains)))
+    return _max_preserving(gain_rows(gains))
 
 
 def _max_preserving(rows: list[list[ScalarFn]]) -> MonotoneMap:

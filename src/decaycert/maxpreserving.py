@@ -38,9 +38,9 @@ __all__ = [
 ]
 
 
-def cycle_grid(n_points: int = 49) -> list[float]:
-    """Default evaluation grid for the cycle condition: log-spaced 1e-3..1e3."""
-    return validation_grid(n_points)[1:]
+def cycle_grid() -> list[float]:
+    """Evaluation grid of the cycle condition: 49 points log-spaced over 1e-3..1e3."""
+    return validation_grid(49)[1:]
 
 
 @dataclass

@@ -108,6 +108,7 @@ def zero_fn() -> ScalarFn:
 
 
 _NUMBER = re.compile(r"\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?")
+_TOKEN = re.compile(rf"\s*(max|[t+*^(),]|{_NUMBER.pattern})")
 
 
 def _num(x: float) -> str:
@@ -120,119 +121,75 @@ class ScalarFnParseError(ValueError):
     pass
 
 
-def _tokenize(text: str) -> list[str]:
-    tokens = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in "+*^(),":
-            tokens.append(ch)
-            i += 1
-            continue
-        if text.startswith("max", i):
-            tokens.append("max")
-            i += 3
-            continue
-        if ch == "t":
-            tokens.append("t")
-            i += 1
-            continue
-        m = _NUMBER.match(text, i)
-        if m:
-            tokens.append(m.group(0))
-            i = m.end()
-            continue
-        raise ScalarFnParseError(f"unexpected character {ch!r} at position {i} in {text!r}")
-    return tokens
+def parse_scalar_fn(text: str) -> ScalarFn:
+    """Parse the textual gain-function form into its AST."""
+    tokens, pos = [], 0
+    while m := _TOKEN.match(text, pos):
+        tokens.append(m.group(1))
+        pos = m.end()
+    if text[pos:].strip():
+        i = len(text) - len(text[pos:].lstrip())
+        raise ScalarFnParseError(f"unexpected character {text[i]!r} at position {i} in {text!r}")
+    tokens = [None, *reversed(tokens)]  # popped from the end, down to the None that ends it
 
+    def take(expected: str | None = None) -> str:
+        if tokens[-1] is None:
+            raise ScalarFnParseError(f"unexpected end of input in {text!r}")
+        if expected is not None and tokens[-1] != expected:
+            raise ScalarFnParseError(f"expected {expected!r}, got {tokens[-1]!r} in {text!r}")
+        return tokens.pop()
 
-class _Parser:
-    def __init__(self, tokens: list[str], source: str):
-        self.tokens = tokens
-        self.pos = 0
-        self.source = source
+    def number() -> float:
+        tok = take()
+        if not _NUMBER.fullmatch(tok):
+            raise ScalarFnParseError(f"expected a number, got {tok!r} in {text!r}")
+        value = float(tok)
+        if value == math.inf:  # the grammar has no sign, so only overflow is non-finite
+            raise ScalarFnParseError(f"number {tok!r} overflows a float in {text!r}")
+        return value
 
-    def peek(self) -> str | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def take(self, expected: str | None = None) -> str:
-        tok = self.peek()
-        if tok is None:
-            raise ScalarFnParseError(f"unexpected end of input in {self.source!r}")
-        if expected is not None and tok != expected:
-            raise ScalarFnParseError(f"expected {expected!r}, got {tok!r} in {self.source!r}")
-        self.pos += 1
-        return tok
-
-    def parse_expr(self) -> ScalarFn:
-        parts = [self.parse_term()]
-        while self.peek() == "+":
-            self.take("+")
-            parts.append(self.parse_term())
+    def expr() -> ScalarFn:
+        parts = [term()]
+        while tokens[-1] == "+":
+            tokens.pop()
+            parts.append(term())
         return parts[0] if len(parts) == 1 else Sum(tuple(parts))
 
-    def parse_term(self) -> ScalarFn:
-        if self.peek() == "max":
-            self.take("max")
-            self.take("(")
-            parts = [self.parse_expr()]
-            while self.peek() == ",":
-                self.take(",")
-                parts.append(self.parse_expr())
-            self.take(")")
+    def term() -> ScalarFn:
+        if tokens[-1] == "max":
+            tokens.pop()
+            take("(")
+            parts = [expr()]
+            while tokens[-1] == ",":
+                tokens.pop()
+                parts.append(expr())
+            take(")")
             if len(parts) < 2:
-                raise ScalarFnParseError(f"max() needs at least two arguments in {self.source!r}")
+                raise ScalarFnParseError(f"max() needs at least two arguments in {text!r}")
             return Max(tuple(parts))
-        return self.parse_product()
-
-    def parse_product(self) -> ScalarFn:
-        tok = self.peek()
-        if tok == "t":
+        if tokens[-1] == "t":
             coeff = 1.0
         else:
-            coeff = self._number()
-            if self.peek() != "*":
-                if self.peek() == "t":
-                    raise ScalarFnParseError(
-                        f"missing '*' between coefficient and t in {self.source!r}"
-                    )
+            coeff = number()
+            if tokens[-1] != "*":
+                if tokens[-1] == "t":
+                    raise ScalarFnParseError(f"missing '*' between coefficient and t in {text!r}")
                 if coeff != 0.0:
-                    raise ScalarFnParseError(
-                        f"bare constant {coeff} is not a valid gain (must vanish at 0) "
-                        f"in {self.source!r}"
-                    )
+                    raise ScalarFnParseError(f"bare constant {coeff} is not a valid gain "
+                                             f"(must vanish at 0) in {text!r}")
                 return Term(0.0)
-            self.take("*")
-        exponent = self._power()
+            tokens.pop()
+        take("t")
+        exponent = 1.0
+        if tokens[-1] == "^":
+            tokens.pop()
+            exponent = number()
         # every zero term renders as "0", so it parses to the one Term(0.0)
         return Term(coeff, exponent) if coeff != 0.0 else Term(0.0)
 
-    def _power(self) -> float:
-        self.take("t")
-        if self.peek() == "^":
-            self.take("^")
-            return self._number()
-        return 1.0
-
-    def _number(self) -> float:
-        tok = self.take()
-        if not _NUMBER.fullmatch(tok):
-            raise ScalarFnParseError(f"expected a number, got {tok!r} in {self.source!r}")
-        value = float(tok)
-        if value == math.inf:  # the grammar has no sign, so only overflow is non-finite
-            raise ScalarFnParseError(f"number {tok!r} overflows a float in {self.source!r}")
-        return value
-
-
-def parse_scalar_fn(text: str) -> ScalarFn:
-    """Parse the textual gain-function form into its AST."""
-    parser = _Parser(_tokenize(text), text)
-    fn = parser.parse_expr()
-    if parser.peek() is not None:
-        raise ScalarFnParseError(f"trailing input {parser.peek()!r} in {text!r}")
+    fn = expr()
+    if tokens[-1] is not None:
+        raise ScalarFnParseError(f"trailing input {tokens[-1]!r} in {text!r}")
     return fn
 
 
@@ -256,8 +213,8 @@ def is_degree_one(fn: ScalarFn) -> bool:
     return False
 
 
-def is_zero_at_zero(fn, tol: float = 1e-12) -> bool:
-    return abs(fn(0.0)) <= tol
+def is_zero_at_zero(fn) -> bool:
+    return abs(fn(0.0)) <= 1e-12
 
 
 def is_nondecreasing_on(fn, grid) -> bool:

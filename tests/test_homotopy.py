@@ -227,12 +227,13 @@ class TestFindDecayPoint:
         assert (report.failure_reason, report.iterations) == ("nonfinite", 1)
         assert report.failure_point.tolist() == [5.0, 5.0]
 
-    def test_an_overflowing_norm_ratio_evaluates_the_iterate(self):
-        # |w0|_1 / r = 2e300 / 1e-10 overflows: the step evaluates w0 itself,
-        # as for any other map, and the run ends at the sphere point of w1
+    def test_an_overflowing_norm_ratio_ends_at_the_first_sphere_point(self):
+        # |w0|_1 / r = 2e300 / 1e-10 overflows, but eps > r, so the sphere
+        # point r 1/n of w0 has no label: its two-sided test ends the run
+        # before T(w0) is derived from the overflowing ratio
         T = make_linear_map([[0.5, 0.0], [0.0, 0.5]])
         report = find_decay_point(T, SolverConfig(r=1e-10, epsilon=1e300), 2)
-        assert (report.failure_reason, report.iterations) == ("label_none", 2)
+        assert (report.failure_reason, report.iterations) == ("label_none", 1)
         assert report.failure_point.tolist() == [5e-11, 5e-11]
 
     def test_a_derived_value_that_overflows_is_named_at_the_iterate(self):

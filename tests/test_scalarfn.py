@@ -103,3 +103,57 @@ def test_an_unknown_scalar_fn_is_not_degree_one():
             return t
 
     assert not is_degree_one(Identity())
+
+
+def test_every_rendered_tree_parses_back_to_itself():
+    """``parse_scalar_fn(fn.render())`` renders as ``fn`` does and agrees with it on the grid.
+
+    The trees have the parser's shapes: a Sum's parts are never Sums (its
+    ``+`` chain is flat), so the values agree exactly, not up to rounding.
+    """
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    terms = st.builds(Term, st.floats(0.0, 1e6) | st.sampled_from([0.0, 1.0]),
+                      st.floats(0.0, 8.0) | st.sampled_from([0.0, 1.0, 2.0]))
+
+    def some(parts):
+        return st.tuples(parts, parts) | st.tuples(parts, parts, parts)
+
+    def trees(depth):
+        if depth == 0:
+            return terms
+        inner = trees(depth - 1)
+        not_sums = terms | st.builds(Max, some(inner))
+        return terms | st.builds(Sum, some(not_sums)) | st.builds(Max, some(inner))
+
+    @hypothesis.settings(max_examples=150, deadline=None, database=None, derandomize=True)
+    @hypothesis.given(trees(3))
+    def check(fn):
+        text = fn.render()
+        parsed = parse_scalar_fn(text)
+        assert parsed.render() == text
+        grid = validation_grid()
+        assert [parsed(t) for t in grid] == [fn(t) for t in grid]
+
+    check()
+
+
+def test_any_text_parses_or_raises_the_parse_error():
+    """Text over the grammar's tokens and stray characters either parses or raises
+    ScalarFnParseError, never another exception: the command line reports
+    a bad gain with exit code 2 and no traceback."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    tokens = ["t", "max", "(", ")", ",", "+", "*", "^", "0", "1", "2.5", ".5", "3.", "1e3",
+              "1e400", " ", "\t", "q", "-", ".", "e", "m", "ma", " "]
+
+    @hypothesis.settings(max_examples=500, deadline=None, database=None, derandomize=True)
+    @hypothesis.given(st.lists(st.sampled_from(tokens), max_size=14).map("".join))
+    def check(text):
+        try:
+            fn = parse_scalar_fn(text)
+        except ScalarFnParseError:
+            return
+        assert isinstance(fn, ScalarFn)
+
+    check()
