@@ -204,6 +204,19 @@ class TestVerify:
         assert code == 1
         assert result_fields(capsys)["certified"] == "0"
 
+    def test_found_point_whose_trajectory_stalls_exits_one(self, tmp_path, capsys):
+        # s -> 2*sqrt(s) decays at s* = (10, 10), but every nonzero orbit tends to the fixed point 4
+        spec = write_spec(tmp_path, {"kind": "diagonal", "functions": ["2*t^0.5", "2*t^0.5"]})
+        code = main(["verify", "--map", spec, "-r", "20", "--epsilon", "0.1"])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert "did NOT converge within 10000 steps (final sup-norm 4); no certificate" in out
+        result = [line for line in out.splitlines() if line.startswith("RESULT: ")]
+        assert result == [
+            "RESULT: command=verify certified=0 success=1 iterations=5 "
+            "margin=3.675444679663241 steps=10000 final_sup_norm=4.0 s_star=10.0,10.0"
+        ]
+
 
 class TestSweep:
     def test_chain_sweep_csv_schema(self, tmp_path, capsys):
@@ -225,6 +238,21 @@ class TestSweep:
             assert success == "1"
             assert int(iters) <= 100000
             float(ms)
+
+    def test_failed_rows_are_counted_and_exit_one(self, tmp_path, capsys):
+        # no point of the sphere of radius 10 decays with margin 6
+        out = tmp_path / "sweep.csv"
+        code = main([
+            "sweep", "--family", "chain", "--dims", "2,3", "--epsilons", "0.1,6",
+            "-r", "10", "--out", str(out),
+        ])
+        assert code == 1
+        fields = result_fields(capsys)
+        assert (fields["rows"], fields["failures"]) == ("4", "2")
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert [(n, eps, success) for _, n, eps, _, _, _, success, _ in rows] == [
+            ("2", "0.1", "1"), ("2", "6.0", "0"), ("3", "0.1", "1"), ("3", "6.0", "0"),
+        ]
 
     def test_linear_random_records_seeds(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"
