@@ -23,8 +23,9 @@ import numpy as np
 from .dynamics import DEFAULT_K_MAX, DEFAULT_STOP_TOL, solve_problem1
 from .homotopy import SolverConfig, find_decay_point
 from .linear import eps_max, perron_direction, random_contractive, spectral_radius
-from .maps import make_chain_map, make_linear_map
+from .maps import MonotoneMap, make_chain_map, make_linear_map
 from .mapspec import parse_map_spec
+from .order import check_count
 
 __all__ = ["main"]
 
@@ -33,6 +34,11 @@ CSV_COLUMNS = ["family", "n", "epsilon", "r", "seed", "iterations", "success", "
 
 def _vec(x: np.ndarray) -> str:
     return ",".join(repr(float(v)) for v in x)
+
+
+def _show(x: np.ndarray) -> str:
+    """A vector for people to read: ``[a, b, ...]`` to 12 significant digits."""
+    return f"[{', '.join(f'{v:.12g}' for v in x)}]"
 
 
 def _result_line(command: str, **fields) -> None:
@@ -57,15 +63,20 @@ def _no_decay_point(command: str, report, **failure_fields) -> int:
     return 1
 
 
-def cmd_find(args) -> int:
+def _load(args) -> tuple[MonotoneMap, SolverConfig]:
+    """The map of ``--map`` and the search settings of the solver flags."""
     T = parse_map_spec(Path(args.map).read_text()).build()
-    cfg = SolverConfig(r=args.radius, epsilon=args.epsilon, max_iterations=args.max_iterations)
+    return T, SolverConfig(r=args.radius, epsilon=args.epsilon, max_iterations=args.max_iterations)
+
+
+def cmd_find(args) -> int:
+    T, cfg = _load(args)
     report = find_decay_point(T, cfg, T.dimension)
     if not report.success:
         return _no_decay_point("find", report)
     s = report.s_star
     print(f"decay point found on the sphere of radius {args.radius:g}")
-    print(f"  s*         = [{', '.join(f'{v:.12g}' for v in s)}]")
+    print(f"  s*         = {_show(s)}")
     print(f"  margin     = {report.margin:.12g}  (epsilon = {args.epsilon:g})")
     print(f"  iterations = {report.iterations}")
     _result_line(
@@ -80,14 +91,13 @@ def cmd_find(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    T = parse_map_spec(Path(args.map).read_text()).build()
-    cfg = SolverConfig(r=args.radius, epsilon=args.epsilon, max_iterations=args.max_iterations)
+    T, cfg = _load(args)
     cert = solve_problem1(T, cfg, T.dimension, args.stop_tol, args.k_max)
     solve, traj, certified = cert.solve, cert.trajectory, cert.problem1_satisfied
     if not solve.success:
         return _no_decay_point("verify", solve, certified=0)
     s = solve.s_star
-    print(f"decay point: s* = [{', '.join(f'{v:.12g}' for v in s)}]")
+    print(f"decay point: s* = {_show(s)}")
     print(f"  margin = {solve.margin:.12g}, iterations = {solve.iterations}")
     if certified:
         print(
@@ -114,43 +124,28 @@ def cmd_verify(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    if args.instances < 1:
-        raise ValueError(f"--instances must be >= 1, got {args.instances}")
+    check_count("--instances", args.instances)
     dims = _parse_list(args.dims, int, "dimension")
     epsilons = _parse_list(args.epsilons, float, "epsilon")
-    rows = []
-    failures = 0
+    rows = []  # each row in CSV_COLUMNS order
     for n in dims:
+        if args.family == "chain":
+            instances = [("", make_chain_map(n))]
+        else:
+            instances = [(seed, make_linear_map(random_contractive(n, 0.8, seed)))
+                         for seed in range(args.seed, args.seed + args.instances)]
         for eps in epsilons:
-            if args.family == "chain":
-                instances = [("", make_chain_map(n))]
-            else:
-                instances = []
-                for idx in range(args.instances):
-                    seed = args.seed + idx
-                    instances.append((seed, make_linear_map(random_contractive(n, 0.8, seed))))
+            cfg = SolverConfig(r=args.radius, epsilon=eps, max_iterations=args.max_iterations)
             for seed, T in instances:
-                cfg = SolverConfig(r=args.radius, epsilon=eps, max_iterations=args.max_iterations)
                 t0 = time.perf_counter()
                 report = find_decay_point(T, cfg, n)
                 ms = (time.perf_counter() - t0) * 1e3
-                if not report.success:
-                    failures += 1
-                rows.append(
-                    {
-                        "family": args.family,
-                        "n": n,
-                        "epsilon": repr(eps),
-                        "r": repr(args.radius),
-                        "seed": seed,
-                        "iterations": report.iterations,
-                        "success": int(report.success),
-                        "ms": f"{ms:.3f}",
-                    }
-                )
+                rows.append([args.family, n, repr(eps), repr(args.radius), seed,
+                             report.iterations, int(report.success), f"{ms:.3f}"])
+    failures = [row[CSV_COLUMNS.index("success")] for row in rows].count(0)
     with open(args.out, "w", newline="") as handle:
-        writer = csv.DictWriter(handle, fieldnames=CSV_COLUMNS, lineterminator="\n")
-        writer.writeheader()
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(CSV_COLUMNS)
         writer.writerows(rows)
     print(f"wrote {len(rows)} rows to {args.out} ({failures} failures)")
     _result_line("sweep", rows=len(rows), failures=failures, out=args.out)
@@ -165,21 +160,19 @@ def cmd_spectral(args) -> int:
     A = np.array(spec.data)
     rho = spectral_radius(A)
     print(f"spectral radius: {rho:.12g}")
-    direction = None
     try:
         direction = perron_direction(A)
-        print(f"dominant direction (1-norm 1): [{', '.join(f'{v:.12g}' for v in direction)}]")
+        print(f"dominant direction (1-norm 1): {_show(direction)}")
+        shown = {"direction": _vec(direction)}
     except ValueError as exc:
         print(f"dominant direction unavailable: {exc}")
+        shown = {}
     contractive = rho < 1.0
     print("verdict: spectral radius " + ("< 1 (contractive)" if contractive else ">= 1"))
     best = eps_max(A, 1.0)
     print(f"best decay margin on the sphere of radius 1 (scales with r): {best:.12g}")
-    fields = {"rho": repr(rho), "contractive": int(contractive)}
-    if direction is not None:
-        fields["direction"] = _vec(direction)
-    fields["eps_max"] = repr(best)
-    _result_line("spectral", **fields)
+    _result_line("spectral", rho=repr(rho), contractive=int(contractive), **shown,
+                 eps_max=repr(best))
     return 0 if contractive else 1
 
 
@@ -241,7 +234,3 @@ def main(argv=None) -> int:
     except (OSError, ValueError, RecursionError) as exc:  # MapSpec errors; too-deep specs
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

@@ -200,7 +200,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .labeling import LabeledVertexSet, is_complete, label_index
+from .labeling import LabeledVertexSet, _complete_labels, label_index
 from .maps import MonotoneMap
 from .order import check_count, check_positive
 from .triangulation import CompleteCellSearch
@@ -213,9 +213,9 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolverConfig:
-    """Tunables of the decay-point search."""
+    """Tunables of the decay-point search, checked once and then frozen."""
 
     r: float
     epsilon: float = 1e-2
@@ -249,12 +249,9 @@ def complete_subsets(tau: LabeledVertexSet, n: int) -> list[LabeledVertexSet]:
         raise ValueError(f"expected {n + 1} vertices, got {len(tau)}")
     out = []
     for drop in range(n + 1):
-        candidate = LabeledVertexSet(
-            [v for p, v in enumerate(tau.vertices) if p != drop],
-            [lab for p, lab in enumerate(tau.labels) if p != drop],
-        )
-        if is_complete(candidate, n):
-            out.append(candidate)
+        labels = tau.labels[:drop] + tau.labels[drop + 1:]
+        if _complete_labels(labels, n):  # at most two drops pass; only those are built
+            out.append(LabeledVertexSet(tau.vertices[:drop] + tau.vertices[drop + 1:], labels))
     return out
 
 
@@ -481,8 +478,7 @@ def find_decay_point(T: MonotoneMap, cfg: SolverConfig, n: int) -> SolveReport:
     ``nonfinite`` (T is not finite at ``failure_point``).  The pre-phase,
     the ladder and their proofs are described in the module docstring.
     """
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
+    check_count("n", n, least=2)
     if T.dimension != n:
         raise ValueError(f"map has dimension {T.dimension}, expected {n}")
     r = cfg.r

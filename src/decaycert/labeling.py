@@ -87,6 +87,9 @@ def is_complete(vs: LabeledVertexSet, n: int) -> bool:
     """True iff the set has exactly n vertices carrying each label 1..n once."""
     if len(vs) != n:
         raise ValueError(f"expected exactly {n} vertices, got {len(vs)}")
-    if any(lab is None for lab in vs.labels):
-        return False
-    return sorted(vs.labels) == list(range(1, n + 1))
+    return _complete_labels(vs.labels, n)
+
+
+def _complete_labels(labels: list[int | None], n: int) -> bool:
+    """True iff ``labels`` carries each label 1..n exactly once."""
+    return None not in labels and sorted(labels) == list(range(1, n + 1))

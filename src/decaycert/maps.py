@@ -170,9 +170,9 @@ def check_kinf(rho: ScalarFn, where: str) -> None:
         raise ValueError(f"{where} fails the sampled Kinf checks")
 
 
-def gain_rows(gains) -> list[list[ScalarFn]]:
+def gain_rows(gains) -> tuple[tuple[ScalarFn, ...], ...]:
     """Coerce a nested gain sequence into a checked square table of ScalarFns."""
-    rows = [[coerce_gain(g) for g in row] for row in gains]
+    rows = tuple(tuple(coerce_gain(g) for g in row) for row in gains)
     if not rows or any(len(row) != len(rows) for row in rows):
         raise ValueError("gain table must be square")
     for i, row in enumerate(rows):
@@ -191,7 +191,7 @@ def make_max_preserving(gains) -> MonotoneMap:
     return _max_preserving(gain_rows(gains))
 
 
-def _max_preserving(rows: list[list[ScalarFn]]) -> MonotoneMap:
+def _max_preserving(rows: tuple[tuple[ScalarFn, ...], ...]) -> MonotoneMap:
     """Map of a gain table that ``gain_rows`` has already checked."""
 
     def fn(s: np.ndarray) -> np.ndarray:
@@ -221,6 +221,8 @@ def compose(*maps: MonotoneMap) -> MonotoneMap:
 
     A non-finite intermediate value is returned as is, since the next map rejects it.
     """
+    if not maps:
+        raise ValueError("compose needs at least one map")
     dims = sorted({m.dimension for m in maps})
     if len(dims) != 1:
         raise ValueError(f"compose needs maps of one dimension, got mismatched dimensions {dims}")

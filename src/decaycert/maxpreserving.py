@@ -43,18 +43,19 @@ def cycle_grid() -> list[float]:
     return validation_grid(49)[1:]
 
 
-@dataclass
+@dataclass(frozen=True)
 class GainTable:
-    """Square table of scalar nondecreasing gains with g(0) = 0.
+    """Square table of scalar nondecreasing gains with g(0) = 0, checked once and then frozen.
 
     ``rows[i][j]`` is the influence of component j on component i; absent
-    (None) entries are the zero gain.
+    (None) entries are the zero gain.  Any nested gain sequence is accepted
+    and kept as tuples.
     """
 
-    rows: list[list[ScalarFn]]
+    rows: tuple[tuple[ScalarFn, ...], ...]
 
     def __post_init__(self):
-        self.rows = gain_rows(self.rows)
+        object.__setattr__(self, "rows", gain_rows(self.rows))
 
     @property
     def n(self) -> int:

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import importlib.util
 import re
@@ -11,6 +12,7 @@ from decaycert import (
     GainTable,
     MonotoneMap,
     SolverConfig,
+    find_decay_point,
     iterate,
     label_eps,
     make_linear_map,
@@ -19,9 +21,11 @@ from decaycert import (
     path_q,
     random_contractive,
     reparametrize_path,
+    solve_problem1,
 )
 from decaycert.linear import eps_max
 from decaycert.maps import chain_feasible_point, make_chain_map, make_flipflop_map
+from decaycert.scalarfn import Term
 
 MODULES = ["cli", "dynamics", "homotopy", "labeling", "linear", "maps", "mapspec",
            "maxpreserving", "order", "scalarfn", "triangulation"]
@@ -68,6 +72,8 @@ SCALAR_ARGUMENTS = [
     ("SolverConfig epsilon", "epsilon", lambda v: SolverConfig(r=10.0, epsilon=v)),
     ("SolverConfig max_iterations", "max_iterations",
      lambda v: SolverConfig(r=10.0, max_iterations=v)),
+    ("find_decay_point n", "n", lambda v: find_decay_point(SWAP_MAP, SolverConfig(r=10.0), v)),
+    ("solve_problem1 n", "n", lambda v: solve_problem1(SWAP_MAP, SolverConfig(r=10.0), v)),
     ("iterate k_max", "k_max", lambda v: iterate(SWAP_MAP, [1, 1], k_max=v)),
     ("iterate stop_tol", "stop_tol", lambda v: iterate(SWAP_MAP, [1, 1], stop_tol=v)),
     ("ordering_check k", "k", lambda v: ordering_check(SWAP_MAP, [1, 1], [2, 2], v)),
@@ -94,6 +100,19 @@ SCALAR_ARGUMENTS = [
 def test_a_mistyped_scalar_argument_is_named(argument, call, value):
     with pytest.raises(ValueError, match=rf"^{re.escape(argument)} must be "):
         call(value)
+
+
+def test_checked_objects_are_frozen():
+    """A field set after construction would skip the checks that construction made."""
+    cfg = SolverConfig(r=10.0, epsilon=0.1)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.epsilon = -1.5
+    table = GainTable([[None, "0.5*t"], ["0.5*t", None]])
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        table.rows = ((None, Term(-0.5)), (Term(0.5), None))
+    with pytest.raises(TypeError):  # the rows are tuples
+        table.rows[0][1] = Term(-0.5)
+    assert cfg.epsilon == 0.1 and table == GainTable([[None, "0.5*t"], ["0.5*t", None]])
 
 
 def test_a_seed_is_a_nonnegative_int():

@@ -163,6 +163,11 @@ class TestOrderingCheck:
         with pytest.raises(ValueError):
             ordering_check(SWAP_HALF, [2, 0], [1, 1], 5)
 
+    def test_an_antitone_map_breaks_the_order(self):
+        # s -> 1/(1 + s) sends 0 <= 1 to 1 > 1/2 in one step
+        T = MonotoneMap(1, lambda s: 1.0 / (1.0 + s), "antitone")
+        assert ordering_check(T, [0.0], [1.0], 1) is False
+
     @pytest.mark.parametrize("k", [2.5, True, "10"])
     def test_k_must_be_an_int(self, k):
         with pytest.raises(ValueError, match="k must be an int"):

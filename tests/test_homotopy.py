@@ -261,8 +261,10 @@ class TestFindDecayPoint:
         T = make_chain_map(3)
         with pytest.raises(ValueError):
             find_decay_point(T, SolverConfig(r=1.0), 2)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^n must be >= 2, got 1$"):
             find_decay_point(make_linear_map([[0.5]]), SolverConfig(r=1.0), 1)
+        with pytest.raises(ValueError, match=r"^n must be an int, got 2\.0$"):
+            find_decay_point(make_chain_map(2), SolverConfig(r=1.0), 2.0)
 
 
 def test_slack_ladder_rungs():

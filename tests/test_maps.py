@@ -168,6 +168,13 @@ class TestMaxPreserving:
         with pytest.raises(TypeError):
             make_max_preserving([[lambda t: t]])
 
+    def test_rejects_a_decreasing_gain(self):
+        from decaycert.scalarfn import Term
+
+        # -0.5*t vanishes at zero, so only the monotonicity check can reject it
+        with pytest.raises(ValueError, match=r"^gain \(1,2\) is not nondecreasing on the sample"):
+            make_max_preserving([[None, Term(-0.5)], ["0.5*t", None]])
+
 
 class TestDiagonal:
     def test_identity(self):
@@ -184,6 +191,10 @@ class TestDiagonal:
     def test_rejects_non_increasing(self):
         with pytest.raises(ValueError, match="Kinf"):
             make_diagonal(["0"])
+
+    def test_rejects_no_functions(self):
+        with pytest.raises(ValueError, match="^need at least one diagonal function$"):
+            make_diagonal([])
 
 
 class TestCompose:
@@ -212,6 +223,10 @@ class TestCompose:
         with pytest.raises(ValueError):
             compose(make_chain_map(2), make_chain_map(3))
 
+    def test_rejects_no_maps(self):
+        with pytest.raises(ValueError, match="^compose needs at least one map$"):
+            compose()
+
 
 @pytest.mark.parametrize("dimension", [2.5, True, "3", 2.0])
 def test_map_dimension_must_be_an_int(dimension):
@@ -222,6 +237,18 @@ def test_map_dimension_must_be_an_int(dimension):
 def test_chain_map_rejects_a_fractional_n():
     with pytest.raises(ValueError, match="dimension must be an int"):
         make_chain_map(2.5)
+
+
+def test_a_value_of_the_wrong_shape_is_rejected():
+    T = MonotoneMap(2, lambda s: s[:1], "truncating")
+    with pytest.raises(ValueError, match=r"^map returned shape \(1,\), expected \(2,\)$"):
+        T([1.0, 2.0])
+
+
+def test_a_negative_value_is_rejected():
+    T = MonotoneMap(2, lambda s: s - 1.5, "shifted")
+    with pytest.raises(ValueError, match="^map produced a negative component"):
+        T([1.0, 2.0])
 
 
 def _family_zoo(rng):
