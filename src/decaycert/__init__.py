@@ -22,7 +22,7 @@ from .homotopy import (
     complete_subsets,
     find_decay_point,
 )
-from .labeling import LabeledVertexSet, is_complete, label_eps, omega_membership
+from .labeling import LabeledVertexSet, label_eps, omega_membership
 from .linear import neumann_inverse, perron_direction, random_contractive, spectral_radius
 from .maps import (
     MonotoneMap,
@@ -56,7 +56,6 @@ __all__ = [
     "compose",
     "cycle_condition",
     "find_decay_point",
-    "is_complete",
     "iterate",
     "label_eps",
     "make_chain_map",

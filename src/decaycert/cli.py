@@ -46,11 +46,16 @@ def _result_line(command: str, **fields) -> None:
     print(f"RESULT: command={command} " + " ".join(parts))
 
 
-def _parse_list(text: str, cast, what: str) -> list:
-    items = [part.strip() for part in text.split(",") if part.strip()]
-    if not items:
-        raise ValueError(f"empty {what} list")
-    return [cast(part) for part in items]
+def _parse_list(text: str, cast, flag: str) -> list:
+    out = []
+    for part in filter(None, map(str.strip, text.split(","))):
+        try:
+            out.append(cast(part))
+        except ValueError:
+            raise ValueError(f"{flag} item {part!r} is not a valid {cast.__name__}") from None
+    if not out:
+        raise ValueError(f"empty {flag} list")
+    return out
 
 
 def _no_decay_point(command: str, report, **failure_fields) -> int:
@@ -125,8 +130,8 @@ def cmd_verify(args) -> int:
 
 def cmd_sweep(args) -> int:
     check_count("--instances", args.instances)
-    dims = _parse_list(args.dims, int, "dimension")
-    epsilons = _parse_list(args.epsilons, float, "epsilon")
+    dims = _parse_list(args.dims, int, "--dims")
+    epsilons = _parse_list(args.epsilons, float, "--epsilons")
     rows = []  # each row in CSV_COLUMNS order
     for n in dims:
         if args.family == "chain":

@@ -200,7 +200,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .labeling import LabeledVertexSet, _complete_labels, label_index
+from .labeling import LabeledVertexSet, label_index
 from .maps import MonotoneMap
 from .order import check_count, check_positive
 from .triangulation import CompleteCellSearch
@@ -242,15 +242,17 @@ class SolveReport:
 def complete_subsets(tau: LabeledVertexSet, n: int) -> list[LabeledVertexSet]:
     """All complete n-vertex subsets of an (n+1)-vertex set.
 
-    By the door-in-door-out principle the result always has length 0 or 2
-    (the test suite checks this exhaustively over all label assignments).
+    A subset is complete when it carries each label 1..n exactly once.
+    When every label is in 1..n, the door-in-door-out principle gives a
+    result of length 0 or 2 (the test suite checks this exhaustively over
+    all label assignments); a None label can leave one complete subset.
     """
     if len(tau) != n + 1:
         raise ValueError(f"expected {n + 1} vertices, got {len(tau)}")
     out = []
     for drop in range(n + 1):
         labels = tau.labels[:drop] + tau.labels[drop + 1:]
-        if _complete_labels(labels, n):  # at most two drops pass; only those are built
+        if None not in labels and sorted(labels) == list(range(1, n + 1)):  # at most two drops
             out.append(LabeledVertexSet(tau.vertices[:drop] + tau.vertices[drop + 1:], labels))
     return out
 

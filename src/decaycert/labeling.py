@@ -1,4 +1,4 @@
-"""Integer labeling of sphere points and completeness of vertex sets.
+"""Integer labeling of sphere points and labeled vertex sets.
 
 A point ``s`` gets the largest index ``i`` such that ``(Ts)_i + eps <= s_i``.
 The slack ``eps`` is the one documented robustness parameter of the whole
@@ -10,7 +10,7 @@ as a hard failure of the covering hypothesis at the current slack.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,7 +22,6 @@ __all__ = [
     "label_eps",
     "omega_membership",
     "LabeledVertexSet",
-    "is_complete",
 ]
 
 
@@ -55,25 +54,23 @@ def omega_membership(T: MonotoneMap, s) -> set[int]:
     return {int(i) + 1 for i in np.where(Ts < s)[0]}
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class LabeledVertexSet:
-    """A set of distinct vertices with parallel integer labels.
+    """A set of distinct vertices with parallel integer labels, checked once and then frozen.
 
-    Labels are 1-based indices or None for not-yet-labeled / unlabelable
-    vertices.  Vertices must be pairwise distinct (exact comparison).
+    Labels are 1-based indices or None for unlabelable vertices.
+    Vertices must be pairwise distinct (exact comparison).  Both sequences
+    are kept as tuples, and each vertex is a read-only point.
     """
 
-    vertices: list[np.ndarray]
-    labels: list[int | None] = field(default_factory=list)
+    vertices: tuple[np.ndarray, ...]
+    labels: tuple[int | None, ...]
 
     def __post_init__(self):
-        self.vertices = [as_point(v) for v in self.vertices]
-        if not self.labels:
-            self.labels = [None] * len(self.vertices)
+        object.__setattr__(self, "vertices", tuple(as_point(v) for v in self.vertices))
+        object.__setattr__(self, "labels", tuple(self.labels))
         if len(self.labels) != len(self.vertices):
-            raise ValueError(
-                f"{len(self.labels)} labels for {len(self.vertices)} vertices"
-            )
+            raise ValueError(f"{len(self.labels)} labels for {len(self.vertices)} vertices")
         for a in range(len(self.vertices)):
             for b in range(a + 1, len(self.vertices)):
                 if np.array_equal(self.vertices[a], self.vertices[b]):
@@ -81,15 +78,3 @@ class LabeledVertexSet:
 
     def __len__(self) -> int:
         return len(self.vertices)
-
-
-def is_complete(vs: LabeledVertexSet, n: int) -> bool:
-    """True iff the set has exactly n vertices carrying each label 1..n once."""
-    if len(vs) != n:
-        raise ValueError(f"expected exactly {n} vertices, got {len(vs)}")
-    return _complete_labels(vs.labels, n)
-
-
-def _complete_labels(labels: list[int | None], n: int) -> bool:
-    """True iff ``labels`` carries each label 1..n exactly once."""
-    return None not in labels and sorted(labels) == list(range(1, n + 1))

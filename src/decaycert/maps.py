@@ -10,6 +10,7 @@ construction time (it is semidecidable for black-box rules).
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -29,6 +30,7 @@ from .scalarfn import (
 
 __all__ = [
     "MonotoneMap",
+    "GainTable",
     "make_linear_map",
     "make_chain_map",
     "chain_feasible_point",
@@ -39,18 +41,18 @@ __all__ = [
     "coerce_gain",
     "check_gain",
     "check_kinf",
-    "gain_rows",
 ]
 
 
+@dataclass(frozen=True, eq=False)
 class MonotoneMap:
     """Evaluatable monotone map ``T: R^n_+ -> R^n_+`` with ``T(0) = 0``.
 
-    Instances are immutable and evaluation is pure, so maps can be shared
-    freely between threads.
+    Instances are immutable (a write raises ``FrozenInstanceError``) and
+    evaluation is pure, so maps can be shared freely between threads.
 
-    ``homogeneous`` (read-only) states that T is homogeneous of degree
-    one, ``T(l s) = l T(s)`` for ``l >= 0``, up to rounding.  Only the
+    ``homogeneous`` states that T is homogeneous of degree one,
+    ``T(l s) = l T(s)`` for ``l >= 0``, up to rounding.  Only the
     family constructors of this module set it: linear maps, and max-times
     tables, diagonals and compositions built from degree-one parts.  The
     solver then evaluates each pre-phase iterate at its point on the
@@ -60,21 +62,17 @@ class MonotoneMap:
     ``kind`` is only a name: the solver never reads it.
     """
 
-    _homogeneous = False
+    dimension: int
+    fn: Callable[[np.ndarray], np.ndarray] = field(repr=False)
+    kind: str
+    homogeneous = False  # not a field: set only by _degree_one
 
-    def __init__(self, dimension: int, fn: Callable[[np.ndarray], np.ndarray], kind: str):
-        check_count("map dimension", dimension)
-        self.dimension = dimension
-        self.kind = kind
-        self._fn = fn
-
-    @property
-    def homogeneous(self) -> bool:
-        return self._homogeneous
+    def __post_init__(self):
+        check_count("map dimension", self.dimension)
 
     def __call__(self, s) -> np.ndarray:
         s = as_point(s, dim=self.dimension)
-        out = np.asarray(self._fn(s), dtype=float)
+        out = np.asarray(self.fn(s), dtype=float)
         if out.shape != (self.dimension,):
             raise ValueError(f"map returned shape {out.shape}, expected ({self.dimension},)")
         if np.any(out < 0.0):
@@ -82,13 +80,10 @@ class MonotoneMap:
         out.flags.writeable = False
         return out
 
-    def __repr__(self) -> str:
-        return f"MonotoneMap(kind={self.kind!r}, dimension={self.dimension})"
-
 
 def _degree_one(T: MonotoneMap, homogeneous: bool) -> MonotoneMap:
     """``T``, flagged ``homogeneous`` as its constructor proved it."""
-    T._homogeneous = homogeneous
+    object.__setattr__(T, "homogeneous", homogeneous)
     return T
 
 
@@ -170,35 +165,52 @@ def check_kinf(rho: ScalarFn, where: str) -> None:
         raise ValueError(f"{where} fails the sampled Kinf checks")
 
 
-def gain_rows(gains) -> tuple[tuple[ScalarFn, ...], ...]:
-    """Coerce a nested gain sequence into a checked square table of ScalarFns."""
-    rows = tuple(tuple(coerce_gain(g) for g in row) for row in gains)
-    if not rows or any(len(row) != len(rows) for row in rows):
-        raise ValueError("gain table must be square")
-    for i, row in enumerate(rows):
-        for j, g in enumerate(row):
-            check_gain(g, f"gain ({i + 1},{j + 1})")
-    return rows
+@dataclass(frozen=True)
+class GainTable:
+    """Square table of scalar nondecreasing gains with g(0) = 0, checked once and then frozen.
+
+    ``rows[i][j]`` is the influence of component j on component i; absent
+    (None) entries are the zero gain.  Any nested gain sequence is accepted
+    and kept as tuples.
+    """
+
+    rows: tuple[tuple[ScalarFn, ...], ...]
+
+    def __post_init__(self):
+        rows = tuple(tuple(coerce_gain(g) for g in row) for row in self.rows)
+        if not rows or any(len(row) != len(rows) for row in rows):
+            raise ValueError("gain table must be square")
+        for i, row in enumerate(rows):
+            for j, g in enumerate(row):
+                check_gain(g, f"gain ({i + 1},{j + 1})")
+        object.__setattr__(self, "rows", rows)
+
+    @property
+    def n(self) -> int:
+        return len(self.rows)
+
+    def gain(self, i: int, j: int) -> ScalarFn:
+        """Gain from component j onto component i (1-based indices)."""
+        return self.rows[i - 1][j - 1]
+
+    def to_map(self) -> MonotoneMap:
+        """Map ``(Ts)_i = max_j g_ij(s_j)``; the gains were checked at construction."""
+        rows = self.rows
+
+        def fn(s: np.ndarray) -> np.ndarray:
+            return np.array([max(g(s[j]) for j, g in enumerate(row)) for row in rows])
+
+        return _degree_one(MonotoneMap(len(rows), fn, "max-preserving"),
+                           all(is_degree_one(g) for row in rows for g in row))
 
 
 def make_max_preserving(gains) -> MonotoneMap:
     """Map ``(Ts)_i = max_j g_ij(s_j)`` from an n-by-n table of gains.
 
     ``gains`` is a nested sequence whose entries may be ScalarFn
-    instances, textual forms, or None for the zero gain.  A GainTable
-    gives its map through ``GainTable.to_map()``.
+    instances, textual forms, or None for the zero gain.
     """
-    return _max_preserving(gain_rows(gains))
-
-
-def _max_preserving(rows: tuple[tuple[ScalarFn, ...], ...]) -> MonotoneMap:
-    """Map of a gain table that ``gain_rows`` has already checked."""
-
-    def fn(s: np.ndarray) -> np.ndarray:
-        return np.array([max(g(s[j]) for j, g in enumerate(row)) for row in rows])
-
-    return _degree_one(MonotoneMap(len(rows), fn, "max-preserving"),
-                       all(is_degree_one(g) for row in rows for g in row))
+    return GainTable(gains).to_map()
 
 
 def make_diagonal(fns: Sequence) -> MonotoneMap:

@@ -21,13 +21,11 @@ each step calls each gain once, and only the current power is kept.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .maps import MonotoneMap, _max_preserving, gain_rows
+from .maps import GainTable, MonotoneMap
 from .order import check_positive
-from .scalarfn import ScalarFn, validation_grid
+from .scalarfn import validation_grid
 
 __all__ = [
     "GainTable",
@@ -41,32 +39,6 @@ __all__ = [
 def cycle_grid() -> list[float]:
     """Evaluation grid of the cycle condition: 49 points log-spaced over 1e-3..1e3."""
     return validation_grid(49)[1:]
-
-
-@dataclass(frozen=True)
-class GainTable:
-    """Square table of scalar nondecreasing gains with g(0) = 0, checked once and then frozen.
-
-    ``rows[i][j]`` is the influence of component j on component i; absent
-    (None) entries are the zero gain.  Any nested gain sequence is accepted
-    and kept as tuples.
-    """
-
-    rows: tuple[tuple[ScalarFn, ...], ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "rows", gain_rows(self.rows))
-
-    @property
-    def n(self) -> int:
-        return len(self.rows)
-
-    def gain(self, i: int, j: int) -> ScalarFn:
-        """Gain from component j onto component i (1-based indices)."""
-        return self.rows[i - 1][j - 1]
-
-    def to_map(self) -> MonotoneMap:
-        return _max_preserving(self.rows)  # checked once, at construction
 
 
 def cycle_condition(table) -> tuple[bool, tuple[tuple[int, ...], float] | None]:

@@ -10,6 +10,7 @@ import pytest
 
 from decaycert import (
     GainTable,
+    LabeledVertexSet,
     MonotoneMap,
     SolverConfig,
     find_decay_point,
@@ -113,6 +114,25 @@ def test_checked_objects_are_frozen():
     with pytest.raises(TypeError):  # the rows are tuples
         table.rows[0][1] = Term(-0.5)
     assert cfg.epsilon == 0.1 and table == GainTable([[None, "0.5*t"], ["0.5*t", None]])
+    T = make_chain_map(2)  # a dimension or flag set later would disagree with the map
+    for name, value in [("dimension", 3), ("kind", "x"), ("homogeneous", True)]:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(T, name, value)
+    assert (T.dimension, T.kind, T.homogeneous) == (2, "chain", False)
+    vs = LabeledVertexSet([[1.0, 0.0], [0.0, 1.0]], [1, 2])
+    with pytest.raises(TypeError):  # the vertices are a tuple, checked to be distinct
+        vs.vertices[1] = vs.vertices[0]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        vs.labels = (2, 1)
+    assert vs.labels == (1, 2) and not np.array_equal(*vs.vertices)
+
+
+def test_a_gain_table_has_one_class_and_is_complete_is_gone():
+    import decaycert
+    from decaycert import maps, maxpreserving
+
+    assert maps.GainTable is maxpreserving.GainTable is GainTable
+    assert not hasattr(decaycert, "is_complete")
 
 
 def test_a_seed_is_a_nonnegative_int():

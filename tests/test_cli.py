@@ -273,6 +273,20 @@ class TestSweep:
         ])
         assert code == 2
 
+    @pytest.mark.parametrize("flag, items, message", [
+        ("--dims", "2,2.5", "--dims item '2.5' is not a valid int"),
+        ("--epsilons", "0.1,abc", "--epsilons item 'abc' is not a valid float"),
+    ])
+    def test_a_bad_list_item_is_named_with_its_flag(self, tmp_path, capsys, flag, items, message):
+        out = tmp_path / "sweep.csv"
+        args = {"--dims": "2", "--epsilons": "0.1", flag: items}
+        code = main(["sweep", "--family", "chain", "--dims", args["--dims"],
+                     "--epsilons", args["--epsilons"], "--out", str(out)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == "" and not out.exists()
+
     @pytest.mark.parametrize("instances", ["0", "-1"])
     def test_instances_below_one_is_usage_error(self, tmp_path, capsys, instances):
         out = tmp_path / "sweep.csv"

@@ -48,6 +48,15 @@ class TestCompleteSubsets:
         with pytest.raises(ValueError):
             complete_subsets(vertex_set([1, 2, 3]), 3)
 
+    @pytest.mark.parametrize("labels, kept", [
+        ([1, 2, 2, 3], [(1, 2, 3), (1, 2, 3)]),  # dropping a 1 or a 3 keeps both 2s
+        ([1, None, 2], [(1, 2)]),
+        ([None, 3, 1, 2], [(3, 1, 2)]),
+        ([1, None, None], []),
+    ], ids=["duplicated label", "None label", "None label first", "two None labels"])
+    def test_a_duplicated_or_missing_label_is_not_complete(self, labels, kept):
+        assert [s.labels for s in complete_subsets(vertex_set(labels), len(labels) - 1)] == kept
+
     @pytest.mark.parametrize("n", [2, 3])
     def test_exhaustive_zero_or_two(self, n):
         for labels in product(range(1, n + 1), repeat=n + 1):

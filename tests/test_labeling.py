@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from decaycert.labeling import LabeledVertexSet, is_complete, label_eps, omega_membership
+from decaycert.labeling import LabeledVertexSet, label_eps, omega_membership
 from decaycert.maps import make_linear_map
 
 
@@ -108,22 +108,3 @@ class TestLabeledVertexSet:
     def test_rejects_mismatched_labels(self):
         with pytest.raises(ValueError):
             LabeledVertexSet([np.array([1.0, 0.0])], [1, 2])
-
-
-class TestIsComplete:
-    def _set(self, labels):
-        verts = [np.eye(len(labels))[i] for i in range(len(labels))]
-        return LabeledVertexSet(verts, list(labels))
-
-    def test_full_label_set(self):
-        assert is_complete(self._set([1, 2, 3]), 3)
-
-    def test_duplicate_label(self):
-        assert not is_complete(self._set([1, 2, 2]), 3)
-
-    def test_unlabeled_vertex(self):
-        assert not is_complete(self._set([1, None, 3]), 3)
-
-    def test_wrong_cardinality_raises(self):
-        with pytest.raises(ValueError):
-            is_complete(self._set([1, 2]), 3)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from decaycert.homotopy import SolverConfig, find_decay_point
-from decaycert import maps, maxpreserving
+from decaycert import maps
 from decaycert.maxpreserving import GainTable, cycle_condition, cycle_grid, path_q, reparametrize_path
 from decaycert.scalarfn import Term
 
@@ -285,16 +285,24 @@ class TestReparametrize:
         g = GainTable([[None, "0.5*t"], ["0.25*t", None]])
         np.testing.assert_allclose(reparametrize_path(g, 10.0, tol=1e-10), [5.0, 5.0], atol=1e-9)
 
+    def test_path_norm_not_met_by_the_starting_bracket_is_bisected(self):
+        # q(t) = (8t, t): the bracket's lower end is halved twice, and both ends then move
+        g = GainTable([[None, "8*t"], ["0.1*t", None]])
+        assert cycle_condition(g) == (True, None)
+        q = reparametrize_path(g, 10.0, tol=1e-10)
+        np.testing.assert_allclose(q, [80.0 / 9.0, 10.0 / 9.0], atol=1e-9)
+        assert np.all(g.to_map()(q) <= q)
+
     def test_builds_the_map_once(self, monkeypatch):
         builds = 0
-        build = maxpreserving._max_preserving
+        build = GainTable.to_map
 
-        def counting(gains):
+        def counting(table):
             nonlocal builds
             builds += 1
-            return build(gains)
+            return build(table)
 
-        monkeypatch.setattr(maxpreserving, "_max_preserving", counting)
+        monkeypatch.setattr(GainTable, "to_map", counting)
         reparametrize_path(half_id_cycle(6), 10.0)
         assert builds == 1
 
