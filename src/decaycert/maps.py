@@ -2,9 +2,10 @@
 
 A :class:`MonotoneMap` is a pure evaluation rule ``s -> Ts`` with a fixed
 dimension.  All built-in families satisfy ``T(0) = 0`` exactly and map the
-orthant into itself; monotonicity is a property of the families that the
-test suite spot-checks by sampling rather than something enforced at
-construction time (it is semidecidable for black-box rules).
+orthant into itself.  Gain tables and diagonals are monotone by the
+construction of :mod:`decaycert.scalarfn`; for the other families the
+test suite spot-checks monotonicity by sampling (it is semidecidable for
+black-box rules).
 """
 
 from __future__ import annotations
@@ -17,16 +18,7 @@ import numpy as np
 
 from .linear import as_nonnegative_matrix
 from .order import as_point, check_count, check_positive
-from .scalarfn import (
-    ScalarFn,
-    is_degree_one,
-    is_kinf_on,
-    is_nondecreasing_on,
-    is_zero_at_zero,
-    parse_scalar_fn,
-    validation_grid,
-    zero_fn,
-)
+from .scalarfn import Max, ScalarFn, Sum, Term, is_degree_one, parse_scalar_fn, zero_fn
 
 __all__ = [
     "MonotoneMap",
@@ -140,34 +132,44 @@ def make_flipflop_map(lam: float) -> MonotoneMap:
 
 
 def coerce_gain(g) -> ScalarFn:
-    """Normalize a gain entry: ScalarFn, textual form, or None (zero)."""
+    """Normalize a gain entry: None (the zero gain), a textual form, or a Term, Sum or Max.
+
+    Anything else, a raw callable or a ScalarFn subclass too, raises TypeError.
+    """
     if g is None:
         return zero_fn()
-    if isinstance(g, ScalarFn):
-        return g
     if isinstance(g, str):
         return parse_scalar_fn(g)
+    if isinstance(g, (Term, Sum, Max)):
+        return g
     raise TypeError(f"cannot interpret {g!r} as a gain function")
 
 
 def check_gain(g: ScalarFn, where: str) -> None:
-    """Raise ValueError unless ``g(0) = 0`` and g is nondecreasing on the sample grid."""
-    if not is_zero_at_zero(g):
+    """Raise ValueError unless ``g(0) = 0`` exactly; g is nondecreasing by construction.
+
+    A term ``c*0^a`` is 0 for ``a > 0`` and ``c`` for ``a = 0``, and a sum
+    or maximum of values >= 0 is 0 only when every part is.
+    """
+    if g(0.0) != 0.0:
         raise ValueError(f"{where} violates g(0)=0: got {g(0.0)}")
-    if not is_nondecreasing_on(g, validation_grid()):
-        raise ValueError(f"{where} is not nondecreasing on the sample grid")
 
 
 def check_kinf(rho: ScalarFn, where: str) -> None:
-    """Raise ValueError unless rho is a gain that is class-Kinf on the sample grid."""
+    """Raise ValueError unless rho is a gain of class Kinf.
+
+    Once ``rho(0) = 0`` holds, every nonzero term has a positive exponent
+    and is strictly increasing and unbounded, so rho is Kinf exactly when
+    it is not identically zero, that is when ``rho(1) > 0``.
+    """
     check_gain(rho, where)
-    if not is_kinf_on(rho, validation_grid()):
-        raise ValueError(f"{where} fails the sampled Kinf checks")
+    if not rho(1.0) > 0.0:
+        raise ValueError(f"{where} is zero, so not class Kinf")
 
 
 @dataclass(frozen=True)
 class GainTable:
-    """Square table of scalar nondecreasing gains with g(0) = 0, checked once and then frozen.
+    """Square table of gains, each checked once by :func:`check_gain`, and then frozen.
 
     ``rows[i][j]`` is the influence of component j on component i; absent
     (None) entries are the zero gain.  Any nested gain sequence is accepted

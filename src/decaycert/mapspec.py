@@ -21,7 +21,7 @@ from typing import Any, Callable, NamedTuple
 
 from . import maps
 from .maps import MonotoneMap
-from .scalarfn import ScalarFn, ScalarFnParseError, parse_scalar_fn, zero_fn
+from .scalarfn import ScalarFn, ScalarFnParseError
 
 __all__ = [
     "MapSpec",
@@ -79,12 +79,10 @@ def _number(value, where: str) -> float:
 
 def _scalar_fn(text, where: str) -> ScalarFn:
     """Parse a gain or diagonal function; null is the zero gain."""
-    if text is None:
-        return zero_fn()
-    if not isinstance(text, str):
+    if text is not None and not isinstance(text, str):
         raise MapSpecParseError(f"{where} must be a string or null, got {text!r}")
     try:
-        return parse_scalar_fn(text)
+        return maps.coerce_gain(text)
     except ScalarFnParseError as exc:
         raise MapSpecParseError(f"{where}: {exc}") from exc
 

@@ -8,8 +8,9 @@ below the identity.  When that holds, the curve
 
 is nondecreasing, unbounded and satisfies ``T(q(t)) <= q(t)``, so its
 re-parametrization to prescribed 1-norm is an "almost" decay point (the
-inequality is not strict).  Both checks are sample-based: gains are
-black boxes, so ``g < id`` is verified on a finite logarithmic grid.
+inequality is not strict).  The gains' own properties are checked exactly
+when the table is built (see :class:`decaycert.maps.GainTable`); only the
+cycle test samples, verifying ``g < id`` on a finite logarithmic grid.
 
 The cycle test uses max-plus powers (Baccelli, Cohen, Olsder & Quadrat,
 *Synchronization and Linearity*, 1992): ``(T^k(t e_i))_i`` is the largest
@@ -25,7 +26,6 @@ import numpy as np
 
 from .maps import GainTable, MonotoneMap
 from .order import check_positive
-from .scalarfn import validation_grid
 
 __all__ = [
     "GainTable",
@@ -38,7 +38,7 @@ __all__ = [
 
 def cycle_grid() -> list[float]:
     """Evaluation grid of the cycle condition: 49 points log-spaced over 1e-3..1e3."""
-    return validation_grid(49)[1:]
+    return [10.0 ** (-3.0 + k * 0.125) for k in range(49)]
 
 
 def cycle_condition(table) -> tuple[bool, tuple[tuple[int, ...], float] | None]:

@@ -17,11 +17,17 @@ Examples: ``"0.5*t"``, ``"t^2"``, ``"2*t^0.5"``, ``"t + 0.25*t^3"``,
 ``"max(t, 2*t^2)"``, ``"0"``.  Fractional powers of zero evaluate to zero
 (positive real branch).  Every function also acts elementwise on a numpy
 array; a scalar argument still goes through the scalar ``t**a``.
+
+A :class:`Term`'s coefficient and exponent are real, finite and ``>= 0``,
+and a Sum's or Max's parts are Terms, Sums or Maxes.  So every tree is
+continuous and nondecreasing on ``t >= 0``, which makes the gain checks of
+:mod:`decaycert.maps` two exact evaluations.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import re
 from dataclasses import dataclass
 from functools import reduce
@@ -36,10 +42,6 @@ __all__ = [
     "parse_scalar_fn",
     "zero_fn",
     "is_degree_one",
-    "is_zero_at_zero",
-    "is_nondecreasing_on",
-    "is_kinf_on",
-    "validation_grid",
 ]
 
 
@@ -58,10 +60,16 @@ class ScalarFn:
 
 @dataclass(frozen=True, repr=False)
 class Term(ScalarFn):
-    """The monomial ``coeff * t**exponent``."""
+    """The monomial ``coeff * t**exponent``; both numbers are real, finite and >= 0."""
 
     coeff: float
     exponent: float = 1.0
+
+    def __post_init__(self):
+        for name, value in (("coefficient", self.coeff), ("exponent", self.exponent)):
+            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                    or not 0.0 <= value < math.inf):
+                raise ValueError(f"Term {name} must be real, finite and >= 0, got {value!r}")
 
     def __call__(self, t: float) -> float:
         if self.coeff == 0.0:
@@ -81,9 +89,18 @@ class Term(ScalarFn):
 
 
 @dataclass(frozen=True, repr=False)
-class Sum(ScalarFn):
+class _Combination(ScalarFn):
+    """A Sum or Max: its parts are Terms, Sums or Maxes, never a foreign callable."""
+
     parts: tuple[ScalarFn, ...]
 
+    def __post_init__(self):
+        for part in self.parts:
+            if not isinstance(part, (Term, _Combination)):
+                raise TypeError(f"{type(self).__name__} parts must be Term, Sum or Max: {part!r}")
+
+
+class Sum(_Combination):
     def __call__(self, t: float) -> float:
         return sum(p(t) for p in self.parts)
 
@@ -91,10 +108,7 @@ class Sum(ScalarFn):
         return " + ".join(p.render() for p in self.parts)
 
 
-@dataclass(frozen=True, repr=False)
-class Max(ScalarFn):
-    parts: tuple[ScalarFn, ...]
-
+class Max(_Combination):
     def __call__(self, t: float) -> float:
         return reduce(np.maximum, [p(t) for p in self.parts])
 
@@ -193,12 +207,6 @@ def parse_scalar_fn(text: str) -> ScalarFn:
     return fn
 
 
-def validation_grid(n_points: int = 25) -> list[float]:
-    """Log-spaced sample grid {0} U [1e-3, 1e3] used by the property checks."""
-    step = 6.0 / (n_points - 1)
-    return [0.0] + [10.0 ** (-3.0 + k * step) for k in range(n_points)]
-
-
 def is_degree_one(fn: ScalarFn) -> bool:
     """Whether ``fn(l t) = l fn(t)`` for all ``l, t >= 0``, read off the tree.
 
@@ -211,22 +219,3 @@ def is_degree_one(fn: ScalarFn) -> bool:
     if isinstance(fn, (Sum, Max)):
         return all(is_degree_one(part) for part in fn.parts)
     return False
-
-
-def is_zero_at_zero(fn) -> bool:
-    return abs(fn(0.0)) <= 1e-12
-
-
-def is_nondecreasing_on(fn, grid) -> bool:
-    values = [fn(t) for t in grid]
-    return all(b >= a for a, b in zip(values, values[1:]))
-
-
-def is_kinf_on(fn, grid) -> bool:
-    """Sampled stand-in for class-Kinf: strictly increasing along the grid.
-
-    Unboundedness is semidecidable from point values; strict growth across
-    a grid reaching 1e3 is the documented surrogate.
-    """
-    values = [fn(t) for t in grid]
-    return all(b > a for a, b in zip(values, values[1:]))

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from decaycert import dynamics, maps
+from decaycert import cli, dynamics, maps
 from decaycert.cli import main
 
 REPO_SPECS = Path(__file__).resolve().parents[1] / "mapspecs"
@@ -94,12 +94,13 @@ class TestFind:
         assert captured.err == ""
         assert "failure=nonfinite" in captured.out
 
-    def test_overflowing_diagonal_gain_exits_two(self, tmp_path, capsys):
-        # t^200 overflows a float on the K-infinity sampling grid (up to 1e3)
+    def test_overflowing_diagonal_gain_reports_a_result(self, tmp_path, capsys):
+        # t^200 is Kinf; it overflows a float near t = 35, which the exact check never evaluates
         spec = write_spec(tmp_path, {"kind": "diagonal", "functions": ["t^200", "t"]})
         code = main(["find", "--map", spec, "-r", "10"])
-        assert code == 2
-        assert "error:" in capsys.readouterr().err
+        fields = result_fields(capsys)
+        assert code == 1
+        assert fields["success"] == "0"
 
     def test_deep_composition_exits_two(self, tmp_path, capsys):
         half = {"kind": "linear", "matrix": [[0.5, 0], [0, 0.5]]}
@@ -195,6 +196,16 @@ class TestVerify:
         assert code == 2
         assert "overflows" in captured.err
         assert "Traceback" not in captured.err
+        assert "RESULT:" not in captured.out
+
+    def test_constant_gain_part_exits_two(self, tmp_path, capsys):
+        # 1e-13*t^0 would make T(0) = (1e-13, 0); g(0) = 0 is checked with no tolerance
+        spec = write_spec(tmp_path, {"kind": "maxpreserving",
+                                     "gains": [["1e-13*t^0", "0.5*t"], ["0.5*t", None]]})
+        code = main(["verify", "--map", spec, "-r", "1", "--epsilon", "1e-3"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == "error: gain (1,1) violates g(0)=0: got 1e-13\n"
         assert "RESULT:" not in captured.out
 
     def test_non_contractive_linear_exits_one(self, tmp_path, capsys):
@@ -317,6 +328,20 @@ class TestSpectral:
         # the new key comes after the pinned ones: r / 1'(I - A)^-1 1 at r = 1
         assert list(fields)[-1] == "eps_max"
         assert float(fields["eps_max"]) == pytest.approx(0.25, rel=1e-12)
+
+    def test_unavailable_direction_is_named_and_left_out(self, capsys, monkeypatch):
+        def no_direction(A):
+            raise ValueError("no dominant eigenvector")
+
+        monkeypatch.setattr(cli, "perron_direction", no_direction)
+        code = main(["spectral", "--map", str(REPO_SPECS / "swap_half.json")])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "dominant direction unavailable: no dominant eigenvector\n" in out
+        result = [line for line in out.splitlines() if line.startswith("RESULT: ")]
+        assert len(result) == 1
+        keys = [part.split("=", 1)[0] for part in result[0].split()[1:]]
+        assert keys == ["command", "rho", "contractive", "eps_max"]
 
     def test_scalar(self, tmp_path, capsys):
         spec = write_spec(tmp_path, {"kind": "linear", "matrix": [[0.8]]})

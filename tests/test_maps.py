@@ -159,20 +159,34 @@ class TestMaxPreserving:
     def test_rejects_gain_with_offset(self):
         from decaycert.scalarfn import Term
 
-        # Term(c, 0) is the constant c, which cannot vanish at zero
-        with pytest.raises(ValueError, match="g\\(0\\)=0"):
-            make_max_preserving([[Term(1.0, 0.0)]])
+        # c*t^0 is the constant c, which cannot vanish at zero, however small c is
+        for build in (lambda: make_max_preserving([[Term(1.0, 0.0)]]),
+                      lambda: make_max_preserving([["1e-13*t^0", "0.5*t"], ["0.5*t", None]]),
+                      lambda: make_diagonal(["t + 1e-13*t^0"])):
+            with pytest.raises(ValueError, match="g\\(0\\)=0"):
+                build()
 
     def test_rejects_raw_callables(self):
-        # gains stay inside the serializable vocabulary
+        from decaycert.scalarfn import ScalarFn
+
+        class Identity(ScalarFn):
+            def __call__(self, t):
+                return t
+
+            def render(self):
+                return "t"
+
+        # gains stay inside the serializable vocabulary, whose invariant the checks rely on
         with pytest.raises(TypeError):
             make_max_preserving([[lambda t: t]])
+        with pytest.raises(TypeError, match="^cannot interpret Identity"):
+            make_max_preserving([[Identity()]])
 
     def test_rejects_a_decreasing_gain(self):
         from decaycert.scalarfn import Term
 
-        # -0.5*t vanishes at zero, so only the monotonicity check can reject it
-        with pytest.raises(ValueError, match=r"^gain \(1,2\) is not nondecreasing on the sample"):
+        # -0.5*t vanishes at zero; its negative coefficient is refused when the Term is built
+        with pytest.raises(ValueError, match=r"^Term coefficient must be real, finite and >= 0"):
             make_max_preserving([[None, Term(-0.5)], ["0.5*t", None]])
 
 

@@ -293,6 +293,12 @@ class TestReparametrize:
         np.testing.assert_allclose(q, [80.0 / 9.0, 10.0 / 9.0], atol=1e-9)
         assert np.all(g.to_map()(q) <= q)
 
+    def test_a_path_norm_above_r_everywhere_has_no_lower_bracket(self):
+        # q(t) >= 1e3*t^0.01 e stays above 10 at t = 5*2^-60, the last lower end tried
+        g = GainTable([[None, "1e3*t^0.01"], ["1e3*t^0.01", None]])
+        with pytest.raises(RuntimeError, match=r"^no lower bracket for the path norm below 10\.0$"):
+            reparametrize_path(g, 10.0)
+
     def test_builds_the_map_once(self, monkeypatch):
         builds = 0
         build = GainTable.to_map

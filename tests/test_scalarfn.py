@@ -1,5 +1,7 @@
 import pytest
 
+from decaycert.maps import check_gain, check_kinf
+from decaycert.maxpreserving import cycle_grid
 from decaycert.scalarfn import (
     Max,
     ScalarFn,
@@ -7,11 +9,7 @@ from decaycert.scalarfn import (
     Sum,
     Term,
     is_degree_one,
-    is_kinf_on,
-    is_nondecreasing_on,
-    is_zero_at_zero,
     parse_scalar_fn,
-    validation_grid,
     zero_fn,
 )
 
@@ -61,27 +59,39 @@ class TestParse:
 
 class TestChecks:
     def test_zero_at_zero(self):
-        assert is_zero_at_zero(parse_scalar_fn("t + t^2"))
-        assert not is_zero_at_zero(lambda t: 1e-6)
+        check_gain(parse_scalar_fn("t + t^2"), "g")
+        # exact, with no tolerance: a constant part is refused however small it is
+        with pytest.raises(ValueError, match=r"^g violates g\(0\)=0: got 1e-13$"):
+            check_gain(Term(1e-13, 0.0), "g")
 
     def test_nondecreasing(self):
-        grid = validation_grid()
-        assert is_nondecreasing_on(parse_scalar_fn("max(t, t^2)"), grid)
-        assert is_nondecreasing_on(zero_fn(), grid)
-        assert not is_nondecreasing_on(lambda t: -t, grid)
+        # every tree is nondecreasing by construction, so a gain needs no sampled check
+        check_gain(parse_scalar_fn("max(t, t^2)"), "g")
+        check_gain(zero_fn(), "g")
+        for combination in (Sum, Max):
+            with pytest.raises(TypeError, match=r"^(Sum|Max) parts must be Term, Sum or Max: <"):
+                combination((Term(1.0), lambda t: -t))
+
+    @pytest.mark.parametrize("args", [(-0.5,), (float("nan"),), (1.0, float("inf"))],
+                             ids=["negative-coefficient", "nan-coefficient", "inf-exponent"])
+    def test_a_term_outside_its_invariant_is_refused(self, args):
+        with pytest.raises(ValueError, match=r"^Term (coefficient|exponent) must be real, finite"):
+            Term(*args)
 
     def test_kinf_excludes_constants_and_zero(self):
-        grid = validation_grid()
-        assert is_kinf_on(parse_scalar_fn("2*t"), grid)
-        assert is_kinf_on(parse_scalar_fn("t^2"), grid)
-        assert not is_kinf_on(zero_fn(), grid)
+        check_kinf(parse_scalar_fn("2*t"), "rho")
+        check_kinf(parse_scalar_fn("t^2"), "rho")
+        with pytest.raises(ValueError, match=r"^rho is zero, so not class Kinf$"):
+            check_kinf(zero_fn(), "rho")
+        with pytest.raises(ValueError, match=r"^rho violates g\(0\)=0: got 2.0$"):
+            check_kinf(Term(2.0, 0.0), "rho")
 
     def test_grid_shape(self):
-        grid = validation_grid()
-        assert grid[0] == 0.0
-        assert len(grid) == 26
-        assert grid[1] == pytest.approx(1e-3)
+        grid = cycle_grid()
+        assert len(grid) == 49
+        assert grid[0] == pytest.approx(1e-3)
         assert grid[-1] == pytest.approx(1e3)
+        assert grid == sorted(set(grid))
 
 
 # Degree one, g(l t) = l g(t): what lets the solver read T(w) off T at w's sphere point.
@@ -132,7 +142,7 @@ def test_every_rendered_tree_parses_back_to_itself():
         text = fn.render()
         parsed = parse_scalar_fn(text)
         assert parsed.render() == text
-        grid = validation_grid()
+        grid = [0.0] + cycle_grid()
         assert [parsed(t) for t in grid] == [fn(t) for t in grid]
 
     check()
