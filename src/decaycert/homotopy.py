@@ -10,6 +10,53 @@ per-level complete cells have diameter proportional to ``r / 2^level``,
 which forces the candidate region to shrink to a point when the direct
 test keeps failing; runs end honestly at the iteration cap.
 
+**Table step.**  For a map homogeneous of degree one, a point s decays
+with margin eps exactly when ``w = s/eps`` has ``T(w) + 1 <= w``.  So the
+best margin on the sphere of radius r is ``eps_max = r/|w*|_1``, w* the
+least solution of ``w = T(w) + 1``, and there is no decay point at all
+where no solution exists (Gaubert & Gunawardena, "The Perron-Frobenius
+theorem for homogeneous, monotone functions", *Trans. AMS* 356, 2004).
+Where the map's constructor holds its matrix (``MonotoneMap.table``),
+w* is linear algebra, and the solver tests one sphere point before the
+pre-phase:
+
+* **the least solution, by policy iteration.**  A policy picks one
+  entry ``sigma_i`` per row; ``C_sigma`` keeps only those entries (a
+  ``"sum"`` table A is its own one policy).  From ``sigma_i = argmax_j
+  C_ij``, solve ``w = C_sigma w + 1``, then switch each row to
+  ``argmax_j C_ij w_j`` where that beats its entry by more than rounding,
+  until no row switches (Cochet-Terrasson, Cohen, Gaubert, McGettrick &
+  Quadrat, IFAC 1998).  While ``rho(C_sigma) < 1`` each solve is
+  ``w = sum_k C_sigma^k 1 >= 1``, and each switch raises w: the new
+  policy has ``C_sigma' w + 1 >= w``, so its solution, where
+  ``rho(C_sigma') < 1``, lies above w.  No policy recurs, so the
+  iteration ends, and its last w solves ``w = max_j C_ij w_j + 1 =
+  T(w) + 1``.  It is the least solution: every solution u has
+  ``u >= C_sigma u + 1``, so ``u >= w`` for every policy with
+  ``rho(C_sigma) < 1``.  Its sphere point ``p = r w/|w|_1`` has
+  ``p - T(p) = (r/|w|_1) 1 = eps_max 1``, so its one test either
+  certifies it (``eps <= eps_max``) or, by the two-sided test below,
+  ends the run in ``label_none`` there (``eps > eps_max``).
+* **the Perron refutation.**  A solve that is singular, or has a
+  component below 1 beyond rounding (a row of zeros solves to
+  ``1 - 1 ulp``), proves ``rho(C_sigma) >= 1``, since ``rho(C_sigma) < 1``
+  would give ``w = sum_k C_sigma^k 1 >= 1``; a solve that is not finite
+  is taken alike.  For the Perron vector v of ``C_sigma``
+  (``linear.perron_direction``), ``T(v) >= C_sigma v = rho v >= v``, so
+  v's sphere point p has ``T(p) + eps > p`` in every component, no label
+  at any slack, and its one test ends the run in ``label_none``.
+
+Both points are tested directly, like every other, so rounding costs
+only speed: a point that neither certifies nor lacks a label (eps within
+rounding of eps_max), a Perron vector that ``perron_direction`` refuses
+(of mixed sign, or past its residual bound at a defective eigenvalue), a
+table with a non-finite entry, or a policy that recurs under rounding
+leave the run to the pre-phase, which runs as it does without a table
+(only the memo may hold the tested point).  A value of
+T at the point that is not finite follows the rule of the homogeneous
+pre-phase step below: it ends the run as ``nonfinite`` only where the
+point has no label, and else the pre-phase runs.
+
 Before any walk, an order-interval pre-phase iterates ``w_0 = eps 1``,
 ``w_{k+1} = T(w_k) + eps 1``.  For monotone ``T`` the iterates never
 decrease, and every decay point ``s`` with margin eps bounds them from
@@ -201,6 +248,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .labeling import LabeledVertexSet, label_index
+from .linear import perron_direction
 from .maps import MonotoneMap
 from .order import check_count, check_positive
 from .triangulation import CompleteCellSearch
@@ -269,7 +317,7 @@ class _NoLabel(Exception):
         self.point = point
 
 
-# Relative rounding allowance of the pre-phase's proofs and its bracket.
+# Relative rounding allowance of the table step, the pre-phase's proofs and its bracket.
 _ROUNDING = 1e-9
 
 
@@ -401,6 +449,64 @@ def _on_sphere(v: np.ndarray, r: float) -> tuple[np.ndarray, float]:
     return v * (r / total), top * (total / r)
 
 
+def _table_point(table: tuple[str, np.ndarray]) -> np.ndarray | None:
+    """The vector whose sphere point the table step tests, by policy iteration.
+
+    That is the least solution w* of ``w = T(w) + 1``, or where there is
+    none the Perron vector of a policy matrix of spectral radius at least
+    one; None where rounding, a Perron vector that ``perron_direction``
+    refuses or a matrix with a non-finite entry leaves neither.  A ``"sum"`` table is its own one
+    policy.  The proofs are in the module docstring.
+    """
+    how, C = table
+    n = len(C)
+    if not np.all(np.isfinite(C)):
+        return None
+    rows = np.arange(n)
+    policy = np.argmax(C, axis=1)
+    seen = set()
+    while policy.tobytes() not in seen:  # a repeat is rounding: no policy recurs otherwise
+        seen.add(policy.tobytes())
+        chosen = C
+        if how == "max":
+            chosen = np.zeros((n, n))
+            chosen[rows, policy] = C[rows, policy]
+        try:
+            w = np.linalg.solve(np.eye(n) - chosen, np.ones(n))
+        except np.linalg.LinAlgError:
+            w = None
+        # a row of zeros solves to 1 - 1 ulp, so "below 1" allows for rounding
+        if w is None or not np.all(np.isfinite(w)) or np.any(w < 1.0 - _ROUNDING):
+            try:
+                return perron_direction(chosen)
+            except ValueError:  # no vector passes its residual check
+                return None
+        if how == "sum":
+            return w
+        values = C * w
+        best = np.argmax(values, axis=1)
+        better = values[rows, best] > values[rows, policy] * (1.0 + _ROUNDING)
+        if not better.any():
+            return w
+        policy = np.where(better, best, policy)
+    return None
+
+
+def _table_step(ev: _Evaluator) -> None:
+    """The table step: test the sphere point that T's table names, once.
+
+    Ends the search through ``ev`` where that point certifies or has no
+    label, and else returns, for the pre-phase to run.
+    """
+    v = None if ev.T.table is None else _table_point(ev.T.table)
+    if v is None:
+        return
+    p = _on_sphere(v, ev.r)[0]
+    Tp = ev.call(p)
+    if np.all(np.isfinite(Tp)) or np.all(Tp + ev.eps > p):  # as for the pre-phase's points
+        ev.test(p, Tp)
+
+
 def _pre_phase(ev: _Evaluator) -> list[float]:
     """The order-interval pre-phase and the sphere stage; the slack rungs left to walk.
 
@@ -477,8 +583,9 @@ def find_decay_point(T: MonotoneMap, cfg: SolverConfig, n: int) -> SolveReport:
     lies on the sphere to within ``1e-9 * r``.  A failure is named
     ``iteration_cap`` (``max_iterations`` evaluations spent),
     ``label_none`` (``failure_point`` has no label at slack eps) or
-    ``nonfinite`` (T is not finite at ``failure_point``).  The pre-phase,
-    the ladder and their proofs are described in the module docstring.
+    ``nonfinite`` (T is not finite at ``failure_point``).  The table step,
+    the pre-phase, the ladder and their proofs are described in the
+    module docstring.
     """
     check_count("n", n, least=2)
     if T.dimension != n:
@@ -488,6 +595,7 @@ def find_decay_point(T: MonotoneMap, cfg: SolverConfig, n: int) -> SolveReport:
     try:
         # an overflow in T or in the pre-phase is named by the finiteness checks
         with np.errstate(over="ignore"):
+            _table_step(ev)
             for label_slack in _pre_phase(ev):
                 try:
                     # level 1's one cell is the whole simplex: only its barycentre can be a

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import Callable, Sequence
 
 import numpy as np
@@ -51,13 +52,24 @@ class MonotoneMap:
     sphere (see :mod:`decaycert.homotopy`), and its proofs of
     infeasibility rely on the flag, so a map built directly from a
     callable never carries it and is treated as any other monotone map.
+    ``table`` is the matrix of a homogeneous map whose constructor holds
+    one, as ``("sum", A)`` for ``T(s) = A s`` or ``("max", C)`` for
+    ``T(s)_i = max_j C_ij s_j``, with a read-only array; else None.
+    :func:`make_linear_map` records ``("sum", A)``, :func:`make_diagonal`
+    of degree-one functions the diagonal ``("sum", diag(rho_i(1)))``, a
+    max-preserving table of degree-one gains ``("max", C)`` with
+    ``C_ij = g_ij(1)``, and :func:`compose` the product of its parts'
+    matrices when every part has a ``"sum"`` table.  The solver computes
+    the best margin from it (see :mod:`decaycert.homotopy`), but still
+    tests every point it returns on T itself.
     ``kind`` is only a name: the solver never reads it.
     """
 
     dimension: int
     fn: Callable[[np.ndarray], np.ndarray] = field(repr=False)
     kind: str
-    homogeneous = False  # not a field: set only by _degree_one
+    homogeneous = False  # not fields: set only by _degree_one
+    table = None
 
     def __post_init__(self):
         check_count("map dimension", self.dimension)
@@ -73,17 +85,22 @@ class MonotoneMap:
         return out
 
 
-def _degree_one(T: MonotoneMap, homogeneous: bool) -> MonotoneMap:
-    """``T``, flagged ``homogeneous`` as its constructor proved it."""
+def _degree_one(T: MonotoneMap, homogeneous: bool, table: tuple | None = None) -> MonotoneMap:
+    """``T``, flagged ``homogeneous`` and given the ``table`` its constructor proved.
+
+    The table's array is made read-only here.
+    """
+    if table is not None:
+        table[1].flags.writeable = False
     object.__setattr__(T, "homogeneous", homogeneous)
+    object.__setattr__(T, "table", table)
     return T
 
 
 def make_linear_map(matrix) -> MonotoneMap:
     """Map given by multiplication with a nonnegative square matrix."""
     A = as_nonnegative_matrix(matrix)
-    A.flags.writeable = False
-    return _degree_one(MonotoneMap(A.shape[0], lambda s: A @ s, "linear"), True)
+    return _degree_one(MonotoneMap(A.shape[0], lambda s: A @ s, "linear"), True, ("sum", A))
 
 
 def make_chain_map(n: int) -> MonotoneMap:
@@ -202,8 +219,9 @@ class GainTable:
         def fn(s: np.ndarray) -> np.ndarray:
             return np.array([max(g(s[j]) for j, g in enumerate(row)) for row in rows])
 
-        return _degree_one(MonotoneMap(len(rows), fn, "max-preserving"),
-                           all(is_degree_one(g) for row in rows for g in row))
+        homogeneous = all(is_degree_one(g) for row in rows for g in row)
+        table = ("max", np.array([[g(1.0) for g in row] for row in rows])) if homogeneous else None
+        return _degree_one(MonotoneMap(len(rows), fn, "max-preserving"), homogeneous, table)
 
 
 def make_max_preserving(gains) -> MonotoneMap:
@@ -226,14 +244,17 @@ def make_diagonal(fns: Sequence) -> MonotoneMap:
     def fn(s: np.ndarray) -> np.ndarray:
         return np.array([rho(s[i]) for i, rho in enumerate(rhos)])
 
-    return _degree_one(MonotoneMap(len(rhos), fn, "diagonal"),
-                       all(is_degree_one(rho) for rho in rhos))
+    homogeneous = all(is_degree_one(rho) for rho in rhos)
+    table = ("sum", np.diag([rho(1.0) for rho in rhos])) if homogeneous else None
+    return _degree_one(MonotoneMap(len(rhos), fn, "diagonal"), homogeneous, table)
 
 
 def compose(*maps: MonotoneMap) -> MonotoneMap:
     """Composition ``s -> maps[0](maps[1](... maps[-1](s)))``, applied right to left.
 
     A non-finite intermediate value is returned as is, since the next map rejects it.
+    Its table is the product of its parts' matrices when every part has a
+    ``"sum"`` table; a max-times part leaves it without one.
     """
     if not maps:
         raise ValueError("compose needs at least one map")
@@ -248,5 +269,9 @@ def compose(*maps: MonotoneMap) -> MonotoneMap:
                 break
         return s
 
+    table = None
+    if all(m.table is not None and m.table[0] == "sum" for m in maps):
+        with np.errstate(over="ignore", invalid="ignore"):  # the solver skips a non-finite table
+            table = ("sum", reduce(np.matmul, [m.table[1] for m in maps]))
     return _degree_one(MonotoneMap(dims[0], fn, "composition"),
-                       all(m.homogeneous for m in maps))
+                       all(m.homogeneous for m in maps), table)

@@ -19,9 +19,10 @@ Examples: ``"0.5*t"``, ``"t^2"``, ``"2*t^0.5"``, ``"t + 0.25*t^3"``,
 array; a scalar argument still goes through the scalar ``t**a``.
 
 A :class:`Term`'s coefficient and exponent are real, finite and ``>= 0``,
-and a Sum's or Max's parts are Terms, Sums or Maxes.  So every tree is
-continuous and nondecreasing on ``t >= 0``, which makes the gain checks of
-:mod:`decaycert.maps` two exact evaluations.
+and a Sum or Max has two or more parts, each a Term, Sum or Max.  So
+every tree is continuous and nondecreasing on ``t >= 0``, which makes the
+gain checks of :mod:`decaycert.maps` two exact evaluations, and renders
+to text that parses back.
 """
 
 from __future__ import annotations
@@ -90,11 +91,18 @@ class Term(ScalarFn):
 
 @dataclass(frozen=True, repr=False)
 class _Combination(ScalarFn):
-    """A Sum or Max: its parts are Terms, Sums or Maxes, never a foreign callable."""
+    """A Sum or Max of two or more parts, each a Term, Sum or Max, never a foreign callable.
+
+    Two parts at least, as the parser builds, so that every tree renders to
+    text that parses back.
+    """
 
     parts: tuple[ScalarFn, ...]
 
     def __post_init__(self):
+        if len(self.parts) < 2:
+            raise ValueError(f"{type(self).__name__} needs at least two parts, "
+                             f"got {len(self.parts)}")
         for part in self.parts:
             if not isinstance(part, (Term, _Combination)):
                 raise TypeError(f"{type(self).__name__} parts must be Term, Sum or Max: {part!r}")

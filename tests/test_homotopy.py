@@ -19,6 +19,17 @@ from decaycert.maps import (
 )
 
 
+def untabled(T: MonotoneMap) -> MonotoneMap:
+    """``T`` after an identity max-times factor: the same values, still homogeneous, no table.
+
+    Without a table the solver skips its table step, so a test of the
+    pre-phase's own mechanism still reaches it.
+    """
+    n = T.dimension
+    return compose(T, make_max_preserving([["t" if i == j else None for j in range(n)]
+                                           for i in range(n)]))
+
+
 def vertex_set(labels, scale=1.0):
     """n+1 generic distinct vertices carrying the given labels."""
     k = len(labels)
@@ -214,7 +225,7 @@ class TestFindDecayPoint:
 
     def test_label_none_point_is_on_the_sphere_when_the_iterate_norm_overflows(self):
         # w0 = (100, 100) maps to (1e308, 1e308), whose 1-norm overflows to inf
-        T = make_linear_map([[0.0, 1e306], [1e306, 0.0]])
+        T = untabled(make_linear_map([[0.0, 1e306], [1e306, 0.0]]))
         report = find_decay_point(T, SolverConfig(r=10.0, epsilon=100.0), 2)
         assert report.failure_reason == "label_none"
         assert report.failure_point.tolist() == [5.0, 5.0]
@@ -223,7 +234,7 @@ class TestFindDecayPoint:
         # T(r 1/n) = (5e314, 0) overflows, though the small iterate w0 and the
         # decay point (1e305, 1e295) map to finite values: the first step
         # evaluates w0 itself, and the sphere point of w1 is the certificate
-        T = make_linear_map([[0.0, 1e10], [0.0, 0.0]])
+        T = untabled(make_linear_map([[0.0, 1e10], [0.0, 0.0]]))
         report = find_decay_point(T, SolverConfig(r=1e305, epsilon=1e290), 2)
         assert report.success and report.iterations == 3
         assert report.s_star.tolist() == [9.999999999e304, 9.999999998000001e294]
@@ -231,7 +242,7 @@ class TestFindDecayPoint:
     def test_a_sphere_point_that_overflows_without_a_label_ends_the_run(self):
         # T(r 1/n) = (inf, inf): no component of r 1/n decays, so the run
         # ends there without evaluating w0 = (2, 2)
-        T = make_linear_map([[0.0, 1e308], [1e308, 0.0]])
+        T = untabled(make_linear_map([[0.0, 1e308], [1e308, 0.0]]))
         report = find_decay_point(T, SolverConfig(r=10.0, epsilon=2.0), 2)
         assert (report.failure_reason, report.iterations) == ("nonfinite", 1)
         assert report.failure_point.tolist() == [5.0, 5.0]
@@ -250,7 +261,7 @@ class TestFindDecayPoint:
         # would overflow.  eps > r, so p has no label, and its two-sided test
         # ends the run before T(w0) is derived: an iterate outside the sphere,
         # as w0 is here, always has a sphere point without a label
-        T = make_linear_map([[1e10, 0.0], [0.0, 1e10]])
+        T = untabled(make_linear_map([[1e10, 0.0], [0.0, 1e10]]))
         report = find_decay_point(T, SolverConfig(r=1.0, epsilon=1e300), 2)
         assert (report.failure_reason, report.iterations) == ("label_none", 1)
         assert report.failure_point.tolist() == [0.5, 0.5]
@@ -286,43 +297,45 @@ def test_slack_ladder_rungs():
 
 
 # Evaluation counts and decay points pinned at r=10, cap 100 000, eps=0.1
-# unless given.  A change to the pre-phase, the sphere stage, the labeling,
-# the pivot walk or the slack ladder moves these.  The chain maps'
-# candidates fail: at n=2 a sphere-stage step succeeds, and at n=3..5 the
-# points are lattice points of the walk.  The others are products of float
-# arithmetic (the linear ones of matrix arithmetic, whose last bits may
-# depend on the BLAS kernel), and are compared to 1e-12.
+# unless given.  A change to the table step, the pre-phase, the sphere
+# stage, the labeling, the pivot walk or the slack ladder moves these.  The
+# chain maps' candidates fail: at n=2 a sphere-stage step succeeds, and at
+# n=3..5 the points are lattice points of the walk.  A linear map's table
+# step tests the optimal point r (I - A)^-1 1 / |(I - A)^-1 1|_1 first, so
+# it is s*.  The others are products of float arithmetic (the linear ones of
+# matrix arithmetic, whose last bits may depend on the BLAS kernel), and are
+# compared to 1e-12.
 GOLDEN_WALKS = [
     ("chain n=2", lambda: make_chain_map(2), None, 3, [9.059758315746931, 0.9402416842530675]),
     ("chain n=3", lambda: make_chain_map(3), None, 17, [6.25, 2.5, 1.25]),
     ("chain n=4", lambda: make_chain_map(4), None, 10, [6.25, 1.25, 1.25, 1.25]),
     ("chain n=5", lambda: make_chain_map(5), None, 11, [6.0, 1.0, 1.0, 1.0, 1.0]),
-    ("linear n=6 seed 0", lambda: make_linear_map(random_contractive(6, 0.8, 0)), None, 2,
-     [1.5625762201636155, 1.784146270600348, 1.6825451008792094, 1.4457098471192324,
-      1.9438228231111778, 1.5811997381264176]),
+    ("linear n=6 seed 0", lambda: make_linear_map(random_contractive(6, 0.8, 0)), None, 1,
+     [1.502997266033915, 1.893397340493121, 1.7122348596536232, 1.3031304710924405,
+      2.1140531472860364, 1.4741869154408602]),
     ("linear n=3 rho=0.8 seed 0 at 0.9 eps_max",
-     lambda: make_linear_map(random_contractive(3, 0.8, 0)), 0.6387007034997124, 4,
-     [1.959621360661309, 4.169020211325307, 3.871358428013385]),
+     lambda: make_linear_map(random_contractive(3, 0.8, 0)), 0.6387007034997124, 1,
+     [1.9728452921751247, 4.165402387474354, 3.861752320350522]),
 ]
 
 
 # random_contractive(6, 0.99, 6) at 0.99 and 1.01 eps_max (eps_max = 0.016722...).
-# Near rho = 1 the iterates crawl at the contraction rate.  The upper end of
-# the pre-phase's bracket answers the feasible case after 7 steps, and its
-# lower end the infeasible one after 7; the norm rule alone needs 459 steps
-# there.  The upper end also answers the near-limit n=3 cases sooner than the
-# candidate rule.  These cases are not in GOLDEN_PATH_SHA256 below.
+# Near rho = 1 the pre-phase's iterates crawl at the contraction rate, and
+# its bracket answers after 7 steps on either side (the norm rule alone
+# needs 459); the table step tests the optimal point at once, which is s*
+# below the limit and has no label above it, so both runs end at the same
+# point.  These cases are not in GOLDEN_PATH_SHA256 below.
 NEAR_UNIT_WALKS = [
     ("linear n=6 rho=0.99 seed 6 at 0.99 eps_max",
-     lambda: make_linear_map(random_contractive(6, 0.99, 6)), 0.01655525803660378, 8,
-     [1.8548065171694677, 1.5783036438641607, 1.5390409628643236, 1.573012743698188,
-      1.6367632207842433, 1.818072911619616]),
+     lambda: make_linear_map(random_contractive(6, 0.99, 6)), 0.01655525803660378, 1,
+     [1.8548089295300352, 1.5782894693704732, 1.5390268638913054, 1.5730061141496752,
+      1.6367913725267569, 1.8180772505317537]),
     ("linear n=3 rho=0.9 seed 6 at 0.99 eps_max",
-     lambda: make_linear_map(random_contractive(3, 0.9, 6)), 0.33121916472713053, 6,
-     [2.5204025139670243, 4.255182868825531, 3.224414617207444]),
+     lambda: make_linear_map(random_contractive(3, 0.9, 6)), 0.33121916472713053, 1,
+     [2.520868718466577, 4.2550917209904435, 3.2240395605429804]),
     ("linear n=3 rho=0.8 seed 6 at 0.99 eps_max",
-     lambda: make_linear_map(random_contractive(3, 0.8, 6)), 0.6621571365322919, 5,
-     [2.6210945533081356, 4.117548045540368, 3.2613574011514967]),
+     lambda: make_linear_map(random_contractive(3, 0.8, 6)), 0.6621571365322919, 1,
+     [2.622265153842403, 4.1173679849772205, 3.2603668611803758]),
 ]
 
 
@@ -339,42 +352,44 @@ def test_golden_walk(name, build, eps, iterations, s_star):
 
 
 # Failures pinned at r=10: the reason, the evaluation count and the point
-# where the covering failed (the pre-phase's last evaluation, the sphere
-# point of an iterate or of the lower end of its bracket; compared to 1e-12
-# as in GOLDEN_WALKS).  eps is 0.05 * r / (2n) unless given.
+# where the covering failed (compared to 1e-12 as in GOLDEN_WALKS).  Each is
+# the table step's one evaluation: the sphere point of the Perron vector of
+# A where rho >= 1, else the optimal point of GOLDEN_WALKS.  eps is
+# 0.05 * r / (2n) unless given.
 GOLDEN_FAILURES = [
-    ("n=3 rho=1.2 seed 0", 3, 1.2, 0, None, 100_000, "label_none", 4,
-     [1.4844950029961805, 4.538647330499093, 3.976857666504727]),
-    ("n=4 rho=1.0 seed 1", 4, 1.0, 1, None, 100_000, "label_none", 3,
-     [3.090280207626511, 2.343052510016477, 2.300868329220781, 2.2657989531362324]),
-    ("n=5 rho=1.2 seed 2", 5, 1.2, 2, None, 100_000, "label_none", 2,
-     [1.855022409051896, 1.7805532306389973, 1.9333267869410897, 2.2202774547106348,
-      2.2108201186573813]),
+    ("n=3 rho=1.2 seed 0", 3, 1.2, 0, None, 100_000, "label_none", 1,
+     [1.442748219662789, 4.588954794944646, 3.968296985392564]),
+    ("n=4 rho=1.0 seed 1", 4, 1.0, 1, None, 100_000, "label_none", 1,
+     [3.082599190677814, 2.3512971989641356, 2.3127097032199084, 2.2533939071381415]),
+    ("n=5 rho=1.2 seed 2", 5, 1.2, 2, None, 100_000, "label_none", 1,
+     [1.7602466956037803, 1.6420180601891612, 1.9392736836440505, 2.2596419136206833,
+      2.3988196469423246]),
 ]
 
 
 NEAR_UNIT_FAILURES = [
     ("n=6 rho=0.99 seed 6 at 1.01 eps_max", 6, 0.99, 6, 0.016889707693908906, 100_000,
-     "label_none", 8,
-     [1.8547812179313843, 1.5783113722895545, 1.5390683389865731, 1.5730216369134007,
-      1.6367632513906833, 1.818054182488405]),
-    # without the bracket's lower end the norm rule took 4,612 evaluations at rho = 0.999
+     "label_none", 1,
+     [1.8548089295300352, 1.5782894693704732, 1.5390268638913054, 1.5730061141496752,
+      1.6367913725267569, 1.8180772505317537]),
+    # without a table the bracket's lower end takes 8-10 evaluations at rho = 0.999,
+    # and the norm rule alone 4,612
     ("n=6 rho=0.999 seed 0 at 1.01 eps_max", 6, 0.999, 0, 0.0016952335741928556, 100_000,
-     "label_none", 9,
-     [1.4657927318139556, 1.9583940798174984, 1.7270985314471057, 1.2209245845048031,
-      2.2117902307814834, 1.415999841635154]),
+     "label_none", 1,
+     [1.4657885394762817, 1.9583983598212653, 1.7270998635731958, 1.2209180853740211,
+      2.21179556856608, 1.415999583189157]),
     ("n=6 rho=0.999 seed 1 at 1.01 eps_max", 6, 0.999, 1, 0.0016944665834030671, 100_000,
-     "label_none", 8,
-     [1.733560564463945, 1.666868852014335, 1.2519666904452738, 1.551291404878212,
-      1.9200298616851135, 1.8762826265131192]),
+     "label_none", 1,
+     [1.7335610681506628, 1.6668699148723831, 1.2519657216181816, 1.5512901159696284,
+      1.9200309690340724, 1.8762822103550711]),
     ("n=6 rho=0.999 seed 2 at 1.01 eps_max", 6, 0.999, 2, 0.0016646993876464316, 100_000,
-     "label_none", 10,
-     [1.6598305061441747, 1.0815172093718692, 2.083055259971071, 1.783332862819989,
-      1.3875894969300349, 2.0046746647628613]),
+     "label_none", 1,
+     [1.659830746707118, 1.0815164575115725, 2.0830560302952987, 1.7833334195048187,
+      1.3875885307588973, 2.0046748152222946]),
     ("n=6 rho=0.999 seed 3 at 1.01 eps_max", 6, 0.999, 3, 0.0016417314886780334, 100_000,
-     "label_none", 8,
-     [1.379467496871212, 1.507297300562628, 2.126879514885311, 1.3612722150705576,
-      1.9244117400718015, 1.7006717325384912]),
+     "label_none", 1,
+     [1.3794669894293927, 1.5072980722746132, 2.126882496078768, 1.3612694824755043,
+      1.9244109079276817, 1.700672051814041]),
 ]
 
 
@@ -447,9 +462,9 @@ def recorded(T: MonotoneMap) -> tuple[MonotoneMap, list[np.ndarray]]:
 # failed candidate, and the sphere stage and walk of A s^1.2.
 CAP_CASES = [
     ("linear n=3 rho=0.8 seed 0 at 0.9 eps_max",
-     lambda: make_linear_map(random_contractive(3, 0.8, 0)), 0.6387007034997124),
-    ("max-times n=3", lambda: make_max_preserving(
-        [[None, "1.642*t", "1.581*t"], ["0.527*t", None, None], [None, "1.095*t", "0.649*t"]]),
+     lambda: untabled(make_linear_map(random_contractive(3, 0.8, 0))), 0.6387007034997124),
+    ("max-times n=3", lambda: untabled(make_max_preserving(
+        [[None, "1.642*t", "1.581*t"], ["0.527*t", None, None], [None, "1.095*t", "0.649*t"]])),
      0.0844),
     ("chain n=3", lambda: make_chain_map(3), 0.1),
     ("A s^1.2 n=4", lambda: superlinear(4), 0.1),
@@ -626,10 +641,12 @@ def test_sphere_stage_finds_near_limit_points(n, eps):
 
 
 # Counts at random_contractive(n, 0.8, seed), seeds 0..2, at half and 0.9 of
-# eps_max.  The sphere stage runs only after a failed candidate, and a
-# linear map's candidate, plain or the bracket's upper end, always passes.
-# A linear map is homogeneous, so every evaluation is at a sphere point, an
-# iterate's own or the upper end's, and the one that passes ends the run.
+# eps_max, of the pre-phase alone, on the map without its table.  The sphere
+# stage runs only after a failed candidate, and a linear map's candidate,
+# plain or the bracket's upper end, always passes.  A linear map is
+# homogeneous, so every evaluation is at a sphere point, an iterate's own or
+# the upper end's, and the one that passes ends the run.  With its table the
+# map is answered by the table step's one evaluation.
 LINEAR_COUNTS = {
     0.5: {2: [3, 3, 2], 4: [3, 2, 3], 6: [3, 2, 2], 8: [3, 2, 2], 10: [3, 2, 3]},
     0.9: {2: [3, 4, 5], 4: [5, 3, 4], 6: [4, 3, 4], 8: [4, 3, 4], 10: [3, 4, 4]},
@@ -641,12 +658,12 @@ def test_linear_counts_skip_the_sphere_stage(fraction):
     for n, counts in LINEAR_COUNTS[fraction].items():
         for seed, count in enumerate(counts):
             A = random_contractive(n, 0.8, seed)
-            T = make_linear_map(A)
             cfg = SolverConfig(r=10.0, epsilon=fraction * eps_max(A, 10.0),
                                max_iterations=100_000)
-            report = find_decay_point(T, cfg, n)
-            check_success_postcondition(T, cfg, report)
-            assert report.iterations == count, (n, seed)
+            for T, expected in ((untabled(make_linear_map(A)), count), (make_linear_map(A), 1)):
+                report = find_decay_point(T, cfg, n)
+                check_success_postcondition(T, cfg, report)
+                assert report.iterations == expected, (n, seed, T.kind)
 
 
 def test_sphere_stage_successes_are_certificates():

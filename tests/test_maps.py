@@ -341,3 +341,51 @@ class TestHomogeneousFlag:
         T = make_linear_map(self.SWAP)
         with pytest.raises(AttributeError):
             T.homogeneous = False
+
+
+class TestTable:
+    """A homogeneous map's constructor records its matrix: ``("sum", A)`` or ``("max", C)``."""
+
+    SWAP = [[0.0, 0.5], [0.5, 0.0]]
+
+    @staticmethod
+    def check_agrees(T):
+        """The table gives T's values, to rounding, at random points."""
+        how, C = T.table
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            s = 10.0 * rng.random(T.dimension)
+            expected = C @ s if how == "sum" else np.max(C * s, axis=1)
+            np.testing.assert_allclose(T(s), expected, rtol=1e-14, atol=0.0)
+
+    def test_a_linear_map_records_its_matrix(self):
+        T = make_linear_map(self.SWAP)
+        assert T.table[0] == "sum" and T.table[1].tolist() == self.SWAP
+        self.check_agrees(T)
+
+    def test_a_max_times_table_records_its_gains_at_one(self):
+        T = make_max_preserving([[None, "0.5*t"], ["max(t, 2*t)", "t + 0.25*t"]])
+        assert T.table[0] == "max" and T.table[1].tolist() == [[0.0, 0.5], [2.0, 1.25]]
+        self.check_agrees(T)
+
+    def test_a_diagonal_records_a_diagonal_sum_table(self):
+        T = make_diagonal(["2*t", "t + 0.5*t"])
+        assert T.table[0] == "sum" and T.table[1].tolist() == [[2.0, 0.0], [0.0, 1.5]]
+        self.check_agrees(T)
+
+    def test_a_scaled_linear_map_records_the_product(self):
+        # diag(c t) o A, as in mapspecs/scaled_swap.json
+        T = compose(make_diagonal(["2*t", "t"]), make_linear_map([[0.0, 1.0], [0.25, 0.0]]))
+        assert T.table[0] == "sum" and T.table[1].tolist() == [[0.0, 2.0], [0.25, 0.0]]
+        self.check_agrees(T)
+
+    @pytest.mark.parametrize("T", [
+        compose(make_max_preserving([[None, "0.5*t"], ["0.5*t", None]]), make_linear_map(SWAP)),
+        compose(make_max_preserving([["t", None], [None, "t"]])),
+        make_max_preserving([[None, "0.5*t"], ["t^2", None]]),
+        make_diagonal(["2*t", "t^1.2"]),
+        make_chain_map(3),
+        MonotoneMap(2, lambda s: 0.5 * s, "scaled"),
+    ], ids=["max o linear", "composed max", "t^2 gain", "t^1.2 diagonal", "chain", "direct"])
+    def test_other_maps_have_none(self, T):
+        assert T.table is None

@@ -1,11 +1,14 @@
-"""The order-interval pre-phase against exact oracles.
+"""The table step and the order-interval pre-phase against exact oracles.
 
 For ``A >= 0`` with spectral radius below one, the best margin on the
 sphere of radius r is ``eps_max = r / 1'(I - A)^-1 1``; for a max-times
 table of gains ``c_ij t`` with cycle mean below one it is ``r / 1'w``,
-w the least solution of ``w = 1 + C (x) w``.  Below it the pre-phase's
-candidate must succeed at once; above it no point decays, and the run
-must end in ``label_none`` at a sphere point without a label.
+w the least solution of ``w = 1 + C (x) w``.  Below it a run must
+succeed; above it no point decays, and the run must end in
+``label_none`` at a sphere point without a label.  Maps built by the
+constructors carry their table, and the table step answers them in one
+evaluation; the tests of the pre-phase's own mechanism run on
+``untabled`` twins, which compute the same values without a table.
 """
 
 import numpy as np
@@ -46,12 +49,24 @@ def contractive(draw, rho=st.floats(0.05, 0.9)):
     return A * (draw(rho) / float(np.max(np.abs(np.linalg.eigvals(A)))))
 
 
+def untabled(T: MonotoneMap) -> MonotoneMap:
+    """``T`` after an identity max-times factor: the same values, still homogeneous, no table.
+
+    Without a table the solver skips its table step, so a test of the
+    pre-phase's own mechanism still reaches it.
+    """
+    n = T.dimension
+    return compose(T, make_max_preserving([["t" if i == j else None for j in range(n)]
+                                           for i in range(n)]))
+
+
 def check_feasible(T, eps, cap):
     report = find_decay_point(T, SolverConfig(R, eps, cap), T.dimension)
     assert report.success, report.failure_reason
     s = report.s_star
     assert float(np.min(s - T(s))) >= eps
     assert abs(float(np.sum(s)) - R) <= 1e-9 * R
+    return report
 
 
 def check_infeasible(T, eps, cap):
@@ -60,6 +75,7 @@ def check_infeasible(T, eps, cap):
     p = report.failure_point
     assert not np.any(T(p) + eps <= p)
     assert abs(float(np.sum(p)) - R) <= 1e-9 * R
+    return report
 
 
 @hypothesis.settings(max_examples=60, deadline=None, database=None)
@@ -135,9 +151,10 @@ def max_times_map(C: np.ndarray) -> MonotoneMap:
 
 
 @st.composite
-def max_times_tables(draw):
+def max_times_tables(draw, means=st.floats(0.05, 0.99), zero_lines=False):
     """A sparse n-by-n table of coefficients (n <= 8, each 0 or 0.01..1)
-    scaled to a cycle mean of 0.05..0.99.
+    scaled to a cycle mean drawn from ``means``, with one row and one
+    column of zeros if ``zero_lines``.
 
     A table whose cycle mean is below 0.05 is rejected, so that the scaling
     multiplies no coefficient by more than 20 (see ``contractive``).
@@ -146,14 +163,18 @@ def max_times_tables(draw):
     entries = st.lists(st.one_of(st.just(0.0), st.floats(0.01, 1.0)),
                        min_size=n * n, max_size=n * n)
     C = np.array(draw(entries)).reshape(n, n)
+    if zero_lines:
+        C[draw(st.integers(0, n - 1)), :] = 0.0
+        C[:, draw(st.integers(0, n - 1))] = 0.0
     mean = cycle_mean(C)
     hypothesis.assume(mean >= 0.05)
-    return C * (draw(st.floats(0.05, 0.99)) / mean)
+    return C * (draw(means) / mean)
 
 
-# Max-times tables are homogeneous but not linear: the bracket's upper end
-# is only a tested point, and every sphere point evaluated is tested on
-# both sides.  Runs near the limit take up to a few hundred evaluations.
+# Max-times tables are homogeneous but not linear.  Their table step answers
+# these runs; without it (the twins of the tests further down) the
+# bracket's upper end is only a tested point, and runs near the limit take
+# up to a few hundred evaluations.
 @hypothesis.settings(max_examples=60, deadline=None, database=None, derandomize=True)
 @hypothesis.given(max_times_tables(), st.floats(0.5, 0.99))
 def test_max_times_feasible_eps_succeeds(C, fraction):
@@ -166,15 +187,122 @@ def test_max_times_infeasible_eps_ends_in_label_none(C, fraction):
     check_infeasible(max_times_map(C), fraction * max_times_eps_max(C, R), NEAR_UNIT_CAP)
 
 
+# The table step.  Below the limit the optimal point r w*/|w*|_1, w* the least
+# solution of w = T(w) + 1, has margin eps_max in every component, so its one
+# test certifies it; above the limit that point, or the Perron vector of a
+# policy matrix of spectral radius >= 1 where there is no w*, has no label.
+# Either way one evaluation gives the oracle's outcome, at any fraction of
+# eps_max away from 1.  Where no point decays at all (the oracle is 0), eps
+# is that fraction of r/n.
+LIMIT_FRACTIONS = st.one_of(st.floats(0.5, 0.99), st.floats(1.01, 2.0))
+
+
+def check_one_evaluation(T, limit, fraction):
+    if limit > 0.0 and fraction < 1.0:
+        report = check_feasible(T, fraction * limit, CAP)
+    else:
+        report = check_infeasible(T, fraction * (limit or R / T.dimension), CAP)
+    assert report.iterations == 1
+
+
+@st.composite
+def stochastic(draw):
+    """A positive matrix whose rows sum to 1 exactly, so that its spectral radius is 1.
+
+    n is 2, 4 or 8 and each entry 1/(2n), plus 1/2 at one entry per row:
+    dyadic numbers, whose sums are exact.
+    """
+    n = draw(st.sampled_from([2, 4, 8]))
+    A = np.full((n, n), 0.5 / n)
+    for row in A:
+        row[draw(st.integers(0, n - 1))] += 0.5
+    return A
+
+
+@hypothesis.settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@hypothesis.given(st.one_of(
+    contractive(st.one_of(st.floats(0.05, 0.99), st.floats(1.01, 1.5))).map(
+        lambda A: (A, eps_max(A, R))),
+    stochastic().map(lambda A: (A, 0.0))), LIMIT_FRACTIONS)
+def test_the_table_step_answers_a_linear_map_in_one_evaluation(case, fraction):
+    A, limit = case
+    check_one_evaluation(make_linear_map(A), limit, fraction)
+
+
+@hypothesis.settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@hypothesis.given(max_times_tables(st.one_of(st.floats(0.05, 0.99), st.floats(1.01, 1.5)),
+                                   zero_lines=True), LIMIT_FRACTIONS)
+def test_the_table_step_answers_a_max_times_table_in_one_evaluation(C, fraction):
+    limit = max_times_eps_max(C, R) if cycle_mean(C) < 1.0 else 0.0
+    check_one_evaluation(max_times_map(C), limit, fraction)
+
+
+@pytest.mark.parametrize("eps,outcome,twin_iterations",
+                         [(0.024382, None, 799), (0.024874, "label_none", 919)])
+def test_a_near_critical_table_ends_in_one_evaluation(eps, outcome, twin_iterations):
+    """Cycle mean 0.995 and eps_max 0.0246282 at r = 10: 0.99 and 1.01 of it.
+
+    The twin without a table crawls through the pre-phase instead.
+    """
+    C = np.array([[0, 0, 0, 0, 0], [0, 0, 0.9082, 0, 1.5708], [0, 1.0901, 0, 0, 0],
+                  [1.4519, 0, 0, 0.1795, 0], [0, 0, 0, 0.2454, 0]])
+    assert max_times_eps_max(C, R) == pytest.approx(0.0246282, abs=1e-7)
+    T = max_times_map(C)
+    cfg = SolverConfig(R, eps, 100_000)
+    for M, iterations in ((T, 1), (untabled(T), twin_iterations)):
+        report = find_decay_point(M, cfg, 5)
+        assert (report.failure_reason, report.iterations) == (outcome, iterations)
+        if report.success:
+            assert float(np.min(report.s_star - T(report.s_star))) >= eps
+        else:
+            assert label_index(report.failure_point, T(report.failure_point), eps) is None
+
+
+def test_a_refused_perron_vector_leaves_the_run_to_the_pre_phase():
+    """Two diagonal blocks with one spectral radius, 1.03, coupled one way: a defective
+    eigenvalue, whose computed eigenvector misses ``linear.perron_direction``'s
+    residual bound, so it is refused.
+
+    The table step evaluates nothing, and the run is the pre-phase's alone.
+    """
+    T = make_linear_map([[0.4, 0.8, 0, 0], [0.5, 0.4, 0, 0],
+                         [0.7, 0.9, 0.4, 0.5], [0.2, 0.1, 0.8, 0.4]])
+    cfg = SolverConfig(R, 0.1, CAP)
+    report, twin = (find_decay_point(M, cfg, 4) for M in (T, untabled(T)))
+    assert (report.failure_reason, report.iterations) == (twin.failure_reason, twin.iterations)
+    assert report.failure_reason == "label_none"
+    np.testing.assert_array_equal(report.failure_point, twin.failure_point)
+
+
+@pytest.mark.parametrize("eps,twin_iterations", [(1.0, 5), (1e9, 2)])
+def test_a_table_point_that_overflows_with_a_label_leaves_the_run_to_the_pre_phase(
+        eps, twin_iterations):
+    """``diag(1e-300 t, t) o A`` has the table ``[[0, 1], [0, 0.5]]``, but its inner
+    ``A p`` overflows at the table's point ``r (3, 2)/5``, where component 2 decays.
+
+    As for a pre-phase point, such a value does not end the run: the
+    pre-phase runs as in the twin without a table, one evaluation later.
+    """
+    T = compose(make_diagonal(["1e-300*t", "t"]), make_linear_map([[0, 1e300], [0, 0.5]]))
+    assert T.table[1].tolist() == [[0.0, 1.0], [0.0, 0.5]]
+    cfg = SolverConfig(1e10, eps, CAP)
+    report, twin = (find_decay_point(M, cfg, 2) for M in (T, untabled(T)))
+    assert twin.iterations == twin_iterations
+    assert (report.failure_reason, report.iterations) == (twin.failure_reason,
+                                                          twin.iterations + 1)
+    np.testing.assert_array_equal(report.failure_point, twin.failure_point)
+
+
 def test_a_max_times_cycle_above_one_ends_within_three_evaluations():
     """The cycle 1 -> 2 -> 3 -> 1 has gain 0.5 * 2 * 1.05 = 1.05, so no point decays.
 
-    Each iterate is evaluated at its sphere point and tested on both sides,
-    and the third iterate's point has no label.  An unflagged twin
-    evaluates the iterates themselves until the norm rule ends it, after
-    109 evaluations.
+    Without its table, each iterate is evaluated at its sphere point and
+    tested on both sides, and the third iterate's point has no label.  An
+    unflagged twin evaluates the iterates themselves until the norm rule
+    ends it, after 109 evaluations.
     """
-    T = make_max_preserving([[None, "0.5*t", None], [None, None, "2*t"], ["1.05*t", None, None]])
+    T = untabled(make_max_preserving([[None, "0.5*t", None], [None, None, "2*t"],
+                                      ["1.05*t", None, None]]))
     report = find_decay_point(T, SolverConfig(R, 0.01, CAP), 3)
     assert (report.failure_reason, report.iterations) == ("label_none", 3)
     p = report.failure_point
@@ -213,7 +341,8 @@ def test_feasible_eps_evaluates_one_sphere_point(A, fraction):
 # that of the norm rule alone, the same matrix as a map without the
 # homogeneous flag.
 def check_lower_bound(A, eps):
-    report = find_decay_point(make_linear_map(A), SolverConfig(R, eps, NEAR_UNIT_CAP), len(A))
+    T = untabled(make_linear_map(A))  # with its table, the table step would answer first
+    report = find_decay_point(T, SolverConfig(R, eps, NEAR_UNIT_CAP), len(A))
     assert report.failure_reason == "label_none"
     p = report.failure_point
     assert abs(float(np.sum(p)) - R) <= 1e-9 * R
@@ -288,7 +417,8 @@ def test_bracket_ends_bound_the_least_fixed_point(A, fraction):
     bracket = homotopy._bracket
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(homotopy, "_bracket", recording)
-        find_decay_point(make_linear_map(A), SolverConfig(R, eps, NEAR_UNIT_CAP), len(A))
+        find_decay_point(untabled(make_linear_map(A)), SolverConfig(R, eps, NEAR_UNIT_CAP),
+                         len(A))
     tol = 1e-9
     for (lo, low), (hi, high) in brackets:
         assert np.all(A @ low + (1.0 - lo) * eps >= low * (1.0 - tol))
@@ -317,19 +447,20 @@ def test_bracket_ends_bound_the_least_fixed_point(A, fraction):
 # the cap, the flagged run must end in a certificate or a point without a label.
 @st.composite
 def homogeneous_maps(draw):
-    """A random linear map, max-times table with gains c t, or linear map after c t scalings."""
+    """A random linear map, max-times table with gains c t, or linear map after c t scalings,
+    without its table, so that the pre-phase runs."""
     family = draw(st.sampled_from(["linear", "max-times", "scaled linear"]))
     if family == "max-times":
         n = draw(st.integers(2, 8))
         coeffs = st.one_of(st.just(0.0), st.floats(0.05, 1.2))
         rows = [[f"{draw(coeffs)!r}*t" for _ in range(n)] for _ in range(n)]
-        return make_max_preserving(rows)
+        return untabled(make_max_preserving(rows))
     A = draw(contractive(st.floats(0.05, 1.2)))
     T = make_linear_map(A)
-    if family == "linear":
-        return T
-    scalings = st.floats(0.5, 1.5).map(lambda c: f"{c!r}*t")
-    return compose(T, make_diagonal([draw(scalings) for _ in range(len(A))]))
+    if family == "scaled linear":
+        scalings = st.floats(0.5, 1.5).map(lambda c: f"{c!r}*t")
+        T = compose(T, make_diagonal([draw(scalings) for _ in range(len(A))]))
+    return untabled(T)
 
 
 # Every map the constructors flag homogeneous is also convex (maxima and sums
@@ -386,7 +517,7 @@ def test_the_first_iterate_is_evaluated_at_the_level_one_barycentre():
     The run's one evaluation is its certificate, so ``s*`` is the point evaluated.
     """
     for n in (2, 3, 5, 6, 7):
-        T = make_linear_map(0.5 * np.eye(n))
+        T = untabled(make_linear_map(0.5 * np.eye(n)))
         report = find_decay_point(T, SolverConfig(R, 0.3, CAP), n)
         assert report.success and report.iterations == 1
         assert report.s_star.tobytes() == np.full(n, R / n).tobytes()
@@ -399,7 +530,8 @@ def test_iterates_on_one_ray_share_one_evaluation():
     label_none, where the twin's climb to the norm rule ends at the same
     point.
     """
-    T = make_max_preserving([["1.1649192981766365*t", None], [None, "1.1649192981766365*t"]])
+    T = untabled(make_max_preserving([["1.1649192981766365*t", None],
+                                      [None, "1.1649192981766365*t"]]))
     cfg = SolverConfig(R, 0.005, CAP)
     report = find_decay_point(T, cfg, 2)
     twin = find_decay_point(MonotoneMap(2, T, T.kind), cfg, 2)
@@ -417,7 +549,7 @@ def test_a_ray_that_climbs_by_eps_ends_within_the_cap(build):
     evaluation's two-sided test ends the run there, where the twin
     evaluates every iterate and runs to the cap.
     """
-    T = build([["t", None], [None, "t"]] if build is make_max_preserving else ["t", "t"])
+    T = untabled(build([["t", None], [None, "t"]] if build is make_max_preserving else ["t", "t"]))
     cfg = SolverConfig(R, 1e-9, CAP)
     report = find_decay_point(T, cfg, 2)
     assert (report.failure_reason, report.iterations) == ("label_none", 1)
@@ -430,7 +562,7 @@ def test_a_ray_that_climbs_by_eps_ends_within_the_cap(build):
 def test_a_limit_on_the_sphere_is_certified(gain):
     """``w* = r 1/n`` has margin exactly eps: the candidate rule, which asks for
     ``eps (1 + 1e-9)``, never fires, but the direct test of w*'s sphere point passes."""
-    T = make_max_preserving([[None, gain], [None, gain]])
+    T = untabled(make_max_preserving([[None, gain], [None, gain]]))
     cfg = SolverConfig(R, R / 2 - float(T(np.full(2, R / 2))[0]), CAP)
     report = find_decay_point(T, cfg, 2)
     assert report.success and report.iterations == 1
@@ -447,7 +579,8 @@ def test_a_step_that_rounds_down_is_kept_at_the_iterate():
     upper end answers at the same step as with direct evaluations.
     """
     c = "0.6308831893890735*t"
-    T = make_max_preserving([[c, c, None, c], [None, None, None, c], [None] * 4, [None] * 4])
+    T = untabled(make_max_preserving([[c, c, None, c], [None, None, None, c], [None] * 4,
+                                      [None] * 4]))
     cfg = SolverConfig(R, 0.6308831893890735 * R / 4, CAP)
     report = find_decay_point(T, cfg, 4)
     twin = find_decay_point(MonotoneMap(4, T, T.kind), cfg, 4)

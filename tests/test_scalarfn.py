@@ -72,6 +72,14 @@ class TestChecks:
             with pytest.raises(TypeError, match=r"^(Sum|Max) parts must be Term, Sum or Max: <"):
                 combination((Term(1.0), lambda t: -t))
 
+    @pytest.mark.parametrize("combination,parts", [(Sum, ()), (Max, ()), (Max, (Term(1.0),))],
+                             ids=["Sum()", "Max()", "Max(t)"])
+    def test_a_combination_of_fewer_than_two_parts_is_refused(self, combination, parts):
+        # as the parser refuses "max(t)": every tree renders to text that parses back
+        with pytest.raises(ValueError, match=rf"^{combination.__name__} needs at least two "
+                                             rf"parts, got {len(parts)}$"):
+            combination(parts)
+
     @pytest.mark.parametrize("args", [(-0.5,), (float("nan"),), (1.0, float("inf"))],
                              ids=["negative-coefficient", "nan-coefficient", "inf-exponent"])
     def test_a_term_outside_its_invariant_is_refused(self, args):
