@@ -49,9 +49,9 @@ pre-phase:
 Both points are tested directly, like every other, so rounding costs
 only speed: a point that neither certifies nor lacks a label (eps within
 rounding of eps_max), a Perron vector that ``perron_direction`` refuses
-(of mixed sign, or past its residual bound at a defective eigenvalue), a
-table with a non-finite entry, or a policy that recurs under rounding
-leave the run to the pre-phase, which runs as it does without a table
+(where neither its eigenvector nor its singular vector passes its
+residual bound), a table with a non-finite entry, or a policy that
+recurs under rounding leave the run to the pre-phase, which runs as it does without a table
 (only the memo may hold the tested point).  A value of
 T at the point that is not finite follows the rule of the homogeneous
 pre-phase step below: it ends the run as ``nonfinite`` only where the
@@ -198,15 +198,31 @@ has a label.
 **Sphere stage.**  A failed candidate is a sphere point where the bound
 at a small iterate misjudged the map: a superlinear ``A s^1.2`` looks
 contractive at ``w_0 = eps 1``, so its candidate is the uniform point
-``r 1/n``.  From there the solver takes shifted power steps on the
-sphere, ``p <- r (T(p) + eps 1) / |T(p) + eps 1|_1``, the nonlinear power
-method on the cone (Lemmens & Nussbaum).  A fixed point
-``l p = T(p) + eps 1`` has margin ``(1 - l) p + eps >= eps`` whenever
-``l <= 1``.  Each step is one memoized evaluation and so also a
-certificate test.  The stage stops at the first step whose margin
-``min(p - T p)`` does not beat the best so far, or after n steps, and
-the ladder is walked as before.  It never runs after the norm proof,
-and never for a subhomogeneous map, whose candidate passes.
+``r 1/n``, and the chain and flip-flop maps' candidates fail alike.  From
+there the solver takes Newton steps on the equal-margin system
+``q = T(p) + J (q - p) + d 1``, ``1'q = 1'p = r``, for the point q and
+the common margin d, with ``J = T.jacobian(p)`` the derivative that T's
+constructor proves (``MonotoneMap.jacobian``).  Each is one bordered
+``(n+1) x (n+1)`` solve.  A decay point whose margin is the same in every
+component solves the system at ``q = p``, so the steps home in on one as
+Newton's method does; the monotone Newton iterations of Etessami &
+Yannakakis (*J. ACM* 56, 2009) and Esparza, Kiefer & Luttenberger (*J.
+ACM* 57, 2010) are the model.  Where q leaves the open orthant, the step
+from p is cut to nine tenths of the way to its boundary, and the point
+goes onto the sphere.  J only guides: computing it never calls T, and
+every point the stage reaches is evaluated through the memo, counted and
+tested directly, on both sides for a homogeneous map, like every other
+sphere point.  A poor J costs evaluations, never soundness.  Where T has
+no Jacobian (a map built from a callable), J is not finite (``t^0.5`` at
+a zero component), or the bordered system is singular or its solution
+not finite, the step is a shifted power step instead,
+``p <- r (T(p) + eps 1) / |T(p) + eps 1|_1``, the nonlinear power method
+on the cone (Lemmens & Nussbaum); a fixed point ``l p = T(p) + eps 1``
+has margin ``(1 - l) p + eps >= eps`` whenever ``l <= 1``.  The stage
+stops at the first step whose margin ``min(p - T p)`` does not beat the
+best so far, or after n steps, and the ladder is walked as before.  It
+never runs after the norm proof, and never for a subhomogeneous map,
+whose candidate passes.
 
 One practical subtlety drives the structure below.  Complete cells of
 the slack-``d`` labeling contract onto points whose worst component
@@ -449,6 +465,38 @@ def _on_sphere(v: np.ndarray, r: float) -> tuple[np.ndarray, float]:
     return v * (r / total), top * (total / r)
 
 
+def _newton_point(T: MonotoneMap, p: np.ndarray, Tp: np.ndarray) -> np.ndarray | None:
+    """The sphere stage's Newton point from the sphere point p, ``Tp = T(p)``, or None.
+
+    It solves the equal-margin system ``q = T(p) + J (q - p) + d 1``,
+    ``1'q = 1'p``, for q and the margin d, with ``J = T.jacobian(p)``, and
+    damps the step toward p so that q stays in the open orthant.  None
+    where T has no Jacobian, J is not finite, or the bordered system is
+    singular or its solution not finite.
+    """
+    if T.jacobian is None:
+        return None
+    J = T.jacobian(p)
+    if not np.all(np.isfinite(J)):
+        return None
+    n = len(p)
+    bordered = np.zeros((n + 1, n + 1))
+    bordered[:n, :n] = np.eye(n) - J
+    bordered[:n, n] = -1.0
+    bordered[n, :n] = 1.0
+    try:
+        q = np.linalg.solve(bordered, np.append(Tp - J @ p, np.sum(p)))[:n]
+    except np.linalg.LinAlgError:
+        return None
+    if not np.all(np.isfinite(q)):
+        return None
+    step = q - p
+    down = step < 0.0
+    # at most nine tenths of the way to the boundary, in each component that decreases
+    reach = float(np.min(p[down] / -step[down], initial=math.inf))
+    return p + min(1.0, 0.9 * reach) * step
+
+
 def _table_point(table: tuple[str, np.ndarray]) -> np.ndarray | None:
     """The vector whose sphere point the table step tests, by policy iteration.
 
@@ -535,8 +583,11 @@ def _pre_phase(ev: _Evaluator) -> list[float]:
             p = _on_sphere(w, r)[0]
             Tp = ev(p)
             best = float(np.min(p - Tp))
-            for _ in range(n):  # the sphere stage: power steps while the margin grows
-                p = _on_sphere(Tp + eps, r)[0]
+            for _ in range(n):  # the sphere stage: Newton steps while the margin grows
+                q = _newton_point(T, p, Tp)
+                if q is None:  # no usable Jacobian: a power step
+                    q = Tp + eps
+                p = _on_sphere(q, r)[0]
                 Tp = ev(p)
                 margin = float(np.min(p - Tp))
                 if margin <= best:

@@ -99,19 +99,29 @@ def perron_direction(A) -> np.ndarray:
     For ``A >= 0`` the eigenvalue with the largest real part is the
     spectral radius rho (Perron-Frobenius); its eigenvector, taken in
     absolute value, must reproduce ``A v = rho v`` to ``1e-8 * max(1, rho)``
-    in sup-norm, else ValueError (possible for a reducible matrix whose
-    dominant eigenvector, as returned, mixes signs).  For contractive A,
-    scaling v to the sphere of radius r gives a decay witness with margin
-    ``(1 - rho) * r * min(v)``.
+    in sup-norm.  A defective rho can come out of the eigensolver as a
+    complex pair whose eigenvector misses that bound; then the right
+    singular vector of ``A - rho I`` for its smallest singular value, taken
+    in absolute value, is checked instead.  ValueError if it misses the
+    bound too (possible for a reducible matrix whose dominant eigenvector
+    mixes signs).  For contractive A, scaling v to the sphere of radius r
+    gives a decay witness with margin ``(1 - rho) * r * min(v)``.
     """
     A = as_nonnegative_matrix(A)
     w, vecs = np.linalg.eig(A)
     k = int(np.argmax(w.real))
     rho = float(w[k].real)
-    v = np.abs(vecs[:, k])
-    v /= v.sum()
-    residual = float(np.max(np.abs(A @ v - rho * v)))
-    if not residual <= 1e-8 * max(1.0, rho):  # also rejects a NaN residual
+    bound = 1e-8 * max(1.0, rho)
+
+    def unit_residual(x: np.ndarray) -> tuple[np.ndarray, float]:
+        v = np.abs(x)
+        v /= v.sum()
+        return v, float(np.max(np.abs(A @ v - rho * v)))
+
+    v, residual = unit_residual(vecs[:, k])
+    if not residual <= bound:
+        v, residual = unit_residual(np.linalg.svd(A - rho * np.eye(len(A)))[2][-1])
+    if not residual <= bound:  # also rejects a NaN residual
         raise ValueError(f"dominant direction residual {residual:.2e} exceeds 1e-8 * max(1, rho)")
     v.flags.writeable = False
     return v

@@ -62,31 +62,50 @@ class MonotoneMap:
     matrices when every part has a ``"sum"`` table.  The solver computes
     the best margin from it (see :mod:`decaycert.homotopy`), but still
     tests every point it returns on T itself.
+    ``jacobian`` is the derivative that T's constructor proves, a callable
+    ``s -> J(s)`` giving the n-by-n matrix ``dT_i/ds_j`` at a point s, or
+    None.  An entry is inf where the derivative of a fractional power is,
+    at 0.  :func:`make_linear_map` records ``A``, :func:`make_chain_map` and
+    :func:`make_flipflop_map` their closed forms, :func:`make_diagonal` and
+    a max-preserving table the gains' ``ScalarFn.derivative`` (of each
+    row's active gain, for a table), and :func:`compose` the chain rule
+    when every part has one.  A map built directly from a callable has
+    none.  The solver's sphere stage takes Newton steps with it (see
+    :mod:`decaycert.homotopy`) and tests every resulting point on T
+    itself.  A Jacobian reads its map's ``fn``, never ``__call__``, so it
+    is never counted as an evaluation.
     ``kind`` is only a name: the solver never reads it.
     """
 
     dimension: int
     fn: Callable[[np.ndarray], np.ndarray] = field(repr=False)
     kind: str
-    homogeneous = False  # not fields: set only by _degree_one
+    homogeneous = False  # not fields: set only by _proven
     table = None
+    jacobian = None
 
     def __post_init__(self):
         check_count("map dimension", self.dimension)
 
     def __call__(self, s) -> np.ndarray:
-        s = as_point(s, dim=self.dimension)
-        out = np.asarray(self.fn(s), dtype=float)
-        if out.shape != (self.dimension,):
-            raise ValueError(f"map returned shape {out.shape}, expected ({self.dimension},)")
-        if np.any(out < 0.0):
-            raise ValueError(f"map produced a negative component: {out}")
+        out = _output(self, as_point(s, dim=self.dimension))
         out.flags.writeable = False
         return out
 
 
-def _degree_one(T: MonotoneMap, homogeneous: bool, table: tuple | None = None) -> MonotoneMap:
-    """``T``, flagged ``homogeneous`` and given the ``table`` its constructor proved.
+def _output(T: MonotoneMap, s: np.ndarray) -> np.ndarray:
+    """``T.fn(s)`` as a float array, checked for T's shape and sign; s is a checked point."""
+    out = np.asarray(T.fn(s), dtype=float)
+    if out.shape != (T.dimension,):
+        raise ValueError(f"map returned shape {out.shape}, expected ({T.dimension},)")
+    if np.any(out < 0.0):
+        raise ValueError(f"map produced a negative component: {out}")
+    return out
+
+
+def _proven(T: MonotoneMap, homogeneous: bool = False, table: tuple | None = None,
+            jacobian: Callable[[np.ndarray], np.ndarray] | None = None) -> MonotoneMap:
+    """``T`` with what its constructor proved: the ``homogeneous`` flag, ``table`` and ``jacobian``.
 
     The table's array is made read-only here.
     """
@@ -94,13 +113,15 @@ def _degree_one(T: MonotoneMap, homogeneous: bool, table: tuple | None = None) -
         table[1].flags.writeable = False
     object.__setattr__(T, "homogeneous", homogeneous)
     object.__setattr__(T, "table", table)
+    object.__setattr__(T, "jacobian", jacobian)
     return T
 
 
 def make_linear_map(matrix) -> MonotoneMap:
     """Map given by multiplication with a nonnegative square matrix."""
     A = as_nonnegative_matrix(matrix)
-    return _degree_one(MonotoneMap(A.shape[0], lambda s: A @ s, "linear"), True, ("sum", A))
+    return _proven(MonotoneMap(A.shape[0], lambda s: A @ s, "linear"), True, ("sum", A),
+                   lambda s: A)
 
 
 def make_chain_map(n: int) -> MonotoneMap:
@@ -119,7 +140,19 @@ def make_chain_map(n: int) -> MonotoneMap:
             out[j] = 0.25 * (left + right)
         return out
 
-    return MonotoneMap(n, fn, "chain")
+    # the couplings of s_{j-1} and s_{j+1} onto component j (0-based)
+    left = [Term(0.25, 1.0 / (j + 1)) for j in range(n)]
+    right = [Term(0.25, j + 2.0) for j in range(n)]
+
+    def jacobian(s: np.ndarray) -> np.ndarray:
+        J = np.zeros((n, n))
+        for j in range(1, n):
+            J[j, j - 1] = left[j].derivative(s[j - 1])
+        for j in range(n - 1):
+            J[j, j + 1] = right[j].derivative(s[j + 1])
+        return J
+
+    return _proven(MonotoneMap(n, fn, "chain"), jacobian=jacobian)
 
 
 def chain_feasible_point(n: int, r: float) -> np.ndarray:
@@ -145,7 +178,12 @@ def make_flipflop_map(lam: float) -> MonotoneMap:
     def fn(s: np.ndarray) -> np.ndarray:
         return np.array([math.sqrt(s[1]), lam * s[0] ** 2])
 
-    return MonotoneMap(2, fn, "flipflop")
+    root, square = Term(1.0, 0.5), Term(lam, 2.0)
+
+    def jacobian(s: np.ndarray) -> np.ndarray:
+        return np.array([[0.0, root.derivative(s[1])], [square.derivative(s[0]), 0.0]])
+
+    return _proven(MonotoneMap(2, fn, "flipflop"), jacobian=jacobian)
 
 
 def coerce_gain(g) -> ScalarFn:
@@ -214,14 +252,21 @@ class GainTable:
 
     def to_map(self) -> MonotoneMap:
         """Map ``(Ts)_i = max_j g_ij(s_j)``; the gains were checked at construction."""
-        rows = self.rows
+        rows, n = self.rows, self.n
 
         def fn(s: np.ndarray) -> np.ndarray:
             return np.array([max(g(s[j]) for j, g in enumerate(row)) for row in rows])
 
+        def jacobian(s: np.ndarray) -> np.ndarray:
+            J = np.zeros((n, n))
+            for i, row in enumerate(rows):
+                j = max(range(n), key=lambda j: row[j](s[j]))  # the first active gain
+                J[i, j] = row[j].derivative(s[j])
+            return J
+
         homogeneous = all(is_degree_one(g) for row in rows for g in row)
         table = ("max", np.array([[g(1.0) for g in row] for row in rows])) if homogeneous else None
-        return _degree_one(MonotoneMap(len(rows), fn, "max-preserving"), homogeneous, table)
+        return _proven(MonotoneMap(n, fn, "max-preserving"), homogeneous, table, jacobian)
 
 
 def make_max_preserving(gains) -> MonotoneMap:
@@ -244,17 +289,23 @@ def make_diagonal(fns: Sequence) -> MonotoneMap:
     def fn(s: np.ndarray) -> np.ndarray:
         return np.array([rho(s[i]) for i, rho in enumerate(rhos)])
 
+    def jacobian(s: np.ndarray) -> np.ndarray:
+        return np.diag([rho.derivative(s[i]) for i, rho in enumerate(rhos)])
+
     homogeneous = all(is_degree_one(rho) for rho in rhos)
     table = ("sum", np.diag([rho(1.0) for rho in rhos])) if homogeneous else None
-    return _degree_one(MonotoneMap(len(rhos), fn, "diagonal"), homogeneous, table)
+    return _proven(MonotoneMap(len(rhos), fn, "diagonal"), homogeneous, table, jacobian)
 
 
 def compose(*maps: MonotoneMap) -> MonotoneMap:
     """Composition ``s -> maps[0](maps[1](... maps[-1](s)))``, applied right to left.
 
     A non-finite intermediate value is returned as is, since the next map rejects it.
+    Each part's ``fn`` is called, with its output checked as ``__call__``
+    checks it, so that a part is never counted as an evaluation of its own.
     Its table is the product of its parts' matrices when every part has a
-    ``"sum"`` table; a max-times part leaves it without one.
+    ``"sum"`` table; a max-times part leaves it without one.  Its Jacobian
+    is the chain rule's product when every part has one.
     """
     if not maps:
         raise ValueError("compose needs at least one map")
@@ -264,14 +315,22 @@ def compose(*maps: MonotoneMap) -> MonotoneMap:
 
     def fn(s: np.ndarray) -> np.ndarray:
         for m in reversed(maps):
-            s = m(s)
+            s = _output(m, s)
             if not np.isfinite(s).all():
                 break
         return s
+
+    def jacobian(s: np.ndarray) -> np.ndarray:
+        J = np.eye(dims[0])
+        with np.errstate(over="ignore", invalid="ignore"):  # the solver skips a non-finite J
+            for m in reversed(maps):
+                J = m.jacobian(s) @ J
+                s = _output(m, s)
+        return J
 
     table = None
     if all(m.table is not None and m.table[0] == "sum" for m in maps):
         with np.errstate(over="ignore", invalid="ignore"):  # the solver skips a non-finite table
             table = ("sum", reduce(np.matmul, [m.table[1] for m in maps]))
-    return _degree_one(MonotoneMap(dims[0], fn, "composition"),
-                       all(m.homogeneous for m in maps), table)
+    return _proven(MonotoneMap(dims[0], fn, "composition"), all(m.homogeneous for m in maps),
+                   table, jacobian if all(m.jacobian is not None for m in maps) else None)

@@ -17,6 +17,10 @@ Examples: ``"0.5*t"``, ``"t^2"``, ``"2*t^0.5"``, ``"t + 0.25*t^3"``,
 ``"max(t, 2*t^2)"``, ``"0"``.  Fractional powers of zero evaluate to zero
 (positive real branch).  Every function also acts elementwise on a numpy
 array; a scalar argument still goes through the scalar ``t**a``.
+``derivative(t)`` is the derivative at a scalar ``t >= 0`` (inf where a
+fractional power's is, at 0); a Max takes the derivative of its active
+part.  The map constructors of :mod:`decaycert.maps` build Jacobians
+from it.
 
 A :class:`Term`'s coefficient and exponent are real, finite and ``>= 0``,
 and a Sum or Max has two or more parts, each a Term, Sum or Max.  So
@@ -47,9 +51,12 @@ __all__ = [
 
 
 class ScalarFn:
-    """Base class; subclasses implement ``__call__`` and ``render``."""
+    """Base class; subclasses implement ``__call__``, ``derivative`` and ``render``."""
 
     def __call__(self, t: float) -> float:  # pragma: no cover - abstract
+        raise NotImplementedError
+
+    def derivative(self, t: float) -> float:  # pragma: no cover - abstract
         raise NotImplementedError
 
     def render(self) -> str:  # pragma: no cover - abstract
@@ -79,6 +86,15 @@ class Term(ScalarFn):
             return self.coeff * t**self.exponent
         except OverflowError:  # float ** raises where numpy would return inf
             return self.coeff * math.inf
+
+    def derivative(self, t: float) -> float:
+        """``coeff * exponent * t**(exponent - 1)`` at a scalar t; inf where that power is."""
+        if self.coeff == 0.0 or self.exponent == 0.0:
+            return 0.0
+        try:
+            return self.coeff * self.exponent * float(t) ** (self.exponent - 1.0)
+        except (ZeroDivisionError, OverflowError):  # 0 to a negative power, or too large
+            return math.inf
 
     def render(self) -> str:
         if self.coeff == 0.0:
@@ -112,6 +128,9 @@ class Sum(_Combination):
     def __call__(self, t: float) -> float:
         return sum(p(t) for p in self.parts)
 
+    def derivative(self, t: float) -> float:
+        return sum(p.derivative(t) for p in self.parts)
+
     def render(self) -> str:
         return " + ".join(p.render() for p in self.parts)
 
@@ -119,6 +138,10 @@ class Sum(_Combination):
 class Max(_Combination):
     def __call__(self, t: float) -> float:
         return reduce(np.maximum, [p(t) for p in self.parts])
+
+    def derivative(self, t: float) -> float:
+        """The derivative of the active part, the first part whose value at t is largest."""
+        return max(self.parts, key=lambda p: p(t)).derivative(t)
 
     def render(self) -> str:
         inner = ", ".join(p.render() for p in self.parts)

@@ -43,7 +43,10 @@ def test_all_names_resolve_without_duplicates(name):
 
 
 def test_bench_tracer_hooks_see_the_solver():
-    """The benchmark's tracer patches module-level names; a traced solve must be counted."""
+    """The benchmark's tracer patches module-level names; a traced solve must be counted.
+
+    The chain map is taken without its Jacobian, so that the solve reaches the walk.
+    """
     spec = importlib.util.spec_from_file_location("bench_tracer", BENCH_TRACER)
     tracer_module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer_module)
@@ -51,9 +54,8 @@ def test_bench_tracer_hooks_see_the_solver():
     tracer = tracer_module.Tracer()
     tracer.patch(dc)
     try:
-        report = dc.homotopy.find_decay_point(
-            dc.maps.make_chain_map(3), dc.homotopy.SolverConfig(r=10.0, epsilon=0.1), 3
-        )
+        T = dc.maps.MonotoneMap(3, dc.maps.make_chain_map(3).fn, "chain")
+        report = dc.homotopy.find_decay_point(T, dc.homotopy.SolverConfig(r=10.0, epsilon=0.1), 3)
     finally:
         tracer.unpatch()
     evaluations, lookups, pivots = tracer.counters()

@@ -329,6 +329,15 @@ class TestSpectral:
         assert list(fields)[-1] == "eps_max"
         assert float(fields["eps_max"]) == pytest.approx(0.25, rel=1e-12)
 
+    def test_a_defective_root_has_a_direction(self, tmp_path, capsys):
+        spec = write_spec(tmp_path, {"kind": "linear", "matrix": [
+            [0.4, 0.8, 0, 0], [0.5, 0.4, 0, 0], [0.7, 0.9, 0.4, 0.5], [0.2, 0.1, 0.8, 0.4]]})
+        code = main(["spectral", "--map", spec])
+        fields = result_fields(capsys)
+        assert code == 1 and fields["contractive"] == "0"
+        direction = [float(v) for v in fields["direction"].split(",")]
+        assert direction == pytest.approx([0.0, 0.0, 0.4415184, 0.5584816], abs=1e-6)
+
     def test_unavailable_direction_is_named_and_left_out(self, capsys, monkeypatch):
         def no_direction(A):
             raise ValueError("no dominant eigenvector")

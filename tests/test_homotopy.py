@@ -299,17 +299,22 @@ def test_slack_ladder_rungs():
 # Evaluation counts and decay points pinned at r=10, cap 100 000, eps=0.1
 # unless given.  A change to the table step, the pre-phase, the sphere
 # stage, the labeling, the pivot walk or the slack ladder moves these.  The
-# chain maps' candidates fail: at n=2 a sphere-stage step succeeds, and at
-# n=3..5 the points are lattice points of the walk.  A linear map's table
+# chain maps' candidates fail, and a Newton step of the sphere stage
+# succeeds (GOLDEN_PATH_SHA256 evaluates them through a callable without
+# a Jacobian, so there they walk).  A linear map's table
 # step tests the optimal point r (I - A)^-1 1 / |(I - A)^-1 1|_1 first, so
 # it is s*.  The others are products of float arithmetic (the linear ones of
 # matrix arithmetic, whose last bits may depend on the BLAS kernel), and are
 # compared to 1e-12.
 GOLDEN_WALKS = [
-    ("chain n=2", lambda: make_chain_map(2), None, 3, [9.059758315746931, 0.9402416842530675]),
-    ("chain n=3", lambda: make_chain_map(3), None, 17, [6.25, 2.5, 1.25]),
-    ("chain n=4", lambda: make_chain_map(4), None, 10, [6.25, 1.25, 1.25, 1.25]),
-    ("chain n=5", lambda: make_chain_map(5), None, 11, [6.0, 1.0, 1.0, 1.0, 1.0]),
+    ("chain n=2", lambda: make_chain_map(2), None, 3, [6.249145258407947, 3.750854741592054]),
+    ("chain n=3", lambda: make_chain_map(3), None, 5,
+     [4.509981101769238, 3.390586354555298, 2.0994325436754653]),
+    ("chain n=4", lambda: make_chain_map(4), None, 6,
+     [3.5811309876374207, 3.1402783217316075, 1.86296709917046, 1.415623591460512]),
+    ("chain n=5", lambda: make_chain_map(5), None, 7,
+     [2.8716152470971137, 2.8628274308579886, 1.8652567615611149, 1.3120526165613258,
+      1.0882479439224575]),
     ("linear n=6 seed 0", lambda: make_linear_map(random_contractive(6, 0.8, 0)), None, 1,
      [1.502997266033915, 1.893397340493121, 1.7122348596536232, 1.3031304710924405,
       2.1140531472860364, 1.4741869154408602]),
@@ -349,6 +354,62 @@ def test_golden_walk(name, build, eps, iterations, s_star):
     assert report.success
     assert report.iterations == iterations
     np.testing.assert_allclose(report.s_star, s_star, rtol=1e-12, atol=0.0)
+
+
+def chain_witness_margin(n: int, r: float = 10.0) -> float:
+    """The margin of ``p(t) = (t^(1/1!), ..., t^(1/n!))`` scaled to 1-norm r.
+
+    ``(T p)_i`` is ``p_i / 2`` inside the chain and ``p_i / 4`` at its ends, so
+    p decays at every t; t is found by bisection on the norm.
+    """
+    facts = [math.factorial(i) for i in range(1, n + 1)]
+
+    def point(t):
+        return np.array([t ** (1.0 / f) for f in facts])
+
+    lo, hi = 1e-12, r
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if point(mid).sum() < r:
+            lo = mid
+        else:
+            hi = mid
+    p = point(lo)
+    p *= r / p.sum()
+    return float(np.min(p - make_chain_map(n)(p)))
+
+
+@pytest.mark.parametrize("fraction", [0.9, 0.97])
+@pytest.mark.parametrize("n", [6, 7, 8, 9])
+def test_the_chain_map_near_its_witness_margin_takes_few_evaluations(n, fraction):
+    """The sphere stage's Newton steps certify the chain map close to the witness's margin.
+
+    With power steps, n = 8 and 9 at both fractions spent a cap of 100,000
+    evaluations in the walk.
+    """
+    T = make_chain_map(n)
+    cfg = SolverConfig(r=10.0, epsilon=fraction * chain_witness_margin(n), max_iterations=100_000)
+    report = find_decay_point(T, cfg, n)
+    check_success_postcondition(T, cfg, report)
+    assert report.iterations <= 10
+
+
+def test_a_newton_point_of_a_linear_map_is_its_optimal_point():
+    """For ``T = A`` the Newton system is T's own, so one step lands on
+    ``r (I - A)^-1 1 / |(I - A)^-1 1|_1``, where every component has the margin eps_max."""
+    A = random_contractive(4, 0.8, 3)
+    p = np.array([1.0, 2.0, 3.0, 4.0])
+    q = homotopy._newton_point(make_linear_map(A), p, A @ p)
+    np.testing.assert_allclose(q - A @ q, eps_max(A, 10.0), rtol=1e-12)
+
+
+@pytest.mark.parametrize("T,p", [
+    (MonotoneMap(2, make_chain_map(2).fn, "chain"), np.array([5.0, 5.0])),  # no Jacobian
+    (make_diagonal(["t^0.5", "t"]), np.array([0.0, 10.0])),  # J not finite at 0
+    (make_linear_map(np.eye(2)), np.array([5.0, 5.0])),  # I - J = 0: a singular system
+], ids=["no Jacobian", "infinite derivative", "singular"])
+def test_the_sphere_stage_falls_back_to_a_power_step(T, p):
+    assert homotopy._newton_point(T, p, T(p)) is None
 
 
 # Failures pinned at r=10: the reason, the evaluation count and the point
@@ -699,9 +760,9 @@ def test_sphere_stage_successes_are_certificates():
 def test_label_lookups_per_lattice_point(monkeypatch, n):
     """The walk carries its cells' labels, so it looks a point up about once per visit.
 
-    Neither the pre-phase's candidate nor the sphere stage certifies the
-    chain map at n = 7 and 8, so the walk runs through 39 and 54 lattice
-    points.
+    The chain map is taken without its Jacobian, so the sphere stage takes
+    power steps.  Neither they nor the pre-phase's candidate certify it at
+    n = 7 and 8, so the walk runs through 39 and 54 lattice points.
     """
     search_cls = homotopy.CompleteCellSearch
     calls = 0
@@ -717,7 +778,7 @@ def test_label_lookups_per_lattice_point(monkeypatch, n):
         return search_cls(m, dim, counted)
 
     monkeypatch.setattr(homotopy, "CompleteCellSearch", counting_search)
-    T = make_chain_map(n)
+    T = MonotoneMap(n, make_chain_map(n).fn, "chain")
     report = find_decay_point(T, SolverConfig(r=10.0, epsilon=0.05, max_iterations=100_000), n)
     assert report.success
     assert len(points) > 2 * n  # the walk ran

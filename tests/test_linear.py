@@ -222,6 +222,17 @@ class TestPerronDirection:
             rho = spectral_radius(A)
             assert np.max(np.abs(A @ v - rho * v)) < 1e-8
 
+    def test_a_defective_root_falls_back_to_the_null_direction(self):
+        # two blocks with rho = 1.0325 coupled one way: eig splits rho into a complex
+        # pair whose eigenvector misses the residual bound
+        A = np.array([[0.4, 0.8, 0, 0], [0.5, 0.4, 0, 0], [0.7, 0.9, 0.4, 0.5],
+                      [0.2, 0.1, 0.8, 0.4]])
+        rho = float(np.max(np.linalg.eigvals(A).real))
+        v = perron_direction(A)
+        assert np.all(v >= 0.0) and v.sum() == pytest.approx(1.0)
+        assert np.max(np.abs(A @ v - rho * v)) <= 1e-8 * rho
+        np.testing.assert_allclose(v[:2], 0.0, atol=1e-12)  # the block that feeds the other
+
     def test_contractive_direction_is_a_decay_witness(self):
         # for rho < 1 the scaled direction satisfies A(rv) << rv with margin (1-rho) r min(v)
         r = 10.0

@@ -258,15 +258,29 @@ def test_a_near_critical_table_ends_in_one_evaluation(eps, outcome, twin_iterati
             assert label_index(report.failure_point, T(report.failure_point), eps) is None
 
 
-def test_a_refused_perron_vector_leaves_the_run_to_the_pre_phase():
-    """Two diagonal blocks with one spectral radius, 1.03, coupled one way: a defective
-    eigenvalue, whose computed eigenvector misses ``linear.perron_direction``'s
-    residual bound, so it is refused.
+# Two diagonal blocks with one spectral radius, 1.0325, coupled one way: a
+# defective eigenvalue, which the eigensolver splits into a complex pair whose
+# eigenvector misses ``linear.perron_direction``'s residual bound.
+DEFECTIVE = [[0.4, 0.8, 0, 0], [0.5, 0.4, 0, 0], [0.7, 0.9, 0.4, 0.5], [0.2, 0.1, 0.8, 0.4]]
 
-    The table step evaluates nothing, and the run is the pre-phase's alone.
-    """
-    T = make_linear_map([[0.4, 0.8, 0, 0], [0.5, 0.4, 0, 0],
-                         [0.7, 0.9, 0.4, 0.5], [0.2, 0.1, 0.8, 0.4]])
+
+def test_a_defective_perron_root_ends_the_run_in_one_evaluation():
+    """``perron_direction`` takes the null direction of ``A - rho I`` instead, and its
+    sphere point has no label."""
+    T = make_linear_map(DEFECTIVE)
+    report = find_decay_point(T, SolverConfig(R, 0.1, CAP), 4)
+    assert (report.failure_reason, report.iterations) == ("label_none", 1)
+    assert label_index(report.failure_point, T(report.failure_point), 0.1) is None
+
+
+def test_a_refused_perron_vector_leaves_the_run_to_the_pre_phase(monkeypatch):
+    """Where ``linear.perron_direction`` refuses the Perron vector, the table step
+    evaluates nothing, and the run is the pre-phase's alone."""
+    def refuse(A):
+        raise ValueError("no dominant eigenvector")
+
+    monkeypatch.setattr(homotopy, "perron_direction", refuse)
+    T = make_linear_map(DEFECTIVE)
     cfg = SolverConfig(R, 0.1, CAP)
     report, twin = (find_decay_point(M, cfg, 4) for M in (T, untabled(T)))
     assert (report.failure_reason, report.iterations) == (twin.failure_reason, twin.iterations)
