@@ -10,57 +10,63 @@ per-level complete cells have diameter proportional to ``r / 2^level``,
 which forces the candidate region to shrink to a point when the direct
 test keeps failing; runs end honestly at the iteration cap.
 
-**Table step.**  For a map homogeneous of degree one, a point s decays
+**Policy step.**  For a map homogeneous of degree one, a point s decays
 with margin eps exactly when ``w = s/eps`` has ``T(w) + 1 <= w``.  So the
 best margin on the sphere of radius r is ``eps_max = r/|w*|_1``, w* the
 least solution of ``w = T(w) + 1``, and there is no decay point at all
 where no solution exists (Gaubert & Gunawardena, "The Perron-Frobenius
 theorem for homogeneous, monotone functions", *Trans. AMS* 356, 2004).
-Where the map's constructor holds its matrix (``MonotoneMap.table``),
-w* is linear algebra, and the solver tests one sphere point before the
-pre-phase:
+Every map flagged homogeneous (``MonotoneMap.homogeneous``: linear maps,
+max-times tables with gains ``c t``, diagonals and compositions of such
+maps) is also convex and piecewise linear: its components are maxima and
+sums of ``c t``, composed.  So its Jacobian ``J(u) = T.jacobian(u)``, the
+matrix of the linear piece active at u, has ``T(u) = J(u) u``, and
+``T(v) >= J(u) v`` for all ``u, v >= 0``: a convex function lies above
+its tangent, and a homogeneous one's tangent passes through 0.  That
+inequality holds row by row, so it holds as well for a policy ``P``, a
+matrix whose every row is a row of some ``J(u)``.  The solver computes w*
+from them, and tests one sphere point before the pre-phase:
 
-* **the least solution, by policy iteration.**  A policy picks one
-  entry ``sigma_i`` per row; ``C_sigma`` keeps only those entries (a
-  ``"sum"`` table A is its own one policy).  From ``sigma_i = argmax_j
-  C_ij``, solve ``w = C_sigma w + 1``, then switch each row to
-  ``argmax_j C_ij w_j`` where that beats its entry by more than rounding,
-  until no row switches (Cochet-Terrasson, Cohen, Gaubert, McGettrick &
-  Quadrat, IFAC 1998).  While ``rho(C_sigma) < 1`` each solve is
-  ``w = sum_k C_sigma^k 1 >= 1``, and each switch raises w: the new
-  policy has ``C_sigma' w + 1 >= w``, so its solution, where
-  ``rho(C_sigma') < 1``, lies above w.  No policy recurs, so the
-  iteration ends, and its last w solves ``w = max_j C_ij w_j + 1 =
-  T(w) + 1``.  It is the least solution: every solution u has
-  ``u >= C_sigma u + 1``, so ``u >= w`` for every policy with
-  ``rho(C_sigma) < 1``.  Its sphere point ``p = r w/|w|_1`` has
-  ``p - T(p) = (r/|w|_1) 1 = eps_max 1``, so its one test either
-  certifies it (``eps <= eps_max``) or, by the two-sided test below,
-  ends the run in ``label_none`` there (``eps > eps_max``).
+* **the least solution, by policy iteration.**  From ``P = J(1)``, solve
+  ``w = P w + 1``, then switch each row i to ``J(w)``'s row where
+  ``(J(w) w)_i`` beats ``(P w)_i`` by more than rounding, until no row
+  switches (Cochet-Terrasson, Cohen, Gaubert, McGettrick & Quadrat, IFAC
+  1998).  While ``rho(P) < 1`` each solve is ``w = sum_k P^k 1 >= 1``,
+  and each switch raises w: the new policy has ``P' w + 1 >= P w + 1 =
+  w``, so its solution, where ``rho(P') < 1``, lies above w.  The rows of
+  J take finitely many values and no policy recurs, so the iteration
+  ends, and its last w solves ``w = J(w) w + 1 = T(w) + 1``.  It is the
+  least solution: every solution u has ``u = T(u) + 1 >= P u + 1``, so
+  ``u >= w`` for every policy with ``rho(P) < 1``.  Its sphere point
+  ``p = r w/|w|_1`` has ``p - T(p) = (r/|w|_1) 1 = eps_max 1``, so its
+  one test either certifies it (``eps <= eps_max``) or, by the two-sided
+  test below, ends the run in ``label_none`` there (``eps > eps_max``).
 * **the Perron refutation.**  A solve that is singular, or has a
   component below 1 beyond rounding (a row of zeros solves to
-  ``1 - 1 ulp``), proves ``rho(C_sigma) >= 1``, since ``rho(C_sigma) < 1``
-  would give ``w = sum_k C_sigma^k 1 >= 1``; a solve that is not finite
-  is taken alike.  For the Perron vector v of ``C_sigma``
-  (``linear.perron_direction``), ``T(v) >= C_sigma v = rho v >= v``, so
-  v's sphere point p has ``T(p) + eps > p`` in every component, no label
-  at any slack, and its one test ends the run in ``label_none``.
+  ``1 - 1 ulp``), proves ``rho(P) >= 1``, since ``rho(P) < 1`` would give
+  ``w = sum_k P^k 1 >= 1``; a solve that is not finite is taken alike.
+  For the Perron vector v of P (``linear.perron_direction``),
+  ``T(v) >= P v = rho v >= v``, so v's sphere point p has
+  ``T(p) + eps > p`` in every component, no label at any slack, and its
+  one test ends the run in ``label_none``.
 
 Both points are tested directly, like every other, so rounding costs
 only speed: a point that neither certifies nor lacks a label (eps within
 rounding of eps_max), a Perron vector that ``perron_direction`` refuses
 (where neither its eigenvector nor its singular vector passes its
-residual bound), a table with a non-finite entry, or a policy that
-recurs under rounding leave the run to the pre-phase, which runs as it does without a table
-(only the memo may hold the tested point).  A value of
-T at the point that is not finite follows the rule of the homogeneous
-pre-phase step below: it ends the run as ``nonfinite`` only where the
-point has no label, and else the pre-phase runs.
+residual bound), a Jacobian with a non-finite entry, or a policy that
+recurs under rounding leave the run to the pre-phase below (only the
+memo may hold the tested point).  A value of T at the point that is not
+finite ends the run as ``nonfinite`` only where the point has no label,
+every component of ``T(p) + eps`` above p's (which a NaN is not): the
+run could not succeed past it.  Otherwise the pre-phase runs.
 
-Before any walk, an order-interval pre-phase iterates ``w_0 = eps 1``,
-``w_{k+1} = T(w_k) + eps 1``.  For monotone ``T`` the iterates never
-decrease, and every decay point ``s`` with margin eps bounds them from
-above (``s >= eps 1``, and ``w_k <= s`` gives
+Before any walk, every run that the policy step leaves open (every map
+not flagged homogeneous, and a homogeneous one only where rounding
+defeats the step) goes through an order-interval pre-phase.  It
+iterates ``w_0 = eps 1``, ``w_{k+1} = T(w_k) + eps 1``.  For monotone
+``T`` the iterates never decrease, and every decay point ``s`` with
+margin eps bounds them from above (``s >= eps 1``, and ``w_k <= s`` gives
 ``w_{k+1} <= Ts + eps 1 <= s``; lattice fixed points, Tarski 1955).  Each
 step costs one counted evaluation and stops at the first of two rules:
 
@@ -95,96 +101,33 @@ about ``1e-9 r`` of ``r`` runs to the cap.
 
 **Collatz-Wielandt bracket.**  Near the limit the iterates crawl at the
 contraction rate: for linear ``T`` both rules need steps growing like
-``1/(1 - rho)``.  So each step that fires neither rule also brackets the
-limit, ``L <= w* <= U``.  With ``d_k = w_{k+1} - w_k`` and
-``d_{-1} = eps 1`` (``T(0) = 0``), let ``theta_hi = max d_{k,i}/d_{k-1,i}``
-over the components with ``d_{k,i} > 0`` (infinite if such a ``d_{k-1,i}``
-is 0) and ``theta_lo = min d_{k,i}/d_{k-1,i}`` over those with
-``d_{k-1,i} > 0``, the Collatz-Wielandt ratios of the last step (Lemmens &
-Nussbaum); both are skipped when some ``d_{k,i} < 0``, which only a map
-that is not monotone can give (a homogeneous map's rounded step is kept
-at 0), since its ends could leave the orthant.  Both ends are
-``B(theta) = w_k + d_k/(1 - theta)``, computed as ``(1 - theta) w_k + d_k``
-so that it cannot overflow.  ``B(0) = w_{k+1}`` is the norm rule's point,
-the lower end that needs only monotonicity.  For linear ``T = A`` every
-step is ``d_{j+1} = A d_j``:
-
-* **upper end** ``U = B(theta_hi)``, when ``theta_hi < 1``.
-  ``d_k <= theta_hi d_{k-1}`` gives ``A d_k <= theta_hi d_k``, so
-  ``A U + eps 1 = w_{k+1} + A d_k/(1 - theta_hi) <= U``.  Once
-  ``|U|_1 <= r (1 - 1e-9)``, the sphere point ``l U`` with
-  ``l = r/|U|_1 >= 1`` decays with margin ``l (U - A U) >= l eps >= eps``,
-  and it is tested once.  This end is tried on every map; for any other
-  map it is only a tested point.  If the test fails, the pre-phase goes
-  on without the upper end, so a misleading map costs one evaluation.
-* **lower end** ``L = B(min(theta_lo, 1))``.  ``d_k >= theta_lo d_{k-1}``
-  gives ``A d_k >= theta_lo d_k``, so ``A L + eps 1 >= L``.  At
-  ``theta = 1`` the scaled end is ``d_k`` itself, the ray along which the
-  iterates diverge, and ``A d_k >= d_k``.  Once ``|L|_1 > r (1 + 1e-9)``
-  (always on the ray), the sphere point ``p = l L`` with
-  ``l = r/|L|_1 < 1`` has no label:
-  ``A p + eps 1 >= l (L - eps 1) + eps 1 > p``.  A convex homogeneous
-  T does as well as a linear one.  Its secant along
-  ``w_{k-1} -> w_k`` gives ``T(w_k + a d_{k-1}) >= T(w_k) + a d_k`` for
-  ``a >= 0``; with ``a = theta/(1 - theta)``, monotonicity and
-  ``d_k >= theta d_{k-1}`` this is ``T(L) + eps 1 >= L``, and on the ray,
-  as ``a`` grows, ``T(d_k) >= T(d_{k-1}) >= d_k``.  Every homogeneous
-  map (see below) is convex: its components are maxima and sums of
-  ``c t``, composed.  Without convexity the end proves nothing: a
-  monotone map such as ``(max(sqrt(s1), s1^2/9), min(1.1 s2, 1))`` has
-  ``theta_lo >= 1`` at ``w_0 = eps 1``, yet its iterates converge and a
-  decay point exists.  So only a homogeneous map uses this end: the
-  pre-phase evaluates ``p``, and the two-sided test below ends the run
-  in ``label_none`` there.
+``1/(1 - rho)``.  So each step that fires neither rule also tries an upper
+bound ``U >= w*`` of the limit.  With ``d_k = w_{k+1} - w_k`` and
+``d_{-1} = eps 1`` (``T(0) = 0``), let ``theta = max d_{k,i}/d_{k-1,i}``
+over the components with ``d_{k,i} > 0`` (infinite if such a
+``d_{k-1,i}`` is 0), the upper Collatz-Wielandt ratio of the last step
+(Lemmens & Nussbaum); it is skipped when some ``d_{k,i} < 0``, which only
+a map that is not monotone can give, since its end could leave the
+orthant.  The end is ``U = w_k + d_k/(1 - theta)``, when ``theta < 1``,
+computed as ``(1 - theta) U = (1 - theta) w_k + d_k`` so that it cannot
+overflow.  For linear ``T = A`` every step is ``d_{j+1} = A d_j``, and
+``d_k <= theta d_{k-1}`` gives ``A d_k <= theta d_k``, so
+``A U + eps 1 = w_{k+1} + A d_k/(1 - theta) <= U``.  Once
+``|U|_1 <= r (1 - 1e-9)``, the sphere point ``l U`` with
+``l = r/|U|_1 >= 1`` decays with margin ``l (U - A U) >= l eps >= eps``,
+and it is tested once.  This end is tried on every map; for any other
+map it is only a tested point.  If the test fails, the pre-phase goes on
+without the upper end, so a misleading map costs one evaluation.
 
 The norm rule comes first: it is a proof for every monotone ``T``, once
 it fires no sphere point can pass, and it keeps infinite steps away from
-the bracket.  A linear run tests at most one end: a feasible one never
-tests the lower end, since ``L <= w*`` and ``|w*|_1 <= r``, and an
-infeasible one never passes the upper end's norm test, since
-``U >= w*``.  The lower end never fires later than the norm rule, since
-``L >= B(0)``.  How soon an end answers depends on how fast the ratios
-settle near ``rho``, so a small spectral gap, a weakly coupled component
-or an eigenvalue near ``-rho`` slows the bracket (to hundreds of
-evaluations for the last).
+the bracket.  An infeasible linear run never passes the upper end's norm
+test, since ``U >= w*``.  How soon the end answers depends on how fast
+the ratio settles near ``rho``, so a small spectral gap, a weakly coupled
+component or an eigenvalue near ``-rho`` slows it.
 
 The iterates are not sphere points and never enter the memo, so only a
-sphere point that passed the direct margin test is ever returned (a
-homogeneous map's iterates are evaluated at their sphere points instead,
-each tested directly; see below).
-
-**Homogeneous maps.**  For a map that is homogeneous of degree one,
-``T(l s) = l T(s)`` (``MonotoneMap.homogeneous``: linear maps, max-times
-tables with gains ``c t``, and compositions of such maps with ``c t``
-diagonals), the step evaluates T at the iterate's sphere point
-``p = r w_k / |w_k|_1`` instead of at ``w_k``, and reads
-``T(w_k) = T(p) |w_k|_1 / r`` off that value, with the factor that
-the scaling to the sphere actually applied.  So the one counted
-evaluation is also p's certificate test, and the candidate rule is that
-evaluation's own test: a run that the candidate answers ends one
-evaluation sooner than at ``w_k``, and an iterate whose sphere point
-decays with margin exactly eps, which the rule's ``1e-9`` allowance
-misses, certifies it.  The first sphere point, ``r 1/n``, has the bytes
-of level 1's barycentre, so the memo serves that test too.  Every step
-evaluates its p, counted, even where the memo holds p (iterates on one
-ray, as when ``T(1)`` is a multiple of ``1``, share one), so the cap
-bounds the pre-phase; the repeated test has the memo's outcome.  A
-non-finite ``T(p)`` ends the run as ``nonfinite`` at p only where p has
-no label, every component of ``T(p) + eps`` above p's (which a NaN is
-not): the run could not succeed past it.  Otherwise the iterate itself
-is evaluated, since at a huge r a sphere point can overflow where the
-small iterate does not, and a non-finite value there is named at the
-iterate.  The derived ``T(w_k) = l T(p)``, ``l = |w_k|_1 / r``, passes
-the same finiteness rule, named at the iterate, though only rounding
-could make it fail: for ``l > 1`` a label j at p would give
-``T(w_k)_j + l eps <= w_{k,j} <= T(w_k)_j + eps`` (the iterates never
-decrease), so p has none and its test ends the run first (also where l
-itself overflows), and for ``l <= 1`` the product cannot overflow.  The
-derived ``T(w_k)`` differs from a direct evaluation by a few ulps, which
-the ``1e-9`` allowance absorbs in the norm rule, the box point and both
-bracket ends; where it would round a component of ``w_{k+1}`` below
-``w_k``, that component is kept at ``w_k``, since for monotone T the
-iterates never decrease.  Other maps keep evaluating the iterate itself.
+sphere point that passed the direct margin test is ever returned.
 
 **Two-sided test.**  For homogeneous monotone T a sphere point p without
 a label at slack eps proves that no point decays: for a decay point s
@@ -220,9 +163,9 @@ not finite, the step is a shifted power step instead,
 on the cone (Lemmens & Nussbaum); a fixed point ``l p = T(p) + eps 1``
 has margin ``(1 - l) p + eps >= eps`` whenever ``l <= 1``.  The stage
 stops at the first step whose margin ``min(p - T p)`` does not beat the
-best so far, or after n steps, and the ladder is walked as before.  It
-never runs after the norm proof, and never for a subhomogeneous map,
-whose candidate passes.
+best so far (the evaluation cap bounds it too), and the ladder is walked
+as before.  It never runs after the norm proof, and never for a
+subhomogeneous map, whose candidate passes.
 
 One practical subtlety drives the structure below.  Complete cells of
 the slack-``d`` labeling contract onto points whose worst component
@@ -333,7 +276,7 @@ class _NoLabel(Exception):
         self.point = point
 
 
-# Relative rounding allowance of the table step, the pre-phase's proofs and its bracket.
+# Relative rounding allowance of the policy step, the pre-phase's proofs and its bracket.
 _ROUNDING = 1e-9
 
 
@@ -375,21 +318,18 @@ def _box_point(w: np.ndarray, up: np.ndarray, step: np.ndarray, r: float) -> np.
     return None
 
 
-def _bracket(w: np.ndarray, prev: np.ndarray,
-             step: np.ndarray) -> list[tuple[float, np.ndarray]]:
-    """The ends of the bracket ``L <= w* <= U``, each as ``(theta, (1 - theta) B(theta))``.
+def _bracket(w: np.ndarray, prev: np.ndarray, step: np.ndarray) -> tuple[float, np.ndarray]:
+    """The bracket's upper end ``U >= w*`` as ``(theta, (1 - theta) U)``.
 
-    ``B(theta) = w + step/(1 - theta)`` is scaled so that it cannot overflow,
-    and ``step = T(w) + eps - w`` follows the iterate step ``prev``.
-    The lower end takes ``min(theta_lo, 1)``, ``theta_lo = min step_i/prev_i``
-    over ``prev_i > 0``; the upper end ``min(theta_hi, 1)``,
-    ``theta_hi = max step_i/prev_i`` over ``step_i > 0`` (infinite where
-    ``prev_i <= 0``), and it bounds ``w*`` only where ``theta_hi < 1``.
+    ``U = w + step/(1 - theta)`` is scaled so that it cannot overflow, and
+    ``step = T(w) + eps - w`` follows the iterate step ``prev``.  Here
+    ``theta = min(theta_hi, 1)``, ``theta_hi = max step_i/prev_i`` over
+    ``step_i > 0`` (infinite where ``prev_i <= 0``), and U bounds ``w*``
+    only where ``theta_hi < 1``.
     """
     ratio = np.divide(step, prev, out=np.full(len(w), np.inf), where=prev > 0.0)
-    lo = float(np.min(ratio, initial=1.0))
-    hi = float(np.max(ratio, where=step > 0.0, initial=0.0))
-    return [(theta, (1.0 - theta) * w + step) for theta in (lo, min(hi, 1.0))]
+    theta = min(float(np.max(ratio, where=step > 0.0, initial=0.0)), 1.0)
+    return theta, (1.0 - theta) * w + step
 
 
 class _Evaluator:
@@ -454,15 +394,10 @@ class _Evaluator:
         return np.frombuffer(value)
 
 
-def _on_sphere(v: np.ndarray, r: float) -> tuple[np.ndarray, float]:
-    """``v`` scaled to 1-norm r, and the factor ``|v|_1 / r`` that undoes the scaling.
-
-    The scaling goes through ``max(v)``, so a huge ``v`` cannot overflow.
-    """
-    top = float(np.max(v))
-    v = v / top
-    total = float(np.sum(v))
-    return v * (r / total), top * (total / r)
+def _on_sphere(v: np.ndarray, r: float) -> np.ndarray:
+    """``v`` scaled to 1-norm r, through ``max(v)``, so that a huge ``v`` cannot overflow."""
+    v = v / float(np.max(v))
+    return v * (r / float(np.sum(v)))
 
 
 def _newton_point(T: MonotoneMap, p: np.ndarray, Tp: np.ndarray) -> np.ndarray | None:
@@ -497,61 +432,51 @@ def _newton_point(T: MonotoneMap, p: np.ndarray, Tp: np.ndarray) -> np.ndarray |
     return p + min(1.0, 0.9 * reach) * step
 
 
-def _table_point(table: tuple[str, np.ndarray]) -> np.ndarray | None:
-    """The vector whose sphere point the table step tests, by policy iteration.
+def _policy_point(T: MonotoneMap) -> np.ndarray | None:
+    """The vector whose sphere point the policy step tests, by policy iteration on ``T.jacobian``.
 
     That is the least solution w* of ``w = T(w) + 1``, or where there is
     none the Perron vector of a policy matrix of spectral radius at least
     one; None where rounding, a Perron vector that ``perron_direction``
-    refuses or a matrix with a non-finite entry leaves neither.  A ``"sum"`` table is its own one
-    policy.  The proofs are in the module docstring.
+    refuses or a Jacobian with a non-finite entry leaves neither.  The
+    proofs are in the module docstring.
     """
-    how, C = table
-    n = len(C)
-    if not np.all(np.isfinite(C)):
-        return None
-    rows = np.arange(n)
-    policy = np.argmax(C, axis=1)
+    n = T.dimension
+    P = T.jacobian(np.ones(n))
     seen = set()
-    while policy.tobytes() not in seen:  # a repeat is rounding: no policy recurs otherwise
-        seen.add(policy.tobytes())
-        chosen = C
-        if how == "max":
-            chosen = np.zeros((n, n))
-            chosen[rows, policy] = C[rows, policy]
+    # a repeat is rounding: no policy recurs otherwise
+    while np.all(np.isfinite(P)) and P.tobytes() not in seen:
+        seen.add(P.tobytes())
         try:
-            w = np.linalg.solve(np.eye(n) - chosen, np.ones(n))
+            w = np.linalg.solve(np.eye(n) - P, np.ones(n))
         except np.linalg.LinAlgError:
             w = None
         # a row of zeros solves to 1 - 1 ulp, so "below 1" allows for rounding
         if w is None or not np.all(np.isfinite(w)) or np.any(w < 1.0 - _ROUNDING):
             try:
-                return perron_direction(chosen)
+                return perron_direction(P)
             except ValueError:  # no vector passes its residual check
                 return None
-        if how == "sum":
-            return w
-        values = C * w
-        best = np.argmax(values, axis=1)
-        better = values[rows, best] > values[rows, policy] * (1.0 + _ROUNDING)
+        J = T.jacobian(w)
+        better = J @ w > (P @ w) * (1.0 + _ROUNDING)
         if not better.any():
             return w
-        policy = np.where(better, best, policy)
+        P = np.where(better[:, None], J, P)
     return None
 
 
-def _table_step(ev: _Evaluator) -> None:
-    """The table step: test the sphere point that T's table names, once.
+def _policy_step(ev: _Evaluator) -> None:
+    """The policy step of a homogeneous T: test the sphere point that policy iteration names, once.
 
     Ends the search through ``ev`` where that point certifies or has no
     label, and else returns, for the pre-phase to run.
     """
-    v = None if ev.T.table is None else _table_point(ev.T.table)
+    v = _policy_point(ev.T) if ev.T.homogeneous else None
     if v is None:
         return
-    p = _on_sphere(v, ev.r)[0]
+    p = _on_sphere(v, ev.r)
     Tp = ev.call(p)
-    if np.all(np.isfinite(Tp)) or np.all(Tp + ev.eps > p):  # as for the pre-phase's points
+    if np.all(np.isfinite(Tp)) or np.all(Tp + ev.eps > p):  # else the pre-phase runs
         ev.test(p, Tp)
 
 
@@ -567,49 +492,37 @@ def _pre_phase(ev: _Evaluator) -> list[float]:
     step = np.full(n, eps)  # w_0 - w_-1, where w_-1 = T(0) = 0
     upper = True
     while True:
-        Tw = None
-        if T.homogeneous:  # evaluate at the sphere point p of w, and T(w) = T(p) |w|_1/r
-            p, size = _on_sphere(w, r)
-            Tp = ev.call(p)
-            # else T(p) is not finite at a p with a label, and w is evaluated itself
-            if np.all(np.isfinite(Tp)) or np.all(Tp + eps > p):
-                Tw = ev.test(p, Tp) * size
-                up = np.maximum(Tw + eps, w)  # a rounded T(w) may not step w down
-        if Tw is None:
-            Tw = ev.call(w)
-            up = Tw + eps
+        Tw = ev.call(w)
         margin = ev.margin(w, Tw)
         if (r / float(np.sum(w))) * margin >= eps * (1.0 + _ROUNDING):  # the candidate
-            p = _on_sphere(w, r)[0]
+            p = _on_sphere(w, r)
             Tp = ev(p)
             best = float(np.min(p - Tp))
-            for _ in range(n):  # the sphere stage: Newton steps while the margin grows
+            while True:  # the sphere stage: Newton steps while the margin grows
                 q = _newton_point(T, p, Tp)
                 if q is None:  # no usable Jacobian: a power step
                     q = Tp + eps
-                p = _on_sphere(q, r)[0]
+                p = _on_sphere(q, r)
                 Tp = ev(p)
                 margin = float(np.min(p - Tp))
                 if margin <= best:
-                    break
+                    return _slack_ladder(eps, r, n)
                 best = margin
-            return _slack_ladder(eps, r, n)
+        up = Tw + eps
         prev, step = step, up - w
         if float(np.sum(up)) > r * (1.0 + _ROUNDING):  # no decay point exists
             p = _box_point(w, up, step, r)
             if p is None:
-                p = _on_sphere(up, r)[0]
+                p = _on_sphere(up, r)
                 if label_index(p, ev(p), eps) is not None:
                     return [eps]
             raise ev.end("label_none", p)
-        if np.all(step >= 0.0):  # else T is not monotone: no ratio bounds w*, an end may be < 0
-            (lo, low), (hi, high) = _bracket(w, prev, step)
-            if (upper and hi < 1.0
-                    and float(np.sum(high)) <= (1.0 - hi) * r * (1.0 - _ROUNDING)):
-                ev(_on_sphere(high, r)[0])  # ends the search if it passes, as for linear T
+        # a negative step means T is not monotone: no ratio bounds w*, and the end may be < 0
+        if upper and np.all(step >= 0.0):
+            theta, high = _bracket(w, prev, step)
+            if theta < 1.0 and float(np.sum(high)) <= (1.0 - theta) * r * (1.0 - _ROUNDING):
+                ev(_on_sphere(high, r))  # ends the search if it passes, as for linear T
                 upper = False  # the end misled: at most one such test per solve
-            if T.homogeneous and float(np.sum(low)) > (1.0 - lo) * r * (1.0 + _ROUNDING):
-                ev(_on_sphere(low, r)[0])  # has no label, so ends the search in label_none
         w = up
 
 
@@ -634,7 +547,7 @@ def find_decay_point(T: MonotoneMap, cfg: SolverConfig, n: int) -> SolveReport:
     lies on the sphere to within ``1e-9 * r``.  A failure is named
     ``iteration_cap`` (``max_iterations`` evaluations spent),
     ``label_none`` (``failure_point`` has no label at slack eps) or
-    ``nonfinite`` (T is not finite at ``failure_point``).  The table step,
+    ``nonfinite`` (T is not finite at ``failure_point``).  The policy step,
     the pre-phase, the ladder and their proofs are described in the
     module docstring.
     """
@@ -646,7 +559,7 @@ def find_decay_point(T: MonotoneMap, cfg: SolverConfig, n: int) -> SolveReport:
     try:
         # an overflow in T or in the pre-phase is named by the finiteness checks
         with np.errstate(over="ignore"):
-            _table_step(ev)
+            _policy_step(ev)
             for label_slack in _pre_phase(ev):
                 try:
                     # level 1's one cell is the whole simplex: only its barycentre can be a

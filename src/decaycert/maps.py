@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import reduce
 from typing import Callable, Sequence
 
 import numpy as np
@@ -47,21 +46,12 @@ class MonotoneMap:
     ``homogeneous`` states that T is homogeneous of degree one,
     ``T(l s) = l T(s)`` for ``l >= 0``, up to rounding.  Only the
     family constructors of this module set it: linear maps, and max-times
-    tables, diagonals and compositions built from degree-one parts.  The
-    solver then evaluates each pre-phase iterate at its point on the
-    sphere (see :mod:`decaycert.homotopy`), and its proofs of
-    infeasibility rely on the flag, so a map built directly from a
-    callable never carries it and is treated as any other monotone map.
-    ``table`` is the matrix of a homogeneous map whose constructor holds
-    one, as ``("sum", A)`` for ``T(s) = A s`` or ``("max", C)`` for
-    ``T(s)_i = max_j C_ij s_j``, with a read-only array; else None.
-    :func:`make_linear_map` records ``("sum", A)``, :func:`make_diagonal`
-    of degree-one functions the diagonal ``("sum", diag(rho_i(1)))``, a
-    max-preserving table of degree-one gains ``("max", C)`` with
-    ``C_ij = g_ij(1)``, and :func:`compose` the product of its parts'
-    matrices when every part has a ``"sum"`` table.  The solver computes
-    the best margin from it (see :mod:`decaycert.homotopy`), but still
-    tests every point it returns on T itself.
+    tables, diagonals and compositions built from degree-one parts.  Such
+    a map is also convex and piecewise linear, and the solver's policy
+    step computes its best margin from its Jacobian (see
+    :mod:`decaycert.homotopy`); its proofs of infeasibility rely on the
+    flag, so a map built directly from a callable never carries it and is
+    treated as any other monotone map.
     ``jacobian`` is the derivative that T's constructor proves, a callable
     ``s -> J(s)`` giving the n-by-n matrix ``dT_i/ds_j`` at a point s, or
     None.  An entry is inf where the derivative of a fractional power is,
@@ -70,10 +60,12 @@ class MonotoneMap:
     a max-preserving table the gains' ``ScalarFn.derivative`` (of each
     row's active gain, for a table), and :func:`compose` the chain rule
     when every part has one.  A map built directly from a callable has
-    none.  The solver's sphere stage takes Newton steps with it (see
-    :mod:`decaycert.homotopy`) and tests every resulting point on T
-    itself.  A Jacobian reads its map's ``fn``, never ``__call__``, so it
-    is never counted as an evaluation.
+    none.  For a homogeneous map ``J(s)`` is the matrix of the linear
+    piece active at s, so ``T(s) = J(s) s``; the solver's policy step reads
+    its policies from it, and its sphere stage takes Newton steps with it.
+    Either tests every resulting point on T itself.  A Jacobian reads its
+    map's ``fn``, never ``__call__``, so it is never counted as an
+    evaluation.
     ``kind`` is only a name: the solver never reads it.
     """
 
@@ -81,7 +73,6 @@ class MonotoneMap:
     fn: Callable[[np.ndarray], np.ndarray] = field(repr=False)
     kind: str
     homogeneous = False  # not fields: set only by _proven
-    table = None
     jacobian = None
 
     def __post_init__(self):
@@ -103,16 +94,10 @@ def _output(T: MonotoneMap, s: np.ndarray) -> np.ndarray:
     return out
 
 
-def _proven(T: MonotoneMap, homogeneous: bool = False, table: tuple | None = None,
+def _proven(T: MonotoneMap, homogeneous: bool = False,
             jacobian: Callable[[np.ndarray], np.ndarray] | None = None) -> MonotoneMap:
-    """``T`` with what its constructor proved: the ``homogeneous`` flag, ``table`` and ``jacobian``.
-
-    The table's array is made read-only here.
-    """
-    if table is not None:
-        table[1].flags.writeable = False
+    """``T`` with what its constructor proved: the ``homogeneous`` flag and ``jacobian``."""
     object.__setattr__(T, "homogeneous", homogeneous)
-    object.__setattr__(T, "table", table)
     object.__setattr__(T, "jacobian", jacobian)
     return T
 
@@ -120,8 +105,8 @@ def _proven(T: MonotoneMap, homogeneous: bool = False, table: tuple | None = Non
 def make_linear_map(matrix) -> MonotoneMap:
     """Map given by multiplication with a nonnegative square matrix."""
     A = as_nonnegative_matrix(matrix)
-    return _proven(MonotoneMap(A.shape[0], lambda s: A @ s, "linear"), True, ("sum", A),
-                   lambda s: A)
+    A.flags.writeable = False  # the map and its Jacobian share it
+    return _proven(MonotoneMap(A.shape[0], lambda s: A @ s, "linear"), True, lambda s: A)
 
 
 def make_chain_map(n: int) -> MonotoneMap:
@@ -264,9 +249,8 @@ class GainTable:
                 J[i, j] = row[j].derivative(s[j])
             return J
 
-        homogeneous = all(is_degree_one(g) for row in rows for g in row)
-        table = ("max", np.array([[g(1.0) for g in row] for row in rows])) if homogeneous else None
-        return _proven(MonotoneMap(n, fn, "max-preserving"), homogeneous, table, jacobian)
+        return _proven(MonotoneMap(n, fn, "max-preserving"),
+                       all(is_degree_one(g) for row in rows for g in row), jacobian)
 
 
 def make_max_preserving(gains) -> MonotoneMap:
@@ -292,9 +276,8 @@ def make_diagonal(fns: Sequence) -> MonotoneMap:
     def jacobian(s: np.ndarray) -> np.ndarray:
         return np.diag([rho.derivative(s[i]) for i, rho in enumerate(rhos)])
 
-    homogeneous = all(is_degree_one(rho) for rho in rhos)
-    table = ("sum", np.diag([rho(1.0) for rho in rhos])) if homogeneous else None
-    return _proven(MonotoneMap(len(rhos), fn, "diagonal"), homogeneous, table, jacobian)
+    return _proven(MonotoneMap(len(rhos), fn, "diagonal"), all(is_degree_one(rho) for rho in rhos),
+                   jacobian)
 
 
 def compose(*maps: MonotoneMap) -> MonotoneMap:
@@ -303,9 +286,7 @@ def compose(*maps: MonotoneMap) -> MonotoneMap:
     A non-finite intermediate value is returned as is, since the next map rejects it.
     Each part's ``fn`` is called, with its output checked as ``__call__``
     checks it, so that a part is never counted as an evaluation of its own.
-    Its table is the product of its parts' matrices when every part has a
-    ``"sum"`` table; a max-times part leaves it without one.  Its Jacobian
-    is the chain rule's product when every part has one.
+    Its Jacobian is the chain rule's product when every part has one.
     """
     if not maps:
         raise ValueError("compose needs at least one map")
@@ -328,9 +309,5 @@ def compose(*maps: MonotoneMap) -> MonotoneMap:
                 s = _output(m, s)
         return J
 
-    table = None
-    if all(m.table is not None and m.table[0] == "sum" for m in maps):
-        with np.errstate(over="ignore", invalid="ignore"):  # the solver skips a non-finite table
-            table = ("sum", reduce(np.matmul, [m.table[1] for m in maps]))
     return _proven(MonotoneMap(dims[0], fn, "composition"), all(m.homogeneous for m in maps),
-                   table, jacobian if all(m.jacobian is not None for m in maps) else None)
+                   jacobian if all(m.jacobian is not None for m in maps) else None)

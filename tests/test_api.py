@@ -116,16 +116,18 @@ def test_checked_objects_are_frozen():
     with pytest.raises(TypeError):  # the rows are tuples
         table.rows[0][1] = Term(0.25)
     assert cfg.epsilon == 0.1 and table == GainTable([[None, "0.5*t"], ["0.5*t", None]])
-    T = make_chain_map(2)  # a dimension or flag set later would disagree with the map
+    T = make_chain_map(2)  # a dimension, flag or Jacobian set later would disagree with the map
+    jacobian = T.jacobian
     for name, value in [("dimension", 3), ("kind", "x"), ("homogeneous", True),
-                        ("table", ("sum", np.eye(2)))]:
+                        ("jacobian", lambda s: np.eye(2))]:
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(T, name, value)
-    assert (T.dimension, T.kind, T.homogeneous, T.table) == (2, "chain", False, None)
-    linear = make_linear_map([[0.0, 0.5], [0.5, 0.0]])  # the solver trusts its table's matrix
+    assert (T.dimension, T.kind, T.homogeneous, T.jacobian) == (2, "chain", False, jacobian)
+    linear = make_linear_map([[0.0, 0.5], [0.5, 0.0]])  # the map and its Jacobian share A
     with pytest.raises(ValueError, match="read-only"):
-        linear.table[1][0, 0] = 2.0
-    assert linear.table[1].tolist() == [[0.0, 0.5], [0.5, 0.0]]
+        linear.jacobian(np.ones(2))[0, 0] = 2.0
+    assert linear.jacobian(np.ones(2)).tolist() == [[0.0, 0.5], [0.5, 0.0]]
+    assert linear([1.0, 0.0]).tolist() == [0.0, 0.5]
     vs = LabeledVertexSet([[1.0, 0.0], [0.0, 1.0]], [1, 2])
     with pytest.raises(TypeError):  # the vertices are a tuple, checked to be distinct
         vs.vertices[1] = vs.vertices[0]

@@ -14,20 +14,19 @@ from decaycert.maps import (
     compose,
     make_chain_map,
     make_diagonal,
+    make_flipflop_map,
     make_linear_map,
     make_max_preserving,
 )
 
 
-def untabled(T: MonotoneMap) -> MonotoneMap:
-    """``T`` after an identity max-times factor: the same values, still homogeneous, no table.
+def callable_twin(T: MonotoneMap) -> MonotoneMap:
+    """``T``'s values through a map built from its callable: no flag and no Jacobian.
 
-    Without a table the solver skips its table step, so a test of the
-    pre-phase's own mechanism still reaches it.
+    The solver has no policy step for it, so a test of the pre-phase's own
+    mechanism reaches the pre-phase.
     """
-    n = T.dimension
-    return compose(T, make_max_preserving([["t" if i == j else None for j in range(n)]
-                                           for i in range(n)]))
+    return MonotoneMap(T.dimension, T.fn, T.kind)
 
 
 def vertex_set(labels, scale=1.0):
@@ -225,56 +224,37 @@ class TestFindDecayPoint:
 
     def test_label_none_point_is_on_the_sphere_when_the_iterate_norm_overflows(self):
         # w0 = (100, 100) maps to (1e308, 1e308), whose 1-norm overflows to inf
-        T = untabled(make_linear_map([[0.0, 1e306], [1e306, 0.0]]))
+        T = callable_twin(make_linear_map([[0.0, 1e306], [1e306, 0.0]]))
         report = find_decay_point(T, SolverConfig(r=10.0, epsilon=100.0), 2)
         assert report.failure_reason == "label_none"
         assert report.failure_point.tolist() == [5.0, 5.0]
 
-    def test_a_homogeneous_map_that_overflows_at_a_sphere_point_evaluates_the_iterate(self):
-        # T(r 1/n) = (5e314, 0) overflows, though the small iterate w0 and the
-        # decay point (1e305, 1e295) map to finite values: the first step
-        # evaluates w0 itself, and the sphere point of w1 is the certificate
-        T = untabled(make_linear_map([[0.0, 1e10], [0.0, 0.0]]))
-        report = find_decay_point(T, SolverConfig(r=1e305, epsilon=1e290), 2)
-        assert report.success and report.iterations == 3
-        assert report.s_star.tolist() == [9.999999999e304, 9.999999998000001e294]
-
     def test_a_sphere_point_that_overflows_without_a_label_ends_the_run(self):
-        # T(r 1/n) = (inf, inf): no component of r 1/n decays, so the run
-        # ends there without evaluating w0 = (2, 2)
-        T = untabled(make_linear_map([[0.0, 1e308], [1e308, 0.0]]))
+        # the policy step tests the sphere point of the Perron vector, r 1/n to
+        # rounding, where T = (inf, inf): no component of the point decays, so
+        # the run ends there, named nonfinite
+        T = make_linear_map([[0.0, 1e308], [1e308, 0.0]])
         report = find_decay_point(T, SolverConfig(r=10.0, epsilon=2.0), 2)
         assert (report.failure_reason, report.iterations) == ("nonfinite", 1)
-        assert report.failure_point.tolist() == [5.0, 5.0]
+        np.testing.assert_allclose(report.failure_point, [5.0, 5.0], rtol=1e-15)
 
     def test_an_overflowing_norm_ratio_ends_at_the_first_sphere_point(self):
-        # |w0|_1 / r = 2e300 / 1e-10 overflows, but eps > r, so the sphere
-        # point r 1/n of w0 has no label: its two-sided test ends the run
-        # before T(w0) is derived from the overflowing ratio
+        # |w0|_1 / r = 2e300 / 1e-10 would overflow, but eps > r, so the
+        # policy step's point r 1/n has no label: its two-sided test ends the
+        # run before any pre-phase iterate
         T = make_linear_map([[0.5, 0.0], [0.0, 0.5]])
         report = find_decay_point(T, SolverConfig(r=1e-10, epsilon=1e300), 2)
         assert (report.failure_reason, report.iterations) == ("label_none", 1)
         assert report.failure_point.tolist() == [5e-11, 5e-11]
 
-    def test_a_derived_value_that_overflows_is_named_at_the_iterate(self):
-        # T(p) = (1e10, 1e10) at p = r 1/n is finite, but T(w0) = 2e300 T(p)
-        # would overflow.  eps > r, so p has no label, and its two-sided test
-        # ends the run before T(w0) is derived: an iterate outside the sphere,
-        # as w0 is here, always has a sphere point without a label
-        T = untabled(make_linear_map([[1e10, 0.0], [0.0, 1e10]]))
-        report = find_decay_point(T, SolverConfig(r=1.0, epsilon=1e300), 2)
-        assert (report.failure_reason, report.iterations) == ("label_none", 1)
-        assert report.failure_point.tolist() == [0.5, 0.5]
-
     def test_label_none_when_the_first_iterate_lies_outside_the_sphere(self):
         # w0 = (1, 1) already has norm 2 > r and T(w0) = 0: the last step is 0,
-        # so there is no box point, and w1 = w0 scaled to the sphere has no label.
-        # T is linear, so T(w0) was read off the evaluation at that very sphere
-        # point, and the memo serves its label: one evaluation in all
-        T = make_linear_map(np.zeros((2, 2)))
+        # so there is no box point, and w1 = w0 scaled to the sphere, the
+        # second evaluation, has no label
+        T = callable_twin(make_linear_map(np.zeros((2, 2))))
         report = find_decay_point(T, SolverConfig(r=1.0, epsilon=1.0), 2)
         assert report.failure_reason == "label_none"
-        assert report.iterations == 1
+        assert report.iterations == 2
         assert report.failure_point.tolist() == [0.5, 0.5]
 
     def test_dimension_checks(self):
@@ -297,11 +277,11 @@ def test_slack_ladder_rungs():
 
 
 # Evaluation counts and decay points pinned at r=10, cap 100 000, eps=0.1
-# unless given.  A change to the table step, the pre-phase, the sphere
+# unless given.  A change to the policy step, the pre-phase, the sphere
 # stage, the labeling, the pivot walk or the slack ladder moves these.  The
 # chain maps' candidates fail, and a Newton step of the sphere stage
 # succeeds (GOLDEN_PATH_SHA256 evaluates them through a callable without
-# a Jacobian, so there they walk).  A linear map's table
+# a Jacobian, so there they walk).  A linear map's policy
 # step tests the optimal point r (I - A)^-1 1 / |(I - A)^-1 1|_1 first, so
 # it is s*.  The others are products of float arithmetic (the linear ones of
 # matrix arithmetic, whose last bits may depend on the BLAS kernel), and are
@@ -325,11 +305,12 @@ GOLDEN_WALKS = [
 
 
 # random_contractive(6, 0.99, 6) at 0.99 and 1.01 eps_max (eps_max = 0.016722...).
-# Near rho = 1 the pre-phase's iterates crawl at the contraction rate, and
-# its bracket answers after 7 steps on either side (the norm rule alone
-# needs 459); the table step tests the optimal point at once, which is s*
-# below the limit and has no label above it, so both runs end at the same
-# point.  These cases are not in GOLDEN_PATH_SHA256 below.
+# Near rho = 1 the pre-phase's iterates crawl at the contraction rate: on
+# the map's callable twin its bracket's upper end answers the feasible run
+# in 8 evaluations, and the norm rule the infeasible one in 459.  The policy
+# step tests the optimal point at once, which is s* below the limit and has
+# no label above it, so both runs end at the same point.  These cases are
+# not in GOLDEN_PATH_SHA256 below.
 NEAR_UNIT_WALKS = [
     ("linear n=6 rho=0.99 seed 6 at 0.99 eps_max",
      lambda: make_linear_map(random_contractive(6, 0.99, 6)), 0.01655525803660378, 1,
@@ -394,6 +375,29 @@ def test_the_chain_map_near_its_witness_margin_takes_few_evaluations(n, fraction
     assert report.iterations <= 10
 
 
+def flipflop_witness_margin(lam: float, r: float = 10.0) -> float:
+    """The best margin of the flip-flop map over 100,001 grid points of the sphere."""
+    x = np.linspace(0.0, r, 100_001)
+    i = int(np.argmax(np.minimum(x - np.sqrt(r - x), (r - x) - lam * x**2)))
+    p = np.array([x[i], r - x[i]])
+    return float(np.min(p - make_flipflop_map(lam)(p)))
+
+
+def test_the_flipflop_map_near_its_witness_margin_takes_few_evaluations():
+    """lam = 0.8 at 0.97 of the witness's margin: the sphere stage takes Newton
+    steps for as long as its margin grows, and certifies it.
+
+    Its margin still grows after n = 2 steps; a stage bounded at n steps
+    leaves it to the walk, which takes 381 evaluations.
+    """
+    T = make_flipflop_map(0.8)
+    cfg = SolverConfig(r=10.0, epsilon=0.97 * flipflop_witness_margin(0.8),
+                       max_iterations=100_000)
+    report = find_decay_point(T, cfg, 2)
+    check_success_postcondition(T, cfg, report)
+    assert report.iterations == 13
+
+
 def test_a_newton_point_of_a_linear_map_is_its_optimal_point():
     """For ``T = A`` the Newton system is T's own, so one step lands on
     ``r (I - A)^-1 1 / |(I - A)^-1 1|_1``, where every component has the margin eps_max."""
@@ -414,7 +418,7 @@ def test_the_sphere_stage_falls_back_to_a_power_step(T, p):
 
 # Failures pinned at r=10: the reason, the evaluation count and the point
 # where the covering failed (compared to 1e-12 as in GOLDEN_WALKS).  Each is
-# the table step's one evaluation: the sphere point of the Perron vector of
+# the policy step's one evaluation: the sphere point of the Perron vector of
 # A where rho >= 1, else the optimal point of GOLDEN_WALKS.  eps is
 # 0.05 * r / (2n) unless given.
 GOLDEN_FAILURES = [
@@ -433,8 +437,7 @@ NEAR_UNIT_FAILURES = [
      "label_none", 1,
      [1.8548089295300352, 1.5782894693704732, 1.5390268638913054, 1.5730061141496752,
       1.6367913725267569, 1.8180772505317537]),
-    # without a table the bracket's lower end takes 8-10 evaluations at rho = 0.999,
-    # and the norm rule alone 4,612
+    # on the callable twin, the norm rule takes 4,612 evaluations at rho = 0.999
     ("n=6 rho=0.999 seed 0 at 1.01 eps_max", 6, 0.999, 0, 0.0016952335741928556, 100_000,
      "label_none", 1,
      [1.4657885394762817, 1.9583983598212653, 1.7270998635731958, 1.2209180853740211,
@@ -517,14 +520,15 @@ def recorded(T: MonotoneMap) -> tuple[MonotoneMap, list[np.ndarray]]:
     return MonotoneMap(T.dimension, fn, T.kind), seen
 
 
-# One map for each way the solver evaluates T: a linear map's pre-phase on
-# the sphere, a homogeneous max-times table that is not linear (cycle mean
-# 0.97, at 0.9 of its eps_max), the chain map's walk and barycentres after a
-# failed candidate, and the sphere stage and walk of A s^1.2.
+# One map for each way the solver evaluates T: the pre-phase's iterates and
+# bracket on the callable twins of a linear map and of a max-times table
+# that is not linear (cycle mean 0.97, at 0.9 of its eps_max), the chain
+# map's walk and barycentres after a failed candidate, and the sphere stage
+# and walk of A s^1.2.
 CAP_CASES = [
     ("linear n=3 rho=0.8 seed 0 at 0.9 eps_max",
-     lambda: untabled(make_linear_map(random_contractive(3, 0.8, 0))), 0.6387007034997124),
-    ("max-times n=3", lambda: untabled(make_max_preserving(
+     lambda: callable_twin(make_linear_map(random_contractive(3, 0.8, 0))), 0.6387007034997124),
+    ("max-times n=3", lambda: callable_twin(make_max_preserving(
         [[None, "1.642*t", "1.581*t"], ["0.527*t", None, None], [None, "1.095*t", "0.649*t"]])),
      0.0844),
     ("chain n=3", lambda: make_chain_map(3), 0.1),
@@ -561,13 +565,14 @@ def test_every_cap_below_the_uncapped_count_is_spent_exactly(monkeypatch, name, 
 
 def first_step_across(A: np.ndarray, r: float) -> float:
     """The eps at which the pre-phase's first step, from ``eps 1`` to ``eps (A1 + 1)``,
-    crosses the sphere halfway.  The norm rule then fires before either end of the bracket."""
+    crosses the sphere halfway.  The norm rule then fires before the bracket."""
     return r / (len(A) + 0.5 * float(np.sum(A)))
 
 
-# Runs that the norm rule proves infeasible: (name, build, eps, r).  For a
-# linear map the bracket's lower end ends most such runs first; at these eps
-# the first step crosses the sphere, so the norm rule fires before it.
+# Runs that the norm rule proves infeasible: (name, build, eps, r).  Each map
+# is evaluated through a recording callable, so no policy step answers it;
+# at these eps the first step crosses the sphere, so the norm rule fires
+# at once.
 BOX_POINT_CASES = [
     *[(name, lambda n=n, rho=rho, seed=seed: make_linear_map(random_contractive(n, rho, seed)),
        first_step_across(random_contractive(n, rho, seed), 10.0), 10.0)
@@ -639,14 +644,11 @@ def test_upper_end_is_tested_at_most_once(monkeypatch):
 
 def test_lower_end_is_tested_at_most_once():
     # A rule whose kind says linear, though it is 1.5 s only below (1, 4.95)
-    # and flat above.  The first steps grow by 1.5, so the lower ratio is 1
-    # and the bracket's lower end is the ray of the last step, whose sphere
-    # point (5, 5) has a label in component 1.  Only a homogeneous map uses
-    # the lower end, and a map built from a callable is not flagged whatever
-    # its kind, so (5, 5) is never tested: the pre-phase runs until, next to
-    # the fixed point (1.1, 5.05), the upper end's sphere point certifies.
-    # A homogeneous map's lower end can mislead only where it is not linear
-    # or rounding gives the point a label; one such point is tested per solve
+    # and flat above.  The first steps grow by 1.5 along the ray of (1, 1),
+    # whose sphere point (5, 5) has a label in component 1.  For a linear map
+    # that ray would bound w* from below; the bracket keeps only its upper
+    # end, so (5, 5) is never tested: the pre-phase runs until, next to the
+    # fixed point (1.1, 5.05), the upper end's sphere point certifies
     T = MonotoneMap(2, lambda s: np.minimum(1.5 * s, [1.0, 4.95]), "linear")
     watched, seen = recorded(T)
     report = find_decay_point(watched, SolverConfig(r=10.0, epsilon=0.1, max_iterations=1000), 2)
@@ -660,12 +662,13 @@ def test_lower_end_is_tested_at_most_once():
 
 def test_lower_end_does_not_end_a_nonlinear_run():
     # Monotone with T(0) = 0, and (5, 5) decays with margin above 2.  At w0 the
-    # lower ratio is min(10, 1.1) >= 1, and the sphere point of the last step,
-    # about (9.009, 0.991), has no label: for a linear map that would prove
-    # infeasibility, here it proves nothing.  The lower end is not used, and
-    # the iterates converge to about (1.015, 1.01), where the upper end's
-    # sphere point is a certificate.  A map built from a callable is not
-    # homogeneous whatever kind it names, so the kind "linear" changes nothing
+    # lower Collatz-Wielandt ratio is min(10, 1.1) >= 1, and the sphere point
+    # of the first step, about (9.009, 0.991), has no label: for a linear map
+    # that would prove infeasibility, here it proves nothing.  The pre-phase
+    # never tests it, and the iterates converge to about (1.015, 1.01), where
+    # the upper end's sphere point is a certificate.  A map built from a
+    # callable is not homogeneous whatever kind it names, so the kind
+    # "linear" changes nothing
     def fn(s):
         return np.array([max(math.sqrt(s[0]), s[0] ** 2 / 9.0), min(1.1 * s[1], 1.0)])
 
@@ -702,14 +705,13 @@ def test_sphere_stage_finds_near_limit_points(n, eps):
 
 
 # Counts at random_contractive(n, 0.8, seed), seeds 0..2, at half and 0.9 of
-# eps_max, of the pre-phase alone, on the map without its table.  The sphere
+# eps_max, of the pre-phase alone, on the map's callable twin.  The sphere
 # stage runs only after a failed candidate, and a linear map's candidate,
-# plain or the bracket's upper end, always passes.  A linear map is
-# homogeneous, so every evaluation is at a sphere point, an iterate's own or
-# the upper end's, and the one that passes ends the run.  With its table the
-# map is answered by the table step's one evaluation.
+# plain or the bracket's upper end, always passes: each count is the
+# iterates' evaluations and then the one sphere point that passes.  The
+# map itself is answered by the policy step's one evaluation.
 LINEAR_COUNTS = {
-    0.5: {2: [3, 3, 2], 4: [3, 2, 3], 6: [3, 2, 2], 8: [3, 2, 2], 10: [3, 2, 3]},
+    0.5: {2: [3, 3, 3], 4: [3, 3, 3], 6: [3, 3, 3], 8: [3, 3, 3], 10: [3, 3, 3]},
     0.9: {2: [3, 4, 5], 4: [5, 3, 4], 6: [4, 3, 4], 8: [4, 3, 4], 10: [3, 4, 4]},
 }
 
@@ -721,7 +723,8 @@ def test_linear_counts_skip_the_sphere_stage(fraction):
             A = random_contractive(n, 0.8, seed)
             cfg = SolverConfig(r=10.0, epsilon=fraction * eps_max(A, 10.0),
                                max_iterations=100_000)
-            for T, expected in ((untabled(make_linear_map(A)), count), (make_linear_map(A), 1)):
+            for T, expected in ((callable_twin(make_linear_map(A)), count),
+                                (make_linear_map(A), 1)):
                 report = find_decay_point(T, cfg, n)
                 check_success_postcondition(T, cfg, report)
                 assert report.iterations == expected, (n, seed, T.kind)

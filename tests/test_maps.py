@@ -344,40 +344,43 @@ class TestHomogeneousFlag:
 
 
 class TestTable:
-    """A homogeneous map's constructor records its matrix: ``("sum", A)`` or ``("max", C)``."""
+    """A homogeneous map's Jacobian is the matrix its constructor knows: ``A`` where
+    ``T(s) = A s``, and where ``T(s)_i = max_j C_ij s_j`` the entry ``C_ij`` of each row's
+    first active j, so that ``J(s) s = T(s)``.  No map has a ``table`` attribute."""
 
     SWAP = [[0.0, 0.5], [0.5, 0.0]]
 
     @staticmethod
-    def check_agrees(T):
-        """The table gives T's values, to rounding, at random points."""
-        how, C = T.table
+    def check_agrees(T, how, C):
+        """``T.jacobian(s)`` is C's at s = 1 and at random points, where C gives T's values."""
+        assert not hasattr(T, "table")
+        C = np.array(C)
         rng = np.random.default_rng(5)
-        for _ in range(20):
-            s = 10.0 * rng.random(T.dimension)
-            expected = C @ s if how == "sum" else np.max(C * s, axis=1)
+        for s in [np.ones(T.dimension)] + [10.0 * rng.random(T.dimension) for _ in range(20)]:
+            if how == "sum":
+                J, expected = C, C @ s
+            else:
+                J = np.zeros_like(C)
+                rows, active = np.arange(len(C)), np.argmax(C * s, axis=1)
+                J[rows, active] = C[rows, active]
+                expected = np.max(C * s, axis=1)
+            np.testing.assert_array_equal(T.jacobian(s), J)
             np.testing.assert_allclose(T(s), expected, rtol=1e-14, atol=0.0)
 
     def test_a_linear_map_records_its_matrix(self):
-        T = make_linear_map(self.SWAP)
-        assert T.table[0] == "sum" and T.table[1].tolist() == self.SWAP
-        self.check_agrees(T)
+        self.check_agrees(make_linear_map(self.SWAP), "sum", self.SWAP)
 
     def test_a_max_times_table_records_its_gains_at_one(self):
         T = make_max_preserving([[None, "0.5*t"], ["max(t, 2*t)", "t + 0.25*t"]])
-        assert T.table[0] == "max" and T.table[1].tolist() == [[0.0, 0.5], [2.0, 1.25]]
-        self.check_agrees(T)
+        self.check_agrees(T, "max", [[0.0, 0.5], [2.0, 1.25]])
 
     def test_a_diagonal_records_a_diagonal_sum_table(self):
-        T = make_diagonal(["2*t", "t + 0.5*t"])
-        assert T.table[0] == "sum" and T.table[1].tolist() == [[2.0, 0.0], [0.0, 1.5]]
-        self.check_agrees(T)
+        self.check_agrees(make_diagonal(["2*t", "t + 0.5*t"]), "sum", [[2.0, 0.0], [0.0, 1.5]])
 
     def test_a_scaled_linear_map_records_the_product(self):
         # diag(c t) o A, as in mapspecs/scaled_swap.json
         T = compose(make_diagonal(["2*t", "t"]), make_linear_map([[0.0, 1.0], [0.25, 0.0]]))
-        assert T.table[0] == "sum" and T.table[1].tolist() == [[0.0, 2.0], [0.25, 0.0]]
-        self.check_agrees(T)
+        self.check_agrees(T, "sum", [[0.0, 2.0], [0.25, 0.0]])
 
     @pytest.mark.parametrize("T", [
         compose(make_max_preserving([[None, "0.5*t"], ["0.5*t", None]]), make_linear_map(SWAP)),
@@ -388,4 +391,4 @@ class TestTable:
         MonotoneMap(2, lambda s: 0.5 * s, "scaled"),
     ], ids=["max o linear", "composed max", "t^2 gain", "t^1.2 diagonal", "chain", "direct"])
     def test_other_maps_have_none(self, T):
-        assert T.table is None
+        assert not hasattr(T, "table")
