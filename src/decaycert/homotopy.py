@@ -24,8 +24,12 @@ matrix of the linear piece active at u, has ``T(u) = J(u) u``, and
 ``T(v) >= J(u) v`` for all ``u, v >= 0``: a convex function lies above
 its tangent, and a homogeneous one's tangent passes through 0.  That
 inequality holds row by row, so it holds as well for a policy ``P``, a
-matrix whose every row is a row of some ``J(u)``.  The solver computes w*
-from them, and tests one sphere point before the pre-phase:
+matrix whose every row is a row of some ``J(u)``.  Homogeneity also
+makes one sphere point decide: a sphere point p without a label at
+slack eps proves that no point decays, for a decay point s and
+``l = max p_i/s_i >= 1``, attained at j, ``p <= l s`` gives
+``T(p)_j + eps <= l (s_j - eps) + eps <= p_j``.  The solver computes w*
+from the policies, and tests one sphere point before the pre-phase:
 
 * **the least solution, by policy iteration.**  From ``P = J(1)``, solve
   ``w = P w + 1``, then switch each row i to ``J(w)``'s row where
@@ -39,8 +43,8 @@ from them, and tests one sphere point before the pre-phase:
   least solution: every solution u has ``u = T(u) + 1 >= P u + 1``, so
   ``u >= w`` for every policy with ``rho(P) < 1``.  Its sphere point
   ``p = r w/|w|_1`` has ``p - T(p) = (r/|w|_1) 1 = eps_max 1``, so its
-  one test either certifies it (``eps <= eps_max``) or, by the two-sided
-  test below, ends the run in ``label_none`` there (``eps > eps_max``).
+  one test either certifies it (``eps <= eps_max``) or, having no label,
+  ends the run in ``label_none`` there (``eps > eps_max``).
 * **the Perron refutation.**  A solve that is singular, or has a
   component below 1 beyond rounding (a row of zeros solves to
   ``1 - 1 ulp``), proves ``rho(P) >= 1``, since ``rho(P) < 1`` would give
@@ -59,7 +63,10 @@ recurs under rounding leave the run to the pre-phase below (only the
 memo may hold the tested point).  A value of T at the point that is not
 finite ends the run as ``nonfinite`` only where the point has no label,
 every component of ``T(p) + eps`` above p's (which a NaN is not): the
-run could not succeed past it.  Otherwise the pre-phase runs.
+run could not succeed past it.  Otherwise the pre-phase runs.  The
+policy step is the only reader of the homogeneous flag: past it, every
+map is treated alike, and the test of a new sphere point ends the run
+only where the point certifies or T is not finite there.
 
 Before any walk, every run that the policy step leaves open (every map
 not flagged homogeneous, and a homogeneous one only where rounding
@@ -101,8 +108,9 @@ about ``1e-9 r`` of ``r`` runs to the cap.
 
 **Collatz-Wielandt bracket.**  Near the limit the iterates crawl at the
 contraction rate: for linear ``T`` both rules need steps growing like
-``1/(1 - rho)``.  So each step that fires neither rule also tries an upper
-bound ``U >= w*`` of the limit.  With ``d_k = w_{k+1} - w_k`` and
+``1/(1 - rho)``.  So each step that fires neither rule also tries an
+extrapolated end ``U`` of the iterates, for linear T an upper bound of the
+limit, and tests its sphere point.  With ``d_k = w_{k+1} - w_k`` and
 ``d_{-1} = eps 1`` (``T(0) = 0``), let ``theta = max d_{k,i}/d_{k-1,i}``
 over the components with ``d_{k,i} > 0`` (infinite if such a
 ``d_{k-1,i}`` is 0), the upper Collatz-Wielandt ratio of the last step
@@ -115,9 +123,13 @@ overflow.  For linear ``T = A`` every step is ``d_{j+1} = A d_j``, and
 ``A U + eps 1 = w_{k+1} + A d_k/(1 - theta) <= U``.  Once
 ``|U|_1 <= r (1 - 1e-9)``, the sphere point ``l U`` with
 ``l = r/|U|_1 >= 1`` decays with margin ``l (U - A U) >= l eps >= eps``,
-and it is tested once.  This end is tried on every map; for any other
-map it is only a tested point.  If the test fails, the pre-phase goes on
-without the upper end, so a misleading map costs one evaluation.
+and it is tested once.  A linear map that a constructor built reaches
+the pre-phase only where rounding defeats the policy step, but the end
+is tried on every map.  For any other map it is a tested extrapolation,
+kept because it pays on sublinear maps: the diagonal ``2 t^0.5`` at
+n = 2, r = 10 and eps = 0.1 takes 5 evaluations with it and 11 without.
+If the test fails, the pre-phase goes on without the upper end, so a
+misleading map costs one evaluation.
 
 The norm rule comes first: it is a proof for every monotone ``T``, once
 it fires no sphere point can pass, and it keeps infinite steps away from
@@ -128,15 +140,6 @@ component or an eigenvalue near ``-rho`` slows it.
 
 The iterates are not sphere points and never enter the memo, so only a
 sphere point that passed the direct margin test is ever returned.
-
-**Two-sided test.**  For homogeneous monotone T a sphere point p without
-a label at slack eps proves that no point decays: for a decay point s
-and ``l = max p_i/s_i >= 1``, attained at j, ``p <= l s`` gives
-``T(p)_j + eps <= l (s_j - eps) + eps <= p_j``.  So every new sphere
-point that such a map evaluates is tested on both sides: margin eps
-returns it as ``s*``, and no label ends the run in ``label_none`` there.
-A feasible run never meets the second case, and every point in the memo
-has a label.
 
 **Sphere stage.**  A failed candidate is a sphere point where the bound
 at a small iterate misjudged the map: a superlinear ``A s^1.2`` looks
@@ -154,18 +157,14 @@ ACM* 57, 2010) are the model.  Where q leaves the open orthant, the step
 from p is cut to nine tenths of the way to its boundary, and the point
 goes onto the sphere.  J only guides: computing it never calls T, and
 every point the stage reaches is evaluated through the memo, counted and
-tested directly, on both sides for a homogeneous map, like every other
-sphere point.  A poor J costs evaluations, never soundness.  Where T has
-no Jacobian (a map built from a callable), J is not finite (``t^0.5`` at
-a zero component), or the bordered system is singular or its solution
-not finite, the step is a shifted power step instead,
-``p <- r (T(p) + eps 1) / |T(p) + eps 1|_1``, the nonlinear power method
-on the cone (Lemmens & Nussbaum); a fixed point ``l p = T(p) + eps 1``
-has margin ``(1 - l) p + eps >= eps`` whenever ``l <= 1``.  The stage
-stops at the first step whose margin ``min(p - T p)`` does not beat the
-best so far (the evaluation cap bounds it too), and the ladder is walked
-as before.  It never runs after the norm proof, and never for a
-subhomogeneous map, whose candidate passes.
+tested directly, like every other sphere point.  A poor J costs
+evaluations, never soundness.  The stage stops at the first step whose
+margin ``min(p - T p)`` does not beat the best so far (the evaluation cap
+bounds it too), and where no Newton point exists: T has no Jacobian (a
+map built from a callable), J is not finite (``t^0.5`` at a zero
+component), or the bordered system is singular or its solution not
+finite.  Then the ladder is walked.  The stage never runs after the norm
+proof, and never for a subhomogeneous map, whose candidate passes.
 
 One practical subtlety drives the structure below.  Complete cells of
 the slack-``d`` labeling contract onto points whose worst component
@@ -337,7 +336,7 @@ class _Evaluator:
 
     Its methods end the search by raising ``_Finished``: at the cap, at a
     value that is not finite, and at a new sphere point that passes the
-    certificate test or, for a homogeneous T, has no label.
+    certificate test.
     """
 
     def __init__(self, T: MonotoneMap, cfg: SolverConfig):
@@ -373,16 +372,10 @@ class _Evaluator:
         return margin
 
     def test(self, point: np.ndarray, value: np.ndarray) -> np.ndarray:
-        """Test the new sphere point ``point``, ``value = T(point)``, then memoize and return value.
-
-        For a homogeneous T the test is two-sided: a point without a label
-        at slack eps ends the search in ``label_none`` there.
-        """
+        """Test the new sphere point ``point``, ``value = T(point)``; memoize and return value."""
         margin = self.margin(point, value)
         if margin >= self.eps:
             raise self.end(None, point, margin)
-        if self.T.homogeneous and label_index(point, value, self.eps) is None:
-            raise self.end("label_none", point)
         self.memo[point.tobytes()] = value.tobytes()
         return value
 
@@ -478,6 +471,8 @@ def _policy_step(ev: _Evaluator) -> None:
     Tp = ev.call(p)
     if np.all(np.isfinite(Tp)) or np.all(Tp + ev.eps > p):  # else the pre-phase runs
         ev.test(p, Tp)
+        if label_index(p, Tp, ev.eps) is None:  # by homogeneity, no point decays
+            raise ev.end("label_none", p)
 
 
 def _pre_phase(ev: _Evaluator) -> list[float]:
@@ -498,16 +493,15 @@ def _pre_phase(ev: _Evaluator) -> list[float]:
             p = _on_sphere(w, r)
             Tp = ev(p)
             best = float(np.min(p - Tp))
-            while True:  # the sphere stage: Newton steps while the margin grows
-                q = _newton_point(T, p, Tp)
-                if q is None:  # no usable Jacobian: a power step
-                    q = Tp + eps
+            # the sphere stage: Newton steps while a Newton point exists and the margin grows
+            while (q := _newton_point(T, p, Tp)) is not None:
                 p = _on_sphere(q, r)
                 Tp = ev(p)
                 margin = float(np.min(p - Tp))
                 if margin <= best:
-                    return _slack_ladder(eps, r, n)
+                    break
                 best = margin
+            return _slack_ladder(eps, r, n)
         up = Tw + eps
         prev, step = step, up - w
         if float(np.sum(up)) > r * (1.0 + _ROUNDING):  # no decay point exists

@@ -48,10 +48,11 @@ class MonotoneMap:
     family constructors of this module set it: linear maps, and max-times
     tables, diagonals and compositions built from degree-one parts.  Such
     a map is also convex and piecewise linear, and the solver's policy
-    step computes its best margin from its Jacobian (see
-    :mod:`decaycert.homotopy`); its proofs of infeasibility rely on the
-    flag, so a map built directly from a callable never carries it and is
-    treated as any other monotone map.
+    step, the one part of the solver that reads the flag, computes its
+    best margin from its Jacobian and proves infeasibility from one point
+    without a label (see :mod:`decaycert.homotopy`).  A map built directly
+    from a callable never carries the flag and is treated as any other
+    monotone map.
     ``jacobian`` is the derivative that T's constructor proves, a callable
     ``s -> J(s)`` giving the n-by-n matrix ``dT_i/ds_j`` at a point s, or
     None.  An entry is inf where the derivative of a fractional power is,
@@ -62,10 +63,10 @@ class MonotoneMap:
     when every part has one.  A map built directly from a callable has
     none.  For a homogeneous map ``J(s)`` is the matrix of the linear
     piece active at s, so ``T(s) = J(s) s``; the solver's policy step reads
-    its policies from it, and its sphere stage takes Newton steps with it.
-    Either tests every resulting point on T itself.  A Jacobian reads its
-    map's ``fn``, never ``__call__``, so it is never counted as an
-    evaluation.
+    its policies from it.  The sphere stage takes Newton steps with any
+    map's Jacobian, and without one it takes none.  Either tests every
+    resulting point on T itself.  A Jacobian reads its map's ``fn``, never
+    ``__call__``, so it is never counted as an evaluation.
     ``kind`` is only a name: the solver never reads it.
     """
 
@@ -116,18 +117,13 @@ def make_chain_map(n: int) -> MonotoneMap:
     with the convention that the out-of-range neighbours are zero.
     """
     check_count("chain map dimension", n, least=2)
-
-    def fn(s: np.ndarray) -> np.ndarray:
-        out = np.zeros(n)
-        for j in range(n):
-            left = s[j - 1] ** (1.0 / (j + 1)) if j >= 1 else 0.0
-            right = s[j + 1] ** (j + 2) if j + 1 < n else 0.0
-            out[j] = 0.25 * (left + right)
-        return out
-
     # the couplings of s_{j-1} and s_{j+1} onto component j (0-based)
     left = [Term(0.25, 1.0 / (j + 1)) for j in range(n)]
     right = [Term(0.25, j + 2.0) for j in range(n)]
+
+    def fn(s: np.ndarray) -> np.ndarray:
+        padded = np.concatenate(([0.0], s, [0.0]))  # the out-of-range neighbours; a Term is 0 at 0
+        return np.array([left[j](padded[j]) + right[j](padded[j + 2]) for j in range(n)])
 
     def jacobian(s: np.ndarray) -> np.ndarray:
         J = np.zeros((n, n))
@@ -160,6 +156,8 @@ def make_flipflop_map(lam: float) -> MonotoneMap:
     if not lam < 1.0:
         raise ValueError(f"flipflop lambda must lie in (0, 1), got {lam}")
 
+    # math.sqrt, not Term(1, 0.5): the libm power t**0.5 differs from it in the last bit
+    # at about one point in 1,200
     def fn(s: np.ndarray) -> np.ndarray:
         return np.array([math.sqrt(s[1]), lam * s[0] ** 2])
 
@@ -232,7 +230,9 @@ class GainTable:
         return len(self.rows)
 
     def gain(self, i: int, j: int) -> ScalarFn:
-        """Gain from component j onto component i (1-based indices)."""
+        """Gain from component j onto component i (1-based indices, each in 1..n)."""
+        if not (1 <= i <= self.n and 1 <= j <= self.n):
+            raise ValueError(f"gain index ({i!r}, {j!r}) lies outside 1..{self.n}")
         return self.rows[i - 1][j - 1]
 
     def to_map(self) -> MonotoneMap:

@@ -240,8 +240,8 @@ class TestFindDecayPoint:
 
     def test_an_overflowing_norm_ratio_ends_at_the_first_sphere_point(self):
         # |w0|_1 / r = 2e300 / 1e-10 would overflow, but eps > r, so the
-        # policy step's point r 1/n has no label: its two-sided test ends the
-        # run before any pre-phase iterate
+        # policy step's point r 1/n has no label: by homogeneity that ends
+        # the run before any pre-phase iterate
         T = make_linear_map([[0.5, 0.0], [0.0, 0.5]])
         report = find_decay_point(T, SolverConfig(r=1e-10, epsilon=1e300), 2)
         assert (report.failure_reason, report.iterations) == ("label_none", 1)
@@ -365,8 +365,8 @@ def chain_witness_margin(n: int, r: float = 10.0) -> float:
 def test_the_chain_map_near_its_witness_margin_takes_few_evaluations(n, fraction):
     """The sphere stage's Newton steps certify the chain map close to the witness's margin.
 
-    With power steps, n = 8 and 9 at both fractions spent a cap of 100,000
-    evaluations in the walk.
+    With power steps in their place, n = 8 and 9 at both fractions spent a
+    cap of 100,000 evaluations in the walk.
     """
     T = make_chain_map(n)
     cfg = SolverConfig(r=10.0, epsilon=fraction * chain_witness_margin(n), max_iterations=100_000)
@@ -412,8 +412,18 @@ def test_a_newton_point_of_a_linear_map_is_its_optimal_point():
     (make_diagonal(["t^0.5", "t"]), np.array([0.0, 10.0])),  # J not finite at 0
     (make_linear_map(np.eye(2)), np.array([5.0, 5.0])),  # I - J = 0: a singular system
 ], ids=["no Jacobian", "infinite derivative", "singular"])
-def test_the_sphere_stage_falls_back_to_a_power_step(T, p):
+def test_the_sphere_stage_has_no_newton_point_without_a_usable_jacobian(T, p):
     assert homotopy._newton_point(T, p, T(p)) is None
+
+
+def test_the_callable_chain_twin_walks_after_its_failed_candidate():
+    """Without a Jacobian the sphere stage ends at the failed candidate, and the
+    ladder is walked from there; power steps from it took 17 evaluations."""
+    T = make_chain_map(3)
+    cfg = SolverConfig(r=10.0, epsilon=0.1, max_iterations=100_000)
+    report = find_decay_point(callable_twin(T), cfg, 3)
+    check_success_postcondition(T, cfg, report)
+    assert report.iterations == 14
 
 
 # Failures pinned at r=10: the reason, the evaluation count and the point
@@ -478,7 +488,7 @@ def test_golden_failure(name, n, rho, seed, eps, cap, reason, iterations, point)
 # before its cap.  It pins the path itself, not only where the path ends.
 # Points are hashed to 10 significant digits, so that the last bits of
 # matrix arithmetic (see GOLDEN_WALKS) do not move the digest.
-GOLDEN_PATH_SHA256 = "950e9d23321b57b47db8ce277d6e32d18686af7ddb3e7a5701c79d1ed5b32961"
+GOLDEN_PATH_SHA256 = "36ff12eef22a9d7257e556087dd747b4b4908ebe631b59dd9a48fb02d2d16187"
 
 
 def test_golden_path():
@@ -764,8 +774,8 @@ def test_label_lookups_per_lattice_point(monkeypatch, n):
     """The walk carries its cells' labels, so it looks a point up about once per visit.
 
     The chain map is taken without its Jacobian, so the sphere stage takes
-    power steps.  Neither they nor the pre-phase's candidate certify it at
-    n = 7 and 8, so the walk runs through 39 and 54 lattice points.
+    no step.  The pre-phase's candidate does not certify it at n = 7 and 8,
+    so the walk runs through 39 and 54 lattice points.
     """
     search_cls = homotopy.CompleteCellSearch
     calls = 0

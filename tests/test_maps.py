@@ -36,6 +36,18 @@ class TestChainMap:
         T = make_chain_map(3)
         np.testing.assert_allclose(T([1, 1, 1]), [0.25, 0.5, 0.25])
 
+    def test_eval_is_the_closed_form_to_the_bit(self):
+        # the map evaluates through the Terms its Jacobian differentiates; the
+        # factor 1/4 is exact, so they give the closed form's bits
+        rng = np.random.default_rng(0)
+        for n in range(2, 11):
+            T = make_chain_map(n)
+            for _ in range(200):
+                s = rng.uniform(0.0, 10.0, n) * (rng.random(n) < 0.8)
+                closed = [0.25 * ((s[i - 1] ** (1.0 / (i + 1)) if i else 0.0)
+                                  + (s[i + 1] ** (i + 2) if i + 1 < n else 0.0)) for i in range(n)]
+                assert T(s).tobytes() == np.array(closed).tobytes()
+
     def test_zero_fixed_point(self):
         for n in (2, 3, 7):
             assert np.all(make_chain_map(n)(np.zeros(n)) == 0.0)

@@ -1,5 +1,6 @@
 import tracemalloc
 import warnings
+from functools import reduce
 from itertools import combinations, permutations
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from decaycert.homotopy import SolverConfig, find_decay_point
 from decaycert import maps
 from decaycert.maxpreserving import GainTable, cycle_condition, cycle_grid, path_q, reparametrize_path
-from decaycert.scalarfn import Term
+from decaycert.scalarfn import Max, Sum, Term
 
 
 def half_id_cycle(n):
@@ -103,6 +104,12 @@ class TestGainTable:
         assert g.gain(1, 2)(4.0) == 2.0
         assert g.gain(1, 1)(4.0) == 0.0
 
+    @pytest.mark.parametrize("i,j", [(0, 1), (3, 1), (1, -1)])
+    def test_gain_lookup_rejects_an_index_outside_1_to_n(self, i, j):
+        # index 0 would wrap to row n, and 3 would raise a bare IndexError
+        with pytest.raises(ValueError, match=rf"^gain index \({i}, {j}\) lies outside 1\.\.2$"):
+            half_id_cycle(2).gain(i, j)
+
     def test_rejects_offset_gain(self):
         from decaycert.scalarfn import Term
 
@@ -145,8 +152,8 @@ class TestCycleCondition:
         assert calls <= n**3
 
     def test_keeps_only_the_current_power(self):
-        # one power array is n * n * 49 floats (157 kB at n = 20); keeping
-        # all n + 1 of them for the backtrack peaks at 3.3 MB
+        # one power array is n * n * 2 floats (6.4 kB at n = 20); keeping
+        # all n + 1 of them for the backtrack peaks at 135 kB
         n = 20
         rng = np.random.default_rng(n)
         C = rng.uniform(0.05, 0.9, (n, n))
@@ -192,13 +199,13 @@ class TestCycleCondition:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             result = cycle_condition(g)
-        assert result == (False, ((1, 2), min(t for t in cycle_grid() if t > 1)))
+        assert result == (False, ((1, 2), 1e3))
 
     def test_missed_rotation_is_a_violation(self):
-        # g_12 o g_21(t) = 5e-4*t^2 >= t only from t = 2000, off the grid, but
-        # the rotation g_21 o g_12(t) = 5e-3*t^2 >= t holds from t = 200
+        # g_12 o g_21(t) = 5e-4*t^2 >= t only from t = 2000, outside the interval,
+        # but the rotation g_21 o g_12(t) = 5e-3*t^2 >= t holds from t = 200
         g = GainTable([[None, "10*t"], ["5e-05*t^2", None]])
-        assert cycle_condition(g) == (False, ((2, 1), 10**2.375))
+        assert cycle_condition(g) == (False, ((2, 1), 1e3))
 
     def test_accepts_nested_lists(self):
         rows = [[None, "0.5*t^90"], ["0.5*t^90", None]]
@@ -235,6 +242,65 @@ class TestCycleCondition:
             walk, t = witness
             assert not ok and t == cycle_grid()[0]
             assert compose_walk(table, walk, t) >= t
+
+
+def dense_grid_verdict(table: GainTable, points: int = 1201) -> bool:
+    """The reference verdict: True unless some closed walk of length ``k <= n``
+    through ``i`` has ``(T^k(t e_i))_i >= t`` at one of ``points`` log-spaced t
+    over ``[1e-3, 1e3]``, both ends included.
+
+    Each start is stepped on its own, every gain acting on the whole grid.
+    """
+    ts = np.logspace(-3.0, 3.0, points)
+    n = table.n
+    with np.errstate(over="ignore"):
+        for i in range(n):
+            w = [ts if j == i else np.zeros(points) for j in range(n)]
+            for _ in range(n):
+                w = [reduce(np.maximum, (table.gain(a, j + 1)(w[j]) for j in range(n)),
+                            np.zeros(points)) for a in range(1, n + 1)]
+                if np.any(w[i] >= ts):
+                    return False
+    return True
+
+
+def test_the_two_end_verdict_covers_the_interval():
+    """By log-log convexity the verdict at 1e-3 and 1e3 is the verdict on every
+    point between them, here 1,201 of them."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    # a zero gain two times in five: about a third of the tables pass, and the
+    # others fail at either end
+    terms = st.builds(Term, st.floats(-3.0, 0.0).map(lambda x: 10.0 ** x), st.floats(0.7, 1.3))
+    gains = (st.none() | st.none() | terms | st.builds(Sum, st.tuples(terms, terms))
+             | st.builds(Max, st.tuples(terms, terms)))
+
+    @st.composite
+    def tables(draw):
+        n = draw(st.integers(1, 4))
+        return GainTable([[draw(gains) for _ in range(n)] for _ in range(n)])
+
+    @hypothesis.settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @hypothesis.given(tables())
+    def check(table):
+        ok, witness = cycle_condition(table)
+        assert ok == dense_grid_verdict(table)
+        if not ok:
+            walk, t = witness
+            assert t in (1e-3, 1e3) and compose_walk(table, walk, t) >= t
+
+    check()
+
+
+def test_path_functions_accept_nested_lists():
+    rows = [[None, "0.5*t"], ["0.25*t", None]]
+    np.testing.assert_array_equal(path_q(rows, 4.0), path_q(GainTable(rows), 4.0))
+    np.testing.assert_array_equal(reparametrize_path(rows, 10.0),
+                                  reparametrize_path(GainTable(rows), 10.0))
+    with pytest.raises(ValueError, match="square"):
+        path_q([["t", None]], 1.0)
+    with pytest.raises(ValueError, match="square"):
+        reparametrize_path([["t", None]], 1.0)
 
 
 class TestPathQ:

@@ -222,7 +222,7 @@ def stochastic(draw):
     contractive(st.one_of(st.floats(0.05, 0.99), st.floats(1.01, 1.5))).map(
         lambda A: (A, eps_max(A, R))),
     stochastic().map(lambda A: (A, 0.0))), LIMIT_FRACTIONS)
-def test_the_table_step_answers_a_linear_map_in_one_evaluation(case, fraction):
+def test_the_policy_step_answers_a_linear_map_in_one_evaluation(case, fraction):
     A, limit = case
     check_one_evaluation(make_linear_map(A), limit, fraction)
 
@@ -230,7 +230,7 @@ def test_the_table_step_answers_a_linear_map_in_one_evaluation(case, fraction):
 @hypothesis.settings(max_examples=100, deadline=None, database=None, derandomize=True)
 @hypothesis.given(max_times_tables(st.one_of(st.floats(0.05, 0.99), st.floats(1.01, 1.5)),
                                    zero_lines=True), LIMIT_FRACTIONS)
-def test_the_table_step_answers_a_max_times_table_in_one_evaluation(C, fraction):
+def test_the_policy_step_answers_a_max_times_table_in_one_evaluation(C, fraction):
     limit = max_times_eps_max(C, R) if cycle_mean(C) < 1.0 else 0.0
     check_one_evaluation(max_times_map(C), limit, fraction)
 
@@ -351,7 +351,7 @@ def test_a_refused_perron_vector_leaves_the_run_to_the_pre_phase(monkeypatch):
 
 
 @pytest.mark.parametrize("eps,twin_iterations", [(1.0, 3), (1e9, 1)])
-def test_a_table_point_that_overflows_with_a_label_leaves_the_run_to_the_pre_phase(
+def test_a_policy_point_that_overflows_with_a_label_leaves_the_run_to_the_pre_phase(
         eps, twin_iterations):
     """``diag(1e-300 t, t) o A`` has the Jacobian ``[[0, 1], [0, 0.5]]``, but its inner
     ``A p`` overflows at the policy step's point ``r (3, 2)/5``, where component 2 decays.
