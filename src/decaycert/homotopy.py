@@ -54,19 +54,18 @@ from the policies, and tests one sphere point before the pre-phase:
   ``T(p) + eps > p`` in every component, no label at any slack, and its
   one test ends the run in ``label_none``.
 
-Both points are tested directly, like every other, so rounding costs
-only speed: a point that neither certifies nor lacks a label (eps within
-rounding of eps_max), a Perron vector that ``perron_direction`` refuses
-(where neither its eigenvector nor its singular vector passes its
-residual bound), a Jacobian with a non-finite entry, or a policy that
-recurs under rounding leave the run to the pre-phase below (only the
-memo may hold the tested point).  A value of T at the point that is not
-finite ends the run as ``nonfinite`` only where the point has no label,
-every component of ``T(p) + eps`` above p's (which a NaN is not): the
-run could not succeed past it.  Otherwise the pre-phase runs.  The
-policy step is the only reader of the homogeneous flag: past it, every
-map is treated alike, and the test of a new sphere point ends the run
-only where the point certifies or T is not finite there.
+Both points are tested directly, like every other sphere point, so
+rounding costs only speed: a point that neither certifies nor lacks a
+label (eps within rounding of eps_max), a Perron vector that
+``perron_direction`` refuses (where neither its eigenvector nor its
+singular vector passes its residual bound), a Jacobian with a non-finite
+entry, or a policy that recurs under rounding leave the run to the
+pre-phase below (only the memo may hold the tested point).  A value of T
+at the point that is not finite ends the run as ``nonfinite`` there, as
+at every sphere point.  The policy step is the only reader of the
+homogeneous flag: past it, every map is treated alike, and the test of a
+new sphere point ends the run only where the point certifies or T is not
+finite there.
 
 Before any walk, every run that the policy step leaves open (every map
 not flagged homogeneous, and a homogeneous one only where rounding
@@ -334,9 +333,11 @@ def _bracket(w: np.ndarray, prev: np.ndarray, step: np.ndarray) -> tuple[float, 
 class _Evaluator:
     """``T`` behind the memo, the evaluation counter and the cap.
 
-    Its methods end the search by raising ``_Finished``: at the cap, at a
-    value that is not finite, and at a new sphere point that passes the
-    certificate test.
+    Every sphere point is evaluated through ``__call__``, which ends the
+    search by raising ``_Finished`` at the cap, at a value that is not
+    finite, and at a new point that passes the certificate test.  The
+    pre-phase's iterates, which are not sphere points, go through
+    ``call`` and ``margin`` alone.
     """
 
     def __init__(self, T: MonotoneMap, cfg: SolverConfig):
@@ -371,20 +372,17 @@ class _Evaluator:
             raise self.end("nonfinite", point)
         return margin
 
-    def test(self, point: np.ndarray, value: np.ndarray) -> np.ndarray:
-        """Test the new sphere point ``point``, ``value = T(point)``; memoize and return value."""
+    def __call__(self, point: np.ndarray) -> np.ndarray:
+        """``T(point)`` at a sphere point: from the memo, or counted, tested and memoized."""
+        cached = self.memo.get(point.tobytes())
+        if cached is not None:
+            return np.frombuffer(cached)
+        value = self.call(point)
         margin = self.margin(point, value)
         if margin >= self.eps:
             raise self.end(None, point, margin)
         self.memo[point.tobytes()] = value.tobytes()
         return value
-
-    def __call__(self, point: np.ndarray) -> np.ndarray:
-        """``T(point)`` at a sphere point: from the memo, or counted and tested."""
-        value = self.memo.get(point.tobytes())
-        if value is None:
-            return self.test(point, self.call(point))
-        return np.frombuffer(value)
 
 
 def _on_sphere(v: np.ndarray, r: float) -> np.ndarray:
@@ -461,18 +459,16 @@ def _policy_point(T: MonotoneMap) -> np.ndarray | None:
 def _policy_step(ev: _Evaluator) -> None:
     """The policy step of a homogeneous T: test the sphere point that policy iteration names, once.
 
-    Ends the search through ``ev`` where that point certifies or has no
-    label, and else returns, for the pre-phase to run.
+    Ends the search through ``ev`` where that point certifies, has no
+    label or has a value that is not finite, and else returns, for the
+    pre-phase to run.
     """
     v = _policy_point(ev.T) if ev.T.homogeneous else None
     if v is None:
         return
     p = _on_sphere(v, ev.r)
-    Tp = ev.call(p)
-    if np.all(np.isfinite(Tp)) or np.all(Tp + ev.eps > p):  # else the pre-phase runs
-        ev.test(p, Tp)
-        if label_index(p, Tp, ev.eps) is None:  # by homogeneity, no point decays
-            raise ev.end("label_none", p)
+    if label_index(p, ev(p), ev.eps) is None:  # by homogeneity, no point decays
+        raise ev.end("label_none", p)
 
 
 def _pre_phase(ev: _Evaluator) -> list[float]:

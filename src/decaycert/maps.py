@@ -230,7 +230,9 @@ class GainTable:
         return len(self.rows)
 
     def gain(self, i: int, j: int) -> ScalarFn:
-        """Gain from component j onto component i (1-based indices, each in 1..n)."""
+        """Gain from component j onto component i (1-based int indices, each in 1..n)."""
+        check_count("gain index i", i, least=None)
+        check_count("gain index j", j, least=None)
         if not (1 <= i <= self.n and 1 <= j <= self.n):
             raise ValueError(f"gain index ({i!r}, {j!r}) lies outside 1..{self.n}")
         return self.rows[i - 1][j - 1]

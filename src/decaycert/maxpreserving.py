@@ -128,30 +128,17 @@ def reparametrize_path(table, r: float, tol: float = 1e-9) -> np.ndarray:
     """Point on the almost-solution path with 1-norm ``r`` (within ``tol``).
 
     ``table`` is taken as by cycle_condition.  Bisects the parameter of
-    ``q``; since ``q(t) >= t e`` the upper bracket ``t = r/n`` always works,
-    and the lower end is halved until it falls below the target (bounded;
-    failure raises).
+    ``q`` on ``[0, r]``: ``q(0) = 0``, since every gain has ``g(0) = 0``,
+    and ``q(r) >= r e`` has norm at least r.  A target that 200 halvings
+    cannot resolve raises.
     """
     check_positive("r", r)
     check_positive("tol", tol)
     T = _table(table).to_map()
-
-    def norm_at(t: float) -> float:
-        return float(np.sum(_q(T, t)))
-
-    hi = r / T.dimension
-    if norm_at(hi) < r:  # only possible through rounding; widen once
-        hi = 2.0 * r
-    lo = hi / 2.0
-    for _ in range(60):
-        if norm_at(lo) <= r:
-            break
-        lo /= 2.0
-    else:
-        raise RuntimeError(f"no lower bracket for the path norm below {r}")
+    lo, hi = 0.0, float(r)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        value = norm_at(mid)
+        value = float(np.sum(_q(T, mid)))
         if abs(value - r) <= tol:
             return _q(T, mid)
         if value < r:

@@ -71,11 +71,11 @@ def check_positive(name: str, value) -> None:
         raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
-def check_count(name: str, value, least: int = 1) -> None:
-    """Reject ``value`` unless it is an integer >= ``least`` (a bool is not one)."""
+def check_count(name: str, value, least: int | None = 1) -> None:
+    """Reject ``value`` unless it is an integer >= ``least`` (a bool is not one; None: any)."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an int, got {value!r}")
-    if value < least:
+    if least is not None and value < least:
         raise ValueError(f"{name} must be >= {least}, got {value}")
 
 

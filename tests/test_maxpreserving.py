@@ -110,6 +110,14 @@ class TestGainTable:
         with pytest.raises(ValueError, match=rf"^gain index \({i}, {j}\) lies outside 1\.\.2$"):
             half_id_cycle(2).gain(i, j)
 
+    @pytest.mark.parametrize("i,j,message", [(1.5, 1, r"i must be an int, got 1\.5"),
+                                             (True, 2, "i must be an int, got True"),
+                                             (1, 2.0, r"j must be an int, got 2\.0")])
+    def test_gain_lookup_rejects_an_index_that_is_not_an_int(self, i, j, message):
+        # 1.5 would raise a bare TypeError, and True would read as row 1
+        with pytest.raises(ValueError, match=rf"^gain index {message}$"):
+            half_id_cycle(2).gain(i, j)
+
     def test_rejects_offset_gain(self):
         from decaycert.scalarfn import Term
 
@@ -352,7 +360,7 @@ class TestReparametrize:
         np.testing.assert_allclose(reparametrize_path(g, 10.0, tol=1e-10), [5.0, 5.0], atol=1e-9)
 
     def test_path_norm_not_met_by_the_starting_bracket_is_bisected(self):
-        # q(t) = (8t, t): the bracket's lower end is halved twice, and both ends then move
+        # q(t) = (8t, t) has norm 9t, met at neither end of [0, r]: both ends move
         g = GainTable([[None, "8*t"], ["0.1*t", None]])
         assert cycle_condition(g) == (True, None)
         q = reparametrize_path(g, 10.0, tol=1e-10)
@@ -360,9 +368,10 @@ class TestReparametrize:
         assert np.all(g.to_map()(q) <= q)
 
     def test_a_path_norm_above_r_everywhere_has_no_lower_bracket(self):
-        # q(t) >= 1e3*t^0.01 e stays above 10 at t = 5*2^-60, the last lower end tried
+        # q(t) >= 1e3*t^0.01 e stays above 10 at t = 10*2^-200, the last midpoint above q(0) = 0
         g = GainTable([[None, "1e3*t^0.01"], ["1e3*t^0.01", None]])
-        with pytest.raises(RuntimeError, match=r"^no lower bracket for the path norm below 10\.0$"):
+        with pytest.raises(RuntimeError,
+                           match=r"^bisection stalled seeking path norm 10\.0 within 1e-09$"):
             reparametrize_path(g, 10.0)
 
     def test_builds_the_map_once(self, monkeypatch):

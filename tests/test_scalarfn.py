@@ -86,6 +86,10 @@ class TestChecks:
         with pytest.raises(ValueError, match=r"^Term (coefficient|exponent) must be real, finite"):
             Term(*args)
 
+    def test_a_term_that_overflows_is_infinite(self):
+        # a Python float ** raises OverflowError where numpy returns inf
+        assert Term(1.0, 2.0)(1e200) == float("inf")
+
     def test_kinf_excludes_constants_and_zero(self):
         check_kinf(parse_scalar_fn("2*t"), "rho")
         check_kinf(parse_scalar_fn("t^2"), "rho")
