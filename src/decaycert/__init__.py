@@ -7,6 +7,15 @@ from ``s*`` dies out.  This package finds such decay points on spheres
 of prescribed 1-norm with a refining simplicial search and certifies the
 interval, which is exactly the numerical form of the generalized
 small-gain condition for interconnected systems.
+
+``find_decay_point`` runs three stages in order, and each may end the
+run: the policy step, which answers a map flagged homogeneous in one
+evaluation; the order-interval pre-phase, with its sphere stage of
+Newton steps after a failed candidate; and the simplicial walk.  The
+walk is left with the runs the first two do not end: a failed candidate
+whose Newton steps stop short of a certificate (a map built from a
+callable, which has no Jacobian, takes none), and a proof of
+infeasibility at a point that still has a label.
 """
 
 from .dynamics import (

@@ -165,6 +165,13 @@ component), or the bordered system is singular or its solution not
 finite.  Then the ladder is walked.  The stage never runs after the norm
 proof, and never for a subhomogeneous map, whose candidate passes.
 
+**The walk** (``_walk``) is the paper's method, and it runs last, on
+the slack rungs that ``_pre_phase`` returns: the whole ladder below
+after a failed candidate, only the final rung after a norm proof at a
+point with a label.  ``find_decay_point`` is the three stages in order,
+``_policy_step``, then ``_pre_phase`` with the sphere stage, then
+``_walk``; each ends the search by raising ``_Finished``.
+
 One practical subtlety drives the structure below.  Complete cells of
 the slack-``d`` labeling contract onto points whose worst component
 decays with margin exactly ``d``, so testing those candidates against
@@ -486,17 +493,17 @@ def _pre_phase(ev: _Evaluator) -> list[float]:
         Tw = ev.call(w)
         margin = ev.margin(w, Tw)
         if (r / float(np.sum(w))) * margin >= eps * (1.0 + _ROUNDING):  # the candidate
-            p = _on_sphere(w, r)
-            Tp = ev(p)
-            best = float(np.min(p - Tp))
-            # the sphere stage: Newton steps while a Newton point exists and the margin grows
-            while (q := _newton_point(T, p, Tp)) is not None:
+            # its sphere point, then the sphere stage: Newton steps while a Newton point
+            # exists and the margin grows
+            q, best = w, -math.inf
+            while q is not None:
                 p = _on_sphere(q, r)
                 Tp = ev(p)
                 margin = float(np.min(p - Tp))
                 if margin <= best:
                     break
                 best = margin
+                q = _newton_point(T, p, Tp)
             return _slack_ladder(eps, r, n)
         up = Tw + eps
         prev, step = step, up - w
@@ -516,18 +523,36 @@ def _pre_phase(ev: _Evaluator) -> list[float]:
         w = up
 
 
-def _labeling(ev: _Evaluator, m: int, slack: float):
-    """The walk's ``label_of`` on the level-m lattice at labeling slack ``slack``."""
-    scale = ev.r / m
+def _walk(ev: _Evaluator, rungs: list[float]) -> None:
+    """The refining simplicial walk over the labeling slacks ``rungs``, the last of them eps.
 
-    def label_of(z: tuple[int, ...]) -> int:
-        point = np.asarray(z, dtype=float) * scale
-        label = label_index(point, ev(point), slack)
-        if label is None:
-            raise _NoLabel(point)
-        return label
+    Ends the search through ``ev``: where a point certifies, at the cap,
+    at a value that is not finite, or where the covering fails at the
+    final rung.  A rung whose covering fails at an inflated slack steps
+    down to the next.
+    """
+    r, n = ev.r, ev.T.dimension
+    for slack in rungs:
+        try:
+            # level 1's one cell is the whole simplex: only its barycentre can be a certificate
+            ev(np.full(n, r / n))
+            m = 2
+            while True:
+                scale = r / m
 
-    return label_of
+                def label_of(z: tuple[int, ...]) -> int:
+                    point = np.asarray(z, dtype=float) * scale
+                    label = label_index(point, ev(point), slack)
+                    if label is None:
+                        raise _NoLabel(point)
+                    return label
+
+                verts = CompleteCellSearch(m, n, label_of).find()
+                ev(np.asarray(verts, dtype=float).mean(axis=0) * scale)
+                m *= 2
+        except _NoLabel as miss:
+            if slack == ev.eps:
+                raise ev.end("label_none", miss.point)
 
 
 def find_decay_point(T: MonotoneMap, cfg: SolverConfig, n: int) -> SolveReport:
@@ -544,26 +569,12 @@ def find_decay_point(T: MonotoneMap, cfg: SolverConfig, n: int) -> SolveReport:
     check_count("n", n, least=2)
     if T.dimension != n:
         raise ValueError(f"map has dimension {T.dimension}, expected {n}")
-    r = cfg.r
     ev = _Evaluator(T, cfg)
     try:
         # an overflow in T or in the pre-phase is named by the finiteness checks
         with np.errstate(over="ignore"):
             _policy_step(ev)
-            for label_slack in _pre_phase(ev):
-                try:
-                    # level 1's one cell is the whole simplex: only its barycentre can be a
-                    # certificate
-                    ev(np.full(n, r / n))
-                    m = 2
-                    while True:
-                        verts = CompleteCellSearch(m, n, _labeling(ev, m, label_slack)).find()
-                        ev(np.asarray(verts, dtype=float).mean(axis=0) * (r / m))
-                        m *= 2
-                except _NoLabel as miss:
-                    if label_slack == cfg.epsilon:
-                        raise ev.end("label_none", miss.point)
-                    # covering fails at the inflated slack; step the ladder down
+            _walk(ev, _pre_phase(ev))
     except _Finished as finished:
         return finished.report
     raise AssertionError("slack ladder ended without a rung at eps")  # pragma: no cover

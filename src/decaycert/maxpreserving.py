@@ -130,7 +130,13 @@ def reparametrize_path(table, r: float, tol: float = 1e-9) -> np.ndarray:
     ``table`` is taken as by cycle_condition.  Bisects the parameter of
     ``q`` on ``[0, r]``: ``q(0) = 0``, since every gain has ``g(0) = 0``,
     and ``q(r) >= r e`` has norm at least r.  A target that 200 halvings
-    cannot resolve raises.
+    cannot resolve raises RuntimeError.
+
+    The point found is checked: ``T(q) <= q`` holds on the path wherever
+    every cycle stays below the identity, but the cycle test proves that
+    only on ``{0} u [1e-3, 1e3]``, and a point whose norm needs a
+    parameter outside that range can miss it.  A component with
+    ``T(q) > q`` raises ValueError, naming the component (1-based).
     """
     check_positive("r", r)
     check_positive("tol", tol)
@@ -138,11 +144,12 @@ def reparametrize_path(table, r: float, tol: float = 1e-9) -> np.ndarray:
     lo, hi = 0.0, float(r)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        value = float(np.sum(_q(T, mid)))
+        q = _q(T, mid)
+        value = float(np.sum(q))
         if abs(value - r) <= tol:
-            return _q(T, mid)
-        if value < r:
-            lo = mid
-        else:
-            hi = mid
+            above = np.flatnonzero(T(q) > q)
+            if above.size:
+                raise ValueError(f"path point of norm {r} has T(q) > q in component {above[0] + 1}")
+            return q
+        lo, hi = (mid, hi) if value < r else (lo, mid)
     raise RuntimeError(f"bisection stalled seeking path norm {r} within {tol}")

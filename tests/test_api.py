@@ -27,6 +27,7 @@ from decaycert import (
 from decaycert.linear import eps_max
 from decaycert.maps import chain_feasible_point, make_chain_map, make_flipflop_map
 from decaycert.scalarfn import Term
+from stages import plain_walk
 
 MODULES = ["cli", "dynamics", "homotopy", "labeling", "linear", "maps", "mapspec",
            "maxpreserving", "order", "scalarfn", "triangulation"]
@@ -45,7 +46,8 @@ def test_all_names_resolve_without_duplicates(name):
 def test_bench_tracer_hooks_see_the_solver():
     """The benchmark's tracer patches module-level names; a traced solve must be counted.
 
-    The chain map is taken without its Jacobian, so that the solve reaches the walk.
+    The chain map runs the plain method, so that the solve is the walk:
+    11 evaluations, 11 label lookups and 2 pivots.
     """
     spec = importlib.util.spec_from_file_location("bench_tracer", BENCH_TRACER)
     tracer_module = importlib.util.module_from_spec(spec)
@@ -54,14 +56,12 @@ def test_bench_tracer_hooks_see_the_solver():
     tracer = tracer_module.Tracer()
     tracer.patch(dc)
     try:
-        T = dc.maps.MonotoneMap(3, dc.maps.make_chain_map(3).fn, "chain")
-        report = dc.homotopy.find_decay_point(T, dc.homotopy.SolverConfig(r=10.0, epsilon=0.1), 3)
+        cfg = dc.homotopy.SolverConfig(r=10.0, epsilon=0.1)
+        report = plain_walk(dc.maps.make_chain_map(3), cfg, 3)
     finally:
         tracer.unpatch()
-    evaluations, lookups, pivots = tracer.counters()
-    assert report.success
-    assert evaluations == report.iterations
-    assert lookups > 0 and pivots > 0
+    assert report.success and report.iterations == 11
+    assert tracer.counters() == (11, 11, 2)  # evaluations, lookups, pivots
 
 
 SWAP = [[0.0, 0.5], [0.5, 0.0]]

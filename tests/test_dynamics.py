@@ -12,6 +12,7 @@ from decaycert.maps import (
     make_linear_map,
     make_max_preserving,
 )
+from stages import recorded
 
 SWAP_HALF = make_linear_map([[0, 0.5], [0.5, 0]])
 
@@ -126,17 +127,9 @@ class TestSolveProblem1:
     @pytest.mark.parametrize("limits", [{"k_max": 0}, {"stop_tol": float("nan")},
                                         {"stop_tol": 0.0}])
     def test_bad_trajectory_limits_cost_no_evaluation(self, limits):
-        chain = make_chain_map(5)
-        evaluated = []
-
-        def fn(s):
-            evaluated.append(s)
-            return chain(s)
-
-        T = MonotoneMap(5, fn, "counted chain")
-        with pytest.raises(ValueError):
-            solve_problem1(T, SolverConfig(r=10.0, epsilon=0.1), 5, **limits)
-        assert evaluated == []
+        with recorded() as seen, pytest.raises(ValueError):
+            solve_problem1(make_chain_map(5), SolverConfig(r=10.0, epsilon=0.1), 5, **limits)
+        assert seen == []
 
     def test_certificate_soundness_recheck(self):
         cfg = SolverConfig(r=10.0, epsilon=0.1, max_iterations=100000)

@@ -7,7 +7,7 @@ import pytest
 
 from decaycert import homotopy
 from decaycert.homotopy import SolveReport, SolverConfig, complete_subsets, find_decay_point
-from decaycert.labeling import LabeledVertexSet
+from decaycert.labeling import LabeledVertexSet, label_index
 from decaycert.linear import eps_max, random_contractive
 from decaycert.maps import (
     MonotoneMap,
@@ -18,15 +18,7 @@ from decaycert.maps import (
     make_linear_map,
     make_max_preserving,
 )
-
-
-def callable_twin(T: MonotoneMap) -> MonotoneMap:
-    """``T``'s values through a map built from its callable: no flag and no Jacobian.
-
-    The solver has no policy step for it, so a test of the pre-phase's own
-    mechanism reaches the pre-phase.
-    """
-    return MonotoneMap(T.dimension, T.fn, T.kind)
+from stages import callable_twin, plain_walk, recorded
 
 
 def vertex_set(labels, scale=1.0):
@@ -169,24 +161,18 @@ class TestFindDecayPoint:
             assert report.failure_point.tolist() == [5.0, 5.0]
 
     def test_pre_phase_evaluations_count_toward_the_cap(self, monkeypatch):
-        # this case needs 4 evaluations, the first 3 of them pre-phase steps
+        # on the callable twin, with no policy step, this case needs 4
+        # evaluations, the first 3 of them pre-phase steps
         def no_walk(*args):
             raise AssertionError("the walk ran")
 
         monkeypatch.setattr(homotopy, "CompleteCellSearch", no_walk)
-        A = random_contractive(3, 0.8, 0)
-        calls = 0
-
-        def counting(s):
-            nonlocal calls
-            calls += 1
-            return A @ s
-
-        T = MonotoneMap(3, counting, "linear")
+        T = callable_twin(make_linear_map(random_contractive(3, 0.8, 0)))
         cfg = SolverConfig(r=10.0, epsilon=0.6387007034997124, max_iterations=3)
-        report = find_decay_point(T, cfg, 3)
+        with recorded() as seen:
+            report = find_decay_point(T, cfg, 3)
         assert report.failure_reason == "iteration_cap"
-        assert report.iterations == calls == 3
+        assert report.iterations == len(seen) == 3
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_nonfinite_pre_phase_iterate_is_named(self, bad):
@@ -280,8 +266,8 @@ def test_slack_ladder_rungs():
 # unless given.  A change to the policy step, the pre-phase, the sphere
 # stage, the labeling, the pivot walk or the slack ladder moves these.  The
 # chain maps' candidates fail, and a Newton step of the sphere stage
-# succeeds (GOLDEN_PATH_SHA256 evaluates them through a callable without
-# a Jacobian, so there they walk).  A linear map's policy
+# succeeds (GOLDEN_PATH_SHA256 also pins their plain walk, at n = 2..5).
+# A linear map's policy
 # step tests the optimal point r (I - A)^-1 1 / |(I - A)^-1 1|_1 first, so
 # it is s*.  The others are products of float arithmetic (the linear ones of
 # matrix arithmetic, whose last bits may depend on the BLAS kernel), and are
@@ -408,7 +394,7 @@ def test_a_newton_point_of_a_linear_map_is_its_optimal_point():
 
 
 @pytest.mark.parametrize("T,p", [
-    (MonotoneMap(2, make_chain_map(2).fn, "chain"), np.array([5.0, 5.0])),  # no Jacobian
+    (callable_twin(make_chain_map(2)), np.array([5.0, 5.0])),  # no Jacobian
     (make_diagonal(["t^0.5", "t"]), np.array([0.0, 10.0])),  # J not finite at 0
     (make_linear_map(np.eye(2)), np.array([5.0, 5.0])),  # I - J = 0: a singular system
 ], ids=["no Jacobian", "infinite derivative", "singular"])
@@ -485,31 +471,29 @@ def test_golden_failure(name, n, rho, seed, eps, cap, reason, iterations, point)
 
 # SHA-256 of every point the solver evaluates, pre-phase iterates included,
 # each once in order of first evaluation, over every golden case that ends
-# before its cap.  It pins the path itself, not only where the path ends.
-# Points are hashed to 10 significant digits, so that the last bits of
-# matrix arithmetic (see GOLDEN_WALKS) do not move the digest.
-GOLDEN_PATH_SHA256 = "36ff12eef22a9d7257e556087dd747b4b4908ebe631b59dd9a48fb02d2d16187"
+# before its cap, on the maps as built, and then over the plain walk of the
+# chain map at n = 2..5 (eps = 0.1), which takes 3, 11, 6 and 7 evaluations.
+# It pins the path itself, not only where the path ends.  Points are hashed
+# to 10 significant digits, so that the last bits of matrix arithmetic (see
+# GOLDEN_WALKS) do not move the digest.
+GOLDEN_PATH_SHA256 = "ca5d08330bbb4804d0f1435d86d6461054dfd536f8d834fe48962b309a97bfa1"
 
 
 def test_golden_path():
-    cases = [(build(), eps or 0.1, 100_000) for _, build, eps, _, _ in GOLDEN_WALKS]
-    cases += [
-        (make_linear_map(random_contractive(n, rho, seed)),
+    runs = [(find_decay_point, build(), eps or 0.1, 100_000)
+            for _, build, eps, _, _ in GOLDEN_WALKS]
+    runs += [
+        (find_decay_point, make_linear_map(random_contractive(n, rho, seed)),
          0.05 * 10.0 / (2 * n) if eps is None else eps, cap)
         for _, n, rho, seed, eps, cap, reason, _, _ in GOLDEN_FAILURES
         if reason != "iteration_cap"
     ]
+    runs += [(plain_walk, make_chain_map(n), 0.1, 100_000) for n in range(2, 6)]
     digest = hashlib.sha256()
-    for T, eps, cap in cases:
-        first_seen: dict[str, None] = {}
-
-        def recording(s, T=T, first_seen=first_seen):
-            first_seen.setdefault(repr([float(f"{x:.10g}") for x in s]))
-            return T(s)
-
-        find_decay_point(MonotoneMap(T.dimension, recording, T.kind),
-                         SolverConfig(r=10.0, epsilon=eps, max_iterations=cap), T.dimension)
-        for point in first_seen:
+    for solve, T, eps, cap in runs:
+        with recorded() as seen:
+            solve(T, SolverConfig(r=10.0, epsilon=eps, max_iterations=cap), T.dimension)
+        for point in dict.fromkeys(repr([float(f"{x:.10g}") for x in s]) for s in seen):
             digest.update(point.encode())
     assert digest.hexdigest() == GOLDEN_PATH_SHA256
 
@@ -519,22 +503,11 @@ def superlinear(n: int) -> MonotoneMap:
     return compose(make_linear_map(random_contractive(n, 0.8, 0)), make_diagonal(["t^1.2"] * n))
 
 
-def recorded(T: MonotoneMap) -> tuple[MonotoneMap, list[np.ndarray]]:
-    """``T`` wrapped to record a copy of every point the solver evaluates."""
-    seen: list[np.ndarray] = []
-
-    def fn(s):
-        seen.append(np.array(s))
-        return T(s)
-
-    return MonotoneMap(T.dimension, fn, T.kind), seen
-
-
 # One map for each way the solver evaluates T: the pre-phase's iterates and
 # bracket on the callable twins of a linear map and of a max-times table
 # that is not linear (cycle mean 0.97, at 0.9 of its eps_max), the chain
-# map's walk and barycentres after a failed candidate, and the sphere stage
-# and walk of A s^1.2.
+# map's failed candidate and the sphere stage's Newton steps (5 evaluations),
+# and the sphere stage and walk of A s^1.2.
 CAP_CASES = [
     ("linear n=3 rho=0.8 seed 0 at 0.9 eps_max",
      lambda: callable_twin(make_linear_map(random_contractive(3, 0.8, 0))), 0.6387007034997124),
@@ -547,30 +520,18 @@ CAP_CASES = [
 
 
 @pytest.mark.parametrize("name,build,eps", CAP_CASES, ids=[case[0] for case in CAP_CASES])
-def test_every_cap_below_the_uncapped_count_is_spent_exactly(monkeypatch, name, build, eps):
+def test_every_cap_below_the_uncapped_count_is_spent_exactly(name, build, eps):
     # each of the first k calls of T counts, and the (k+1)-th is refused
     T = build()
-    calls = depth = 0
-    call = MonotoneMap.__call__
-
-    def counting(self, s):
-        nonlocal calls, depth
-        calls += depth == 0  # a composition's inner maps are part of one call of T
-        depth += 1
-        try:
-            return call(self, s)
-        finally:
-            depth -= 1
-
-    monkeypatch.setattr(MonotoneMap, "__call__", counting)
-    uncapped = find_decay_point(T, SolverConfig(r=10.0, epsilon=eps, max_iterations=100_000),
-                                T.dimension).iterations
-    assert calls == uncapped > 1
+    with recorded() as seen:
+        uncapped = find_decay_point(T, SolverConfig(r=10.0, epsilon=eps, max_iterations=100_000),
+                                    T.dimension).iterations
+    assert len(seen) == uncapped > 1
     for k in range(1, uncapped):
-        calls = 0
-        report = find_decay_point(T, SolverConfig(r=10.0, epsilon=eps, max_iterations=k),
-                                  T.dimension)
-        assert (report.failure_reason, report.iterations, calls) == ("iteration_cap", k, k)
+        with recorded() as seen:
+            report = find_decay_point(T, SolverConfig(r=10.0, epsilon=eps, max_iterations=k),
+                                      T.dimension)
+        assert (report.failure_reason, report.iterations, len(seen)) == ("iteration_cap", k, k)
 
 
 def first_step_across(A: np.ndarray, r: float) -> float:
@@ -579,12 +540,13 @@ def first_step_across(A: np.ndarray, r: float) -> float:
     return r / (len(A) + 0.5 * float(np.sum(A)))
 
 
-# Runs that the norm rule proves infeasible: (name, build, eps, r).  Each map
-# is evaluated through a recording callable, so no policy step answers it;
-# at these eps the first step crosses the sphere, so the norm rule fires
-# at once.
+# Runs that the norm rule proves infeasible: (name, build, eps, r).  No map
+# is homogeneous (the linear ones are callable twins), so no policy step
+# answers one; at these eps the first step crosses the sphere, so the norm
+# rule fires at once.
 BOX_POINT_CASES = [
-    *[(name, lambda n=n, rho=rho, seed=seed: make_linear_map(random_contractive(n, rho, seed)),
+    *[(name, lambda n=n, rho=rho, seed=seed: callable_twin(
+        make_linear_map(random_contractive(n, rho, seed))),
        first_step_across(random_contractive(n, rho, seed), 10.0), 10.0)
       for name, n, rho, seed, *_ in GOLDEN_FAILURES],
     ("A s^1.2 n=4 eps=0.4", lambda: superlinear(4), 0.4, 10.0),
@@ -600,9 +562,9 @@ def test_proved_infeasible_run_ends_at_an_unevaluated_box_point(name, build, eps
     # the norm rule's last step crosses the sphere strictly inside its box
     # [w_k, w_k+1], so monotonicity alone proves the crossing point has no label
     T = build()
-    watched, seen = recorded(T)
-    report = find_decay_point(watched, SolverConfig(r=r, epsilon=eps, max_iterations=10_000),
-                              T.dimension)
+    with recorded() as seen:
+        report = find_decay_point(T, SolverConfig(r=r, epsilon=eps, max_iterations=10_000),
+                                  T.dimension)
     assert report.failure_reason == "label_none"
     q = report.failure_point
     assert abs(float(np.sum(q)) - r) <= 1e-9 * r
@@ -620,8 +582,8 @@ def test_failed_upper_end_costs_one_evaluation(monkeypatch):
 
     monkeypatch.setattr(homotopy, "CompleteCellSearch", no_walk)
     T = compose(make_linear_map(random_contractive(8, 0.8, 0)), make_diagonal(["t^1.5"] * 8))
-    watched, seen = recorded(T)
-    report = find_decay_point(watched, SolverConfig(r=10.0, epsilon=0.4, max_iterations=10_000), 8)
+    with recorded() as seen:
+        report = find_decay_point(T, SolverConfig(r=10.0, epsilon=0.4, max_iterations=10_000), 8)
     assert report.failure_reason == "label_none"
     assert report.iterations == len(seen) == 6
     on_sphere = [i for i, s in enumerate(seen) if abs(float(np.sum(s)) - 10.0) <= 1e-8]
@@ -632,24 +594,24 @@ def test_upper_end_is_tested_at_most_once(monkeypatch):
     # linear below 1.05 w* and steep above it: the iterates stay linear, so
     # the bracket's upper end keeps passing its norm test, but every sphere
     # point near s* fails.  One upper end is tested; the rest of the pre-phase
-    # runs as without it until its plain candidate fires
-    class Walked(Exception):
+    # runs as without it until its plain candidate fires.  The run is stopped
+    # where the sphere stage would start, so the candidate is the last point
+    # evaluated, and one sphere point comes before it
+    class Candidate(Exception):
         pass
 
-    def no_walk(*args):
-        raise Walked
+    def stop(*args):
+        raise Candidate
 
-    monkeypatch.setattr(homotopy, "CompleteCellSearch", no_walk)
+    monkeypatch.setattr(homotopy, "_newton_point", stop)
     A = random_contractive(3, 0.8, 0)
     eps = 0.9 * eps_max(A, 10.0)
     bend = 1.05 * np.linalg.solve(np.eye(3) - A, np.full(3, eps))
     T = MonotoneMap(3, lambda s: A @ s + 10.0 * np.maximum(s - bend, 0.0), "bent")
-    watched, seen = recorded(T)
-    with pytest.raises(Walked):
-        find_decay_point(watched, SolverConfig(r=10.0, epsilon=eps, max_iterations=1000), 3)
+    with recorded() as seen, pytest.raises(Candidate):
+        find_decay_point(T, SolverConfig(r=10.0, epsilon=eps, max_iterations=1000), 3)
     on_sphere = [abs(float(np.sum(s)) - 10.0) <= 1e-8 for s in seen]
-    last_iterate = max(i for i, sphere in enumerate(on_sphere) if not sphere)
-    assert sum(on_sphere[:last_iterate]) == 1
+    assert on_sphere[-1] and sum(on_sphere[:-1]) == 1
 
 
 def test_lower_end_is_tested_at_most_once():
@@ -660,8 +622,8 @@ def test_lower_end_is_tested_at_most_once():
     # end, so (5, 5) is never tested: the pre-phase runs until, next to the
     # fixed point (1.1, 5.05), the upper end's sphere point certifies
     T = MonotoneMap(2, lambda s: np.minimum(1.5 * s, [1.0, 4.95]), "linear")
-    watched, seen = recorded(T)
-    report = find_decay_point(watched, SolverConfig(r=10.0, epsilon=0.1, max_iterations=1000), 2)
+    with recorded() as seen:
+        report = find_decay_point(T, SolverConfig(r=10.0, epsilon=0.1, max_iterations=1000), 2)
     assert report.success
     assert report.iterations == len(seen) == 9
     on_sphere = [abs(float(np.sum(s)) - 10.0) <= 1e-8 for s in seen]
@@ -685,8 +647,8 @@ def test_lower_end_does_not_end_a_nonlinear_run():
     lower_point = 10.0 * np.array([0.1, 0.011]) / 0.111  # the first step d0, on the sphere
     cfg = SolverConfig(r=10.0, epsilon=0.01, max_iterations=100_000)
     for kind in ("mixed", "linear"):
-        watched, seen = recorded(MonotoneMap(2, fn, kind))
-        report = find_decay_point(watched, cfg, 2)
+        with recorded() as seen:
+            report = find_decay_point(MonotoneMap(2, fn, kind), cfg, 2)
         assert report.success, kind
         assert report.iterations == len(seen) == 26
         np.testing.assert_allclose(report.s_star, [4.96081484, 5.03918516], rtol=1e-8)
@@ -741,9 +703,15 @@ def test_linear_counts_skip_the_sphere_stage(fraction):
 
 
 def test_sphere_stage_successes_are_certificates():
-    """Every success on ``A s^a``, sub- or superlinear, passes the direct re-check."""
+    """Every success on ``A s^a``, sub- or superlinear, passes the direct re-check, and
+    every ``label_none`` failure names a sphere point without a label.
+
+    Each map is run as built and as its callable twin, whose sphere stage
+    takes no step.
+    """
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
+    reasons = []
 
     @st.composite
     def power_maps(draw):
@@ -760,22 +728,28 @@ def test_sphere_stage_successes_are_certificates():
     @hypothesis.given(power_maps(), st.floats(1e-3, 1.0))
     def check(T, eps):
         cfg = SolverConfig(r=10.0, epsilon=eps, max_iterations=1000)
-        report = find_decay_point(T, cfg, T.dimension)
-        if report.success:
-            check_success_postcondition(T, cfg, report)
-        else:
-            assert report.failure_reason in ("label_none", "iteration_cap")
+        for M in (T, callable_twin(T)):
+            report = find_decay_point(M, cfg, T.dimension)
+            reasons.append((M is T, report.failure_reason))
+            if report.success:
+                check_success_postcondition(T, cfg, report)
+            else:
+                assert report.failure_reason in ("label_none", "iteration_cap")
+            if report.failure_reason == "label_none":
+                p = report.failure_point
+                assert abs(float(np.sum(p)) - cfg.r) <= 1e-9 * cfg.r
+                assert label_index(p, T(p), eps) is None
 
     check()
+    assert (True, "label_none") in reasons and (False, "label_none") in reasons
 
 
 @pytest.mark.parametrize("n", [7, 8])
 def test_label_lookups_per_lattice_point(monkeypatch, n):
     """The walk carries its cells' labels, so it looks a point up about once per visit.
 
-    The chain map is taken without its Jacobian, so the sphere stage takes
-    no step.  The pre-phase's candidate does not certify it at n = 7 and 8,
-    so the walk runs through 39 and 54 lattice points.
+    The chain map runs the plain method, so the walk is the whole run.  At
+    n = 7 and 8 it looks up 45 and 60 labels at 39 and 54 lattice points.
     """
     search_cls = homotopy.CompleteCellSearch
     calls = 0
@@ -791,8 +765,8 @@ def test_label_lookups_per_lattice_point(monkeypatch, n):
         return search_cls(m, dim, counted)
 
     monkeypatch.setattr(homotopy, "CompleteCellSearch", counting_search)
-    T = MonotoneMap(n, make_chain_map(n).fn, "chain")
-    report = find_decay_point(T, SolverConfig(r=10.0, epsilon=0.05, max_iterations=100_000), n)
+    cfg = SolverConfig(r=10.0, epsilon=0.05, max_iterations=100_000)
+    report = plain_walk(make_chain_map(n), cfg, n)
     assert report.success
     assert len(points) > 2 * n  # the walk ran
     assert calls <= 2 * len(points)

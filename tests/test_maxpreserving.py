@@ -409,6 +409,17 @@ class TestReparametrize:
         with pytest.raises(ValueError, match="positive and finite"):
             reparametrize_path(half_id_cycle(2), r, tol=tol)
 
+    def test_a_point_that_does_not_almost_decay_is_refused(self):
+        # the cycle g12 o g21 = 0.019 t^0.5 passes the cycle test on [1e-3, 1e3], but it
+        # reaches the identity below t = 3.6e-4, and the path point of norm 1e-3 has
+        # T(q)_1 - q_1 = 5.8e-5
+        g = GainTable([[None, "0.37409835133347946*t"],
+                       ["0.0507155593460335*t^0.5", "0.2879043623567955*t"]])
+        assert cycle_condition(g) == (True, None)
+        with pytest.raises(ValueError,
+                           match=r"^path point of norm 0\.001 has T\(q\) > q in component 1$"):
+            reparametrize_path(g, 1e-3)
+
     def test_result_is_almost_decaying(self):
         g = half_id_cycle(3)
         q = reparametrize_path(g, 7.0, tol=1e-9)

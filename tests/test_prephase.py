@@ -20,6 +20,7 @@ from decaycert.homotopy import SolverConfig, find_decay_point
 from decaycert.labeling import label_index
 from decaycert.linear import eps_max
 from decaycert.maps import MonotoneMap, compose, make_diagonal, make_linear_map, make_max_preserving
+from stages import callable_twin, recorded
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -48,15 +49,6 @@ def contractive(draw, rho=st.floats(0.05, 0.9)):
     entries = st.lists(st.floats(0.01, 1.0), min_size=n * n, max_size=n * n)
     A = np.array(draw(entries)).reshape(n, n)
     return A * (draw(rho) / float(np.max(np.abs(np.linalg.eigvals(A)))))
-
-
-def callable_twin(T: MonotoneMap) -> MonotoneMap:
-    """``T``'s values through a map built from its callable: no flag and no Jacobian.
-
-    The solver has no policy step for it, so a test of the pre-phase's own
-    mechanism reaches the pre-phase.
-    """
-    return MonotoneMap(T.dimension, T.fn, T.kind)
 
 
 def check_feasible(T, eps, cap):
@@ -383,22 +375,18 @@ def test_a_max_times_cycle_above_one_ends_within_three_evaluations():
     assert not np.any(T(p) + 0.01 <= p)
 
 
-# Linear T below the limit: the candidate bound, plain or at the bracket's
-# upper end, is a proof, so the first sphere point the solver evaluates is s* itself.  Every
-# iterate lies below the limit w* = (I - A)^-1 eps 1, whose norm is at most
-# 0.999 r, so the evaluated points on the sphere are told apart by norm.
+# Linear T below the limit, on its callable twin, which has no policy step:
+# the candidate bound, plain or at the bracket's upper end, is a proof, so the
+# first sphere point the solver evaluates is s* itself.  Every iterate lies
+# below the limit w* = (I - A)^-1 eps 1, whose norm is at most 0.999 r, so
+# the evaluated points on the sphere are told apart by norm.
 @hypothesis.settings(max_examples=60, deadline=None, database=None, derandomize=True)
 @hypothesis.given(contractive(st.floats(0.05, 0.999)), st.floats(1e-3, 0.999))
 def test_feasible_eps_evaluates_one_sphere_point(A, fraction):
     eps = fraction * eps_max(A, R)
-    seen = []
-
-    def recording(s):
-        seen.append(np.array(s))
-        return A @ s
-
-    T = MonotoneMap(len(A), recording, "linear")
-    report = find_decay_point(T, SolverConfig(R, eps, NEAR_UNIT_CAP), len(A))
+    with recorded() as seen:
+        report = find_decay_point(callable_twin(make_linear_map(A)),
+                                  SolverConfig(R, eps, NEAR_UNIT_CAP), len(A))
     assert report.success, report.failure_reason
     on_sphere = [s for s in seen if abs(float(np.sum(s)) - R) <= 1e-9 * R]
     assert len(on_sphere) == 1
