@@ -10,12 +10,12 @@ small-gain condition for interconnected systems.
 
 ``find_decay_point`` runs three stages in order, and each may end the
 run: the policy step, which answers a map flagged homogeneous in one
-evaluation; the order-interval pre-phase, with its sphere stage of
-Newton steps after a failed candidate; and the simplicial walk.  The
-walk is left with the runs the first two do not end: a failed candidate
-whose Newton steps stop short of a certificate (a map built from a
-callable, which has no Jacobian, takes none), and a proof of
-infeasibility at a point that still has a label.
+evaluation; the sphere stage of Newton steps from the uniform point,
+with the map's proven Jacobian or, for a map built from a callable, a
+difference Jacobian, followed by the order-interval pre-phase; and the
+simplicial walk.  The walk is left with the runs the first two do not
+end: a failed pre-phase candidate, and a proof of infeasibility at a
+point that still has a label.
 """
 
 from .dynamics import (

@@ -4,11 +4,12 @@
 in every component and ``|s*|_1 = r``.  It refines the sphere grid level
 by level (mesh halving) and runs the door-in-door-out complete-cell
 search of :mod:`decaycert.triangulation` at each level; every map
-evaluation doubles as a direct certificate test, so the solver returns
-the first evaluated point that decays with the required margin.  The
-per-level complete cells have diameter proportional to ``r / 2^level``,
-which forces the candidate region to shrink to a point when the direct
-test keeps failing; runs end honestly at the iteration cap.
+evaluation at a sphere point doubles as a direct certificate test, so the
+solver returns the first evaluated point that decays with the required
+margin.  The per-level complete cells have diameter proportional to
+``r / 2^level``, which forces the candidate region to shrink to a point
+when the direct test keeps failing; runs end honestly at the iteration
+cap.
 
 **Policy step.**  For a map homogeneous of degree one, a point s decays
 with margin eps exactly when ``w = s/eps`` has ``T(w) + 1 <= w``.  So the
@@ -60,19 +61,45 @@ label (eps within rounding of eps_max), a Perron vector that
 ``perron_direction`` refuses (where neither its eigenvector nor its
 singular vector passes its residual bound), a Jacobian with a non-finite
 entry, or a policy that recurs under rounding leave the run to the
-pre-phase below (only the memo may hold the tested point).  A value of T
-at the point that is not finite ends the run as ``nonfinite`` there, as
-at every sphere point.  The policy step is the only reader of the
-homogeneous flag: past it, every map is treated alike, and the test of a
-new sphere point ends the run only where the point certifies or T is not
-finite there.
+sphere stage and the pre-phase below (only the memo may hold the tested
+point).  A value of T at the point that is not finite ends the run as
+``nonfinite`` there, as at every sphere point.  The policy step is the
+only reader of the homogeneous flag: past it, every map is treated
+alike, and the test of a new sphere point ends the run only where the
+point certifies or T is not finite there.
 
-Before any walk, every run that the policy step leaves open (every map
+**Sphere stage.**  Every run that the policy step leaves open (every map
 not flagged homogeneous, and a homogeneous one only where rounding
-defeats the step) goes through an order-interval pre-phase.  It
-iterates ``w_0 = eps 1``, ``w_{k+1} = T(w_k) + eps 1``.  For monotone
-``T`` the iterates never decrease, and every decay point ``s`` with
-margin eps bounds them from above (``s >= eps 1``, and ``w_k <= s`` gives
+defeats the step) first takes Newton steps on the sphere, from the
+uniform point ``r 1/n``.  Each step solves the equal-margin system
+``q = T(p) + J (q - p) + d 1``, ``1'q = 1'p = r``, for the point q and the
+common margin d, one bordered ``(n+1) x (n+1)`` solve.  J is
+``T.jacobian(p)`` where T's constructor proves one
+(``MonotoneMap.jacobian``).  A map built from a callable has none, and J
+is then formed from n forward differences ``(T(p + h_j e_j) - T(p))/h_j``
+with ``h_j = 1e-6 max(p_j, 1e-3)`` (Kelley, *Solving Nonlinear Equations
+with Newton's Method*, SIAM 2003, ch. 2).  Each difference is a counted
+evaluation, against the cap like every other, but its point is not on
+the sphere: it never enters the memo and is never a certificate.  A
+decay point whose margin is the same in every component solves the
+system at ``q = p``, so the steps home in on one as Newton's method does;
+the monotone Newton iterations of Etessami & Yannakakis (*J. ACM* 56,
+2009) and Esparza, Kiefer & Luttenberger (*J. ACM* 57, 2010) are the
+model.  Where q leaves the open orthant, the step from p is cut to nine
+tenths of the way to its boundary, and the point goes onto the sphere.
+J only guides: every point the stage reaches is evaluated through the
+memo, counted and tested directly, like every other sphere point, so a
+poor J costs evaluations, never soundness.  The stage stops at the first
+step whose margin ``min(p - T p)`` does not beat the best so far (the
+evaluation cap bounds it too), and where no Newton point exists: J is
+not finite (``t^0.5`` at a zero component), or the bordered system is
+singular or its solution not finite.
+
+**Pre-phase.**  A run the sphere stage leaves open goes through an
+order-interval pre-phase.  It iterates ``w_0 = eps 1``,
+``w_{k+1} = T(w_k) + eps 1``.  For monotone ``T`` the iterates never
+decrease, and every decay point ``s`` with margin eps bounds them from
+above (``s >= eps 1``, and ``w_k <= s`` gives
 ``w_{k+1} <= Ts + eps 1 <= s``; lattice fixed points, Tarski 1955).  Each
 step costs one counted evaluation and stops at the first of two rules:
 
@@ -82,8 +109,7 @@ step costs one counted evaluation and stops at the first of two rules:
   max-times maps with linear gains; Lemmens & Nussbaum, *Nonlinear
   Perron-Frobenius Theory*, 2012) the bound proves that ``p`` passes; for
   linear ``T`` it is the optimum ``~ (I - A)^-1 1``.  If ``p`` fails (a map
-  that is not subhomogeneous), the sphere stage below runs, and then the
-  whole ladder below is walked.
+  that is not subhomogeneous), the whole ladder below is walked.
 * **no decay point**: ``|w_{k+1}|_1 > r (1 + 1e-9)``, so no sphere point
   lies above ``w_{k+1}``.  The last step ``d_k = w_{k+1} - w_k`` crosses
   the sphere at the box point ``q = w_k + t d_k``,
@@ -103,67 +129,13 @@ Both are proofs, and no third rule is needed: bounded iterates converge,
 so the candidate bound ``(r/|w_k|_1)(eps - max(w_{k+1} - w_k))`` tends to
 ``eps r/|w*|_1`` and fires once ``|w*|_1 < r/(1 + 1e-9)``; a larger limit,
 or unbounded iterates, fire the norm rule.  Only a limit norm within
-about ``1e-9 r`` of ``r`` runs to the cap.
+about ``1e-9 r`` of ``r`` runs to the cap.  Near the limit the iterates
+crawl at the contraction rate (for linear ``T`` both rules need steps
+growing like ``1/(1 - rho)``), which is why the sphere stage runs first.
 
-**Collatz-Wielandt bracket.**  Near the limit the iterates crawl at the
-contraction rate: for linear ``T`` both rules need steps growing like
-``1/(1 - rho)``.  So each step that fires neither rule also tries an
-extrapolated end ``U`` of the iterates, for linear T an upper bound of the
-limit, and tests its sphere point.  With ``d_k = w_{k+1} - w_k`` and
-``d_{-1} = eps 1`` (``T(0) = 0``), let ``theta = max d_{k,i}/d_{k-1,i}``
-over the components with ``d_{k,i} > 0`` (infinite if such a
-``d_{k-1,i}`` is 0), the upper Collatz-Wielandt ratio of the last step
-(Lemmens & Nussbaum); it is skipped when some ``d_{k,i} < 0``, which only
-a map that is not monotone can give, since its end could leave the
-orthant.  The end is ``U = w_k + d_k/(1 - theta)``, when ``theta < 1``,
-computed as ``(1 - theta) U = (1 - theta) w_k + d_k`` so that it cannot
-overflow.  For linear ``T = A`` every step is ``d_{j+1} = A d_j``, and
-``d_k <= theta d_{k-1}`` gives ``A d_k <= theta d_k``, so
-``A U + eps 1 = w_{k+1} + A d_k/(1 - theta) <= U``.  Once
-``|U|_1 <= r (1 - 1e-9)``, the sphere point ``l U`` with
-``l = r/|U|_1 >= 1`` decays with margin ``l (U - A U) >= l eps >= eps``,
-and it is tested once.  A linear map that a constructor built reaches
-the pre-phase only where rounding defeats the policy step, but the end
-is tried on every map.  For any other map it is a tested extrapolation,
-kept because it pays on sublinear maps: the diagonal ``2 t^0.5`` at
-n = 2, r = 10 and eps = 0.1 takes 5 evaluations with it and 11 without.
-If the test fails, the pre-phase goes on without the upper end, so a
-misleading map costs one evaluation.
-
-The norm rule comes first: it is a proof for every monotone ``T``, once
-it fires no sphere point can pass, and it keeps infinite steps away from
-the bracket.  An infeasible linear run never passes the upper end's norm
-test, since ``U >= w*``.  How soon the end answers depends on how fast
-the ratio settles near ``rho``, so a small spectral gap, a weakly coupled
-component or an eigenvalue near ``-rho`` slows it.
-
-The iterates are not sphere points and never enter the memo, so only a
-sphere point that passed the direct margin test is ever returned.
-
-**Sphere stage.**  A failed candidate is a sphere point where the bound
-at a small iterate misjudged the map: a superlinear ``A s^1.2`` looks
-contractive at ``w_0 = eps 1``, so its candidate is the uniform point
-``r 1/n``, and the chain and flip-flop maps' candidates fail alike.  From
-there the solver takes Newton steps on the equal-margin system
-``q = T(p) + J (q - p) + d 1``, ``1'q = 1'p = r``, for the point q and
-the common margin d, with ``J = T.jacobian(p)`` the derivative that T's
-constructor proves (``MonotoneMap.jacobian``).  Each is one bordered
-``(n+1) x (n+1)`` solve.  A decay point whose margin is the same in every
-component solves the system at ``q = p``, so the steps home in on one as
-Newton's method does; the monotone Newton iterations of Etessami &
-Yannakakis (*J. ACM* 56, 2009) and Esparza, Kiefer & Luttenberger (*J.
-ACM* 57, 2010) are the model.  Where q leaves the open orthant, the step
-from p is cut to nine tenths of the way to its boundary, and the point
-goes onto the sphere.  J only guides: computing it never calls T, and
-every point the stage reaches is evaluated through the memo, counted and
-tested directly, like every other sphere point.  A poor J costs
-evaluations, never soundness.  The stage stops at the first step whose
-margin ``min(p - T p)`` does not beat the best so far (the evaluation cap
-bounds it too), and where no Newton point exists: T has no Jacobian (a
-map built from a callable), J is not finite (``t^0.5`` at a zero
-component), or the bordered system is singular or its solution not
-finite.  Then the ladder is walked.  The stage never runs after the norm
-proof, and never for a subhomogeneous map, whose candidate passes.
+The iterates and the differences are not sphere points and never enter
+the memo, so only a sphere point that passed the direct margin test is
+ever returned.
 
 **The walk** (``_walk``) is the paper's method, and it runs last, on
 the slack rungs that ``_pre_phase`` returns: the whole ladder below
@@ -186,11 +158,9 @@ final rung uses ``eps`` itself, so the failure modes of the plain method
 are preserved verbatim.
 
 Every rung's walk starts at level 2.  Level 1 has one cell, the whole
-simplex, so its walk would only look up the n corners ``r e_i``, and a
-corner is never a certificate: its components off the support are 0 and
-``T >= 0``, so its margin is at most 0 < eps.  Each rung tests level 1's
-barycentre ``r 1/n`` directly instead; through the memo, that costs at
-most one evaluation per solve.
+simplex, whose corners ``r e_i`` are never certificates (a corner's
+components off the support are 0 and ``T >= 0``, so its margin is at
+most 0 < eps) and whose barycentre ``r 1/n`` the sphere stage has tested.
 
 Map evaluations are memoized across levels and rungs (a lattice point of
 level L reappears at every finer level), so refinement never re-pays for
@@ -281,7 +251,7 @@ class _NoLabel(Exception):
         self.point = point
 
 
-# Relative rounding allowance of the policy step, the pre-phase's proofs and its bracket.
+# Relative rounding allowance of the policy step and the pre-phase's proofs.
 _ROUNDING = 1e-9
 
 
@@ -323,28 +293,15 @@ def _box_point(w: np.ndarray, up: np.ndarray, step: np.ndarray, r: float) -> np.
     return None
 
 
-def _bracket(w: np.ndarray, prev: np.ndarray, step: np.ndarray) -> tuple[float, np.ndarray]:
-    """The bracket's upper end ``U >= w*`` as ``(theta, (1 - theta) U)``.
-
-    ``U = w + step/(1 - theta)`` is scaled so that it cannot overflow, and
-    ``step = T(w) + eps - w`` follows the iterate step ``prev``.  Here
-    ``theta = min(theta_hi, 1)``, ``theta_hi = max step_i/prev_i`` over
-    ``step_i > 0`` (infinite where ``prev_i <= 0``), and U bounds ``w*``
-    only where ``theta_hi < 1``.
-    """
-    ratio = np.divide(step, prev, out=np.full(len(w), np.inf), where=prev > 0.0)
-    theta = min(float(np.max(ratio, where=step > 0.0, initial=0.0)), 1.0)
-    return theta, (1.0 - theta) * w + step
-
-
 class _Evaluator:
     """``T`` behind the memo, the evaluation counter and the cap.
 
     Every sphere point is evaluated through ``__call__``, which ends the
     search by raising ``_Finished`` at the cap, at a value that is not
     finite, and at a new point that passes the certificate test.  The
-    pre-phase's iterates, which are not sphere points, go through
-    ``call`` and ``margin`` alone.
+    pre-phase's iterates and the sphere stage's differences, which are not
+    sphere points, go through ``call`` alone (the iterates also through
+    ``margin``).
     """
 
     def __init__(self, T: MonotoneMap, cfg: SolverConfig):
@@ -398,21 +355,26 @@ def _on_sphere(v: np.ndarray, r: float) -> np.ndarray:
     return v * (r / float(np.sum(v)))
 
 
-def _newton_point(T: MonotoneMap, p: np.ndarray, Tp: np.ndarray) -> np.ndarray | None:
+def _newton_point(ev: _Evaluator, p: np.ndarray, Tp: np.ndarray) -> np.ndarray | None:
     """The sphere stage's Newton point from the sphere point p, ``Tp = T(p)``, or None.
 
     It solves the equal-margin system ``q = T(p) + J (q - p) + d 1``,
-    ``1'q = 1'p``, for q and the margin d, with ``J = T.jacobian(p)``, and
-    damps the step toward p so that q stays in the open orthant.  None
-    where T has no Jacobian, J is not finite, or the bordered system is
-    singular or its solution not finite.
+    ``1'q = 1'p``, for q and the margin d, damps the step toward p so that
+    q stays in the open orthant, and returns q on the sphere.  J is ``T.jacobian(p)`` where T's
+    constructor proved one, and else n forward differences
+    ``(T(p + h_j e_j) - T(p))/h_j``, ``h_j = 1e-6 max(p_j, 1e-3)``, each a
+    counted ``ev.call`` that is neither memoized nor tested.  None where J
+    is not finite, or the bordered system is singular or its solution not
+    finite.
     """
-    if T.jacobian is None:
-        return None
-    J = T.jacobian(p)
+    n = len(p)
+    if ev.T.jacobian is None:
+        h = 1e-6 * np.maximum(p, 1e-3)
+        J = np.column_stack([ev.call(p + step) - Tp for step in np.diag(h)]) / h
+    else:
+        J = ev.T.jacobian(p)
     if not np.all(np.isfinite(J)):
         return None
-    n = len(p)
     bordered = np.zeros((n + 1, n + 1))
     bordered[:n, :n] = np.eye(n) - J
     bordered[:n, n] = -1.0
@@ -427,7 +389,7 @@ def _newton_point(T: MonotoneMap, p: np.ndarray, Tp: np.ndarray) -> np.ndarray |
     down = step < 0.0
     # at most nine tenths of the way to the boundary, in each component that decreases
     reach = float(np.min(p[down] / -step[down], initial=math.inf))
-    return p + min(1.0, 0.9 * reach) * step
+    return _on_sphere(p + min(1.0, 0.9 * reach) * step, ev.r)
 
 
 def _policy_point(T: MonotoneMap) -> np.ndarray | None:
@@ -468,7 +430,7 @@ def _policy_step(ev: _Evaluator) -> None:
 
     Ends the search through ``ev`` where that point certifies, has no
     label or has a value that is not finite, and else returns, for the
-    pre-phase to run.
+    sphere stage and the pre-phase to run.
     """
     v = _policy_point(ev.T) if ev.T.homogeneous else None
     if v is None:
@@ -479,47 +441,38 @@ def _policy_step(ev: _Evaluator) -> None:
 
 
 def _pre_phase(ev: _Evaluator) -> list[float]:
-    """The order-interval pre-phase and the sphere stage; the slack rungs left to walk.
+    """The sphere stage, then the order-interval pre-phase; the slack rungs left to walk.
 
-    Either ends the search through ``ev`` or returns the rungs of
-    ``_slack_ladder`` that the walk must still try.  Its rules and their
-    proofs are in the module docstring.
+    The sphere stage takes Newton steps from the uniform point ``r 1/n``
+    for as long as the margin grows.  The pre-phase then either ends the
+    search through ``ev`` or returns the rungs of ``_slack_ladder`` that
+    the walk must still try.  Their rules and proofs are in the module
+    docstring.
     """
-    T, r, eps, n = ev.T, ev.r, ev.eps, ev.T.dimension
+    r, eps, n = ev.r, ev.eps, ev.T.dimension
+    p, best = np.full(n, r / n), -math.inf
+    while p is not None:
+        Tp = ev(p)
+        margin = float(np.min(p - Tp))
+        if margin <= best:
+            break
+        best = margin
+        p = _newton_point(ev, p, Tp)
     w = np.full(n, eps)
-    step = np.full(n, eps)  # w_0 - w_-1, where w_-1 = T(0) = 0
-    upper = True
     while True:
         Tw = ev.call(w)
         margin = ev.margin(w, Tw)
         if (r / float(np.sum(w))) * margin >= eps * (1.0 + _ROUNDING):  # the candidate
-            # its sphere point, then the sphere stage: Newton steps while a Newton point
-            # exists and the margin grows
-            q, best = w, -math.inf
-            while q is not None:
-                p = _on_sphere(q, r)
-                Tp = ev(p)
-                margin = float(np.min(p - Tp))
-                if margin <= best:
-                    break
-                best = margin
-                q = _newton_point(T, p, Tp)
+            ev(_on_sphere(w, r))
             return _slack_ladder(eps, r, n)
         up = Tw + eps
-        prev, step = step, up - w
         if float(np.sum(up)) > r * (1.0 + _ROUNDING):  # no decay point exists
-            p = _box_point(w, up, step, r)
+            p = _box_point(w, up, up - w, r)
             if p is None:
                 p = _on_sphere(up, r)
                 if label_index(p, ev(p), eps) is not None:
                     return [eps]
             raise ev.end("label_none", p)
-        # a negative step means T is not monotone: no ratio bounds w*, and the end may be < 0
-        if upper and np.all(step >= 0.0):
-            theta, high = _bracket(w, prev, step)
-            if theta < 1.0 and float(np.sum(high)) <= (1.0 - theta) * r * (1.0 - _ROUNDING):
-                ev(_on_sphere(high, r))  # ends the search if it passes, as for linear T
-                upper = False  # the end misled: at most one such test per solve
         w = up
 
 
@@ -534,8 +487,6 @@ def _walk(ev: _Evaluator, rungs: list[float]) -> None:
     r, n = ev.r, ev.T.dimension
     for slack in rungs:
         try:
-            # level 1's one cell is the whole simplex: only its barycentre can be a certificate
-            ev(np.full(n, r / n))
             m = 2
             while True:
                 scale = r / m

@@ -29,7 +29,15 @@ __all__ = [
 
 
 def as_nonnegative_matrix(A) -> np.ndarray:
-    """Float copy of ``A``; ValueError unless it is square, finite, with no negative entry."""
+    """Float copy of ``A``; ValueError unless it is square, finite, with no negative entry.
+
+    A bool or a string is no entry, though numpy would convert it.
+    """
+    if not (isinstance(A, np.ndarray) and A.dtype.kind in "iuf"):
+        for index, entry in np.ndenumerate(np.array(A, dtype=object)):
+            if isinstance(entry, (bool, np.bool_, str, bytes)):
+                where = ",".join(str(k + 1) for k in index)
+                raise ValueError(f"matrix entry at ({where}) is not a number: {entry!r}")
     A = np.array(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {A.shape}")

@@ -64,8 +64,9 @@ class MonotoneMap:
     none.  For a homogeneous map ``J(s)`` is the matrix of the linear
     piece active at s, so ``T(s) = J(s) s``; the solver's policy step reads
     its policies from it.  The sphere stage takes Newton steps with any
-    map's Jacobian, and without one it takes none.  Either tests every
-    resulting point on T itself.  A Jacobian reads its map's ``fn``, never
+    map's Jacobian, and without one it forms J from forward differences
+    of T, each a counted evaluation.  Either tests every resulting point
+    on T itself.  A Jacobian reads its map's ``fn``, never
     ``__call__``, so it is never counted as an evaluation.
     ``kind`` is only a name: the solver never reads it.
     """
@@ -183,6 +184,13 @@ def coerce_gain(g) -> ScalarFn:
     raise TypeError(f"cannot interpret {g!r} as a gain function")
 
 
+def _gain_sequence(gains, what: str):
+    """``gains`` itself; ValueError where it is a string, whose characters are no gains."""
+    if isinstance(gains, str):
+        raise ValueError(f"{what} must be a sequence, got the string {gains!r}")
+    return gains
+
+
 def check_gain(g: ScalarFn, where: str) -> None:
     """Raise ValueError unless ``g(0) = 0`` exactly; g is nondecreasing by construction.
 
@@ -217,7 +225,8 @@ class GainTable:
     rows: tuple[tuple[ScalarFn, ...], ...]
 
     def __post_init__(self):
-        rows = tuple(tuple(coerce_gain(g) for g in row) for row in self.rows)
+        rows = tuple(tuple(coerce_gain(g) for g in _gain_sequence(row, f"gain table row {i + 1}"))
+                     for i, row in enumerate(_gain_sequence(self.rows, "gain table")))
         if not rows or any(len(row) != len(rows) for row in rows):
             raise ValueError("gain table must be square")
         for i, row in enumerate(rows):
@@ -266,7 +275,7 @@ def make_max_preserving(gains) -> MonotoneMap:
 
 def make_diagonal(fns: Sequence) -> MonotoneMap:
     """Componentwise map ``(Ds)_i = rho_i(s_i)`` from class-Kinf descriptors."""
-    rhos = [coerce_gain(f) for f in fns]
+    rhos = [coerce_gain(f) for f in _gain_sequence(fns, "diagonal functions")]
     if not rhos:
         raise ValueError("need at least one diagonal function")
     for i, rho in enumerate(rhos):

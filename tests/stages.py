@@ -1,14 +1,16 @@
 """Ways for a test to reach one stage of ``find_decay_point`` on purpose.
 
-The solver runs the policy step, then the pre-phase and sphere stage,
+The solver runs the policy step, then the sphere stage and pre-phase,
 then the walk.  A map that a constructor built carries its proven
 Jacobian and homogeneous flag, and those let the first two stages answer
 most runs, so a test that means a later stage says how it gets there:
 
 * ``callable_twin(T)`` computes T's values without the flag or the
-  Jacobian: no policy step, and a sphere stage that takes no step;
+  Jacobian: no policy step, and a sphere stage whose Newton steps use
+  forward differences;
 * ``plain_walk(T, cfg, n)`` runs the paper's plain method on T itself: no
-  policy step, no pre-phase, and the whole slack ladder walked;
+  policy step, no sphere stage or pre-phase, and the whole slack ladder
+  walked;
 * ``recorded()`` records the points at which maps are evaluated, and
   leaves every map as it was built.
 """
@@ -33,8 +35,9 @@ def callable_twin(T: MonotoneMap) -> MonotoneMap:
 def plain_walk(T: MonotoneMap, cfg: SolverConfig, n: int) -> SolveReport:
     """``find_decay_point(T, cfg, n)`` as the paper's plain method.
 
-    The policy step does nothing and the pre-phase returns the whole slack
-    ladder, so the run is the walk alone; the memo, the cap, the report and
+    The policy step does nothing and ``_pre_phase`` (the sphere stage and
+    the pre-phase) returns the whole slack ladder, so the run is the walk
+    alone; the memo, the cap, the report and
     the solve's own entry point (``homotopy.find_decay_point``, looked up
     at call time, as a tracer replaces it) are the solver's.
     """

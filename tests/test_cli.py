@@ -224,7 +224,7 @@ class TestVerify:
         assert "did NOT converge within 10000 steps (final sup-norm 4); no certificate" in out
         result = [line for line in out.splitlines() if line.startswith("RESULT: ")]
         assert result == [
-            "RESULT: command=verify certified=0 success=1 iterations=5 "
+            "RESULT: command=verify certified=0 success=1 iterations=1 "
             "margin=3.675444679663241 steps=10000 final_sup_norm=4.0 s_star=10.0,10.0"
         ]
 

@@ -133,12 +133,13 @@ class TestFindDecayPoint:
         check_success_postcondition(T, cfg, report)
 
     def test_iteration_cap_reported_honestly(self):
+        # the sphere stage's second Newton point, the third evaluation, certifies
         T = make_chain_map(3)
-        cfg = SolverConfig(r=10.0, epsilon=0.1, max_iterations=3)
+        cfg = SolverConfig(r=10.0, epsilon=0.1, max_iterations=2)
         report = find_decay_point(T, cfg, 3)
         assert not report.success
         assert report.failure_reason == "iteration_cap"
-        assert report.iterations == 3
+        assert report.iterations == 2
 
     def test_deterministic(self):
         T = make_chain_map(4)
@@ -151,18 +152,24 @@ class TestFindDecayPoint:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_nonfinite_map_value_is_named(self, bad):
-        # the pre-phase evaluates w0 = (0.1, 0.1), then tests its candidate (5, 5)
-        T = MonotoneMap(2, lambda s: np.full(2, bad) if s[0] > 4 else 0.5 * s, "partial")
-        for candidate in (T, compose(make_linear_map(0.5 * np.eye(2)), T)):
-            report = find_decay_point(candidate, SolverConfig(r=10.0, epsilon=0.1), 2)
+        # B s with B = A or A/2 below s_1 = 5.5.  The sphere stage evaluates (5, 5),
+        # where neither map decays with margin 3, then the two differences
+        # (5 + 5e-6, 5) and (5, 5 + 5e-6), and then its Newton point, the optimal
+        # point of B, which lies past s_1 = 5.5
+        A = np.array([[0.0, 0.9], [0.1, 0.0]])
+        T = MonotoneMap(2, lambda s: np.full(2, bad) if s[0] > 5.5 else A @ s, "partial")
+        for candidate, B in ((T, A), (compose(make_linear_map(0.5 * np.eye(2)), T), 0.5 * A)):
+            report = find_decay_point(candidate, SolverConfig(r=10.0, epsilon=3.0), 2)
             assert not report.success
             assert report.failure_reason == "nonfinite"
-            assert report.iterations == 2
-            assert report.failure_point.tolist() == [5.0, 5.0]
+            assert report.iterations == 4
+            optimal = np.linalg.solve(np.eye(2) - B, np.ones(2))
+            np.testing.assert_allclose(report.failure_point, 10.0 * optimal / optimal.sum(),
+                                       rtol=1e-8)
 
     def test_pre_phase_evaluations_count_toward_the_cap(self, monkeypatch):
-        # on the callable twin, with no policy step, this case needs 4
-        # evaluations, the first 3 of them pre-phase steps
+        # on the callable twin, with no policy step, this case needs 5
+        # evaluations: r 1/n, its 3 differences and the Newton point
         def no_walk(*args):
             raise AssertionError("the walk ran")
 
@@ -176,12 +183,15 @@ class TestFindDecayPoint:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_nonfinite_pre_phase_iterate_is_named(self, bad):
-        # w0 = (0.1, 0.1) gives no candidate at r = 0.5, so the second step
-        # evaluates the iterate w1 = 0.9 w0 + 0.1 = (0.19, 0.19)
-        T = MonotoneMap(2, lambda s: np.full(2, bad) if s[0] > 0.15 else 0.9 * s, "partial")
+        # the sphere stage evaluates r 1/n = (0.25, 0.25) and its two differences,
+        # and its Newton point is r 1/n again.  Then w0 = (0.1, 0.1) gives no
+        # candidate at r = 0.5, so the second step evaluates the iterate
+        # w1 = 0.9 w0 + 0.1 = (0.19, 0.19)
+        T = MonotoneMap(2, lambda s: np.full(2, bad) if 0.15 < s[0] < 0.2 else 0.9 * s,
+                        "partial")
         report = find_decay_point(T, SolverConfig(r=0.5, epsilon=0.1), 2)
         assert report.failure_reason == "nonfinite"
-        assert report.iterations == 2
+        assert report.iterations == 5
         np.testing.assert_allclose(report.failure_point, [0.19, 0.19], rtol=1e-15)
 
     def test_proved_infeasible_point_with_a_label_walks_only_the_final_rung(self, monkeypatch):
@@ -234,13 +244,15 @@ class TestFindDecayPoint:
         assert report.failure_point.tolist() == [5e-11, 5e-11]
 
     def test_label_none_when_the_first_iterate_lies_outside_the_sphere(self):
-        # w0 = (1, 1) already has norm 2 > r and T(w0) = 0: the last step is 0,
-        # so there is no box point, and w1 = w0 scaled to the sphere, the
-        # second evaluation, has no label
+        # the sphere stage evaluates r 1/n = (0.5, 0.5) and its two differences,
+        # and its Newton point is r 1/n again.  w0 = (1, 1), the fourth
+        # evaluation, already has norm 2 > r and T(w0) = 0: the last step is 0,
+        # so there is no box point, and w1 = w0 scaled to the sphere is r 1/n,
+        # which the memo knows has no label
         T = callable_twin(make_linear_map(np.zeros((2, 2))))
         report = find_decay_point(T, SolverConfig(r=1.0, epsilon=1.0), 2)
         assert report.failure_reason == "label_none"
-        assert report.iterations == 2
+        assert report.iterations == 4
         assert report.failure_point.tolist() == [0.5, 0.5]
 
     def test_dimension_checks(self):
@@ -263,24 +275,24 @@ def test_slack_ladder_rungs():
 
 
 # Evaluation counts and decay points pinned at r=10, cap 100 000, eps=0.1
-# unless given.  A change to the policy step, the pre-phase, the sphere
-# stage, the labeling, the pivot walk or the slack ladder moves these.  The
-# chain maps' candidates fail, and a Newton step of the sphere stage
-# succeeds (GOLDEN_PATH_SHA256 also pins their plain walk, at n = 2..5).
+# unless given.  A change to the policy step, the sphere stage, the
+# pre-phase, the labeling, the pivot walk or the slack ladder moves these.
+# The chain maps' sphere stage starts at r 1/n, and one or two of its Newton
+# steps succeed (GOLDEN_PATH_SHA256 also pins their plain walk, at n = 2..5).
 # A linear map's policy
 # step tests the optimal point r (I - A)^-1 1 / |(I - A)^-1 1|_1 first, so
 # it is s*.  The others are products of float arithmetic (the linear ones of
 # matrix arithmetic, whose last bits may depend on the BLAS kernel), and are
 # compared to 1e-12.
 GOLDEN_WALKS = [
-    ("chain n=2", lambda: make_chain_map(2), None, 3, [6.249145258407947, 3.750854741592054]),
-    ("chain n=3", lambda: make_chain_map(3), None, 5,
-     [4.509981101769238, 3.390586354555298, 2.0994325436754653]),
-    ("chain n=4", lambda: make_chain_map(4), None, 6,
-     [3.5811309876374207, 3.1402783217316075, 1.86296709917046, 1.415623591460512]),
-    ("chain n=5", lambda: make_chain_map(5), None, 7,
-     [2.8716152470971137, 2.8628274308579886, 1.8652567615611149, 1.3120526165613258,
-      1.0882479439224575]),
+    ("chain n=2", lambda: make_chain_map(2), None, 2, [6.249145258407947, 3.750854741592054]),
+    ("chain n=3", lambda: make_chain_map(3), None, 3,
+     [4.583603135863588, 3.513198205717258, 1.9031986584191545]),
+    ("chain n=4", lambda: make_chain_map(4), None, 3,
+     [3.5920260097185706, 3.139991412460497, 1.8209861810793955, 1.4469963967415358]),
+    ("chain n=5", lambda: make_chain_map(5), None, 3,
+     [2.928087539729302, 2.786302647489271, 1.7738024686874638, 1.2429145435580442,
+      1.2688928005359192]),
     ("linear n=6 seed 0", lambda: make_linear_map(random_contractive(6, 0.8, 0)), None, 1,
      [1.502997266033915, 1.893397340493121, 1.7122348596536232, 1.3031304710924405,
       2.1140531472860364, 1.4741869154408602]),
@@ -292,8 +304,9 @@ GOLDEN_WALKS = [
 
 # random_contractive(6, 0.99, 6) at 0.99 and 1.01 eps_max (eps_max = 0.016722...).
 # Near rho = 1 the pre-phase's iterates crawl at the contraction rate: on
-# the map's callable twin its bracket's upper end answers the feasible run
-# in 8 evaluations, and the norm rule the infeasible one in 459.  The policy
+# the map's callable twin the sphere stage's Newton step with a difference
+# Jacobian answers the feasible run in 8 evaluations, and the norm rule the
+# infeasible one in 481.  The policy
 # step tests the optimal point at once, which is s* below the limit and has
 # no label above it, so both runs end at the same point.  These cases are
 # not in GOLDEN_PATH_SHA256 below.
@@ -371,45 +384,60 @@ def flipflop_witness_margin(lam: float, r: float = 10.0) -> float:
 
 def test_the_flipflop_map_near_its_witness_margin_takes_few_evaluations():
     """lam = 0.8 at 0.97 of the witness's margin: the sphere stage takes Newton
-    steps for as long as its margin grows, and certifies it.
+    steps from r 1/n for as long as its margin grows, and certifies it.
 
     Its margin still grows after n = 2 steps; a stage bounded at n steps
-    leaves it to the walk, which takes 381 evaluations.
+    would leave it to the walk, which takes 381 evaluations.
     """
     T = make_flipflop_map(0.8)
     cfg = SolverConfig(r=10.0, epsilon=0.97 * flipflop_witness_margin(0.8),
                        max_iterations=100_000)
     report = find_decay_point(T, cfg, 2)
     check_success_postcondition(T, cfg, report)
-    assert report.iterations == 13
+    assert report.iterations == 4
+
+
+def newton_point(T: MonotoneMap, p: np.ndarray) -> tuple[np.ndarray | None, int]:
+    """``_newton_point`` from p, r = 10, and the count of evaluations it spent."""
+    ev = homotopy._Evaluator(T, SolverConfig(r=10.0))
+    q = homotopy._newton_point(ev, p, T(p))
+    return q, ev.count
 
 
 def test_a_newton_point_of_a_linear_map_is_its_optimal_point():
     """For ``T = A`` the Newton system is T's own, so one step lands on
-    ``r (I - A)^-1 1 / |(I - A)^-1 1|_1``, where every component has the margin eps_max."""
+    ``r (I - A)^-1 1 / |(I - A)^-1 1|_1``, where every component has the margin eps_max.
+
+    The proven Jacobian costs no evaluation.  The callable twin's n forward
+    differences cost one counted evaluation each, and are exact to rounding.
+    """
     A = random_contractive(4, 0.8, 3)
     p = np.array([1.0, 2.0, 3.0, 4.0])
-    q = homotopy._newton_point(make_linear_map(A), p, A @ p)
-    np.testing.assert_allclose(q - A @ q, eps_max(A, 10.0), rtol=1e-12)
+    for T, rtol, count in ((make_linear_map(A), 1e-12, 0),
+                           (callable_twin(make_linear_map(A)), 1e-8, 4)):
+        with recorded() as seen:
+            q, spent = newton_point(T, p)
+        np.testing.assert_allclose(q - A @ q, eps_max(A, 10.0), rtol=rtol)
+        assert spent == len(seen) - 1 == count  # T(p), then the differences
+        assert all(np.sum(point) > np.sum(p) for point in seen[1:])
 
 
 @pytest.mark.parametrize("T,p", [
-    (callable_twin(make_chain_map(2)), np.array([5.0, 5.0])),  # no Jacobian
     (make_diagonal(["t^0.5", "t"]), np.array([0.0, 10.0])),  # J not finite at 0
     (make_linear_map(np.eye(2)), np.array([5.0, 5.0])),  # I - J = 0: a singular system
-], ids=["no Jacobian", "infinite derivative", "singular"])
+], ids=["infinite derivative", "singular"])
 def test_the_sphere_stage_has_no_newton_point_without_a_usable_jacobian(T, p):
-    assert homotopy._newton_point(T, p, T(p)) is None
+    assert newton_point(T, p)[0] is None
 
 
-def test_the_callable_chain_twin_walks_after_its_failed_candidate():
-    """Without a Jacobian the sphere stage ends at the failed candidate, and the
-    ladder is walked from there; power steps from it took 17 evaluations."""
+def test_the_callable_chain_twin_takes_newton_steps_with_a_difference_jacobian():
+    """The sphere stage certifies the twin from r 1/n in two Newton steps: 3 + 2 * 3
+    evaluations with the differences."""
     T = make_chain_map(3)
     cfg = SolverConfig(r=10.0, epsilon=0.1, max_iterations=100_000)
     report = find_decay_point(callable_twin(T), cfg, 3)
     check_success_postcondition(T, cfg, report)
-    assert report.iterations == 14
+    assert report.iterations == 9
 
 
 # Failures pinned at r=10: the reason, the evaluation count and the point
@@ -433,7 +461,7 @@ NEAR_UNIT_FAILURES = [
      "label_none", 1,
      [1.8548089295300352, 1.5782894693704732, 1.5390268638913054, 1.5730061141496752,
       1.6367913725267569, 1.8180772505317537]),
-    # on the callable twin, the norm rule takes 4,612 evaluations at rho = 0.999
+    # on the callable twin, the norm rule takes 4,641 evaluations at rho = 0.999
     ("n=6 rho=0.999 seed 0 at 1.01 eps_max", 6, 0.999, 0, 0.0016952335741928556, 100_000,
      "label_none", 1,
      [1.4657885394762817, 1.9583983598212653, 1.7270998635731958, 1.2209180853740211,
@@ -472,11 +500,11 @@ def test_golden_failure(name, n, rho, seed, eps, cap, reason, iterations, point)
 # SHA-256 of every point the solver evaluates, pre-phase iterates included,
 # each once in order of first evaluation, over every golden case that ends
 # before its cap, on the maps as built, and then over the plain walk of the
-# chain map at n = 2..5 (eps = 0.1), which takes 3, 11, 6 and 7 evaluations.
+# chain map at n = 2..5 (eps = 0.1).
 # It pins the path itself, not only where the path ends.  Points are hashed
 # to 10 significant digits, so that the last bits of matrix arithmetic (see
 # GOLDEN_WALKS) do not move the digest.
-GOLDEN_PATH_SHA256 = "ca5d08330bbb4804d0f1435d86d6461054dfd536f8d834fe48962b309a97bfa1"
+GOLDEN_PATH_SHA256 = "1c16b3b51746d94c65f8c71bf95c470eb49484b2883548c954697cd9535b247f"
 
 
 def test_golden_path():
@@ -503,11 +531,11 @@ def superlinear(n: int) -> MonotoneMap:
     return compose(make_linear_map(random_contractive(n, 0.8, 0)), make_diagonal(["t^1.2"] * n))
 
 
-# One map for each way the solver evaluates T: the pre-phase's iterates and
-# bracket on the callable twins of a linear map and of a max-times table
-# that is not linear (cycle mean 0.97, at 0.9 of its eps_max), the chain
-# map's failed candidate and the sphere stage's Newton steps (5 evaluations),
-# and the sphere stage and walk of A s^1.2.
+# One map for each way the solver evaluates T: the sphere stage's differences
+# on the callable twins of a linear map, of a max-times table that is not
+# linear (cycle mean 0.97, at 0.9 of its eps_max) and of the chain map (9
+# evaluations), the sphere stage's Newton steps with a proven Jacobian on the
+# chain map (3), and the sphere stage of A s^1.2.
 CAP_CASES = [
     ("linear n=3 rho=0.8 seed 0 at 0.9 eps_max",
      lambda: callable_twin(make_linear_map(random_contractive(3, 0.8, 0))), 0.6387007034997124),
@@ -515,13 +543,14 @@ CAP_CASES = [
         [[None, "1.642*t", "1.581*t"], ["0.527*t", None, None], [None, "1.095*t", "0.649*t"]])),
      0.0844),
     ("chain n=3", lambda: make_chain_map(3), 0.1),
+    ("chain n=3 twin", lambda: callable_twin(make_chain_map(3)), 0.1),
     ("A s^1.2 n=4", lambda: superlinear(4), 0.1),
 ]
 
 
 @pytest.mark.parametrize("name,build,eps", CAP_CASES, ids=[case[0] for case in CAP_CASES])
 def test_every_cap_below_the_uncapped_count_is_spent_exactly(name, build, eps):
-    # each of the first k calls of T counts, and the (k+1)-th is refused
+    # each of the first k calls of T, a difference or not, counts, and the (k+1)-th is refused
     T = build()
     with recorded() as seen:
         uncapped = find_decay_point(T, SolverConfig(r=10.0, epsilon=eps, max_iterations=100_000),
@@ -536,7 +565,7 @@ def test_every_cap_below_the_uncapped_count_is_spent_exactly(name, build, eps):
 
 def first_step_across(A: np.ndarray, r: float) -> float:
     """The eps at which the pre-phase's first step, from ``eps 1`` to ``eps (A1 + 1)``,
-    crosses the sphere halfway.  The norm rule then fires before the bracket."""
+    crosses the sphere halfway, so that the norm rule fires at once."""
     return r / (len(A) + 0.5 * float(np.sum(A)))
 
 
@@ -573,74 +602,32 @@ def test_proved_infeasible_run_ends_at_an_unevaluated_box_point(name, build, eps
     assert not any(np.array_equal(q, point) for point in seen)
 
 
-def test_failed_upper_end_costs_one_evaluation(monkeypatch):
-    # A s^1.5 looks contractive at w0 = 0.4 1, so the upper end of the bracket
-    # (the second evaluation, on the sphere) fails; the pre-phase goes on
-    # without it and the norm rule proves infeasibility
-    def no_walk(*args):
-        raise AssertionError("the walk ran")
-
-    monkeypatch.setattr(homotopy, "CompleteCellSearch", no_walk)
-    T = compose(make_linear_map(random_contractive(8, 0.8, 0)), make_diagonal(["t^1.5"] * 8))
-    with recorded() as seen:
-        report = find_decay_point(T, SolverConfig(r=10.0, epsilon=0.4, max_iterations=10_000), 8)
-    assert report.failure_reason == "label_none"
-    assert report.iterations == len(seen) == 6
-    on_sphere = [i for i, s in enumerate(seen) if abs(float(np.sum(s)) - 10.0) <= 1e-8]
-    assert on_sphere == [1]
-
-
-def test_upper_end_is_tested_at_most_once(monkeypatch):
-    # linear below 1.05 w* and steep above it: the iterates stay linear, so
-    # the bracket's upper end keeps passing its norm test, but every sphere
-    # point near s* fails.  One upper end is tested; the rest of the pre-phase
-    # runs as without it until its plain candidate fires.  The run is stopped
-    # where the sphere stage would start, so the candidate is the last point
-    # evaluated, and one sphere point comes before it
-    class Candidate(Exception):
-        pass
-
-    def stop(*args):
-        raise Candidate
-
-    monkeypatch.setattr(homotopy, "_newton_point", stop)
-    A = random_contractive(3, 0.8, 0)
-    eps = 0.9 * eps_max(A, 10.0)
-    bend = 1.05 * np.linalg.solve(np.eye(3) - A, np.full(3, eps))
-    T = MonotoneMap(3, lambda s: A @ s + 10.0 * np.maximum(s - bend, 0.0), "bent")
-    with recorded() as seen, pytest.raises(Candidate):
-        find_decay_point(T, SolverConfig(r=10.0, epsilon=eps, max_iterations=1000), 3)
-    on_sphere = [abs(float(np.sum(s)) - 10.0) <= 1e-8 for s in seen]
-    assert on_sphere[-1] and sum(on_sphere[:-1]) == 1
-
-
 def test_lower_end_is_tested_at_most_once():
     # A rule whose kind says linear, though it is 1.5 s only below (1, 4.95)
-    # and flat above.  The first steps grow by 1.5 along the ray of (1, 1),
-    # whose sphere point (5, 5) has a label in component 1.  For a linear map
-    # that ray would bound w* from below; the bracket keeps only its upper
-    # end, so (5, 5) is never tested: the pre-phase runs until, next to the
-    # fixed point (1.1, 5.05), the upper end's sphere point certifies
+    # and flat above.  Its iterates grow by 1.5 along the ray of (1, 1), whose
+    # sphere point (5, 5) has a label in component 1, margin 0.05 < eps.  For
+    # a linear map that ray would bound w* from below; the solver draws no
+    # conclusion from it.  (5, 5) is the sphere stage's first point, tested
+    # once, and the flat differences give J = 0, so one Newton step lands on
+    # T(5, 5) + d 1 = (3.025, 6.975), which certifies
     T = MonotoneMap(2, lambda s: np.minimum(1.5 * s, [1.0, 4.95]), "linear")
     with recorded() as seen:
         report = find_decay_point(T, SolverConfig(r=10.0, epsilon=0.1, max_iterations=1000), 2)
     assert report.success
-    assert report.iterations == len(seen) == 9
+    assert report.iterations == len(seen) == 4
     on_sphere = [abs(float(np.sum(s)) - 10.0) <= 1e-8 for s in seen]
-    assert on_sphere == [False] * 8 + [True]
-    np.testing.assert_allclose(report.s_star, [1.7857899371076265, 8.214210062892374],
-                               rtol=1e-12)
+    assert on_sphere == [True, False, False, True]
+    np.testing.assert_allclose(report.s_star, [3.025, 6.975], rtol=1e-12)
 
 
 def test_lower_end_does_not_end_a_nonlinear_run():
     # Monotone with T(0) = 0, and (5, 5) decays with margin above 2.  At w0 the
     # lower Collatz-Wielandt ratio is min(10, 1.1) >= 1, and the sphere point
     # of the first step, about (9.009, 0.991), has no label: for a linear map
-    # that would prove infeasibility, here it proves nothing.  The pre-phase
-    # never tests it, and the iterates converge to about (1.015, 1.01), where
-    # the upper end's sphere point is a certificate.  A map built from a
-    # callable is not homogeneous whatever kind it names, so the kind
-    # "linear" changes nothing
+    # that would prove infeasibility, here it proves nothing.  The solver
+    # never tests it: the sphere stage's first point (5, 5) is a certificate.
+    # A map built from a callable is not homogeneous whatever kind it names,
+    # so the kind "linear" changes nothing
     def fn(s):
         return np.array([max(math.sqrt(s[0]), s[0] ** 2 / 9.0), min(1.1 * s[1], 1.0)])
 
@@ -650,14 +637,14 @@ def test_lower_end_does_not_end_a_nonlinear_run():
         with recorded() as seen:
             report = find_decay_point(MonotoneMap(2, fn, kind), cfg, 2)
         assert report.success, kind
-        assert report.iterations == len(seen) == 26
-        np.testing.assert_allclose(report.s_star, [4.96081484, 5.03918516], rtol=1e-8)
+        assert report.iterations == len(seen) == 1
+        assert report.s_star.tolist() == [5.0, 5.0]
         assert not any(np.allclose(s, lower_point) for s in seen)
 
 
 @pytest.mark.parametrize("n", [6, 8, 10, 12])
 def test_sphere_stage_answers_a_superlinear_map(n):
-    # the pre-phase's candidate r 1/n fails; the walk alone takes 568-3,189 evaluations
+    # the sphere stage's first point r 1/n fails; the walk alone takes 568-3,189 evaluations
     T = superlinear(n)
     cfg = SolverConfig(r=10.0, epsilon=0.1, max_iterations=100_000)
     report = find_decay_point(T, cfg, n)
@@ -677,14 +664,13 @@ def test_sphere_stage_finds_near_limit_points(n, eps):
 
 
 # Counts at random_contractive(n, 0.8, seed), seeds 0..2, at half and 0.9 of
-# eps_max, of the pre-phase alone, on the map's callable twin.  The sphere
-# stage runs only after a failed candidate, and a linear map's candidate,
-# plain or the bracket's upper end, always passes: each count is the
-# iterates' evaluations and then the one sphere point that passes.  The
-# map itself is answered by the policy step's one evaluation.
+# eps_max.  The map itself is answered by the policy step's one evaluation,
+# before the sphere stage.  Its callable twin has no policy step: the sphere
+# stage evaluates r 1/n and its n differences, and its first Newton point is
+# the optimal point, which passes, so each count is n + 2.
 LINEAR_COUNTS = {
-    0.5: {2: [3, 3, 3], 4: [3, 3, 3], 6: [3, 3, 3], 8: [3, 3, 3], 10: [3, 3, 3]},
-    0.9: {2: [3, 4, 5], 4: [5, 3, 4], 6: [4, 3, 4], 8: [4, 3, 4], 10: [3, 4, 4]},
+    0.5: {2: [4, 4, 4], 4: [6, 6, 6], 6: [8, 8, 8], 8: [10, 10, 10], 10: [12, 12, 12]},
+    0.9: {2: [4, 4, 4], 4: [6, 6, 6], 6: [8, 8, 8], 8: [10, 10, 10], 10: [12, 12, 12]},
 }
 
 
@@ -707,7 +693,8 @@ def test_sphere_stage_successes_are_certificates():
     every ``label_none`` failure names a sphere point without a label.
 
     Each map is run as built and as its callable twin, whose sphere stage
-    takes no step.
+    takes Newton steps with a difference Jacobian.  Every evaluation of the
+    twin, a difference or not, is counted.
     """
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
@@ -729,7 +716,10 @@ def test_sphere_stage_successes_are_certificates():
     def check(T, eps):
         cfg = SolverConfig(r=10.0, epsilon=eps, max_iterations=1000)
         for M in (T, callable_twin(T)):
-            report = find_decay_point(M, cfg, T.dimension)
+            with recorded() as seen:
+                report = find_decay_point(M, cfg, T.dimension)
+            if M is not T:
+                assert len(seen) == report.iterations
             reasons.append((M is T, report.failure_reason))
             if report.success:
                 check_success_postcondition(T, cfg, report)

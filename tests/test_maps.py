@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -148,6 +149,15 @@ class TestLinear:
         with pytest.raises(ValueError):
             make_linear_map([[1.0, 2.0]])
 
+    def test_rejects_a_bool_or_a_string_entry(self):
+        # numpy reads True as 1.0 and "0.5" as 0.5, so this built T(2, 4) = (4, 0)
+        with pytest.raises(ValueError, match=r"^matrix entry at \(1,1\) is not a number: True$"):
+            make_linear_map([[True, "0.5"], [0, 0]])
+        with pytest.raises(ValueError, match=r"^matrix entry at \(1,2\) is not a number: '0\.5'$"):
+            make_linear_map([[1.0, "0.5"], [0, 0]])
+        with pytest.raises(ValueError, match=r"^matrix entry at \(1,1\) is not a number: True$"):
+            make_linear_map(np.eye(2, dtype=bool))
+
 
 class TestMaxPreserving:
     def test_rowwise_max(self):
@@ -194,6 +204,13 @@ class TestMaxPreserving:
         with pytest.raises(TypeError, match="^cannot interpret Identity"):
             make_max_preserving([[Identity()]])
 
+    def test_rejects_a_string_for_the_table_or_a_row(self):
+        # a string is a sequence of its characters: ["t"] built a 1x1 table
+        with pytest.raises(ValueError, match="^gain table row 1 must be a sequence, got the str"):
+            make_max_preserving(["t"])
+        with pytest.raises(ValueError, match="^gain table must be a sequence, got the string 't'$"):
+            make_max_preserving("t")
+
     def test_rejects_a_decreasing_gain(self):
         from decaycert.scalarfn import Term
 
@@ -221,6 +238,13 @@ class TestDiagonal:
     def test_rejects_no_functions(self):
         with pytest.raises(ValueError, match="^need at least one diagonal function$"):
             make_diagonal([])
+
+    @pytest.mark.parametrize("text", ["t", "0.5*t"])
+    def test_rejects_a_string_for_the_functions(self, text):
+        # a string is a sequence of its characters: "t" built a 1-D map
+        message = f"diagonal functions must be a sequence, got the string '{text}'"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            make_diagonal(text)
 
 
 class TestCompose:
