@@ -71,29 +71,50 @@ point certifies or T is not finite there.
 **Sphere stage.**  Every run that the policy step leaves open (every map
 not flagged homogeneous, and a homogeneous one only where rounding
 defeats the step) first takes Newton steps on the sphere, from the
-uniform point ``r 1/n``.  Each step solves the equal-margin system
-``q = T(p) + J (q - p) + d 1``, ``1'q = 1'p = r``, for the point q and the
-common margin d, one bordered ``(n+1) x (n+1)`` solve.  J is
+uniform point ``r 1/n``.  Each step fits a model M of T to ``T(p)`` and
+``J = J(p)`` and solves the equal-margin system ``q = M(q) + d 1``,
+``1'q = 1'p = r``, for the point q and the common margin d.  J is
 ``T.jacobian(p)`` where T's constructor proves one
 (``MonotoneMap.jacobian``).  A map built from a callable has none, and J
 is then formed from n forward differences ``(T(p + h_j e_j) - T(p))/h_j``
 with ``h_j = 1e-6 max(p_j, 1e-3)`` (Kelley, *Solving Nonlinear Equations
 with Newton's Method*, SIAM 2003, ch. 2).  Each difference is a counted
 evaluation, against the cap like every other, but its point is not on
-the sphere: it never enters the memo and is never a certificate.  A
-decay point whose margin is the same in every component solves the
+the sphere: it never enters the memo and is never a certificate.
+
+The model is one power per row.  Row i has the local degree
+``k_i = (J p)_i / T(p)_i``, Euler's ratio (1 where it is not finite or
+not positive), and ``M_i(q) = T(p)_i + sum_j (J_ij p_j / k_i)((q_j/p_j)^k_i - 1)``.
+M matches T and J at p, and it is T itself for every row of the form
+``sum_j c_ij s_j^a_i``, whose Euler ratio is ``a_i``: linear rows (where
+``k_i = 1`` makes M the affine model ``T(p) + J (q - p)``), ``A s^a``,
+diagonal and flip-flop rows, and a max-times row on its active piece.
+Such a map lands on its equal-margin point in one step.  Power terms are
+straight lines in log-log coordinates (Boyd, Kim, Vandenberghe & Hassibi,
+"A tutorial on geometric programming", *Optim. Eng.* 8, 2007), so the
+system is solved by Newton's method in ``y = log q`` from ``log p``, and
+``q = exp(y)`` stays in the open orthant.  Each inner step is one
+bordered ``(n+1) x (n+1)`` solve and evaluates no T; a log-step is capped
+at 1, and the solve stops once the residual is at most ``1e-13 r``.
+Where 50 inner steps do not get there, or a solve is singular or not
+finite (an overflow of ``(q_j/p_j)^k_i`` included), the model has no
+usable positive solution (a max-times table whose active policy P has
+``(I - P)^-1 1`` of mixed signs, say).  The step then falls back to the
+affine model: it solves ``q = T(p) + J (q - p) + d 1`` and, where q
+leaves the open orthant, cuts the step from p to nine tenths of the way
+to its boundary.  Either point goes onto the sphere.
+
+A decay point whose margin is the same in every component solves the
 system at ``q = p``, so the steps home in on one as Newton's method does;
 the monotone Newton iterations of Etessami & Yannakakis (*J. ACM* 56,
-2009) and Esparza, Kiefer & Luttenberger (*J. ACM* 57, 2010) are the
-model.  Where q leaves the open orthant, the step from p is cut to nine
-tenths of the way to its boundary, and the point goes onto the sphere.
-J only guides: every point the stage reaches is evaluated through the
-memo, counted and tested directly, like every other sphere point, so a
-poor J costs evaluations, never soundness.  The stage stops at the first
-step whose margin ``min(p - T p)`` does not beat the best so far (the
-evaluation cap bounds it too), and where no Newton point exists: J is
-not finite (``t^0.5`` at a zero component), or the bordered system is
-singular or its solution not finite.
+2009) and Esparza, Kiefer & Luttenberger (*J. ACM* 57, 2010) are its
+precedent.  M and J only guide: every point the stage reaches is evaluated
+through the memo, counted and tested directly, like every other sphere
+point, so a poor fit costs evaluations, never soundness.  The stage
+stops at the first step whose margin ``min(p - T p)`` does not beat the
+best so far (the evaluation cap bounds it too), and where no Newton
+point exists: J is not finite (``t^0.5`` at a zero component), or the
+affine system is singular or its solution not finite.
 
 **Pre-phase.**  A run the sphere stage leaves open goes through an
 order-interval pre-phase.  It iterates ``w_0 = eps 1``,
@@ -355,17 +376,60 @@ def _on_sphere(v: np.ndarray, r: float) -> np.ndarray:
     return v * (r / float(np.sum(v)))
 
 
+def _degree_point(J: np.ndarray, p: np.ndarray, Tp: np.ndarray) -> np.ndarray | None:
+    """The positive solution q of the degree model's equal-margin system, or None.
+
+    Row i of the model is ``M_i(q) = T(p)_i + sum_j (J_ij p_j / k_i)((q_j/p_j)^k_i - 1)``
+    with ``k_i = (J p)_i / T(p)_i`` (1 where that is not finite or not
+    positive).  Newton's method in ``y = log q`` from ``log p`` solves
+    ``q = M(q) + d 1``, ``1'q = 1'p``, each step one bordered solve capped
+    at a log-step of 1.  None where a solve is singular or not finite, or
+    50 steps leave a residual above ``1e-13 1'p``.
+    """
+    n, r = len(p), float(np.sum(p))
+    system = np.zeros((n + 1, n + 1))
+    system[:n, n] = -1.0
+    residual = np.zeros(n + 1)
+    # an overflow or a 0/0 leaves a value that is not finite, and the caller falls back
+    with np.errstate(all="ignore"):
+        y, d = np.log(p), 0.0
+        k = (J @ p) / Tp
+        k = np.where(np.isfinite(k) & (k > 0.0), k, 1.0)
+        weights = J * p  # J_ij p_j
+        for _ in range(50):
+            q = np.exp(y)
+            # (q_j/p_j)^k_i, and 0 where row i has no term in q_j
+            terms = np.where(weights != 0.0, weights * (q / p) ** k[:, None], 0.0)
+            residual[:n] = q - Tp - (terms - weights).sum(axis=1) / k - d
+            residual[n] = np.sum(q) - r
+            error = float(np.max(np.abs(residual)))  # not finite where any entry is not
+            if not math.isfinite(error):
+                return None
+            if error <= 1e-13 * r:
+                return q
+            system[:n, :n] = np.diag(q) - terms
+            system[n, :n] = q
+            try:
+                step = np.linalg.solve(system, -residual)
+            except np.linalg.LinAlgError:
+                return None
+            step /= max(1.0, float(np.max(np.abs(step[:n]))))
+            y, d = y + step[:n], d + step[n]
+    return None
+
+
 def _newton_point(ev: _Evaluator, p: np.ndarray, Tp: np.ndarray) -> np.ndarray | None:
     """The sphere stage's Newton point from the sphere point p, ``Tp = T(p)``, or None.
 
-    It solves the equal-margin system ``q = T(p) + J (q - p) + d 1``,
-    ``1'q = 1'p``, for q and the margin d, damps the step toward p so that
-    q stays in the open orthant, and returns q on the sphere.  J is ``T.jacobian(p)`` where T's
-    constructor proved one, and else n forward differences
-    ``(T(p + h_j e_j) - T(p))/h_j``, ``h_j = 1e-6 max(p_j, 1e-3)``, each a
-    counted ``ev.call`` that is neither memoized nor tested.  None where J
-    is not finite, or the bordered system is singular or its solution not
-    finite.
+    J is ``T.jacobian(p)`` where T's constructor proved one, and else n
+    forward differences ``(T(p + h_j e_j) - T(p))/h_j``,
+    ``h_j = 1e-6 max(p_j, 1e-3)``, each a counted ``ev.call`` that is
+    neither memoized nor tested.  None where J is not finite, or the affine
+    equal-margin system ``q = T(p) + J (q - p) + d 1``, ``1'q = 1'p`` is
+    singular or its solution not finite.  Otherwise the point is the
+    degree model's (``_degree_point``) where it has one, and else the
+    affine solution, its step from p damped so that it stays in the open
+    orthant; either is returned on the sphere.
     """
     n = len(p)
     if ev.T.jacobian is None:
@@ -385,6 +449,9 @@ def _newton_point(ev: _Evaluator, p: np.ndarray, Tp: np.ndarray) -> np.ndarray |
         return None
     if not np.all(np.isfinite(q)):
         return None
+    fitted = _degree_point(J, p, Tp)
+    if fitted is not None:
+        return _on_sphere(fitted, ev.r)
     step = q - p
     down = step < 0.0
     # at most nine tenths of the way to the boundary, in each component that decreases

@@ -292,7 +292,8 @@ def test_the_policy_step_answers_a_composition_with_a_max_times_part_in_one_eval
 
 
 @pytest.mark.parametrize("eps,outcome,twin_iterations",
-                         [(0.024382, None, 19), (0.024874, "label_none", 950)])
+                         [(0.024382, None, 13), (0.024874, "label_none", 944)],
+                         ids=["0.99 eps_max", "1.01 eps_max"])
 def test_a_near_critical_table_ends_in_one_evaluation(eps, outcome, twin_iterations):
     """Cycle mean 0.995 and eps_max 0.0246282 at r = 10: 0.99 and 1.01 of it.
 
