@@ -95,14 +95,17 @@ straight lines in log-log coordinates (Boyd, Kim, Vandenberghe & Hassibi,
 system is solved by Newton's method in ``y = log q`` from ``log p``, and
 ``q = exp(y)`` stays in the open orthant.  Each inner step is one
 bordered ``(n+1) x (n+1)`` solve and evaluates no T; a log-step is capped
-at 1, and the solve stops once the residual is at most ``1e-13 r``.
-Where 50 inner steps do not get there, or a solve is singular or not
-finite (an overflow of ``(q_j/p_j)^k_i`` included), the model has no
-usable positive solution (a max-times table whose active policy P has
-``(I - P)^-1 1`` of mixed signs, say).  The step then falls back to the
-affine model: it solves ``q = T(p) + J (q - p) + d 1`` and, where q
-leaves the open orthant, cuts the step from p to nine tenths of the way
-to its boundary.  Either point goes onto the sphere.
+at 1, and the solve stops once the residual is at most ``1e-13 r``.  The
+first inner step, at ``q = p`` (to rounding), is the affine model's: its
+bordered system is that of ``q = T(p) + J (q - p) + d 1``, ``1'q = 1'p``,
+scaled by ``diag(p)``, so its log-step dy gives the affine solution
+``p (1 + dy)``, and the step keeps it.  Where 50 inner steps do not get
+there, or a later solve is singular or not finite (an overflow of
+``(q_j/p_j)^k_i`` included), the model has no usable positive solution
+(a max-times table whose active policy P has ``(I - P)^-1 1`` of mixed
+signs, say).  The step then falls back to the affine solution, its step
+from p cut, where it leaves the open orthant, to nine tenths of the way
+to the boundary.  Either point goes onto the sphere.
 
 A decay point whose margin is the same in every component solves the
 system at ``q = p``, so the steps home in on one as Newton's method does;
@@ -114,13 +117,18 @@ point, so a poor fit costs evaluations, never soundness.  The stage
 stops at the first step whose margin ``min(p - T p)`` does not beat the
 best so far (the evaluation cap bounds it too), and where no Newton
 point exists: J is not finite (``t^0.5`` at a zero component), or the
-affine system is singular or its solution not finite.
+first, affine, solve is singular or its solution not finite.  Where the
+best point it reached has no label at eps (``T(p)_i + eps > p_i`` in
+every component), the stage ends the run in ``label_none`` there: a
+directly checked sphere point without a label, of the kind the walk's
+final rung ends on.  Like that one, it names a point, not a proof: a map
+that is not convex may still have a decay point elsewhere.
 
-**Pre-phase.**  A run the sphere stage leaves open goes through an
-order-interval pre-phase.  It iterates ``w_0 = eps 1``,
-``w_{k+1} = T(w_k) + eps 1``.  For monotone ``T`` the iterates never
-decrease, and every decay point ``s`` with margin eps bounds them from
-above (``s >= eps 1``, and ``w_k <= s`` gives
+**Pre-phase.**  A run the sphere stage leaves open, one whose best point
+has a label, goes through an order-interval pre-phase.  It iterates
+``w_0 = eps 1``, ``w_{k+1} = T(w_k) + eps 1``.  For monotone ``T`` the
+iterates never decrease, and every decay point ``s`` with margin eps
+bounds them from above (``s >= eps 1``, and ``w_k <= s`` gives
 ``w_{k+1} <= Ts + eps 1 <= s``; lattice fixed points, Tarski 1955).  Each
 step costs one counted evaluation and stops at the first of two rules:
 
@@ -161,9 +169,9 @@ ever returned.
 **The walk** (``_walk``) is the paper's method, and it runs last, on
 the slack rungs that ``_pre_phase`` returns: the whole ladder below
 after a failed candidate, only the final rung after a norm proof at a
-point with a label.  ``find_decay_point`` is the three stages in order,
-``_policy_step``, then ``_pre_phase`` with the sphere stage, then
-``_walk``; each ends the search by raising ``_Finished``.
+point with a label.  ``find_decay_point`` is the four stages in order,
+``_policy_step``, ``_sphere_stage``, ``_pre_phase`` and ``_walk``; each
+ends the search by raising ``_Finished``.
 
 One practical subtlety drives the structure below.  Complete cells of
 the slack-``d`` labeling contract onto points whose worst component
@@ -377,20 +385,28 @@ def _on_sphere(v: np.ndarray, r: float) -> np.ndarray:
 
 
 def _degree_point(J: np.ndarray, p: np.ndarray, Tp: np.ndarray) -> np.ndarray | None:
-    """The positive solution q of the degree model's equal-margin system, or None.
+    """The degree model's positive solution q from p, else the affine one; None if neither.
 
     Row i of the model is ``M_i(q) = T(p)_i + sum_j (J_ij p_j / k_i)((q_j/p_j)^k_i - 1)``
     with ``k_i = (J p)_i / T(p)_i`` (1 where that is not finite or not
     positive).  Newton's method in ``y = log q`` from ``log p`` solves
     ``q = M(q) + d 1``, ``1'q = 1'p``, each step one bordered solve capped
-    at a log-step of 1.  None where a solve is singular or not finite, or
-    50 steps leave a residual above ``1e-13 1'p``.
+    at a log-step of 1.  The first solve, at ``q = p`` (to rounding), is
+    the affine system ``q = T(p) + J (q - p) + d 1``, ``1'q = 1'p`` scaled
+    by ``diag(p)``, so its step dy gives the affine solution ``p (1 + dy)``.
+    Returns p where p solves the model, and else the model's solution where
+    the steps reach a residual of at most ``1e-13 1'p`` within 50 solves.
+    Where a later solve is singular or not finite, or 50 do not get there,
+    returns the affine solution, its step cut to nine tenths of the way to
+    the orthant's boundary.  None where the first solve is singular or not
+    finite.
     """
     n, r = len(p), float(np.sum(p))
     system = np.zeros((n + 1, n + 1))
     system[:n, n] = -1.0
     residual = np.zeros(n + 1)
-    # an overflow or a 0/0 leaves a value that is not finite, and the caller falls back
+    dy = None
+    # an overflow or a 0/0 leaves a value that is not finite, and the affine point is taken
     with np.errstate(all="ignore"):
         y, d = np.log(p), 0.0
         k = (J @ p) / Tp
@@ -404,18 +420,25 @@ def _degree_point(J: np.ndarray, p: np.ndarray, Tp: np.ndarray) -> np.ndarray | 
             residual[n] = np.sum(q) - r
             error = float(np.max(np.abs(residual)))  # not finite where any entry is not
             if not math.isfinite(error):
-                return None
+                break
             if error <= 1e-13 * r:
-                return q
+                return p if dy is None else q
             system[:n, :n] = np.diag(q) - terms
             system[n, :n] = q
             try:
                 step = np.linalg.solve(system, -residual)
             except np.linalg.LinAlgError:
-                return None
-            step /= max(1.0, float(np.max(np.abs(step[:n]))))
+                break
+            if dy is None:
+                dy = step[:n]
+                if not np.all(np.isfinite(p * (1.0 + dy))):
+                    return None
+            step = step / max(1.0, float(np.max(np.abs(step[:n]))))
             y, d = y + step[:n], d + step[n]
-    return None
+    if dy is None:
+        return None
+    # p (1 + t dy): t = 1, or nine tenths of the way to where a component reaches 0
+    return p * (1.0 + min(1.0, 0.9 / max(-float(np.min(dy)), 0.9)) * dy)
 
 
 def _newton_point(ev: _Evaluator, p: np.ndarray, Tp: np.ndarray) -> np.ndarray | None:
@@ -424,14 +447,9 @@ def _newton_point(ev: _Evaluator, p: np.ndarray, Tp: np.ndarray) -> np.ndarray |
     J is ``T.jacobian(p)`` where T's constructor proved one, and else n
     forward differences ``(T(p + h_j e_j) - T(p))/h_j``,
     ``h_j = 1e-6 max(p_j, 1e-3)``, each a counted ``ev.call`` that is
-    neither memoized nor tested.  None where J is not finite, or the affine
-    equal-margin system ``q = T(p) + J (q - p) + d 1``, ``1'q = 1'p`` is
-    singular or its solution not finite.  Otherwise the point is the
-    degree model's (``_degree_point``) where it has one, and else the
-    affine solution, its step from p damped so that it stays in the open
-    orthant; either is returned on the sphere.
+    neither memoized nor tested.  The point is ``_degree_point``'s, on the
+    sphere; None where J is not finite or ``_degree_point`` has none.
     """
-    n = len(p)
     if ev.T.jacobian is None:
         h = 1e-6 * np.maximum(p, 1e-3)
         J = np.column_stack([ev.call(p + step) - Tp for step in np.diag(h)]) / h
@@ -439,24 +457,8 @@ def _newton_point(ev: _Evaluator, p: np.ndarray, Tp: np.ndarray) -> np.ndarray |
         J = ev.T.jacobian(p)
     if not np.all(np.isfinite(J)):
         return None
-    bordered = np.zeros((n + 1, n + 1))
-    bordered[:n, :n] = np.eye(n) - J
-    bordered[:n, n] = -1.0
-    bordered[n, :n] = 1.0
-    try:
-        q = np.linalg.solve(bordered, np.append(Tp - J @ p, np.sum(p)))[:n]
-    except np.linalg.LinAlgError:
-        return None
-    if not np.all(np.isfinite(q)):
-        return None
-    fitted = _degree_point(J, p, Tp)
-    if fitted is not None:
-        return _on_sphere(fitted, ev.r)
-    step = q - p
-    down = step < 0.0
-    # at most nine tenths of the way to the boundary, in each component that decreases
-    reach = float(np.min(p[down] / -step[down], initial=math.inf))
-    return _on_sphere(p + min(1.0, 0.9 * reach) * step, ev.r)
+    q = _degree_point(J, p, Tp)
+    return None if q is None else _on_sphere(q, ev.r)
 
 
 def _policy_point(T: MonotoneMap) -> np.ndarray | None:
@@ -507,24 +509,34 @@ def _policy_step(ev: _Evaluator) -> None:
         raise ev.end("label_none", p)
 
 
-def _pre_phase(ev: _Evaluator) -> list[float]:
-    """The sphere stage, then the order-interval pre-phase; the slack rungs left to walk.
+def _sphere_stage(ev: _Evaluator) -> None:
+    """The sphere stage: Newton steps from the uniform point ``r 1/n`` while the margin grows.
 
-    The sphere stage takes Newton steps from the uniform point ``r 1/n``
-    for as long as the margin grows.  The pre-phase then either ends the
-    search through ``ev`` or returns the rungs of ``_slack_ladder`` that
-    the walk must still try.  Their rules and proofs are in the module
-    docstring.
+    Ends the search through ``ev`` where a point certifies, at the cap, at
+    a value that is not finite, and in ``label_none`` where the best point
+    it reached has no label at eps; else returns, for the pre-phase to run.
     """
-    r, eps, n = ev.r, ev.eps, ev.T.dimension
-    p, best = np.full(n, r / n), -math.inf
+    n = ev.T.dimension
+    p, best, best_margin = np.full(n, ev.r / n), None, -math.inf
     while p is not None:
         Tp = ev(p)
         margin = float(np.min(p - Tp))
-        if margin <= best:
+        if margin <= best_margin:
             break
-        best = margin
+        best, best_margin = (p, Tp), margin
         p = _newton_point(ev, p, Tp)
+    if label_index(*best, ev.eps) is None:
+        raise ev.end("label_none", best[0])
+
+
+def _pre_phase(ev: _Evaluator) -> list[float]:
+    """The order-interval pre-phase; the slack rungs left to walk.
+
+    It either ends the search through ``ev`` or returns the rungs of
+    ``_slack_ladder`` that the walk must still try.  Its rules and proofs
+    are in the module docstring.
+    """
+    r, eps, n = ev.r, ev.eps, ev.T.dimension
     w = np.full(n, eps)
     while True:
         Tw = ev.call(w)
@@ -581,8 +593,8 @@ def find_decay_point(T: MonotoneMap, cfg: SolverConfig, n: int) -> SolveReport:
     ``iteration_cap`` (``max_iterations`` evaluations spent),
     ``label_none`` (``failure_point`` has no label at slack eps) or
     ``nonfinite`` (T is not finite at ``failure_point``).  The policy step,
-    the pre-phase, the ladder and their proofs are described in the
-    module docstring.
+    the sphere stage, the pre-phase, the ladder and their proofs are
+    described in the module docstring.
     """
     check_count("n", n, least=2)
     if T.dimension != n:
@@ -592,6 +604,7 @@ def find_decay_point(T: MonotoneMap, cfg: SolverConfig, n: int) -> SolveReport:
         # an overflow in T or in the pre-phase is named by the finiteness checks
         with np.errstate(over="ignore"):
             _policy_step(ev)
+            _sphere_stage(ev)
             _walk(ev, _pre_phase(ev))
     except _Finished as finished:
         return finished.report

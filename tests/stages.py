@@ -1,13 +1,17 @@
 """Ways for a test to reach one stage of ``find_decay_point`` on purpose.
 
-The solver runs the policy step, then the sphere stage and pre-phase,
-then the walk.  A map that a constructor built carries its proven
-Jacobian and homogeneous flag, and those let the first two stages answer
-most runs, so a test that means a later stage says how it gets there:
+The solver runs the policy step, the sphere stage, the pre-phase, then
+the walk.  A map that a constructor built carries its proven Jacobian and
+homogeneous flag, and those let the first two stages answer most runs,
+and the sphere stage ends every run whose best point has no label, so a
+test that means a later stage says how it gets there:
 
 * ``callable_twin(T)`` computes T's values without the flag or the
   Jacobian: no policy step, and a sphere stage whose Newton steps use
   forward differences;
+* ``without_sphere_stage(T, cfg, n)`` runs the solver on T with the
+  sphere stage a no-op, so the run reaches the pre-phase after the policy
+  step;
 * ``plain_walk(T, cfg, n)`` runs the paper's plain method on T itself: no
   policy step, no sphere stage or pre-phase, and the whole slack ladder
   walked;
@@ -32,17 +36,25 @@ def callable_twin(T: MonotoneMap) -> MonotoneMap:
     return MonotoneMap(T.dimension, T.fn, T.kind)
 
 
+def without_sphere_stage(T: MonotoneMap, cfg: SolverConfig, n: int) -> SolveReport:
+    """``find_decay_point(T, cfg, n)`` with the sphere stage a no-op."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(homotopy, "_sphere_stage", lambda ev: None)
+        return homotopy.find_decay_point(T, cfg, n)
+
+
 def plain_walk(T: MonotoneMap, cfg: SolverConfig, n: int) -> SolveReport:
     """``find_decay_point(T, cfg, n)`` as the paper's plain method.
 
-    The policy step does nothing and ``_pre_phase`` (the sphere stage and
-    the pre-phase) returns the whole slack ladder, so the run is the walk
-    alone; the memo, the cap, the report and
-    the solve's own entry point (``homotopy.find_decay_point``, looked up
-    at call time, as a tracer replaces it) are the solver's.
+    The policy step and the sphere stage do nothing and ``_pre_phase``
+    returns the whole slack ladder, so the run is the walk alone; the
+    memo, the cap, the report and the solve's own entry point
+    (``homotopy.find_decay_point``, looked up at call time, as a tracer
+    replaces it) are the solver's.
     """
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(homotopy, "_policy_step", lambda ev: None)
+        patch.setattr(homotopy, "_sphere_stage", lambda ev: None)
         patch.setattr(homotopy, "_pre_phase",
                       lambda ev: homotopy._slack_ladder(ev.eps, ev.r, ev.T.dimension))
         return homotopy.find_decay_point(T, cfg, n)

@@ -18,7 +18,7 @@ from decaycert.maps import (
     make_linear_map,
     make_max_preserving,
 )
-from stages import callable_twin, plain_walk, recorded
+from stages import callable_twin, plain_walk, recorded, without_sphere_stage
 
 
 def vertex_set(labels, scale=1.0):
@@ -183,22 +183,26 @@ class TestFindDecayPoint:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_nonfinite_pre_phase_iterate_is_named(self, bad):
-        # the sphere stage evaluates r 1/n = (0.25, 0.25) and its two differences,
-        # and its Newton point is r 1/n again.  Then w0 = (0.1, 0.1) gives no
-        # candidate at r = 0.5, so the second step evaluates the iterate
-        # w1 = 0.9 w0 + 0.1 = (0.19, 0.19)
+        # with the sphere stage, whose point r 1/n = (0.25, 0.25) has no label,
+        # the run ends there.  Without it, w0 = (0.1, 0.1) gives no candidate at
+        # r = 0.5, so the second step evaluates the iterate w1 = 0.9 w0 + 0.1 =
+        # (0.19, 0.19)
         T = MonotoneMap(2, lambda s: np.full(2, bad) if 0.15 < s[0] < 0.2 else 0.9 * s,
                         "partial")
-        report = find_decay_point(T, SolverConfig(r=0.5, epsilon=0.1), 2)
-        assert report.failure_reason == "nonfinite"
-        assert report.iterations == 5
+        cfg = SolverConfig(r=0.5, epsilon=0.1)
+        report = find_decay_point(T, cfg, 2)
+        assert (report.failure_reason, report.iterations) == ("label_none", 3)
+        assert report.failure_point.tolist() == [0.25, 0.25]
+        report = without_sphere_stage(T, cfg, 2)
+        assert (report.failure_reason, report.iterations) == ("nonfinite", 2)
         np.testing.assert_allclose(report.failure_point, [0.19, 0.19], rtol=1e-15)
 
     def test_proved_infeasible_point_with_a_label_walks_only_the_final_rung(self, monkeypatch):
         # no decay point: s1 >= 2 + 8 forces s2 >= s1^2 + 8 >= 108 > r.  The first
         # component saturates, so the last pre-phase step is 0 there and no box
         # point exists; T is not subhomogeneous, and the iterate scaled to the
-        # sphere has a label
+        # sphere has a label.  The sphere stage would end the run at its best
+        # point, which has no label, before the pre-phase
         search_cls = homotopy.CompleteCellSearch
         rungs = 0
 
@@ -211,7 +215,7 @@ class TestFindDecayPoint:
         T = MonotoneMap(2, lambda s: np.array([np.sqrt(min(s[0], 4.0)), s[0] ** 2]),
                         "saturating")
         cfg = SolverConfig(r=100.0, epsilon=8.0, max_iterations=10_000)
-        report = find_decay_point(T, cfg, 2)
+        report = without_sphere_stage(T, cfg, 2)
         assert report.failure_reason == "label_none"
         assert rungs == 1 < len(homotopy._slack_ladder(8.0, 100.0, 2))
         p = report.failure_point
@@ -244,15 +248,14 @@ class TestFindDecayPoint:
         assert report.failure_point.tolist() == [5e-11, 5e-11]
 
     def test_label_none_when_the_first_iterate_lies_outside_the_sphere(self):
-        # the sphere stage evaluates r 1/n = (0.5, 0.5) and its two differences,
-        # and its Newton point is r 1/n again.  w0 = (1, 1), the fourth
-        # evaluation, already has norm 2 > r and T(w0) = 0: the last step is 0,
-        # so there is no box point, and w1 = w0 scaled to the sphere is r 1/n,
-        # which the memo knows has no label
+        # without the sphere stage, whose point r 1/n = (0.5, 0.5) has no label,
+        # w0 = (1, 1), the first evaluation, already has norm 2 > r and
+        # T(w0) = 0: the last step is 0, so there is no box point, and w1 = w0
+        # scaled to the sphere is r 1/n, the second evaluation, which has no label
         T = callable_twin(make_linear_map(np.zeros((2, 2))))
-        report = find_decay_point(T, SolverConfig(r=1.0, epsilon=1.0), 2)
+        report = without_sphere_stage(T, SolverConfig(r=1.0, epsilon=1.0), 2)
         assert report.failure_reason == "label_none"
-        assert report.iterations == 4
+        assert report.iterations == 2
         assert report.failure_point.tolist() == [0.5, 0.5]
 
     def test_dimension_checks(self):
@@ -305,8 +308,8 @@ GOLDEN_WALKS = [
 # random_contractive(6, 0.99, 6) at 0.99 and 1.01 eps_max (eps_max = 0.016722...).
 # Near rho = 1 the pre-phase's iterates crawl at the contraction rate: on
 # the map's callable twin the sphere stage's Newton step with a difference
-# Jacobian answers the feasible run in 8 evaluations, and the norm rule the
-# infeasible one in 481.  The policy
+# Jacobian answers the feasible run in 8 evaluations, and ends the
+# infeasible one at its best point, which has no label, in 22.  The policy
 # step tests the optimal point at once, which is s* below the limit and has
 # no label above it, so both runs end at the same point.  These cases are
 # not in GOLDEN_PATH_SHA256 below.
@@ -425,7 +428,8 @@ def test_a_newton_point_of_a_linear_map_is_its_optimal_point():
 
 @pytest.mark.parametrize("T,p", [
     (make_diagonal(["t^0.5", "t"]), np.array([0.0, 10.0])),  # J not finite at 0
-    (make_linear_map(np.eye(2)), np.array([5.0, 5.0])),  # I - J = 0: a singular system
+    # J = I and T(p) = p/2: the first bordered solve, the affine system's, is singular
+    (make_diagonal(["0.125*t^2", "0.125*t^2"]), np.array([4.0, 4.0])),
 ], ids=["infinite derivative", "singular"])
 def test_the_sphere_stage_has_no_newton_point_without_a_usable_jacobian(T, p):
     assert newton_point(T, p)[0] is None
@@ -461,37 +465,50 @@ def test_the_degree_model_lands_on_the_equal_margin_point_in_one_step(build):
     np.testing.assert_array_equal(report.s_star, q)
 
 
+def affine_step(J: np.ndarray, p: np.ndarray, Tp: np.ndarray) -> np.ndarray:
+    """``q - p`` for the solution q of ``q = T(p) + J (q - p) + d 1``, ``1'q = 1'p``,
+    by a direct solve of the bordered system."""
+    n = len(p)
+    bordered = np.zeros((n + 1, n + 1))
+    bordered[:n, :n] = np.eye(n) - J
+    bordered[:n, n] = -1.0
+    bordered[n, :n] = 1.0
+    return np.linalg.solve(bordered, np.append(Tp - J @ p, np.sum(p)))[:n] - p
+
+
 def test_a_model_without_a_positive_solution_falls_back_to_the_damped_affine_point():
     """Every gain is ``c t``, so the model is the active policy P, and its equal-margin
     points are ``d (I - P)^-1 1 = d (-3.75, -2.375, 2)``: none is positive.
 
-    The Newton point is then the affine solution with its step from p cut
-    to nine tenths of the way to the orthant's boundary, byte for byte.
+    The point is then the affine solution, which the model's first bordered
+    solve gives, with its step from p cut to nine tenths of the way to the
+    orthant's boundary.
     """
     T = make_max_preserving([[None, "2*t", None], ["0.9*t", None, None], [None, None, "0.5*t"]])
     p = np.array([3.0, 3.0, 4.0])
     Tp, J = T(p), T.jacobian(p)
-    assert homotopy._degree_point(J, p, Tp) is None
-    bordered = np.zeros((4, 4))
-    bordered[:3, :3] = np.eye(3) - J
-    bordered[:3, 3] = -1.0
-    bordered[3, :3] = 1.0
-    step = np.linalg.solve(bordered, np.append(Tp - J @ p, np.sum(p)))[:3] - p
+    step = affine_step(J, p, Tp)
     assert step[2] < -p[2]  # the affine solution leaves the orthant in component 3
     damped = p + 0.9 * (p[2] / -step[2]) * step
-    expected = damped / np.max(damped)
-    expected = expected * (10.0 / np.sum(expected))
-    assert newton_point(T, p)[0].tobytes() == expected.tobytes()
+    np.testing.assert_allclose(homotopy._degree_point(J, p, Tp), damped, rtol=1e-12)
+    np.testing.assert_allclose(newton_point(T, p)[0], damped * (10.0 / np.sum(damped)),
+                               rtol=1e-12)
 
 
 def test_an_overflow_in_the_degree_model_falls_back_without_a_warning():
-    """Row 1 is ``s_2^200``, so ``k_1 = 200``, and ``(q_2/p_2)^200`` overflows on the
-    way; warnings are errors here, and the call is outside the solver's errstate."""
+    """Row 1 is ``s_2^200``, so ``k_1 = 200``, and ``(q_j/p_j)^200`` overflows on the way;
+    warnings are errors here, and the call is outside the solver's errstate.
+
+    50 steps do not reach the model's solution, so the point is the affine
+    one, whose step from p no component cuts.
+    """
     T = make_max_preserving([["0", "t^200"], ["0.5*t", "0"]])
-    p = np.array([5.0, 5.0])
-    assert homotopy._degree_point(T.jacobian(p), p, T(p)) is None
-    q, _ = newton_point(T, p)
-    assert q is not None and np.all(q > 0.0)
+    p = np.array([9.5, 0.5])
+    Tp, J = T(p), T.jacobian(p)
+    step = affine_step(J, p, Tp)
+    assert np.all(step > -0.9 * p)
+    np.testing.assert_allclose(homotopy._degree_point(J, p, Tp), p + step, rtol=1e-12)
+    np.testing.assert_allclose(newton_point(T, p)[0], p + step, rtol=1e-12)
 
 
 def test_the_callable_chain_twin_takes_newton_steps_with_a_difference_jacobian():
@@ -525,7 +542,8 @@ NEAR_UNIT_FAILURES = [
      "label_none", 1,
      [1.8548089295300352, 1.5782894693704732, 1.5390268638913054, 1.5730061141496752,
       1.6367913725267569, 1.8180772505317537]),
-    # on the callable twin, the norm rule takes 4,641 evaluations at rho = 0.999
+    # on the callable twin, the sphere stage's best point ends this run in 29
+    # evaluations at rho = 0.999
     ("n=6 rho=0.999 seed 0 at 1.01 eps_max", 6, 0.999, 0, 0.0016952335741928556, 100_000,
      "label_none", 1,
      [1.4657885394762817, 1.9583983598212653, 1.7270998635731958, 1.2209180853740211,
@@ -635,8 +653,9 @@ def first_step_across(A: np.ndarray, r: float) -> float:
 
 # Runs that the norm rule proves infeasible: (name, build, eps, r).  No map
 # is homogeneous (the linear ones are callable twins), so no policy step
-# answers one; at these eps the first step crosses the sphere, so the norm
-# rule fires at once.
+# answers one, and the sphere stage is a no-op, as its best point would end
+# each run; at these eps the first step crosses the sphere, so the norm rule
+# fires at once.
 BOX_POINT_CASES = [
     *[(name, lambda n=n, rho=rho, seed=seed: callable_twin(
         make_linear_map(random_contractive(n, rho, seed))),
@@ -656,8 +675,8 @@ def test_proved_infeasible_run_ends_at_an_unevaluated_box_point(name, build, eps
     # [w_k, w_k+1], so monotonicity alone proves the crossing point has no label
     T = build()
     with recorded() as seen:
-        report = find_decay_point(T, SolverConfig(r=r, epsilon=eps, max_iterations=10_000),
-                                  T.dimension)
+        report = without_sphere_stage(T, SolverConfig(r=r, epsilon=eps, max_iterations=10_000),
+                                      T.dimension)
     assert report.failure_reason == "label_none"
     q = report.failure_point
     assert abs(float(np.sum(q)) - r) <= 1e-9 * r
@@ -727,6 +746,24 @@ def test_sphere_stage_finds_near_limit_points(n, eps):
     assert report.iterations <= 10
 
 
+def test_the_sphere_stage_ends_the_run_at_its_best_point_without_a_label():
+    """``diag(t^1.5) o A`` at eps = 0.1: the stage's margin grows to 0.0389 < eps, and
+    its best point has no label, so the run ends there in ``label_none``, in 7
+    evaluations, and in 43 on the callable twin."""
+    T = compose(make_diagonal(["t^1.5"] * 5), make_linear_map(random_contractive(5, 0.8, 0)))
+    cfg = SolverConfig(r=10.0, epsilon=0.1, max_iterations=100_000)
+    for M, count in ((T, 7), (callable_twin(T), 43)):
+        with recorded() as seen:
+            report = find_decay_point(M, cfg, 5)
+        assert (report.failure_reason, report.iterations) == ("label_none", count)
+        on_sphere = [s for s in seen if abs(float(np.sum(s)) - 10.0) <= 1e-9 * 10.0]
+        margins = [float(np.min(s - T(s))) for s in on_sphere]
+        p = report.failure_point
+        assert np.array_equal(p, on_sphere[int(np.argmax(margins))])
+        assert max(margins) < 0.1
+        assert label_index(p, T(p), 0.1) is None
+
+
 # Counts at random_contractive(n, 0.8, seed), seeds 0..2, at half and 0.9 of
 # eps_max.  The map itself is answered by the policy step's one evaluation,
 # before the sphere stage.  Its callable twin has no policy step: the sphere
@@ -752,9 +789,10 @@ def test_linear_counts_skip_the_sphere_stage(fraction):
                 assert report.iterations == expected, (n, seed, T.kind)
 
 
-def test_sphere_stage_successes_are_certificates():
+def test_sphere_stage_successes_are_certificates(monkeypatch):
     """Every success on ``A s^a``, sub- or superlinear, passes the direct re-check, and
-    every ``label_none`` failure names a sphere point without a label.
+    every ``label_none`` failure names a sphere point without a label, the sphere
+    stage's own exits included.
 
     Each map is run as built and as its callable twin, whose sphere stage
     takes Newton steps with a difference Jacobian.  Every evaluation of the
@@ -763,6 +801,17 @@ def test_sphere_stage_successes_are_certificates():
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     reasons = []
+    stage = homotopy._sphere_stage
+    stage_ends = []
+
+    def sphere_stage(ev):
+        try:
+            stage(ev)
+        except homotopy._Finished as finished:
+            stage_ends.append(finished.report)
+            raise
+
+    monkeypatch.setattr(homotopy, "_sphere_stage", sphere_stage)
 
     @st.composite
     def power_maps(draw):
@@ -784,7 +833,8 @@ def test_sphere_stage_successes_are_certificates():
                 report = find_decay_point(M, cfg, T.dimension)
             if M is not T:
                 assert len(seen) == report.iterations
-            reasons.append((M is T, report.failure_reason))
+            by_stage = any(report is end for end in stage_ends)
+            reasons.append((M is T, report.failure_reason, by_stage))
             if report.success:
                 check_success_postcondition(T, cfg, report)
             else:
@@ -793,9 +843,12 @@ def test_sphere_stage_successes_are_certificates():
                 p = report.failure_point
                 assert abs(float(np.sum(p)) - cfg.r) <= 1e-9 * cfg.r
                 assert label_index(p, T(p), eps) is None
+                if by_stage:  # the stage ends only at a point it evaluated
+                    assert any(np.array_equal(p, point) for point in seen)
 
     check()
-    assert (True, "label_none") in reasons and (False, "label_none") in reasons
+    for built in (True, False):
+        assert (built, "label_none", True) in reasons
 
 
 @pytest.mark.parametrize("n", [7, 8])

@@ -20,7 +20,7 @@ from decaycert.homotopy import SolverConfig, find_decay_point
 from decaycert.labeling import label_index
 from decaycert.linear import eps_max
 from decaycert.maps import MonotoneMap, compose, make_diagonal, make_linear_map, make_max_preserving
-from stages import callable_twin, recorded
+from stages import callable_twin, recorded, without_sphere_stage
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -28,8 +28,9 @@ st = hypothesis.strategies
 R = 10.0
 CAP = 1000
 # The pre-phase's iterates need steps growing like 1/(1 - rho) near rho = 1
-# (4,641 evaluations on a callable twin at rho = 0.999 and eps = 1.01
-# eps_max); runs that may reach them get a cap that large.
+# (4,612 evaluations on a callable twin without the sphere stage at
+# rho = 0.999 and eps = 1.01 eps_max); runs that may reach them get a cap
+# that large.
 NEAR_UNIT_CAP = 10_000
 # Spectral radii 0.9 ... 0.999, spread evenly over the digits of 1 - rho.
 NEAR_UNIT_RHO = st.floats(1.0, 3.0).map(lambda digits: 1.0 - 10.0 ** -digits)
@@ -292,15 +293,14 @@ def test_the_policy_step_answers_a_composition_with_a_max_times_part_in_one_eval
 
 
 @pytest.mark.parametrize("eps,outcome,twin_iterations",
-                         [(0.024382, None, 13), (0.024874, "label_none", 944)],
+                         [(0.024382, None, 13), (0.024874, "label_none", 25)],
                          ids=["0.99 eps_max", "1.01 eps_max"])
 def test_a_near_critical_table_ends_in_one_evaluation(eps, outcome, twin_iterations):
     """Cycle mean 0.995 and eps_max 0.0246282 at r = 10: 0.99 and 1.01 of it.
 
     The callable twin has no policy step.  Below the limit its sphere stage
     certifies in a few Newton steps with a difference Jacobian; above it the
-    sphere stage ends short of a certificate, and the pre-phase's iterates
-    crawl to the norm rule.
+    sphere stage's best point has no label, and ends the run there.
     """
     C = np.array([[0, 0, 0, 0, 0], [0, 0, 0.9082, 0, 1.5708], [0, 1.0901, 0, 0, 0],
                   [1.4519, 0, 0, 0.1795, 0], [0, 0, 0, 0.2454, 0]])
@@ -331,13 +331,14 @@ def test_a_defective_perron_root_ends_the_run_in_one_evaluation():
     assert label_index(report.failure_point, T(report.failure_point), 0.1) is None
 
 
-def test_a_refused_perron_vector_leaves_the_run_to_the_pre_phase(monkeypatch):
+def test_a_refused_perron_vector_leaves_the_run_to_the_sphere_stage(monkeypatch):
     """Where ``linear.perron_direction`` refuses the Perron vector, the policy step
-    evaluates nothing, and the sphere stage and the pre-phase end the run as on the
-    callable twin.
+    evaluates nothing, and the sphere stage ends the run as on the callable twin.
 
-    The sphere stage's margin grows for 18 Newton steps; each costs the
-    twin 4 more evaluations, for its differences.
+    The sphere stage takes 17 Newton steps, and 18 on the twin, where each
+    costs 4 more evaluations, for its differences.  Its best point has no
+    label.  Without the sphere stage, the pre-phase's norm rule ends both
+    runs at one point after 7 evaluations.
     """
     def refuse(A):
         raise ValueError("no dominant eigenvector")
@@ -346,8 +347,13 @@ def test_a_refused_perron_vector_leaves_the_run_to_the_pre_phase(monkeypatch):
     T = make_linear_map(DEFECTIVE)
     cfg = SolverConfig(R, 0.1, CAP)
     report, twin = (find_decay_point(M, cfg, 4) for M in (T, callable_twin(T)))
-    assert (report.failure_reason, report.iterations) == ("label_none", 26)
-    assert (twin.failure_reason, twin.iterations) == ("label_none", 98)
+    assert (report.failure_reason, report.iterations) == ("label_none", 18)
+    assert (twin.failure_reason, twin.iterations) == ("label_none", 91)
+    for run in (report, twin):
+        assert label_index(run.failure_point, T(run.failure_point), 0.1) is None
+    report, twin = (without_sphere_stage(M, cfg, 4) for M in (T, callable_twin(T)))
+    assert (report.failure_reason, report.iterations) == ("label_none", 7)
+    assert (twin.failure_reason, twin.iterations) == ("label_none", 7)
     np.testing.assert_array_equal(report.failure_point, twin.failure_point)
 
 
@@ -375,8 +381,8 @@ def test_a_max_times_cycle_above_one_ends_within_three_evaluations():
     """The cycle 1 -> 2 -> 3 -> 1 has gain 0.5 * 2 * 1.05 = 1.05, so no point decays.
 
     The sphere point of the policy step's Perron vector has no label, so
-    one evaluation ends the run.  The callable twin evaluates the iterates
-    until the norm rule ends it, after 109 evaluations.
+    one evaluation ends the run.  The callable twin's sphere stage ends it at
+    its best point, which has no label, after 12 evaluations.
     """
     T = make_max_preserving([[None, "0.5*t", None], [None, None, "2*t"], ["1.05*t", None, None]])
     report = find_decay_point(T, SolverConfig(R, 0.01, CAP), 3)
@@ -407,7 +413,8 @@ def test_feasible_eps_evaluates_one_sphere_point(A, fraction):
 
 
 # Linear T above the limit: the policy step's one sphere point has no label,
-# long before the norm rule, which alone ends the run on the callable twin.
+# long before the norm rule, which alone ends the run on the callable twin
+# without the sphere stage.
 def check_ends_before_the_norm_rule(A, eps):
     T = make_linear_map(A)
     report = find_decay_point(T, SolverConfig(R, eps, NEAR_UNIT_CAP), len(A))
@@ -415,7 +422,8 @@ def check_ends_before_the_norm_rule(A, eps):
     p = report.failure_point
     assert abs(float(np.sum(p)) - R) <= 1e-9 * R
     assert np.all(A @ p + eps > p)  # no label, checked without the solver
-    norm_rule = find_decay_point(callable_twin(T), SolverConfig(R, eps, NEAR_UNIT_CAP), len(A))
+    norm_rule = without_sphere_stage(callable_twin(T), SolverConfig(R, eps, NEAR_UNIT_CAP),
+                                     len(A))
     assert norm_rule.failure_reason == "label_none"
     assert report.iterations == 1 <= norm_rule.iterations
 
@@ -503,10 +511,12 @@ def test_the_first_iterate_is_evaluated_at_the_level_one_barycentre():
 def test_a_ray_that_climbs_by_eps_ends_within_the_cap(build):
     """Gain ``t``: each step adds eps 1, r/(n eps) = 5e9 steps to the norm rule.
 
-    The callable twin evaluates every iterate and runs to the cap.  The
-    policy step's solve is singular, and the sphere point ``(r, 0)`` of the
-    Perron vector ``e_1`` of ``J = I`` has no label: one evaluation ends
-    the run there.
+    Without the sphere stage, the callable twin evaluates every iterate and
+    runs to the cap.  With it, the twin's first point ``r 1/n``, a fixed
+    point, has no label, and its Newton point, after 2 differences, is
+    ``r 1/n`` again: the run ends there.  The policy step's solve is
+    singular, and the sphere point ``(r, 0)`` of the Perron vector ``e_1``
+    of ``J = I`` has no label: one evaluation ends the run there.
     """
     T = build([["t", None], [None, "t"]] if build is make_max_preserving else ["t", "t"])
     cfg = SolverConfig(R, 1e-9, CAP)
@@ -514,6 +524,9 @@ def test_a_ray_that_climbs_by_eps_ends_within_the_cap(build):
     assert (report.failure_reason, report.iterations) == ("label_none", 1)
     assert report.failure_point.tolist() == [10.0, 0.0]
     twin = find_decay_point(callable_twin(T), cfg, 2)
+    assert (twin.failure_reason, twin.iterations) == ("label_none", 3)
+    assert twin.failure_point.tolist() == [5.0, 5.0]
+    twin = without_sphere_stage(callable_twin(T), cfg, 2)
     assert (twin.failure_reason, twin.iterations) == ("iteration_cap", CAP)
 
 
