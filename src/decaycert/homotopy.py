@@ -71,16 +71,17 @@ point certifies or T is not finite there.
 **Sphere stage.**  Every run that the policy step leaves open (every map
 not flagged homogeneous, and a homogeneous one only where rounding
 defeats the step) first takes Newton steps on the sphere, from the
-uniform point ``r 1/n``.  Each step fits a model M of T to ``T(p)`` and
-``J = J(p)`` and solves the equal-margin system ``q = M(q) + d 1``,
-``1'q = 1'p = r``, for the point q and the common margin d.  J is
-``T.jacobian(p)`` where T's constructor proves one
+uniform point ``r 1/n``.  At each new best point p the stage forms
+``J = J(p)``: ``T.jacobian(p)`` where T's constructor proves one
 (``MonotoneMap.jacobian``).  A map built from a callable has none, and J
 is then formed from n forward differences ``(T(p + h_j e_j) - T(p))/h_j``
 with ``h_j = 1e-6 max(p_j, 1e-3)`` (Kelley, *Solving Nonlinear Equations
 with Newton's Method*, SIAM 2003, ch. 2).  Each difference is a counted
 evaluation, against the cap like every other, but its point is not on
-the sphere: it never enters the memo and is never a certificate.
+the sphere: it never enters the memo and is never a certificate.  From
+``T(p)`` and J, ``_newton_point`` fits a model M of T and solves the
+equal-margin system ``q = M(q) + d 1``, ``1'q = 1'p = r``, for the point
+q and the common margin d; it evaluates no T.
 
 The model is one power per row.  Row i has the local degree
 ``k_i = (J p)_i / T(p)_i``, Euler's ratio (1 where it is not finite or
@@ -94,18 +95,22 @@ straight lines in log-log coordinates (Boyd, Kim, Vandenberghe & Hassibi,
 "A tutorial on geometric programming", *Optim. Eng.* 8, 2007), so the
 system is solved by Newton's method in ``y = log q`` from ``log p``, and
 ``q = exp(y)`` stays in the open orthant.  Each inner step is one
-bordered ``(n+1) x (n+1)`` solve and evaluates no T; a log-step is capped
-at 1, and the solve stops once the residual is at most ``1e-13 r``.  The
-first inner step, at ``q = p`` (to rounding), is the affine model's: its
-bordered system is that of ``q = T(p) + J (q - p) + d 1``, ``1'q = 1'p``,
-scaled by ``diag(p)``, so its log-step dy gives the affine solution
-``p (1 + dy)``, and the step keeps it.  Where 50 inner steps do not get
-there, or a later solve is singular or not finite (an overflow of
-``(q_j/p_j)^k_i`` included), the model has no usable positive solution
-(a max-times table whose active policy P has ``(I - P)^-1 1`` of mixed
-signs, say).  The step then falls back to the affine solution, its step
-from p cut, where it leaves the open orthant, to nine tenths of the way
-to the boundary.  Either point goes onto the sphere.
+bordered ``(n+1) x (n+1)`` solve; a log-step is capped at 1, and the
+solve stops once the residual is at most ``1e-13 r``, where p already
+solves the model at ``q = exp(log p)``, p to rounding.  The first inner
+step, at that q, is the affine model's: its bordered system is that of
+``q = T(p) + J (q - p) + d 1``, ``1'q = 1'p``, scaled by ``diag(p)``, so
+its log-step dy gives the affine solution ``p (1 + dy)``, and the step
+keeps it.  Where 50 inner steps do not get there, or a later solve is
+singular or not finite (an overflow of ``(q_j/p_j)^k_i`` included), the
+model has no usable positive solution (a max-times table whose active
+policy P has ``(I - P)^-1 1`` of mixed signs, say).  The step then falls
+back to the affine solution, its step from p cut, where it leaves the
+open orthant, to nine tenths of the way to the boundary.  Either point
+goes onto the sphere.  There is no Newton point where the first solve is
+singular or its solution not finite, and where J has an entry that is
+not finite (``t^0.5`` at a zero component): the model's first residual
+is then NaN.
 
 A decay point whose margin is the same in every component solves the
 system at ``q = p``, so the steps home in on one as Newton's method does;
@@ -114,15 +119,20 @@ the monotone Newton iterations of Etessami & Yannakakis (*J. ACM* 56,
 precedent.  M and J only guide: every point the stage reaches is evaluated
 through the memo, counted and tested directly, like every other sphere
 point, so a poor fit costs evaluations, never soundness.  The stage
-stops at the first step whose margin ``min(p - T p)`` does not beat the
-best so far (the evaluation cap bounds it too), and where no Newton
-point exists: J is not finite (``t^0.5`` at a zero component), or the
-first, affine, solve is singular or its solution not finite.  Where the
-best point it reached has no label at eps (``T(p)_i + eps > p_i`` in
-every component), the stage ends the run in ``label_none`` there: a
-directly checked sphere point without a label, of the kind the walk's
-final rung ends on.  Like that one, it names a point, not a proof: a map
-that is not convex may still have a decay point elsewhere.
+stops where no Newton point exists, at the first point whose margin
+``min(p - T p)`` does not beat the best so far, and at the first whose
+gain over it is at most the rounding allowance ``1e-9 r`` while eps lies
+more than that above its margin: steps that gain within rounding do not
+close a larger gap, and each costs an evaluation, n + 1 for a map built
+from a callable.  Where eps lies within rounding of the margin, such a
+gain can still reach it, and the stage steps on (near ``eps_max``, where
+rounding defeats the policy step, that is what certifies).  The
+evaluation cap bounds the stage too.  Where the best point it reached
+has no label at eps (``T(p)_i + eps > p_i`` in every component), the
+stage ends the run in ``label_none`` there: a directly checked sphere
+point without a label, of the kind the walk's final rung ends on.  Like
+that one, it names a point, not a proof: a map that is not convex may
+still have a decay point elsewhere.
 
 **Pre-phase.**  A run the sphere stage leaves open, one whose best point
 has a label, goes through an order-interval pre-phase.  It iterates
@@ -280,7 +290,8 @@ class _NoLabel(Exception):
         self.point = point
 
 
-# Relative rounding allowance of the policy step and the pre-phase's proofs.
+# Relative rounding allowance of the policy step, the sphere stage's stop and the
+# pre-phase's proofs.
 _ROUNDING = 1e-9
 
 
@@ -384,8 +395,8 @@ def _on_sphere(v: np.ndarray, r: float) -> np.ndarray:
     return v * (r / float(np.sum(v)))
 
 
-def _degree_point(J: np.ndarray, p: np.ndarray, Tp: np.ndarray) -> np.ndarray | None:
-    """The degree model's positive solution q from p, else the affine one; None if neither.
+def _newton_point(J: np.ndarray, p: np.ndarray, Tp: np.ndarray, r: float) -> np.ndarray | None:
+    """The sphere stage's Newton point from the sphere point p, ``Tp = T(p)`` and ``J = J(p)``.
 
     Row i of the model is ``M_i(q) = T(p)_i + sum_j (J_ij p_j / k_i)((q_j/p_j)^k_i - 1)``
     with ``k_i = (J p)_i / T(p)_i`` (1 where that is not finite or not
@@ -394,14 +405,16 @@ def _degree_point(J: np.ndarray, p: np.ndarray, Tp: np.ndarray) -> np.ndarray | 
     at a log-step of 1.  The first solve, at ``q = p`` (to rounding), is
     the affine system ``q = T(p) + J (q - p) + d 1``, ``1'q = 1'p`` scaled
     by ``diag(p)``, so its step dy gives the affine solution ``p (1 + dy)``.
-    Returns p where p solves the model, and else the model's solution where
-    the steps reach a residual of at most ``1e-13 1'p`` within 50 solves.
-    Where a later solve is singular or not finite, or 50 do not get there,
-    returns the affine solution, its step cut to nine tenths of the way to
-    the orthant's boundary.  None where the first solve is singular or not
-    finite.
+    The point is the model's solution where the steps reach a residual of
+    at most ``1e-13 1'p`` within 50 solves (``exp(log p)`` where p already
+    solves the model).  Where a later solve is singular or not finite, or
+    50 do not get there, it is the affine solution, its step cut to nine
+    tenths of the way to the orthant's boundary.  Either goes onto the
+    sphere of radius r.  None where the first residual is not finite (J
+    has an entry that is not finite) or the first solve is singular or not
+    finite.  Evaluates no T.
     """
-    n, r = len(p), float(np.sum(p))
+    n, norm = len(p), float(np.sum(p))  # r to rounding; the model keeps 1'q = 1'p
     system = np.zeros((n + 1, n + 1))
     system[:n, n] = -1.0
     residual = np.zeros(n + 1)
@@ -417,12 +430,12 @@ def _degree_point(J: np.ndarray, p: np.ndarray, Tp: np.ndarray) -> np.ndarray | 
             # (q_j/p_j)^k_i, and 0 where row i has no term in q_j
             terms = np.where(weights != 0.0, weights * (q / p) ** k[:, None], 0.0)
             residual[:n] = q - Tp - (terms - weights).sum(axis=1) / k - d
-            residual[n] = np.sum(q) - r
+            residual[n] = np.sum(q) - norm
             error = float(np.max(np.abs(residual)))  # not finite where any entry is not
             if not math.isfinite(error):
                 break
-            if error <= 1e-13 * r:
-                return p if dy is None else q
+            if error <= 1e-13 * norm:
+                return _on_sphere(q, r)
             system[:n, :n] = np.diag(q) - terms
             system[n, :n] = q
             try:
@@ -438,27 +451,7 @@ def _degree_point(J: np.ndarray, p: np.ndarray, Tp: np.ndarray) -> np.ndarray | 
     if dy is None:
         return None
     # p (1 + t dy): t = 1, or nine tenths of the way to where a component reaches 0
-    return p * (1.0 + min(1.0, 0.9 / max(-float(np.min(dy)), 0.9)) * dy)
-
-
-def _newton_point(ev: _Evaluator, p: np.ndarray, Tp: np.ndarray) -> np.ndarray | None:
-    """The sphere stage's Newton point from the sphere point p, ``Tp = T(p)``, or None.
-
-    J is ``T.jacobian(p)`` where T's constructor proved one, and else n
-    forward differences ``(T(p + h_j e_j) - T(p))/h_j``,
-    ``h_j = 1e-6 max(p_j, 1e-3)``, each a counted ``ev.call`` that is
-    neither memoized nor tested.  The point is ``_degree_point``'s, on the
-    sphere; None where J is not finite or ``_degree_point`` has none.
-    """
-    if ev.T.jacobian is None:
-        h = 1e-6 * np.maximum(p, 1e-3)
-        J = np.column_stack([ev.call(p + step) - Tp for step in np.diag(h)]) / h
-    else:
-        J = ev.T.jacobian(p)
-    if not np.all(np.isfinite(J)):
-        return None
-    q = _degree_point(J, p, Tp)
-    return None if q is None else _on_sphere(q, ev.r)
+    return _on_sphere(p * (1.0 + min(1.0, 0.9 / max(-float(np.min(dy)), 0.9)) * dy), r)
 
 
 def _policy_point(T: MonotoneMap) -> np.ndarray | None:
@@ -512,19 +505,34 @@ def _policy_step(ev: _Evaluator) -> None:
 def _sphere_stage(ev: _Evaluator) -> None:
     """The sphere stage: Newton steps from the uniform point ``r 1/n`` while the margin grows.
 
-    Ends the search through ``ev`` where a point certifies, at the cap, at
-    a value that is not finite, and in ``label_none`` where the best point
-    it reached has no label at eps; else returns, for the pre-phase to run.
+    Each step forms J at the new best point p: ``T.jacobian(p)`` where T's
+    constructor proved one, and else n forward differences
+    ``(T(p + h_j e_j) - T(p))/h_j``, ``h_j = 1e-6 max(p_j, 1e-3)``, each a
+    counted ``ev.call`` that is neither memoized nor tested; the step goes
+    to ``_newton_point(J, p, T(p), r)``.  The stage stops where there is no
+    Newton point, at a point whose margin does not beat the best, and at a
+    new best point whose gain is at most ``_ROUNDING r`` while eps lies
+    more than that above its margin.  Ends the search through ``ev`` where
+    a point certifies, at the cap, at a value that is not finite, and in
+    ``label_none`` where the best point it reached has no label at eps;
+    else returns, for the pre-phase to run.
     """
-    n = ev.T.dimension
-    p, best, best_margin = np.full(n, ev.r / n), None, -math.inf
+    T, r = ev.T, ev.r
+    p, best, best_margin = np.full(T.dimension, r / T.dimension), None, -math.inf
     while p is not None:
         Tp = ev(p)
         margin = float(np.min(p - Tp))
         if margin <= best_margin:
             break
-        best, best_margin = (p, Tp), margin
-        p = _newton_point(ev, p, Tp)
+        gain, best, best_margin = margin - best_margin, (p, Tp), margin
+        if gain <= _ROUNDING * r < ev.eps - margin:  # a gain within rounding, and eps beyond it
+            break
+        if T.jacobian is None:
+            h = 1e-6 * np.maximum(p, 1e-3)
+            J = np.column_stack([ev.call(p + step) - Tp for step in np.diag(h)]) / h
+        else:
+            J = T.jacobian(p)
+        p = _newton_point(J, p, Tp, r)
     if label_index(*best, ev.eps) is None:
         raise ev.end("label_none", best[0])
 

@@ -63,14 +63,15 @@ class MonotoneMap:
     when every part has one.  A map built directly from a callable has
     none.  For a homogeneous map ``J(s)`` is the matrix of the linear
     piece active at s, so ``T(s) = J(s) s``; the solver's policy step reads
-    its policies from it.  The sphere stage takes Newton steps with any
-    map's Jacobian, and without one it forms J from forward differences
-    of T, each a counted evaluation.  Each step fits one power of each
-    row to ``T(s)`` and ``J(s)``, of degree ``(J(s) s)_i / T(s)_i``, so a
-    map whose rows are sums ``sum_j c_ij s_j^a_i`` lands on its
-    equal-margin point in one step.  Either way every resulting point is
-    tested on T itself.  A Jacobian reads its map's ``fn``, never
-    ``__call__``, so it is never counted as an evaluation.
+    its policies from it.  The solver's sphere stage forms J at each of its
+    best points: this Jacobian where the map has one, and else forward
+    differences of T, each a counted evaluation.  Each of its Newton steps
+    fits one power of each row to ``T(s)`` and ``J(s)``, of degree
+    ``(J(s) s)_i / T(s)_i``, so a map whose rows are sums
+    ``sum_j c_ij s_j^a_i`` lands on its equal-margin point in one step.
+    Either way every resulting point is tested on T itself.  A Jacobian
+    reads its map's ``fn``, never ``__call__``, so it is never counted as
+    an evaluation.
     ``kind`` is only a name: the solver never reads it.
     """
 

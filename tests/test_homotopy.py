@@ -309,7 +309,7 @@ GOLDEN_WALKS = [
 # Near rho = 1 the pre-phase's iterates crawl at the contraction rate: on
 # the map's callable twin the sphere stage's Newton step with a difference
 # Jacobian answers the feasible run in 8 evaluations, and ends the
-# infeasible one at its best point, which has no label, in 22.  The policy
+# infeasible one at its best point, which has no label, in 15.  The policy
 # step tests the optimal point at once, which is s* below the limit and has
 # no label above it, so both runs end at the same point.  These cases are
 # not in GOLDEN_PATH_SHA256 below.
@@ -401,38 +401,45 @@ def test_the_flipflop_map_near_its_witness_margin_takes_few_evaluations():
     assert report.iterations == 2
 
 
-def newton_point(T: MonotoneMap, p: np.ndarray) -> tuple[np.ndarray | None, int]:
-    """``_newton_point`` from p, r = 10, and the count of evaluations it spent."""
-    ev = homotopy._Evaluator(T, SolverConfig(r=10.0))
-    q = homotopy._newton_point(ev, p, T(p))
-    return q, ev.count
+def newton_point(T: MonotoneMap, p: np.ndarray) -> np.ndarray | None:
+    """``_newton_point`` from p, r = 10, with T's proven Jacobian."""
+    return homotopy._newton_point(T.jacobian(p), p, T(p), 10.0)
 
 
 def test_a_newton_point_of_a_linear_map_is_its_optimal_point():
     """For ``T = A`` the Newton system is T's own, so one step lands on
     ``r (I - A)^-1 1 / |(I - A)^-1 1|_1``, where every component has the margin eps_max.
 
-    The proven Jacobian costs no evaluation.  The callable twin's n forward
-    differences cost one counted evaluation each, and are exact to rounding.
+    The Newton point evaluates no T.  The callable twin's stage pays for
+    its J: r 1/n, then n forward differences, one counted evaluation each
+    and off the sphere, exact to rounding, so its first Newton point is
+    the optimal point too, and certifies at 0.99 eps_max.
     """
     A = random_contractive(4, 0.8, 3)
+    T = make_linear_map(A)
     p = np.array([1.0, 2.0, 3.0, 4.0])
-    for T, rtol, count in ((make_linear_map(A), 1e-12, 0),
-                           (callable_twin(make_linear_map(A)), 1e-8, 4)):
-        with recorded() as seen:
-            q, spent = newton_point(T, p)
-        np.testing.assert_allclose(q - A @ q, eps_max(A, 10.0), rtol=rtol)
-        assert spent == len(seen) - 1 == count  # T(p), then the differences
-        assert all(np.sum(point) > np.sum(p) for point in seen[1:])
+    J, Tp = T.jacobian(p), T(p)
+    with recorded() as seen:
+        q = homotopy._newton_point(J, p, Tp, 10.0)
+    assert seen == []
+    np.testing.assert_allclose(q - A @ q, eps_max(A, 10.0), rtol=1e-12)
+    cfg = SolverConfig(r=10.0, epsilon=0.99 * eps_max(A, 10.0))
+    with recorded() as seen:
+        report = find_decay_point(callable_twin(T), cfg, 4)
+    assert report.success and report.iterations == len(seen) == 6
+    assert all(np.sum(point) > 10.0 for point in seen[1:5])  # the differences
+    q = report.s_star
+    np.testing.assert_allclose(q - A @ q, eps_max(A, 10.0), rtol=1e-8)
 
 
 @pytest.mark.parametrize("T,p", [
-    (make_diagonal(["t^0.5", "t"]), np.array([0.0, 10.0])),  # J not finite at 0
+    # J is not finite at 0, and the model's first residual is NaN
+    (make_diagonal(["t^0.5", "t"]), np.array([0.0, 10.0])),
     # J = I and T(p) = p/2: the first bordered solve, the affine system's, is singular
     (make_diagonal(["0.125*t^2", "0.125*t^2"]), np.array([4.0, 4.0])),
 ], ids=["infinite derivative", "singular"])
 def test_the_sphere_stage_has_no_newton_point_without_a_usable_jacobian(T, p):
-    assert newton_point(T, p)[0] is None
+    assert newton_point(T, p) is None
 
 
 # Maps whose every row is ``sum_j c_ij s_j^a_i`` on the piece active along the
@@ -454,9 +461,8 @@ def test_the_degree_model_lands_on_the_equal_margin_point_in_one_step(build):
     so at 0.999 of that margin the run certifies it with its second evaluation."""
     T = build()
     n = T.dimension
-    q, spent = newton_point(T, np.full(n, 10.0 / n))
+    q = newton_point(T, np.full(n, 10.0 / n))
     margins = q - T(q)
-    assert spent == 0
     assert float(np.max(margins) - np.min(margins)) <= 1e-9 * 10.0
     cfg = SolverConfig(r=10.0, epsilon=0.999 * float(np.min(margins)), max_iterations=1000)
     report = find_decay_point(T, cfg, n)
@@ -482,16 +488,13 @@ def test_a_model_without_a_positive_solution_falls_back_to_the_damped_affine_poi
 
     The point is then the affine solution, which the model's first bordered
     solve gives, with its step from p cut to nine tenths of the way to the
-    orthant's boundary.
+    orthant's boundary.  Its steps sum to 0, so it stays on the sphere.
     """
     T = make_max_preserving([[None, "2*t", None], ["0.9*t", None, None], [None, None, "0.5*t"]])
     p = np.array([3.0, 3.0, 4.0])
-    Tp, J = T(p), T.jacobian(p)
-    step = affine_step(J, p, Tp)
+    step = affine_step(T.jacobian(p), p, T(p))
     assert step[2] < -p[2]  # the affine solution leaves the orthant in component 3
-    damped = p + 0.9 * (p[2] / -step[2]) * step
-    np.testing.assert_allclose(homotopy._degree_point(J, p, Tp), damped, rtol=1e-12)
-    np.testing.assert_allclose(newton_point(T, p)[0], damped * (10.0 / np.sum(damped)),
+    np.testing.assert_allclose(newton_point(T, p), p + 0.9 * (p[2] / -step[2]) * step,
                                rtol=1e-12)
 
 
@@ -504,11 +507,9 @@ def test_an_overflow_in_the_degree_model_falls_back_without_a_warning():
     """
     T = make_max_preserving([["0", "t^200"], ["0.5*t", "0"]])
     p = np.array([9.5, 0.5])
-    Tp, J = T(p), T.jacobian(p)
-    step = affine_step(J, p, Tp)
+    step = affine_step(T.jacobian(p), p, T(p))
     assert np.all(step > -0.9 * p)
-    np.testing.assert_allclose(homotopy._degree_point(J, p, Tp), p + step, rtol=1e-12)
-    np.testing.assert_allclose(newton_point(T, p)[0], p + step, rtol=1e-12)
+    np.testing.assert_allclose(newton_point(T, p), p + step, rtol=1e-12)
 
 
 def test_the_callable_chain_twin_takes_newton_steps_with_a_difference_jacobian():
@@ -542,7 +543,7 @@ NEAR_UNIT_FAILURES = [
      "label_none", 1,
      [1.8548089295300352, 1.5782894693704732, 1.5390268638913054, 1.5730061141496752,
       1.6367913725267569, 1.8180772505317537]),
-    # on the callable twin, the sphere stage's best point ends this run in 29
+    # on the callable twin, the sphere stage's best point ends this run in 15
     # evaluations at rho = 0.999
     ("n=6 rho=0.999 seed 0 at 1.01 eps_max", 6, 0.999, 0, 0.0016952335741928556, 100_000,
      "label_none", 1,
@@ -748,11 +749,14 @@ def test_sphere_stage_finds_near_limit_points(n, eps):
 
 def test_the_sphere_stage_ends_the_run_at_its_best_point_without_a_label():
     """``diag(t^1.5) o A`` at eps = 0.1: the stage's margin grows to 0.0389 < eps, and
-    its best point has no label, so the run ends there in ``label_none``, in 7
-    evaluations, and in 43 on the callable twin."""
+    its best point has no label, so the run ends there in ``label_none``, in 6
+    evaluations, and in 31 on the callable twin.
+
+    The 6th point gains a margin within rounding (2.8e-12), which ends the
+    stage without a further step."""
     T = compose(make_diagonal(["t^1.5"] * 5), make_linear_map(random_contractive(5, 0.8, 0)))
     cfg = SolverConfig(r=10.0, epsilon=0.1, max_iterations=100_000)
-    for M, count in ((T, 7), (callable_twin(T), 43)):
+    for M, count in ((T, 6), (callable_twin(T), 31)):
         with recorded() as seen:
             report = find_decay_point(M, cfg, 5)
         assert (report.failure_reason, report.iterations) == ("label_none", count)
@@ -763,6 +767,23 @@ def test_the_sphere_stage_ends_the_run_at_its_best_point_without_a_label():
         assert max(margins) < 0.1
         assert label_index(p, T(p), 0.1) is None
 
+
+
+def test_a_gain_within_rounding_does_not_end_the_stage_below_an_eps_within_rounding():
+    """``eps_max (1 - 1e-13)`` for a linear map: the policy step's point misses eps by
+    rounding, and the stage's first Newton point by 5e-15.
+
+    Its next point gains margin within rounding, but eps is within rounding
+    of the margin too, so the stage keeps stepping, and its third Newton
+    point certifies at the 5th evaluation.  A stop at the first gain within
+    rounding spends the cap.
+    """
+    A = random_contractive(3, 0.999, 0)
+    T = make_linear_map(A)
+    cfg = SolverConfig(r=10.0, epsilon=eps_max(A, 10.0) * (1.0 - 1e-13), max_iterations=5_000)
+    report = find_decay_point(T, cfg, 3)
+    check_success_postcondition(T, cfg, report)
+    assert report.iterations == 5
 
 # Counts at random_contractive(n, 0.8, seed), seeds 0..2, at half and 0.9 of
 # eps_max.  The map itself is answered by the policy step's one evaluation,
