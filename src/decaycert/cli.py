@@ -71,6 +71,7 @@ def _no_decay_point(command: str, report, **failure_fields) -> int:
 def _load(args) -> tuple[MonotoneMap, SolverConfig]:
     """The map of ``--map`` and the search settings of the solver flags."""
     T = parse_map_spec(Path(args.map).read_text()).build()
+    check_count("map dimension", T.dimension, least=2)  # the solver's own check names n
     return T, SolverConfig(r=args.radius, epsilon=args.epsilon, max_iterations=args.max_iterations)
 
 

@@ -56,17 +56,19 @@ class MonotoneMap:
     ``jacobian`` is the derivative that T's constructor proves, a callable
     ``s -> J(s)`` giving the n-by-n matrix ``dT_i/ds_j`` at a point s, or
     None.  An entry is inf where the derivative of a fractional power is,
-    at 0.  :func:`make_linear_map` records ``A``, :func:`make_chain_map` and
-    :func:`make_flipflop_map` their closed forms, :func:`make_diagonal` and
-    a max-preserving table the gains' ``ScalarFn.derivative`` (of each
-    row's active gain, for a table), and :func:`compose` the chain rule
-    when every part has one.  A map built directly from a callable has
-    none.  For a homogeneous map ``J(s)`` is the matrix of the linear
-    piece active at s, so ``T(s) = J(s) s``; the solver's policy step reads
-    its policies from it.  The solver's sphere stage forms J at each of its
-    best points: this Jacobian where the map has one, and else forward
-    differences of T, each a counted evaluation.  Each of its Newton steps
-    fits one power of each row to ``T(s)`` and ``J(s)``, of degree
+    at 0.  :func:`make_linear_map` records ``A``, :func:`make_chain_map` its
+    closed form, :func:`make_diagonal` and a gain table (the flip-flop map
+    is one) the gains' ``ScalarFn.derivative`` (for a table, of each row's
+    active gain, the first of its nonzero gains with the largest value),
+    and :func:`compose` the chain rule when every part has one.  A table's
+    evaluation and Jacobian call each nonzero gain once, and no zero gain.
+    A map built directly from a callable has none.  For a homogeneous map
+    ``J(s)`` is the matrix of the linear piece active at s, so
+    ``T(s) = J(s) s``; the solver's policy step reads its policies from it.
+    The solver's sphere stage forms J at each of its best points: this
+    Jacobian where the map has one, and else forward differences of T,
+    each a counted evaluation.  Each of its Newton steps fits one power of
+    each row to ``T(s)`` and ``J(s)``, of degree
     ``(J(s) s)_i / T(s)_i``, so a map whose rows are sums
     ``sum_j c_ij s_j^a_i`` lands on its equal-margin point in one step.
     Either way every resulting point is tested on T itself.  A Jacobian
@@ -151,7 +153,7 @@ def chain_feasible_point(n: int, r: float) -> np.ndarray:
 
 
 def make_flipflop_map(lam: float) -> MonotoneMap:
-    """Two-dimensional map ``T(x) = (sqrt(x2), lam * x1^2)``.
+    """Two-dimensional map ``T(x) = (x2^0.5, lam * x1^2)``: the 2-by-2 table of those two gains.
 
     Its square acts componentwise, so every trajectory decays to zero, yet
     plain iteration never produces a strictly decreasing step if the start
@@ -160,18 +162,7 @@ def make_flipflop_map(lam: float) -> MonotoneMap:
     check_positive("flipflop lambda", lam)
     if not lam < 1.0:
         raise ValueError(f"flipflop lambda must lie in (0, 1), got {lam}")
-
-    # math.sqrt, not Term(1, 0.5): the libm power t**0.5 differs from it in the last bit
-    # at about one point in 1,200
-    def fn(s: np.ndarray) -> np.ndarray:
-        return np.array([math.sqrt(s[1]), lam * s[0] ** 2])
-
-    root, square = Term(1.0, 0.5), Term(lam, 2.0)
-
-    def jacobian(s: np.ndarray) -> np.ndarray:
-        return np.array([[0.0, root.derivative(s[1])], [square.derivative(s[0]), 0.0]])
-
-    return _proven(MonotoneMap(2, fn, "flipflop"), jacobian=jacobian)
+    return GainTable([[None, Term(1.0, 0.5)], [Term(lam, 2.0), None]]).to_map()
 
 
 def coerce_gain(g) -> ScalarFn:
@@ -223,10 +214,14 @@ class GainTable:
 
     ``rows[i][j]`` is the influence of component j on component i; absent
     (None) entries are the zero gain.  Any nested gain sequence is accepted
-    and kept as tuples.
+    and kept as tuples.  ``nonzero[i]`` holds the ``(j, gain)`` pairs of
+    row i's nonzero gains in column order, a zero gain being a ``Term``
+    with coefficient 0; the map and the cycle test read only these, so
+    each of their loops calls each nonzero gain once and never a zero one.
     """
 
     rows: tuple[tuple[ScalarFn, ...], ...]
+    nonzero = ()  # not a field: set only by __post_init__
 
     def __post_init__(self):
         rows = tuple(tuple(coerce_gain(g) for g in _gain_sequence(row, f"gain table row {i + 1}"))
@@ -237,6 +232,9 @@ class GainTable:
             for j, g in enumerate(row):
                 check_gain(g, f"gain ({i + 1},{j + 1})")
         object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "nonzero", tuple(
+            tuple((j, g) for j, g in enumerate(row) if not (isinstance(g, Term) and g.coeff == 0.0))
+            for row in rows))
 
     @property
     def n(self) -> int:
@@ -251,21 +249,26 @@ class GainTable:
         return self.rows[i - 1][j - 1]
 
     def to_map(self) -> MonotoneMap:
-        """Map ``(Ts)_i = max_j g_ij(s_j)``; the gains were checked at construction."""
-        rows, n = self.rows, self.n
+        """Map ``(Ts)_i = max_j g_ij(s_j)``, 0 for a row without a nonzero gain.
+
+        Its Jacobian row i is the derivative of the active gain, the first
+        nonzero gain whose value is largest, and zero for an empty row.
+        """
+        nonzero, n = self.nonzero, self.n
 
         def fn(s: np.ndarray) -> np.ndarray:
-            return np.array([max(g(s[j]) for j, g in enumerate(row)) for row in rows])
+            return np.array([max((g(s[j]) for j, g in row), default=0.0) for row in nonzero])
 
         def jacobian(s: np.ndarray) -> np.ndarray:
             J = np.zeros((n, n))
-            for i, row in enumerate(rows):
-                j = max(range(n), key=lambda j: row[j](s[j]))  # the first active gain
-                J[i, j] = row[j].derivative(s[j])
+            for i, row in enumerate(nonzero):
+                if row:
+                    j, g = max(row, key=lambda jg: jg[1](s[jg[0]]))
+                    J[i, j] = g.derivative(s[j])
             return J
 
         return _proven(MonotoneMap(n, fn, "max-preserving"),
-                       all(is_degree_one(g) for row in rows for g in row), jacobian)
+                       all(is_degree_one(g) for row in nonzero for _, g in row), jacobian)
 
 
 def make_max_preserving(gains) -> MonotoneMap:

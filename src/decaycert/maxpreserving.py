@@ -31,7 +31,8 @@ The cycle test uses max-plus powers (Baccelli, Cohen, Olsder & Quadrat,
 composition at ``t`` over the closed walks of length ``k`` through ``i``,
 so ``k <= n`` covers every simple cycle in every rotation, 1-cycles included.
 The powers are stepped as arrays over every start and both ends at once:
-each step calls each gain once, and only the current power is kept.
+each step calls each nonzero gain once (``GainTable.nonzero``), and only
+the current power is kept.
 """
 
 from __future__ import annotations
@@ -79,33 +80,31 @@ def cycle_condition(table) -> tuple[bool, tuple[tuple[int, ...], float] | None]:
     identity only outside that range passes: ``1e-4*t^0.5`` on the
     diagonal meets it at ``t = 1e-8``, and ``1e-4*t^2`` at ``t = 1e4``.
     """
-    table = _table(table)
-    rows, n = table.rows, table.n
-    ends = np.array([1e-3, 1e3])
+    nonzero = _table(table).nonzero
+    n, ends = len(nonzero), np.array([1e-3, 1e3])
     # w[i, :, p] is T^k(t e_i) at t = ends[p]; an overflow reads as +inf
     start = w = np.eye(n)[:, :, None] * ends
     with np.errstate(over="ignore"):
         for k in range(1, n + 1):
-            w = _step(rows, w)
+            w = _step(nonzero, w)
             hits = np.argwhere(np.diagonal(w).T >= ends)
             if len(hits):
                 i, p = hits[0].tolist()
                 path = [start[i:i + 1, :, p:p + 1]]  # re-step the violating start only
                 for _ in range(k - 1):
-                    path.append(_step(rows, path[-1]))
-                walk = [i]  # argmax backtrack, first index on ties
+                    path.append(_step(nonzero, path[-1]))
+                walk = [i]  # argmax backtrack, first nonzero gain on ties
                 for v in reversed(path[1:]):
-                    row = rows[walk[-1]]
-                    walk.append(max(range(n), key=lambda j: row[j](v[0, j, 0])))
+                    walk.append(max(nonzero[walk[-1]], key=lambda jg: jg[1](v[0, jg[0], 0]))[0])
                 return False, (tuple(a + 1 for a in walk), float(ends[p]))
     return True, None
 
 
-def _step(rows, w: np.ndarray) -> np.ndarray:
-    """One power step ``out[:, a] = max_j g_aj(w[:, j])``, calling each gain once."""
+def _step(nonzero, w: np.ndarray) -> np.ndarray:
+    """One power step ``out[:, a] = max_j g_aj(w[:, j])``, calling each nonzero gain once."""
     out = np.zeros_like(w)
-    for a, row in enumerate(rows):
-        for j, g in enumerate(row):
+    for a, row in enumerate(nonzero):
+        for j, g in row:
             np.maximum(out[:, a], g(w[:, j]), out=out[:, a])
     return out
 

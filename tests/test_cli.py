@@ -208,6 +208,17 @@ class TestVerify:
         assert captured.err == "error: gain (1,1) violates g(0)=0: got 1e-13\n"
         assert "RESULT:" not in captured.out
 
+    @pytest.mark.parametrize("command", ["find", "verify"])
+    @pytest.mark.parametrize("obj", [{"kind": "linear", "matrix": [[0.5]]},
+                                     {"kind": "diagonal", "functions": ["0.5*t"]}])
+    def test_a_one_dimensional_map_names_its_dimension(self, tmp_path, capsys, command, obj):
+        # the solver's own message names its argument n, which the CLI has no flag for
+        code = main([command, "--map", write_spec(tmp_path, obj), "-r", "1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == "error: map dimension must be >= 2, got 1\n"
+        assert captured.out == ""
+
     def test_non_contractive_linear_exits_one(self, tmp_path, capsys):
         # spectral radius exactly 1: the identity; the solver cannot label corners
         spec = write_spec(tmp_path, {"kind": "linear", "matrix": [[1, 0], [0, 1]]})

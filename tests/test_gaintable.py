@@ -1,0 +1,164 @@
+"""A gain table's nonzero rows against a dense reference that reads all n^2 entries.
+
+``GainTable.nonzero`` lists each row's nonzero gains, and the table's map,
+its Jacobian and the cycle test read only that.  The references below loop
+over every entry of ``rows``, zero gains included: their values, verdicts
+and witnesses must be the same bytes, and their Jacobians must agree
+wherever a row's largest value is positive (where it is 0, the table
+takes its first nonzero gain and the reference its first entry, which may
+be a zero gain).
+"""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+from decaycert import maxpreserving
+from decaycert.homotopy import SolverConfig, find_decay_point
+from decaycert.maxpreserving import GainTable, cycle_condition
+from decaycert.scalarfn import Term
+
+hypothesis = pytest.importorskip("hypothesis")
+st = hypothesis.strategies
+
+# the six gains of the solve corpus's max-times tables
+CORPUS_GAINS = ["0.4*t^0.5", "0.3*t^2", "0.5*t", "max(0.3*t, 0.05*t^2)", "0.2*t + 0.01*t^2",
+                "0.6*t^0.8"]
+# tables of these pass the cycle test: every cycle stays below the identity on [1e-3, 1e3]
+PASSING_TERMS = ["0.4*t", "0.5*t", "0.3*t^1.1"]
+
+
+def sparse_table(n: int, seed: int, gains: list[str]) -> GainTable:
+    """An n-by-n table whose entries are present with probability 3/n, each drawn from gains."""
+    rng = np.random.default_rng(seed)
+    return GainTable([[gains[rng.integers(len(gains))] if rng.random() < 3 / n else None
+                       for _ in range(n)] for _ in range(n)])
+
+
+def dense_values(table: GainTable, s: np.ndarray) -> np.ndarray:
+    return np.array([max(g(s[j]) for j, g in enumerate(row)) for row in table.rows])
+
+
+def dense_jacobian(table: GainTable, s: np.ndarray) -> np.ndarray:
+    """Row i differentiates the first entry whose value is largest, a zero gain or not."""
+    n = table.n
+    J = np.zeros((n, n))
+    for i, row in enumerate(table.rows):
+        j = max(range(n), key=lambda j: row[j](s[j]))
+        J[i, j] = row[j].derivative(s[j])
+    return J
+
+
+def dense_cycle_condition(table: GainTable):
+    """The cycle test with every entry in every power step and in the backtrack."""
+    rows, n = table.rows, table.n
+    ends = np.array([1e-3, 1e3])
+
+    def step(w):
+        out = np.zeros_like(w)
+        for a, row in enumerate(rows):
+            for j, g in enumerate(row):
+                np.maximum(out[:, a], g(w[:, j]), out=out[:, a])
+        return out
+
+    start = w = np.eye(n)[:, :, None] * ends
+    with np.errstate(over="ignore"):
+        for k in range(1, n + 1):
+            w = step(w)
+            hits = np.argwhere(np.diagonal(w).T >= ends)
+            if len(hits):
+                i, p = hits[0].tolist()
+                path = [start[i:i + 1, :, p:p + 1]]
+                for _ in range(k - 1):
+                    path.append(step(path[-1]))
+                walk = [i]
+                for v in reversed(path[1:]):
+                    row = rows[walk[-1]]
+                    walk.append(max(range(n), key=lambda j: row[j](v[0, j, 0])))
+                return False, (tuple(a + 1 for a in walk), float(ends[p]))
+    return True, None
+
+
+@st.composite
+def tables_and_points(draw):
+    """A table of n <= 12 with at most six corpus gains per row (2.7 on average, and a
+    quarter of the rows empty), and a point about half of whose components are 0."""
+    n = draw(st.integers(1, 12))
+    rows = [[None] * n for _ in range(n)]
+    for row in rows:
+        for j, g in draw(st.dictionaries(st.integers(0, n - 1), st.sampled_from(CORPUS_GAINS),
+                                         max_size=6)).items():
+            row[j] = g
+    s = np.array(draw(st.lists(st.just(0.0) | st.floats(0.0, 20.0) | st.floats(1e-3, 1.0),
+                               min_size=n, max_size=n)))
+    return GainTable(rows), s
+
+
+@hypothesis.settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@hypothesis.given(tables_and_points())
+def test_a_table_agrees_with_its_dense_reference(case):
+    table, s = case
+    T = table.to_map()
+    assert T(s).tobytes() == dense_values(table, s).tobytes()
+    J, reference = T.jacobian(s), dense_jacobian(table, s)
+    for i, value in enumerate(T(s)):
+        if value > 0.0:
+            assert J[i].tobytes() == reference[i].tobytes(), (table, s, i)
+    assert cycle_condition(table) == dense_cycle_condition(table)
+
+
+def test_the_backtrack_takes_the_first_of_tied_nonzero_gains():
+    # 1 -> 2 -> 1 and 1 -> 3 -> 1 both compose to 2t, and their last steps tie at 2t
+    table = GainTable([[None, "0.5*t", "0.5*t"], ["4*t", None, None], ["4*t", None, None]])
+    assert cycle_condition(table) == dense_cycle_condition(table) == (False, ((1, 2), 1e-3))
+
+
+def test_nonzero_lists_each_rows_nonzero_gains_in_column_order():
+    table = GainTable([["0", "t", None, "0.5*t"], [None] * 4, [Term(0.0, 2.0)] * 4,
+                       [None, None, "max(t, t^2)", "0.2*t + 0.01*t^2"]])
+    assert table.nonzero == (
+        ((1, Term(1.0)), (3, Term(0.5))), (), (),
+        ((2, table.rows[3][2]), (3, table.rows[3][3])))
+    assert table.to_map()(np.ones(4)).tolist() == [1.0, 0.0, 0.0, 1.0]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        table.nonzero = ()
+    assert table == GainTable(table.rows) and "nonzero" not in repr(table)
+
+
+def test_each_loop_calls_each_nonzero_gain_once_and_no_zero_gain(monkeypatch):
+    n = 30
+    table = sparse_table(n, 0, PASSING_TERMS)  # built first: building checks every gain
+    gains = sorted(id(g) for row in table.nonzero for _, g in row)
+    assert 0 < len(gains) < n * n / 5
+    called, per_step = [], []
+    call, step = Term.__call__, maxpreserving._step
+
+    def counting(self, t):
+        called.append(id(self))
+        return call(self, t)
+
+    def counted_step(nonzero, w):
+        called.clear()
+        out = step(nonzero, w)
+        per_step.append(sorted(called))
+        return out
+
+    monkeypatch.setattr(Term, "__call__", counting)
+    monkeypatch.setattr(maxpreserving, "_step", counted_step)
+    assert cycle_condition(table) == (True, None)
+    assert per_step == [gains] * n
+    T, s = table.to_map(), np.linspace(0.5, 2.0, n)
+    for loop in (T.fn, T.jacobian):
+        called.clear()
+        loop(s)
+        assert sorted(called) == gains
+
+
+def test_a_sparse_table_of_dimension_200_solves_in_five_evaluations():
+    # about three corpus gains per row (602 in all) at eps = 0.2 r/n
+    table = sparse_table(200, 0, CORPUS_GAINS)
+    assert sum(map(len, table.nonzero)) == 602
+    cfg = SolverConfig(r=10.0, epsilon=0.01, max_iterations=20_000)
+    report = find_decay_point(table.to_map(), cfg, 200)
+    assert (report.success, report.failure_reason, report.iterations) == (False, "label_none", 5)

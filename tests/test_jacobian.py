@@ -114,6 +114,16 @@ def test_a_max_preserving_row_differentiates_its_active_gain():
     np.testing.assert_array_equal(T.jacobian(np.array([3.0, 2.0])), [[0.0, 4.0], [0.0, 8.0]])
 
 
+def test_a_tied_row_differentiates_its_first_nonzero_gain():
+    # row 1 is max(0, 0.5 * 0) = 0 at (1, 0): its only nonzero gain is the active one, not
+    # the absent entry in column 1, and an empty row has a zero Jacobian row
+    T = make_max_preserving([[None, "0.5*t"], ["t", None]])
+    np.testing.assert_array_equal(T.jacobian(np.array([1.0, 0.0])), [[0.0, 0.5], [1.0, 0.0]])
+    T = make_max_preserving([["t^2", "0.5*t", "t"], [None] * 3, [None, "t^0.5", None]])
+    np.testing.assert_array_equal(T.jacobian(np.zeros(3)),
+                                  [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, np.inf, 0.0]])
+
+
 def test_a_fractional_power_at_zero_has_an_infinite_derivative():
     assert make_chain_map(2).jacobian(np.array([0.0, 1.0]))[1, 0] == np.inf
     assert make_flipflop_map(0.5).jacobian(np.array([1.0, 0.0]))[0, 1] == np.inf
