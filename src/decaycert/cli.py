@@ -132,6 +132,8 @@ def cmd_verify(args) -> int:
 def cmd_sweep(args) -> int:
     check_count("--instances", args.instances)
     dims = _parse_list(args.dims, int, "--dims")
+    for n in dims:  # the solver's own check names n
+        check_count("--dims item", n, least=2)
     epsilons = _parse_list(args.epsilons, float, "--epsilons")
     rows = []  # each row in CSV_COLUMNS order
     for n in dims:

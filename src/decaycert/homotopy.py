@@ -607,6 +607,8 @@ def find_decay_point(T: MonotoneMap, cfg: SolverConfig, n: int) -> SolveReport:
     check_count("n", n, least=2)
     if T.dimension != n:
         raise ValueError(f"map has dimension {T.dimension}, expected {n}")
+    if cfg.r / n == 0.0:  # the uniform sphere point would be the origin, off the sphere
+        raise ValueError(f"r = {cfg.r!r} is too small for dimension {n}: r/n underflows to 0")
     ev = _Evaluator(T, cfg)
     try:
         # an overflow in T or in the pre-phase is named by the finiteness checks

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .order import check_count, check_positive
+from .order import check_count, check_positive, first_non_number
 
 __all__ = [
     "spectral_radius",
@@ -33,11 +33,10 @@ def as_nonnegative_matrix(A) -> np.ndarray:
 
     A bool or a string is no entry, though numpy would convert it.
     """
-    if not (isinstance(A, np.ndarray) and A.dtype.kind in "iuf"):
-        for index, entry in np.ndenumerate(np.array(A, dtype=object)):
-            if isinstance(entry, (bool, np.bool_, str, bytes)):
-                where = ",".join(str(k + 1) for k in index)
-                raise ValueError(f"matrix entry at ({where}) is not a number: {entry!r}")
+    bad = first_non_number(A)
+    if bad:
+        where = ",".join(str(k + 1) for k in bad[0])
+        raise ValueError(f"matrix entry at ({where}) is not a number: {bad[1]!r}")
     A = np.array(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {A.shape}")

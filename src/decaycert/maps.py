@@ -11,7 +11,7 @@ black-box rules).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -210,35 +210,37 @@ def check_kinf(rho: ScalarFn, where: str) -> None:
 
 @dataclass(frozen=True)
 class GainTable:
-    """Square table of gains, each checked once by :func:`check_gain`, and then frozen.
+    """Square table of gains, each present one checked once by :func:`check_gain`, then frozen.
 
-    ``rows[i][j]`` is the influence of component j on component i; absent
-    (None) entries are the zero gain.  Any nested gain sequence is accepted
-    and kept as tuples.  ``nonzero[i]`` holds the ``(j, gain)`` pairs of
-    row i's nonzero gains in column order, a zero gain being a ``Term``
-    with coefficient 0; the map and the cycle test read only these, so
-    each of their loops calls each nonzero gain once and never a zero one.
+    It is built from n rows of n entries, entry ``[i][j]`` the influence of
+    component j on component i, and keeps only its present gains:
+    ``nonzero[i]`` holds the ``(j, gain)`` pairs of row i's nonzero gains in
+    column order.  An absent (None) entry is skipped unchecked; every other
+    entry is coerced and checked, and dropped where it is a zero gain, one
+    with ``g(1) = 0`` (a gain that passes :func:`check_gain` is then 0 on
+    the whole half line).  The map and the cycle test read only
+    ``nonzero``, so each of their loops calls each nonzero gain once.
     """
 
-    rows: tuple[tuple[ScalarFn, ...], ...]
-    nonzero = ()  # not a field: set only by __post_init__
+    rows: InitVar[Sequence]
+    nonzero: tuple[tuple[tuple[int, ScalarFn], ...], ...] = field(init=False)
 
-    def __post_init__(self):
-        rows = tuple(tuple(coerce_gain(g) for g in _gain_sequence(row, f"gain table row {i + 1}"))
-                     for i, row in enumerate(_gain_sequence(self.rows, "gain table")))
+    def __post_init__(self, rows):
+        rows = [tuple(_gain_sequence(row, f"gain table row {i + 1}"))
+                for i, row in enumerate(_gain_sequence(rows, "gain table"))]
         if not rows or any(len(row) != len(rows) for row in rows):
             raise ValueError("gain table must be square")
+        nonzero = []
         for i, row in enumerate(rows):
-            for j, g in enumerate(row):
+            present = [(j, coerce_gain(g)) for j, g in enumerate(row) if g is not None]
+            for j, g in present:
                 check_gain(g, f"gain ({i + 1},{j + 1})")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "nonzero", tuple(
-            tuple((j, g) for j, g in enumerate(row) if not (isinstance(g, Term) and g.coeff == 0.0))
-            for row in rows))
+            nonzero.append(tuple((j, g) for j, g in present if g(1.0) != 0.0))
+        object.__setattr__(self, "nonzero", tuple(nonzero))
 
     @property
     def n(self) -> int:
-        return len(self.rows)
+        return len(self.nonzero)
 
     def gain(self, i: int, j: int) -> ScalarFn:
         """Gain from component j onto component i (1-based int indices, each in 1..n)."""
@@ -246,10 +248,10 @@ class GainTable:
         check_count("gain index j", j, least=None)
         if not (1 <= i <= self.n and 1 <= j <= self.n):
             raise ValueError(f"gain index ({i!r}, {j!r}) lies outside 1..{self.n}")
-        return self.rows[i - 1][j - 1]
+        return dict(self.nonzero[i - 1]).get(j - 1, zero_fn())
 
     def to_map(self) -> MonotoneMap:
-        """Map ``(Ts)_i = max_j g_ij(s_j)``, 0 for a row without a nonzero gain.
+        """Map ``(Ts)_i = max_j g_ij(s_j)`` over row i of ``nonzero``, 0 for an empty row.
 
         Its Jacobian row i is the derivative of the active gain, the first
         nonzero gain whose value is largest, and zero for an empty row.
@@ -275,7 +277,7 @@ def make_max_preserving(gains) -> MonotoneMap:
     """Map ``(Ts)_i = max_j g_ij(s_j)`` from an n-by-n table of gains.
 
     ``gains`` is a nested sequence whose entries may be ScalarFn
-    instances, textual forms, or None for the zero gain.
+    instances, textual forms, or None for an absent gain.
     """
     return GainTable(gains).to_map()
 

@@ -9,7 +9,8 @@ first (JSON shapes, numbers, square rows, gain text that parses), then
 checks the spec by building its map: the :mod:`decaycert.maps`
 constructors hold the family invariants, and their ``ValueError`` is
 re-raised as :class:`MapSpecError` with the same message.  Functions are
-stored as parsed ScalarFn trees, so serialize-then-parse reproduces an
+stored as parsed ScalarFn trees, and a null gain as None, an absent gain
+that renders back as null, so serialize-then-parse reproduces an
 identical spec.
 """
 
@@ -21,7 +22,7 @@ from typing import Any, Callable, NamedTuple
 
 from . import maps
 from .maps import MonotoneMap
-from .scalarfn import ScalarFn, ScalarFnParseError
+from .scalarfn import ScalarFn, ScalarFnParseError, parse_scalar_fn
 
 __all__ = [
     "MapSpec",
@@ -77,12 +78,12 @@ def _number(value, where: str) -> float:
     return float(value)
 
 
-def _scalar_fn(text, where: str) -> ScalarFn:
-    """Parse a gain or diagonal function; null is the zero gain."""
+def _scalar_fn(text, where: str) -> ScalarFn | None:
+    """Parse a gain or diagonal function; null stays None, an absent gain."""
     if text is not None and not isinstance(text, str):
         raise MapSpecParseError(f"{where} must be a string or null, got {text!r}")
     try:
-        return maps.coerce_gain(text)
+        return None if text is None else parse_scalar_fn(text)
     except ScalarFnParseError as exc:
         raise MapSpecParseError(f"{where}: {exc}") from exc
 
@@ -138,7 +139,7 @@ _KINDS = {
     "chain": _Kind("n", _chain_n, maps.make_chain_map, int),
     "flipflop": _Kind("lambda", lambda v: _number(v, "lambda"), maps.make_flipflop_map, float),
     "maxpreserving": _Kind("gains", _gains, maps.make_max_preserving,
-                           lambda rows: [[g.render() for g in row] for row in rows]),
+                           lambda rows: [[g and g.render() for g in row] for row in rows]),
     "diagonal": _Kind("functions", _functions, maps.make_diagonal,
                       lambda fns: [f.render() for f in fns]),
     "composition": _Kind("maps", _children, lambda kids: maps.compose(*(k.build() for k in kids)),

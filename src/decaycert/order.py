@@ -45,8 +45,8 @@ class OrderRelation(enum.Enum):
 def as_point(x, dim: int | None = None) -> np.ndarray:
     """Validate and convert ``x`` to an orthant point (1-D float64 array).
 
-    Raises ValueError on wrong dimensionality, empty input, or any negative
-    or non-finite component.  The returned array is a read-only copy.
+    Raises ValueError on wrong dimensionality, empty input, or any negative,
+    non-finite or non-number component.  The returned array is a read-only copy.
     """
     arr = np.array(x, dtype=float)
     if arr.ndim != 1:
@@ -55,6 +55,9 @@ def as_point(x, dim: int | None = None) -> np.ndarray:
         raise ValueError("a point needs at least one component")
     if dim is not None and arr.size != dim:
         raise ValueError(f"expected dimension {dim}, got {arr.size}")
+    bad = first_non_number(x)
+    if bad:
+        raise ValueError(f"component at index {bad[0][0]} is not a number: {bad[1]!r}")
     valid = (arr >= 0.0) & (arr < np.inf)  # false on negative and non-finite components
     if not valid.all():
         i = int(valid.argmin())
@@ -62,6 +65,19 @@ def as_point(x, dim: int | None = None) -> np.ndarray:
         raise ValueError(f"{what} component at index {i}: {arr[i]}")
     arr.flags.writeable = False
     return arr
+
+
+def first_non_number(x):
+    """Index and value of the first bool or string entry of ``x``, else None.
+
+    numpy would convert either, to 1.0 or to the number a string spells.
+    A numeric array has none, and is not searched.
+    """
+    if not (isinstance(x, np.ndarray) and x.dtype.kind in "iuf"):
+        for index, entry in np.ndenumerate(np.array(x, dtype=object)):
+            if isinstance(entry, (bool, np.bool_, str, bytes)):
+                return index, entry
+    return None
 
 
 def check_positive(name: str, value) -> None:

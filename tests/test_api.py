@@ -112,9 +112,9 @@ def test_checked_objects_are_frozen():
         cfg.epsilon = -1.5
     table = GainTable([[None, "0.5*t"], ["0.5*t", None]])
     with pytest.raises(dataclasses.FrozenInstanceError):
-        table.rows = ((None, Term(0.25)), (Term(0.5), None))
+        table.nonzero = (((1, Term(0.25)),), ((0, Term(0.5)),))
     with pytest.raises(TypeError):  # the rows are tuples
-        table.rows[0][1] = Term(0.25)
+        table.nonzero[0][0] = (1, Term(0.25))
     assert cfg.epsilon == 0.1 and table == GainTable([[None, "0.5*t"], ["0.5*t", None]])
     T = make_chain_map(2)  # a dimension, flag or Jacobian set later would disagree with the map
     jacobian = T.jacobian

@@ -70,6 +70,16 @@ class TestFind:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["find", "verify"])
+    def test_a_radius_whose_uniform_point_underflows_exits_two(self, capsys, command):
+        code = main([command, "--map", str(REPO_SPECS / "scaled_swap.json"), "-r", "5e-324",
+                     "--epsilon", "5e-324"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == ("error: r = 5e-324 is too small for dimension 2: "
+                                "r/n underflows to 0\n")
+        assert "nan" not in captured.err and "RESULT:" not in captured.out
+
     def test_nonfinite_map_value_exits_one(self, tmp_path, capsys):
         # T overflows to inf at the pre-phase's first iterate, w0 = (2, 2)
         spec = write_spec(tmp_path, {"kind": "linear", "matrix": [[0, 1e308], [1e308, 0]]})
@@ -186,7 +196,7 @@ class TestVerify:
                                      "gains": [[None, "0.5*t"], ["0.5*t", None]]})
         code = main(["verify", "--map", spec, "-r", "1", "--epsilon", "1e-3"])
         assert code == 0
-        assert sorted(checked) == ["gain (1,1)", "gain (1,2)", "gain (2,1)", "gain (2,2)"]
+        assert sorted(checked) == ["gain (1,2)", "gain (2,1)"]  # a null gain is absent
 
     @pytest.mark.parametrize("gain", ["t^1e400", "1e400*t"])
     def test_overflowing_number_in_a_gain_exits_two(self, tmp_path, capsys, gain):
@@ -307,6 +317,18 @@ class TestSweep:
         assert code == 2
         captured = capsys.readouterr()
         assert captured.err == f"error: {message}\n"
+        assert captured.out == "" and not out.exists()
+
+    @pytest.mark.parametrize("family", ["chain", "linear-random"])
+    @pytest.mark.parametrize("dims, item", [("2,1", 1), ("0", 0)])
+    def test_a_dimension_below_two_is_named_with_its_flag(self, tmp_path, capsys, family, dims,
+                                                          item):
+        out = tmp_path / "sweep.csv"
+        code = main(["sweep", "--family", family, "--dims", dims, "--epsilons", "0.1",
+                     "--out", str(out)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: --dims item must be >= 2, got {item}\n"
         assert captured.out == "" and not out.exists()
 
     @pytest.mark.parametrize("instances", ["0", "-1"])

@@ -1,12 +1,13 @@
 """A gain table's nonzero rows against a dense reference that reads all n^2 entries.
 
-``GainTable.nonzero`` lists each row's nonzero gains, and the table's map,
-its Jacobian and the cycle test read only that.  The references below loop
-over every entry of ``rows``, zero gains included: their values, verdicts
-and witnesses must be the same bytes, and their Jacobians must agree
-wherever a row's largest value is positive (where it is 0, the table
-takes its first nonzero gain and the reference its first entry, which may
-be a zero gain).
+``GainTable.nonzero`` lists each row's nonzero gains, the one structure a
+table keeps, and the table's map, its Jacobian and the cycle test read
+only that.  The references below loop over every entry of the rows the
+table was built from, an absent entry as the zero gain: their values,
+verdicts and witnesses must be the same bytes, and their Jacobians must
+agree wherever a row's largest value is positive (where it is 0, the
+table takes its first nonzero gain and the reference its first entry,
+which may be a zero gain).
 """
 
 import dataclasses
@@ -14,8 +15,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from decaycert import maxpreserving
+from decaycert import maps, maxpreserving
 from decaycert.homotopy import SolverConfig, find_decay_point
+from decaycert.maps import coerce_gain
 from decaycert.maxpreserving import GainTable, cycle_condition
 from decaycert.scalarfn import Term
 
@@ -29,30 +31,39 @@ CORPUS_GAINS = ["0.4*t^0.5", "0.3*t^2", "0.5*t", "max(0.3*t, 0.05*t^2)", "0.2*t 
 PASSING_TERMS = ["0.4*t", "0.5*t", "0.3*t^1.1"]
 
 
-def sparse_table(n: int, seed: int, gains: list[str]) -> GainTable:
-    """An n-by-n table whose entries are present with probability 3/n, each drawn from gains."""
+def sparse_rows(n: int, seed: int, gains: list[str]) -> list[list]:
+    """n-by-n gain rows whose entries are present with probability 3/n, each drawn from gains."""
     rng = np.random.default_rng(seed)
-    return GainTable([[gains[rng.integers(len(gains))] if rng.random() < 3 / n else None
-                       for _ in range(n)] for _ in range(n)])
+    return [[gains[rng.integers(len(gains))] if rng.random() < 3 / n else None
+             for _ in range(n)] for _ in range(n)]
 
 
-def dense_values(table: GainTable, s: np.ndarray) -> np.ndarray:
-    return np.array([max(g(s[j]) for j, g in enumerate(row)) for row in table.rows])
+def sparse_table(n: int, seed: int, gains: list[str]) -> GainTable:
+    return GainTable(sparse_rows(n, seed, gains))
 
 
-def dense_jacobian(table: GainTable, s: np.ndarray) -> np.ndarray:
+def dense(rows) -> list[list]:
+    """Every entry of ``rows`` as a gain, an absent one as the zero gain."""
+    return [[coerce_gain(g) for g in row] for row in rows]
+
+
+def dense_values(rows, s: np.ndarray) -> np.ndarray:
+    return np.array([max(g(s[j]) for j, g in enumerate(row)) for row in dense(rows)])
+
+
+def dense_jacobian(rows, s: np.ndarray) -> np.ndarray:
     """Row i differentiates the first entry whose value is largest, a zero gain or not."""
-    n = table.n
+    n = len(rows)
     J = np.zeros((n, n))
-    for i, row in enumerate(table.rows):
+    for i, row in enumerate(dense(rows)):
         j = max(range(n), key=lambda j: row[j](s[j]))
         J[i, j] = row[j].derivative(s[j])
     return J
 
 
-def dense_cycle_condition(table: GainTable):
+def dense_cycle_condition(rows):
     """The cycle test with every entry in every power step and in the backtrack."""
-    rows, n = table.rows, table.n
+    rows, n = dense(rows), len(rows)
     ends = np.array([1e-3, 1e3])
 
     def step(w):
@@ -92,43 +103,66 @@ def tables_and_points(draw):
             row[j] = g
     s = np.array(draw(st.lists(st.just(0.0) | st.floats(0.0, 20.0) | st.floats(1e-3, 1.0),
                                min_size=n, max_size=n)))
-    return GainTable(rows), s
+    return rows, s
 
 
 @hypothesis.settings(max_examples=150, deadline=None, database=None, derandomize=True)
 @hypothesis.given(tables_and_points())
 def test_a_table_agrees_with_its_dense_reference(case):
-    table, s = case
+    rows, s = case
+    table = GainTable(rows)
     T = table.to_map()
-    assert T(s).tobytes() == dense_values(table, s).tobytes()
-    J, reference = T.jacobian(s), dense_jacobian(table, s)
+    assert T(s).tobytes() == dense_values(rows, s).tobytes()
+    J, reference = T.jacobian(s), dense_jacobian(rows, s)
     for i, value in enumerate(T(s)):
         if value > 0.0:
-            assert J[i].tobytes() == reference[i].tobytes(), (table, s, i)
-    assert cycle_condition(table) == dense_cycle_condition(table)
+            assert J[i].tobytes() == reference[i].tobytes(), (rows, s, i)
+    assert cycle_condition(table) == dense_cycle_condition(rows)
 
 
 def test_the_backtrack_takes_the_first_of_tied_nonzero_gains():
     # 1 -> 2 -> 1 and 1 -> 3 -> 1 both compose to 2t, and their last steps tie at 2t
-    table = GainTable([[None, "0.5*t", "0.5*t"], ["4*t", None, None], ["4*t", None, None]])
-    assert cycle_condition(table) == dense_cycle_condition(table) == (False, ((1, 2), 1e-3))
+    rows = [[None, "0.5*t", "0.5*t"], ["4*t", None, None], ["4*t", None, None]]
+    assert cycle_condition(rows) == dense_cycle_condition(rows) == (False, ((1, 2), 1e-3))
 
 
 def test_nonzero_lists_each_rows_nonzero_gains_in_column_order():
-    table = GainTable([["0", "t", None, "0.5*t"], [None] * 4, [Term(0.0, 2.0)] * 4,
-                       [None, None, "max(t, t^2)", "0.2*t + 0.01*t^2"]])
+    rows = [["0", "t", None, "0.5*t"], [None] * 4, [Term(0.0, 2.0), "max(0, 0*t)", "0*t^3", "0"],
+            [None, None, "max(t, t^2)", "0.2*t + 0.01*t^2"]]
+    table = GainTable(rows)
     assert table.nonzero == (
         ((1, Term(1.0)), (3, Term(0.5))), (), (),
-        ((2, table.rows[3][2]), (3, table.rows[3][3])))
+        ((2, coerce_gain(rows[3][2])), (3, coerce_gain(rows[3][3]))))
+    assert [f.name for f in dataclasses.fields(table)] == ["nonzero"]
+    assert not hasattr(table, "rows")
     assert table.to_map()(np.ones(4)).tolist() == [1.0, 0.0, 0.0, 1.0]
     with pytest.raises(dataclasses.FrozenInstanceError):
         table.nonzero = ()
-    assert table == GainTable(table.rows) and "nonzero" not in repr(table)
+    assert table == GainTable(rows) == GainTable(dense(rows))
+    assert hash(table) == hash(GainTable(dense(rows)))
+    assert repr(table) == f"GainTable(nonzero={table.nonzero!r})"
+    assert "None" not in repr(table) and "'0'" not in repr(table)
+
+
+@pytest.fixture
+def checked(monkeypatch):
+    """The ``where`` of each ``check_gain`` call."""
+    calls, check = [], maps.check_gain
+    monkeypatch.setattr(maps, "check_gain", lambda g, where: calls.append(where) or check(g, where))
+    return calls
+
+
+def test_a_table_coerces_and_checks_each_present_entry_once(monkeypatch, checked):
+    coerced, coerce = [], maps.coerce_gain
+    monkeypatch.setattr(maps, "coerce_gain", lambda g: coerced.append(g) or coerce(g))
+    GainTable([[None, "0.5*t", None], ["0", None, Term(0.25)], [None, None, None]])
+    assert coerced == ["0.5*t", "0", Term(0.25)]
+    assert checked == ["gain (1,2)", "gain (2,1)", "gain (2,3)"]
 
 
 def test_each_loop_calls_each_nonzero_gain_once_and_no_zero_gain(monkeypatch):
     n = 30
-    table = sparse_table(n, 0, PASSING_TERMS)  # built first: building checks every gain
+    table = sparse_table(n, 0, PASSING_TERMS)  # built first: building checks every present gain
     gains = sorted(id(g) for row in table.nonzero for _, g in row)
     assert 0 < len(gains) < n * n / 5
     called, per_step = [], []
@@ -162,3 +196,8 @@ def test_a_sparse_table_of_dimension_200_solves_in_five_evaluations():
     cfg = SolverConfig(r=10.0, epsilon=0.01, max_iterations=20_000)
     report = find_decay_point(table.to_map(), cfg, 200)
     assert (report.success, report.failure_reason, report.iterations) == (False, "label_none", 5)
+
+
+def test_building_a_sparse_table_of_dimension_200_checks_only_its_present_gains(checked):
+    table = sparse_table(200, 0, CORPUS_GAINS)
+    assert len(checked) == sum(map(len, table.nonzero)) == 602

@@ -267,6 +267,16 @@ class TestFindDecayPoint:
         with pytest.raises(ValueError, match=r"^n must be an int, got 2\.0$"):
             find_decay_point(make_chain_map(2), SolverConfig(r=1.0), 2.0)
 
+    @pytest.mark.parametrize("T, r", [(make_linear_map([[0.0, 0.5], [0.5, 0.0]]), 5e-324),
+                                      (make_chain_map(5), 1e-323)])
+    def test_a_radius_whose_uniform_point_underflows_is_named(self, T, r):
+        # r/n is 0, so the uniform sphere point would be the origin
+        n = T.dimension
+        with pytest.raises(ValueError, match=rf"^r = {r!r} is too small for dimension {n}: "):
+            find_decay_point(T, SolverConfig(r=r, epsilon=r), n)
+        report = find_decay_point(T, SolverConfig(r=n * 5e-324, epsilon=r), n)  # r/n is positive
+        assert report.iterations >= 1
+
 
 def test_slack_ladder_rungs():
     rungs = [0.1 * 2.0 ** (j / 2.0) for j in range(9, 0, -1)]  # up to r/(2n) = 2.5

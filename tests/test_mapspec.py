@@ -11,6 +11,7 @@ from decaycert.mapspec import (
     parse_map_spec,
     serialize_map_spec,
 )
+from decaycert.scalarfn import Term
 
 
 class TestParse:
@@ -188,6 +189,20 @@ class TestRoundTrip:
     def test_serialize_then_parse_is_identity(self, text):
         spec = parse_map_spec(text)
         assert parse_map_spec(serialize_map_spec(spec)) == spec
+
+    def test_a_null_gain_stays_absent_and_serializes_back_as_null(self):
+        text = '{"kind": "maxpreserving", "gains": [[null, "0.5*t"], ["t^2", null]]}'
+        spec = parse_map_spec(text)
+        assert spec.data == ((None, Term(0.5)), (Term(1.0, 2.0), None))
+        assert json.loads(serialize_map_spec(spec)) == json.loads(text)
+        zeros = parse_map_spec(text.replace("null", '"0"'))
+        assert zeros.data != spec.data
+        assert maps.GainTable(zeros.data) == maps.GainTable(spec.data)
+        assert zeros.build()([3.0, 2.0]).tobytes() == spec.build()([3.0, 2.0]).tobytes()
+
+    def test_a_null_diagonal_function_is_refused_as_not_kinf(self):
+        with pytest.raises(MapSpecError, match="^diagonal function 2 is zero, so not class Kinf$"):
+            parse_map_spec('{"kind": "diagonal", "functions": ["t", null]}')
 
     def test_repo_example_specs_round_trip(self):
         from pathlib import Path

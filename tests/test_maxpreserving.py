@@ -397,11 +397,11 @@ class TestReparametrize:
 
         monkeypatch.setattr(maps, "check_gain", counting)
         table = GainTable([[None, "0.5*t", None], [None, None, "0.5*t"], ["0.5*t", None, None]])
-        assert len(checked) == 9
+        assert len(checked) == 3  # the present gains only
         for t in cycle_grid():
             path_q(table, t)
         reparametrize_path(table, 10.0)
-        assert len(checked) == 9
+        assert len(checked) == 3
 
     @pytest.mark.parametrize("r, tol", [(float("nan"), 1e-9), (float("inf"), 1e-9),
                                         (10.0, float("nan")), (10.0, float("inf"))])

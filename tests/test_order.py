@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from decaycert.maps import make_linear_map
 from decaycert.order import OrderRelation, as_point, compare, one_norm
 
 R = OrderRelation
@@ -94,3 +95,27 @@ class TestAsPoint:
     def test_rejects_non_finite_components(self, bad):
         with pytest.raises(ValueError, match="non-finite component at index 0"):
             as_point([bad, 1.0])
+
+    @pytest.mark.parametrize("x, index, entry", [
+        ([True, 2.0], 0, "True"), ([1.0, np.bool_(False)], 1, repr(np.bool_(False))),
+        (["1", "2"], 0, "'1'"), ([0.5, b"2"], 1, "b'2'"), (np.array(["1", "2"]), 0, "'1'"),
+        (np.array([False, True]), 0, "False"),
+    ], ids=["bool", "numpy-bool", "str", "bytes", "str-array", "bool-array"])
+    def test_rejects_bool_and_string_components(self, x, index, entry):
+        with pytest.raises(ValueError) as got:
+            as_point(x)
+        assert str(got.value) == f"component at index {index} is not a number: {entry}"
+
+    def test_a_map_refuses_a_string_point(self):
+        T = make_linear_map([[0.0, 0.5], [0.5, 0.0]])
+        with pytest.raises(ValueError, match=r"^component at index 0 is not a number: '1'$"):
+            T(["1", "2"])
+        assert T([1, 2.0]).tolist() == [1.0, 0.5]
+
+    def test_a_numeric_array_is_not_searched(self, monkeypatch):
+        def refuse(x, dtype=None):
+            raise AssertionError("searched")
+
+        monkeypatch.setattr(np, "ndenumerate", refuse)
+        for x in (np.array([1.0, 2.0]), np.array([1, 2]), np.array([1, 2], dtype=np.uint8)):
+            assert as_point(x).tolist() == [1.0, 2.0]
