@@ -36,7 +36,6 @@ from .labeling import LabeledVertexSet, label_eps, omega_membership
 from .linear import neumann_inverse, perron_direction, random_contractive, spectral_radius
 from .maps import (
     MonotoneMap,
-    chain_feasible_point,
     compose,
     make_chain_map,
     make_diagonal,
@@ -46,7 +45,7 @@ from .maps import (
 )
 from .mapspec import MapSpec, parse_map_spec, serialize_map_spec
 from .maxpreserving import GainTable, cycle_condition, path_q, reparametrize_path
-from .order import OrderRelation, compare, one_norm
+from .order import OrderRelation, compare
 
 __version__ = "0.1.0"
 
@@ -60,7 +59,6 @@ __all__ = [
     "SolveReport",
     "SolverConfig",
     "TrajectoryReport",
-    "chain_feasible_point",
     "compare",
     "complete_subsets",
     "compose",
@@ -75,7 +73,6 @@ __all__ = [
     "make_max_preserving",
     "neumann_inverse",
     "omega_membership",
-    "one_norm",
     "ordering_check",
     "parse_map_spec",
     "path_q",

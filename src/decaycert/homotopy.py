@@ -316,15 +316,16 @@ def _slack_ladder(eps: float, r: float, n: int) -> list[float]:
     return rungs
 
 
-def _box_point(w: np.ndarray, up: np.ndarray, step: np.ndarray, r: float) -> np.ndarray | None:
-    """The point ``q = w + t step`` with ``|q|_1 = r``, if ``w <= q << up``; else None.
+def _box_point(w: np.ndarray, up: np.ndarray, r: float) -> np.ndarray | None:
+    """The point ``q = w + t (up - w)`` with ``|q|_1 = r``, if ``w <= q << up``; else None.
 
-    Here ``up = T(w) + eps`` and ``step = up - w``.  For monotone T such a
+    Here ``up = T(w) + eps``; the step is ``up - w``.  For monotone T such a
     point has no label at slack eps: ``T(q) + eps >= T(w) + eps = up > q``.
     """
     gap = r - float(np.sum(w))
     if gap < 0.0:
         return None
+    step = up - w
     t = gap / float(np.sum(step))
     q = w + t * step
     if (t < 1.0 and np.all(w <= q) and np.all(q < up * (1.0 - _ROUNDING))
@@ -554,7 +555,7 @@ def _pre_phase(ev: _Evaluator) -> list[float]:
             return _slack_ladder(eps, r, n)
         up = Tw + eps
         if float(np.sum(up)) > r * (1.0 + _ROUNDING):  # no decay point exists
-            p = _box_point(w, up, up - w, r)
+            p = _box_point(w, up, r)
             if p is None:
                 p = _on_sphere(up, r)
                 if label_index(p, ev(p), eps) is not None:

@@ -10,7 +10,6 @@ black-box rules).
 
 from __future__ import annotations
 
-import math
 from dataclasses import InitVar, dataclass, field
 from typing import Callable, Sequence
 
@@ -18,14 +17,13 @@ import numpy as np
 
 from .linear import as_nonnegative_matrix
 from .order import as_point, check_count, check_positive
-from .scalarfn import Max, ScalarFn, Sum, Term, is_degree_one, parse_scalar_fn, zero_fn
+from .scalarfn import Max, ScalarFn, Sum, Term, is_degree_one, parse_scalar_fn
 
 __all__ = [
     "MonotoneMap",
     "GainTable",
     "make_linear_map",
     "make_chain_map",
-    "chain_feasible_point",
     "make_flipflop_map",
     "make_max_preserving",
     "make_diagonal",
@@ -143,15 +141,6 @@ def make_chain_map(n: int) -> MonotoneMap:
     return _proven(MonotoneMap(n, fn, "chain"), jacobian=jacobian)
 
 
-def chain_feasible_point(n: int, r: float) -> np.ndarray:
-    """Point ``p = (r, r^{1/2!}, ..., r^{1/n!})`` with ``Tp << p`` for the chain map."""
-    check_count("chain map dimension", n, least=2)
-    check_positive("r", r)
-    p = np.array([r ** (1.0 / math.factorial(i)) for i in range(1, n + 1)])
-    p.flags.writeable = False
-    return p
-
-
 def make_flipflop_map(lam: float) -> MonotoneMap:
     """Two-dimensional map ``T(x) = (x2^0.5, lam * x1^2)``: the 2-by-2 table of those two gains.
 
@@ -171,7 +160,7 @@ def coerce_gain(g) -> ScalarFn:
     Anything else, a raw callable or a ScalarFn subclass too, raises TypeError.
     """
     if g is None:
-        return zero_fn()
+        return Term(0.0)
     if isinstance(g, str):
         return parse_scalar_fn(g)
     if isinstance(g, (Term, Sum, Max)):
@@ -248,7 +237,7 @@ class GainTable:
         check_count("gain index j", j, least=None)
         if not (1 <= i <= self.n and 1 <= j <= self.n):
             raise ValueError(f"gain index ({i!r}, {j!r}) lies outside 1..{self.n}")
-        return dict(self.nonzero[i - 1]).get(j - 1, zero_fn())
+        return dict(self.nonzero[i - 1]).get(j - 1, Term(0.0))
 
     def to_map(self) -> MonotoneMap:
         """Map ``(Ts)_i = max_j g_ij(s_j)`` over row i of ``nonzero``, 0 for an empty row.

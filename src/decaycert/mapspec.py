@@ -48,17 +48,13 @@ class MapSpec:
     ``data`` is the parsed value of the kind's one JSON field: matrix rows,
     ``n``, ``lambda``, gain rows, functions or child specs.
     ``parse_map_spec`` returns only specs whose map builds; on an invalid
-    spec made by hand, ``build`` and ``dimension`` raise.  Maps are
-    immutable, so a spec builds its map once and then returns the same
-    one: the map that ``parse_map_spec`` checked is the map callers get.
+    spec made by hand, ``build`` raises.  Maps are immutable, so a spec
+    builds its map once and then returns the same one: the map that
+    ``parse_map_spec`` checked is the map callers get.
     """
 
     kind: str
     data: Any
-
-    @property
-    def dimension(self) -> int:
-        return self.build().dimension
 
     def build(self) -> MonotoneMap:
         built = self.__dict__.get("_built")
@@ -72,41 +68,47 @@ class MapSpec:
         return {"kind": self.kind, entry.field: entry.render(self.data)}
 
 
-def _number(value, where: str) -> float:
+def _number(value, where: str, *at: int) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise MapSpecParseError(f"{where} must be a number, got {value!r}")
+        raise MapSpecParseError(f"{where.format(*at)} must be a number, got {value!r}")
     return float(value)
 
 
-def _scalar_fn(text, where: str) -> ScalarFn | None:
+def _scalar_fn(text, where: str, *at: int) -> ScalarFn | None:
     """Parse a gain or diagonal function; null stays None, an absent gain."""
-    if text is not None and not isinstance(text, str):
-        raise MapSpecParseError(f"{where} must be a string or null, got {text!r}")
+    if text is None:
+        return None
+    if not isinstance(text, str):
+        raise MapSpecParseError(f"{where.format(*at)} must be a string or null, got {text!r}")
     try:
-        return None if text is None else parse_scalar_fn(text)
+        return parse_scalar_fn(text)
     except ScalarFnParseError as exc:
-        raise MapSpecParseError(f"{where}: {exc}") from exc
+        raise MapSpecParseError(f"{where.format(*at)}: {exc}") from exc
 
 
-def _square_rows(raw, name: str, entry: Callable[[Any, int, int], Any]) -> tuple:
-    """Rows of a nonempty square table; ``entry(value, i, j)`` parses each entry."""
+def _square_rows(raw, name: str, entry: Callable[..., Any], where: str) -> tuple:
+    """Rows of a nonempty square table; ``entry(value, where, i, j)`` parses entry (i, j).
+
+    ``where`` locates an entry as ``where.format(i, j)``, 1-based, and an
+    entry fills it in only for its error message.
+    """
     if not isinstance(raw, list) or not raw or not all(isinstance(r, list) for r in raw):
         raise MapSpecParseError(f"{name} must be a nonempty list of rows")
     n = len(raw)
     rows = []
-    for i, row in enumerate(raw):
+    for i, row in enumerate(raw, 1):
         if len(row) != n:
-            raise MapSpecParseError(f"{name} row {i + 1} has {len(row)} entries, expected {n}")
-        rows.append(tuple(entry(v, i, j) for j, v in enumerate(row)))
+            raise MapSpecParseError(f"{name} row {i} has {len(row)} entries, expected {n}")
+        rows.append(tuple(entry(v, where, i, j) for j, v in enumerate(row, 1)))
     return tuple(rows)
 
 
 def _matrix(raw) -> tuple:
-    return _square_rows(raw, "matrix", lambda v, i, j: _number(v, f"matrix[{i + 1}]"))
+    return _square_rows(raw, "matrix", _number, "matrix[{0}]")
 
 
 def _gains(raw) -> tuple:
-    return _square_rows(raw, "gains", lambda g, i, j: _scalar_fn(g, f"gain ({i + 1},{j + 1})"))
+    return _square_rows(raw, "gains", _scalar_fn, "gain ({0},{1})")
 
 
 def _chain_n(n) -> int:
@@ -118,7 +120,7 @@ def _chain_n(n) -> int:
 def _functions(raw) -> tuple[ScalarFn, ...]:
     if not isinstance(raw, list) or not raw:
         raise MapSpecParseError("functions must be a nonempty list of strings")
-    return tuple(_scalar_fn(text, f"function {i + 1}") for i, text in enumerate(raw))
+    return tuple(_scalar_fn(text, "function {0}", i) for i, text in enumerate(raw, 1))
 
 
 def _children(raw) -> tuple[MapSpec, ...]:

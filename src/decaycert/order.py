@@ -23,7 +23,6 @@ __all__ = [
     "check_count",
     "check_positive",
     "compare",
-    "one_norm",
 ]
 
 
@@ -112,8 +111,3 @@ def compare(x, y) -> OrderRelation:
     if np.all(y <= x):
         return OrderRelation.GT
     return OrderRelation.INCOMPARABLE
-
-
-def one_norm(x) -> float:
-    """1-norm of an orthant point; just the component sum (all entries >= 0)."""
-    return float(np.sum(as_point(x)))

@@ -45,22 +45,12 @@ __all__ = [
     "Sum",
     "Max",
     "parse_scalar_fn",
-    "zero_fn",
     "is_degree_one",
 ]
 
 
 class ScalarFn:
     """Base class; subclasses implement ``__call__``, ``derivative`` and ``render``."""
-
-    def __call__(self, t: float) -> float:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-    def derivative(self, t: float) -> float:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-    def render(self) -> str:  # pragma: no cover - abstract
-        raise NotImplementedError
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.render()!r})"
@@ -146,10 +136,6 @@ class Max(_Combination):
     def render(self) -> str:
         inner = ", ".join(p.render() for p in self.parts)
         return f"max({inner})"
-
-
-def zero_fn() -> ScalarFn:
-    return Term(0.0)
 
 
 _NUMBER = re.compile(r"\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?")

@@ -65,11 +65,7 @@ def _add_atom(z: tuple[int, ...], a: int, sign: int) -> tuple[int, ...]:
 
 
 def cell_vertices(cell: Cell) -> list[tuple[int, ...]]:
-    base, perm = cell
-    verts = [base]
-    for a in perm:
-        verts.append(_add_atom(verts[-1], a, +1))
-    return verts
+    return [_vertex(cell, pos) for pos in range(len(cell[1]) + 1)]
 
 
 def _vertex(cell: Cell, pos: int) -> tuple[int, ...]:

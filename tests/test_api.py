@@ -25,7 +25,7 @@ from decaycert import (
     solve_problem1,
 )
 from decaycert.linear import eps_max
-from decaycert.maps import chain_feasible_point, make_chain_map, make_flipflop_map
+from decaycert.maps import make_chain_map, make_flipflop_map
 from decaycert.scalarfn import Term
 from stages import plain_walk
 
@@ -87,8 +87,6 @@ SCALAR_ARGUMENTS = [
     ("neumann_inverse tol", "tol", lambda v: neumann_inverse(SWAP, tol=v)),
     ("eps_max r", "r", lambda v: eps_max(SWAP, v)),
     ("MonotoneMap dimension", "map dimension", lambda v: MonotoneMap(v, lambda s: s, "id")),
-    ("chain_feasible_point r", "r", lambda v: chain_feasible_point(3, v)),
-    ("chain_feasible_point n", "chain map dimension", lambda v: chain_feasible_point(v, 10.0)),
     ("make_chain_map n", "chain map dimension", lambda v: make_chain_map(v)),
     ("make_flipflop_map lam", "flipflop lambda", lambda v: make_flipflop_map(v)),
     ("path_q t", "t", lambda v: path_q(SWAP_TABLE, v)),
@@ -134,6 +132,21 @@ def test_checked_objects_are_frozen():
     with pytest.raises(dataclasses.FrozenInstanceError):
         vs.labels = (2, 1)
     assert vs.labels == (1, 2) and not np.array_equal(*vs.vertices)
+
+
+def test_replace_suits_a_config_but_not_a_map_or_a_table():
+    """README: maps and tables are rebuilt through their constructors, not ``replace``."""
+    cfg = dataclasses.replace(SolverConfig(r=10.0), epsilon=0.1)
+    assert cfg == SolverConfig(r=10.0, epsilon=0.1)
+    with pytest.raises(ValueError, match="must be positive"):  # the checks run again
+        dataclasses.replace(cfg, epsilon=-0.1)
+    T = make_linear_map(random_contractive(6, 0.8, 0))
+    copy = dataclasses.replace(T, kind="linear")
+    assert (T.homogeneous, copy.homogeneous, copy.jacobian) == (True, False, None)
+    assert T.jacobian is not None
+    assert [find_decay_point(M, cfg, 6).iterations for M in (T, copy)] == [1, 8]
+    with pytest.raises(ValueError, match="InitVar 'rows' must be specified with replace"):
+        dataclasses.replace(SWAP_TABLE)
 
 
 def test_a_gain_table_has_one_class_and_is_complete_is_gone():

@@ -6,7 +6,6 @@ from decaycert.homotopy import SolverConfig
 from decaycert.linear import random_contractive
 from decaycert.maps import (
     MonotoneMap,
-    chain_feasible_point,
     make_chain_map,
     make_flipflop_map,
     make_linear_map,
@@ -56,7 +55,7 @@ class TestIterate:
 
     def test_monotone_decay_when_started_below_a_decay_point(self):
         for T, s0 in [
-            (make_chain_map(2), chain_feasible_point(2, 10.0)),
+            (make_chain_map(2), np.array([10.0, 10.0 ** 0.5])),
             (SWAP_HALF, np.array([5.0, 5.0])),
             (make_max_preserving([[None, "0.5*t"], ["0.5*t", None]]), np.array([2.0, 2.0])),
         ]:
@@ -90,7 +89,7 @@ class TestVerifyAttraction:
     """The trajectory half of the certificate: ``iterate(T, s*).converged``."""
 
     def test_chain_feasible_point(self):
-        report = iterate(make_chain_map(2), chain_feasible_point(2, 10.0))
+        report = iterate(make_chain_map(2), [10.0, 10.0 ** 0.5])
         assert report.converged
 
     def test_identity_fixed_point_is_not_attracted(self):

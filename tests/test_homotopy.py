@@ -247,6 +247,21 @@ class TestFindDecayPoint:
         assert (report.failure_reason, report.iterations) == ("label_none", 1)
         assert report.failure_point.tolist() == [5e-11, 5e-11]
 
+    @pytest.mark.parametrize("d,r,reason", [(1e200, 10.0, "nonfinite"),
+                                            (1e160, 1e-100, "label_none")],
+                             ids=["T-overflows", "only-J-overflows"])
+    def test_a_jacobian_that_overflows_at_one_leaves_no_policy_point(self, d, r, reason):
+        # J(1) = diag(d^2) is inf, so policy iteration has no policy to start
+        # from and the sphere stage's first point r 1/n ends the run: at r = 10
+        # T(r 1/n) overflows too; at r = 1e-100 it is 5e219, finite, but the
+        # stage has no Newton step from an infinite J, and the point has no label
+        L = make_linear_map(np.diag([d, d]))
+        T = compose(L, L)
+        assert T.homogeneous and homotopy._policy_point(T) is None
+        report = find_decay_point(T, SolverConfig(r=r, epsilon=0.01), 2)
+        assert (report.failure_reason, report.iterations) == (reason, 1)
+        assert report.failure_point.tolist() == [r / 2, r / 2]
+
     def test_label_none_when_the_first_iterate_lies_outside_the_sphere(self):
         # without the sphere stage, whose point r 1/n = (0.5, 0.5) has no label,
         # w0 = (1, 1), the first evaluation, already has norm 2 > r and

@@ -6,7 +6,6 @@ import pytest
 
 from decaycert.maps import (
     MonotoneMap,
-    chain_feasible_point,
     compose,
     make_chain_map,
     make_diagonal,
@@ -57,31 +56,18 @@ class TestChainMap:
         with pytest.raises(ValueError):
             make_chain_map(1)
 
-    def test_feasible_point_values(self):
-        np.testing.assert_allclose(
-            chain_feasible_point(2, 10.0), [10.0, math.sqrt(10.0)]
-        )
-        np.testing.assert_allclose(
-            chain_feasible_point(3, 10.0), [10.0, 10.0 ** 0.5, 10.0 ** (1.0 / 6.0)]
-        )
-        np.testing.assert_allclose(chain_feasible_point(2, 1.0), [1.0, 1.0])
-
-    @pytest.mark.parametrize("r", [float("nan"), float("inf"), 0.0])
-    def test_feasible_point_rejects_a_bad_radius(self, r):
-        with pytest.raises(ValueError, match="r must be positive and finite"):
-            chain_feasible_point(3, r)
-
     def test_feasible_point_strictly_decays(self):
+        # the point p = (r, r^(1/2!), ..., r^(1/n!)) has Tp << p
         for n in range(2, 11):
             T = make_chain_map(n)
             for r in (0.1, 1.0, 10.0, 100.0):
-                p = chain_feasible_point(n, r)
+                p = np.array([r ** (1.0 / math.factorial(i)) for i in range(1, n + 1)])
                 assert compare(T(p), p) is OrderRelation.LL, (n, r)
 
     def test_feasible_point_decay_values_n2(self):
         T = make_chain_map(2)
-        np.testing.assert_allclose(T(chain_feasible_point(2, 10.0)), [2.5, 0.7905694150420949])
-        np.testing.assert_allclose(T(chain_feasible_point(2, 1.0)), [0.25, 0.25])
+        np.testing.assert_allclose(T([10.0, 10.0 ** 0.5]), [2.5, 0.7905694150420949])
+        np.testing.assert_allclose(T([1.0, 1.0]), [0.25, 0.25])
 
 
 class TestFlipflop:

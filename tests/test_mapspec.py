@@ -18,13 +18,13 @@ class TestParse:
     def test_linear(self):
         spec = parse_map_spec('{"kind": "linear", "matrix": [[0, 0.5], [0.5, 0]]}')
         assert spec.kind == "linear"
-        assert spec.dimension == 2
+        assert spec.build().dimension == 2
         np.testing.assert_allclose(spec.build()([6, 4]), [2, 3])
 
     def test_chain(self):
         spec = parse_map_spec('{"kind": "chain", "n": 5}')
         assert spec == MapSpec("chain", 5)
-        assert spec.dimension == 5
+        assert spec.build().dimension == 5
 
     def test_flipflop(self):
         spec = parse_map_spec('{"kind": "flipflop", "lambda": 0.5}')

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from decaycert.maps import make_linear_map
-from decaycert.order import OrderRelation, as_point, compare, one_norm
+from decaycert.order import OrderRelation, as_point, compare
 
 R = OrderRelation
 
@@ -64,17 +64,6 @@ class TestCompareProperties:
                 assert np.all(x <= z)
                 checked += 1
         assert checked > 50
-
-
-class TestOneNorm:
-    def test_zero(self):
-        assert one_norm([0, 0, 0]) == 0.0
-
-    def test_sum(self):
-        assert one_norm([6, 4]) == 10.0
-
-    def test_single_mass(self):
-        assert one_norm([10, 0, 0]) == 10.0
 
 
 class TestAsPoint:

@@ -10,7 +10,6 @@ from decaycert.scalarfn import (
     Term,
     is_degree_one,
     parse_scalar_fn,
-    zero_fn,
 )
 
 
@@ -67,7 +66,7 @@ class TestChecks:
     def test_nondecreasing(self):
         # every tree is nondecreasing by construction, so a gain needs no sampled check
         check_gain(parse_scalar_fn("max(t, t^2)"), "g")
-        check_gain(zero_fn(), "g")
+        check_gain(Term(0.0), "g")
         for combination in (Sum, Max):
             with pytest.raises(TypeError, match=r"^(Sum|Max) parts must be Term, Sum or Max: <"):
                 combination((Term(1.0), lambda t: -t))
@@ -94,7 +93,7 @@ class TestChecks:
         check_kinf(parse_scalar_fn("2*t"), "rho")
         check_kinf(parse_scalar_fn("t^2"), "rho")
         with pytest.raises(ValueError, match=r"^rho is zero, so not class Kinf$"):
-            check_kinf(zero_fn(), "rho")
+            check_kinf(Term(0.0), "rho")
         with pytest.raises(ValueError, match=r"^rho violates g\(0\)=0: got 2.0$"):
             check_kinf(Term(2.0, 0.0), "rho")
 
