@@ -9,14 +9,14 @@ interval, which is exactly the numerical form of the generalized
 small-gain condition for interconnected systems.
 
 ``find_decay_point`` runs four stages in order, and each may end the
-run: the policy step, which answers a map flagged homogeneous in one
-evaluation; the sphere stage of Newton steps from the uniform point,
-with the map's proven Jacobian or, for a map built from a callable, a
-difference Jacobian, which ends the run where its best point has no
-label; the order-interval pre-phase; and the simplicial walk.  The walk
-is left with the runs the first three do not end: a failed pre-phase
-candidate, and a proof of infeasibility at a point that still has a
-label.
+run: the policy step, which answers a map of degree one
+(``MonotoneMap.degree == (1, 1)``) in one evaluation; the sphere stage
+of Newton steps from the uniform point, with the map's proven Jacobian
+or, for a map built from a callable, a difference Jacobian, which ends
+the run where its best point has no label; the order-interval
+pre-phase; and the simplicial walk.  The walk is left with the runs the
+first three do not end: a failed pre-phase candidate, and a proof of
+infeasibility at a point that still has a label.
 """
 
 from .dynamics import (
@@ -26,13 +26,8 @@ from .dynamics import (
     ordering_check,
     solve_problem1,
 )
-from .homotopy import (
-    SolveReport,
-    SolverConfig,
-    complete_subsets,
-    find_decay_point,
-)
-from .labeling import LabeledVertexSet, label_eps, omega_membership
+from .homotopy import SolveReport, SolverConfig, find_decay_point
+from .labeling import LabeledVertexSet, complete_subsets, label_eps, omega_membership
 from .linear import neumann_inverse, perron_direction, random_contractive, spectral_radius
 from .maps import (
     MonotoneMap,

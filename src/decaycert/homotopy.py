@@ -17,20 +17,22 @@ best margin on the sphere of radius r is ``eps_max = r/|w*|_1``, w* the
 least solution of ``w = T(w) + 1``, and there is no decay point at all
 where no solution exists (Gaubert & Gunawardena, "The Perron-Frobenius
 theorem for homogeneous, monotone functions", *Trans. AMS* 356, 2004).
-Every map flagged homogeneous (``MonotoneMap.homogeneous``: linear maps,
-max-times tables with gains ``c t``, diagonals and compositions of such
-maps) is also convex and piecewise linear: its components are maxima and
-sums of ``c t``, composed.  So its Jacobian ``J(u) = T.jacobian(u)``, the
-matrix of the linear piece active at u, has ``T(u) = J(u) u``, and
-``T(v) >= J(u) v`` for all ``u, v >= 0``: a convex function lies above
-its tangent, and a homogeneous one's tangent passes through 0.  That
-inequality holds row by row, so it holds as well for a policy ``P``, a
-matrix whose every row is a row of some ``J(u)``.  Homogeneity also
-makes one sphere point decide: a sphere point p without a label at
-slack eps proves that no point decays, for a decay point s and
+The step runs on every map of degree ``(1, 1)`` (``MonotoneMap.degree``).
+Linear maps, max-times tables and diagonals with gains ``c t``, and
+compositions of such maps, are also convex and piecewise linear: their
+components are maxima and sums of ``c t``, composed.  So such a map's
+Jacobian ``J(u) = T.jacobian(u)``, the matrix of the linear piece active
+at u, has ``T(u) = J(u) u``, and ``T(v) >= J(u) v`` for all
+``u, v >= 0``: a convex function lies above its tangent, and a
+homogeneous one's tangent passes through 0.  That inequality holds row
+by row, so it holds as well for a policy ``P``, a matrix whose every row
+is a row of some ``J(u)``.  Homogeneity alone makes one sphere point
+decide, convex or not: a sphere point p without a label at slack eps
+proves that no point decays, for a decay point s and
 ``l = max p_i/s_i >= 1``, attained at j, ``p <= l s`` gives
-``T(p)_j + eps <= l (s_j - eps) + eps <= p_j``.  The solver computes w*
-from the policies, and tests one sphere point before the pre-phase:
+``T(p)_j + eps <= l (s_j - eps) + eps <= p_j``, since
+``T(p) <= T(l s) <= l T(s)``.  The solver computes w* from the policies,
+and tests one sphere point before the pre-phase:
 
 * **the least solution, by policy iteration.**  From ``P = J(1)``, solve
   ``w = P w + 1``, then switch each row i to ``J(w)``'s row where
@@ -62,17 +64,20 @@ label (eps within rounding of eps_max), a Perron vector that
 singular vector passes its residual bound), a Jacobian with a non-finite
 entry, or a policy that recurs under rounding leave the run to the
 sphere stage and the pre-phase below (only the memo may hold the tested
-point).  A value of T at the point that is not finite ends the run as
-``nonfinite`` there, as at every sphere point.  The policy step is the
-only reader of the homogeneous flag: past it, every map is treated
-alike, and the test of a new sphere point ends the run only where the
-point certifies or T is not finite there.
+point).  So does a composition whose degree is ``(1, 1)`` only as a
+product of other ends, such as ``diag(t^2) o A o diag(t^0.5)``, which is
+homogeneous but neither convex nor piecewise linear: where its point
+neither certifies nor lacks a label, the run goes on.  A value of T at
+the point that is not finite ends the run as ``nonfinite`` there, as at
+every sphere point.  The policy step is the only reader of the degree:
+past it, every map is treated alike, and the test of a new sphere point
+ends the run only where the point certifies or T is not finite there.
 
 **Sphere stage.**  Every run that the policy step leaves open (every map
-not flagged homogeneous, and a homogeneous one only where rounding
-defeats the step) first takes Newton steps on the sphere, from the
-uniform point ``r 1/n``.  At each new best point p the stage forms
-``J = J(p)``: ``T.jacobian(p)`` where T's constructor proves one
+whose degree is not ``(1, 1)``, and a degree-one map only where rounding
+or its shape defeats the step) first takes Newton steps on the sphere,
+from the uniform point ``r 1/n``.  At each new best point p the stage
+forms ``J = J(p)``: ``T.jacobian(p)`` where T's constructor proves one
 (``MonotoneMap.jacobian``).  A map built from a callable has none, and J
 is then formed from n forward differences ``(T(p + h_j e_j) - T(p))/h_j``
 with ``h_j = 1e-6 max(p_j, 1e-3)`` (Kelley, *Solving Nonlinear Equations
@@ -144,11 +149,12 @@ step costs one counted evaluation and stops at the first of two rules:
 
 * **candidate**: ``(r/|w_k|_1) min(w_k - T w_k) >= eps (1 + 1e-9)``.  The
   point ``p = r w_k / |w_k|_1`` is tested once as a certificate.  For
-  subhomogeneous ``T`` (``T(l s) <= l T(s)`` for ``l >= 1``: linear maps,
-  max-times maps with linear gains; Lemmens & Nussbaum, *Nonlinear
-  Perron-Frobenius Theory*, 2012) the bound proves that ``p`` passes; for
-  linear ``T`` it is the optimum ``~ (I - A)^-1 1``.  If ``p`` fails (a map
-  that is not subhomogeneous), the whole ladder below is walked.
+  subhomogeneous ``T`` (``T(l s) <= l T(s)`` for ``l >= 1``: every map
+  whose ``MonotoneMap.degree`` has ``hi <= 1``; Lemmens & Nussbaum,
+  *Nonlinear Perron-Frobenius Theory*, 2012) the bound proves that ``p``
+  passes; for linear ``T`` it is the optimum ``~ (I - A)^-1 1``.  If ``p``
+  fails (a map that is not subhomogeneous), the whole ladder below is
+  walked.
 * **no decay point**: ``|w_{k+1}|_1 > r (1 + 1e-9)``, so no sphere point
   lies above ``w_{k+1}``.  The last step ``d_k = w_{k+1} - w_k`` crosses
   the sphere at the box point ``q = w_k + t d_k``,
@@ -220,7 +226,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .labeling import LabeledVertexSet, label_index
+from .labeling import label_index
 from .linear import perron_direction
 from .maps import MonotoneMap
 from .order import check_count, check_positive
@@ -229,7 +235,6 @@ from .triangulation import CompleteCellSearch
 __all__ = [
     "SolverConfig",
     "SolveReport",
-    "complete_subsets",
     "find_decay_point",
 ]
 
@@ -258,24 +263,6 @@ class SolveReport:
     margin: float | None = None
     failure_reason: str | None = None  # iteration_cap | label_none | nonfinite
     failure_point: np.ndarray | None = field(default=None, repr=False)
-
-
-def complete_subsets(tau: LabeledVertexSet, n: int) -> list[LabeledVertexSet]:
-    """All complete n-vertex subsets of an (n+1)-vertex set.
-
-    A subset is complete when it carries each label 1..n exactly once.
-    When every label is in 1..n, the door-in-door-out principle gives a
-    result of length 0 or 2 (the test suite checks this exhaustively over
-    all label assignments); a None label can leave one complete subset.
-    """
-    if len(tau) != n + 1:
-        raise ValueError(f"expected {n + 1} vertices, got {len(tau)}")
-    out = []
-    for drop in range(n + 1):
-        labels = tau.labels[:drop] + tau.labels[drop + 1:]
-        if None not in labels and sorted(labels) == list(range(1, n + 1)):  # at most two drops
-            out.append(LabeledVertexSet(tau.vertices[:drop] + tau.vertices[drop + 1:], labels))
-    return out
 
 
 class _Finished(Exception):
@@ -489,13 +476,13 @@ def _policy_point(T: MonotoneMap) -> np.ndarray | None:
 
 
 def _policy_step(ev: _Evaluator) -> None:
-    """The policy step of a homogeneous T: test the sphere point that policy iteration names, once.
+    """The policy step of a degree-one T: test the sphere point that policy iteration names, once.
 
     Ends the search through ``ev`` where that point certifies, has no
     label or has a value that is not finite, and else returns, for the
     sphere stage and the pre-phase to run.
     """
-    v = _policy_point(ev.T) if ev.T.homogeneous else None
+    v = _policy_point(ev.T) if ev.T.degree == (1.0, 1.0) else None
     if v is None:
         return
     p = _on_sphere(v, ev.r)

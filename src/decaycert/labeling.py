@@ -1,4 +1,4 @@
-"""Integer labeling of sphere points and labeled vertex sets.
+"""Integer labeling of sphere points, and labeled vertex sets with their complete subsets.
 
 A point ``s`` gets the largest index ``i`` such that ``(Ts)_i + eps <= s_i``.
 The slack ``eps`` is the one documented robustness parameter of the whole
@@ -22,6 +22,7 @@ __all__ = [
     "label_eps",
     "omega_membership",
     "LabeledVertexSet",
+    "complete_subsets",
 ]
 
 
@@ -78,3 +79,21 @@ class LabeledVertexSet:
 
     def __len__(self) -> int:
         return len(self.vertices)
+
+
+def complete_subsets(tau: LabeledVertexSet, n: int) -> list[LabeledVertexSet]:
+    """All complete n-vertex subsets of an (n+1)-vertex set.
+
+    A subset is complete when it carries each label 1..n exactly once.
+    When every label is in 1..n, the door-in-door-out principle gives a
+    result of length 0 or 2 (the test suite checks this exhaustively over
+    all label assignments); a None label can leave one complete subset.
+    """
+    if len(tau) != n + 1:
+        raise ValueError(f"expected {n + 1} vertices, got {len(tau)}")
+    out = []
+    for drop in range(n + 1):
+        labels = tau.labels[:drop] + tau.labels[drop + 1:]
+        if None not in labels and sorted(labels) == list(range(1, n + 1)):  # at most two drops
+            out.append(LabeledVertexSet(tau.vertices[:drop] + tau.vertices[drop + 1:], labels))
+    return out

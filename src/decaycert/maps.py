@@ -10,6 +10,7 @@ black-box rules).
 
 from __future__ import annotations
 
+import math
 from dataclasses import InitVar, dataclass, field
 from typing import Callable, Sequence
 
@@ -17,7 +18,7 @@ import numpy as np
 
 from .linear import as_nonnegative_matrix
 from .order import as_point, check_count, check_positive
-from .scalarfn import Max, ScalarFn, Sum, Term, is_degree_one, parse_scalar_fn
+from .scalarfn import Max, ScalarFn, Sum, Term, degree, parse_scalar_fn, span
 
 __all__ = [
     "MonotoneMap",
@@ -41,16 +42,32 @@ class MonotoneMap:
     Instances are immutable (a write raises ``FrozenInstanceError``) and
     evaluation is pure, so maps can be shared freely between threads.
 
-    ``homogeneous`` states that T is homogeneous of degree one,
-    ``T(l s) = l T(s)`` for ``l >= 0``, up to rounding.  Only the
-    family constructors of this module set it: linear maps, and max-times
-    tables, diagonals and compositions built from degree-one parts.  Such
-    a map is also convex and piecewise linear, and the solver's policy
-    step, the one part of the solver that reads the flag, computes its
-    best margin from its Jacobian and proves infeasibility from one point
-    without a label (see :mod:`decaycert.homotopy`).  A map built directly
-    from a callable never carries the flag and is treated as any other
-    monotone map.
+    ``degree = (lo, hi)`` is the scaling that T's constructor proves,
+    ``l^lo T(s) <= T(l s) <= l^hi T(s)`` for ``l >= 1`` and ``s >= 0``, up
+    to rounding, or None.  One rule gives it: a gain's degree spans its
+    nonzero terms (:func:`decaycert.scalarfn.degree`), a table or diagonal
+    spans its nonzero gains, and a table without one is ``(1, 1)``.
+    :func:`make_linear_map` gives ``(1, 1)``, :func:`make_chain_map`
+    ``(1/n, n)``, and :func:`compose` the products of its parts' ends, None
+    where a part has none.  A map built directly from a callable has none.
+    What each end proves:
+
+    * ``lo >= 1``: T is superhomogeneous, ``T(m s) <= m T(s)`` for
+      ``0 <= m <= 1``.  A linear map, table or diagonal with ``lo >= 1`` is
+      also convex, each row a maximum or sum of convex terms, and so is a
+      composition of such maps; a composition's product of ends alone does
+      not prove it: ``diag(t^4) o A o diag(t^0.5)`` is ``(2, 2)``, and not
+      convex.
+    * ``hi <= 1``: T is subhomogeneous, ``T(l s) <= l T(s)`` for ``l >= 1``.
+      It need not be concave: the gain ``max(t^0.5, 0.3 t)`` has a convex
+      corner near ``t = 11.1``, where its slope jumps from 0.15 to 0.3.
+    * ``(1, 1)``: T is homogeneous of degree one, ``T(l s) = l T(s)`` for
+      ``l >= 0``.  A linear map, a table or diagonal of gains ``c t``, and a
+      composition of such maps, is also convex and piecewise linear, and
+      the solver's policy step answers it in one evaluation.  That step is
+      the one part of the solver that reads the degree (see
+      :mod:`decaycert.homotopy`).
+
     ``jacobian`` is the derivative that T's constructor proves, a callable
     ``s -> J(s)`` giving the n-by-n matrix ``dT_i/ds_j`` at a point s, or
     None.  An entry is inf where the derivative of a fractional power is,
@@ -60,9 +77,10 @@ class MonotoneMap:
     active gain, the first of its nonzero gains with the largest value),
     and :func:`compose` the chain rule when every part has one.  A table's
     evaluation and Jacobian call each nonzero gain once, and no zero gain.
-    A map built directly from a callable has none.  For a homogeneous map
-    ``J(s)`` is the matrix of the linear piece active at s, so
-    ``T(s) = J(s) s``; the solver's policy step reads its policies from it.
+    A map built directly from a callable has none.  For a map of degree
+    ``(1, 1)`` ``T(s) = J(s) s`` (Euler), and for a piecewise linear one
+    ``J(s)`` is the matrix of the piece active at s; the solver's policy
+    step reads its policies from it.
     The solver's sphere stage forms J at each of its best points: this
     Jacobian where the map has one, and else forward differences of T,
     each a counted evaluation.  Each of its Newton steps fits one power of
@@ -78,7 +96,7 @@ class MonotoneMap:
     dimension: int
     fn: Callable[[np.ndarray], np.ndarray] = field(repr=False)
     kind: str
-    homogeneous = False  # not fields: set only by _proven
+    degree = None  # not fields: set only by _proven
     jacobian = None
 
     def __post_init__(self):
@@ -100,10 +118,10 @@ def _output(T: MonotoneMap, s: np.ndarray) -> np.ndarray:
     return out
 
 
-def _proven(T: MonotoneMap, homogeneous: bool = False,
+def _proven(T: MonotoneMap, degree: tuple[float, float] | None = None,
             jacobian: Callable[[np.ndarray], np.ndarray] | None = None) -> MonotoneMap:
-    """``T`` with what its constructor proved: the ``homogeneous`` flag and ``jacobian``."""
-    object.__setattr__(T, "homogeneous", homogeneous)
+    """``T`` with what its constructor proved: its ``degree`` and ``jacobian``."""
+    object.__setattr__(T, "degree", degree)
     object.__setattr__(T, "jacobian", jacobian)
     return T
 
@@ -112,7 +130,7 @@ def make_linear_map(matrix) -> MonotoneMap:
     """Map given by multiplication with a nonnegative square matrix."""
     A = as_nonnegative_matrix(matrix)
     A.flags.writeable = False  # the map and its Jacobian share it
-    return _proven(MonotoneMap(A.shape[0], lambda s: A @ s, "linear"), True, lambda s: A)
+    return _proven(MonotoneMap(A.shape[0], lambda s: A @ s, "linear"), (1.0, 1.0), lambda s: A)
 
 
 def make_chain_map(n: int) -> MonotoneMap:
@@ -138,7 +156,7 @@ def make_chain_map(n: int) -> MonotoneMap:
             J[j, j + 1] = right[j].derivative(s[j + 1])
         return J
 
-    return _proven(MonotoneMap(n, fn, "chain"), jacobian=jacobian)
+    return _proven(MonotoneMap(n, fn, "chain"), (1.0 / n, float(n)), jacobian)
 
 
 def make_flipflop_map(lam: float) -> MonotoneMap:
@@ -243,7 +261,9 @@ class GainTable:
         """Map ``(Ts)_i = max_j g_ij(s_j)`` over row i of ``nonzero``, 0 for an empty row.
 
         Its Jacobian row i is the derivative of the active gain, the first
-        nonzero gain whose value is largest, and zero for an empty row.
+        nonzero gain whose value is largest, and zero for an empty row.  Its
+        degree spans its nonzero gains' degrees, and is ``(1, 1)`` where it
+        has none.
         """
         nonzero, n = self.nonzero, self.n
 
@@ -258,8 +278,8 @@ class GainTable:
                     J[i, j] = g.derivative(s[j])
             return J
 
-        return _proven(MonotoneMap(n, fn, "max-preserving"),
-                       all(is_degree_one(g) for row in nonzero for _, g in row), jacobian)
+        ends = span(degree(g) for row in nonzero for _, g in row)
+        return _proven(MonotoneMap(n, fn, "max-preserving"), ends or (1.0, 1.0), jacobian)
 
 
 def make_max_preserving(gains) -> MonotoneMap:
@@ -285,8 +305,7 @@ def make_diagonal(fns: Sequence) -> MonotoneMap:
     def jacobian(s: np.ndarray) -> np.ndarray:
         return np.diag([rho.derivative(s[i]) for i, rho in enumerate(rhos)])
 
-    return _proven(MonotoneMap(len(rhos), fn, "diagonal"), all(is_degree_one(rho) for rho in rhos),
-                   jacobian)
+    return _proven(MonotoneMap(len(rhos), fn, "diagonal"), span(map(degree, rhos)), jacobian)
 
 
 def compose(*maps: MonotoneMap) -> MonotoneMap:
@@ -295,7 +314,8 @@ def compose(*maps: MonotoneMap) -> MonotoneMap:
     A non-finite intermediate value is returned as is, since the next map rejects it.
     Each part's ``fn`` is called, with its output checked as ``__call__``
     checks it, so that a part is never counted as an evaluation of its own.
-    Its Jacobian is the chain rule's product when every part has one.
+    Its Jacobian is the chain rule's product when every part has one, and
+    its degree the products of its parts' ends when every part has one.
     """
     if not maps:
         raise ValueError("compose needs at least one map")
@@ -318,5 +338,7 @@ def compose(*maps: MonotoneMap) -> MonotoneMap:
                 s = _output(m, s)
         return J
 
-    return _proven(MonotoneMap(dims[0], fn, "composition"), all(m.homogeneous for m in maps),
+    ends = [m.degree for m in maps]
+    return _proven(MonotoneMap(dims[0], fn, "composition"),
+                   None if None in ends else tuple(map(math.prod, zip(*ends))),
                    jacobian if all(m.jacobian is not None for m in maps) else None)

@@ -104,7 +104,7 @@ def _square_rows(raw, name: str, entry: Callable[..., Any], where: str) -> tuple
 
 
 def _matrix(raw) -> tuple:
-    return _square_rows(raw, "matrix", _number, "matrix[{0}]")
+    return _square_rows(raw, "matrix", _number, "matrix entry ({0},{1})")
 
 
 def _gains(raw) -> tuple:

@@ -45,7 +45,8 @@ __all__ = [
     "Sum",
     "Max",
     "parse_scalar_fn",
-    "is_degree_one",
+    "degree",
+    "span",
 ]
 
 
@@ -224,15 +225,22 @@ def parse_scalar_fn(text: str) -> ScalarFn:
     return fn
 
 
-def is_degree_one(fn: ScalarFn) -> bool:
-    """Whether ``fn(l t) = l fn(t)`` for all ``l, t >= 0``, read off the tree.
+def degree(fn: ScalarFn) -> tuple[float, float] | None:
+    """``(lo, hi)``, the least and the greatest exponent of fn's nonzero terms; None if it has none.
 
-    True for a Term with exponent 1 or coefficient 0, and for a Sum or Max
-    of such terms; False for everything else, including a ScalarFn subclass
-    defined elsewhere.
+    A term ``c*t^a`` with ``c > 0`` has degree ``(a, a)``, a zero term none,
+    and a Sum or Max the span of its parts, so that
+    ``l^lo fn(t) <= fn(l t) <= l^hi fn(t)`` for ``l >= 1`` and ``t >= 0``:
+    each term lies within those bounds, and a sum or maximum of them does too.
     """
     if isinstance(fn, Term):
-        return fn.exponent == 1.0 or fn.coeff == 0.0
-    if isinstance(fn, (Sum, Max)):
-        return all(is_degree_one(part) for part in fn.parts)
-    return False
+        return (fn.exponent, fn.exponent) if fn.coeff > 0.0 else None
+    return span(degree(part) for part in fn.parts)
+
+
+def span(degrees) -> tuple[float, float] | None:
+    """The least ``lo`` and the greatest ``hi`` of the degrees that are not None, or None."""
+    present = [d for d in degrees if d is not None]
+    if not present:
+        return None
+    return min(lo for lo, _ in present), max(hi for _, hi in present)

@@ -2,11 +2,11 @@
 
 The solver runs the policy step, the sphere stage, the pre-phase, then
 the walk.  A map that a constructor built carries its proven Jacobian and
-homogeneous flag, and those let the first two stages answer most runs,
+degree, and those let the first two stages answer most runs,
 and the sphere stage ends every run whose best point has no label, so a
 test that means a later stage says how it gets there:
 
-* ``callable_twin(T)`` computes T's values without the flag or the
+* ``callable_twin(T)`` computes T's values without the degree or the
   Jacobian: no policy step, and a sphere stage whose Newton steps use
   forward differences;
 * ``without_sphere_stage(T, cfg, n)`` runs the solver on T with the
@@ -32,7 +32,7 @@ from decaycert.maps import MonotoneMap
 
 
 def callable_twin(T: MonotoneMap) -> MonotoneMap:
-    """``T``'s values through a map built from its callable: no flag and no Jacobian."""
+    """``T``'s values through a map built from its callable: no degree and no Jacobian."""
     return MonotoneMap(T.dimension, T.fn, T.kind)
 
 

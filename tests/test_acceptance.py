@@ -14,8 +14,8 @@ import pytest
 
 from decaycert.cli import main as cli_main
 from decaycert.dynamics import iterate, ordering_check, solve_problem1
-from decaycert.homotopy import SolverConfig, complete_subsets, find_decay_point
-from decaycert.labeling import LabeledVertexSet, label_eps, omega_membership
+from decaycert.homotopy import SolverConfig, find_decay_point
+from decaycert.labeling import LabeledVertexSet, complete_subsets, label_eps, omega_membership
 from decaycert.linear import neumann_inverse, perron_direction, random_contractive, spectral_radius
 from decaycert.maps import (
     compose,

@@ -114,13 +114,13 @@ def test_checked_objects_are_frozen():
     with pytest.raises(TypeError):  # the rows are tuples
         table.nonzero[0][0] = (1, Term(0.25))
     assert cfg.epsilon == 0.1 and table == GainTable([[None, "0.5*t"], ["0.5*t", None]])
-    T = make_chain_map(2)  # a dimension, flag or Jacobian set later would disagree with the map
+    T = make_chain_map(2)  # a dimension, degree or Jacobian set later would disagree with the map
     jacobian = T.jacobian
-    for name, value in [("dimension", 3), ("kind", "x"), ("homogeneous", True),
+    for name, value in [("dimension", 3), ("kind", "x"), ("degree", (1.0, 1.0)),
                         ("jacobian", lambda s: np.eye(2))]:
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(T, name, value)
-    assert (T.dimension, T.kind, T.homogeneous, T.jacobian) == (2, "chain", False, jacobian)
+    assert (T.dimension, T.kind, T.degree, T.jacobian) == (2, "chain", (0.5, 2.0), jacobian)
     linear = make_linear_map([[0.0, 0.5], [0.5, 0.0]])  # the map and its Jacobian share A
     with pytest.raises(ValueError, match="read-only"):
         linear.jacobian(np.ones(2))[0, 0] = 2.0
@@ -142,7 +142,7 @@ def test_replace_suits_a_config_but_not_a_map_or_a_table():
         dataclasses.replace(cfg, epsilon=-0.1)
     T = make_linear_map(random_contractive(6, 0.8, 0))
     copy = dataclasses.replace(T, kind="linear")
-    assert (T.homogeneous, copy.homogeneous, copy.jacobian) == (True, False, None)
+    assert (T.degree, copy.degree, copy.jacobian) == ((1.0, 1.0), None, None)
     assert T.jacobian is not None
     assert [find_decay_point(M, cfg, 6).iterations for M in (T, copy)] == [1, 8]
     with pytest.raises(ValueError, match="InitVar 'rows' must be specified with replace"):

@@ -250,6 +250,22 @@ class TestVerify:
         ]
 
 
+    # T fixes (1e-8, 1e-8), inside [0, s*], yet the trajectory from s* stops near it
+    # with a sup-norm below the stop tolerance, and verify prints certified=1 steps=3
+    SUBLINEAR = {"kind": "maxpreserving", "gains": [["1e-4*t^0.5", None], [None, "1e-4*t^0.5"]]}
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 2")
+    def test_a_map_with_a_fixed_point_inside_the_interval_is_not_certified(self, tmp_path,
+                                                                          capsys):
+        spec = write_spec(tmp_path, self.SUBLINEAR)
+        main(["verify", "--map", spec, "--radius", "10", "--epsilon", "1e-3"])
+        assert result_fields(capsys)["certified"] != "1"
+
+    def test_the_sublinear_spec_has_degree_one_half(self):
+        # its degree proves neither lo >= 1 nor (1, 1): the verdict must come from elsewhere
+        assert maps.make_max_preserving(self.SUBLINEAR["gains"]).degree == (0.5, 0.5)
+
+
 class TestSweep:
     def test_chain_sweep_csv_schema(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from decaycert import homotopy
-from decaycert.homotopy import SolveReport, SolverConfig, complete_subsets, find_decay_point
-from decaycert.labeling import LabeledVertexSet, label_index
+from decaycert.homotopy import SolveReport, SolverConfig, find_decay_point
+from decaycert.labeling import LabeledVertexSet, complete_subsets, label_index
 from decaycert.linear import eps_max, random_contractive
 from decaycert.maps import (
     MonotoneMap,
@@ -257,10 +257,31 @@ class TestFindDecayPoint:
         # stage has no Newton step from an infinite J, and the point has no label
         L = make_linear_map(np.diag([d, d]))
         T = compose(L, L)
-        assert T.homogeneous and homotopy._policy_point(T) is None
+        assert T.degree == (1.0, 1.0) and homotopy._policy_point(T) is None
         report = find_decay_point(T, SolverConfig(r=r, epsilon=0.01), 2)
         assert (report.failure_reason, report.iterations) == (reason, 1)
         assert report.failure_point.tolist() == [r / 2, r / 2]
+
+    @pytest.mark.parametrize("eps,reason,twin_iterations", [(0.1, None, 10),
+                                                            (0.5, "label_none", 37)])
+    def test_a_degree_one_composition_that_is_not_piecewise_linear_takes_the_policy_step(
+            self, eps, reason, twin_iterations):
+        # (A s^0.5)^2 is (1, 1) only as a product of ends, and concave, not piecewise
+        # linear; its policy point still certifies or, by homogeneity alone, ends the
+        # run without a label, as its callable twin's sphere stage does
+        n = 8
+        T = compose(make_diagonal(["t^2"] * n), make_linear_map(random_contractive(n, 0.8, 0)),
+                    make_diagonal(["t^0.5"] * n))
+        assert T.degree == (1.0, 1.0)
+        cfg = SolverConfig(r=10.0, epsilon=eps, max_iterations=20_000)
+        report, twin = find_decay_point(T, cfg, n), find_decay_point(callable_twin(T), cfg, n)
+        assert (report.failure_reason, report.iterations) == (reason, 1)
+        assert (twin.failure_reason, twin.iterations) == (reason, twin_iterations)
+        if reason is None:
+            assert float(np.min(report.s_star - T(report.s_star))) >= eps
+        else:
+            p = report.failure_point
+            assert label_index(p, T(p), eps) is None
 
     def test_label_none_when_the_first_iterate_lies_outside_the_sphere(self):
         # without the sphere stage, whose point r 1/n = (0.5, 0.5) has no label,
@@ -678,7 +699,7 @@ def first_step_across(A: np.ndarray, r: float) -> float:
 
 
 # Runs that the norm rule proves infeasible: (name, build, eps, r).  No map
-# is homogeneous (the linear ones are callable twins), so no policy step
+# has degree one (the linear ones are callable twins), so no policy step
 # answers one, and the sphere stage is a no-op, as its best point would end
 # each run; at these eps the first step crosses the sphere, so the norm rule
 # fires at once.
@@ -735,7 +756,7 @@ def test_lower_end_does_not_end_a_nonlinear_run():
     # of the first step, about (9.009, 0.991), has no label: for a linear map
     # that would prove infeasibility, here it proves nothing.  The solver
     # never tests it: the sphere stage's first point (5, 5) is a certificate.
-    # A map built from a callable is not homogeneous whatever kind it names,
+    # A map built from a callable has no degree whatever kind it names,
     # so the kind "linear" changes nothing
     def fn(s):
         return np.array([max(math.sqrt(s[0]), s[0] ** 2 / 9.0), min(1.1 * s[1], 1.0)])

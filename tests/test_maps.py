@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -326,43 +327,89 @@ class TestFamilyInvariants:
                 assert np.all(T(rng.random(n) * 10) >= 0.0), name
 
 
-class TestHomogeneousFlag:
-    """Only the family constructors set ``homogeneous``, and only for degree-one maps."""
+class TestDegree:
+    """Each constructor proves ``degree = (lo, hi)``: ``l^lo T(s) <= T(l s) <= l^hi T(s)``
+    for ``l >= 1``.  The policy step reads ``(1, 1)``; a map built from a callable has None."""
 
     SWAP = [[0.0, 0.5], [0.5, 0.0]]
 
-    def test_linear_maps_are_homogeneous(self):
-        assert make_linear_map(self.SWAP).homogeneous
-
-    @pytest.mark.parametrize("T", [make_chain_map(3), make_flipflop_map(0.5),
-                                   MonotoneMap(2, lambda s: 0.5 * s, "scaled")],
-                             ids=["chain", "flipflop", "direct"])
-    def test_other_maps_are_not(self, T):
-        assert not T.homogeneous
-
-    @pytest.mark.parametrize("gains,expected", [
-        ([[None, "0.5*t"], ["max(t, 2*t)", "0"]], True),
-        ([[None, "0.5*t"], ["t^2", None]], False),
-    ])
-    def test_max_preserving_tables_of_degree_one_gains(self, gains, expected):
-        assert make_max_preserving(gains).homogeneous is expected
+    @pytest.mark.parametrize("T,expected", [
+        (make_linear_map(SWAP), (1.0, 1.0)),
+        *[(make_chain_map(n), (1.0 / n, float(n))) for n in range(2, 6)],
+        (make_flipflop_map(0.5), (0.5, 2.0)),
+        (MonotoneMap(2, lambda s: 0.5 * s, "scaled"), None),
+        (make_max_preserving([[None, "0.5*t"], ["max(t, 2*t)", "0"]]), (1.0, 1.0)),
+        (make_max_preserving([[None, "0.5*t"], ["t^2", None]]), (1.0, 2.0)),
+        (make_max_preserving([[None, "0.2*t + 0.01*t^2"], ["max(0.25*t, 0.01*t^2)", None]]),
+         (1.0, 2.0)),
+        (make_max_preserving([["1e-4*t^0.5", None], [None, "1e-4*t^0.5"]]), (0.5, 0.5)),
+        (make_max_preserving([["0", None], [None, None]]), (1.0, 1.0)),
+        (compose(make_diagonal(["t^1.5", "t^1.5"]), make_linear_map(SWAP)), (1.5, 1.5)),
+        # (A s^0.5)^2: homogeneous of degree one, though not piecewise linear
+        (compose(make_diagonal(["t^2", "t^2"]), make_linear_map(SWAP),
+                 make_diagonal(["t^0.5", "t^0.5"])), (1.0, 1.0)),
+        (compose(make_linear_map(SWAP), MonotoneMap(2, lambda s: 0.5 * s, "scaled")), None),
+    ], ids=["linear", "chain-2", "chain-3", "chain-4", "chain-5", "flipflop", "direct",
+            "degree-one table", "t^2 table", "sublinear table", "sqrt table", "all-zero table",
+            "diag(t^1.5) o A", "diag(t^2) o A o diag(t^0.5)", "composition with a direct part"])
+    def test_each_constructor_proves_its_degree(self, T, expected):
+        assert T.degree == expected
 
     @pytest.mark.parametrize("functions,expected", [
-        (["2*t", "2*t"], True),
-        (["2*t", "t + 0.5*t"], True),
-        (["t^1.2", "t^1.2"], False),
-        (["2*t", "t^1.2"], False),
+        (["2*t", "2*t"], (1.0, 1.0)),
+        (["2*t", "t + 0.5*t"], (1.0, 1.0)),
+        (["t^1.2", "t^1.2"], (1.2, 1.2)),
+        (["2*t", "t^1.2"], (1.0, 1.2)),
     ])
-    def test_compositions_are_homogeneous_when_every_factor_is(self, functions, expected):
-        assert make_diagonal(functions).homogeneous is expected
+    def test_a_composition_multiplies_its_parts_ends(self, functions, expected):
+        assert make_diagonal(functions).degree == expected
         T = compose(make_linear_map(self.SWAP), make_diagonal(functions))
-        assert T.homogeneous is expected
-        assert compose(T, make_chain_map(2)).homogeneous is False
+        assert T.degree == expected
+        assert compose(T, make_chain_map(2)).degree == (expected[0] * 0.5, expected[1] * 2.0)
 
-    def test_the_flag_is_read_only(self):
+    def test_the_degree_is_read_only(self):
         T = make_linear_map(self.SWAP)
-        with pytest.raises(AttributeError):
-            T.homogeneous = False
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            T.degree = (2.0, 2.0)
+        assert T.degree == (1.0, 1.0)
+
+
+def test_the_degree_bounds_how_the_map_scales():
+    """``l^lo T(s) <= T(l s) <= l^hi T(s)`` to 1e-12 relative, for l in [1, 10], on random
+    tables, diagonals, chain maps and compositions of them over the gain vocabulary."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    gains = ["0.5*t", "0.3*t^0.5", "t^2", "0.2*t + 0.01*t^2", "max(0.25*t, 0.01*t^2)",
+             "max(t^0.5, 0.3*t)", "0.1*t^1.5 + 0.2*t^0.8"]
+    entries = st.sampled_from([None, "0", *gains])  # absent and zero entries too
+
+    @st.composite
+    def built_maps(draw, n, outer=True):
+        kind = draw(st.sampled_from(["table", "diagonal", "chain", "composition"]))
+        if kind == "table":
+            return make_max_preserving([[draw(entries) for _ in range(n)] for _ in range(n)])
+        if kind == "diagonal":
+            return make_diagonal([draw(st.sampled_from(gains)) for _ in range(n)])
+        if kind == "chain" or not outer:
+            return make_chain_map(n)
+        return compose(draw(built_maps(n, False)), draw(built_maps(n, False)))
+
+    @st.composite
+    def maps_and_points(draw):
+        n = draw(st.integers(2, 4))
+        components = st.just(0.0) | st.floats(1e-3, 10.0)  # no underflow to 0 below 1e-3
+        return draw(built_maps(n)), np.array([draw(components) for _ in range(n)])
+
+    @hypothesis.settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @hypothesis.given(maps_and_points(), st.floats(1.0, 10.0))
+    def check(T_s, lam):
+        T, s = T_s
+        lo, hi = T.degree
+        Ts, Tls = T(s), T(lam * s)
+        assert np.all(lam**lo * Ts <= Tls * (1.0 + 1e-12))
+        assert np.all(Tls <= lam**hi * Ts * (1.0 + 1e-12))
+
+    check()
 
 
 class TestTable:

@@ -146,8 +146,10 @@ class TestErrors:
         ({"kind": "maxpreserving", "gains": [1, 2]}, "gains must be a nonempty list of rows"),
         ({"kind": "maxpreserving", "gains": [[None, None], [None]]},
          "gains row 2 has 1 entries, expected 2"),
-        ({"kind": "linear", "matrix": [[0, "a"], [0]]}, "matrix[1] must be a number, got 'a'"),
-        ({"kind": "linear", "matrix": [[0, 0], [True, 0]]}, "matrix[2] must be a number, got True"),
+        ({"kind": "linear", "matrix": [[0, "a"], [0]]},
+         "matrix entry (1,2) must be a number, got 'a'"),
+        ({"kind": "linear", "matrix": [[0, 0], [True, 0]]},
+         "matrix entry (2,1) must be a number, got True"),
         ({"kind": "chain", "n": True}, "chain n must be an integer, got True"),
         ({"kind": "chain", "n": 3.0}, "chain n must be an integer, got 3.0"),
         ({"kind": "flipflop", "lambda": "x"}, "lambda must be a number, got 'x'"),
@@ -216,11 +218,11 @@ class TestRoundTrip:
 
 
 @pytest.mark.parametrize("name,expected", [
-    ("chain5", False), ("flipflop", False), ("maxgain_half", True), ("scaled_swap", True),
-    ("swap_half", True),
-])
+    ("chain5", (0.2, 5.0)), ("flipflop", (0.5, 2.0)), ("maxgain_half", (1.0, 1.0)),
+    ("scaled_swap", (1.0, 1.0)), ("swap_half", (1.0, 1.0)),
+], ids=["chain5", "flipflop", "maxgain_half", "scaled_swap", "swap_half"])
 def test_example_specs_build_maps_that_know_their_degree(name, expected):
     from pathlib import Path
 
     path = Path(__file__).resolve().parents[1] / "mapspecs" / f"{name}.json"
-    assert parse_map_spec(path.read_text()).build().homogeneous is expected
+    assert parse_map_spec(path.read_text()).build().degree == expected

@@ -6,10 +6,11 @@ table of gains ``c_ij t`` with cycle mean below one it is ``r / 1'w``,
 w the least solution of ``w = 1 + C (x) w``, and for any homogeneous map
 T it is ``r / 1'w`` with w the least solution of ``w = T(w) + 1``.  Below
 it a run must succeed; above it no point decays, and the run must end in
-``label_none`` at a sphere point without a label.  Homogeneous maps built
-by the constructors carry their Jacobian, and the policy step answers
-them in one evaluation; the tests of the pre-phase's own mechanism run on
-callable twins, which compute the same values without flag or Jacobian.
+``label_none`` at a sphere point without a label.  Maps of degree one
+built by the constructors carry their Jacobian, and the policy step
+answers them in one evaluation; the tests of the pre-phase's own
+mechanism run on callable twins, which compute the same values without
+degree or Jacobian.
 """
 
 import numpy as np
@@ -455,7 +456,7 @@ def test_infeasible_eps_near_the_limit_ends_before_the_norm_rule(A, fraction):
 
 
 @st.composite
-def homogeneous_maps(draw):
+def degree_one_maps(draw):
     """A random linear map, max-times table with gains c t, or linear map after c t scalings."""
     family = draw(st.sampled_from(["linear", "max-times", "scaled linear"]))
     if family == "max-times":
@@ -471,15 +472,15 @@ def homogeneous_maps(draw):
     return T
 
 
-# A homogeneous map and its callable twin, the same function without the flag
-# or the Jacobian, must end alike: the map in the policy step's one
+# A map of degree one and its callable twin, the same function without the
+# degree or the Jacobian, must end alike: the map in the policy step's one
 # evaluation, the twin in the sphere stage, the pre-phase, the walk or at
 # the cap.
 @hypothesis.settings(max_examples=150, deadline=None, database=None, derandomize=True)
-@hypothesis.given(homogeneous_maps(), st.floats(1e-3, 1.0))
+@hypothesis.given(degree_one_maps(), st.floats(1e-3, 1.0))
 def test_a_homogeneous_map_ends_like_its_unflagged_twin(T, fraction):
     n = T.dimension
-    assert T.homogeneous
+    assert T.degree == (1.0, 1.0)
     cfg = SolverConfig(R, fraction * R / n, NEAR_UNIT_CAP)
     report = find_decay_point(T, cfg, n)
     twin = find_decay_point(callable_twin(T), cfg, n)

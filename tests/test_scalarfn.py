@@ -8,8 +8,9 @@ from decaycert.scalarfn import (
     ScalarFnParseError,
     Sum,
     Term,
-    is_degree_one,
+    degree,
     parse_scalar_fn,
+    span,
 )
 
 
@@ -106,24 +107,30 @@ class TestChecks:
 
 
 # Degree one, g(l t) = l g(t): what lets the solver read T(w) off T at w's sphere point.
-@pytest.mark.parametrize("text", ["t", "0.5*t", "0", "t + 0.25*t", "max(t, 2*t)"])
-def test_degree_one_gains(text):
+# The zero gain has no degree of its own; it scales as every degree does.
+@pytest.mark.parametrize("text,expected", [
+    ("t", (1.0, 1.0)), ("0.5*t", (1.0, 1.0)), ("0", None), ("t + 0.25*t", (1.0, 1.0)),
+    ("max(t, 2*t)", (1.0, 1.0)),
+], ids=["t", "0.5*t", "0", "t + 0.25*t", "max(t, 2*t)"])
+def test_degree_one_gains(text, expected):
     g = parse_scalar_fn(text)
-    assert is_degree_one(g)
+    assert degree(g) == expected
     assert g(3.0 * 0.7) == pytest.approx(3.0 * g(0.7), rel=1e-15)
 
 
-@pytest.mark.parametrize("text", ["t^2", "t^1.0001", "0.5*t + t^2", "max(t, t^0.5)"])
-def test_gains_of_another_degree(text):
-    assert not is_degree_one(parse_scalar_fn(text))
+@pytest.mark.parametrize("text,expected", [
+    ("t^2", (2.0, 2.0)), ("t^1.0001", (1.0001, 1.0001)), ("0.5*t + t^2", (1.0, 2.0)),
+    ("max(t, t^0.5)", (0.5, 1.0)),
+], ids=["t^2", "t^1.0001", "0.5*t + t^2", "max(t, t^0.5)"])
+def test_gains_of_another_degree(text, expected):
+    assert degree(parse_scalar_fn(text)) == expected
 
 
-def test_an_unknown_scalar_fn_is_not_degree_one():
-    class Identity(ScalarFn):
-        def __call__(self, t):
-            return t
-
-    assert not is_degree_one(Identity())
+def test_a_degree_spans_the_nonzero_terms_of_every_part():
+    assert degree(parse_scalar_fn("max(0.3*t^0.5 + 0*t^9, t^2) + 0.1*t^1.5")) == (0.5, 2.0)
+    assert degree(Sum((Term(0.0), Term(0.0, 3.0)))) is None
+    assert span([None, (2.0, 2.0), (0.5, 1.0)]) == (0.5, 2.0)
+    assert span([None]) is None and span([]) is None
 
 
 def test_every_rendered_tree_parses_back_to_itself():
