@@ -281,6 +281,12 @@ class GainTable:
         ends = span(degree(g) for row in nonzero for _, g in row)
         return _proven(MonotoneMap(n, fn, "max-preserving"), ends or (1.0, 1.0), jacobian)
 
+    def _repr_pretty_(self, p, cycle) -> None:
+        """Pretty-print as ``repr``: a printer that lists a dataclass by its
+        ``__init__`` fields (IPython's, hypothesis's) would read ``rows``,
+        which the table does not keep."""
+        p.text(repr(self))
+
 
 def make_max_preserving(gains) -> MonotoneMap:
     """Map ``(Ts)_i = max_j g_ij(s_j)`` from an n-by-n table of gains.

@@ -30,9 +30,20 @@ The cycle test uses max-plus powers (Baccelli, Cohen, Olsder & Quadrat,
 *Synchronization and Linearity*, 1992): ``(T^k(t e_i))_i`` is the largest
 composition at ``t`` over the closed walks of length ``k`` through ``i``,
 so ``k <= n`` covers every simple cycle in every rotation, 1-cycles included.
-The powers are stepped as arrays over every start and both ends at once:
-each step calls each nonzero gain once (``GainTable.nonzero``), and only
-the current power is kept.
+
+**Running maxima.**  Every gain is nondecreasing, also as evaluated in
+floating point, so ``g(max(x, y)) = max(g(x), g(y))`` exactly, and hence
+``T(max(a, b)) = max(T a, T b)`` entry for entry.  So the running maximum
+``u_0 = v``, ``u_k = max(u_{k-1}, T u_{k-1})`` is exactly
+``max_{j<=k} T^j v``, and ``T u_{k-1} = max_{1<=j<=k} T^j v``.  The path
+``q(t)`` is ``u_{n-1}`` from ``v = t e``, and the cycle test steps
+``u`` from every ``t e_i`` at once, as arrays over every start and both
+ends, each step calling each nonzero gain once (``GainTable.nonzero``).
+Its first step ``k`` where ``(T u_{k-1})_i >= t`` is the first where the
+powers hit, with the same hits, so it returns the same verdict and
+witness.  Both stop where ``T u <= u``: then ``u`` is a fixed point of
+the running maximum, so no longer walk reaches ``t`` and the path does
+not move again.
 """
 
 from __future__ import annotations
@@ -71,7 +82,9 @@ def cycle_condition(table) -> tuple[bool, tuple[tuple[int, ...], float] | None]:
     closed walk ``(i, i2, ..., ik)`` whose composition
     ``g_{i i2} o ... o g_{ik i}`` is ``>= t``.  No shorter closed walk
     violates at either end, so the walk is a simple cycle unless a
-    sub-cycle of it violates only outside the interval.
+    sub-cycle of it violates only outside the interval.  The walks are
+    stepped as running maxima, which stop where they stop moving (see the
+    module docstring).
 
     The verdict covers ``{0} u [1e-3, 1e3]``: ``t = 0`` through
     ``g(0) = 0``, which every gain is checked for, and the whole interval
@@ -82,11 +95,12 @@ def cycle_condition(table) -> tuple[bool, tuple[tuple[int, ...], float] | None]:
     """
     nonzero = _table(table).nonzero
     n, ends = len(nonzero), np.array([1e-3, 1e3])
-    # w[i, :, p] is T^k(t e_i) at t = ends[p]; an overflow reads as +inf
-    start = w = np.eye(n)[:, :, None] * ends
+    # u[i, :, p] is u_{k-1} from t e_i at t = ends[p], and w = T u_{k-1} is
+    # max_{1<=j<=k} T^j(t e_i); an overflow reads as +inf
+    start = u = np.eye(n)[:, :, None] * ends
     with np.errstate(over="ignore"):
         for k in range(1, n + 1):
-            w = _step(nonzero, w)
+            w = _step(nonzero, u)
             hits = np.argwhere(np.diagonal(w).T >= ends)
             if len(hits):
                 i, p = hits[0].tolist()
@@ -97,6 +111,9 @@ def cycle_condition(table) -> tuple[bool, tuple[tuple[int, ...], float] | None]:
                 for v in reversed(path[1:]):
                     walk.append(max(nonzero[walk[-1]], key=lambda jg: jg[1](v[0, jg[0], 0]))[0])
                 return False, (tuple(a + 1 for a in walk), float(ends[p]))
+            if np.all(w <= u):
+                break
+            u = np.maximum(u, w)
     return True, None
 
 
@@ -116,11 +133,13 @@ def path_q(table, t: float) -> np.ndarray:
 
 
 def _q(T: MonotoneMap, t: float) -> np.ndarray:
-    w = best = np.full(T.dimension, float(t))
+    q = np.full(T.dimension, float(t))
     for _ in range(T.dimension - 1):
-        w = T(w)
-        best = np.maximum(best, w)
-    return best
+        Tq = T(q)
+        if np.all(Tq <= q):
+            break
+        q = np.maximum(q, Tq)
+    return q
 
 
 def reparametrize_path(table, r: float, tol: float = 1e-9) -> np.ndarray:

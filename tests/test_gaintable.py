@@ -20,6 +20,7 @@ from decaycert.homotopy import SolverConfig, find_decay_point
 from decaycert.maps import coerce_gain
 from decaycert.maxpreserving import GainTable, cycle_condition
 from decaycert.scalarfn import Term
+from test_maxpreserving import power_cycle_condition
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -62,33 +63,8 @@ def dense_jacobian(rows, s: np.ndarray) -> np.ndarray:
 
 
 def dense_cycle_condition(rows):
-    """The cycle test with every entry in every power step and in the backtrack."""
-    rows, n = dense(rows), len(rows)
-    ends = np.array([1e-3, 1e3])
-
-    def step(w):
-        out = np.zeros_like(w)
-        for a, row in enumerate(rows):
-            for j, g in enumerate(row):
-                np.maximum(out[:, a], g(w[:, j]), out=out[:, a])
-        return out
-
-    start = w = np.eye(n)[:, :, None] * ends
-    with np.errstate(over="ignore"):
-        for k in range(1, n + 1):
-            w = step(w)
-            hits = np.argwhere(np.diagonal(w).T >= ends)
-            if len(hits):
-                i, p = hits[0].tolist()
-                path = [start[i:i + 1, :, p:p + 1]]
-                for _ in range(k - 1):
-                    path.append(step(path[-1]))
-                walk = [i]
-                for v in reversed(path[1:]):
-                    row = rows[walk[-1]]
-                    walk.append(max(range(n), key=lambda j: row[j](v[0, j, 0])))
-                return False, (tuple(a + 1 for a in walk), float(ends[p]))
-    return True, None
+    """The power-sweep oracle with every entry in every power step and in the backtrack."""
+    return power_cycle_condition([tuple(enumerate(row)) for row in dense(rows)])
 
 
 @st.composite
@@ -181,12 +157,39 @@ def test_each_loop_calls_each_nonzero_gain_once_and_no_zero_gain(monkeypatch):
     monkeypatch.setattr(Term, "__call__", counting)
     monkeypatch.setattr(maxpreserving, "_step", counted_step)
     assert cycle_condition(table) == (True, None)
-    assert per_step == [gains] * n
+    assert per_step == [gains] * 12  # the running maximum stops moving at step 12 of n = 30
     T, s = table.to_map(), np.linspace(0.5, 2.0, n)
     for loop in (T.fn, T.jacobian):
         called.clear()
         loop(s)
         assert sorted(called) == gains
+
+
+def test_a_passing_sparse_table_of_dimension_500_stops_within_16_steps(monkeypatch):
+    # all n = 500 power steps would call its 1,503 gains 751,500 times
+    table = sparse_table(500, 0, PASSING_TERMS)
+    nnz = sum(map(len, table.nonzero))
+    assert nnz == 1503
+    calls, call = 0, Term.__call__
+
+    def counting(self, t):
+        nonlocal calls
+        calls += 1
+        return call(self, t)
+
+    monkeypatch.setattr(Term, "__call__", counting)
+    assert cycle_condition(table) == (True, None)
+    assert calls <= 16 * nnz
+
+
+def test_a_table_prints_under_hypothesis():
+    # a failing example is printed by hypothesis's pretty-printer, which lists a
+    # dataclass by its __init__ fields; the table does not keep its field rows
+    from hypothesis.vendor.pretty import pretty
+
+    table = GainTable([[None, "0.5*t"], ["0.5*t", None]])
+    assert pretty(table) == repr(table)
+    assert pretty([table]) == f"[{table!r}]"
 
 
 def test_a_sparse_table_of_dimension_200_solves_in_five_evaluations():

@@ -48,6 +48,50 @@ def enumerate_simple_cycles(table, grid):
     return True, None
 
 
+def power_cycle_condition(nonzero):
+    """Reference oracle: cycle_condition as all n max-plus powers, without the stop.
+
+    ``nonzero`` lists each row's ``(j, gain)`` pairs, like ``GainTable.nonzero``.
+    For ``k = 1..n`` it steps the power ``T^k(t e_i)`` over every start and both
+    ends, and at the first diagonal hit re-steps that start's powers and
+    backtracks the walk by the first gain of largest value.
+    """
+    n, ends = len(nonzero), np.array([1e-3, 1e3])
+
+    def step(w):
+        out = np.zeros_like(w)
+        for a, row in enumerate(nonzero):
+            for j, g in row:
+                np.maximum(out[:, a], g(w[:, j]), out=out[:, a])
+        return out
+
+    start = w = np.eye(n)[:, :, None] * ends
+    with np.errstate(over="ignore"):
+        for k in range(1, n + 1):
+            w = step(w)
+            hits = np.argwhere(np.diagonal(w).T >= ends)
+            if len(hits):
+                i, p = hits[0].tolist()
+                path = [start[i:i + 1, :, p:p + 1]]
+                for _ in range(k - 1):
+                    path.append(step(path[-1]))
+                walk = [i]
+                for v in reversed(path[1:]):
+                    walk.append(max(nonzero[walk[-1]], key=lambda jg: jg[1](v[0, jg[0], 0]))[0])
+                return False, (tuple(a + 1 for a in walk), float(ends[p]))
+    return True, None
+
+
+def power_path(table, t):
+    """Reference path: the componentwise max of the powers t e, T(t e), ..., T^{n-1}(t e)."""
+    T = table.to_map()
+    w = best = np.full(table.n, t)
+    for _ in range(table.n - 1):
+        w = T(w)
+        best = np.maximum(best, w)
+    return best
+
+
 def random_gain(rng, power):
     """c*t^power, alone or with a term that dominates at large or at small t."""
     c = float(rng.uniform(0.5, 1.3))
@@ -160,8 +204,9 @@ class TestCycleCondition:
         assert calls <= n**3
 
     def test_keeps_only_the_current_power(self):
-        # one power array is n * n * 2 floats (6.4 kB at n = 20); keeping
-        # all n + 1 of them for the backtrack peaks at 135 kB
+        # one array is n * n * 2 floats (6.4 kB at n = 20), and the sweep keeps
+        # two, its running maximum and that maximum's image; keeping all n + 1
+        # powers for the backtrack peaks at 135 kB
         n = 20
         rng = np.random.default_rng(n)
         C = rng.uniform(0.05, 0.9, (n, n))
@@ -209,6 +254,13 @@ class TestCycleCondition:
             result = cycle_condition(g)
         assert result == (False, ((1, 2), 1e3))
 
+    def test_the_sweep_stops_only_where_both_ends_stop_moving(self):
+        # at t = 1e-3 each walk underflows to 0 at its second gain, so that end stops
+        # moving at step 2; at t = 1e3 the 3-cycle overflows, which reads as +inf, at step 3
+        g = GainTable([[None, None, "1e-100*t^40"], ["1e-100*t^40", None, None],
+                       [None, "1e-100*t^40", None]])
+        assert cycle_condition(g) == power_cycle_condition(g.nonzero) == (False, ((1, 3, 2), 1e3))
+
     def test_missed_rotation_is_a_violation(self):
         # g_12 o g_21(t) = 5e-4*t^2 >= t only from t = 2000, outside the interval,
         # but the rotation g_21 o g_12(t) = 5e-3*t^2 >= t holds from t = 200
@@ -222,9 +274,27 @@ class TestCycleCondition:
         with pytest.raises(ValueError, match="square"):
             cycle_condition([["t", None]])
 
+    @pytest.mark.parametrize("rows", [
+        [[None, "0.5*t"], ["0.5*t", None]], [[None, "2*t"], ["t", None]], [["t"]], [[None, None], [None, None]],
+        [[None, "0.5*t"], [None, "1.5*t"]], [[None, "2*t"], ["0.1*t", "0.9*t"]],
+        [[None, "0.5*t^90"], ["0.5*t^90", None]], [[None, "10*t"], ["5e-05*t^2", None]],
+        [[None, "0.5*t"], ["0.25*t", None]], [[None, "8*t"], ["0.1*t", None]],
+        [[None, "t^2"], ["0.5*t", None]], [[None, "1e3*t^0.01"], ["1e3*t^0.01", None]],
+        [[None, "0.37409835133347946*t"], ["0.0507155593460335*t^0.5", "0.2879043623567955*t"]],
+        [[None, "0.5*t", "0.5*t"], ["4*t", None, None], ["4*t", None, None]],
+    ])
+    def test_equals_the_power_sweep_on_each_named_table(self, rows):
+        assert cycle_condition(rows) == power_cycle_condition(GainTable(rows).nonzero)
+
+    @pytest.mark.parametrize("n", [2, 3, 6, 20])
+    def test_equals_the_power_sweep_on_a_ring(self, n):
+        table = half_id_cycle(n)
+        assert cycle_condition(table) == power_cycle_condition(table.nonzero) == (True, None)
+
     @pytest.mark.parametrize("table", ENUMERATED)
     def test_agrees_with_the_cycle_enumerator(self, table):
         ok, witness = cycle_condition(table)
+        assert (ok, witness) == power_cycle_condition(table.nonzero)
         ref_ok, ref_witness = enumerate_simple_cycles(table, cycle_grid())
         if not ref_ok:
             # the power test also checks this cycle (in every rotation)
@@ -244,6 +314,7 @@ class TestCycleCondition:
         C *= mean / cycle_mean(C)
         table = GainTable([[f"{float(c)!r}*t" if c else None for c in row] for row in C])
         ok, witness = cycle_condition(table)
+        assert (ok, witness) == power_cycle_condition(table.nonzero)
         if mean < 1.0:
             assert (ok, witness) == (True, None)
         else:
@@ -292,7 +363,10 @@ def test_the_two_end_verdict_covers_the_interval():
     @hypothesis.given(tables())
     def check(table):
         ok, witness = cycle_condition(table)
+        assert (ok, witness) == power_cycle_condition(table.nonzero)
         assert ok == dense_grid_verdict(table)
+        for t in (1e-3, 1.0, 1e3):
+            assert path_q(table, t).tobytes() == power_path(table, t).tobytes()
         if not ok:
             walk, t = witness
             assert t in (1e-3, 1e3) and compose_walk(table, walk, t) >= t
@@ -312,6 +386,12 @@ def test_path_functions_accept_nested_lists():
 
 
 class TestPathQ:
+    @pytest.mark.parametrize("table", ENUMERATED)
+    def test_equals_the_max_of_the_powers(self, table):
+        with np.errstate(over="ignore"):  # a failing table's path can overflow to +inf
+            for t in (1e-3, 1.0, 10.0):
+                assert path_q(table, t).tobytes() == power_path(table, t).tobytes()
+
     def test_half_id_two_dim(self):
         np.testing.assert_allclose(path_q(half_id_cycle(2), 4.0), [4.0, 4.0])
 
@@ -321,6 +401,19 @@ class TestPathQ:
 
     def test_three_cycle(self):
         np.testing.assert_allclose(path_q(half_id_cycle(3), 8.0), [8.0, 8.0, 8.0])
+
+    def test_stops_where_the_path_stops_moving(self, monkeypatch):
+        # T(t e) = 0.5 t e <= t e already, so the other 18 powers cannot raise the max
+        calls, call = 0, maps.MonotoneMap.__call__
+
+        def counting(T, s):
+            nonlocal calls
+            calls += 1
+            return call(T, s)
+
+        monkeypatch.setattr(maps.MonotoneMap, "__call__", counting)
+        np.testing.assert_array_equal(path_q(half_id_cycle(20), 3.0), np.full(20, 3.0))
+        assert calls == 1
 
     def test_nondecreasing_in_t(self):
         g = GainTable([[None, "t^2"], ["0.5*t", None]])
