@@ -83,14 +83,11 @@ def iterate(
     """
     _check_trajectory_limits(k_max, stop_tol)
     s = as_point(s0, dim=T.dimension)
-    states = [s]
-    steps = [0]
-    sup = float(np.max(s))
-    if sup < stop_tol:
-        return TrajectoryReport(states, steps, True, 0, sup)
+    states, steps = [], []
     with np.errstate(over="ignore"):  # an overflow ends the run at a non-finite state
-        for k in range(1, k_max + 1):
-            s = T(s)
+        for k in range(k_max + 1):
+            if k:
+                s = T(s)
             sup = float(np.max(s))
             # a NaN or inf in s, whose components are >= 0, makes sup non-finite
             stop = sup < stop_tol or not math.isfinite(sup) or k == k_max

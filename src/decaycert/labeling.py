@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .maps import MonotoneMap
-from .order import as_point, check_positive
+from .order import as_point, check_count, check_positive
 
 __all__ = [
     "label_index",
@@ -59,7 +59,8 @@ def omega_membership(T: MonotoneMap, s) -> set[int]:
 class LabeledVertexSet:
     """A set of distinct vertices with parallel integer labels, checked once and then frozen.
 
-    Labels are 1-based indices or None for unlabelable vertices.
+    Labels are 1-based indices (ints >= 1, a bool is not one) or None for
+    unlabelable vertices.
     Vertices must be pairwise distinct (exact comparison).  Both sequences
     are kept as tuples, and each vertex is a read-only point.
     """
@@ -72,6 +73,9 @@ class LabeledVertexSet:
         object.__setattr__(self, "labels", tuple(self.labels))
         if len(self.labels) != len(self.vertices):
             raise ValueError(f"{len(self.labels)} labels for {len(self.vertices)} vertices")
+        for a, label in enumerate(self.labels):
+            if label is not None:
+                check_count(f"label at position {a}", label)
         for a in range(len(self.vertices)):
             for b in range(a + 1, len(self.vertices)):
                 if np.array_equal(self.vertices[a], self.vertices[b]):
@@ -89,6 +93,7 @@ def complete_subsets(tau: LabeledVertexSet, n: int) -> list[LabeledVertexSet]:
     result of length 0 or 2 (the test suite checks this exhaustively over
     all label assignments); a None label can leave one complete subset.
     """
+    check_count("n", n)
     if len(tau) != n + 1:
         raise ValueError(f"expected {n + 1} vertices, got {len(tau)}")
     out = []

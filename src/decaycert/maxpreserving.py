@@ -38,19 +38,28 @@ floating point, so ``g(max(x, y)) = max(g(x), g(y))`` exactly, and hence
 ``max_{j<=k} T^j v``, and ``T u_{k-1} = max_{1<=j<=k} T^j v``.  The path
 ``q(t)`` is ``u_{n-1}`` from ``v = t e``, and the cycle test steps
 ``u`` from every ``t e_i`` at once, as arrays over every start and both
-ends, each step calling each nonzero gain once (``GainTable.nonzero``).
-Its first step ``k`` where ``(T u_{k-1})_i >= t`` is the first where the
-powers hit, with the same hits, so it returns the same verdict and
-witness.  Both stop where ``T u <= u``: then ``u`` is a fixed point of
-the running maximum, so no longer walk reaches ``t`` and the path does
-not move again.
+ends.  Its first step ``k`` where ``(T u_{k-1})_i >= t`` is the first
+where the powers hit, with the same hits, so it returns the same verdict
+and witness.  Both stop where ``T u <= u``: then ``u`` is a fixed point
+of the running maximum, so no longer walk reaches ``t`` and the path
+does not move again.
+
+**The table evaluates itself.**  No map is built here: the path steps
+and checks its points with ``GainTable.evaluate``, the rule of the map's
+``fn``, the cycle test steps with ``GainTable.evaluate_many``, and its
+witness follows each row's ``GainTable.active`` gain; each step calls
+each nonzero gain once.  A step that overflows reads as inf, in the
+cycle test and on the path alike, so a path that overflows is inf
+there, and ``reparametrize_path`` bisects below it.  A norm that the
+path jumps over, where one ulp of the parameter moves the path's norm
+by more than the tolerance, ends in the stalled-bisection RuntimeError.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .maps import GainTable, MonotoneMap
+from .maps import GainTable
 from .order import check_positive
 
 __all__ = [
@@ -93,23 +102,23 @@ def cycle_condition(table) -> tuple[bool, tuple[tuple[int, ...], float] | None]:
     identity only outside that range passes: ``1e-4*t^0.5`` on the
     diagonal meets it at ``t = 1e-8``, and ``1e-4*t^2`` at ``t = 1e4``.
     """
-    nonzero = _table(table).nonzero
-    n, ends = len(nonzero), np.array([1e-3, 1e3])
+    table = _table(table)
+    n, ends = table.n, np.array([1e-3, 1e3])
     # u[i, :, p] is u_{k-1} from t e_i at t = ends[p], and w = T u_{k-1} is
     # max_{1<=j<=k} T^j(t e_i); an overflow reads as +inf
     start = u = np.eye(n)[:, :, None] * ends
     with np.errstate(over="ignore"):
         for k in range(1, n + 1):
-            w = _step(nonzero, u)
+            w = table.evaluate_many(u)
             hits = np.argwhere(np.diagonal(w).T >= ends)
             if len(hits):
                 i, p = hits[0].tolist()
                 path = [start[i:i + 1, :, p:p + 1]]  # re-step the violating start only
                 for _ in range(k - 1):
-                    path.append(_step(nonzero, path[-1]))
-                walk = [i]  # argmax backtrack, first nonzero gain on ties
+                    path.append(table.evaluate_many(path[-1]))
+                walk = [i]  # backtrack by each row's active gain
                 for v in reversed(path[1:]):
-                    walk.append(max(nonzero[walk[-1]], key=lambda jg: jg[1](v[0, jg[0], 0]))[0])
+                    walk.append(table.active(walk[-1], v[0, :, 0])[0])
                 return False, (tuple(a + 1 for a in walk), float(ends[p]))
             if np.all(w <= u):
                 break
@@ -117,57 +126,59 @@ def cycle_condition(table) -> tuple[bool, tuple[tuple[int, ...], float] | None]:
     return True, None
 
 
-def _step(nonzero, w: np.ndarray) -> np.ndarray:
-    """One power step ``out[:, a] = max_j g_aj(w[:, j])``, calling each nonzero gain once."""
-    out = np.zeros_like(w)
-    for a, row in enumerate(nonzero):
-        for j, g in row:
-            np.maximum(out[:, a], g(w[:, j]), out=out[:, a])
-    return out
-
-
 def path_q(table, t: float) -> np.ndarray:
-    """Componentwise max of ``t e, T(t e), ..., T^{n-1}(t e)``; ``table`` as for cycle_condition."""
+    """Componentwise max of ``t e, T(t e), ..., T^{n-1}(t e)``; ``table`` as for cycle_condition.
+
+    A component that overflows reads as inf.
+    """
     check_positive("t", t)
-    return _q(_table(table).to_map(), t)
+    return _q(_table(table), t)
 
 
-def _q(T: MonotoneMap, t: float) -> np.ndarray:
-    q = np.full(T.dimension, float(t))
-    for _ in range(T.dimension - 1):
-        Tq = T(q)
-        if np.all(Tq <= q):
-            break
-        q = np.maximum(q, Tq)
+def _q(table: GainTable, t: float) -> np.ndarray:
+    q = np.full(table.n, float(t))
+    with np.errstate(over="ignore"):
+        for _ in range(table.n - 1):
+            Tq = table.evaluate(q)
+            if np.all(Tq <= q):
+                break
+            q = np.maximum(q, Tq)
     return q
 
 
 def reparametrize_path(table, r: float, tol: float = 1e-9) -> np.ndarray:
     """Point on the almost-solution path with 1-norm ``r`` (within ``tol``).
 
-    ``table`` is taken as by cycle_condition.  Bisects the parameter of
+    ``table`` is taken as by cycle_condition, and steps the path itself
+    (``GainTable.evaluate``), building no map.  Bisects the parameter of
     ``q`` on ``[0, r]``: ``q(0) = 0``, since every gain has ``g(0) = 0``,
-    and ``q(r) >= r e`` has norm at least r.  A target that 200 halvings
-    cannot resolve raises RuntimeError.
+    and ``q(r) >= r e`` has norm at least r.  A path point that overflows
+    reads as inf, so its norm lies above r.  A target that 200 halvings
+    cannot resolve raises RuntimeError; so does a norm that the path jumps
+    over, where one ulp of the parameter moves the norm by more than
+    ``tol``.
 
     The point found is checked: ``T(q) <= q`` holds on the path wherever
     every cycle stays below the identity, but the cycle test proves that
     only on ``{0} u [1e-3, 1e3]``, and a point whose norm needs a
     parameter outside that range can miss it.  A component with
-    ``T(q) > q`` raises ValueError, naming the component (1-based).
+    ``T(q) > q``, an overflowing one too, raises ValueError, naming the
+    component (1-based).
     """
     check_positive("r", r)
     check_positive("tol", tol)
-    T = _table(table).to_map()
+    table = _table(table)
     lo, hi = 0.0, float(r)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        q = _q(T, mid)
-        value = float(np.sum(q))
-        if abs(value - r) <= tol:
-            above = np.flatnonzero(T(q) > q)
-            if above.size:
-                raise ValueError(f"path point of norm {r} has T(q) > q in component {above[0] + 1}")
-            return q
-        lo, hi = (mid, hi) if value < r else (lo, mid)
+    with np.errstate(over="ignore"):
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            q = _q(table, mid)
+            value = float(np.sum(q))
+            if abs(value - r) <= tol:
+                above = np.flatnonzero(table.evaluate(q) > q)
+                if above.size:
+                    raise ValueError(f"path point of norm {r} has T(q) > q "
+                                     f"in component {above[0] + 1}")
+                return q
+            lo, hi = (mid, hi) if value < r else (lo, mid)
     raise RuntimeError(f"bisection stalled seeking path norm {r} within {tol}")

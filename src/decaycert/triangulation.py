@@ -35,6 +35,8 @@ from __future__ import annotations
 
 from typing import Callable
 
+from .order import check_count
+
 __all__ = [
     "Cell",
     "cell_vertices",
@@ -147,8 +149,8 @@ class CompleteCellSearch:
     """
 
     def __init__(self, m: int, n: int, label_of: LabelFn):
-        if m < 1 or n < 2:
-            raise ValueError(f"need m >= 1 and n >= 2, got m={m}, n={n}")
+        check_count("resolution m", m)
+        check_count("dimension n", n, least=2)
         self.m = m
         self.n = n
         self.label_of = label_of

@@ -15,7 +15,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from decaycert import maps, maxpreserving
+from decaycert import maps
 from decaycert.homotopy import SolverConfig, find_decay_point
 from decaycert.maps import coerce_gain
 from decaycert.maxpreserving import GainTable, cycle_condition
@@ -142,20 +142,20 @@ def test_each_loop_calls_each_nonzero_gain_once_and_no_zero_gain(monkeypatch):
     gains = sorted(id(g) for row in table.nonzero for _, g in row)
     assert 0 < len(gains) < n * n / 5
     called, per_step = [], []
-    call, step = Term.__call__, maxpreserving._step
+    call, step = Term.__call__, GainTable.evaluate_many
 
     def counting(self, t):
         called.append(id(self))
         return call(self, t)
 
-    def counted_step(nonzero, w):
+    def counted_step(table, w):
         called.clear()
-        out = step(nonzero, w)
+        out = step(table, w)
         per_step.append(sorted(called))
         return out
 
     monkeypatch.setattr(Term, "__call__", counting)
-    monkeypatch.setattr(maxpreserving, "_step", counted_step)
+    monkeypatch.setattr(GainTable, "evaluate_many", counted_step)
     assert cycle_condition(table) == (True, None)
     assert per_step == [gains] * 12  # the running maximum stops moving at step 12 of n = 30
     T, s = table.to_map(), np.linspace(0.5, 2.0, n)

@@ -50,6 +50,12 @@ class TestCompleteSubsets:
         with pytest.raises(ValueError):
             complete_subsets(vertex_set([1, 2, 3]), 3)
 
+    @pytest.mark.parametrize("n", [True, 1.0])
+    def test_a_dimension_that_is_no_int_is_named(self, n):
+        # True would count as n = 1, and 1.0 would fail in range() with a bare TypeError
+        with pytest.raises(ValueError, match=f"^n must be an int, got {n!r}$"):
+            complete_subsets(vertex_set([1, None]), n)
+
     @pytest.mark.parametrize("labels, kept", [
         ([1, 2, 2, 3], [(1, 2, 3), (1, 2, 3)]),  # dropping a 1 or a 3 keeps both 2s
         ([1, None, 2], [(1, 2)]),

@@ -108,3 +108,11 @@ class TestLabeledVertexSet:
     def test_rejects_mismatched_labels(self):
         with pytest.raises(ValueError):
             LabeledVertexSet([np.array([1.0, 0.0])], [1, 2])
+
+    @pytest.mark.parametrize("label, what", [(True, "an int"), ("x", "an int"), (2.0, "an int"),
+                                             (0, ">= 1")])
+    def test_rejects_a_label_that_is_no_index(self, label, what):
+        # a bool would count as label 1, and a string would break complete_subsets
+        with pytest.raises(ValueError, match=f"^label at position 0 must be {what}"):
+            LabeledVertexSet([np.array([1.0, 0.0]), np.array([0.0, 1.0]), np.array([0.5, 0.5])],
+                             [label, 2, 2])

@@ -404,14 +404,14 @@ class TestPathQ:
 
     def test_stops_where_the_path_stops_moving(self, monkeypatch):
         # T(t e) = 0.5 t e <= t e already, so the other 18 powers cannot raise the max
-        calls, call = 0, maps.MonotoneMap.__call__
+        calls, evaluate = 0, GainTable.evaluate
 
-        def counting(T, s):
+        def counting(table, s):
             nonlocal calls
             calls += 1
-            return call(T, s)
+            return evaluate(table, s)
 
-        monkeypatch.setattr(maps.MonotoneMap, "__call__", counting)
+        monkeypatch.setattr(GainTable, "evaluate", counting)
         np.testing.assert_array_equal(path_q(half_id_cycle(20), 3.0), np.full(20, 3.0))
         assert calls == 1
 
@@ -467,19 +467,6 @@ class TestReparametrize:
                            match=r"^bisection stalled seeking path norm 10\.0 within 1e-09$"):
             reparametrize_path(g, 10.0)
 
-    def test_builds_the_map_once(self, monkeypatch):
-        builds = 0
-        build = GainTable.to_map
-
-        def counting(table):
-            nonlocal builds
-            builds += 1
-            return build(table)
-
-        monkeypatch.setattr(GainTable, "to_map", counting)
-        reparametrize_path(half_id_cycle(6), 10.0)
-        assert builds == 1
-
     def test_gains_are_checked_once_per_table(self, monkeypatch):
         checked = []
         check_gain = maps.check_gain
@@ -519,6 +506,82 @@ class TestReparametrize:
         assert abs(float(np.sum(q)) - 7.0) <= 1e-8
         T = g.to_map()
         assert np.all(T(q) <= q)
+
+
+def recipe_rows(count):
+    """The first ``count`` random tables of a fixed recipe, n = 2 + k % 10 for table k.
+
+    Each entry, in row-major order, is present with probability 1/2 and then
+    draws c, a power and one of three forms; each table then draws a point
+    of n components (unused here), so the stream matches the recipe's.
+    """
+    rng = np.random.default_rng(2024)
+    for k in range(count):
+        n = 2 + k % 10
+        rows = [[None] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(n):
+                if rng.random() < 0.5:
+                    c = rng.uniform(0.1, 1.5)
+                    a = (0.5, 0.7, 1.0, 1.2, 1.3, 2.0)[rng.integers(6)]
+                    rows[i][j] = (f"{c!r}*t^{a!r}", f"max({c!r}*t^{a!r}, {c / 10!r}*t^{2 * a!r})",
+                                  f"{c / 2!r}*t^{a!r} + {c / 20!r}*t^{a / 2!r}")[rng.integers(3)]
+        rng.uniform(0, 3, n)
+        yield rows
+
+
+def ring(n, gain="0.5*t^90"):
+    """The cycle 1 -> 2 -> ... -> n -> 1 of one gain."""
+    rows = [[None] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][(i + 1) % n] = gain
+    return GainTable(rows)
+
+
+class TestTheTableEvaluatesItself:
+    @pytest.mark.parametrize("table", [half_id_cycle(5), VIOLATING], ids=["passing", "failing"])
+    def test_the_toolkit_builds_and_calls_no_map(self, table, monkeypatch):
+        calls = []
+        call, build = maps.MonotoneMap.__call__, GainTable.to_map
+        monkeypatch.setattr(maps.MonotoneMap, "__call__",
+                            lambda T, s: calls.append("call") or call(T, s))
+        monkeypatch.setattr(GainTable, "to_map", lambda g: calls.append("to_map") or build(g))
+        verdict = cycle_condition(table)
+        path_q(table, 3.0)
+        if verdict[0]:
+            reparametrize_path(table, 10.0)
+        else:
+            with pytest.raises(ValueError, match=r"T\(q\) > q"):
+                reparametrize_path(table, 10.0)
+        assert calls == []
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_an_overflowing_path_reads_as_inf(self, n):
+        # t = 1e3 steps to 5e269, and the next step overflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            q = path_q(ring(n), 1e3)
+        assert np.all(q == np.inf) if n >= 3 else np.all(q == 0.5 * 1e3**90)
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_an_overflowing_path_ends_in_a_documented_error(self, n):
+        # at n = 2 the bisection meets norm 1e4 where 0.5 q^90 > q; from n = 3 on the
+        # path's norm jumps by more than tol within one ulp of its parameter
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            error, match = ((ValueError, r"^path point of norm 10000\.0 has T\(q\) > q") if n == 2
+                            else (RuntimeError, "^bisection stalled"))
+            with pytest.raises(error, match=match):
+                reparametrize_path(ring(n), 1e4)
+
+    def test_a_path_that_overflows_on_the_way_still_gives_a_checked_point(self):
+        rows = list(recipe_rows(609))[608]
+        table = GainTable(rows)
+        assert table.n == 10
+        assert np.isinf(path_q(table, 5.0)).any()  # the bisection's first midpoint
+        q = reparametrize_path(table, 10.0)
+        assert abs(float(np.sum(q)) - 10.0) <= 1e-9
+        assert np.all(table.to_map()(q) <= q)
 
 
 class TestSolverConsistency:

@@ -182,3 +182,14 @@ class TestWalk:
             CompleteCellSearch(0, 3, lambda z: 0)
         with pytest.raises(ValueError):
             CompleteCellSearch(2, 1, lambda z: 0)
+
+    @pytest.mark.parametrize("m, n, message", [
+        (2.5, 3, "resolution m must be an int, got 2.5"),
+        (True, 2, "resolution m must be an int, got True"),
+        (2, 3.0, "dimension n must be an int, got 3.0"),
+        (2, True, "dimension n must be an int, got True"),
+    ])
+    def test_rejects_a_size_that_is_no_int(self, m, n, message):
+        # accepted, such a size would fail inside the walk with a WalkError, kept for bugs
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            CompleteCellSearch(m, n, lambda z: 0)
