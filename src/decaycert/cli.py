@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import os
 import sys
 import time
 from pathlib import Path
@@ -134,7 +135,11 @@ def cmd_sweep(args) -> int:
     dims = _parse_list(args.dims, int, "--dims")
     for n in dims:  # the solver's own check names n
         check_count("--dims item", n, least=2)
-    epsilons = _parse_list(args.epsilons, float, "--epsilons")
+    configs = [SolverConfig(r=args.radius, epsilon=eps, max_iterations=args.max_iterations)
+               for eps in _parse_list(args.epsilons, float, "--epsilons")]
+    out = Path(args.out)
+    if out.is_dir() or not os.access(out.parent, os.W_OK):  # else open fails after every solve
+        raise ValueError(f"--out {args.out!r} cannot be created")
     rows = []  # each row in CSV_COLUMNS order
     for n in dims:
         if args.family == "chain":
@@ -142,19 +147,16 @@ def cmd_sweep(args) -> int:
         else:
             instances = [(seed, make_linear_map(random_contractive(n, 0.8, seed)))
                          for seed in range(args.seed, args.seed + args.instances)]
-        for eps in epsilons:
-            cfg = SolverConfig(r=args.radius, epsilon=eps, max_iterations=args.max_iterations)
+        for cfg in configs:
             for seed, T in instances:
                 t0 = time.perf_counter()
                 report = find_decay_point(T, cfg, n)
                 ms = (time.perf_counter() - t0) * 1e3
-                rows.append([args.family, n, repr(eps), repr(args.radius), seed,
+                rows.append([args.family, n, repr(cfg.epsilon), repr(args.radius), seed,
                              report.iterations, int(report.success), f"{ms:.3f}"])
     failures = [row[CSV_COLUMNS.index("success")] for row in rows].count(0)
     with open(args.out, "w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
-        writer.writerows(rows)
+        csv.writer(handle, lineterminator="\n").writerows([CSV_COLUMNS, *rows])
     print(f"wrote {len(rows)} rows to {args.out} ({failures} failures)")
     _result_line("sweep", rows=len(rows), failures=failures, out=args.out)
     return 0 if failures == 0 else 1

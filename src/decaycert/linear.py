@@ -9,14 +9,17 @@ equivalence, the exact best margin ``eps_max`` that tests hold the
 solver to, plus the seeded random generator used by the benchmark
 sweeps.  Spectral quantities come from NumPy's dense eigensolver
 (LAPACK ``dgeev``); the tests check them against matrices whose radius
-and Perron vector are known in closed form.
+and Perron vector are known in closed form.  Every matrix argument goes
+through :func:`decaycert.order.as_nonnegative_matrix`, which refuses a
+matrix that is not square or has an entry that is negative, non-finite
+or not a number.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .order import check_count, check_positive, first_non_number
+from .order import as_nonnegative_matrix, check_count, check_positive
 
 __all__ = [
     "spectral_radius",
@@ -24,28 +27,7 @@ __all__ = [
     "neumann_inverse",
     "perron_direction",
     "eps_max",
-    "as_nonnegative_matrix",
 ]
-
-
-def as_nonnegative_matrix(A) -> np.ndarray:
-    """Float copy of ``A``; ValueError unless it is square, finite, with no negative entry.
-
-    A bool or a string is no entry, though numpy would convert it.
-    """
-    bad = first_non_number(A)
-    if bad:
-        where = ",".join(str(k + 1) for k in bad[0])
-        raise ValueError(f"matrix entry at ({where}) is not a number: {bad[1]!r}")
-    A = np.array(A, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {A.shape}")
-    valid = (A >= 0.0) & (A < np.inf)  # false on negative and non-finite entries
-    if not valid.all():
-        i, j = np.argwhere(~valid)[0]
-        what = "negative" if A[i, j] < 0.0 else "non-finite"
-        raise ValueError(f"{what} entry at ({i + 1},{j + 1}): {A[i, j]}")
-    return A
 
 
 def spectral_radius(A) -> float:

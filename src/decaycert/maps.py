@@ -16,8 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .linear import as_nonnegative_matrix
-from .order import as_point, check_count, check_positive
+from .order import as_nonnegative_matrix, as_point, check_count, check_positive
 from .scalarfn import Max, ScalarFn, Sum, Term, degree, parse_scalar_fn, span
 
 __all__ = [
@@ -128,8 +127,7 @@ def _proven(T: MonotoneMap, degree: tuple[float, float] | None = None,
 
 def make_linear_map(matrix) -> MonotoneMap:
     """Map given by multiplication with a nonnegative square matrix."""
-    A = as_nonnegative_matrix(matrix)
-    A.flags.writeable = False  # the map and its Jacobian share it
+    A = as_nonnegative_matrix(matrix)  # read-only: the map and its Jacobian share it
     return _proven(MonotoneMap(A.shape[0], lambda s: A @ s, "linear"), (1.0, 1.0), lambda s: A)
 
 

@@ -22,6 +22,7 @@ from typing import Any, Callable, NamedTuple
 
 from . import maps
 from .maps import MonotoneMap
+from .order import is_number
 from .scalarfn import ScalarFn, ScalarFnParseError, parse_scalar_fn
 
 __all__ = [
@@ -69,7 +70,7 @@ class MapSpec:
 
 
 def _number(value, where: str, *at: int) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if not is_number(value):
         raise MapSpecParseError(f"{where.format(*at)} must be a number, got {value!r}")
     return float(value)
 
@@ -112,7 +113,7 @@ def _gains(raw) -> tuple:
 
 
 def _chain_n(n) -> int:
-    if isinstance(n, bool) or not isinstance(n, int):
+    if not is_number(n, integer=True):
         raise MapSpecParseError(f"chain n must be an integer, got {n!r}")
     return n
 

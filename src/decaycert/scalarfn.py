@@ -32,12 +32,13 @@ to text that parses back.
 from __future__ import annotations
 
 import math
-import numbers
 import re
 from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
+
+from .order import is_number
 
 __all__ = [
     "ScalarFn",
@@ -66,8 +67,7 @@ class Term(ScalarFn):
 
     def __post_init__(self):
         for name, value in (("coefficient", self.coeff), ("exponent", self.exponent)):
-            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-                    or not 0.0 <= value < math.inf):
+            if not (is_number(value) and 0.0 <= value < math.inf):
                 raise ValueError(f"Term {name} must be real, finite and >= 0, got {value!r}")
 
     def __call__(self, t: float) -> float:

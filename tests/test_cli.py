@@ -347,6 +347,27 @@ class TestSweep:
         assert captured.err == f"error: --dims item must be >= 2, got {item}\n"
         assert captured.out == "" and not out.exists()
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--out", "missing/sweep.csv", "--out '{tmp}/missing/sweep.csv' cannot be created"),
+        ("--out", "", "--out '{tmp}/' cannot be created"),
+        ("--epsilons", "0.1,-1", "epsilon must be positive and finite, got -1.0"),
+        ("--epsilons", "0.1,inf", "epsilon must be positive and finite, got inf"),
+        ("-r", "0", "r must be positive and finite, got 0.0"),
+    ], ids=["missing-directory", "a-directory", "negative-last-epsilon", "inf-last-epsilon",
+            "zero-radius"])
+    def test_a_bad_flag_is_refused_before_the_first_solve(self, tmp_path, capsys, monkeypatch,
+                                                          flag, value, message):
+        calls = []
+        monkeypatch.setattr(cli, "find_decay_point", lambda *args: calls.append(args))
+        args = {"--dims": "2,3", "--epsilons": "0.1", "-r": "10", "--out": "sweep.csv"}
+        args[flag] = value
+        args["--out"] = f"{tmp_path}/{args['--out']}"
+        code = main(["sweep", "--family", "chain", *[x for item in args.items() for x in item]])
+        assert (code, calls) == (2, [])
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message.format(tmp=tmp_path)}\n"
+        assert captured.out == "" and list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("instances", ["0", "-1"])
     def test_instances_below_one_is_usage_error(self, tmp_path, capsys, instances):
         out = tmp_path / "sweep.csv"
