@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .dynamics import DEFAULT_K_MAX, DEFAULT_STOP_TOL, solve_problem1
-from .homotopy import SolverConfig, find_decay_point
+from .homotopy import SolverConfig, check_sphere, find_decay_point
 from .linear import eps_max, perron_direction, random_contractive, spectral_radius
 from .maps import MonotoneMap, make_chain_map, make_linear_map
 from .mapspec import parse_map_spec
@@ -72,8 +72,9 @@ def _no_decay_point(command: str, report, **failure_fields) -> int:
 def _load(args) -> tuple[MonotoneMap, SolverConfig]:
     """The map of ``--map`` and the search settings of the solver flags."""
     T = parse_map_spec(Path(args.map).read_text()).build()
-    check_count("map dimension", T.dimension, least=2)  # the solver's own check names n
-    return T, SolverConfig(r=args.radius, epsilon=args.epsilon, max_iterations=args.max_iterations)
+    cfg = SolverConfig(r=args.radius, epsilon=args.epsilon, max_iterations=args.max_iterations)
+    check_sphere(cfg.r, T.dimension, "map dimension")  # the solver's own check names n
+    return T, cfg
 
 
 def cmd_find(args) -> int:
@@ -133,10 +134,10 @@ def cmd_verify(args) -> int:
 def cmd_sweep(args) -> int:
     check_count("--instances", args.instances)
     dims = _parse_list(args.dims, int, "--dims")
-    for n in dims:  # the solver's own check names n
-        check_count("--dims item", n, least=2)
     configs = [SolverConfig(r=args.radius, epsilon=eps, max_iterations=args.max_iterations)
                for eps in _parse_list(args.epsilons, float, "--epsilons")]
+    for n in dims:  # the solver's own check, before the first solve; it names n
+        check_sphere(args.radius, n, "--dims item")
     out = Path(args.out)
     if out.is_dir() or not os.access(out.parent, os.W_OK):  # else open fails after every solve
         raise ValueError(f"--out {args.out!r} cannot be created")

@@ -1,7 +1,7 @@
 """Search for decay points on the 1-norm sphere by simplicial pivoting.
 
-``find_decay_point`` looks for a point ``s*`` with ``(Ts*)_i + eps <= s*_i``
-in every component and ``|s*|_1 = r``.  It refines the sphere grid level
+``find_decay_point`` looks for a point ``s*`` with ``min(s* - Ts*) >= eps``
+and ``|s*|_1 = r``.  It refines the sphere grid level
 by level (mesh halving) and runs the door-in-door-out complete-cell
 search of :mod:`decaycert.triangulation` at each level; every map
 evaluation at a sphere point doubles as a direct certificate test, so the
@@ -235,6 +235,7 @@ from .triangulation import CompleteCellSearch
 __all__ = [
     "SolverConfig",
     "SolveReport",
+    "check_sphere",
     "find_decay_point",
 ]
 
@@ -581,22 +582,35 @@ def _walk(ev: _Evaluator, rungs: list[float]) -> None:
                 raise ev.end("label_none", miss.point)
 
 
+def check_sphere(r: float, n: int, name: str = "n") -> None:
+    """ValueError unless the solver can search dimension ``n`` at radius ``r``.
+
+    ``n``, called ``name`` in the message, must be an int >= 2, and ``r/n``
+    must not underflow to 0: the uniform sphere point would be the origin,
+    off the sphere.  ``r`` is a checked radius (``SolverConfig``).
+    """
+    check_count(name, n, least=2)
+    if r / n == 0.0:
+        raise ValueError(f"r = {r!r} is too small for dimension {n}: r/n underflows to 0")
+
+
 def find_decay_point(T: MonotoneMap, cfg: SolverConfig, n: int) -> SolveReport:
     """Search the sphere of radius ``cfg.r`` for a point with ``Ts << s``.
 
-    On success, ``s_star`` satisfies ``(Ts*)_i + eps <= s*_i`` for all i and
-    lies on the sphere to within ``1e-9 * r``.  A failure is named
+    On success, ``s_star`` passes the certificate test ``min(s* - Ts*) >=
+    eps`` as computed in floating point (``margin`` is that minimum) and
+    lies on the sphere to within ``1e-9 * r``.  The labeling's sum form
+    ``(Ts*)_i + eps <= s*_i`` only labels points, and can disagree with the
+    certificate test within one rounding.  A failure is named
     ``iteration_cap`` (``max_iterations`` evaluations spent),
     ``label_none`` (``failure_point`` has no label at slack eps) or
     ``nonfinite`` (T is not finite at ``failure_point``).  The policy step,
     the sphere stage, the pre-phase, the ladder and their proofs are
     described in the module docstring.
     """
-    check_count("n", n, least=2)
+    check_sphere(cfg.r, n)
     if T.dimension != n:
         raise ValueError(f"map has dimension {T.dimension}, expected {n}")
-    if cfg.r / n == 0.0:  # the uniform sphere point would be the origin, off the sphere
-        raise ValueError(f"r = {cfg.r!r} is too small for dimension {n}: r/n underflows to 0")
     ev = _Evaluator(T, cfg)
     try:
         # an overflow in T or in the pre-phase is named by the finiteness checks

@@ -8,10 +8,11 @@ the solver rather than being smeared across every comparison.
 
 This module is also the package's one door for numbers.  ``is_number``
 says what counts as one: an int or a float, numpy's included, never a
-bool.  ``as_point`` and ``as_nonnegative_matrix`` check every entry with
-it before numpy converts any, so a bool, string, None, complex number,
-dict or nested list is named by its position in a ValueError, and a
-complex array is refused rather than cut to its real part.  They share
+bool, and never an int too large to convert to a float.  ``as_point``
+and ``as_nonnegative_matrix`` check every entry with it before numpy
+converts any, so a bool, string, None, complex number, dict, nested list
+or such an int is named by its position in a ValueError, and a complex
+array is refused rather than cut to its real part.  They share
 one check for negative and non-finite entries.  ``check_positive`` and
 ``check_count`` check scalar arguments with the same test, so that a
 mistyped number names its argument in a ValueError.
@@ -52,15 +53,24 @@ class OrderRelation(enum.Enum):
 
 _NUMBERS = (int, float, np.integer, np.floating)  # concrete types: numbers.Real is slower
 _INTEGERS = (int, np.integer)
+_INT_END = 2**1024 - 2**970  # float() rounds an int this large, or larger, to overflow
 
 
 def is_number(value, integer: bool = False) -> bool:
     """Whether ``value`` is an int or a float, numpy's included; a bool is neither.
 
-    With ``integer``, whether it is an int.  This is the package's one test
-    of what counts as a number.
+    An int must also convert to a float: ``|value| < 2**1024 - 2**970``.
+    With ``integer``, whether it is such an int.  This is the package's one
+    test of what counts as a number.
     """
-    return isinstance(value, _INTEGERS if integer else _NUMBERS) and not isinstance(value, bool)
+    kind = type(value)
+    if kind is float:  # the two common types first, by exact type
+        return not integer
+    if kind is int:
+        return -_INT_END < value < _INT_END
+    if isinstance(value, bool) or not isinstance(value, _INTEGERS if integer else _NUMBERS):
+        return False
+    return not isinstance(value, int) or -_INT_END < value < _INT_END  # an int subclass
 
 
 def as_point(x, dim: int | None = None) -> np.ndarray:

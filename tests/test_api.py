@@ -95,7 +95,8 @@ SCALAR_ARGUMENTS = [
 ]
 
 
-@pytest.mark.parametrize("value", ["10", None, True], ids=["str", "None", "bool"])
+@pytest.mark.parametrize("value", ["10", None, True, 10**400, -10**400],
+                         ids=["str", "None", "bool", "huge-int", "negative-huge-int"])
 @pytest.mark.parametrize("argument,call", [case[1:] for case in SCALAR_ARGUMENTS],
                          ids=[case[0] for case in SCALAR_ARGUMENTS])
 def test_a_mistyped_scalar_argument_is_named(argument, call, value):

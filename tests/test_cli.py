@@ -229,6 +229,19 @@ class TestVerify:
         assert captured.err == "error: map dimension must be >= 2, got 1\n"
         assert captured.out == ""
 
+    @pytest.mark.parametrize("command", ["find", "verify"])
+    @pytest.mark.parametrize("obj, name", [
+        ({"kind": "linear", "matrix": [[10**400, 0], [0, 0.5]]}, "matrix entry (1,1)"),
+        ({"kind": "flipflop", "lambda": 10**400}, "lambda"),
+    ], ids=["matrix", "lambda"])
+    def test_an_integer_beyond_float_range_is_named(self, tmp_path, capsys, command, obj, name):
+        # float() of this JSON integer raises OverflowError; the number rule refuses it first
+        code = main([command, "--map", write_spec(tmp_path, obj), "-r", "1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == f"error: {name} must be a number, got {10**400}\n"
+        assert captured.out == ""
+
     def test_non_contractive_linear_exits_one(self, tmp_path, capsys):
         # spectral radius exactly 1: the identity; the solver cannot label corners
         spec = write_spec(tmp_path, {"kind": "linear", "matrix": [[1, 0], [0, 1]]})
@@ -367,6 +380,20 @@ class TestSweep:
         captured = capsys.readouterr()
         assert captured.err == f"error: {message.format(tmp=tmp_path)}\n"
         assert captured.out == "" and list(tmp_path.iterdir()) == []
+
+    def test_a_radius_too_small_for_a_later_dimension_is_refused_before_the_first_solve(
+            self, tmp_path, capsys, monkeypatch):
+        calls, solve = [], cli.find_decay_point
+        monkeypatch.setattr(cli, "find_decay_point",
+                            lambda *args: calls.append(args) or solve(*args))
+        out = tmp_path / "sweep.csv"
+        code = main(["sweep", "--family", "chain", "--dims", "2,5", "--epsilons", "0.1",
+                     "-r", "1e-323", "--out", str(out)])
+        captured = capsys.readouterr()
+        assert (code, len(calls)) == (2, 0)  # r/2 is the least subnormal; r/5 underflows
+        assert captured.err == ("error: r = 1e-323 is too small for dimension 5: "
+                                "r/n underflows to 0\n")
+        assert captured.out == "" and not out.exists()
 
     @pytest.mark.parametrize("instances", ["0", "-1"])
     def test_instances_below_one_is_usage_error(self, tmp_path, capsys, instances):

@@ -1,7 +1,7 @@
 """Every door that takes a point or a matrix refuses an entry that is not a number.
 
-A number is an int or a float, numpy's included, and never a bool
-(``order.is_number``).  Each refusal is a ValueError that names the
+A number is an int or a float, numpy's included, never a bool, and never
+an int too large to convert to a float (``order.is_number``).  Each refusal is a ValueError that names the
 entry's position; numpy's own TypeError, a ComplexWarning (an error under
 this suite's warning filter) or a silently dropped imaginary part never
 reaches the caller.
@@ -22,6 +22,7 @@ from decaycert.linear import eps_max
 from decaycert.order import as_point, is_number
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "decaycert"
+FLOAT_END = 2**1024 - 2**970  # the least int that float() cannot convert
 T = make_linear_map([[0.5, 0.0], [0.0, 0.5]])
 
 POINT_DOORS = {
@@ -48,8 +49,14 @@ ENTRIES = {
     "dict": {},
     "list": [1.0],  # a row within a row: numpy reads the point or matrix as ragged
     "string": "abc",
+    "huge-int": 10**400,  # float() would raise OverflowError
+    "negative-huge-int": -10**400,
 }
 ZERO_D = {"dict": {}, "None": None, "string": "abc", "complex": 1j}
+
+
+class Count(int):
+    """An int subclass: ``is_number`` applies the int range to it too."""
 
 
 def bad_points():
@@ -119,19 +126,29 @@ def test_the_named_messages_keep_their_text_and_order(call, message):
 
 class TestIsNumber:
     @pytest.mark.parametrize("value", [0, -3, 2.5, math.inf, math.nan, np.int8(1), np.uint64(7),
-                                       np.float32(0.5), np.float64(1.0)])
+                                       np.float32(0.5), np.float64(1.0), FLOAT_END - 1,
+                                       1 - FLOAT_END, Count(FLOAT_END - 1)])
     def test_ints_and_floats_are_numbers(self, value):
         assert is_number(value)
+        float(value)
 
     @pytest.mark.parametrize("value", [True, np.bool_(False), "1", b"1", None, 1j,
                                        np.complex128(1.0), Fraction(1, 2), [1.0], {},
-                                       np.array(1.0)])
+                                       np.array(1.0), FLOAT_END, -FLOAT_END, 10**400,
+                                       Count(FLOAT_END)])
     def test_nothing_else_is(self, value):
         assert not is_number(value)
 
     def test_an_integer_is_an_int(self):
         assert is_number(3, integer=True) and is_number(np.int64(3), integer=True)
         assert not is_number(3.0, integer=True) and not is_number(False, integer=True)
+        assert is_number(FLOAT_END - 1, integer=True)
+        assert not is_number(FLOAT_END, integer=True) and not is_number(-10**400, integer=True)
+
+    def test_the_end_is_where_float_overflows(self):
+        assert float(FLOAT_END - 1) == np.finfo(float).max
+        with pytest.raises(OverflowError):
+            float(FLOAT_END)
 
 
 def test_a_numeric_array_is_not_searched(monkeypatch):
@@ -141,7 +158,8 @@ def test_a_numeric_array_is_not_searched(monkeypatch):
         raise AssertionError("searched")
 
     monkeypatch.setattr(order, "is_number", refuse)
-    assert as_point(np.array([1, 2], dtype=np.uint8)).tolist() == [1.0, 2.0]
+    for dtype in (np.float64, np.int64, np.uint8):
+        assert as_point(np.array([1, 2], dtype=dtype)).tolist() == [1.0, 2.0]
     assert order.as_nonnegative_matrix(np.eye(2, dtype=np.float32)).tolist() == [[1, 0], [0, 1]]
 
 

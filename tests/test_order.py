@@ -100,11 +100,3 @@ class TestAsPoint:
         with pytest.raises(ValueError, match=r"^component at index 0 is not a number: '1'$"):
             T(["1", "2"])
         assert T([1, 2.0]).tolist() == [1.0, 0.5]
-
-    def test_a_numeric_array_is_not_searched(self, monkeypatch):
-        def refuse(x, dtype=None):
-            raise AssertionError("searched")
-
-        monkeypatch.setattr(np, "ndenumerate", refuse)
-        for x in (np.array([1.0, 2.0]), np.array([1, 2]), np.array([1, 2], dtype=np.uint8)):
-            assert as_point(x).tolist() == [1.0, 2.0]

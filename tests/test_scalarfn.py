@@ -80,8 +80,10 @@ class TestChecks:
                                              rf"parts, got {len(parts)}$"):
             combination(parts)
 
-    @pytest.mark.parametrize("args", [(-0.5,), (float("nan"),), (1.0, float("inf"))],
-                             ids=["negative-coefficient", "nan-coefficient", "inf-exponent"])
+    @pytest.mark.parametrize("args", [(-0.5,), (float("nan"),), (1.0, float("inf")),
+                                      (10**400, 1.0), (1.0, -10**400)],
+                             ids=["negative-coefficient", "nan-coefficient", "inf-exponent",
+                                  "huge-int-coefficient", "huge-int-exponent"])
     def test_a_term_outside_its_invariant_is_refused(self, args):
         with pytest.raises(ValueError, match=r"^Term (coefficient|exponent) must be real, finite"):
             Term(*args)
