@@ -18,7 +18,7 @@ least solution of ``w = T(w) + 1``, and there is no decay point at all
 where no solution exists (Gaubert & Gunawardena, "The Perron-Frobenius
 theorem for homogeneous, monotone functions", *Trans. AMS* 356, 2004).
 The step runs on every map of degree ``(1, 1)`` (``MonotoneMap.degree``).
-Linear maps, max-times tables and diagonals with gains ``c t``, and
+Linear maps, max and sum tables and diagonals with gains ``c t``, and
 compositions of such maps, are also convex and piecewise linear: their
 components are maxima and sums of ``c t``, composed.  So such a map's
 Jacobian ``J(u) = T.jacobian(u)``, the matrix of the linear piece active

@@ -61,21 +61,22 @@ class MonotoneMap:
       It need not be concave: the gain ``max(t^0.5, 0.3 t)`` has a convex
       corner near ``t = 11.1``, where its slope jumps from 0.15 to 0.3.
     * ``(1, 1)``: T is homogeneous of degree one, ``T(l s) = l T(s)`` for
-      ``l >= 0``.  A linear map, a table or diagonal of gains ``c t``, and a
-      composition of such maps, is also convex and piecewise linear, and
-      the solver's policy step answers it in one evaluation.  That step is
-      the one part of the solver that reads the degree (see
+      ``l >= 0``.  A linear map, a max or sum table or a diagonal of gains
+      ``c t``, and a composition of such maps, is also convex and piecewise
+      linear, and the solver's policy step answers it in one evaluation.
+      That step is the one part of the solver that reads the degree (see
       :mod:`decaycert.homotopy`).
 
     ``jacobian`` is the derivative that T's constructor proves, a callable
     ``s -> J(s)`` giving the n-by-n matrix ``dT_i/ds_j`` at a point s, or
     None.  An entry is inf where the derivative of a fractional power is,
-    at 0.  :func:`make_linear_map` records ``A``, :func:`make_chain_map` its
-    closed form, :func:`make_diagonal` and a gain table (the flip-flop map
-    is one) the gains' ``ScalarFn.derivative`` (for a table, of each row's
-    active gain, the first of its nonzero gains with the largest value),
-    and :func:`compose` the chain rule when every part has one.  A table's
-    evaluation and Jacobian call each nonzero gain once, and no zero gain.
+    at 0.  :func:`make_linear_map` records ``A``, :func:`make_diagonal` and a
+    gain table (the flip-flop map is one, and the chain map a sum table) the
+    gains' ``ScalarFn.derivative`` (for a max table, of each row's active
+    gain, the first of its nonzero gains with the largest value; for a sum
+    table, of every nonzero gain), and :func:`compose` the chain rule when
+    every part has one.  A table's evaluation and Jacobian call each
+    nonzero gain once, and no zero gain.
     A map built directly from a callable has none.  For a map of degree
     ``(1, 1)`` ``T(s) = J(s) s`` (Euler), and for a piecewise linear one
     ``J(s)`` is the matrix of the piece active at s; the solver's policy
@@ -135,26 +136,15 @@ def make_chain_map(n: int) -> MonotoneMap:
     """Nearest-neighbour chain map with power couplings.
 
     ``(Ts)_i = (s_{i-1}^{1/i} + s_{i+1}^{i+1}) / 4`` for 1-based ``i``,
-    with the convention that the out-of-range neighbours are zero.
+    with the convention that the out-of-range neighbours are zero.  It is
+    the sum table of those ``Term`` couplings, so its values, Jacobian and
+    degree ``(1/n, n)`` are the table's.
     """
     check_count("chain map dimension", n, least=2)
-    # the couplings of s_{j-1} and s_{j+1} onto component j (0-based)
-    left = [Term(0.25, 1.0 / (j + 1)) for j in range(n)]
-    right = [Term(0.25, j + 2.0) for j in range(n)]
-
-    def fn(s: np.ndarray) -> np.ndarray:
-        padded = np.concatenate(([0.0], s, [0.0]))  # the out-of-range neighbours; a Term is 0 at 0
-        return np.array([left[j](padded[j]) + right[j](padded[j + 2]) for j in range(n)])
-
-    def jacobian(s: np.ndarray) -> np.ndarray:
-        J = np.zeros((n, n))
-        for j in range(1, n):
-            J[j, j - 1] = left[j].derivative(s[j - 1])
-        for j in range(n - 1):
-            J[j, j + 1] = right[j].derivative(s[j + 1])
-        return J
-
-    return _proven(MonotoneMap(n, fn, "chain"), (1.0 / n, float(n)), jacobian)
+    # row i (0-based) couples s_{i-1} by the power 1/(i+1) and s_{i+1} by the power i+2
+    rows = [[Term(0.25, 1.0 / (i + 1)) if j == i - 1 else Term(0.25, i + 2.0) if j == i + 1
+             else None for j in range(n)] for i in range(n)]
+    return GainTable(rows, "sum").to_map("chain")
 
 
 def make_flipflop_map(lam: float) -> MonotoneMap:
@@ -213,6 +203,9 @@ def check_kinf(rho: ScalarFn, where: str) -> None:
         raise ValueError(f"{where} is zero, so not class Kinf")
 
 
+_AGGREGATES = {"max": "max-preserving", "sum": "sum-table"}  # a row rule -> its map's kind
+
+
 @dataclass(frozen=True)
 class GainTable:
     """Square table of gains, each present one checked once by :func:`check_gain`, then frozen.
@@ -225,11 +218,15 @@ class GainTable:
     with ``g(1) = 0`` (a gain that passes :func:`check_gain` is then 0 on
     the whole half line).
 
-    The table evaluates itself, the row rule ``(Ts)_i = max_j g_ij(s_j)``
-    over row i of ``nonzero`` (0 for an empty row), in two shapes:
+    ``aggregate`` is the row rule, and the table is the one place that
+    applies it: ``"max"`` (the default) gives ``(Ts)_i = max_j g_ij(s_j)``
+    over row i of ``nonzero``, 0 for an empty row, and ``"sum"`` the
+    sum-type gain operator ``(Ts)_i = sum_j g_ij(s_j)``, added in column
+    order from 0.0 (Dashkovskiy, Ruffer & Wirth, *Math. Control Signals
+    Systems* 19, 2007).  The table evaluates itself in two shapes:
     :meth:`evaluate` at one point, which is the map's ``fn`` and the step
     of the almost-solution path, and :meth:`evaluate_many` for a batch of
-    points, the cycle test's step.  :meth:`active` picks a row's active
+    points, the cycle test's step.  :meth:`active` picks a max row's active
     gain for the Jacobian and the cycle test's witness.  Each loop calls
     each nonzero gain once, and no zero gain.  Both shapes stay because
     they round differently: numpy's array power can differ from the
@@ -242,9 +239,12 @@ class GainTable:
     """
 
     rows: InitVar[Sequence]
+    aggregate: str = "max"
     nonzero: tuple[tuple[tuple[int, ScalarFn], ...], ...] = field(init=False)
 
     def __post_init__(self, rows):
+        if not isinstance(self.aggregate, str) or self.aggregate not in _AGGREGATES:
+            raise ValueError(f"gain table aggregate must be 'max' or 'sum', got {self.aggregate!r}")
         rows = [tuple(_gain_sequence(row, f"gain table row {i + 1}"))
                 for i, row in enumerate(_gain_sequence(rows, "gain table"))]
         if not rows or any(len(row) != len(rows) for row in rows):
@@ -270,39 +270,42 @@ class GainTable:
         return dict(self.nonzero[i - 1]).get(j - 1, Term(0.0))
 
     def evaluate(self, s: np.ndarray) -> np.ndarray:
-        """``(Ts)_i = max_j g_ij(s_j)`` at one point s, gain by gain on its scalar components."""
+        """The row rule at one point s, gain by gain on its scalar components."""
+        if self.aggregate == "sum":
+            return np.array([sum((g(s[j]) for j, g in row), 0.0) for row in self.nonzero])
         return np.array([max((g(s[j]) for j, g in row), default=0.0) for row in self.nonzero])
 
     def evaluate_many(self, w: np.ndarray) -> np.ndarray:
         """The rule on a batch whose axis 1 holds the components, one array call per gain."""
         out = np.zeros_like(w)
+        combine = np.add if self.aggregate == "sum" else np.maximum
         for a, row in enumerate(self.nonzero):
             for j, g in row:
-                np.maximum(out[:, a], g(w[:, j]), out=out[:, a])
+                combine(out[:, a], g(w[:, j]), out=out[:, a])
         return out
 
     def active(self, i: int, s: np.ndarray) -> tuple[int, ScalarFn] | None:
         """Row i's active ``(j, gain)`` at s: its first nonzero gain of largest value, or None."""
         return max(self.nonzero[i], key=lambda jg: jg[1](s[jg[0]]), default=None)
 
-    def to_map(self) -> MonotoneMap:
-        """Map of :meth:`evaluate`, Jacobian row i the derivative of the :meth:`active` gain.
+    def to_map(self, kind: str | None = None) -> MonotoneMap:
+        """Map of :meth:`evaluate`, named ``kind``, by default after the row rule.
 
-        An empty row's Jacobian row is zero.  The degree spans the nonzero
-        gains' degrees, and is ``(1, 1)`` where the table has none.
+        Jacobian row i holds the derivative of every nonzero gain of a sum
+        row, and of the :meth:`active` gain of a max row; an empty row's is
+        zero.  The degree spans the nonzero gains' degrees either way, and is
+        ``(1, 1)`` where the table has none.
         """
-        n = self.n
-
         def jacobian(s: np.ndarray) -> np.ndarray:
-            J = np.zeros((n, n))
-            for i in range(n):
-                if active := self.active(i, s):
-                    j, g = active
+            J = np.zeros((self.n, self.n))
+            # a sum row differentiates every gain, a max row its active one, an empty row none
+            for i, row in enumerate(self.nonzero):
+                for j, g in row if self.aggregate == "sum" else row and [self.active(i, s)]:
                     J[i, j] = g.derivative(s[j])
             return J
 
         ends = span(degree(g) for row in self.nonzero for _, g in row)
-        T = MonotoneMap(n, self.evaluate, "max-preserving")
+        T = MonotoneMap(self.n, self.evaluate, kind or _AGGREGATES[self.aggregate])
         return _proven(T, ends or (1.0, 1.0), jacobian)
 
     def _repr_pretty_(self, p, cycle) -> None:

@@ -4,19 +4,23 @@ A map spec file is a single JSON object with a ``kind`` field and the one
 field that kind names.  The schema (documented in the README) is
 deliberately small: matrices are nested number lists, gain and diagonal
 functions use the textual form of :mod:`decaycert.scalarfn`, and
-compositions nest specs.  Parsing checks the format of the whole document
-first (JSON shapes, numbers, square rows, gain text that parses), then
-checks the spec by building its map: the :mod:`decaycert.maps`
-constructors hold the family invariants, and their ``ValueError`` is
-re-raised as :class:`MapSpecError` with the same message.  Functions are
-stored as parsed ScalarFn trees, and a null gain as None, an absent gain
-that renders back as null, so serialize-then-parse reproduces an
-identical spec.
+compositions nest specs.  The kinds ``maxpreserving`` and ``sumtable``
+are one gain table under its two row rules, max and sum
+(:class:`decaycert.maps.GainTable`), and share one parse and one render.
+Parsing checks the format of the whole document first (JSON syntax, an
+integer within Python's digit limit, JSON shapes, numbers, square rows,
+gain text that parses), then checks the spec by building its map: the
+:mod:`decaycert.maps` constructors hold the family invariants, and their
+``ValueError`` is re-raised as :class:`MapSpecError` with the same
+message.  Functions are stored as parsed ScalarFn trees, and a null gain
+as None, an absent gain that renders back as null, so serialize-then-parse
+reproduces an identical spec.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from typing import Any, Callable, NamedTuple
 
@@ -137,12 +141,15 @@ class _Kind(NamedTuple):
     render: Callable[[Any], Any]  # MapSpec.data -> JSON value
 
 
+# a gain table, max or sum: one parse and one render, and a build for each row rule
+_TABLE = _Kind("gains", _gains, maps.make_max_preserving,
+               lambda rows: [[g and g.render() for g in row] for row in rows])
 _KINDS = {
     "linear": _Kind("matrix", _matrix, maps.make_linear_map, lambda rows: [list(r) for r in rows]),
     "chain": _Kind("n", _chain_n, maps.make_chain_map, int),
     "flipflop": _Kind("lambda", lambda v: _number(v, "lambda"), maps.make_flipflop_map, float),
-    "maxpreserving": _Kind("gains", _gains, maps.make_max_preserving,
-                           lambda rows: [[g and g.render() for g in row] for row in rows]),
+    "maxpreserving": _TABLE,
+    "sumtable": _TABLE._replace(build=lambda rows: maps.GainTable(rows, "sum").to_map()),
     "diagonal": _Kind("functions", _functions, maps.make_diagonal,
                       lambda fns: [f.render() for f in fns]),
     "composition": _Kind("maps", _children, lambda kids: maps.compose(*(k.build() for k in kids)),
@@ -173,6 +180,10 @@ def parse_map_spec(text: str) -> MapSpec:
     except json.JSONDecodeError as exc:
         raise MapSpecParseError(
             f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
+        ) from exc
+    except ValueError as exc:  # the only other one: an int literal beyond Python's digit limit
+        raise MapSpecParseError(
+            f"invalid JSON: an integer has more than {sys.get_int_max_str_digits()} digits"
         ) from exc
     spec = _from_obj(obj)
     try:

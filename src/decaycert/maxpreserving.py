@@ -1,5 +1,9 @@
 """Max-preserving maps: the cycle test and the almost-solution path.
 
+Everything here takes a max table only: what follows rests on ``T``
+commuting with ``max``, which a sum table (``GainTable(rows, "sum")``)
+does not, so each function refuses one with ValueError.
+
 A map of the form ``(Ts)_i = max_j g_ij(s_j)`` never has ``Ts >= s`` at a
 nonzero point exactly when every cyclic composition of its gains stays
 below the identity.  When that holds, the curve
@@ -77,8 +81,14 @@ def cycle_grid() -> list[float]:
 
 
 def _table(table) -> GainTable:
-    """``table`` itself if it is a GainTable, else the GainTable of a nested gain sequence."""
-    return table if isinstance(table, GainTable) else GainTable(table)
+    """``table`` itself if it is a GainTable, else the GainTable of a nested gain sequence.
+
+    A sum table raises ValueError (see the module docstring).
+    """
+    table = table if isinstance(table, GainTable) else GainTable(table)
+    if table.aggregate != "max":
+        raise ValueError(f"the max-preserving toolkit needs a max table, got {table.aggregate!r}")
+    return table
 
 
 def cycle_condition(table) -> tuple[bool, tuple[tuple[int, ...], float] | None]:

@@ -486,6 +486,15 @@ class TestSpectral:
 
 
 class TestRepoExamples:
+    @pytest.mark.parametrize("command", ["find", "verify"])
+    def test_the_sum_table_example_certifies(self, capsys, command):
+        code = main([command, "--map", str(REPO_SPECS / "sum" / "sumtable.json"), "-r", "1",
+                     "--epsilon", "1e-3"])
+        fields = result_fields(capsys)
+        assert code == 0
+        assert fields["success"] == "1"
+        assert fields.get("certified") == ("1" if command == "verify" else None)
+
     def test_all_example_specs_load_and_run(self, capsys):
         for path in sorted(REPO_SPECS.glob("*.json")):
             code = main(["find", "--map", str(path), "-r", "10", "--epsilon", "0.01",

@@ -18,7 +18,7 @@ import pytest
 from decaycert import maps
 from decaycert.homotopy import SolverConfig, find_decay_point
 from decaycert.maps import coerce_gain
-from decaycert.maxpreserving import GainTable, cycle_condition
+from decaycert.maxpreserving import GainTable, cycle_condition, path_q, reparametrize_path
 from decaycert.scalarfn import Term
 from test_maxpreserving import power_cycle_condition
 
@@ -109,14 +109,14 @@ def test_nonzero_lists_each_rows_nonzero_gains_in_column_order():
     assert table.nonzero == (
         ((1, Term(1.0)), (3, Term(0.5))), (), (),
         ((2, coerce_gain(rows[3][2])), (3, coerce_gain(rows[3][3]))))
-    assert [f.name for f in dataclasses.fields(table)] == ["nonzero"]
+    assert [f.name for f in dataclasses.fields(table)] == ["aggregate", "nonzero"]
     assert not hasattr(table, "rows")
     assert table.to_map()(np.ones(4)).tolist() == [1.0, 0.0, 0.0, 1.0]
     with pytest.raises(dataclasses.FrozenInstanceError):
         table.nonzero = ()
     assert table == GainTable(rows) == GainTable(dense(rows))
     assert hash(table) == hash(GainTable(dense(rows)))
-    assert repr(table) == f"GainTable(nonzero={table.nonzero!r})"
+    assert repr(table) == f"GainTable(aggregate='max', nonzero={table.nonzero!r})"
     assert "None" not in repr(table) and "'0'" not in repr(table)
 
 
@@ -204,3 +204,74 @@ def test_a_sparse_table_of_dimension_200_solves_in_five_evaluations():
 def test_building_a_sparse_table_of_dimension_200_checks_only_its_present_gains(checked):
     table = sparse_table(200, 0, CORPUS_GAINS)
     assert len(checked) == sum(map(len, table.nonzero)) == 602
+
+
+# ---------------------------------------------------------------- sum tables
+
+@st.composite
+def sum_tables_and_points(draw):
+    """``A`` of n = 2..6 with about a third of its entries 0, one gain ``c_j t^a_j`` per
+    column, and a point about a third of whose components are 0."""
+    n = draw(st.integers(2, 6))
+    A = np.array(draw(st.lists(st.just(0.0) | st.floats(0.05, 1.0), min_size=n * n,
+                               max_size=n * n))).reshape(n, n)
+    c = draw(st.lists(st.floats(0.1, 2.0), min_size=n, max_size=n))
+    a = draw(st.lists(st.sampled_from([0.25, 0.5, 1.0, 1.5, 2.0, 3.0]) | st.floats(0.2, 3.0),
+                      min_size=n, max_size=n))
+    s = np.array(draw(st.lists(st.just(0.0) | st.floats(1e-3, 20.0), min_size=n, max_size=n)))
+    return A, c, a, s
+
+
+@hypothesis.settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@hypothesis.given(sum_tables_and_points())
+def test_a_sum_table_is_a_matrix_after_a_diagonal(case):
+    # column j of the table holds A_ij c_j t^a_j, so T = A o diag(c_j t^a_j), up to rounding
+    A, c, a, s = case
+    n = len(s)
+    table = GainTable([[Term(A[i, j] * c[j], a[j]) for j in range(n)] for i in range(n)], "sum")
+    T, D = table.to_map(), maps.make_diagonal([Term(cj, aj) for cj, aj in zip(c, a)])
+    oracle = maps.compose(maps.make_linear_map(A), D)
+    np.testing.assert_allclose(T(s), oracle(s), rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(table.evaluate_many(s[None, :])[0], T(s), rtol=1e-12, atol=0.0)
+    # where 0 meets a_j < 1 the derivative is inf, and the oracle's product A @ J_D may
+    # give nan there (0 * inf); the chain rule entry by entry gives inf where A_ij > 0
+    J, composed = T.jacobian(s), oracle.jacobian(s)
+    with np.errstate(invalid="ignore"):
+        expected = np.where(A == 0.0, 0.0, A * np.diag(D.jacobian(s)))
+    np.testing.assert_allclose(J, expected, rtol=1e-12, atol=0.0)
+    finite = np.isfinite(composed)
+    np.testing.assert_allclose(J[finite], composed[finite], rtol=1e-12, atol=0.0)
+    present = [a[j] for j in range(n) if A[:, j].any()]  # the columns that keep a gain
+    assert T.degree == ((min(present), max(present)) if present else (1.0, 1.0))
+
+
+SWAP = [[None, "0.5*t"], ["0.5*t", None]]
+
+
+@pytest.mark.parametrize("call", [cycle_condition, lambda table: path_q(table, 1.0),
+                                  lambda table: reparametrize_path(table, 1.0)],
+                         ids=["cycle_condition", "path_q", "reparametrize_path"])
+def test_the_max_toolkit_refuses_a_sum_table(call):
+    with pytest.raises(ValueError, match="^the max-preserving toolkit needs a max table, "
+                                         "got 'sum'$"):
+        call(GainTable(SWAP, "sum"))
+
+
+@pytest.mark.parametrize("aggregate", ["min", None, True, "MAX", np.array(["max"])],
+                         ids=["min", "None", "True", "MAX", "array"])
+def test_a_row_rule_other_than_max_or_sum_is_refused(aggregate):
+    with pytest.raises(ValueError, match="^gain table aggregate must be 'max' or 'sum', got "):
+        GainTable(SWAP, aggregate)
+
+
+def test_a_sum_table_is_not_its_max_twin():
+    total, top = GainTable(SWAP, "sum"), GainTable(SWAP)
+    assert total.nonzero == top.nonzero and total != top and top == GainTable(SWAP, "max")
+    assert (total.to_map().kind, top.to_map().kind) == ("sum-table", "max-preserving")
+    s = np.array([3.0, 1.0])
+    assert (total.to_map()(s).tolist(), top.to_map()(s).tolist()) == ([0.5, 1.5], [0.5, 1.5])
+    rows = [[None, "0.5*t", "t^2"], [None] * 3, ["t", "t", "t"]]
+    total, top, s = GainTable(rows, "sum").to_map(), GainTable(rows).to_map(), np.full(3, 2.0)
+    assert (total(s).tolist(), top(s).tolist()) == ([5.0, 0.0, 6.0], [4.0, 0.0, 2.0])
+    assert total.jacobian(s).tolist() == [[0.0, 0.5, 4.0], [0.0] * 3, [1.0, 1.0, 1.0]]
+    assert top.jacobian(s).tolist() == [[0.0, 0.0, 4.0], [0.0] * 3, [1.0, 0.0, 0.0]]

@@ -40,6 +40,9 @@ class TestChainMap:
     def test_eval_is_the_closed_form_to_the_bit(self):
         # the map evaluates through the Terms its Jacobian differentiates; the
         # factor 1/4 is exact, so they give the closed form's bits
+        def slope(a, t):  # 0.25 a t^(a-1) in Term.derivative's order; inf where 0 meets a < 1
+            return 0.25 * a * float(t) ** (a - 1.0) if t or a >= 1.0 else math.inf
+
         rng = np.random.default_rng(0)
         for n in range(2, 11):
             T = make_chain_map(n)
@@ -48,6 +51,11 @@ class TestChainMap:
                 closed = [0.25 * ((s[i - 1] ** (1.0 / (i + 1)) if i else 0.0)
                                   + (s[i + 1] ** (i + 2) if i + 1 < n else 0.0)) for i in range(n)]
                 assert T(s).tobytes() == np.array(closed).tobytes()
+                J = np.zeros((n, n))
+                for i in range(1, n):
+                    J[i, i - 1] = slope(1.0 / (i + 1), s[i - 1])
+                    J[i - 1, i] = slope(i + 1.0, s[i])
+                assert T.jacobian(s).tobytes() == J.tobytes()
 
     def test_zero_fixed_point(self):
         for n in (2, 3, 7):

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -36,6 +37,15 @@ class TestParse:
         )
         np.testing.assert_allclose(spec.build()([4, 2]), [1, 2])
 
+    def test_sumtable_adds_each_row(self):
+        gains = '[[null, "0.5*t", "t^2"], ["0.25*t", null, null], ["t", "t", "t"]]'
+        spec = parse_map_spec(f'{{"kind": "sumtable", "gains": {gains}}}')
+        assert spec.build()([4, 2, 1]).tolist() == [2.0, 1.0, 7.0]
+        assert spec.build().kind == "sum-table"
+        # the same gains under the max rule: one parse, another row rule
+        maxed = parse_map_spec(f'{{"kind": "maxpreserving", "gains": {gains}}}')
+        assert maxed.data == spec.data and maxed != spec
+
     def test_diagonal(self):
         spec = parse_map_spec('{"kind": "diagonal", "functions": ["t^2", "2*t"]}')
         np.testing.assert_allclose(spec.build()([2, 3]), [4, 6])
@@ -55,6 +65,14 @@ class TestErrors:
     def test_syntax_error_reports_position(self):
         with pytest.raises(MapSpecParseError, match="line 1, column"):
             parse_map_spec('{"kind": "linear", "matrix": [[0 0.5]]}')
+
+    def test_an_integer_past_the_digit_limit_is_a_parse_error(self):
+        # json.loads raises a plain ValueError here, not a JSONDecodeError
+        text = '{"kind": "flipflop", "lambda": 1' + "0" * 5000 + "}"
+        with pytest.raises(MapSpecParseError) as got:
+            parse_map_spec(text)
+        assert str(got.value) == (
+            f"invalid JSON: an integer has more than {sys.get_int_max_str_digits()} digits")
 
     def test_negative_entry_is_semantic(self):
         with pytest.raises(MapSpecError, match="negative entry"):
@@ -105,6 +123,9 @@ class TestErrors:
                      id="negative entry"),
         pytest.param('{"kind": "maxpreserving", "gains": [["t^0"]]}',
                      lambda: maps.make_max_preserving([["t^0"]]), id="gain t^0"),
+        pytest.param('{"kind": "sumtable", "gains": [[null, "t^0"], [null, null]]}',
+                     lambda: maps.GainTable([[None, "t^0"], [None, None]], "sum"),
+                     id="sum gain t^0"),
         pytest.param('{"kind": "diagonal", "functions": ["0"]}', lambda: maps.make_diagonal(["0"]),
                      id="diagonal 0"),
         pytest.param('{"kind": "composition", "maps": ['
@@ -137,9 +158,11 @@ class TestErrors:
         ([1, 2], "map spec must be a JSON object, got list"),
         (3, "map spec must be a JSON object, got int"),
         ({"kind": "affine"}, "unknown map kind 'affine'; expected one of ('linear', 'chain', "
-                             "'flipflop', 'maxpreserving', 'diagonal', 'composition')"),
+                             "'flipflop', 'maxpreserving', 'sumtable', 'diagonal', "
+                             "'composition')"),
         ({"kind": ["linear"]}, "unknown map kind ['linear']; expected one of ('linear', 'chain', "
-                               "'flipflop', 'maxpreserving', 'diagonal', 'composition')"),
+                               "'flipflop', 'maxpreserving', 'sumtable', 'diagonal', "
+                               "'composition')"),
         ({"kind": "linear", "matrix": 5}, "matrix must be a nonempty list of rows"),
         ({"kind": "linear", "matrix": []}, "matrix must be a nonempty list of rows"),
         ({"kind": "maxpreserving", "gains": "x"}, "gains must be a nonempty list of rows"),
@@ -181,6 +204,8 @@ class TestRoundTrip:
         '{"kind": "chain", "n": 4}',
         '{"kind": "flipflop", "lambda": 0.25}',
         '{"kind": "maxpreserving", "gains": [["0", "0.50*t"], ["t + 0.5*t^2", "0"]]}',
+        '{"kind": "sumtable", "gains": [[null, "0.3*t", "0.1*t^2"], ["0.4*t", null, null],'
+        ' [null, "0.2*t + 0.05*t^2", null]]}',
         '{"kind": "diagonal", "functions": ["2*t", "max(t, t^2)"]}',
         '{"kind": "composition", "maps": ['
         ' {"kind": "diagonal", "functions": ["2*t", "2*t"]},'
@@ -220,9 +245,13 @@ class TestRoundTrip:
 @pytest.mark.parametrize("name,expected", [
     ("chain5", (0.2, 5.0)), ("flipflop", (0.5, 2.0)), ("maxgain_half", (1.0, 1.0)),
     ("scaled_swap", (1.0, 1.0)), ("swap_half", (1.0, 1.0)),
-], ids=["chain5", "flipflop", "maxgain_half", "scaled_swap", "swap_half"])
+    # out of the top level: the benchmark's certify workload runs every top-level
+    # example through an oracle that has no sum tables
+    ("sum/sumtable", (1.0, 2.0)),
+], ids=["chain5", "flipflop", "maxgain_half", "scaled_swap", "swap_half", "sumtable"])
 def test_example_specs_build_maps_that_know_their_degree(name, expected):
     from pathlib import Path
 
     path = Path(__file__).resolve().parents[1] / "mapspecs" / f"{name}.json"
     assert parse_map_spec(path.read_text()).build().degree == expected
+
