@@ -12,7 +12,7 @@ when the direct test keeps failing; runs end honestly at the iteration
 cap.
 
 **Policy step.**  For a map homogeneous of degree one, a point s decays
-with margin eps exactly when ``w = s/eps`` has ``T(w) + 1 <= w``.  So the
+with margin eps exactly when ``w = s/eps`` has ``w - T(w) >= 1``.  So the
 best margin on the sphere of radius r is ``eps_max = r/|w*|_1``, w* the
 least solution of ``w = T(w) + 1``, and there is no decay point at all
 where no solution exists (Gaubert & Gunawardena, "The Perron-Frobenius
@@ -30,7 +30,7 @@ is a row of some ``J(u)``.  Homogeneity alone makes one sphere point
 decide, convex or not: a sphere point p without a label at slack eps
 proves that no point decays, for a decay point s and
 ``l = max p_i/s_i >= 1``, attained at j, ``p <= l s`` gives
-``T(p)_j + eps <= l (s_j - eps) + eps <= p_j``, since
+``p_j - T(p)_j >= l s_j - l (s_j - eps) = l eps >= eps``, since
 ``T(p) <= T(l s) <= l T(s)``.  The solver computes w* from the policies,
 and tests one sphere point before the pre-phase:
 
@@ -54,8 +54,9 @@ and tests one sphere point before the pre-phase:
   ``w = sum_k P^k 1 >= 1``; a solve that is not finite is taken alike.
   For the Perron vector v of P (``linear.perron_direction``),
   ``T(v) >= P v = rho v >= v``, so v's sphere point p has
-  ``T(p) + eps > p`` in every component, no label at any slack, and its
-  one test ends the run in ``label_none``.
+  ``p - T(p) <= 0 < eps`` in every component, exactly in floating point:
+  no label at any slack, and its one test ends the run in
+  ``label_none``.
 
 Both points are tested directly, like every other sphere point, so
 rounding costs only speed: a point that neither certifies nor lacks a
@@ -133,7 +134,7 @@ from a callable.  Where eps lies within rounding of the margin, such a
 gain can still reach it, and the stage steps on (near ``eps_max``, where
 rounding defeats the policy step, that is what certifies).  The
 evaluation cap bounds the stage too.  Where the best point it reached
-has no label at eps (``T(p)_i + eps > p_i`` in every component), the
+has no label at eps (``p_i - T(p)_i < eps`` in every component), the
 stage ends the run in ``label_none`` there: a directly checked sphere
 point without a label, of the kind the walk's final rung ends on.  Like
 that one, it names a point, not a proof: a map that is not convex may
@@ -160,13 +161,14 @@ step costs one counted evaluation and stops at the first of two rules:
   the sphere at the box point ``q = w_k + t d_k``,
   ``t = (r - |w_k|_1)/|d_k|_1``.  If ``0 <= t < 1``,
   ``w_k <= q < w_{k+1} (1 - 1e-9)`` and ``|q|_1`` is within ``1e-9 r`` of
-  r, monotonicity gives ``T(q) + eps >= T(w_k) + eps = w_{k+1} > q``: q
+  r, monotonicity gives ``q - T(q) <= q - T(w_k) < w_{k+1} - T(w_k) =
+  eps``, the allowance ``1e-9`` covering the rounding of ``w_{k+1}``: q
   has no label, and the run ends in ``label_none`` there without
   evaluating it.  Otherwise (a component whose last step is 0, or
   ``|w_k|_1 > r``) the point ``p = r w_{k+1} / |w_{k+1}|_1`` is evaluated.
   If it has no label the run ends in ``label_none`` there; for
   subhomogeneous ``T`` it never has one, since
-  ``T(p) + eps >= l w_{k+1} + (1 - l) eps > p`` with
+  ``p - T(p) <= l w_{k+1} - l T(w_k) = l eps < eps`` with
   ``l = r / |w_{k+1}|_1 < 1``.  Otherwise only the final rung is walked:
   every inflated rung is infeasible too.
 
@@ -308,7 +310,9 @@ def _box_point(w: np.ndarray, up: np.ndarray, r: float) -> np.ndarray | None:
     """The point ``q = w + t (up - w)`` with ``|q|_1 = r``, if ``w <= q << up``; else None.
 
     Here ``up = T(w) + eps``; the step is ``up - w``.  For monotone T such a
-    point has no label at slack eps: ``T(q) + eps >= T(w) + eps = up > q``.
+    point has no label at slack eps: ``q - T(q) <= q - T(w) < up - T(w)``,
+    which is eps up to the rounding of ``up`` that ``q << up`` allows for,
+    so ``q - T(q) < eps`` holds through the ``1e-9`` allowance.
     """
     gap = r - float(np.sum(w))
     if gap < 0.0:
@@ -599,9 +603,9 @@ def find_decay_point(T: MonotoneMap, cfg: SolverConfig, n: int) -> SolveReport:
 
     On success, ``s_star`` passes the certificate test ``min(s* - Ts*) >=
     eps`` as computed in floating point (``margin`` is that minimum) and
-    lies on the sphere to within ``1e-9 * r``.  The labeling's sum form
-    ``(Ts*)_i + eps <= s*_i`` only labels points, and can disagree with the
-    certificate test within one rounding.  A failure is named
+    lies on the sphere to within ``1e-9 * r``; a label reads the same
+    difference, so ``s*`` carries a label at eps in every component.  A
+    failure is named
     ``iteration_cap`` (``max_iterations`` evaluations spent),
     ``label_none`` (``failure_point`` has no label at slack eps) or
     ``nonfinite`` (T is not finite at ``failure_point``).  The policy step,

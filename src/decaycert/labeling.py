@@ -1,9 +1,11 @@
 """Integer labeling of sphere points, and labeled vertex sets with their complete subsets.
 
-A point ``s`` gets the largest index ``i`` such that ``(Ts)_i + eps <= s_i``.
+A point ``s`` gets the largest index ``i`` such that ``s_i - (Ts)_i >= eps``,
+the same floating-point difference that the certificate ``min(s - Ts) >= eps``
+reads, so a point certifies exactly when every component carries a label
+at ``eps``, and a point with ``Ts >= s`` has no label at any ``eps``.
 The slack ``eps`` is the one documented robustness parameter of the whole
-method: a point found with this labeling decays with margin at least
-``eps`` in every component.
+method.
 ``None`` means no index qualifies; during a homotopy run that is treated
 as a hard failure of the covering hypothesis at the current slack.
 """
@@ -27,18 +29,18 @@ __all__ = [
 
 
 def label_index(s: np.ndarray, Ts: np.ndarray, slack: float) -> int | None:
-    """The labeling rule: largest i (0-based) with ``Ts[i] + slack <= s[i]``, or None.
+    """The labeling rule: largest i (0-based) with ``s[i] - Ts[i] >= slack``, or None.
 
     Inputs are not validated; the solver calls this on every label lookup.
     """
-    qualifying = np.where(Ts + slack <= s)[0]
+    qualifying = np.where(s - Ts >= slack)[0]
     if qualifying.size == 0:
         return None
     return int(qualifying[-1])
 
 
 def label_eps(T: MonotoneMap, s, eps: float) -> int | None:
-    """Label of ``s``: largest index i (1-based) with ``(Ts)_i + eps <= s_i``.
+    """Label of ``s``: largest index i (1-based) with ``s_i - (Ts)_i >= eps``.
 
     Returns None when no index qualifies.
     """

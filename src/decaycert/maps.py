@@ -74,8 +74,8 @@ class MonotoneMap:
     gain table (the flip-flop map is one, and the chain map a sum table) the
     gains' ``ScalarFn.derivative`` (for a max table, of each row's active
     gain, the first of its nonzero gains with the largest value; for a sum
-    table, of every nonzero gain), and :func:`compose` the chain rule when
-    every part has one.  A table's evaluation and Jacobian call each
+    table, of every nonzero gain), and :func:`compose` the chain rule, with
+    ``0 * inf`` read as 0, when every part has one.  A table's evaluation and Jacobian call each
     nonzero gain once, and no zero gain.
     A map built directly from a callable has none.  For a map of degree
     ``(1, 1)`` ``T(s) = J(s) s`` (Euler), and for a piecewise linear one
@@ -341,14 +341,25 @@ def make_diagonal(fns: Sequence) -> MonotoneMap:
     return _proven(MonotoneMap(len(rhos), fn, "diagonal"), span(map(degree, rhos)), jacobian)
 
 
+def _chain(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """``A @ B`` for Jacobians with entries >= 0, where ``0 * inf`` is 0.
+
+    An entry is inf where a positive entry meets an inf; the rest is the
+    product with every inf zeroed, so finite factors give ``A @ B`` itself.
+    """
+    inf = (np.isinf(A) @ (B > 0)) | ((A > 0) @ np.isinf(B))
+    return np.where(inf, np.inf, np.where(np.isinf(A), 0.0, A) @ np.where(np.isinf(B), 0.0, B))
+
+
 def compose(*maps: MonotoneMap) -> MonotoneMap:
     """Composition ``s -> maps[0](maps[1](... maps[-1](s)))``, applied right to left.
 
     A non-finite intermediate value is returned as is, since the next map rejects it.
     Each part's ``fn`` is called, with its output checked as ``__call__``
     checks it, so that a part is never counted as an evaluation of its own.
-    Its Jacobian is the chain rule's product when every part has one, and
-    its degree the products of its parts' ends when every part has one.
+    Its Jacobian is the chain rule's product, from the innermost part's and
+    with ``0 * inf = 0`` (``_chain``), when every part has one, and its
+    degree the products of its parts' ends when every part has one.
     """
     if not maps:
         raise ValueError("compose needs at least one map")
@@ -364,10 +375,10 @@ def compose(*maps: MonotoneMap) -> MonotoneMap:
         return s
 
     def jacobian(s: np.ndarray) -> np.ndarray:
-        J = np.eye(dims[0])
+        J = None
         with np.errstate(over="ignore", invalid="ignore"):  # the solver skips a non-finite J
             for m in reversed(maps):
-                J = m.jacobian(s) @ J
+                J = m.jacobian(s) if J is None else _chain(m.jacobian(s), J)
                 s = _output(m, s)
         return J
 

@@ -501,3 +501,17 @@ class TestRepoExamples:
                          "--max-iterations", "100000"])
             assert code in (0, 1), path.name
             capsys.readouterr()
+
+    def test_the_readme_find_example_prints_the_result_line_shown(self, capsys):
+        """README's ``decaycert find`` command prints the ``RESULT:`` line that README shows:
+        each value equal, or, where it ends in ``...``, a prefix (per ``s_star`` component)."""
+        lines = (REPO_SPECS.parent / "README.md").read_text().splitlines()
+        argv = next(line for line in lines if line.startswith("decaycert find ")).split()[1:]
+        shown = next(line for line in lines if line.startswith("RESULT: command=find "))
+        spec = argv.index("--map") + 1
+        argv[spec] = str(REPO_SPECS.parent / argv[spec])
+        assert main(argv) == 0
+        printed = result_fields(capsys)
+        for key, value in (part.split("=", 1) for part in shown[len("RESULT: "):].split()):
+            for want, got in zip(value.split(","), printed[key].split(","), strict=True):
+                assert got == want or (want.endswith("...") and got.startswith(want[:-3])), key

@@ -733,7 +733,7 @@ def test_proved_infeasible_run_ends_at_an_unevaluated_box_point(name, build, eps
     assert report.failure_reason == "label_none"
     q = report.failure_point
     assert abs(float(np.sum(q)) - r) <= 1e-9 * r
-    assert not np.any(T(q) + eps <= q)
+    assert np.all(q - T(q) < eps)
     assert len(seen) == report.iterations
     assert not any(np.array_equal(q, point) for point in seen)
 

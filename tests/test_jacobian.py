@@ -129,10 +129,39 @@ def test_a_fractional_power_at_zero_has_an_infinite_derivative():
     assert make_flipflop_map(0.5).jacobian(np.array([1.0, 0.0]))[0, 1] == np.inf
     assert make_diagonal(["t^0.5", "t"]).jacobian(np.array([0.0, 1.0])).tolist() == [
         [np.inf, 0.0], [0.0, 1.0]]
-    # the chain rule's product may turn inf * 0 into NaN; the solver skips either
+    # the chain rule's product keeps the inf; the solver skips a J that is not finite
     J = compose(make_linear_map(np.eye(2)), make_diagonal(["t^0.5", "t"])).jacobian(
         np.array([0.0, 1.0]))
     assert not np.isfinite(J[0, 0])
+
+
+@pytest.mark.parametrize("point", [[0.0, 0.0], [0.0, 1.0]])
+def test_a_composition_takes_zero_times_inf_as_zero(point):
+    # diag(t^0.25, t) has the derivative diag(inf, 1) at both points; a product seeded
+    # with the identity matrix would read inf * 0 as NaN: [[inf, nan], [nan, nan]]
+    T = compose(make_linear_map([[0.5, 0], [0, 1]]), make_diagonal(["t^0.25", "t"]))
+    assert T.jacobian(np.array(point)).tolist() == [[np.inf, 0.0], [0.0, 1.0]]
+
+
+@st.composite
+def finite_compositions(draw):
+    n = draw(st.integers(2, 4))
+    parts = draw(st.lists(leaf_maps(n), min_size=2, max_size=4))
+    s = np.array(draw(st.lists(st.floats(0.1, 2.0), min_size=n, max_size=n)))
+    return parts, s
+
+
+@hypothesis.settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@hypothesis.given(finite_compositions())
+def test_a_finite_composition_is_the_plain_product(case):
+    parts, s = case
+    J, point = np.eye(len(s)), s
+    with np.errstate(all="ignore"):  # a zero value gives t^0.5 an infinite derivative
+        for m in reversed(parts):
+            J = m.jacobian(point) @ J
+            point = m(point)
+    hypothesis.assume(np.all(np.isfinite(J)))
+    assert compose(*parts).jacobian(s).tobytes() == J.tobytes()
 
 
 def test_a_map_from_a_callable_has_none():

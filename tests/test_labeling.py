@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from decaycert.labeling import LabeledVertexSet, label_eps, omega_membership
+from decaycert.labeling import LabeledVertexSet, label_eps, label_index, omega_membership
 from decaycert.maps import make_linear_map
 
 
@@ -37,6 +37,32 @@ class TestLabelEps:
     def test_rejects_non_finite_eps(self, eps):
         with pytest.raises(ValueError, match="eps must be positive and finite"):
             label_eps(SWAP_HALF, [6, 4], eps)
+
+
+class TestLabelIndex:
+    """A label reads the difference ``s - Ts`` that the certificate ``min(s - Ts) >= eps`` reads."""
+
+    def test_labels_and_the_certificate_agree_at_one_ulp(self):
+        # 20,000 points of 3 components with p > t, each at eps = p - t of one
+        # component and one ulp either side: 60,000 triples.  The sum form
+        # t + eps <= p disagrees with p - t >= eps within one rounding, either way.
+        rng = np.random.default_rng(0)
+        draws = rng.random((20_000, 3, 2)) * 10.0
+        ps, ts = draws.max(axis=2), draws.min(axis=2)
+        picks = rng.integers(0, 3, size=len(ps))
+        disagreements = 0
+        for p, t, k in zip(ps, ts, picks):
+            gap = p[k] - t[k]
+            for eps in (np.nextafter(gap, 0.0), gap, np.nextafter(gap, np.inf)):
+                none = label_index(p, t, eps) is None
+                every = all(label_index(p[[i]], t[[i]], eps) is not None for i in range(3))
+                disagreements += none != (float(np.max(p - t)) < eps)
+                disagreements += every != (float(np.min(p - t)) >= eps)
+        assert disagreements == 0
+
+    def test_a_tie_has_no_label_at_any_slack(self):
+        # 5 + 1e-300 rounds to 5, so a sum form 5 + 1e-300 <= 5 would label it
+        assert label_index(np.array([5.0]), np.array([5.0]), 1e-300) is None
 
 
 class TestOmegaMembership:

@@ -66,7 +66,7 @@ def check_infeasible(T, eps, cap):
     report = find_decay_point(T, SolverConfig(R, eps, cap), T.dimension)
     assert report.failure_reason == "label_none"
     p = report.failure_point
-    assert not np.any(T(p) + eps <= p)
+    assert np.all(p - T(p) < eps)
     assert abs(float(np.sum(p)) - R) <= 1e-9 * R
     return report
 
@@ -530,6 +530,26 @@ def test_a_ray_that_climbs_by_eps_ends_within_the_cap(build):
     assert twin.failure_point.tolist() == [5.0, 5.0]
     twin = without_sphere_stage(callable_twin(T), cfg, 2)
     assert (twin.failure_reason, twin.iterations) == ("iteration_cap", CAP)
+
+
+@pytest.mark.parametrize("eps", [1e-300, 1e-17, 4e-16])
+@pytest.mark.parametrize("build", [lambda: make_linear_map([[1, 0], [0, 0.5]]),
+                                   lambda: make_max_preserving([[None, "t"], ["t", None]])],
+                         ids=["unit-eigenvalue", "unit-swap"])
+def test_a_slack_below_half_an_ulp_still_finds_no_label(build, eps):
+    """Neither map has ``w*``, and the sphere point p of its Perron vector has
+    ``T(p) >= p``: ``(10, 0)`` from ``e_1``, and the swap's fixed point ``(5, 5)``.
+
+    ``p - T(p) <= 0 < eps`` holds exactly in floating point, so p has no
+    label at any eps, and one evaluation ends the run.  These eps lie below
+    half an ulp of 5 and 10, where ``T(p)_i + eps`` rounds back to ``p_i``,
+    so a sum form ``T(p)_i + eps <= p_i`` would label p.
+    """
+    T = build()
+    report = find_decay_point(T, SolverConfig(R, eps, CAP), 2)
+    assert (report.failure_reason, report.iterations) == ("label_none", 1)
+    p = report.failure_point
+    assert np.all(p - T(p) <= 0.0)
 
 
 @pytest.mark.parametrize("gain", ["0", "0.5*t"])
