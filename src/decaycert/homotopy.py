@@ -154,8 +154,7 @@ step costs one counted evaluation and stops at the first of two rules:
   whose ``MonotoneMap.degree`` has ``hi <= 1``; Lemmens & Nussbaum,
   *Nonlinear Perron-Frobenius Theory*, 2012) the bound proves that ``p``
   passes; for linear ``T`` it is the optimum ``~ (I - A)^-1 1``.  If ``p``
-  fails (a map that is not subhomogeneous), the whole ladder below is
-  walked.
+  fails (a map that is not subhomogeneous), the walk runs.
 * **no decay point**: ``|w_{k+1}|_1 > r (1 + 1e-9)``, so no sphere point
   lies above ``w_{k+1}``.  The last step ``d_k = w_{k+1} - w_k`` crosses
   the sphere at the box point ``q = w_k + t d_k``,
@@ -169,8 +168,8 @@ step costs one counted evaluation and stops at the first of two rules:
   If it has no label the run ends in ``label_none`` there; for
   subhomogeneous ``T`` it never has one, since
   ``p - T(p) <= l w_{k+1} - l T(w_k) = l eps < eps`` with
-  ``l = r / |w_{k+1}|_1 < 1``.  Otherwise only the final rung is walked:
-  every inflated rung is infeasible too.
+  ``l = r / |w_{k+1}|_1 < 1``.  Otherwise the walk runs; as no point
+  certifies, it ends in ``label_none`` or at the cap.
 
 Both are proofs, and no third rule is needed: bounded iterates converge,
 so the candidate bound ``(r/|w_k|_1)(eps - max(w_{k+1} - w_k))`` tends to
@@ -184,12 +183,14 @@ The iterates and the differences are not sphere points and never enter
 the memo, so only a sphere point that passed the direct margin test is
 ever returned.
 
-**The walk** (``_walk``) is the paper's method, and it runs last, on
-the slack rungs that ``_pre_phase`` returns: the whole ladder below
-after a failed candidate, only the final rung after a norm proof at a
-point with a label.  ``find_decay_point`` is the four stages in order,
-``_policy_step``, ``_sphere_stage``, ``_pre_phase`` and ``_walk``; each
-ends the search by raising ``_Finished``.
+**The walk** (``_walk``) is the paper's method, and it runs last,
+always down the whole slack ladder below.  ``find_decay_point`` is the
+four stages in order, ``_policy_step``, ``_sphere_stage``, ``_pre_phase``
+and ``_walk``; each ends the search by raising ``_Finished``, or hands
+the run on to the next.  Every label a stage reads goes through
+``_Evaluator.label``, which ends the run in ``label_none`` at a sphere
+point without a label at eps; only the pre-phase's box point ends there
+unevaluated.
 
 One practical subtlety drives the structure below.  Complete cells of
 the slack-``d`` labeling contract onto points whose worst component
@@ -223,6 +224,7 @@ once, whichever of the two the solver meets first.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, field
 
@@ -276,8 +278,7 @@ class _Finished(Exception):
 
 
 class _NoLabel(Exception):
-    def __init__(self, point: np.ndarray):
-        self.point = point
+    """A sphere point without a label at an inflated slack: the walk steps down a rung."""
 
 
 # Relative rounding allowance of the policy step, the sphere stage's stop and the
@@ -331,10 +332,11 @@ class _Evaluator:
 
     Every sphere point is evaluated through ``__call__``, which ends the
     search by raising ``_Finished`` at the cap, at a value that is not
-    finite, and at a new point that passes the certificate test.  The
-    pre-phase's iterates and the sphere stage's differences, which are not
-    sphere points, go through ``call`` alone (the iterates also through
-    ``margin``).
+    finite, and at a new point that passes the certificate test; every
+    label is read through ``label``, which also ends it at a point without
+    a label at eps.  The pre-phase's iterates and the sphere stage's
+    differences, which are not sphere points, go through ``call`` alone
+    (the iterates also through ``margin``).
     """
 
     def __init__(self, T: MonotoneMap, cfg: SolverConfig):
@@ -380,6 +382,17 @@ class _Evaluator:
             raise self.end(None, point, margin)
         self.memo[point.tobytes()] = value.tobytes()
         return value
+
+    def label(self, point: np.ndarray, slack: float) -> int:
+        """The label of the sphere point ``point`` at ``slack``, from ``T(point)`` by ``__call__``.
+
+        A point without one ends the search in ``label_none`` there at
+        slack eps, and raises ``_NoLabel`` at an inflated slack.
+        """
+        label = label_index(point, self(point), slack)
+        if label is None:
+            raise self.end("label_none", point) if slack == self.eps else _NoLabel()
+        return label
 
 
 def _on_sphere(v: np.ndarray, r: float) -> np.ndarray:
@@ -484,15 +497,12 @@ def _policy_step(ev: _Evaluator) -> None:
     """The policy step of a degree-one T: test the sphere point that policy iteration names, once.
 
     Ends the search through ``ev`` where that point certifies, has no
-    label or has a value that is not finite, and else returns, for the
-    sphere stage and the pre-phase to run.
+    label (by homogeneity, then no point decays) or has a value that is
+    not finite, and else returns, for the sphere stage to run.
     """
     v = _policy_point(ev.T) if ev.T.degree == (1.0, 1.0) else None
-    if v is None:
-        return
-    p = _on_sphere(v, ev.r)
-    if label_index(p, ev(p), ev.eps) is None:  # by homogeneity, no point decays
-        raise ev.end("label_none", p)
+    if v is not None:
+        ev.label(_on_sphere(v, ev.r), ev.eps)
 
 
 def _sphere_stage(ev: _Evaluator) -> None:
@@ -517,7 +527,7 @@ def _sphere_stage(ev: _Evaluator) -> None:
         margin = float(np.min(p - Tp))
         if margin <= best_margin:
             break
-        gain, best, best_margin = margin - best_margin, (p, Tp), margin
+        gain, best, best_margin = margin - best_margin, p, margin
         if gain <= _ROUNDING * r < ev.eps - margin:  # a gain within rounding, and eps beyond it
             break
         if T.jacobian is None:
@@ -526,64 +536,53 @@ def _sphere_stage(ev: _Evaluator) -> None:
         else:
             J = T.jacobian(p)
         p = _newton_point(J, p, Tp, r)
-    if label_index(*best, ev.eps) is None:
-        raise ev.end("label_none", best[0])
+    ev.label(best, ev.eps)
 
 
-def _pre_phase(ev: _Evaluator) -> list[float]:
-    """The order-interval pre-phase; the slack rungs left to walk.
+def _pre_phase(ev: _Evaluator) -> None:
+    """The order-interval pre-phase: it ends the search through ``ev``, or returns for the walk.
 
-    It either ends the search through ``ev`` or returns the rungs of
-    ``_slack_ladder`` that the walk must still try.  Its rules and proofs
-    are in the module docstring.
+    Its rules and proofs are in the module docstring.
     """
-    r, eps, n = ev.r, ev.eps, ev.T.dimension
-    w = np.full(n, eps)
+    r, eps = ev.r, ev.eps
+    w = np.full(ev.T.dimension, eps)
     while True:
         Tw = ev.call(w)
         margin = ev.margin(w, Tw)
         if (r / float(np.sum(w))) * margin >= eps * (1.0 + _ROUNDING):  # the candidate
             ev(_on_sphere(w, r))
-            return _slack_ladder(eps, r, n)
+            return
         up = Tw + eps
         if float(np.sum(up)) > r * (1.0 + _ROUNDING):  # no decay point exists
             p = _box_point(w, up, r)
-            if p is None:
-                p = _on_sphere(up, r)
-                if label_index(p, ev(p), eps) is not None:
-                    return [eps]
-            raise ev.end("label_none", p)
+            if p is not None:
+                raise ev.end("label_none", p)
+            ev.label(_on_sphere(up, r), eps)
+            return
         w = up
 
 
-def _walk(ev: _Evaluator, rungs: list[float]) -> None:
-    """The refining simplicial walk over the labeling slacks ``rungs``, the last of them eps.
+def _walk(ev: _Evaluator) -> None:
+    """The refining simplicial walk down the whole slack ladder, ``_slack_ladder(eps, r, n)``.
 
     Ends the search through ``ev``: where a point certifies, at the cap,
-    at a value that is not finite, or where the covering fails at the
-    final rung.  A rung whose covering fails at an inflated slack steps
-    down to the next.
+    at a value that is not finite, or at a point without a label at the
+    final rung, eps.  A point without a label at an inflated slack steps
+    down to the next rung.
     """
     r, n = ev.r, ev.T.dimension
-    for slack in rungs:
-        try:
+    for slack in _slack_ladder(ev.eps, r, n):
+        with contextlib.suppress(_NoLabel):
             m = 2
             while True:
                 scale = r / m
 
                 def label_of(z: tuple[int, ...]) -> int:
-                    point = np.asarray(z, dtype=float) * scale
-                    label = label_index(point, ev(point), slack)
-                    if label is None:
-                        raise _NoLabel(point)
-                    return label
+                    return ev.label(np.asarray(z, dtype=float) * scale, slack)
 
                 verts = CompleteCellSearch(m, n, label_of).find()
                 ev(np.asarray(verts, dtype=float).mean(axis=0) * scale)
                 m *= 2
-        except _NoLabel as miss:
-            if slack == ev.eps:
-                raise ev.end("label_none", miss.point)
 
 
 def check_sphere(r: float, n: int, name: str = "n") -> None:
@@ -621,7 +620,8 @@ def find_decay_point(T: MonotoneMap, cfg: SolverConfig, n: int) -> SolveReport:
         with np.errstate(over="ignore"):
             _policy_step(ev)
             _sphere_stage(ev)
-            _walk(ev, _pre_phase(ev))
+            _pre_phase(ev)
+            _walk(ev)
     except _Finished as finished:
         return finished.report
     raise AssertionError("slack ladder ended without a rung at eps")  # pragma: no cover

@@ -164,9 +164,7 @@ class CompleteCellSearch:
     def find(self) -> list[tuple[int, ...]]:
         """Vertices of the first completely-labeled cell of the sphere grid."""
         corner = (self.m,) + (0,) * (self.n - 1)
-        labels = [self._label(corner)]
-        if labels[0] != 0:
-            raise WalkError(f"corner {corner} labeled {labels[0]}")
+        labels = [self._label(corner)]  # 0, the corner's support
         k, cell = 1, (corner, ())
         seen: set[Cell] = set()  # cells of the current face segment
         while True:

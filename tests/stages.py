@@ -13,8 +13,7 @@ test that means a later stage says how it gets there:
   sphere stage a no-op, so the run reaches the pre-phase after the policy
   step;
 * ``plain_walk(T, cfg, n)`` runs the paper's plain method on T itself: no
-  policy step, no sphere stage or pre-phase, and the whole slack ladder
-  walked;
+  policy step, no sphere stage and no pre-phase, only the walk;
 * ``recorded()`` records the points at which maps are evaluated, and
   leaves every map as it was built.
 """
@@ -46,17 +45,14 @@ def without_sphere_stage(T: MonotoneMap, cfg: SolverConfig, n: int) -> SolveRepo
 def plain_walk(T: MonotoneMap, cfg: SolverConfig, n: int) -> SolveReport:
     """``find_decay_point(T, cfg, n)`` as the paper's plain method.
 
-    The policy step and the sphere stage do nothing and ``_pre_phase``
-    returns the whole slack ladder, so the run is the walk alone; the
-    memo, the cap, the report and the solve's own entry point
-    (``homotopy.find_decay_point``, looked up at call time, as a tracer
-    replaces it) are the solver's.
+    The policy step, the sphere stage and the pre-phase do nothing, so the
+    run is the walk alone; the memo, the cap, the report and the solve's
+    own entry point (``homotopy.find_decay_point``, looked up at call
+    time, as a tracer replaces it) are the solver's.
     """
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(homotopy, "_policy_step", lambda ev: None)
-        patch.setattr(homotopy, "_sphere_stage", lambda ev: None)
-        patch.setattr(homotopy, "_pre_phase",
-                      lambda ev: homotopy._slack_ladder(ev.eps, ev.r, ev.T.dimension))
+        for stage in ("_policy_step", "_sphere_stage", "_pre_phase"):
+            patch.setattr(homotopy, stage, lambda ev: None)
         return homotopy.find_decay_point(T, cfg, n)
 
 

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -501,6 +504,19 @@ class TestRepoExamples:
                          "--max-iterations", "100000"])
             assert code in (0, 1), path.name
             capsys.readouterr()
+
+    def test_the_module_entry_point_prints_what_main_prints(self, capsys):
+        """``python -m decaycert`` runs ``cli.main`` and exits with its code."""
+        argv = ["find", "--map", str(REPO_SPECS / "chain5.json"), "-r", "10", "--epsilon", "0.1"]
+        path = os.pathsep.join(filter(None, [str(REPO_SPECS.parent / "src"),
+                                             os.environ.get("PYTHONPATH")]))
+        run = subprocess.run([sys.executable, "-m", "decaycert", *argv], capture_output=True,
+                             text=True, env={**os.environ, "PYTHONPATH": path}, check=False)
+        assert run.returncode == main(argv) == 0
+        shown = [line for line in run.stdout.splitlines() if line.startswith("RESULT: ")]
+        printed = [line for line in capsys.readouterr().out.splitlines()
+                   if line.startswith("RESULT: ")]
+        assert len(shown) == 1 and shown == printed
 
     def test_the_readme_find_example_prints_the_result_line_shown(self, capsys):
         """README's ``decaycert find`` command prints the ``RESULT:`` line that README shows:

@@ -1,6 +1,8 @@
+import ast
 import hashlib
 import math
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -203,12 +205,14 @@ class TestFindDecayPoint:
         assert (report.failure_reason, report.iterations) == ("nonfinite", 2)
         np.testing.assert_allclose(report.failure_point, [0.19, 0.19], rtol=1e-15)
 
-    def test_proved_infeasible_point_with_a_label_walks_only_the_final_rung(self, monkeypatch):
+    def test_proved_infeasible_point_with_a_label_walks_the_whole_ladder(self, monkeypatch):
         # no decay point: s1 >= 2 + 8 forces s2 >= s1^2 + 8 >= 108 > r.  The first
         # component saturates, so the last pre-phase step is 0 there and no box
         # point exists; T is not subhomogeneous, and the iterate scaled to the
         # sphere has a label.  The sphere stage would end the run at its best
-        # point, which has no label, before the pre-phase
+        # point, which has no label, before the pre-phase.  The three inflated
+        # rungs each stop at level 8, at lattice points that the final rung's walk
+        # meets as well, so they add no evaluation to the final rung's 35
         search_cls = homotopy.CompleteCellSearch
         rungs = 0
 
@@ -222,9 +226,10 @@ class TestFindDecayPoint:
                         "saturating")
         cfg = SolverConfig(r=100.0, epsilon=8.0, max_iterations=10_000)
         report = without_sphere_stage(T, cfg, 2)
-        assert report.failure_reason == "label_none"
-        assert rungs == 1 < len(homotopy._slack_ladder(8.0, 100.0, 2))
+        assert (report.failure_reason, report.iterations) == ("label_none", 35)
+        assert rungs == len(homotopy._slack_ladder(8.0, 100.0, 2)) == 4
         p = report.failure_point
+        assert p.tolist() == [9.375, 90.625]
         assert not np.any(T(p) + 8.0 <= p)
         assert abs(float(np.sum(p)) - 100.0) <= 1e-9 * 100.0
 
@@ -318,6 +323,22 @@ class TestFindDecayPoint:
             find_decay_point(T, SolverConfig(r=r, epsilon=r), n)
         report = find_decay_point(T, SolverConfig(r=n * 5e-324, epsilon=r), n)  # r/n is positive
         assert report.iterations >= 1
+
+
+def test_a_label_is_read_only_through_the_evaluator():
+    """``label_index`` is called once in ``homotopy``, inside ``_Evaluator.label``,
+    the one place where a sphere point without a label ends the run."""
+    tree = ast.parse(Path(homotopy.__file__).read_text())
+
+    def calls(node):
+        return [call.lineno for call in ast.walk(node)
+                if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "label_index"]
+
+    evaluator = next(node for node in tree.body
+                     if isinstance(node, ast.ClassDef) and node.name == "_Evaluator")
+    methods = {node.name: node for node in evaluator.body if isinstance(node, ast.FunctionDef)}
+    assert "label" in methods
+    assert len(calls(tree)) == 1 and calls(tree) == calls(methods["label"])
 
 
 def test_slack_ladder_rungs():
@@ -443,7 +464,7 @@ def test_the_flipflop_map_near_its_witness_margin_takes_few_evaluations():
 
     Both rows are one power term, ``sqrt(s_2)`` and ``lam s_1^2``, so the
     degree model is exact and its point has the best margin of the sphere.
-    The affine model took three steps; the walk alone takes 381 evaluations.
+    The affine model took three steps; the walk alone takes 369 evaluations (WALK_SET).
     """
     T = make_flipflop_map(0.8)
     cfg = SolverConfig(r=10.0, epsilon=0.97 * flipflop_witness_margin(0.8),
@@ -451,6 +472,39 @@ def test_the_flipflop_map_near_its_witness_margin_takes_few_evaluations():
     report = find_decay_point(T, cfg, 2)
     check_success_postcondition(T, cfg, report)
     assert report.iterations == 2
+
+
+# The walk set: the paper's plain method (``plain_walk``) at r = 10 and a cap
+# of 100,000 on the chain map, n = 6..9, and the flip-flop map, lam = 0.5 and
+# 0.8, at 0.5, 0.9 and 0.97 of their witness margins, and on superlinear(n)
+# at eps = 0.1, n = 5..12: 26 solves, 411,690 evaluations.  Each entry is
+# (name, a callable giving the map and eps, evaluations to success); None
+# marks the four chain solves that spend the cap.  They take 20-30 s, so
+# only a CI step runs them, with the rest of the set.
+WALK_SET = (
+    [(f"chain n={n} at {f}", lambda n=n, f=f: (make_chain_map(n), f * chain_witness_margin(n)),
+      count)
+     for n, counts in ((6, (33, 169, 195)), (7, (42, 222, 404)), (8, (55, None, None)),
+                       (9, (67, None, None)))
+     for f, count in zip((0.5, 0.9, 0.97), counts)]
+    + [(f"flip-flop lam={lam} at {f}",
+        lambda lam=lam, f=f: (make_flipflop_map(lam), f * flipflop_witness_margin(lam)), count)
+       for lam, counts in ((0.5, (9, 48, 91)), (0.8, (15, 187, 369)))
+       for f, count in zip((0.5, 0.9, 0.97), counts)]
+    + [(f"superlinear n={n}", lambda n=n: (superlinear(n), 0.1), count)
+       for n, count in zip(range(5, 13), (365, 929, 616, 560, 1888, 1124, 1127, 3175))]
+)
+
+
+@pytest.mark.parametrize("build, count", [(build, count) for _, build, count in WALK_SET
+                                          if count is not None],
+                         ids=[name for name, _, count in WALK_SET if count is not None])
+def test_the_plain_walk_set_before_the_cap(build, count):
+    T, eps = build()
+    cfg = SolverConfig(r=10.0, epsilon=eps, max_iterations=100_000)
+    report = plain_walk(T, cfg, T.dimension)
+    check_success_postcondition(T, cfg, report)
+    assert report.iterations == count
 
 
 def newton_point(T: MonotoneMap, p: np.ndarray) -> np.ndarray | None:
@@ -780,7 +834,7 @@ def test_lower_end_does_not_end_a_nonlinear_run():
 
 @pytest.mark.parametrize("n", [6, 8, 10, 12])
 def test_sphere_stage_answers_a_superlinear_map(n):
-    # the sphere stage's first point r 1/n fails; the walk alone takes 568-3,189 evaluations
+    # the sphere stage's first point r 1/n fails; the walk alone takes 560-3,175 (WALK_SET)
     T = superlinear(n)
     cfg = SolverConfig(r=10.0, epsilon=0.1, max_iterations=100_000)
     report = find_decay_point(T, cfg, n)

@@ -6,6 +6,7 @@ the cell count, validates pivot reflections, and confirms that the walk's
 answer is a genuinely completely-labeled cell.
 """
 
+import re
 from itertools import permutations
 
 import numpy as np
@@ -14,6 +15,7 @@ import pytest
 from decaycert import triangulation
 from decaycert.triangulation import (
     CompleteCellSearch,
+    WalkError,
     attach,
     cell_vertices,
     facet_as_subcell,
@@ -176,6 +178,14 @@ class TestWalk:
 
         with pytest.raises(Boom):
             CompleteCellSearch(2, 3, label_of).find()
+
+    @pytest.mark.parametrize("n, label_of, message", [
+        (2, lambda z: 1, "label 1 outside the support of (2, 0)"),  # the corner
+        (3, lambda z: 0 if z[0] == 2 else 2, "label 2 outside the support of (1, 1, 0)"),
+    ])
+    def test_a_label_outside_its_points_support_is_refused(self, n, label_of, message):
+        with pytest.raises(WalkError, match=rf"^{re.escape(message)}$"):
+            CompleteCellSearch(2, n, label_of).find()
 
     def test_rejects_degenerate_sizes(self):
         with pytest.raises(ValueError):
