@@ -166,8 +166,7 @@ def cmd_sweep(args) -> int:
 def cmd_spectral(args) -> int:
     spec = parse_map_spec(Path(args.map).read_text())
     if spec.kind != "linear":
-        print(f"error: spectral needs a linear map spec, got kind {spec.kind!r}", file=sys.stderr)
-        return 2
+        raise ValueError(f"spectral needs a linear map spec, got kind {spec.kind!r}")
     A = np.array(spec.data)
     rho = spectral_radius(A)
     print(f"spectral radius: {rho:.12g}")
@@ -238,8 +237,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one subcommand.  Every refusal a command raises ends here: one ``error:``
+    line on stderr and exit code 2."""
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (OSError, ValueError, RecursionError) as exc:  # MapSpec errors; too-deep specs

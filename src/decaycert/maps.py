@@ -113,7 +113,7 @@ def _output(T: MonotoneMap, s: np.ndarray) -> np.ndarray:
     out = np.asarray(T.fn(s), dtype=float)
     if out.shape != (T.dimension,):
         raise ValueError(f"map returned shape {out.shape}, expected ({T.dimension},)")
-    if np.any(out < 0.0):
+    if (out < 0.0).any():  # the method, not np.any's dispatching wrapper
         raise ValueError(f"map produced a negative component: {out}")
     return out
 

@@ -1,5 +1,7 @@
+import ast
 import json
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -470,6 +472,13 @@ class TestSpectral:
         code = main(["spectral", "--map", str(REPO_SPECS / "chain5.json")])
         assert code == 2
 
+    def test_nonlinear_spec_is_one_error_line(self, capsys):
+        code = main(["spectral", "--map", str(REPO_SPECS / "chain5.json")])
+        printed = capsys.readouterr()
+        assert code == 2
+        assert printed.out == ""
+        assert printed.err == "error: spectral needs a linear map spec, got kind 'chain'\n"
+
     def test_defective_matrix_reports_its_radius(self, tmp_path, capsys):
         # a contractive Jordan block: one eigenvector for a double eigenvalue
         spec = write_spec(tmp_path, {"kind": "linear", "matrix": [[0.5, 1], [0, 0.5]]})
@@ -518,6 +527,17 @@ class TestRepoExamples:
                    if line.startswith("RESULT: ")]
         assert len(shown) == 1 and shown == printed
 
+    def test_the_module_entry_point_runs_in_process(self, capsys, monkeypatch):
+        """``decaycert.__main__`` run here, not in a subprocess, so a tracer sees its lines."""
+        argv = ["spectral", "--map", str(REPO_SPECS / "swap_half.json")]
+        assert main(argv) == 0
+        printed = capsys.readouterr()
+        monkeypatch.setattr(sys, "argv", ["decaycert", *argv])
+        with pytest.raises(SystemExit) as exited:
+            runpy.run_module("decaycert", run_name="__main__")
+        assert exited.value.code == 0
+        assert capsys.readouterr() == printed
+
     def test_the_readme_find_example_prints_the_result_line_shown(self, capsys):
         """README's ``decaycert find`` command prints the ``RESULT:`` line that README shows:
         each value equal, or, where it ends in ``...``, a prefix (per ``s_star`` component)."""
@@ -531,3 +551,25 @@ class TestRepoExamples:
         for key, value in (part.split("=", 1) for part in shown[len("RESULT: "):].split()):
             for want, got in zip(value.split(","), printed[key].split(","), strict=True):
                 assert got == want or (want.endswith("...") and got.startswith(want[:-3])), key
+
+
+def test_only_main_prints_to_stderr():
+    """``cli.main`` is the one door for a refusal: only ``cli.py`` prints, and only ``main``
+    passes ``file=`` to ``print`` or names ``sys.stderr``."""
+    printing, stderr = set(), set()
+    for path in sorted((REPO_SPECS.parent / "src" / "decaycert").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        owner = {}  # node -> name of its innermost function; ast.walk visits outer ones first
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update((node, func.name) for node in ast.walk(func))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "print":
+                printing.add(path.name)
+                if any(keyword.arg == "file" for keyword in node.keywords):
+                    stderr.add((path.name, owner.get(node)))
+            if (isinstance(node, ast.Attribute) and node.attr == "stderr"
+                    and getattr(node.value, "id", None) == "sys"):
+                stderr.add((path.name, owner.get(node)))
+    assert printing == {"cli.py"}
+    assert stderr == {("cli.py", "main")}

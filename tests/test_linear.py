@@ -92,6 +92,12 @@ class TestRandomContractive:
     def test_entries_nonnegative(self):
         assert np.all(random_contractive(6, 1.2, seed=2) >= 0.0)
 
+    def test_rejects_a_draw_with_radius_zero(self, monkeypatch):
+        # a uniform draw is almost surely positive, so only a stand-in radius reaches this
+        monkeypatch.setattr("decaycert.linear.spectral_radius", lambda A: 0.0)
+        with pytest.raises(ValueError, match="^seed 3 drew a matrix with spectral radius 0$"):
+            random_contractive(2, 0.5, seed=3)
+
     @pytest.mark.parametrize("rho", [float("nan"), float("inf")])
     def test_rejects_non_finite_target(self, rho):
         with pytest.raises(ValueError, match="rho_target must be positive and finite"):

@@ -6,6 +6,7 @@ the cell count, validates pivot reflections, and confirms that the walk's
 answer is a genuinely completely-labeled cell.
 """
 
+import random
 import re
 from itertools import permutations
 
@@ -105,6 +106,18 @@ class TestCellAlgebra:
                 # and the facet recovered from the attached cell is the sub-cell
                 assert set(cell_vertices(facet_as_subcell(cell, 0))) == set(vs)
 
+    @pytest.mark.parametrize("call, message", [
+        (lambda: attach(((2, 0, 0), (0,))),
+         "attach produced an invalid base (2, -1, 1) from ((2, 0, 0), (0,))"),
+        (lambda: facet_as_subcell(((1, 1, 0), (1, 0)), 1),
+         "facet opposite position 1 of ((1, 1, 0), (1, 0)) is not on the sub-face"),
+        (lambda: facet_as_subcell(((0, 0, 2), (1, 0)), 0),
+         "facet ((0, 1, 1), (0,)) does not lie in the sub-face of ((0, 0, 2), (1, 0))"),
+    ], ids=["attach-off-the-face", "facet-not-opposite-vertex-0", "facet-off-the-sub-face"])
+    def test_a_cell_off_the_boundary_is_refused(self, call, message):
+        with pytest.raises(WalkError, match=rf"^{re.escape(message)}$"):
+            call()
+
 
 class TestWalk:
     def test_finds_complete_cell_under_random_labelings(self):
@@ -168,6 +181,16 @@ class TestWalk:
                 found = CompleteCellSearch(m, n, label_of).find()
                 assert sorted(memo[v] for v in found) == list(range(n))
                 assert calls == brought_in + 1
+
+    def test_a_label_that_changes_between_lookups_is_caught_by_a_revisit(self):
+        # no memo: each lookup redraws from the support, so the walk's invariant breaks
+        rng = random.Random(149)
+
+        def label_of(z):
+            return rng.choice([i for i, c in enumerate(z) if c > 0])
+
+        with pytest.raises(WalkError, match=r"^walk revisited cell \(\(6, 1, 1\), \(1, 0\)\)$"):
+            CompleteCellSearch(8, 3, label_of).find()
 
     def test_label_exceptions_propagate(self):
         class Boom(Exception):
