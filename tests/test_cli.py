@@ -1,7 +1,6 @@
 import ast
 import json
 import os
-import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -526,17 +525,6 @@ class TestRepoExamples:
         printed = [line for line in capsys.readouterr().out.splitlines()
                    if line.startswith("RESULT: ")]
         assert len(shown) == 1 and shown == printed
-
-    def test_the_module_entry_point_runs_in_process(self, capsys, monkeypatch):
-        """``decaycert.__main__`` run here, not in a subprocess, so a tracer sees its lines."""
-        argv = ["spectral", "--map", str(REPO_SPECS / "swap_half.json")]
-        assert main(argv) == 0
-        printed = capsys.readouterr()
-        monkeypatch.setattr(sys, "argv", ["decaycert", *argv])
-        with pytest.raises(SystemExit) as exited:
-            runpy.run_module("decaycert", run_name="__main__")
-        assert exited.value.code == 0
-        assert capsys.readouterr() == printed
 
     def test_the_readme_find_example_prints_the_result_line_shown(self, capsys):
         """README's ``decaycert find`` command prints the ``RESULT:`` line that README shows:
