@@ -29,8 +29,6 @@ __all__ = [
     "make_diagonal",
     "compose",
     "coerce_gain",
-    "check_gain",
-    "check_kinf",
 ]
 
 
@@ -181,42 +179,22 @@ def _gain_sequence(gains, what: str):
     return gains
 
 
-def check_gain(g: ScalarFn, where: str) -> None:
-    """Raise ValueError unless ``g(0) = 0`` exactly; g is nondecreasing by construction.
-
-    A term ``c*0^a`` is 0 for ``a > 0`` and ``c`` for ``a = 0``, and a sum
-    or maximum of values >= 0 is 0 only when every part is.
-    """
-    if g(0.0) != 0.0:
-        raise ValueError(f"{where} violates g(0)=0: got {g(0.0)}")
-
-
-def check_kinf(rho: ScalarFn, where: str) -> None:
-    """Raise ValueError unless rho is a gain of class Kinf.
-
-    Once ``rho(0) = 0`` holds, every nonzero term has a positive exponent
-    and is strictly increasing and unbounded, so rho is Kinf exactly when
-    it is not identically zero, that is when ``rho(1) > 0``.
-    """
-    check_gain(rho, where)
-    if not rho(1.0) > 0.0:
-        raise ValueError(f"{where} is zero, so not class Kinf")
-
-
 _AGGREGATES = {"max": "max-preserving", "sum": "sum-table"}  # a row rule -> its map's kind
 
 
 @dataclass(frozen=True)
 class GainTable:
-    """Square table of gains, each present one checked once by :func:`check_gain`, then frozen.
+    """Square table of gains, each present one coerced once by :func:`coerce_gain`, then frozen.
 
     It is built from n rows of n entries, entry ``[i][j]`` the influence of
     component j on component i, and keeps only its present gains:
     ``nonzero[i]`` holds the ``(j, gain)`` pairs of row i's nonzero gains in
-    column order.  An absent (None) entry is skipped unchecked; every other
-    entry is coerced and checked, and dropped where it is a zero gain, one
-    with ``g(1) = 0`` (a gain that passes :func:`check_gain` is then 0 on
-    the whole half line).
+    column order.  An absent (None) entry is skipped; every other entry is
+    coerced, and dropped where it is a zero gain, one with ``g(1) = 0``.
+    The table checks no gain itself: the :mod:`decaycert.scalarfn`
+    constructors refuse any tree that is not a gain, so every coerced entry
+    has ``g(0) = 0`` and is nondecreasing, and one with ``g(1) = 0`` is 0 on
+    the whole half line.
 
     ``aggregate`` is the row rule, and the table is the one place that
     applies it: ``"max"`` (the default) gives ``(Ts)_i = max_j g_ij(s_j)``
@@ -249,13 +227,10 @@ class GainTable:
                 for i, row in enumerate(_gain_sequence(rows, "gain table"))]
         if not rows or any(len(row) != len(rows) for row in rows):
             raise ValueError("gain table must be square")
-        nonzero = []
-        for i, row in enumerate(rows):
-            present = [(j, coerce_gain(g)) for j, g in enumerate(row) if g is not None]
-            for j, g in present:
-                check_gain(g, f"gain ({i + 1},{j + 1})")
-            nonzero.append(tuple((j, g) for j, g in present if g(1.0) != 0.0))
-        object.__setattr__(self, "nonzero", tuple(nonzero))
+        present = [[(j, coerce_gain(g)) for j, g in enumerate(row) if g is not None]
+                   for row in rows]
+        nonzero = tuple(tuple((j, g) for j, g in row if g(1.0) != 0.0) for row in present)
+        object.__setattr__(self, "nonzero", nonzero)
 
     @property
     def n(self) -> int:
@@ -325,12 +300,19 @@ def make_max_preserving(gains) -> MonotoneMap:
 
 
 def make_diagonal(fns: Sequence) -> MonotoneMap:
-    """Componentwise map ``(Ds)_i = rho_i(s_i)`` from class-Kinf descriptors."""
+    """Componentwise map ``(Ds)_i = rho_i(s_i)`` from class-Kinf descriptors.
+
+    Each descriptor is coerced as a gain, so it vanishes at 0, and every
+    nonzero term has a positive exponent and is strictly increasing and
+    unbounded: rho is class Kinf exactly when it is not the zero gain, that
+    is when ``rho(1) > 0``.
+    """
     rhos = [coerce_gain(f) for f in _gain_sequence(fns, "diagonal functions")]
     if not rhos:
         raise ValueError("need at least one diagonal function")
-    for i, rho in enumerate(rhos):
-        check_kinf(rho, f"diagonal function {i + 1}")
+    for i, rho in enumerate(rhos, 1):
+        if not rho(1.0) > 0.0:
+            raise ValueError(f"diagonal function {i} is zero, so not class Kinf")
 
     def fn(s: np.ndarray) -> np.ndarray:
         return np.array([rho(s[i]) for i, rho in enumerate(rhos)])

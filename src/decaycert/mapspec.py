@@ -9,7 +9,9 @@ are one gain table under its two row rules, max and sum
 (:class:`decaycert.maps.GainTable`), and share one parse and one render.
 Parsing checks the format of the whole document first (JSON syntax, an
 integer within Python's digit limit, JSON shapes, numbers, square rows,
-gain text that parses), then checks the spec by building its map: the
+gain text that parses, which a constant term such as ``"t^0"`` does not,
+as :class:`decaycert.scalarfn.Term` refuses it), then checks the spec
+by building its map: the
 :mod:`decaycert.maps` constructors hold the family invariants, and their
 ``ValueError`` is re-raised as :class:`MapSpecError` with the same
 message.  Functions are stored as parsed ScalarFn trees, and a null gain

@@ -12,8 +12,9 @@ below the identity.  When that holds, the curve
 
 is nondecreasing, unbounded and satisfies ``T(q(t)) <= q(t)``, so its
 re-parametrization to prescribed 1-norm is an "almost" decay point (the
-inequality is not strict).  The gains' own properties are checked exactly
-when the table is built (see :class:`decaycert.maps.GainTable`), and the
+inequality is not strict).  The gains' own properties, ``g(0) = 0``
+exactly and g nondecreasing, hold by the construction of each gain tree
+(see :mod:`decaycert.scalarfn`), and the
 cycle test proves ``g < id`` on the whole interval ``[1e-3, 1e3]`` from
 its two ends.
 

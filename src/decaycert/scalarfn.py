@@ -13,6 +13,8 @@ Grammar of the textual form::
     product:= NUMBER ['*' power] | power
     power  := 't' ['^' NUMBER]
 
+A bare NUMBER c is the term ``c*t^0``, and only ``"0"`` is a gain: any
+other constant is refused, as every term ``c*t^0`` with ``c > 0`` is.
 Examples: ``"0.5*t"``, ``"t^2"``, ``"2*t^0.5"``, ``"t + 0.25*t^3"``,
 ``"max(t, 2*t^2)"``, ``"0"``.  Fractional powers of zero evaluate to zero
 (positive real branch).  Every function also acts elementwise on a numpy
@@ -23,10 +25,12 @@ part.  The map constructors of :mod:`decaycert.maps` build Jacobians
 from it.
 
 A :class:`Term`'s coefficient and exponent are real, finite and ``>= 0``,
-and a Sum or Max has two or more parts, each a Term, Sum or Max.  So
-every tree is continuous and nondecreasing on ``t >= 0``, which makes the
-gain checks of :mod:`decaycert.maps` two exact evaluations, and renders
-to text that parses back.
+and not a constant (exponent 0 with a nonzero coefficient), and a Sum or
+Max has two or more parts, each a Term, Sum or Max.  These constructors
+are the only gain checks: every tree that exists is a gain, continuous
+and nondecreasing on ``t >= 0`` with ``g(0) = 0`` exactly, and renders
+to text that parses back.  The parser reports a constructor's refusal as
+a :class:`ScalarFnParseError` that names the text.
 """
 
 from __future__ import annotations
@@ -60,7 +64,11 @@ class ScalarFn:
 
 @dataclass(frozen=True, repr=False)
 class Term(ScalarFn):
-    """The monomial ``coeff * t**exponent``; both numbers are real, finite and >= 0."""
+    """The monomial ``coeff * t**exponent``; both numbers are real, finite and >= 0.
+
+    A constant, exponent 0 with a nonzero coefficient, is refused: it is
+    the one way a tree could fail ``g(0) = 0``.
+    """
 
     coeff: float
     exponent: float = 1.0
@@ -69,6 +77,8 @@ class Term(ScalarFn):
         for name, value in (("coefficient", self.coeff), ("exponent", self.exponent)):
             if not (is_number(value) and 0.0 <= value < math.inf):
                 raise ValueError(f"Term {name} must be real, finite and >= 0, got {value!r}")
+        if self.exponent == 0.0 and self.coeff != 0.0:
+            raise ValueError(f"Term {self.coeff!r}*t^0 is a constant, which violates g(0)=0")
 
     def __call__(self, t: float) -> float:
         if self.coeff == 0.0:
@@ -80,7 +90,7 @@ class Term(ScalarFn):
 
     def derivative(self, t: float) -> float:
         """``coeff * exponent * t**(exponent - 1)`` at a scalar t; inf where that power is."""
-        if self.coeff == 0.0 or self.exponent == 0.0:
+        if self.coeff == 0.0:
             return 0.0
         try:
             return self.coeff * self.exponent * float(t) ** (self.exponent - 1.0)
@@ -154,31 +164,40 @@ class ScalarFnParseError(ValueError):
 
 
 def parse_scalar_fn(text: str) -> ScalarFn:
-    """Parse the textual gain-function form into its AST."""
+    """Parse the textual gain-function form into its AST.
+
+    Every refusal, the parser's own or a constructor's (a constant term,
+    ``max`` of one argument, a number past float range), is raised here as a
+    :class:`ScalarFnParseError` that ends `` in '<text>'``.
+    """
+    try:
+        return _parse(text)
+    except ValueError as exc:
+        raise ScalarFnParseError(f"{exc} in {text!r}") from exc
+
+
+def _parse(text: str) -> ScalarFn:
     tokens, pos = [], 0
     while m := _TOKEN.match(text, pos):
         tokens.append(m.group(1))
         pos = m.end()
     if text[pos:].strip():
         i = len(text) - len(text[pos:].lstrip())
-        raise ScalarFnParseError(f"unexpected character {text[i]!r} at position {i} in {text!r}")
+        raise ValueError(f"unexpected character {text[i]!r} at position {i}")
     tokens = [None, *reversed(tokens)]  # popped from the end, down to the None that ends it
 
     def take(expected: str | None = None) -> str:
         if tokens[-1] is None:
-            raise ScalarFnParseError(f"unexpected end of input in {text!r}")
+            raise ValueError("unexpected end of input")
         if expected is not None and tokens[-1] != expected:
-            raise ScalarFnParseError(f"expected {expected!r}, got {tokens[-1]!r} in {text!r}")
+            raise ValueError(f"expected {expected!r}, got {tokens[-1]!r}")
         return tokens.pop()
 
     def number() -> float:
         tok = take()
         if not _NUMBER.fullmatch(tok):
-            raise ScalarFnParseError(f"expected a number, got {tok!r} in {text!r}")
-        value = float(tok)
-        if value == math.inf:  # the grammar has no sign, so only overflow is non-finite
-            raise ScalarFnParseError(f"number {tok!r} overflows a float in {text!r}")
-        return value
+            raise ValueError(f"expected a number, got {tok!r}")
+        return float(tok)
 
     def expr() -> ScalarFn:
         parts = [term()]
@@ -196,8 +215,6 @@ def parse_scalar_fn(text: str) -> ScalarFn:
                 tokens.pop()
                 parts.append(expr())
             take(")")
-            if len(parts) < 2:
-                raise ScalarFnParseError(f"max() needs at least two arguments in {text!r}")
             return Max(tuple(parts))
         if tokens[-1] == "t":
             coeff = 1.0
@@ -205,23 +222,20 @@ def parse_scalar_fn(text: str) -> ScalarFn:
             coeff = number()
             if tokens[-1] != "*":
                 if tokens[-1] == "t":
-                    raise ScalarFnParseError(f"missing '*' between coefficient and t in {text!r}")
-                if coeff != 0.0:
-                    raise ScalarFnParseError(f"bare constant {coeff} is not a valid gain "
-                                             f"(must vanish at 0) in {text!r}")
-                return Term(0.0)
+                    raise ValueError("missing '*' between coefficient and t")
+                return Term(coeff, 0.0) if coeff != 0.0 else Term(0.0)  # c is the term c*t^0
             tokens.pop()
         take("t")
         exponent = 1.0
         if tokens[-1] == "^":
             tokens.pop()
             exponent = number()
-        # every zero term renders as "0", so it parses to the one Term(0.0)
-        return Term(coeff, exponent) if coeff != 0.0 else Term(0.0)
+        fn = Term(coeff, exponent)  # checked even where it is zero, as t^inf is refused
+        return fn if coeff != 0.0 else Term(0.0)  # every zero term renders as "0"
 
     fn = expr()
     if tokens[-1] is not None:
-        raise ScalarFnParseError(f"trailing input {tokens[-1]!r} in {text!r}")
+        raise ValueError(f"trailing input {tokens[-1]!r}")
     return fn
 
 

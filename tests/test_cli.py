@@ -187,39 +187,37 @@ class TestVerify:
         assert "RESULT:" not in captured.out
 
     def test_each_gain_is_checked_once(self, tmp_path, capsys, monkeypatch):
-        # parsing checks the spec by building its map; the search reuses that map
-        checked = []
-        check_gain = maps.check_gain
-
-        def counting(g, where):
-            checked.append(where)
-            check_gain(g, where)
-
-        monkeypatch.setattr(maps, "check_gain", counting)
+        # parsing checks the spec by building its map, whose table coerces each present gain
+        # once; the search reuses that map
+        coerced = []
+        coerce_gain = maps.coerce_gain
+        monkeypatch.setattr(maps, "coerce_gain", lambda g: coerced.append(g) or coerce_gain(g))
         spec = write_spec(tmp_path, {"kind": "maxpreserving",
                                      "gains": [[None, "0.5*t"], ["0.5*t", None]]})
         code = main(["verify", "--map", spec, "-r", "1", "--epsilon", "1e-3"])
         assert code == 0
-        assert sorted(checked) == ["gain (1,2)", "gain (2,1)"]  # a null gain is absent
+        assert [g.render() for g in coerced] == ["0.5*t", "0.5*t"]  # a null gain is absent
 
-    @pytest.mark.parametrize("gain", ["t^1e400", "1e400*t"])
-    def test_overflowing_number_in_a_gain_exits_two(self, tmp_path, capsys, gain):
+    @pytest.mark.parametrize("gain,name", [("t^1e400", "exponent"), ("1e400*t", "coefficient")])
+    def test_overflowing_number_in_a_gain_exits_two(self, tmp_path, capsys, gain, name):
         spec = write_spec(tmp_path, {"kind": "maxpreserving", "gains": [[gain, None], [None, None]]})
         code = main(["verify", "--map", spec, "-r", "1"])
         captured = capsys.readouterr()
         assert code == 2
-        assert "overflows" in captured.err
+        assert captured.err == (f"error: gain (1,1): Term {name} must be real, finite and >= 0, "
+                                f"got inf in {gain!r}\n")
         assert "Traceback" not in captured.err
         assert "RESULT:" not in captured.out
 
     def test_constant_gain_part_exits_two(self, tmp_path, capsys):
-        # 1e-13*t^0 would make T(0) = (1e-13, 0); g(0) = 0 is checked with no tolerance
+        # 1e-13*t^0 would make T(0) = (1e-13, 0); Term refuses any constant, however small
         spec = write_spec(tmp_path, {"kind": "maxpreserving",
                                      "gains": [["1e-13*t^0", "0.5*t"], ["0.5*t", None]]})
         code = main(["verify", "--map", spec, "-r", "1", "--epsilon", "1e-3"])
         captured = capsys.readouterr()
         assert code == 2
-        assert captured.err == "error: gain (1,1) violates g(0)=0: got 1e-13\n"
+        assert captured.err == ("error: gain (1,1): Term 1e-13*t^0 is a constant, which violates "
+                                "g(0)=0 in '1e-13*t^0'\n")
         assert "RESULT:" not in captured.out
 
     @pytest.mark.parametrize("command", ["find", "verify"])

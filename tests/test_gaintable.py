@@ -121,19 +121,17 @@ def test_nonzero_lists_each_rows_nonzero_gains_in_column_order():
 
 
 @pytest.fixture
-def checked(monkeypatch):
-    """The ``where`` of each ``check_gain`` call."""
-    calls, check = [], maps.check_gain
-    monkeypatch.setattr(maps, "check_gain", lambda g, where: calls.append(where) or check(g, where))
+def coerced(monkeypatch):
+    """The argument of each ``coerce_gain`` call: a gain is checked where it is coerced, by
+    the constructors of its tree."""
+    calls, coerce = [], maps.coerce_gain
+    monkeypatch.setattr(maps, "coerce_gain", lambda g: calls.append(g) or coerce(g))
     return calls
 
 
-def test_a_table_coerces_and_checks_each_present_entry_once(monkeypatch, checked):
-    coerced, coerce = [], maps.coerce_gain
-    monkeypatch.setattr(maps, "coerce_gain", lambda g: coerced.append(g) or coerce(g))
+def test_a_table_coerces_and_checks_each_present_entry_once(coerced):
     GainTable([[None, "0.5*t", None], ["0", None, Term(0.25)], [None, None, None]])
     assert coerced == ["0.5*t", "0", Term(0.25)]
-    assert checked == ["gain (1,2)", "gain (2,1)", "gain (2,3)"]
 
 
 def test_each_loop_calls_each_nonzero_gain_once_and_no_zero_gain(monkeypatch):
@@ -201,9 +199,9 @@ def test_a_sparse_table_of_dimension_200_solves_in_five_evaluations():
     assert (report.success, report.failure_reason, report.iterations) == (False, "label_none", 5)
 
 
-def test_building_a_sparse_table_of_dimension_200_checks_only_its_present_gains(checked):
+def test_building_a_sparse_table_of_dimension_200_checks_only_its_present_gains(coerced):
     table = sparse_table(200, 0, CORPUS_GAINS)
-    assert len(checked) == sum(map(len, table.nonzero)) == 602
+    assert len(coerced) == sum(map(len, table.nonzero)) == 602
 
 
 # ---------------------------------------------------------------- sum tables

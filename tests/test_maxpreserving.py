@@ -468,20 +468,16 @@ class TestReparametrize:
             reparametrize_path(g, 10.0)
 
     def test_gains_are_checked_once_per_table(self, monkeypatch):
-        checked = []
-        check_gain = maps.check_gain
-
-        def counting(g, where):
-            checked.append(where)
-            check_gain(g, where)
-
-        monkeypatch.setattr(maps, "check_gain", counting)
+        # a gain is checked where it is coerced, by its constructors
+        coerced = []
+        coerce_gain = maps.coerce_gain
+        monkeypatch.setattr(maps, "coerce_gain", lambda g: coerced.append(g) or coerce_gain(g))
         table = GainTable([[None, "0.5*t", None], [None, None, "0.5*t"], ["0.5*t", None, None]])
-        assert len(checked) == 3  # the present gains only
+        assert len(coerced) == 3  # the present gains only
         for t in cycle_grid():
             path_q(table, t)
         reparametrize_path(table, 10.0)
-        assert len(checked) == 3
+        assert len(coerced) == 3
 
     @pytest.mark.parametrize("r, tol", [(float("nan"), 1e-9), (float("inf"), 1e-9),
                                         (10.0, float("nan")), (10.0, float("inf"))])

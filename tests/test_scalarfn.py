@@ -1,6 +1,6 @@
 import pytest
 
-from decaycert.maps import check_gain, check_kinf
+from decaycert.maps import make_diagonal
 from decaycert.maxpreserving import cycle_grid
 from decaycert.scalarfn import (
     Max,
@@ -45,11 +45,15 @@ class TestParse:
         with pytest.raises(ScalarFnParseError):
             parse_scalar_fn(bad)
 
-    @pytest.mark.parametrize("text", ["t^1e400", "1e400*t"])
-    def test_rejects_a_number_that_overflows(self, text):
+    @pytest.mark.parametrize("text,message", [
+        ("t^1e400", "Term exponent must be real, finite and >= 0, got inf in 't^1e400'"),
+        ("1e400*t", "Term coefficient must be real, finite and >= 0, got inf in '1e400*t'"),
+    ])
+    def test_rejects_a_number_that_overflows(self, text, message):
         # float("1e400") is inf, and "t^inf" would render to text that does not parse
-        with pytest.raises(ScalarFnParseError, match="overflows"):
+        with pytest.raises(ScalarFnParseError) as got:
             parse_scalar_fn(text)
+        assert str(got.value) == message
 
     def test_render_round_trip(self):
         for text in ["0.5*t", "t^2", "2*t^0.5", "t + 0.25*t^3", "max(t, 2*t^2, t^3)", "0"]:
@@ -59,15 +63,15 @@ class TestParse:
 
 class TestChecks:
     def test_zero_at_zero(self):
-        check_gain(parse_scalar_fn("t + t^2"), "g")
-        # exact, with no tolerance: a constant part is refused however small it is
-        with pytest.raises(ValueError, match=r"^g violates g\(0\)=0: got 1e-13$"):
-            check_gain(Term(1e-13, 0.0), "g")
+        assert parse_scalar_fn("t + t^2")(0.0) == 0.0
+        # exact, with no tolerance: a constant term is refused however small it is
+        with pytest.raises(ValueError,
+                           match=r"^Term 1e-13\*t\^0 is a constant, which violates g\(0\)=0$"):
+            Term(1e-13, 0.0)
 
     def test_nondecreasing(self):
         # every tree is nondecreasing by construction, so a gain needs no sampled check
-        check_gain(parse_scalar_fn("max(t, t^2)"), "g")
-        check_gain(Term(0.0), "g")
+        assert Term(0.0, 0.0)(0.0) == 0.0  # exponent 0 is a constant only with a coefficient > 0
         for combination in (Sum, Max):
             with pytest.raises(TypeError, match=r"^(Sum|Max) parts must be Term, Sum or Max: <"):
                 combination((Term(1.0), lambda t: -t))
@@ -93,12 +97,11 @@ class TestChecks:
         assert Term(1.0, 2.0)(1e200) == float("inf")
 
     def test_kinf_excludes_constants_and_zero(self):
-        check_kinf(parse_scalar_fn("2*t"), "rho")
-        check_kinf(parse_scalar_fn("t^2"), "rho")
-        with pytest.raises(ValueError, match=r"^rho is zero, so not class Kinf$"):
-            check_kinf(Term(0.0), "rho")
-        with pytest.raises(ValueError, match=r"^rho violates g\(0\)=0: got 2.0$"):
-            check_kinf(Term(2.0, 0.0), "rho")
+        assert make_diagonal(["2*t", "t^2"])([1.0, 3.0]).tolist() == [2.0, 9.0]
+        with pytest.raises(ValueError, match=r"^diagonal function 2 is zero, so not class Kinf$"):
+            make_diagonal(["t", Term(0.0)])
+        with pytest.raises(ValueError, match=r"^Term 2\.0\*t\^0 is a constant, which violates"):
+            Term(2.0, 0.0)
 
     def test_grid_shape(self):
         grid = cycle_grid()
@@ -135,16 +138,35 @@ def test_a_degree_spans_the_nonzero_terms_of_every_part():
     assert span([None]) is None and span([]) is None
 
 
-def test_every_rendered_tree_parses_back_to_itself():
-    """``parse_scalar_fn(fn.render())`` renders as ``fn`` does and agrees with it on the grid.
+@pytest.mark.parametrize("c", [5e-324, 1e-13, 1.0])
+def test_a_constant_term_is_refused(c):
+    with pytest.raises(ValueError, match=r"g\(0\)=0"):
+        Term(c, 0.0)
 
-    The trees have the parser's shapes: a Sum's parts are never Sums (its
-    ``+`` chain is flat), so the values agree exactly, not up to rounding.
+
+# "0*t^1e400" too: a zero term is checked as written, as t^inf renders to text that does not parse
+@pytest.mark.parametrize("text", ["0.5", "t^0", "1e-13*t^0", "t + 1e-13*t^0", "max(t, 0.5)",
+                                  "max(t)", "1e400*t", "t^1e400", "0*t^1e400"])
+def test_a_refusal_of_the_constructors_is_a_parse_error_naming_the_text(text):
+    with pytest.raises(ScalarFnParseError) as got:
+        parse_scalar_fn(text)
+    assert str(got.value).endswith(f" in {text!r}")
+
+
+def test_zero_terms_parse_to_the_one_zero_term():
+    assert parse_scalar_fn("0") == parse_scalar_fn("0*t^0") == parse_scalar_fn("0*t^3") == Term(0.0)
+
+
+def parser_trees(depth: int = 3):
+    """Hypothesis strategy for trees of the parser's shapes, ``depth`` levels deep.
+
+    A Sum's parts are never Sums (its ``+`` chain is flat), and no Term is
+    a constant (exponent 0 with a nonzero coefficient), which Term refuses.
     """
-    hypothesis = pytest.importorskip("hypothesis")
-    st = hypothesis.strategies
-    terms = st.builds(Term, st.floats(0.0, 1e6) | st.sampled_from([0.0, 1.0]),
-                      st.floats(0.0, 8.0) | st.sampled_from([0.0, 1.0, 2.0]))
+    st = pytest.importorskip("hypothesis").strategies
+    terms = st.tuples(st.floats(0.0, 1e6) | st.sampled_from([0.0, 1.0]),
+                      st.floats(0.0, 8.0) | st.sampled_from([0.0, 1.0, 2.0])
+                      ).filter(lambda ca: ca[0] == 0.0 or ca[1] > 0.0).map(lambda ca: Term(*ca))
 
     def some(parts):
         return st.tuples(parts, parts) | st.tuples(parts, parts, parts)
@@ -156,8 +178,34 @@ def test_every_rendered_tree_parses_back_to_itself():
         not_sums = terms | st.builds(Max, some(inner))
         return terms | st.builds(Sum, some(not_sums)) | st.builds(Max, some(inner))
 
+    return trees(depth)
+
+
+def test_every_tree_vanishes_at_zero_and_is_nondecreasing():
+    """What makes every tree a gain, ``g(0) = 0`` exactly and g nondecreasing,
+    holds by construction: no gain check is left to make."""
+    hypothesis = pytest.importorskip("hypothesis")
+
     @hypothesis.settings(max_examples=150, deadline=None, database=None, derandomize=True)
-    @hypothesis.given(trees(3))
+    @hypothesis.given(parser_trees())
+    def check(fn):
+        values = [fn(t) for t in [0.0] + cycle_grid()]
+        assert values[0] == 0.0
+        assert all(a <= b for a, b in zip(values, values[1:]))
+
+    check()
+
+
+def test_every_rendered_tree_parses_back_to_itself():
+    """``parse_scalar_fn(fn.render())`` renders as ``fn`` does and agrees with it on the grid.
+
+    The trees have the parser's shapes (:func:`parser_trees`), so the values
+    agree exactly, not up to rounding.
+    """
+    hypothesis = pytest.importorskip("hypothesis")
+
+    @hypothesis.settings(max_examples=150, deadline=None, database=None, derandomize=True)
+    @hypothesis.given(parser_trees())
     def check(fn):
         text = fn.render()
         parsed = parse_scalar_fn(text)
