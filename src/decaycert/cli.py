@@ -139,7 +139,8 @@ def cmd_sweep(args) -> int:
     for n in dims:  # the solver's own check, before the first solve; it names n
         check_sphere(args.radius, n, "--dims item")
     out = Path(args.out)
-    if out.is_dir() or not os.access(out.parent, os.W_OK):  # else open fails after every solve
+    # else open fails after every solve; os.access alone passes a parent that is a file
+    if out.is_dir() or not (out.parent.is_dir() and os.access(out.parent, os.W_OK)):
         raise ValueError(f"--out {args.out!r} cannot be created")
     rows = []  # each row in CSV_COLUMNS order
     for n in dims:

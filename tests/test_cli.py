@@ -1,6 +1,8 @@
 import ast
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +13,15 @@ from decaycert import cli, dynamics, maps
 from decaycert.cli import main
 
 REPO_SPECS = Path(__file__).resolve().parents[1] / "mapspecs"
+README = REPO_SPECS.parent / "README.md"
+
+
+def readme_commands():
+    """The argument lists of the ``decaycert`` commands in README's "Command line" block,
+    with its continuation lines joined."""
+    block = README.read_text().split("## Command line\n", 1)[1].split("```bash\n", 1)[1]
+    lines = block.split("```", 1)[0].replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("decaycert ")]
 
 
 def write_spec(tmp_path, obj, name="map.json"):
@@ -209,15 +220,17 @@ class TestVerify:
         assert "Traceback" not in captured.err
         assert "RESULT:" not in captured.out
 
-    def test_constant_gain_part_exits_two(self, tmp_path, capsys):
+    @pytest.mark.parametrize("gain, term", [("1e-13*t^0", "1e-13*t^0"), ("0.5", "0.5*t^0")],
+                             ids=["constant-part", "bare-constant"])
+    def test_constant_gain_part_exits_two(self, tmp_path, capsys, gain, term):
         # 1e-13*t^0 would make T(0) = (1e-13, 0); Term refuses any constant, however small
         spec = write_spec(tmp_path, {"kind": "maxpreserving",
-                                     "gains": [["1e-13*t^0", "0.5*t"], ["0.5*t", None]]})
+                                     "gains": [[gain, "0.5*t"], ["0.5*t", None]]})
         code = main(["verify", "--map", spec, "-r", "1", "--epsilon", "1e-3"])
         captured = capsys.readouterr()
         assert code == 2
-        assert captured.err == ("error: gain (1,1): Term 1e-13*t^0 is a constant, which violates "
-                                "g(0)=0 in '1e-13*t^0'\n")
+        assert captured.err == (f"error: gain (1,1): Term {term} is a constant, which violates "
+                                f"g(0)=0 in {gain!r}\n")
         assert "RESULT:" not in captured.out
 
     @pytest.mark.parametrize("command", ["find", "verify"])
@@ -365,13 +378,15 @@ class TestSweep:
     @pytest.mark.parametrize("flag, value, message", [
         ("--out", "missing/sweep.csv", "--out '{tmp}/missing/sweep.csv' cannot be created"),
         ("--out", "", "--out '{tmp}/' cannot be created"),
+        ("--out", "file/sweep.csv", "--out '{tmp}/file/sweep.csv' cannot be created"),
         ("--epsilons", "0.1,-1", "epsilon must be positive and finite, got -1.0"),
         ("--epsilons", "0.1,inf", "epsilon must be positive and finite, got inf"),
         ("-r", "0", "r must be positive and finite, got 0.0"),
-    ], ids=["missing-directory", "a-directory", "negative-last-epsilon", "inf-last-epsilon",
-            "zero-radius"])
+    ], ids=["missing-directory", "a-directory", "under-a-file", "negative-last-epsilon",
+            "inf-last-epsilon", "zero-radius"])
     def test_a_bad_flag_is_refused_before_the_first_solve(self, tmp_path, capsys, monkeypatch,
                                                           flag, value, message):
+        (tmp_path / "file").write_text("")  # a writable parent that is no directory
         calls = []
         monkeypatch.setattr(cli, "find_decay_point", lambda *args: calls.append(args))
         args = {"--dims": "2,3", "--epsilons": "0.1", "-r": "10", "--out": "sweep.csv"}
@@ -381,7 +396,7 @@ class TestSweep:
         assert (code, calls) == (2, [])
         captured = capsys.readouterr()
         assert captured.err == f"error: {message.format(tmp=tmp_path)}\n"
-        assert captured.out == "" and list(tmp_path.iterdir()) == []
+        assert captured.out == "" and list(tmp_path.iterdir()) == [tmp_path / "file"]
 
     def test_a_radius_too_small_for_a_later_dimension_is_refused_before_the_first_solve(
             self, tmp_path, capsys, monkeypatch):
@@ -506,9 +521,9 @@ class TestRepoExamples:
 
     def test_all_example_specs_load_and_run(self, capsys):
         for path in sorted(REPO_SPECS.glob("*.json")):
-            code = main(["find", "--map", str(path), "-r", "10", "--epsilon", "0.01",
-                         "--max-iterations", "100000"])
-            assert code in (0, 1), path.name
+            for argv in (["find", "-r", "10", "--epsilon", "0.01", "--max-iterations", "100000"],
+                         ["verify", "-r", "1", "--epsilon", "1e-3"]):
+                assert main([*argv, "--map", str(path)]) == 0, (path.name, argv[0])
             capsys.readouterr()
 
     def test_the_module_entry_point_prints_what_main_prints(self, capsys):
@@ -524,10 +539,31 @@ class TestRepoExamples:
                    if line.startswith("RESULT: ")]
         assert len(shown) == 1 and shown == printed
 
+    @pytest.mark.parametrize("argv", readme_commands(), ids=lambda argv: argv[0])
+    def test_each_readme_command_exits_zero(self, tmp_path, monkeypatch, capsys, argv):
+        """Each ``decaycert`` command of README's "Command line" block, run from the
+        repository root with its ``--out`` under ``tmp_path``; a sweep's CSV has exactly
+        the pinned columns."""
+        monkeypatch.chdir(REPO_SPECS.parent)
+        argv = list(argv)
+        if "--out" in argv:
+            at = argv.index("--out") + 1
+            argv[at] = str(tmp_path / argv[at])
+        assert main(argv) == 0
+        if argv[0] == "sweep":
+            header = Path(argv[at]).read_text().splitlines()[0]
+            assert header == ",".join(cli.CSV_COLUMNS)
+
+    def test_the_readme_library_example_prints_what_its_comments_show(self, capsys):
+        blocks = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
+        assert len(blocks) == 1
+        exec(blocks[0], {})
+        assert capsys.readouterr().out.splitlines() == ["[5. 5.] 2.5", "True"]
+
     def test_the_readme_find_example_prints_the_result_line_shown(self, capsys):
         """README's ``decaycert find`` command prints the ``RESULT:`` line that README shows:
         each value equal, or, where it ends in ``...``, a prefix (per ``s_star`` component)."""
-        lines = (REPO_SPECS.parent / "README.md").read_text().splitlines()
+        lines = README.read_text().splitlines()
         argv = next(line for line in lines if line.startswith("decaycert find ")).split()[1:]
         shown = next(line for line in lines if line.startswith("RESULT: command=find "))
         spec = argv.index("--map") + 1

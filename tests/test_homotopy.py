@@ -436,18 +436,20 @@ def chain_witness_margin(n: int, r: float = 10.0) -> float:
 
 
 @pytest.mark.parametrize("fraction", [0.9, 0.97])
-@pytest.mark.parametrize("n", [6, 7, 8, 9])
+@pytest.mark.parametrize("n", [5, 6, 7, 8, 9])
 def test_the_chain_map_near_its_witness_margin_takes_few_evaluations(n, fraction):
-    """The sphere stage's Newton steps certify the chain map close to the witness's margin.
+    """The sphere stage's first Newton point certifies the chain map close to the
+    witness's margin: r 1/n, then that point.
 
     With power steps in their place, n = 8 and 9 at both fractions spent a
-    cap of 100,000 evaluations in the walk.
+    cap of 100,000 evaluations in the walk.  n = 5 at 0.9 is
+    ``mapspecs/chain5.json`` at eps 0.47916.
     """
     T = make_chain_map(n)
     cfg = SolverConfig(r=10.0, epsilon=fraction * chain_witness_margin(n), max_iterations=100_000)
     report = find_decay_point(T, cfg, n)
     check_success_postcondition(T, cfg, report)
-    assert report.iterations <= 10
+    assert report.iterations == 2
 
 
 def flipflop_witness_margin(lam: float, r: float = 10.0) -> float:
@@ -458,16 +460,19 @@ def flipflop_witness_margin(lam: float, r: float = 10.0) -> float:
     return float(np.min(p - make_flipflop_map(lam)(p)))
 
 
-def test_the_flipflop_map_near_its_witness_margin_takes_few_evaluations():
-    """lam = 0.8 at 0.97 of the witness's margin: the sphere stage's first Newton
-    step from r 1/n certifies it.
+@pytest.mark.parametrize("lam, fraction", [(0.8, 0.97), (0.5, 0.9)])
+def test_the_flipflop_map_near_its_witness_margin_takes_few_evaluations(lam, fraction):
+    """lam = 0.8 at 0.97 of the witness's margin, and ``mapspecs/flipflop.json``
+    (lam = 0.5) at 0.9 of it, eps 0.745707: the sphere stage's first Newton
+    step from r 1/n certifies each.
 
     Both rows are one power term, ``sqrt(s_2)`` and ``lam s_1^2``, so the
     degree model is exact and its point has the best margin of the sphere.
-    The affine model took three steps; the walk alone takes 369 evaluations (WALK_SET).
+    The affine model took three steps; the walk alone takes 369 and 48
+    evaluations (WALK_SET).
     """
-    T = make_flipflop_map(0.8)
-    cfg = SolverConfig(r=10.0, epsilon=0.97 * flipflop_witness_margin(0.8),
+    T = make_flipflop_map(lam)
+    cfg = SolverConfig(r=10.0, epsilon=fraction * flipflop_witness_margin(lam),
                        max_iterations=100_000)
     report = find_decay_point(T, cfg, 2)
     check_success_postcondition(T, cfg, report)
@@ -720,6 +725,13 @@ def superlinear(n: int) -> MonotoneMap:
     return compose(make_linear_map(random_contractive(n, 0.8, 0)), make_diagonal(["t^1.2"] * n))
 
 
+def superlinear_fixed() -> MonotoneMap:
+    """``A s^1.2`` for a fixed positive 4-by-4 A, whose sphere stage's best margin at r = 10
+    is 0.2547."""
+    A = [[0.1, 0.5, 0.1, 0.1], [0.2, 0.1, 0.3, 0.1], [0.1, 0.1, 0.1, 0.5], [0.4, 0.1, 0.1, 0.1]]
+    return compose(make_linear_map(A), make_diagonal(["t^1.2"] * 4))
+
+
 # One map for each way the solver evaluates T: the sphere stage's differences
 # on the callable twins of a linear map, of a max-times table that is not
 # linear (cycle mean 0.97, at 0.9 of its eps_max) and of the chain map (5
@@ -842,36 +854,47 @@ def test_sphere_stage_answers_a_superlinear_map(n):
     assert report.iterations <= 6
 
 
-@pytest.mark.parametrize("n,eps", [(6, 0.16), (6, 0.17), (6, 0.18),
-                                   (8, 0.17), (8, 0.18), (8, 0.19), (8, 0.20)])
-def test_sphere_stage_finds_near_limit_points(n, eps):
-    # the walk alone spends the whole 100k cap on each of these
-    T = superlinear(n)
+@pytest.mark.parametrize("build,eps", [
+    *[pytest.param(lambda n=n: superlinear(n), eps, id=f"{n}-{eps}")
+      for n, eps in ((6, 0.16), (6, 0.17), (6, 0.18), (8, 0.17), (8, 0.18), (8, 0.19), (8, 0.20))],
+    pytest.param(superlinear_fixed, 0.2, id="fixed A-0.2"),
+])
+def test_sphere_stage_finds_near_limit_points(build, eps):
+    # the walk alone spends the whole 100k cap on each of superlinear(n)'s; the
+    # sphere stage's first Newton point certifies each
+    T = build()
     cfg = SolverConfig(r=10.0, epsilon=eps, max_iterations=100_000)
-    report = find_decay_point(T, cfg, n)
+    report = find_decay_point(T, cfg, T.dimension)
     check_success_postcondition(T, cfg, report)
-    assert report.iterations <= 10
+    assert report.iterations == 2
 
 
-def test_the_sphere_stage_ends_the_run_at_its_best_point_without_a_label():
+@pytest.mark.parametrize("build, eps, counts", [
+    (lambda: compose(make_diagonal(["t^1.5"] * 5), make_linear_map(random_contractive(5, 0.8, 0))),
+     0.1, (6, 31)),
+    (superlinear_fixed, 0.5, (3, 11)),
+], ids=["diag(t^1.5) o A", "fixed A s^1.2"])
+def test_the_sphere_stage_ends_the_run_at_its_best_point_without_a_label(build, eps, counts):
     """``diag(t^1.5) o A`` at eps = 0.1: the stage's margin grows to 0.0389 < eps, and
     its best point has no label, so the run ends there in ``label_none``, in 6
-    evaluations, and in 31 on the callable twin.
+    evaluations, and in 31 on the callable twin.  The 6th point gains a margin
+    within rounding (2.8e-12), which ends the stage without a further step.
 
-    The 6th point gains a margin within rounding (2.8e-12), which ends the
-    stage without a further step."""
-    T = compose(make_diagonal(["t^1.5"] * 5), make_linear_map(random_contractive(5, 0.8, 0)))
-    cfg = SolverConfig(r=10.0, epsilon=0.1, max_iterations=100_000)
-    for M, count in ((T, 6), (callable_twin(T), 31)):
+    ``superlinear_fixed()`` at eps = 0.5, above its best margin 0.2547, ends
+    alike in 3 evaluations, and in 11 on the twin."""
+    T = build()
+    n = T.dimension
+    cfg = SolverConfig(r=10.0, epsilon=eps, max_iterations=100_000)
+    for M, count in zip((T, callable_twin(T)), counts):
         with recorded() as seen:
-            report = find_decay_point(M, cfg, 5)
+            report = find_decay_point(M, cfg, n)
         assert (report.failure_reason, report.iterations) == ("label_none", count)
         on_sphere = [s for s in seen if abs(float(np.sum(s)) - 10.0) <= 1e-9 * 10.0]
         margins = [float(np.min(s - T(s))) for s in on_sphere]
         p = report.failure_point
         assert np.array_equal(p, on_sphere[int(np.argmax(margins))])
-        assert max(margins) < 0.1
-        assert label_index(p, T(p), 0.1) is None
+        assert max(margins) < eps
+        assert label_index(p, T(p), eps) is None
 
 
 

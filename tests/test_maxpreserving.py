@@ -21,6 +21,15 @@ def half_id_cycle(n):
 
 
 VIOLATING = GainTable([[None, "2*t"], ["t", None]])
+# tables of these pass the cycle test: every cycle stays below the identity on [1e-3, 1e3]
+PASSING_TERMS = ["0.4*t", "0.5*t", "0.3*t^1.1"]
+
+
+def sparse_rows(n: int, seed: int, gains: list[str]) -> list[list]:
+    """n-by-n gain rows whose entries are present with probability 3/n, each drawn from gains."""
+    rng = np.random.default_rng(seed)
+    return [[gains[rng.integers(len(gains))] if rng.random() < 3 / n else None
+             for _ in range(n)] for _ in range(n)]
 
 
 def compose_walk(table, walk, t):
@@ -535,7 +544,9 @@ def ring(n, gain="0.5*t^90"):
 
 
 class TestTheTableEvaluatesItself:
-    @pytest.mark.parametrize("table", [half_id_cycle(5), VIOLATING], ids=["passing", "failing"])
+    @pytest.mark.parametrize("table", [
+        half_id_cycle(5), VIOLATING, GainTable(sparse_rows(200, 0, PASSING_TERMS)),
+    ], ids=["passing", "failing", "passing sparse n=200"])
     def test_the_toolkit_builds_and_calls_no_map(self, table, monkeypatch):
         calls = []
         call, build = maps.MonotoneMap.__call__, GainTable.to_map

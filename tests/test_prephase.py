@@ -13,6 +13,8 @@ mechanism run on callable twins, which compute the same values without
 degree or Jacobian.
 """
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,7 @@ from decaycert.homotopy import SolverConfig, find_decay_point
 from decaycert.labeling import label_index
 from decaycert.linear import eps_max
 from decaycert.maps import MonotoneMap, compose, make_diagonal, make_linear_map, make_max_preserving
+from decaycert.mapspec import parse_map_spec
 from stages import callable_twin, recorded, without_sphere_stage
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -28,6 +31,7 @@ st = hypothesis.strategies
 
 R = 10.0
 CAP = 1000
+SPECS = Path(__file__).resolve().parents[1] / "mapspecs"
 # The pre-phase's iterates need steps growing like 1/(1 - rho) near rho = 1
 # (4,612 evaluations on a callable twin without the sphere stage at
 # rho = 0.999 and eps = 1.01 eps_max); runs that may reach them get a cap
@@ -211,11 +215,19 @@ def stochastic(draw):
     return A
 
 
+# eps_max = 0.07513 at r = 10; the examples are eps = 0.075 and 0.076
+NEAR_LIMIT = np.array([[0.5, 0.49], [0.48, 0.5]])
+
+
 @hypothesis.settings(max_examples=100, deadline=None, database=None, derandomize=True)
 @hypothesis.given(st.one_of(
     contractive(st.one_of(st.floats(0.05, 0.99), st.floats(1.01, 1.5))).map(
         lambda A: (A, eps_max(A, R))),
     stochastic().map(lambda A: (A, 0.0))), LIMIT_FRACTIONS)
+@hypothesis.example(case=(NEAR_LIMIT, eps_max(NEAR_LIMIT, R)),
+                    fraction=0.075 / eps_max(NEAR_LIMIT, R))
+@hypothesis.example(case=(NEAR_LIMIT, eps_max(NEAR_LIMIT, R)),
+                    fraction=0.076 / eps_max(NEAR_LIMIT, R))
 def test_the_policy_step_answers_a_linear_map_in_one_evaluation(case, fraction):
     A, limit = case
     check_one_evaluation(make_linear_map(A), limit, fraction)
@@ -243,6 +255,10 @@ def value_iteration_eps_max(T: MonotoneMap, r: float) -> float:
         u = w * (1.0 + 1e-9)
         if np.all(T(u) + 1.0 <= u):
             return r / float(np.sum(w))
+
+
+def example_spec(name: str) -> MonotoneMap:
+    return parse_map_spec((SPECS / f"{name}.json").read_text()).build()
 
 
 @st.composite
@@ -277,8 +293,10 @@ def max_times_compositions(draw):
 # A composition with a max-times part has no closed form for w*, but its
 # Jacobian gives each policy, and the policy step answers it in one
 # evaluation on either side of the limit, as it does a table.  In each of
-# the two examples a policy's solve rounds the component of a zero row to
-# 1 - 1 ulp, which must not be read as a spectral radius of one.
+# the first two examples a policy's solve rounds the component of a zero
+# row to 1 - 1 ulp, which must not be read as a spectral radius of one.
+# The third has eps_max 2 at r = 10, and the last two are the degree-one
+# example specs, a table and ``diag o linear``.
 @hypothesis.settings(max_examples=100, deadline=None, database=None, derandomize=True)
 @hypothesis.given(max_times_compositions())
 @hypothesis.example(T=compose(
@@ -287,6 +305,10 @@ def max_times_compositions(draw):
 @hypothesis.example(T=compose(
     max_times_map(np.array([[0.0, 0.0, 0.0], [0.0, 0.2, 0.9], [0.0, 0.8, 0.0]])),
     make_linear_map([[0.2, 1.2, 0.4], [1.5, 0.0, 0.7], [1.6, 0.5, 1.1]])))
+@hypothesis.example(T=compose(make_max_preserving([[None, "0.5*t"], ["0.8*t", "0.25*t"]]),
+                              make_linear_map([[0.5, 0.5], [0.25, 0.5]])))
+@hypothesis.example(T=example_spec("maxgain_half"))
+@hypothesis.example(T=example_spec("scaled_swap"))
 def test_the_policy_step_answers_a_composition_with_a_max_times_part_in_one_evaluation(T):
     limit = value_iteration_eps_max(T, R)
     for fraction in (0.99, 1.01):
@@ -552,13 +574,21 @@ def test_a_slack_below_half_an_ulp_still_finds_no_label(build, eps):
     assert np.all(p - T(p) <= 0.0)
 
 
-@pytest.mark.parametrize("gain", ["0", "0.5*t"])
-def test_a_limit_on_the_sphere_is_certified(gain):
+@pytest.mark.parametrize("rows", [
+    [[None, "0"], [None, "0"]],
+    [[None, "0.5*t"], [None, "0.5*t"]],
+    [[None, "max(0.25*t, 0.01*t^2)"], ["0.2*t + 0.01*t^2", None]],
+], ids=["0", "0.5*t", "gain text"])
+def test_a_limit_on_the_sphere_is_certified(rows):
     """``w* = r 1/n`` has margin exactly eps: the candidate rule, which asks for
     ``eps (1 + 1e-9)``, never fires, but the direct test of w*'s sphere point passes,
     in the policy step and, on the callable twin, as the sphere stage's first point.
+
+    The gain-text table, of degree (1, 2), has no policy step; its margin is
+    3.75 in both components at ``r 1/n``, which the sphere stage's first
+    point certifies.
     """
-    T = make_max_preserving([[None, gain], [None, gain]])
+    T = make_max_preserving(rows)
     cfg = SolverConfig(R, R / 2 - float(T(np.full(2, R / 2))[0]), CAP)
     report = find_decay_point(T, cfg, 2)
     assert report.success and report.iterations == 1
