@@ -60,23 +60,16 @@ def plain_walk(T: MonotoneMap, cfg: SolverConfig, n: int) -> SolveReport:
 def recorded():
     """Record a copy of every point at which a map is called, in order.
 
-    A call made inside another map's call (a composition's inner maps) is
-    part of that call and is not recorded, so inside the block the list
-    holds one point per evaluation of the outermost map.
+    A composition evaluates its parts through their ``fn``, not through
+    ``MonotoneMap.__call__``, so inside the block the list holds one point
+    per evaluation of the map the solver was given.
     """
     seen: list[np.ndarray] = []
     call = MonotoneMap.__call__
-    depth = 0
 
     def recording(self, s):
-        nonlocal depth
-        if depth == 0:
-            seen.append(np.array(s))
-        depth += 1
-        try:
-            return call(self, s)
-        finally:
-            depth -= 1
+        seen.append(np.array(s))
+        return call(self, s)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(MonotoneMap, "__call__", recording)

@@ -49,6 +49,9 @@ ENTRIES = {
     "dict": {},
     "list": [1.0],  # a row within a row: numpy reads the point or matrix as ragged
     "string": "abc",
+    "bytes": b"2",
+    "bool": True,  # numpy reads True as 1.0
+    "numpy-bool": np.bool_(False),
     "huge-int": 10**400,  # float() would raise OverflowError
     "negative-huge-int": -10**400,
 }
@@ -63,12 +66,16 @@ def bad_points():
     for name, entry in ENTRIES.items():
         yield pytest.param([entry, 1.0], entry, id=name)
     yield pytest.param(np.array([1 + 2j, 1.0]), 1 + 2j, id="complex-ndarray")
+    yield pytest.param(np.array(["1", "2"]), "1", id="str-ndarray")
+    yield pytest.param(np.array([False, True]), False, id="bool-ndarray")
 
 
 def bad_matrices():
     for name, entry in ENTRIES.items():
         yield pytest.param([[entry, 0.0], [0.0, 0.5]], entry, id=name)
     yield pytest.param(np.array([[0.5 + 1j, 0.0], [0.0, 0.5]]), 0.5 + 1j, id="complex-ndarray")
+    yield pytest.param(np.array([["0.5", "0"], ["0", "0.5"]]), "0.5", id="str-ndarray")
+    yield pytest.param(np.eye(2, dtype=bool), True, id="bool-ndarray")
 
 
 @pytest.mark.parametrize("door", POINT_DOORS.values(), ids=POINT_DOORS.keys())
@@ -114,10 +121,11 @@ class TestMatrixDoors:
     (lambda: make_linear_map([[1.0, 2.0]]), "expected a square matrix, got shape (1, 2)"),
     (lambda: make_linear_map([[True, 1.0]]), "matrix entry at (1,1) is not a number: True"),
     (lambda: make_linear_map([[0.5, -1.0], [0, 0]]), "negative entry at (1,2): -1.0"),
+    (lambda: make_linear_map([[0.0, math.nan], [0.5, 0.0]]), "non-finite entry at (1,2): nan"),
     (lambda: make_linear_map(np.array([[0.5, 0], [math.inf, 0]])),
      "non-finite entry at (2,1): inf"),
 ], ids=["shape", "empty", "dimension-first", "negative", "nan", "inf", "square", "number-first",
-        "matrix-negative", "matrix-inf"])
+        "matrix-negative", "matrix-nan", "matrix-inf"])
 def test_the_named_messages_keep_their_text_and_order(call, message):
     with pytest.raises(ValueError) as got:
         call()

@@ -168,19 +168,3 @@ class TestOrderingCheck:
     def test_k_must_be_positive(self):
         with pytest.raises(ValueError, match="k must be >= 1"):
             ordering_check(SWAP_HALF, [1, 1], [2, 2], 0)
-
-    def test_holds_across_families(self):
-        # starts stay in the unit box so 25 chain-map steps remain finite
-        rng = np.random.default_rng(41)
-        maps = [
-            make_chain_map(3),
-            make_linear_map(rng.random((3, 3))),
-            make_max_preserving(
-                [[None, "0.5*t", None], [None, None, "t^2"], ["0.25*t", None, None]]
-            ),
-        ]
-        for T in maps:
-            for _ in range(50):
-                s0 = rng.random(3) * 0.5
-                v0 = s0 + rng.random(3) * 0.5
-                assert ordering_check(T, s0, v0, 25)

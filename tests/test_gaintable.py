@@ -12,8 +12,10 @@ which may be a zero gain).
 
 import dataclasses
 
+import hypothesis
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from decaycert import maps
 from decaycert.homotopy import SolverConfig, find_decay_point
@@ -21,9 +23,6 @@ from decaycert.maps import coerce_gain
 from decaycert.maxpreserving import GainTable, cycle_condition, path_q, reparametrize_path
 from decaycert.scalarfn import Term
 from test_maxpreserving import PASSING_TERMS, power_cycle_condition, sparse_rows
-
-hypothesis = pytest.importorskip("hypothesis")
-st = hypothesis.strategies
 
 # the six gains of the solve corpus's max-times tables
 CORPUS_GAINS = ["0.4*t^0.5", "0.3*t^2", "0.5*t", "max(0.3*t, 0.05*t^2)", "0.2*t + 0.01*t^2",

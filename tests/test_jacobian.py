@@ -7,8 +7,10 @@ soundness; these tests hold the constructors to their derivatives anyway.
 
 import dataclasses
 
+import hypothesis
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from decaycert.maps import (
     MonotoneMap,
@@ -20,9 +22,6 @@ from decaycert.maps import (
     make_max_preserving,
 )
 from decaycert.scalarfn import Max, Sum, Term
-
-hypothesis = pytest.importorskip("hypothesis")
-st = hypothesis.strategies
 
 # Relative step of the central differences.  At the points drawn below their
 # truncation and rounding errors stay far below the tolerance of the check.

@@ -78,42 +78,6 @@ class TestOmegaMembership:
 
 
 class TestLabelOmegaConsistency:
-    def _random_cases(self):
-        rng = np.random.default_rng(31)
-        for _ in range(300):
-            n = int(rng.integers(2, 6))
-            T = make_linear_map(rng.random((n, n)))
-            s = rng.random(n) * 10 + 1e-6
-            yield T, s
-
-    def test_label_index_is_in_omega(self):
-        for T, s in self._random_cases():
-            for eps in (1e-2, 1e-4, 1e-8):
-                lab = label_eps(T, s, eps)
-                if lab is not None:
-                    assert lab in omega_membership(T, s)
-
-    def test_label_converges_to_omega_max_at_regular_points(self):
-        # where every |.| gap exceeds 1e-8 the eps-label at 1e-8 equals max(omega)
-        for T, s in self._random_cases():
-            gaps = np.abs(np.asarray(s) - T(s))
-            if np.min(gaps) <= 1e-8:
-                continue
-            omega = omega_membership(T, s)
-            lab = label_eps(T, s, 1e-8)
-            if omega:
-                assert lab == max(omega)
-            else:
-                assert lab is None
-
-    def test_label_monotone_in_eps(self):
-        # shrinking eps can only grow the qualifying set, so the max label rises
-        for T, s in self._random_cases():
-            labels = [label_eps(T, s, eps) for eps in (1e-1, 1e-2, 1e-4, 1e-8)]
-            for coarse, fine in zip(labels, labels[1:]):
-                if coarse is not None:
-                    assert fine is not None and fine >= coarse
-
     def test_corner_labels_are_own_index_or_none(self):
         rng = np.random.default_rng(32)
         for _ in range(200):

@@ -2,8 +2,10 @@ import dataclasses
 import math
 import re
 
+import hypothesis
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from decaycert.maps import (
     MonotoneMap,
@@ -15,11 +17,6 @@ from decaycert.maps import (
     make_max_preserving,
 )
 from decaycert.order import compare, OrderRelation
-
-
-def random_ordered_pair(rng, n, scale=10.0):
-    x = rng.random(n) * scale
-    return x, x + rng.random(n) * scale
 
 
 class TestChainMap:
@@ -98,26 +95,6 @@ class TestFlipflop:
             with pytest.raises(ValueError):
                 make_flipflop_map(bad)
 
-    def test_iteration_never_produces_strict_decay(self):
-        # if Tx is not << x, then no iterate satisfies T^{k+1}x << T^k x
-        rng = np.random.default_rng(21)
-        for lam in (0.25, 0.5, 0.9):
-            T = make_flipflop_map(lam)
-            tested = 0
-            for _ in range(200):
-                x = rng.random(2) * 10 + 1e-9
-                if compare(T(x), x) is OrderRelation.LL:
-                    continue
-                tested += 1
-                cur = x
-                for _ in range(50):
-                    nxt = T(cur)
-                    assert compare(T(nxt), nxt) is not OrderRelation.LL, (lam, x)
-                    cur = nxt
-                if tested >= 100:
-                    break
-            assert tested >= 100
-
 
 class TestLinear:
     def test_matvec(self):
@@ -130,28 +107,6 @@ class TestLinear:
 
     def test_scalar(self):
         np.testing.assert_allclose(make_linear_map([[0.8]])([10.0]), [8.0])
-
-    def test_rejects_negative_entry(self):
-        with pytest.raises(ValueError, match="negative entry"):
-            make_linear_map([[-1.0]])
-
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
-    def test_rejects_non_finite_entry(self, bad):
-        with pytest.raises(ValueError, match=r"non-finite entry at \(1,2\)"):
-            make_linear_map([[0.0, bad], [0.5, 0.0]])
-
-    def test_rejects_nonsquare(self):
-        with pytest.raises(ValueError):
-            make_linear_map([[1.0, 2.0]])
-
-    def test_rejects_a_bool_or_a_string_entry(self):
-        # numpy reads True as 1.0 and "0.5" as 0.5, so this built T(2, 4) = (4, 0)
-        with pytest.raises(ValueError, match=r"^matrix entry at \(1,1\) is not a number: True$"):
-            make_linear_map([[True, "0.5"], [0, 0]])
-        with pytest.raises(ValueError, match=r"^matrix entry at \(1,2\) is not a number: '0\.5'$"):
-            make_linear_map([[1.0, "0.5"], [0, 0]])
-        with pytest.raises(ValueError, match=r"^matrix entry at \(1,1\) is not a number: True$"):
-            make_linear_map(np.eye(2, dtype=bool))
 
 
 class TestMaxPreserving:
@@ -172,16 +127,6 @@ class TestMaxPreserving:
         for _ in range(300):
             s, v = rng.random(3) * 5, rng.random(3) * 5
             np.testing.assert_allclose(T(np.maximum(s, v)), np.maximum(T(s), T(v)))
-
-    def test_rejects_gain_with_offset(self):
-        from decaycert.scalarfn import Term
-
-        # c*t^0 is the constant c, which cannot vanish at zero, however small c is
-        for build in (lambda: make_max_preserving([[Term(1.0, 0.0)]]),
-                      lambda: make_max_preserving([["1e-13*t^0", "0.5*t"], ["0.5*t", None]]),
-                      lambda: make_diagonal(["t + 1e-13*t^0"])):
-            with pytest.raises(ValueError, match="g\\(0\\)=0"):
-                build()
 
     def test_rejects_raw_callables(self):
         from decaycert.scalarfn import ScalarFn
@@ -205,13 +150,6 @@ class TestMaxPreserving:
             make_max_preserving(["t"])
         with pytest.raises(ValueError, match="^gain table must be a sequence, got the string 't'$"):
             make_max_preserving("t")
-
-    def test_rejects_a_decreasing_gain(self):
-        from decaycert.scalarfn import Term
-
-        # -0.5*t vanishes at zero; its negative coefficient is refused when the Term is built
-        with pytest.raises(ValueError, match=r"^Term coefficient must be real, finite and >= 0"):
-            make_max_preserving([[None, Term(-0.5)], ["0.5*t", None]])
 
 
 class TestDiagonal:
@@ -296,45 +234,6 @@ def test_a_negative_value_is_rejected():
         T([1.0, 2.0])
 
 
-def _family_zoo(rng):
-    """One representative per family and dimension up to 6."""
-    zoo = []
-    for n in range(2, 7):
-        A = rng.random((n, n))
-        zoo.append((f"linear-{n}", make_linear_map(A), n))
-        zoo.append((f"chain-{n}", make_chain_map(n), n))
-        gains = [
-            [None if i == j else "0.5*t" for j in range(n)] for i in range(n)
-        ]
-        zoo.append((f"maxpreserving-{n}", make_max_preserving(gains), n))
-        zoo.append((f"diagonal-{n}", make_diagonal(["t^2"] * n), n))
-        zoo.append(
-            (f"composition-{n}", compose(make_diagonal(["2*t"] * n), make_linear_map(A)), n)
-        )
-    zoo.append(("flipflop", make_flipflop_map(0.5), 2))
-    return zoo
-
-
-class TestFamilyInvariants:
-    def test_monotone_on_sampled_ordered_pairs(self):
-        rng = np.random.default_rng(24)
-        for name, T, n in _family_zoo(rng):
-            for _ in range(200):
-                x, y = random_ordered_pair(rng, n, scale=3.0)
-                assert np.all(T(x) <= T(y)), name
-
-    def test_zero_maps_to_zero_exactly(self):
-        rng = np.random.default_rng(25)
-        for name, T, n in _family_zoo(rng):
-            assert np.all(T(np.zeros(n)) == 0.0), name
-
-    def test_orthant_preserved(self):
-        rng = np.random.default_rng(26)
-        for name, T, n in _family_zoo(rng):
-            for _ in range(50):
-                assert np.all(T(rng.random(n) * 10) >= 0.0), name
-
-
 class TestDegree:
     """Each constructor proves ``degree = (lo, hi)``: ``l^lo T(s) <= T(l s) <= l^hi T(s)``
     for ``l >= 1``.  The policy step reads ``(1, 1)``; a map built from a callable has None."""
@@ -385,8 +284,6 @@ class TestDegree:
 def test_the_degree_bounds_how_the_map_scales():
     """``l^lo T(s) <= T(l s) <= l^hi T(s)`` to 1e-12 relative, for l in [1, 10], on random
     tables, diagonals, chain maps and compositions of them over the gain vocabulary."""
-    hypothesis = pytest.importorskip("hypothesis")
-    st = hypothesis.strategies
     gains = ["0.5*t", "0.3*t^0.5", "t^2", "0.2*t + 0.01*t^2", "max(0.25*t, 0.01*t^2)",
              "max(t^0.5, 0.3*t)", "0.1*t^1.5 + 0.2*t^0.8"]
     entries = st.sampled_from([None, "0", *gains])  # absent and zero entries too

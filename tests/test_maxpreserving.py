@@ -3,13 +3,16 @@ import warnings
 from functools import reduce
 from itertools import combinations, permutations
 
+import hypothesis
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from decaycert.homotopy import SolverConfig, find_decay_point
 from decaycert import maps
 from decaycert.maxpreserving import GainTable, cycle_condition, cycle_grid, path_q, reparametrize_path
 from decaycert.scalarfn import Max, Sum, Term
+from test_prephase import cycle_mean
 
 
 def half_id_cycle(n):
@@ -138,15 +141,6 @@ ENUMERATED = [pytest.param(random_table(seed), id=str(seed)) for seed in range(1
 ]
 
 
-def cycle_mean(C):
-    """Largest geometric cycle mean of a max-times matrix, from its first n powers."""
-    power, best = C.copy(), 0.0
-    for k in range(1, C.shape[0] + 1):
-        best = max(best, float(np.max(np.diag(power))) ** (1.0 / k))
-        power = np.max(power[:, :, None] * C[None, :, :], axis=1)
-    return best
-
-
 class TestGainTable:
     def test_square_required(self):
         with pytest.raises(ValueError):
@@ -170,12 +164,6 @@ class TestGainTable:
         # 1.5 would raise a bare TypeError, and True would read as row 1
         with pytest.raises(ValueError, match=rf"^gain index {message}$"):
             half_id_cycle(2).gain(i, j)
-
-    def test_rejects_offset_gain(self):
-        from decaycert.scalarfn import Term
-
-        with pytest.raises(ValueError, match="g\\(0\\)=0"):
-            GainTable([[Term(1.0, 0.0)]])
 
     def test_induced_map(self):
         T = half_id_cycle(2).to_map()
@@ -355,8 +343,6 @@ def dense_grid_verdict(table: GainTable, points: int = 1201) -> bool:
 def test_the_two_end_verdict_covers_the_interval():
     """By log-log convexity the verdict at 1e-3 and 1e3 is the verdict on every
     point between them, here 1,201 of them."""
-    hypothesis = pytest.importorskip("hypothesis")
-    st = hypothesis.strategies
     # a zero gain two times in five: about a third of the tables pass, and the
     # others fail at either end
     terms = st.builds(Term, st.floats(-3.0, 0.0).map(lambda x: 10.0 ** x), st.floats(0.7, 1.3))

@@ -15,8 +15,10 @@ degree or Jacobian.
 
 from pathlib import Path
 
+import hypothesis
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from decaycert import homotopy
 from decaycert.homotopy import SolverConfig, find_decay_point
@@ -25,9 +27,6 @@ from decaycert.linear import eps_max
 from decaycert.maps import MonotoneMap, compose, make_diagonal, make_linear_map, make_max_preserving
 from decaycert.mapspec import parse_map_spec
 from stages import callable_twin, recorded, without_sphere_stage
-
-hypothesis = pytest.importorskip("hypothesis")
-st = hypothesis.strategies
 
 R = 10.0
 CAP = 1000

@@ -1,4 +1,6 @@
+import hypothesis
 import pytest
+from hypothesis import strategies as st
 
 from decaycert.maps import make_diagonal
 from decaycert.maxpreserving import cycle_grid
@@ -65,9 +67,10 @@ class TestChecks:
     def test_zero_at_zero(self):
         assert parse_scalar_fn("t + t^2")(0.0) == 0.0
         # exact, with no tolerance: a constant term is refused however small it is
-        with pytest.raises(ValueError,
-                           match=r"^Term 1e-13\*t\^0 is a constant, which violates g\(0\)=0$"):
-            Term(1e-13, 0.0)
+        for c in (5e-324, 1e-13, 1.0):
+            with pytest.raises(ValueError) as got:
+                Term(c, 0.0)
+            assert str(got.value) == f"Term {c!r}*t^0 is a constant, which violates g(0)=0"
 
     def test_nondecreasing(self):
         # every tree is nondecreasing by construction, so a gain needs no sampled check
@@ -138,12 +141,6 @@ def test_a_degree_spans_the_nonzero_terms_of_every_part():
     assert span([None]) is None and span([]) is None
 
 
-@pytest.mark.parametrize("c", [5e-324, 1e-13, 1.0])
-def test_a_constant_term_is_refused(c):
-    with pytest.raises(ValueError, match=r"g\(0\)=0"):
-        Term(c, 0.0)
-
-
 # "0*t^1e400" too: a zero term is checked as written, as t^inf renders to text that does not parse
 @pytest.mark.parametrize("text", ["0.5", "t^0", "1e-13*t^0", "t + 1e-13*t^0", "max(t, 0.5)",
                                   "max(t)", "1e400*t", "t^1e400", "0*t^1e400"])
@@ -163,7 +160,6 @@ def parser_trees(depth: int = 3):
     A Sum's parts are never Sums (its ``+`` chain is flat), and no Term is
     a constant (exponent 0 with a nonzero coefficient), which Term refuses.
     """
-    st = pytest.importorskip("hypothesis").strategies
     terms = st.tuples(st.floats(0.0, 1e6) | st.sampled_from([0.0, 1.0]),
                       st.floats(0.0, 8.0) | st.sampled_from([0.0, 1.0, 2.0])
                       ).filter(lambda ca: ca[0] == 0.0 or ca[1] > 0.0).map(lambda ca: Term(*ca))
@@ -184,7 +180,6 @@ def parser_trees(depth: int = 3):
 def test_every_tree_vanishes_at_zero_and_is_nondecreasing():
     """What makes every tree a gain, ``g(0) = 0`` exactly and g nondecreasing,
     holds by construction: no gain check is left to make."""
-    hypothesis = pytest.importorskip("hypothesis")
 
     @hypothesis.settings(max_examples=150, deadline=None, database=None, derandomize=True)
     @hypothesis.given(parser_trees())
@@ -202,7 +197,6 @@ def test_every_rendered_tree_parses_back_to_itself():
     The trees have the parser's shapes (:func:`parser_trees`), so the values
     agree exactly, not up to rounding.
     """
-    hypothesis = pytest.importorskip("hypothesis")
 
     @hypothesis.settings(max_examples=150, deadline=None, database=None, derandomize=True)
     @hypothesis.given(parser_trees())
@@ -220,8 +214,6 @@ def test_any_text_parses_or_raises_the_parse_error():
     """Text over the grammar's tokens and stray characters either parses or raises
     ScalarFnParseError, never another exception: the command line reports
     a bad gain with exit code 2 and no traceback."""
-    hypothesis = pytest.importorskip("hypothesis")
-    st = hypothesis.strategies
     tokens = ["t", "max", "(", ")", ",", "+", "*", "^", "0", "1", "2.5", ".5", "3.", "1e3",
               "1e400", " ", "\t", "q", "-", ".", "e", "m", "ma", " "]
 
