@@ -16,6 +16,9 @@ test that means a later stage says how it gets there:
   policy step, no sphere stage and no pre-phase, only the walk;
 * ``recorded()`` records the points at which maps are evaluated, and
   leaves every map as it was built.
+
+``cycle_mean(C)`` is the max-times cycle-mean oracle that the pre-phase
+and the max-preserving tests share.
 """
 
 from __future__ import annotations
@@ -74,3 +77,17 @@ def recorded():
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(MonotoneMap, "__call__", recording)
         yield seen
+
+
+def cycle_mean(C: np.ndarray) -> float:
+    """Largest geometric cycle mean of a max-times table of coefficients.
+
+    A closed walk splits into simple cycles of length at most n, so the
+    k-th root of the largest diagonal entry of the k-th max-times power,
+    maximized over k <= n, is exact.
+    """
+    power, best = C, 0.0
+    for k in range(1, len(C) + 1):
+        best = max(best, float(np.max(np.diag(power))) ** (1.0 / k))
+        power = np.max(power[:, :, None] * C[None, :, :], axis=1)
+    return best

@@ -42,13 +42,15 @@ MATRIX_DOORS = {
     "neumann_inverse": neumann_inverse,
     "eps_max": lambda A: eps_max(A, 1.0),
 }
-# each entry sits first: at index 0 of a point, at (1,1) of a matrix
+# each entry sits first, at index 0 of a point and (1,1) of a matrix, and then
+# after a number, at index 1 and (1,2)
 ENTRIES = {
     "complex": 1 + 2j,
     "None": None,
     "dict": {},
     "list": [1.0],  # a row within a row: numpy reads the point or matrix as ragged
     "string": "abc",
+    "numeric-string": "0.5",  # numpy's astype(float) would read it
     "bytes": b"2",
     "bool": True,  # numpy reads True as 1.0
     "numpy-bool": np.bool_(False),
@@ -64,27 +66,30 @@ class Count(int):
 
 def bad_points():
     for name, entry in ENTRIES.items():
-        yield pytest.param([entry, 1.0], entry, id=name)
-    yield pytest.param(np.array([1 + 2j, 1.0]), 1 + 2j, id="complex-ndarray")
-    yield pytest.param(np.array(["1", "2"]), "1", id="str-ndarray")
-    yield pytest.param(np.array([False, True]), False, id="bool-ndarray")
+        yield pytest.param([entry, 1.0], "0", entry, id=name)
+        yield pytest.param([1.0, entry], "1", entry, id=f"{name}-later")
+    yield pytest.param(np.array([1 + 2j, 1.0]), "0", 1 + 2j, id="complex-ndarray")
+    yield pytest.param(np.array(["1", "2"]), "0", "1", id="str-ndarray")
+    yield pytest.param(np.array([False, True]), "0", False, id="bool-ndarray")
 
 
 def bad_matrices():
     for name, entry in ENTRIES.items():
-        yield pytest.param([[entry, 0.0], [0.0, 0.5]], entry, id=name)
-    yield pytest.param(np.array([[0.5 + 1j, 0.0], [0.0, 0.5]]), 0.5 + 1j, id="complex-ndarray")
-    yield pytest.param(np.array([["0.5", "0"], ["0", "0.5"]]), "0.5", id="str-ndarray")
-    yield pytest.param(np.eye(2, dtype=bool), True, id="bool-ndarray")
+        yield pytest.param([[entry, 0.0], [0.0, 0.5]], "1,1", entry, id=name)
+        yield pytest.param([[0.5, entry], [0.0, 0.5]], "1,2", entry, id=f"{name}-later")
+    yield pytest.param(np.array([[0.5 + 1j, 0.0], [0.0, 0.5]]), "1,1", 0.5 + 1j,
+                       id="complex-ndarray")
+    yield pytest.param(np.array([["0.5", "0"], ["0", "0.5"]]), "1,1", "0.5", id="str-ndarray")
+    yield pytest.param(np.eye(2, dtype=bool), "1,1", True, id="bool-ndarray")
 
 
 @pytest.mark.parametrize("door", POINT_DOORS.values(), ids=POINT_DOORS.keys())
 class TestPointDoors:
-    @pytest.mark.parametrize("s, entry", bad_points())
-    def test_a_non_number_component_is_named_by_its_index(self, door, s, entry):
+    @pytest.mark.parametrize("s, index, entry", bad_points())
+    def test_a_non_number_component_is_named_by_its_index(self, door, s, index, entry):
         with pytest.raises(ValueError) as got:
             door(s)
-        assert str(got.value) == f"component at index 0 is not a number: {entry!r}"
+        assert str(got.value) == f"component at index {index} is not a number: {entry!r}"
 
     @pytest.mark.parametrize("s", ZERO_D.values(), ids=ZERO_D.keys())
     def test_a_zero_dimensional_non_number_is_refused(self, door, s):
@@ -94,11 +99,11 @@ class TestPointDoors:
 
 @pytest.mark.parametrize("door", MATRIX_DOORS.values(), ids=MATRIX_DOORS.keys())
 class TestMatrixDoors:
-    @pytest.mark.parametrize("A, entry", bad_matrices())
-    def test_a_non_number_entry_is_named_by_its_position(self, door, A, entry):
+    @pytest.mark.parametrize("A, position, entry", bad_matrices())
+    def test_a_non_number_entry_is_named_by_its_position(self, door, A, position, entry):
         with pytest.raises(ValueError) as got:
             door(A)
-        assert str(got.value) == f"matrix entry at (1,1) is not a number: {entry!r}"
+        assert str(got.value) == f"matrix entry at ({position}) is not a number: {entry!r}"
 
     @pytest.mark.parametrize("A", ZERO_D.values(), ids=ZERO_D.keys())
     def test_a_zero_dimensional_non_number_is_refused(self, door, A):

@@ -12,7 +12,7 @@ from decaycert.homotopy import SolverConfig, find_decay_point
 from decaycert import maps
 from decaycert.maxpreserving import GainTable, cycle_condition, cycle_grid, path_q, reparametrize_path
 from decaycert.scalarfn import Max, Sum, Term
-from test_prephase import cycle_mean
+from stages import cycle_mean
 
 
 def half_id_cycle(n):

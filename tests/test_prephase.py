@@ -26,7 +26,7 @@ from decaycert.labeling import label_index
 from decaycert.linear import eps_max
 from decaycert.maps import MonotoneMap, compose, make_diagonal, make_linear_map, make_max_preserving
 from decaycert.mapspec import parse_map_spec
-from stages import callable_twin, recorded, without_sphere_stage
+from stages import callable_twin, cycle_mean, recorded, without_sphere_stage
 
 R = 10.0
 CAP = 1000
@@ -98,20 +98,6 @@ def test_near_unit_rho_feasible_eps_succeeds(A, fraction):
 @hypothesis.given(contractive(NEAR_UNIT_RHO), st.floats(1.01, 1.1))
 def test_near_unit_rho_infeasible_eps_ends_in_label_none(A, fraction):
     check_infeasible(make_linear_map(A), fraction * eps_max(A, R), NEAR_UNIT_CAP)
-
-
-def cycle_mean(C: np.ndarray) -> float:
-    """Largest geometric cycle mean of a max-times table of coefficients.
-
-    A closed walk splits into simple cycles of length at most n, so the
-    k-th root of the largest diagonal entry of the k-th max-times power,
-    maximized over k <= n, is exact.
-    """
-    power, best = C, 0.0
-    for k in range(1, len(C) + 1):
-        best = max(best, float(np.max(np.diag(power))) ** (1.0 / k))
-        power = np.max(power[:, :, None] * C[None, :, :], axis=1)
-    return best
 
 
 def max_times_eps_max(C: np.ndarray, r: float) -> float:
