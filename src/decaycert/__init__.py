@@ -8,15 +8,15 @@ of prescribed 1-norm with a refining simplicial search and certifies the
 interval, which is exactly the numerical form of the generalized
 small-gain condition for interconnected systems.
 
-``find_decay_point`` runs four stages in order, and each may end the
-run: the policy step, which answers a map of degree one
-(``MonotoneMap.degree == (1, 1)``) in one evaluation; the sphere stage
-of Newton steps from the uniform point, with the map's proven Jacobian
-or, for a map built from a callable, a difference Jacobian, which ends
-the run where its best point has no label; the order-interval
-pre-phase; and the simplicial walk.  The walk is left with the runs the
-first three do not end: a failed pre-phase candidate, and a proof of
-infeasibility at a point that still has a label.
+``find_decay_point`` is the private ``homotopy._solve`` with four stages
+in order, and each may end the run: the policy step, which answers a map
+of degree one (``MonotoneMap.degree == (1, 1)``) in one evaluation; the
+sphere stage of Newton steps from the uniform point, with the map's
+proven Jacobian or, for a map built from a callable, a difference
+Jacobian, which ends the run where its best point has no label; the
+order-interval pre-phase; and the simplicial walk.  The walk is left
+with the runs the first three do not end: a failed pre-phase candidate,
+and a proof of infeasibility at a point that still has a label.
 """
 
 from .dynamics import (

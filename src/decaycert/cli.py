@@ -133,6 +133,7 @@ def cmd_verify(args) -> int:
 
 def cmd_sweep(args) -> int:
     check_count("--instances", args.instances)
+    check_count("--seed", args.seed, least=0)
     dims = _parse_list(args.dims, int, "--dims")
     configs = [SolverConfig(r=args.radius, epsilon=eps, max_iterations=args.max_iterations)
                for eps in _parse_list(args.epsilons, float, "--epsilons")]

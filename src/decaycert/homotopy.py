@@ -184,13 +184,13 @@ the memo, so only a sphere point that passed the direct margin test is
 ever returned.
 
 **The walk** (``_walk``) is the paper's method, and it runs last,
-always down the whole slack ladder below.  ``find_decay_point`` is the
-four stages in order, ``_policy_step``, ``_sphere_stage``, ``_pre_phase``
-and ``_walk``; each ends the search by raising ``_Finished``, or hands
-the run on to the next.  Every label a stage reads goes through
-``_Evaluator.label``, which ends the run in ``label_none`` at a sphere
-point without a label at eps; only the pre-phase's box point ends there
-unevaluated.
+always down the whole slack ladder below.  ``find_decay_point`` is
+``_solve`` with the four stages in order, ``_policy_step``,
+``_sphere_stage``, ``_pre_phase`` and ``_walk``; each ends the search by
+raising ``_Finished``, or hands the run on to the next.  Every label a
+stage reads goes through ``_Evaluator.label``, which ends the run in
+``label_none`` at a sphere point without a label at eps; only the
+pre-phase's box point ends there unevaluated.
 
 One practical subtlety drives the structure below.  Complete cells of
 the slack-``d`` labeling contract onto points whose worst component
@@ -611,6 +611,15 @@ def find_decay_point(T: MonotoneMap, cfg: SolverConfig, n: int) -> SolveReport:
     the sphere stage, the pre-phase, the ladder and their proofs are
     described in the module docstring.
     """
+    return _solve(T, cfg, n, (_policy_step, _sphere_stage, _pre_phase, _walk))
+
+
+def _solve(T: MonotoneMap, cfg: SolverConfig, n: int, stages: tuple) -> SolveReport:
+    """The search on T through ``stages``, each called with one ``_Evaluator`` in order.
+
+    The report is that of the stage that ends the run.  Every tuple must
+    end in ``_walk``, which always ends it, so the guard below is unreached.
+    """
     check_sphere(cfg.r, n)
     if T.dimension != n:
         raise ValueError(f"map has dimension {T.dimension}, expected {n}")
@@ -618,10 +627,8 @@ def find_decay_point(T: MonotoneMap, cfg: SolverConfig, n: int) -> SolveReport:
     try:
         # an overflow in T or in the pre-phase is named by the finiteness checks
         with np.errstate(over="ignore"):
-            _policy_step(ev)
-            _sphere_stage(ev)
-            _pre_phase(ev)
-            _walk(ev)
+            for stage in stages:
+                stage(ev)
     except _Finished as finished:
         return finished.report
     raise AssertionError("slack ladder ended without a rung at eps")  # pragma: no cover

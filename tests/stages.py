@@ -1,24 +1,31 @@
-"""Ways for a test to reach one stage of ``find_decay_point`` on purpose.
+"""Ways for a test to reach one stage of ``find_decay_point`` on purpose, and shared oracles.
 
-The solver runs the policy step, the sphere stage, the pre-phase, then
-the walk.  A map that a constructor built carries its proven Jacobian and
-degree, and those let the first two stages answer most runs,
-and the sphere stage ends every run whose best point has no label, so a
-test that means a later stage says how it gets there:
+``find_decay_point`` is ``homotopy._solve`` with the policy step, the
+sphere stage, the pre-phase and the walk in that order.  A map that a
+constructor built carries its proven Jacobian and degree, and those let
+the first two stages answer most runs, and the sphere stage ends every
+run whose best point has no label, so a test that means a later stage
+says how it gets there:
 
 * ``callable_twin(T)`` computes T's values without the degree or the
   Jacobian: no policy step, and a sphere stage whose Newton steps use
   forward differences;
-* ``without_sphere_stage(T, cfg, n)`` runs the solver on T with the
-  sphere stage a no-op, so the run reaches the pre-phase after the policy
-  step;
-* ``plain_walk(T, cfg, n)`` runs the paper's plain method on T itself: no
-  policy step, no sphere stage and no pre-phase, only the walk;
+* ``without_sphere_stage(T, cfg, n)`` runs ``_solve`` on T with every
+  stage but the sphere stage, so the run reaches the pre-phase after the
+  policy step;
+* ``plain_walk(T, cfg, n)`` runs ``_solve`` on T with the walk alone, the
+  paper's plain method: no policy step, no sphere stage and no pre-phase;
 * ``recorded()`` records the points at which maps are evaluated, and
   leaves every map as it was built.
 
-``cycle_mean(C)`` is the max-times cycle-mean oracle that the pre-phase
-and the max-preserving tests share.
+No stage is replaced by name: each helper passes ``_solve`` its tuple,
+which ends in ``_walk`` as every tuple must.
+
+The module also holds what several test modules share, so that no test
+module imports another: the oracles ``cycle_mean(C)``, the max-times
+cycle mean, and ``power_cycle_condition(nonzero)``, the cycle test as
+all n max-plus powers; and ``sparse_rows(n, seed, gains)`` with
+``PASSING_TERMS``, the sparse gain tables they are run on.
 """
 
 from __future__ import annotations
@@ -32,6 +39,9 @@ from decaycert import homotopy
 from decaycert.homotopy import SolveReport, SolverConfig
 from decaycert.maps import MonotoneMap
 
+# tables of these pass the cycle test: every cycle stays below the identity on [1e-3, 1e3]
+PASSING_TERMS = ["0.4*t", "0.5*t", "0.3*t^1.1"]
+
 
 def callable_twin(T: MonotoneMap) -> MonotoneMap:
     """``T``'s values through a map built from its callable: no degree and no Jacobian."""
@@ -39,24 +49,17 @@ def callable_twin(T: MonotoneMap) -> MonotoneMap:
 
 
 def without_sphere_stage(T: MonotoneMap, cfg: SolverConfig, n: int) -> SolveReport:
-    """``find_decay_point(T, cfg, n)`` with the sphere stage a no-op."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(homotopy, "_sphere_stage", lambda ev: None)
-        return homotopy.find_decay_point(T, cfg, n)
+    """``find_decay_point(T, cfg, n)`` without the sphere stage."""
+    return homotopy._solve(T, cfg, n, (homotopy._policy_step, homotopy._pre_phase,
+                                       homotopy._walk))
 
 
 def plain_walk(T: MonotoneMap, cfg: SolverConfig, n: int) -> SolveReport:
-    """``find_decay_point(T, cfg, n)`` as the paper's plain method.
+    """``find_decay_point(T, cfg, n)`` as the paper's plain method, the walk alone.
 
-    The policy step, the sphere stage and the pre-phase do nothing, so the
-    run is the walk alone; the memo, the cap, the report and the solve's
-    own entry point (``homotopy.find_decay_point``, looked up at call
-    time, as a tracer replaces it) are the solver's.
+    The memo, the cap and the report are the solver's.
     """
-    with pytest.MonkeyPatch.context() as patch:
-        for stage in ("_policy_step", "_sphere_stage", "_pre_phase"):
-            patch.setattr(homotopy, stage, lambda ev: None)
-        return homotopy.find_decay_point(T, cfg, n)
+    return homotopy._solve(T, cfg, n, (homotopy._walk,))
 
 
 @contextlib.contextmanager
@@ -91,3 +94,44 @@ def cycle_mean(C: np.ndarray) -> float:
         best = max(best, float(np.max(np.diag(power))) ** (1.0 / k))
         power = np.max(power[:, :, None] * C[None, :, :], axis=1)
     return best
+
+
+def sparse_rows(n: int, seed: int, gains: list[str]) -> list[list]:
+    """n-by-n gain rows whose entries are present with probability 3/n, each drawn from gains."""
+    rng = np.random.default_rng(seed)
+    return [[gains[rng.integers(len(gains))] if rng.random() < 3 / n else None
+             for _ in range(n)] for _ in range(n)]
+
+
+def power_cycle_condition(nonzero):
+    """Reference oracle: cycle_condition as all n max-plus powers, without the stop.
+
+    ``nonzero`` lists each row's ``(j, gain)`` pairs, like ``GainTable.nonzero``.
+    For ``k = 1..n`` it steps the power ``T^k(t e_i)`` over every start and both
+    ends, and at the first diagonal hit re-steps that start's powers and
+    backtracks the walk by the first gain of largest value.
+    """
+    n, ends = len(nonzero), np.array([1e-3, 1e3])
+
+    def step(w):
+        out = np.zeros_like(w)
+        for a, row in enumerate(nonzero):
+            for j, g in row:
+                np.maximum(out[:, a], g(w[:, j]), out=out[:, a])
+        return out
+
+    start = w = np.eye(n)[:, :, None] * ends
+    with np.errstate(over="ignore"):
+        for k in range(1, n + 1):
+            w = step(w)
+            hits = np.argwhere(np.diagonal(w).T >= ends)
+            if len(hits):
+                i, p = hits[0].tolist()
+                path = [start[i:i + 1, :, p:p + 1]]
+                for _ in range(k - 1):
+                    path.append(step(path[-1]))
+                walk = [i]
+                for v in reversed(path[1:]):
+                    walk.append(max(nonzero[walk[-1]], key=lambda jg: jg[1](v[0, jg[0], 0]))[0])
+                return False, (tuple(a + 1 for a in walk), float(ends[p]))
+    return True, None

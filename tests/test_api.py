@@ -47,7 +47,10 @@ def test_bench_tracer_hooks_see_the_solver():
     """The benchmark's tracer patches module-level names; a traced solve must be counted.
 
     The chain map runs the plain method, so that the solve is the walk:
-    10 evaluations, 11 label lookups and 2 pivots.
+    10 evaluations, 11 label lookups and 2 pivots.  The tracer wraps only
+    ``find_decay_point``, so the plain walk runs inside a solve span of its
+    own.  Then ``find_decay_point`` itself, through the patched name, adds
+    its 2 evaluations.
     """
     spec = importlib.util.spec_from_file_location("bench_tracer", BENCH_TRACER)
     tracer_module = importlib.util.module_from_spec(spec)
@@ -57,11 +60,14 @@ def test_bench_tracer_hooks_see_the_solver():
     tracer.patch(dc)
     try:
         cfg = dc.homotopy.SolverConfig(r=10.0, epsilon=0.1)
-        report = plain_walk(dc.maps.make_chain_map(3), cfg, 3)
+        report = tracer.wrap(tracer_module.SOLVE, plain_walk)(dc.maps.make_chain_map(3), cfg, 3)
+        assert report.success and report.iterations == 10
+        assert tracer.counters() == (10, 11, 2)  # evaluations, lookups, pivots
+        report = dc.homotopy.find_decay_point(dc.maps.make_chain_map(3), cfg, 3)
     finally:
         tracer.unpatch()
-    assert report.success and report.iterations == 10
-    assert tracer.counters() == (10, 11, 2)  # evaluations, lookups, pivots
+    assert report.success and report.iterations == 2
+    assert tracer.counters() == (12, 11, 2)
 
 
 SWAP = [[0.0, 0.5], [0.5, 0.0]]

@@ -382,8 +382,9 @@ class TestSweep:
         ("--epsilons", "0.1,-1", "epsilon must be positive and finite, got -1.0"),
         ("--epsilons", "0.1,inf", "epsilon must be positive and finite, got inf"),
         ("-r", "0", "r must be positive and finite, got 0.0"),
+        ("--seed", "-1", "--seed must be >= 0, got -1"),  # read only by linear-random
     ], ids=["missing-directory", "a-directory", "under-a-file", "negative-last-epsilon",
-            "inf-last-epsilon", "zero-radius"])
+            "inf-last-epsilon", "zero-radius", "negative-seed"])
     def test_a_bad_flag_is_refused_before_the_first_solve(self, tmp_path, capsys, monkeypatch,
                                                           flag, value, message):
         (tmp_path / "file").write_text("")  # a writable parent that is no directory

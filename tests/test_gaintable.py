@@ -22,7 +22,7 @@ from decaycert.homotopy import SolverConfig, find_decay_point
 from decaycert.maps import coerce_gain
 from decaycert.maxpreserving import GainTable, cycle_condition, path_q, reparametrize_path
 from decaycert.scalarfn import Term
-from test_maxpreserving import PASSING_TERMS, power_cycle_condition, sparse_rows
+from stages import PASSING_TERMS, power_cycle_condition, sparse_rows
 
 # the six gains of the solve corpus's max-times tables
 CORPUS_GAINS = ["0.4*t^0.5", "0.3*t^2", "0.5*t", "max(0.3*t, 0.05*t^2)", "0.2*t + 0.01*t^2",

@@ -906,7 +906,7 @@ def test_linear_counts_skip_the_sphere_stage(fraction):
                 assert report.iterations == expected, (n, seed, T.kind)
 
 
-def test_sphere_stage_successes_are_certificates(monkeypatch):
+def test_sphere_stage_successes_are_certificates():
     """Every success on ``A s^a``, sub- or superlinear, passes the direct re-check, and
     every ``label_none`` failure names a sphere point without a label, the sphere
     stage's own exits included.
@@ -916,17 +916,16 @@ def test_sphere_stage_successes_are_certificates(monkeypatch):
     twin, a difference or not, is counted.
     """
     reasons = []
-    stage = homotopy._sphere_stage
     stage_ends = []
 
-    def sphere_stage(ev):
+    def sphere_stage(ev):  # the solver's, recording the reports it ends the run with
         try:
-            stage(ev)
+            homotopy._sphere_stage(ev)
         except homotopy._Finished as finished:
             stage_ends.append(finished.report)
             raise
 
-    monkeypatch.setattr(homotopy, "_sphere_stage", sphere_stage)
+    stages = (homotopy._policy_step, sphere_stage, homotopy._pre_phase, homotopy._walk)
 
     @st.composite
     def power_maps(draw):
@@ -945,7 +944,7 @@ def test_sphere_stage_successes_are_certificates(monkeypatch):
         cfg = SolverConfig(r=10.0, epsilon=eps, max_iterations=1000)
         for M in (T, callable_twin(T)):
             with recorded() as seen:
-                report = find_decay_point(M, cfg, T.dimension)
+                report = homotopy._solve(M, cfg, T.dimension, stages)
             if M is not T:
                 assert len(seen) == report.iterations
             by_stage = any(report is end for end in stage_ends)

@@ -12,7 +12,7 @@ from decaycert.homotopy import SolverConfig, find_decay_point
 from decaycert import maps
 from decaycert.maxpreserving import GainTable, cycle_condition, cycle_grid, path_q, reparametrize_path
 from decaycert.scalarfn import Max, Sum, Term
-from stages import cycle_mean
+from stages import PASSING_TERMS, cycle_mean, power_cycle_condition, sparse_rows
 
 
 def half_id_cycle(n):
@@ -24,15 +24,6 @@ def half_id_cycle(n):
 
 
 VIOLATING = GainTable([[None, "2*t"], ["t", None]])
-# tables of these pass the cycle test: every cycle stays below the identity on [1e-3, 1e3]
-PASSING_TERMS = ["0.4*t", "0.5*t", "0.3*t^1.1"]
-
-
-def sparse_rows(n: int, seed: int, gains: list[str]) -> list[list]:
-    """n-by-n gain rows whose entries are present with probability 3/n, each drawn from gains."""
-    rng = np.random.default_rng(seed)
-    return [[gains[rng.integers(len(gains))] if rng.random() < 3 / n else None
-             for _ in range(n)] for _ in range(n)]
 
 
 def compose_walk(table, walk, t):
@@ -57,40 +48,6 @@ def enumerate_simple_cycles(table, grid):
                 for t in grid:
                     if compose_walk(table, cycle, t) >= t:
                         return False, (cycle, t)
-    return True, None
-
-
-def power_cycle_condition(nonzero):
-    """Reference oracle: cycle_condition as all n max-plus powers, without the stop.
-
-    ``nonzero`` lists each row's ``(j, gain)`` pairs, like ``GainTable.nonzero``.
-    For ``k = 1..n`` it steps the power ``T^k(t e_i)`` over every start and both
-    ends, and at the first diagonal hit re-steps that start's powers and
-    backtracks the walk by the first gain of largest value.
-    """
-    n, ends = len(nonzero), np.array([1e-3, 1e3])
-
-    def step(w):
-        out = np.zeros_like(w)
-        for a, row in enumerate(nonzero):
-            for j, g in row:
-                np.maximum(out[:, a], g(w[:, j]), out=out[:, a])
-        return out
-
-    start = w = np.eye(n)[:, :, None] * ends
-    with np.errstate(over="ignore"):
-        for k in range(1, n + 1):
-            w = step(w)
-            hits = np.argwhere(np.diagonal(w).T >= ends)
-            if len(hits):
-                i, p = hits[0].tolist()
-                path = [start[i:i + 1, :, p:p + 1]]
-                for _ in range(k - 1):
-                    path.append(step(path[-1]))
-                walk = [i]
-                for v in reversed(path[1:]):
-                    walk.append(max(nonzero[walk[-1]], key=lambda jg: jg[1](v[0, jg[0], 0]))[0])
-                return False, (tuple(a + 1 for a in walk), float(ends[p]))
     return True, None
 
 

@@ -31,7 +31,7 @@ ALLOWED = (
     "__main__.py: import sys",
     "__main__.py: from .cli import main",
     "__main__.py: sys.exit(main())",
-    # every solver stage ends the run by raising; this line would mean one did not
+    # every stage tuple of _solve ends in _walk, which always ends the run by raising
     'homotopy.py: raise AssertionError("slack ladder ended without a rung at eps")',
     # no matrix found yet misses the bound with both numpy's eigenvector and the SVD one
     'linear.py: raise ValueError(f"dominant direction residual {residual:.2e} exceeds '
