@@ -78,14 +78,9 @@ class MonotoneMap:
     A map built directly from a callable has none.  For a map of degree
     ``(1, 1)`` ``T(s) = J(s) s`` (Euler), and for a piecewise linear one
     ``J(s)`` is the matrix of the piece active at s; the solver's policy
-    step reads its policies from it.
-    The solver's sphere stage forms J at each of its best points: this
-    Jacobian where the map has one, and else forward differences of T,
-    each a counted evaluation.  Each of its Newton steps fits one power of
-    each row to ``T(s)`` and ``J(s)``, of degree
-    ``(J(s) s)_i / T(s)_i``, so a map whose rows are sums
-    ``sum_j c_ij s_j^a_i`` lands on its equal-margin point in one step.
-    Either way every resulting point is tested on T itself.  A Jacobian
+    step reads its policies from it.  How the sphere stage uses J, or
+    forms one where the map has none, is in the :mod:`decaycert.homotopy`
+    module docstring, under "Sphere stage".  A Jacobian
     reads its map's ``fn``, never ``__call__``, so it is never counted as
     an evaluation.
     ``kind`` is only a name: the solver never reads it.

@@ -8,15 +8,17 @@ compositions nest specs.  The kinds ``maxpreserving`` and ``sumtable``
 are one gain table under its two row rules, max and sum
 (:class:`decaycert.maps.GainTable`), and share one parse and one render.
 Parsing checks the format of the whole document first (JSON syntax, an
-integer within Python's digit limit, JSON shapes, numbers, square rows,
-gain text that parses, which a constant term such as ``"t^0"`` does not,
-as :class:`decaycert.scalarfn.Term` refuses it), then checks the spec
-by building its map: the
-:mod:`decaycert.maps` constructors hold the family invariants, and their
-``ValueError`` is re-raised as :class:`MapSpecError` with the same
-message.  Functions are stored as parsed ScalarFn trees, and a null gain
-as None, an absent gain that renders back as null, so serialize-then-parse
-reproduces an identical spec.
+integer within Python's digit limit, JSON shapes, square rows, gain text
+that parses, which a constant term such as ``"t^0"`` does not, as
+:class:`decaycert.scalarfn.Term` refuses it), then checks the spec by
+building its map.  Numbers and counts are kept as given, and the build
+refuses a bad one: :mod:`decaycert.order` is the package's one door for
+them, and the :mod:`decaycert.maps` constructors hold the family
+invariants.  A constructor's ``ValueError`` is re-raised as
+:class:`MapSpecError` with the same message.  Functions are stored as
+parsed ScalarFn trees, and a null gain as None, an absent gain that
+renders back as null, so serialize-then-parse reproduces an identical
+spec.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from typing import Any, Callable, NamedTuple
 
 from . import maps
 from .maps import MonotoneMap
-from .order import is_number
 from .scalarfn import ScalarFn, ScalarFnParseError, parse_scalar_fn
 
 __all__ = [
@@ -45,7 +46,11 @@ class MapSpecParseError(ValueError):
 
 
 class MapSpecError(ValueError):
-    """The document is well-formed but violates a family invariant."""
+    """The document is well-formed, but its map's constructor refuses it.
+
+    The message is the constructor's: a bad number or count, or a
+    violated family invariant.
+    """
 
 
 @dataclass(frozen=True)
@@ -75,12 +80,6 @@ class MapSpec:
         return {"kind": self.kind, entry.field: entry.render(self.data)}
 
 
-def _number(value, where: str, *at: int) -> float:
-    if not is_number(value):
-        raise MapSpecParseError(f"{where.format(*at)} must be a number, got {value!r}")
-    return float(value)
-
-
 def _scalar_fn(text, where: str, *at: int) -> ScalarFn | None:
     """Parse a gain or diagonal function; null stays None, an absent gain."""
     if text is None:
@@ -93,35 +92,19 @@ def _scalar_fn(text, where: str, *at: int) -> ScalarFn | None:
         raise MapSpecParseError(f"{where.format(*at)}: {exc}") from exc
 
 
-def _square_rows(raw, name: str, entry: Callable[..., Any], where: str) -> tuple:
-    """Rows of a nonempty square table; ``entry(value, where, i, j)`` parses entry (i, j).
-
-    ``where`` locates an entry as ``where.format(i, j)``, 1-based, and an
-    entry fills it in only for its error message.
-    """
+def _square_rows(raw, name: str) -> tuple:
+    """Rows of a nonempty square table, each a tuple of its entries as given."""
     if not isinstance(raw, list) or not raw or not all(isinstance(r, list) for r in raw):
         raise MapSpecParseError(f"{name} must be a nonempty list of rows")
-    n = len(raw)
-    rows = []
     for i, row in enumerate(raw, 1):
-        if len(row) != n:
-            raise MapSpecParseError(f"{name} row {i} has {len(row)} entries, expected {n}")
-        rows.append(tuple(entry(v, where, i, j) for j, v in enumerate(row, 1)))
-    return tuple(rows)
-
-
-def _matrix(raw) -> tuple:
-    return _square_rows(raw, "matrix", _number, "matrix entry ({0},{1})")
+        if len(row) != len(raw):
+            raise MapSpecParseError(f"{name} row {i} has {len(row)} entries, expected {len(raw)}")
+    return tuple(tuple(row) for row in raw)
 
 
 def _gains(raw) -> tuple:
-    return _square_rows(raw, "gains", _scalar_fn, "gain ({0},{1})")
-
-
-def _chain_n(n) -> int:
-    if not is_number(n, integer=True):
-        raise MapSpecParseError(f"chain n must be an integer, got {n!r}")
-    return n
+    return tuple(tuple(_scalar_fn(g, "gain ({0},{1})", i, j) for j, g in enumerate(row, 1))
+                 for i, row in enumerate(_square_rows(raw, "gains"), 1))
 
 
 def _functions(raw) -> tuple[ScalarFn, ...]:
@@ -147,9 +130,10 @@ class _Kind(NamedTuple):
 _TABLE = _Kind("gains", _gains, maps.make_max_preserving,
                lambda rows: [[g and g.render() for g in row] for row in rows])
 _KINDS = {
-    "linear": _Kind("matrix", _matrix, maps.make_linear_map, lambda rows: [list(r) for r in rows]),
-    "chain": _Kind("n", _chain_n, maps.make_chain_map, int),
-    "flipflop": _Kind("lambda", lambda v: _number(v, "lambda"), maps.make_flipflop_map, float),
+    "linear": _Kind("matrix", lambda raw: _square_rows(raw, "matrix"), maps.make_linear_map,
+                    lambda rows: rows),
+    "chain": _Kind("n", lambda n: n, maps.make_chain_map, lambda n: n),
+    "flipflop": _Kind("lambda", lambda lam: lam, maps.make_flipflop_map, lambda lam: lam),
     "maxpreserving": _TABLE,
     "sumtable": _TABLE._replace(build=lambda rows: maps.GainTable(rows, "sum").to_map()),
     "diagonal": _Kind("functions", _functions, maps.make_diagonal,

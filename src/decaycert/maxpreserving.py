@@ -1,8 +1,9 @@
 """Max-preserving maps: the cycle test and the almost-solution path.
 
-Everything here takes a max table only: what follows rests on ``T``
+Everything here takes a max ``GainTable`` only, and each function
+refuses anything else with ValueError: what follows rests on ``T``
 commuting with ``max``, which a sum table (``GainTable(rows, "sum")``)
-does not, so each function refuses one with ValueError.
+does not.
 
 A map of the form ``(Ts)_i = max_j g_ij(s_j)`` never has ``Ts >= s`` at a
 nonzero point exactly when every cyclic composition of its gains stays
@@ -82,11 +83,13 @@ def cycle_grid() -> list[float]:
 
 
 def _table(table) -> GainTable:
-    """``table`` itself if it is a GainTable, else the GainTable of a nested gain sequence.
+    """``table`` itself if it is a max GainTable; anything else raises ValueError.
 
-    A sum table raises ValueError (see the module docstring).
+    A sum table is refused for the reason in the module docstring.
     """
-    table = table if isinstance(table, GainTable) else GainTable(table)
+    if not isinstance(table, GainTable):
+        raise ValueError("the max-preserving toolkit needs a GainTable, "
+                         f"got {type(table).__name__}")
     if table.aggregate != "max":
         raise ValueError(f"the max-preserving toolkit needs a max table, got {table.aggregate!r}")
     return table
@@ -95,7 +98,7 @@ def _table(table) -> GainTable:
 def cycle_condition(table) -> tuple[bool, tuple[tuple[int, ...], float] | None]:
     """Check every cyclic gain composition against the identity on ``[1e-3, 1e3]``.
 
-    ``table`` is a GainTable or a nested gain sequence.  For walk length
+    ``table`` is a max GainTable.  For walk length
     ``k = 1..n``, start ``i`` and end ``t`` of the interval, 1e-3 first,
     in that order, a violation is ``(T^k(t e_i))_i >= t``.  Returns
     ``(True, None)`` or ``(False, (walk, t))`` where ``walk`` is the 1-based
@@ -138,7 +141,7 @@ def cycle_condition(table) -> tuple[bool, tuple[tuple[int, ...], float] | None]:
 
 
 def path_q(table, t: float) -> np.ndarray:
-    """Componentwise max of ``t e, T(t e), ..., T^{n-1}(t e)``; ``table`` as for cycle_condition.
+    """Componentwise max of ``t e, T(t e), ..., T^{n-1}(t e)``; ``table`` is a max GainTable.
 
     A component that overflows reads as inf.
     """
@@ -160,7 +163,7 @@ def _q(table: GainTable, t: float) -> np.ndarray:
 def reparametrize_path(table, r: float, tol: float = 1e-9) -> np.ndarray:
     """Point on the almost-solution path with 1-norm ``r`` (within ``tol``).
 
-    ``table`` is taken as by cycle_condition, and steps the path itself
+    ``table`` is a max GainTable, and steps the path itself
     (``GainTable.evaluate``), building no map.  Bisects the parameter of
     ``q`` on ``[0, r]``: ``q(0) = 0``, since every gain has ``g(0) = 0``,
     and ``q(r) >= r e`` has norm at least r.  A path point that overflows

@@ -245,16 +245,18 @@ class TestVerify:
         assert captured.out == ""
 
     @pytest.mark.parametrize("command", ["find", "verify"])
-    @pytest.mark.parametrize("obj, name", [
-        ({"kind": "linear", "matrix": [[10**400, 0], [0, 0.5]]}, "matrix entry (1,1)"),
-        ({"kind": "flipflop", "lambda": 10**400}, "lambda"),
+    @pytest.mark.parametrize("obj, message", [
+        ({"kind": "linear", "matrix": [[10**400, 0], [0, 0.5]]},
+         f"matrix entry at (1,1) is not a number: {10**400}"),
+        ({"kind": "flipflop", "lambda": 10**400},
+         f"flipflop lambda must be positive and finite, got {10**400}"),
     ], ids=["matrix", "lambda"])
-    def test_an_integer_beyond_float_range_is_named(self, tmp_path, capsys, command, obj, name):
+    def test_an_integer_beyond_float_range_is_named(self, tmp_path, capsys, command, obj, message):
         # float() of this JSON integer raises OverflowError; the number rule refuses it first
         code = main([command, "--map", write_spec(tmp_path, obj), "-r", "1"])
         captured = capsys.readouterr()
         assert code == 2
-        assert captured.err == f"error: {name} must be a number, got {10**400}\n"
+        assert captured.err == f"error: {message}\n"
         assert captured.out == ""
 
     def test_non_contractive_linear_exits_one(self, tmp_path, capsys):

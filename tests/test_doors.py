@@ -1,13 +1,17 @@
 """Every door that takes a point or a matrix refuses an entry that is not a number.
 
 A number is an int or a float, numpy's included, never a bool, and never
-an int too large to convert to a float (``order.is_number``).  Each refusal is a ValueError that names the
-entry's position; numpy's own TypeError, a ComplexWarning (an error under
-this suite's warning filter) or a silently dropped imaginary part never
-reaches the caller.
+an int too large to convert to a float (``order.is_number``).  Each
+refusal is a ValueError that names the entry's position; numpy's own
+TypeError, a ComplexWarning (an error under this suite's warning filter)
+or a silently dropped imaginary part never reaches the caller.  A map
+spec is a matrix door too: ``parse_map_spec`` keeps a ``linear`` spec's
+entries as JSON gives them, and building its map refuses a non-number
+with the same text, as a ``MapSpecError``.
 """
 
 import ast
+import json
 import math
 from fractions import Fraction
 from pathlib import Path
@@ -19,6 +23,7 @@ from decaycert import (LabeledVertexSet, compare, iterate, label_eps, make_linea
                        neumann_inverse, omega_membership, perron_direction, spectral_radius)
 from decaycert.dynamics import ordering_check
 from decaycert.linear import eps_max
+from decaycert.mapspec import MapSpecError, parse_map_spec
 from decaycert.order import as_point, is_number
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "decaycert"
@@ -111,9 +116,22 @@ class TestMatrixDoors:
             door(A)
 
     def test_a_ragged_row_is_named_by_its_row(self, door):
+        # library-only: a spec refuses a ragged row first, as a format error
         with pytest.raises(ValueError) as got:
             door([[0.5, 0.0], [0.5]])
         assert str(got.value) == "matrix entry at (1) is not a number: [0.5, 0.0]"
+
+
+JSON_ENTRIES = {"None", "dict", "list", "string", "numeric-string", "bool", "huge-int",
+                "negative-huge-int"}
+
+
+@pytest.mark.parametrize("A, position, entry",
+                         [p for p in bad_matrices() if p.id.removesuffix("-later") in JSON_ENTRIES])
+def test_a_spec_names_a_non_number_entry_as_the_matrix_doors_do(A, position, entry):
+    with pytest.raises(MapSpecError) as got:
+        parse_map_spec(json.dumps({"kind": "linear", "matrix": A}))
+    assert str(got.value) == f"matrix entry at ({position}) is not a number: {entry!r}"
 
 
 @pytest.mark.parametrize("call, message", [
@@ -196,3 +214,17 @@ def test_the_number_test_is_written_once():
                 if names & NUMBER_TYPES:
                     found.append((path.name, node.lineno))
     assert {name for name, _ in found} == {"order.py"}, found
+
+
+def test_numbers_are_refused_in_order_and_in_the_gain_door_only():
+    # scalarfn's Term checks a coefficient and an exponent; every other number goes
+    # through order's doors, a map spec's numbers too
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                called = getattr(node, "func", None)
+                if getattr(called, "id", getattr(called, "attr", None)) == "is_number":
+                    where = getattr(top, "name", None)
+                    found.add(path.name if path.name == "order.py" else (path.name, where))
+    assert found == {"order.py", ("scalarfn.py", "Term")}, found

@@ -91,7 +91,8 @@ def test_a_table_agrees_with_its_dense_reference(case):
 def test_the_backtrack_takes_the_first_of_tied_nonzero_gains():
     # 1 -> 2 -> 1 and 1 -> 3 -> 1 both compose to 2t, and their last steps tie at 2t
     rows = [[None, "0.5*t", "0.5*t"], ["4*t", None, None], ["4*t", None, None]]
-    assert cycle_condition(rows) == dense_cycle_condition(rows) == (False, ((1, 2), 1e-3))
+    assert (cycle_condition(GainTable(rows)) == dense_cycle_condition(rows)
+            == (False, ((1, 2), 1e-3)))
 
 
 def test_nonzero_lists_each_rows_nonzero_gains_in_column_order():
@@ -238,13 +239,25 @@ def test_a_sum_table_is_a_matrix_after_a_diagonal(case):
 SWAP = [[None, "0.5*t"], ["0.5*t", None]]
 
 
-@pytest.mark.parametrize("call", [cycle_condition, lambda table: path_q(table, 1.0),
-                                  lambda table: reparametrize_path(table, 1.0)],
-                         ids=["cycle_condition", "path_q", "reparametrize_path"])
+TOOLKIT = {"cycle_condition": cycle_condition, "path_q": lambda table: path_q(table, 1.0),
+           "reparametrize_path": lambda table: reparametrize_path(table, 1.0)}
+
+
+@pytest.mark.parametrize("call", TOOLKIT.values(), ids=TOOLKIT.keys())
 def test_the_max_toolkit_refuses_a_sum_table(call):
     with pytest.raises(ValueError, match="^the max-preserving toolkit needs a max table, "
                                          "got 'sum'$"):
         call(GainTable(SWAP, "sum"))
+
+
+@pytest.mark.parametrize("call", TOOLKIT.values(), ids=TOOLKIT.keys())
+@pytest.mark.parametrize("table, kind", [(SWAP, "list"),
+                                         (GainTable(SWAP).to_map(), "MonotoneMap")],
+                         ids=["nested-list", "map"])
+def test_the_max_toolkit_takes_a_gain_table_only(call, table, kind):
+    with pytest.raises(ValueError, match=f"^the max-preserving toolkit needs a GainTable, "
+                                         f"got {kind}$"):
+        call(table)
 
 
 @pytest.mark.parametrize("aggregate", ["min", None, True, "MAX", np.array(["max"])],

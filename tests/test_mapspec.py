@@ -164,13 +164,6 @@ class TestErrors:
         ({"kind": "maxpreserving", "gains": [1, 2]}, "gains must be a nonempty list of rows"),
         ({"kind": "maxpreserving", "gains": [[None, None], [None]]},
          "gains row 2 has 1 entries, expected 2"),
-        ({"kind": "linear", "matrix": [[0, "a"], [0]]},
-         "matrix entry (1,2) must be a number, got 'a'"),
-        ({"kind": "linear", "matrix": [[0, 0], [True, 0]]},
-         "matrix entry (2,1) must be a number, got True"),
-        ({"kind": "chain", "n": True}, "chain n must be an integer, got True"),
-        ({"kind": "chain", "n": 3.0}, "chain n must be an integer, got 3.0"),
-        ({"kind": "flipflop", "lambda": "x"}, "lambda must be a number, got 'x'"),
         ({"kind": "diagonal", "functions": ["t", 1]}, "function 2 must be a string or null, got 1"),
         ({"kind": "maxpreserving", "gains": [[None, 2], [None, None]]},
          "gain (1,2) must be a string or null, got 2"),
@@ -187,6 +180,18 @@ class TestErrors:
     ])
     def test_format_error_message(self, obj, message):
         with pytest.raises(MapSpecParseError) as got:
+            parse_map_spec(json.dumps(obj))
+        assert str(got.value) == message
+
+    # a matrix entry's refusal is test_doors.py's, which runs the spec route too
+    @pytest.mark.parametrize("obj, message", [
+        ({"kind": "chain", "n": True}, "chain map dimension must be an int, got True"),
+        ({"kind": "chain", "n": 3.0}, "chain map dimension must be an int, got 3.0"),
+        ({"kind": "flipflop", "lambda": "x"},
+         "flipflop lambda must be positive and finite, got 'x'"),
+    ], ids=["chain-bool", "chain-float", "lambda-string"])
+    def test_a_bad_count_or_number_is_the_constructors_refusal(self, obj, message):
+        with pytest.raises(MapSpecError) as got:
             parse_map_spec(json.dumps(obj))
         assert str(got.value) == message
 
